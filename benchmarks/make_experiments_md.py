@@ -233,8 +233,11 @@ COMMENTARY = {
         "alike — is identical to the virtual-clock simulator's (0 "
         "divergences here; 60 seeded workload queries plus a mid-run "
         "SIGTERM compared exactly in tests/difftest/test_transport.py). "
-        "The simulator stays ~2 orders of magnitude faster in "
-        "wall-clock, which is why it remains the default dev loop.",
+        "The live wait is event-driven, so a localhost query answers in "
+        "a few milliseconds (3.4 ms p50 here, 101.8 ms when the launcher "
+        "polled at a 100 ms quantum); the simulator stays ~5.6x faster "
+        "per query in wall-clock (1515 vs 269 q/s) and needs no "
+        "process spawn, which is why it remains the default dev loop.",
     ),
     "membership": (
         "repro.membership (extension) — churn with durable recovery",

@@ -52,6 +52,16 @@ from .workload import ClusterSpec, ClusterWorkload, build_workload
 BOOTSTRAP_TIMEOUT = 2_000.0
 #: Virtual-time budget for one query to complete.
 QUERY_TIMEOUT = 4_000.0
+#: First re-probe delay (virtual units) while waiting for advertisements
+#: to land; doubles per round.  A reply that shows them landed ends the
+#: wait at once, the back-off only paces the asking.
+SETTLE_BACKOFF = 0.25
+#: Virtual-time units between the starts of consecutive
+#: :meth:`LiveCluster.query` calls (18 ms at the default time scale): the
+#: closed loop is paced, so its rate is this interval's and not whatever
+#: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
+#: ``await_result`` are not paced.
+QUERY_INTERVAL = 0.9
 
 
 class _Probe(Peer):
@@ -118,6 +128,11 @@ class LiveCluster:
         self.first_exit_codes: Dict[str, int] = {}
         self._client_counter = 0
         self.clients: Dict[str, ClientPeer] = {}
+        #: the one client behind query()/submit(); results are keyed by
+        #: query id, so every query can share it
+        self._query_client: Optional[ClientPeer] = None
+        #: virtual time before which :meth:`query` does not submit again
+        self._next_query = 0.0
 
     # ------------------------------------------------------------------
     # the system facade the workload engine drives
@@ -184,28 +199,41 @@ class LiveCluster:
         )
 
     def _settle_advertisements(self, timeout: float) -> None:
-        """Poll every super-peer's registry until each clustered peer's
-        advertisement has landed (a deterministic alternative to the
-        in-sim ``system.run()`` settle)."""
-        wanted = {
-            super_id: {p for p in self.spec.peer_ids()
-                       if self.spec.home_for(p) == super_id}
-            for super_id in self.spec.super_ids()
-        }
+        """Wait until each clustered peer's advertisement has landed at
+        its super-peer (a deterministic alternative to the in-sim
+        ``system.run()`` settle)."""
+        self._settle(
+            {
+                super_id: {p for p in self.spec.peer_ids()
+                           if self.spec.home_for(p) == super_id}
+                for super_id in self.spec.super_ids()
+            },
+            timeout,
+            "advertisements never settled on the backbone",
+        )
+
+    def _settle(self, wanted: Dict[str, set], timeout: float, failure: str) -> None:
+        """Probe super-peers' registries until each holds its ``wanted``
+        peers.  The wait ends with the reply that shows it; a reply that
+        does not is followed by a re-probe on a doubling back-off."""
         deadline = self.transport.now + timeout
+        backoff = SETTLE_BACKOFF
 
-        def settled() -> bool:
-            return all(
-                wanted[s] <= self.probe.registries.get(s, set()) for s in wanted
-            )
+        def unsettled() -> List[str]:
+            return [s for s in wanted
+                    if not wanted[s] <= self.probe.registries.get(s, set())]
 
-        while not settled():
+        while True:
+            for super_id in unsettled():
+                self.probe.poll(super_id)
+            if self.transport.run_until(
+                lambda: not unsettled(),
+                min(backoff, deadline - self.transport.now),
+            ):
+                return
             if self.transport.now >= deadline:
-                raise NetworkError("advertisements never settled on the backbone")
-            for super_id in wanted:
-                if not wanted[super_id] <= self.probe.registries.get(super_id, set()):
-                    self.probe.poll(super_id)
-            self.transport.run(until=self.transport.now + 20.0)
+                raise NetworkError(failure)
+            backoff *= 2.0
 
     def scrape(self) -> Optional[Dict[str, object]]:
         """One mid-run telemetry round over every peer's endpoints;
@@ -267,17 +295,13 @@ class LiveCluster:
         self.joined.append(node_id)
 
     def _settle_peer(self, node_id: str, timeout: float) -> None:
-        """Poll the node's home super-peer until its advertisement is
-        registered there."""
+        """Wait until the node's advertisement is registered at its
+        home super-peer."""
         home = self.spec.home_for(node_id)
-        deadline = self.transport.now + timeout
-        while node_id not in self.probe.registries.get(home, set()):
-            if self.transport.now >= deadline:
-                raise NetworkError(
-                    f"{node_id}'s advertisement never settled at {home}"
-                )
-            self.probe.poll(home)
-            self.transport.run(until=self.transport.now + 20.0)
+        self._settle(
+            {home: {node_id}}, timeout,
+            f"{node_id}'s advertisement never settled at {home}",
+        )
 
     # ------------------------------------------------------------------
     # querying
@@ -286,8 +310,9 @@ class LiveCluster:
         """Fire a query without waiting; returns ``(client, query_id)``
         for :meth:`await_result`.  Used by kill runs to overlap a
         SIGTERM with an in-flight query."""
-        client = self.add_client()
-        return client, client.submit(via, text)
+        if self._query_client is None:
+            self._query_client = self.add_client()
+        return self._query_client, self._query_client.submit(via, text)
 
     def await_result(self, client, query_id: str, timeout: float = QUERY_TIMEOUT):
         self.transport.run_until(lambda: query_id in client.results, timeout)
@@ -299,7 +324,11 @@ class LiveCluster:
     def query(self, via: str, text: str, timeout: float = QUERY_TIMEOUT):
         """One query to completion; returns the
         :class:`~repro.peers.client.QueryResult` (table, error or
-        coverage-annotated partial)."""
+        coverage-annotated partial).  Consecutive calls start at least
+        :data:`QUERY_INTERVAL` apart; the wait for the answer itself is
+        event-driven."""
+        self.transport.run(until=self._next_query)  # returns at once when past
+        self._next_query = self.transport.now + QUERY_INTERVAL
         client, query_id = self.submit(via, text)
         return self.await_result(client, query_id, timeout)
 

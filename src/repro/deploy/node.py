@@ -246,8 +246,13 @@ def run_node(args) -> int:
         node.stream_chunk_rows = 4
 
     stopping = []
+
+    def _stop() -> None:
+        stopping.append(True)
+        transport.wake()  # leave run_until(stopping) now, not at a timer
+
     for signum in (signal.SIGTERM, signal.SIGINT):
-        transport.loop.add_signal_handler(signum, lambda: stopping.append(True))
+        transport.loop.add_signal_handler(signum, _stop)
 
     # telemetry endpoints: /metrics /healthz /tracez on the node's own
     # event loop; the endpoint file makes the address discoverable even

@@ -15,8 +15,13 @@ then opened peer-process to peer-process on demand.
 
 Time: protocol code above the seam thinks in virtual-time units
 (latencies around tens of units).  The live transport maps one unit to
-``time_scale`` real seconds, so retry policies, heartbeat intervals and
-deadlines written for the simulator behave proportionally on the wire.
+``time_scale`` real seconds, so *timers* — retry policies, heartbeat
+intervals, deadlines written for the simulator — behave proportionally
+on the wire.  *Waiting* is not scaled: :meth:`AsyncioTransport.run_until`
+sleeps on one wake event that every dispatched frame, every fired
+``schedule()`` action and :meth:`AsyncioTransport.wake` set, so a waiter
+resumes when the thing it awaits happens and ``time_scale`` only decides
+when it gives up.
 
 Failure semantics mirror the simulator's omniscient bounces: when a
 destination process is unreachable (connect retries exhausted, governed
@@ -50,6 +55,10 @@ DEFAULT_DIAL_POLICY = RetryPolicy(
     max_attempts=4, base_timeout=8.0, backoff=2.0, max_timeout=64.0
 )
 
+#: Real seconds :meth:`AsyncioTransport.close` gives connected peers'
+#: outboxes to drain the byes (a wedged peer must not hold up an exit).
+DRAIN_TIMEOUT = 0.25
+
 
 class _Conn:
     """One outbound connection to a process address, with reconnect."""
@@ -59,12 +68,17 @@ class _Conn:
         self.addr = addr
         self.outbox: Deque[Tuple[bytes, Optional[object]]] = deque()
         self.kick = asyncio.Event()
+        #: set while the pump has nothing it can still write: the outbox
+        #: went through ``writer.drain()``, or the connection is lost
+        self.idle = asyncio.Event()
+        self.idle.set()
         self.closed = False
         self.connected = False
         self.task = transport.loop.create_task(self._pump())
 
     def enqueue(self, frame: bytes, message=None) -> None:
         self.outbox.append((frame, message))
+        self.idle.clear()
         self.kick.set()
 
     def close(self) -> None:
@@ -99,6 +113,7 @@ class _Conn:
                         writer.write(pack_frame(frame))
                         await writer.drain()
                         self.outbox.popleft()
+                    self.idle.set()
                     self.kick.clear()
                     if self.outbox or reader_task.done():
                         continue
@@ -107,6 +122,7 @@ class _Conn:
                 pass  # reconnect with the partially drained outbox
             finally:
                 self.connected = False
+                self.idle.set()
                 reader_task.cancel()
                 writer.close()
 
@@ -165,6 +181,9 @@ class AsyncioTransport(Transport):
         self._server: Optional[asyncio.AbstractServer] = None
         self._local_nodes: List[str] = []
         self._started = False
+        #: the one wake primitive: set whenever something happened that
+        #: can change what a :meth:`run_until` waiter is looking at
+        self._wake = asyncio.Event()
 
     # ------------------------------------------------------------------
     # Transport surface
@@ -174,7 +193,22 @@ class AsyncioTransport(Transport):
         return (self.loop.time() - self._epoch) / self.time_scale
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        self.loop.call_later(max(0.0, delay) * self.time_scale, action)
+        self.loop.call_later(max(0.0, delay) * self.time_scale, self._fire, action)
+
+    def _fire(self, action: Callable[[], None]) -> None:
+        # a waiter resumes only after this callback returns, so waking
+        # first is equivalent and holds even when the action raises
+        self._wake.set()
+        action()
+
+    def wake(self) -> None:
+        """Make a :meth:`run_until` waiter re-check its predicate now.
+
+        For state changed from outside the transport's own frames and
+        timers — a signal handler, a callback of another server on this
+        loop.  Call it on the loop's thread.
+        """
+        self._wake.set()
 
     def routes(self, dst: str) -> bool:
         return True  # optimistic: unknown nodes get the hold-then-bounce path
@@ -212,16 +246,37 @@ class AsyncioTransport(Transport):
             self.loop.run_until_complete(asyncio.sleep(remaining))
         return 0
 
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float, poll: float = 5.0
-    ) -> bool:
-        """Run until ``predicate()`` holds or ``timeout`` virtual units pass."""
-        deadline = self.now + timeout
-        while not predicate():
-            if self.now >= deadline:
-                return predicate()
-            self.run(until=min(self.now + poll, deadline))
-        return True
+    def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Run until ``predicate()`` holds or ``timeout`` virtual units pass.
+
+        Event-driven: the loop sleeps on the wake event and the predicate
+        is re-checked after every wake, so the call returns as soon as
+        the frame, timer or :meth:`wake` that makes it true has run.
+        Returns ``False`` only at the ``timeout`` deadline.
+        """
+        self.start()
+        return self.loop.run_until_complete(
+            self._wait(predicate, self.loop.time() + timeout * self.time_scale)
+        )
+
+    async def _wait(self, predicate: Callable[[], bool], deadline: float) -> bool:
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            self._wake.set()
+
+        timer = self.loop.call_at(deadline, expire)
+        try:
+            while not predicate():
+                if expired:
+                    return False
+                self._wake.clear()
+                await self._wake.wait()
+            return True
+        finally:
+            timer.cancel()
 
     def pending_events(self) -> int:
         queued = sum(len(c.outbox) for c in self._conns.values())
@@ -269,10 +324,16 @@ class AsyncioTransport(Transport):
 
     async def _shutdown(self) -> None:
         bye = encode_frame("bye", {"nodes": list(self._local_nodes)})
-        for conn in list(self._conns.values()):
-            if conn.connected:
-                conn.enqueue(bye)
-        await asyncio.sleep(0.05)  # let writers drain the byes
+        connected = [conn for conn in self._conns.values() if conn.connected]
+        for conn in connected:
+            conn.enqueue(bye)
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(conn.idle.wait() for conn in connected)),
+                DRAIN_TIMEOUT,
+            )
+        except asyncio.TimeoutError:
+            pass  # a wedged peer misses the bye; its dial give-up covers it
         for conn in list(self._conns.values()):
             conn.close()
         for writer in self._inbound:
@@ -329,6 +390,7 @@ class AsyncioTransport(Transport):
                 return  # a corrupt stream is unrecoverable: drop the conn
 
     def _dispatch(self, kind: str, body: dict, writer: asyncio.StreamWriter) -> None:
+        self._wake.set()  # as in _fire: the waiter runs after this returns
         if kind == "msg":
             if self.network is not None:
                 self.network.deliver_remote(decode_message(body))

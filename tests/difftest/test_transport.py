@@ -40,7 +40,7 @@ def _sequence(spec, workload):
 
 def _sim_answers(spec, workload):
     """The in-sim twin's answers, via the same client-submit path the
-    live launcher uses (fresh client per query, same id sequence)."""
+    live launcher uses (answers do not depend on which client asks)."""
     system = build_sim_system(spec, workload)
     answers = []
     for via, text in _sequence(spec, workload):
