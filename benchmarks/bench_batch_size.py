@@ -1,22 +1,18 @@
-"""Experiment batch — batched vectorized execution (Section 2.5).
+"""Experiment batch — batched shipping (Section 2.5).
 
-The seed shipped one ``DataPacket`` per binding and joined tables a
-binding at a time.  The vectorized engine evaluates operators over
-column-oriented :class:`~repro.execution.batch.BindingBatch` chunks and
-ships :attr:`batch_size` bindings per packet, so a channel's cost is
-paid per *batch*, not per *binding*.  This experiment sweeps the batch
-size over a union-heavy synthetic workload (~500 answer rows) against
-the scalar binding-at-a-time engine and measures answer equality,
-wall-clock time, simulator messages and shipped data packets.
+A channel's cost is paid per *packet*: the engine ships
+:attr:`batch_size` bindings per ``DataPacket`` (each carrying the
+dictionary entries its id columns reference), so a larger batch pays
+the per-message cost fewer times.  This experiment sweeps batch size ×
+``cost_based`` over a union-heavy synthetic workload (~500 answer rows)
+and measures answer equality against the centralized evaluator,
+wall-clock time, simulator messages, bytes and shipped data packets.
 
 Invariants asserted by the pytest entry points:
 
-* identical answers at every batch size, vectorized, scalar,
-  dictionary-encoded or cost-based;
-* ``batch_size=256`` beats the scalar engine by ≥ 2x wall-clock;
-* ``batch_size=256`` ships ≥ 10x fewer simulator messages;
-* the dictionary-encoded engine under the cost-based planner beats the
-  scalar engine by ≥ 10x wall-clock.
+* every row of the sweep returns the centralized answer;
+* ``batch_size=256`` ships ≥ 10x fewer simulator messages than
+  per-binding shipping (``batch_size=1``).
 
 ``python -m benchmarks.bench_batch_size --quick`` runs a scaled-down
 sweep for the CI bench-smoke job (same table, smaller bases).
@@ -27,6 +23,8 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.rdf.graph import Graph
+from repro.rql.evaluator import query as centralized_query
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -57,21 +55,19 @@ def _bases(statements: int):
     ).bases
 
 
-def run_once(
-    vectorize: bool,
-    batch_size: int,
-    statements: int = FULL_STATEMENTS,
-    **options,
-):
-    """One end-to-end query; returns a measurement dict.
+def centralized_answer(statements: int = FULL_STATEMENTS):
+    """The oracle: the query over the union of every peer base."""
+    merged = Graph()
+    for graph in _bases(statements).values():
+        merged.update(graph)
+    return centralized_query(QUERY, merged, SYNTH.schema).distinct()
 
-    Extra keyword ``options`` (``encode=``, ``cost_based=``, ...) are
-    forwarded to :class:`~repro.systems.HybridSystem` verbatim.
-    """
+
+def run_once(batch_size: int, statements: int = FULL_STATEMENTS, cost_based=False):
+    """One end-to-end query; returns a measurement dict."""
     bases = _bases(statements)
     system = HybridSystem(
-        SYNTH.schema, seed=SEED, vectorize=vectorize, batch_size=batch_size,
-        **options,
+        SYNTH.schema, seed=SEED, batch_size=batch_size, cost_based=cost_based
     )
     system.add_super_peer("SP")
     for peer_id in PEERS:
@@ -86,6 +82,7 @@ def run_once(
         "table": table,
         "wall": wall,
         "messages": metrics.messages_total,
+        "bytes": metrics.bytes_total,
         "data_packets": metrics.messages_by_kind.get("DataPacket", 0),
         "batches": metrics.batches_sent,
         "mean_batch": metrics.bindings_per_batch.mean or 0.0,
@@ -94,48 +91,42 @@ def run_once(
     }
 
 
-#: (label, vectorize, batch_size, extra options) sweep — "scalar" is the
-#: seed engine; "encoded+cost" is the dictionary-encoded columnar engine
-#: under the cost-based planner (PR 9's headline configuration)
+BATCH_SIZES = (1, 8, 32, 256)
+#: (label, batch_size, cost_based)
 SWEEP = [
-    ("scalar", False, 256, {}),
-    ("batch-1", True, 1, {}),
-    ("batch-8", True, 8, {}),
-    ("batch-32", True, 32, {}),
-    ("batch-256", True, 256, {}),
-    ("encoded", True, 256, {"encode": True}),
-    ("encoded+cost", True, 256, {"encode": True, "cost_based": True}),
+    (f"batch-{batch_size}" + ("+cost" if cost_based else ""), batch_size, cost_based)
+    for cost_based in (False, True)
+    for batch_size in BATCH_SIZES
 ]
 
 
 def sweep(statements: int = FULL_STATEMENTS):
-    results = {}
-    for label, vectorize, batch_size, options in SWEEP:
-        results[label] = run_once(vectorize, batch_size, statements, **options)
-    return results
+    return {
+        label: run_once(batch_size, statements, cost_based)
+        for label, batch_size, cost_based in SWEEP
+    }
 
 
 def _table_text(results) -> str:
-    scalar = results["scalar"]
     rows = []
-    for label, _, _, _ in SWEEP:
+    for label, _, _ in SWEEP:
         r = results[label]
         rows.append((
             label,
             r["rows"],
             f"{r['wall'] * 1000:.1f}",
-            f"{scalar['wall'] / max(r['wall'], 1e-9):.1f}x",
             r["messages"],
+            r["bytes"],
             r["data_packets"],
             f"{r['mean_batch']:.1f}",
         ))
     return format_table(
         (
-            "engine",
+            "configuration",
             "answer rows",
             "wall ms",
-            "speedup",
             "messages",
+            "bytes",
             "data packets",
             "bindings/batch",
         ),
@@ -147,10 +138,10 @@ def report(statements: int = FULL_STATEMENTS) -> str:
     results = sweep(statements)
     text = banner(
         "batch",
-        "Section 2.5: batched vectorized plan evaluation",
+        "Section 2.5: batched plan evaluation",
         "shipping bindings in batches over channels pays per-message cost "
-        "per batch instead of per binding; vectorized operators keep the "
-        "answer multiset identical to binding-at-a-time evaluation",
+        "per batch instead of per binding, with the answer unchanged at "
+        "every batch size",
     ) + _table_text(results)
     return write_report(
         "batch",
@@ -159,85 +150,32 @@ def report(statements: int = FULL_STATEMENTS) -> str:
             "seed": SEED,
             "peers": len(PEERS),
             "statements_per_segment": statements,
-            "batch_sizes": [bs for _, vec, bs, _ in SWEEP if vec],
+            "batch_sizes": list(BATCH_SIZES),
         },
-        metrics={
-            **results["batch-256"]["summary"],
-            # speedups over the seed's scalar engine — the CI cost-smoke
-            # job asserts on these from the machine-readable JSON
-            "speedup_batch_256": round(
-                results["scalar"]["wall"]
-                / max(results["batch-256"]["wall"], 1e-9),
-                2,
-            ),
-            "speedup_encoded_cost": round(
-                results["scalar"]["wall"]
-                / max(results["encoded+cost"]["wall"], 1e-9),
-                2,
-            ),
-        },
+        metrics=results["batch-256"]["summary"],
     )
 
 
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points (assert the experiment's invariants)
 # ----------------------------------------------------------------------
-def bench_batched_beats_scalar(benchmark):
-    """The headline numbers: ≥2x wall-clock, ≥10x fewer messages.
-
-    Wall-clock compares the best of three runs per engine — message
-    counts are deterministic, timings are not."""
-    batched = benchmark(lambda: run_once(True, 256))
-    scalar = run_once(False, 256)
-    assert batched["table"] == scalar["table"]
-    batched_wall = min([batched["wall"]] + [run_once(True, 256)["wall"] for _ in range(2)])
-    scalar_wall = min([scalar["wall"]] + [run_once(False, 256)["wall"] for _ in range(2)])
-    assert scalar_wall >= 2.0 * batched_wall
-    assert scalar["messages"] >= 10 * batched["messages"]
-    assert scalar["data_packets"] >= 10 * batched["data_packets"]
+def bench_batching_cuts_messages(benchmark):
+    """The headline number: ≥10x fewer messages and data packets than
+    per-binding shipping, for the same answer (counts are exact)."""
+    batched = benchmark(lambda: run_once(256))
+    per_binding = run_once(1)
+    assert batched["table"] == per_binding["table"]
+    assert per_binding["messages"] >= 10 * batched["messages"]
+    assert per_binding["data_packets"] >= 10 * batched["data_packets"]
     report()
 
 
 def bench_all_batch_sizes_agree(benchmark):
-    """Every engine in the sweep returns the same binding multiset."""
+    """Every row of the sweep returns the centralized answer."""
     results = benchmark(lambda: sweep(QUICK_STATEMENTS))
-    reference = results["scalar"]["table"]
-    for label, _, _, _ in SWEEP:
+    reference = centralized_answer(QUICK_STATEMENTS)
+    for label, _, _ in SWEEP:
         assert results[label]["table"] == reference, label
-
-
-def bench_encoded_cost_beats_scalar_10x(benchmark):
-    """PR 9's headline: the dictionary-encoded columnar engine under
-    the cost-based planner beats the seed's scalar engine by ≥ 10x
-    wall-clock on the full workload, with an identical answer table.
-
-    Wall-clock compares the best of three runs per engine."""
-    encoded = benchmark(lambda: run_once(True, 256, encode=True, cost_based=True))
-    scalar = run_once(False, 256)
-    assert encoded["table"] == scalar["table"]
-    encoded_wall = min(
-        [encoded["wall"]]
-        + [
-            run_once(True, 256, encode=True, cost_based=True)["wall"]
-            for _ in range(2)
-        ]
-    )
-    scalar_wall = min(
-        [scalar["wall"]] + [run_once(False, 256)["wall"] for _ in range(2)]
-    )
-    assert scalar_wall >= 10.0 * encoded_wall, (
-        f"speedup only {scalar_wall / encoded_wall:.1f}x "
-        f"(scalar {scalar_wall * 1000:.1f}ms, encoded+cost "
-        f"{encoded_wall * 1000:.1f}ms)"
-    )
-
-
-def bench_batch_size_one_matches_scalar_messages(benchmark):
-    """batch_size=1 is the seed's per-binding shipping, vectorized."""
-    one = benchmark(lambda: run_once(True, 1, QUICK_STATEMENTS))
-    scalar = run_once(False, 256, QUICK_STATEMENTS)
-    assert one["messages"] == scalar["messages"]
-    assert one["table"] == scalar["table"]
 
 
 # ----------------------------------------------------------------------

@@ -61,22 +61,21 @@ def bench_hybrid_end_to_end(benchmark):
     report()
 
 
-def bench_hybrid_vectorized_matches_scalar(benchmark):
-    """Figure 6 answers are engine-independent.  Message counts are
-    not: the scalar engine ships one binding per DataPacket (9 for the
-    paper scenario's 3+3+3 intermediate rows) while the batched engine
-    ships one per channel, exactly the seed's 3."""
+def bench_hybrid_batching_preserves_answer(benchmark):
+    """Figure 6 answers do not depend on the batch size.  Message
+    counts do: per-binding shipping sends one DataPacket per binding (9
+    for the paper scenario's 3+3+3 intermediate rows) while the default
+    batch ships one per channel, exactly the seed's 3."""
     def run():
-        return _run(vectorize=False)
+        return _run(batch_size=1)
 
-    scalar_system, scalar_table = benchmark(run)
-    vector_system, vector_table = _run()
-    assert vector_table == scalar_table
-    vector_kinds = vector_system.network.metrics.messages_by_kind
-    scalar_kinds = scalar_system.network.metrics.messages_by_kind
-    assert vector_kinds["DataPacket"] == vector_kinds["SubPlanPacket"]
-    assert scalar_kinds["DataPacket"] == 9
-    assert vector_kinds["DataPacket"] < scalar_kinds["DataPacket"]
+    single_system, single_table = benchmark(run)
+    batched_system, batched_table = _run()
+    assert batched_table == single_table
+    batched_kinds = batched_system.network.metrics.messages_by_kind
+    single_kinds = single_system.network.metrics.messages_by_kind
+    assert batched_kinds["DataPacket"] == batched_kinds["SubPlanPacket"]
+    assert single_kinds["DataPacket"] == 9
 
 
 def bench_hybrid_routing_phase(benchmark):

@@ -12,15 +12,14 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..core.algebra import PlanNode
 from ..errors import ChannelError
-from ..execution.batch import concat_tables
-from ..execution.encoded import decode_table
+from ..execution.batch import BindingBatch, concat_tables
 from ..net.message import Message
 from ..net.simulator import Network
+from ..rdf.dictionary import TermDictionary
 from ..resilience.retry import RetryPolicy
-from ..rdf.terms import Term
 from ..rql.bindings import BindingTable
 from .channel import Channel
-from .packets import DataPacket, DictionaryPacket, SubPlanPacket, TreePath
+from .packets import DataPacket, SubPlanPacket, TreePath
 
 #: Continuation invoked with (table, failed_peer) when a channel completes.
 ChannelCallback = Callable[[Optional[BindingTable], Optional[str]], None]
@@ -33,10 +32,15 @@ class ChannelManager:
 
     Args:
         owner: The peer id owning (rooting) these channels.
+        dictionary: The owning peer's id space: arriving packets are
+            translated into it (one ``encode`` per entry, not per cell),
+            so completed tables are id tables the owner's pipeline
+            joins directly.
     """
 
-    def __init__(self, owner: str):
+    def __init__(self, owner: str, dictionary: Optional[TermDictionary] = None):
         self.owner = owner
+        self.dictionary = dictionary if dictionary is not None else TermDictionary()
         #: incarnation epoch: 0 for a peer's first life; a crash-recovered
         #: incarnation sets its recovery count here so freshly minted
         #: channel ids can never collide with a predecessor's — executors
@@ -60,20 +64,6 @@ class ChannelManager:
         #: channels torn down by a replan: late packets for them count
         #: as discarded bindings instead of silently vanishing
         self._discarded: Set[str] = set()
-        #: per-channel id → term mapping (encoded streams), from the
-        #: channel's DictionaryPacket
-        self._dictionaries: Dict[str, Dict[int, Term]] = {}
-        #: the owning peer's term dictionary, bound at join when the
-        #: peer runs encoded: arriving streams are *translated* into
-        #: this id space (one encode per dictionary entry, not per
-        #: cell) so the coordinator's whole pipeline stays on ints
-        self.wire_dictionary = None
-        #: per-channel sender-id → owner-id translation tables
-        self._translations: Dict[str, Dict[int, int]] = {}
-        #: encoded packets that raced ahead of their dictionary
-        #: (delivery delay grows with size, and the dictionary packet
-        #: is usually the largest) — drained on dictionary arrival
-        self._undecodable: Dict[str, List[DataPacket]] = {}
         self._metrics = None  # bound by Peer.join
         self._scheduler = None  # bound by Peer.install_scheduler
 
@@ -208,25 +198,12 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
-    def on_dictionary(self, packet: DictionaryPacket) -> None:
-        """Install an encoded channel's id → term mapping and drain any
-        data packets that arrived before it (idempotent: a duplicated
-        dictionary merges into the same mapping)."""
-        channel = self._channels.get(packet.channel_id)
-        if channel is None or not channel.is_open:
-            return  # unknown or torn down: buffered packets were counted at discard
-        mapping = self._dictionaries.setdefault(packet.channel_id, {})
-        mapping.update(packet.entries)
-        if self.wire_dictionary is not None:
-            translation = self._translations.setdefault(packet.channel_id, {})
-            encode = self.wire_dictionary.encode
-            for tid, term in packet.entries:
-                translation[tid] = encode(term)
-        self._activity[packet.channel_id] = self._activity.get(packet.channel_id, 0) + 1
-        pending = self._undecodable.pop(packet.channel_id, None)
-        if pending:
-            for data_packet in pending:
-                self.on_data(data_packet)
+    def on_dictionary(self, packet: DataPacket) -> Dict[int, int]:
+        """Install a packet's id → term entries in the owner's
+        dictionary; returns the sender-id → owner-id translation its
+        cells map through (idempotent: interning is)."""
+        encode = self.dictionary.encode
+        return {tid: encode(term) for tid, term in packet.entries}
 
     def on_data(self, packet: DataPacket) -> None:
         """Dispatch a data packet to the channel's continuation."""
@@ -240,42 +217,13 @@ class ChannelManager:
                 # bindings were computed for nothing — account them
                 self._record_discarded(packet.rows)
             return
-        if packet.encoded is not None and packet.channel_id not in self._dictionaries:
-            # encoded data raced ahead of its dictionary: hold it
-            self._activity[packet.channel_id] = (
-                self._activity.get(packet.channel_id, 0) + 1
-            )
-            self._undecodable.setdefault(packet.channel_id, []).append(packet)
-            return
         seen = self._received_seqs.setdefault(packet.channel_id, set())
         if packet.seq in seen:
             # duplicated in flight, or replayed after a retransmit the
             # original answer raced: never union the same rows twice
             return
         seen.add(packet.seq)
-        if packet.encoded is not None:
-            if self.wire_dictionary is not None:
-                table = self._translate_encoded(packet)
-            else:
-                table = decode_table(
-                    packet.encoded, self._dictionaries[packet.channel_id]
-                )
-        elif (
-            self.wire_dictionary is not None
-            and packet.failed_peer is None
-            and packet.table.columns
-            and packet.table.rows
-        ):
-            # a scalar stream arriving at an encoding root (mixed
-            # deployment): intern the terms so the pipeline stays in
-            # one id space
-            encode = self.wire_dictionary.encode
-            table = BindingTable(packet.table.columns)
-            table.rows.extend(
-                tuple(encode(term) for term in row) for row in packet.table.rows
-            )
-        else:
-            table = packet.table
+        table = self._translate(packet)
         self._activity[packet.channel_id] = self._activity.get(packet.channel_id, 0) + 1
         channel.record_tuples(len(table))
         if channel.span is not None:
@@ -302,8 +250,6 @@ class ChannelManager:
             return  # chunks still outstanding
         channel.close()
         self._final_seqs.pop(packet.channel_id, None)
-        self._dictionaries.pop(packet.channel_id, None)
-        self._translations.pop(packet.channel_id, None)
         if progress is not None:
             self._progress.pop(packet.channel_id, None)
             self._finish(packet.channel_id, BindingTable(table.columns), None)
@@ -312,22 +258,16 @@ class ChannelManager:
         table = concat_tables(chunks) if chunks else table
         self._finish(packet.channel_id, table, None)
 
-    def _translate_encoded(self, packet: DataPacket) -> BindingTable:
-        """Map an encoded chunk's cells sender-id → owner-id, yielding
-        an *id table* in the owning peer's dictionary space."""
-        encoded = packet.encoded
-        translation = self._translations.get(packet.channel_id)
-        table = BindingTable(encoded.columns)
-        if not encoded.columns:
-            table.rows.extend(() for _ in range(encoded.length))
-            return table
-        if translation is None:
-            raise ChannelError(
-                f"encoded data on {packet.channel_id} before its dictionary"
-            )
-        translated = [[translation[i] for i in column] for column in encoded.ids]
-        table.rows.extend(zip(*translated))
-        return table
+    def _translate(self, packet: DataPacket) -> BindingTable:
+        """Map a packet's cells sender-id → owner-id, yielding an *id
+        table* in the owning peer's dictionary space."""
+        encoded = packet.table
+        translation = self.on_dictionary(packet)
+        data = {
+            name: [translation[i] for i in column]
+            for name, column in zip(encoded.columns, encoded.ids)
+        }
+        return BindingBatch(encoded.columns, data, length=encoded.length).to_table()
 
     def on_failure(self, channel_id: str) -> None:
         """Transport-level failure of the channel's destination."""
@@ -341,9 +281,6 @@ class ChannelManager:
         self._received_seqs.pop(channel_id, None)
         self._activity.pop(channel_id, None)
         self._final_seqs.pop(channel_id, None)
-        self._dictionaries.pop(channel_id, None)
-        self._translations.pop(channel_id, None)
-        self._undecodable.pop(channel_id, None)
         callback = self._callbacks.pop(channel_id, None)
         if callback is None:
             return
@@ -383,15 +320,10 @@ class ChannelManager:
         chunks = self._buffers.pop(channel_id, None)
         if chunks:
             self._record_discarded(sum(len(chunk) for chunk in chunks))
-        undecoded = self._undecodable.pop(channel_id, None)
-        if undecoded:
-            self._record_discarded(sum(p.rows for p in undecoded))
         self._progress.pop(channel_id, None)
         self._received_seqs.pop(channel_id, None)
         self._activity.pop(channel_id, None)
         self._final_seqs.pop(channel_id, None)
-        self._dictionaries.pop(channel_id, None)
-        self._translations.pop(channel_id, None)
 
     def discard_all(self) -> int:
         """Discard every open channel; returns how many were open."""

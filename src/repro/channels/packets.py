@@ -10,10 +10,11 @@ can charge bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.algebra import PlanNode, count_scans
-from ..execution.encoded import EncodedTable
+from ..execution.encoded import EncodedTable, split_encoded
+from ..rdf.dictionary import TermDictionary
 from ..rdf.terms import Term
 from ..rql.bindings import BindingTable
 
@@ -49,53 +50,61 @@ class SubPlanPacket:
 class DataPacket:
     """Destination → root: a batch of result bindings.
 
+    A packet is self-contained: ``entries`` holds the id → term pair of
+    every id its own cells reference, so the root can translate it into
+    its id space whatever else of the stream has or has not arrived.
+
     Attributes:
         channel_id: The channel the data flows over.
-        table: The bindings.
+        table: The bindings, as sender-dictionary id columns.
+        entries: ``(id, term)`` for each distinct id in ``table``.
         final: True when no more packets will follow on this channel.
         failed_peer: When execution below the destination failed, the
             peer that caused it (the root replans; ubQL failure info).
         seq: Position of this packet in the channel's stream.  The root
             deduplicates on it, so duplicated or retransmitted packets
             never union the same rows twice.
-        encoded: With dictionary encoding on, the bindings travel as an
-            :class:`~repro.execution.encoded.EncodedTable` of ids (the
-            channel's :class:`DictionaryPacket` supplies the mapping);
-            ``table`` is then an empty placeholder carrying the columns.
     """
 
     channel_id: str
-    table: BindingTable
+    table: EncodedTable
+    entries: Tuple[Tuple[int, Term], ...] = ()
     final: bool = True
     failed_peer: Optional[str] = None
     seq: int = 0
-    encoded: Optional[EncodedTable] = None
+
+    @classmethod
+    def stream(
+        cls,
+        channel_id: str,
+        table: BindingTable,
+        dictionary: TermDictionary,
+        chunk: int,
+    ) -> List["DataPacket"]:
+        """An id table in ``dictionary``'s space as sequence-numbered
+        packets of at most ``chunk`` rows — at least one, so the final
+        marker always has a carrier."""
+        parts = split_encoded(EncodedTable.from_id_table(table), chunk)
+        last = len(parts) - 1
+        return [
+            cls(
+                channel_id,
+                part,
+                dictionary.entries(part.used_ids()),
+                final=index == last,
+                seq=index,
+            )
+            for index, part in enumerate(parts)
+        ]
 
     @property
     def rows(self) -> int:
-        """Bindings carried, whichever representation is in use."""
-        return self.encoded.length if self.encoded is not None else len(self.table)
+        """Bindings carried."""
+        return self.table.length
 
     def size_bytes(self) -> int:
-        if self.encoded is not None:
-            return 64 + self.encoded.size_bytes()
-        return 64 + self.table.size_bytes()
-
-
-@dataclass(frozen=True)
-class DictionaryPacket:
-    """Destination → root: dictionary entries for an encoded stream.
-
-    Ships once per channel, before the data packets whose id columns it
-    decodes.  Only the ids the stream actually references travel (the
-    peer's full dictionary stays home).
-    """
-
-    channel_id: str
-    entries: Tuple[Tuple[int, Term], ...] = ()
-
-    def size_bytes(self) -> int:
-        return 64 + sum(4 + len(term.n3()) for _, term in self.entries)
+        dictionary = sum(4 + len(term.n3()) for _, term in self.entries)
+        return 64 + self.table.size_bytes() + dictionary
 
 
 @dataclass(frozen=True)

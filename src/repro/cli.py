@@ -103,18 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(cold per-query routing, as in the paper)",
     )
     query.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable batched vectorized execution: scalar operators "
-        "and one data packet per binding (the reference path)",
-    )
-    query.add_argument(
         "--batch-size",
         type=int,
         default=256,
         metavar="N",
-        help="bindings per shipped data packet when vectorizing "
-        "(default 256)",
+        help="bindings per shipped data packet (default 256)",
     )
     query.add_argument(
         "--cost-based",
@@ -122,12 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="statistics-driven planning: peers advertise per-predicate "
         "statistics, joins are ordered by estimated cardinality and the "
         "cost model places operators (off: the rule-based path)",
-    )
-    query.add_argument(
-        "--encode",
-        action="store_true",
-        help="dictionary-encoded columnar execution: scans run over "
-        "interned id columns and results ship encoded",
     )
     query.add_argument("text", help="RQL query text")
 
@@ -459,10 +446,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     system = HybridSystem(
         schema,
         cache_enabled=not args.no_cache,
-        vectorize=not args.no_vectorize,
         batch_size=args.batch_size,
         cost_based=args.cost_based,
-        encode=args.encode,
     )
     system.add_super_peer("SP")
     names = []

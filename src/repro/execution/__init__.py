@@ -1,29 +1,20 @@
 """Distributed query execution over channels."""
 
-from .batch import BindingBatch, concat_tables, split_table
+from .batch import BindingBatch, concat_tables
+from .encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
 from .engine import Completion, ExecutorHost, PlanExecutor
-from .local import evaluate_scan
-from .operators import (
-    apply_conditions,
-    finalize,
-    join_all,
-    union_all,
-    vjoin_all,
-    vunion_all,
-)
+from .operators import finalize_encoded, vjoin_all_distinct, vunion_all_distinct
 
 __all__ = [
     "BindingBatch",
     "Completion",
+    "EncodedBase",
+    "EncodedTable",
     "ExecutorHost",
     "PlanExecutor",
-    "apply_conditions",
     "concat_tables",
-    "evaluate_scan",
-    "finalize",
-    "join_all",
-    "split_table",
-    "union_all",
-    "vjoin_all",
-    "vunion_all",
+    "evaluate_scan_encoded",
+    "finalize_encoded",
+    "vjoin_all_distinct",
+    "vunion_all_distinct",
 ]

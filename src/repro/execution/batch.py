@@ -1,17 +1,17 @@
-"""Column-oriented binding batches: the vectorized operator kernel.
+"""Column-oriented binding batches: the one operator kernel.
 
 A :class:`BindingBatch` holds the same bag of variable bindings as a
 :class:`~repro.rql.bindings.BindingTable`, but column-major: a schema
 header (ordered variable names) plus one value list per column.  The
-vectorized execution engine materialises operator inputs as batches and
-runs joins, unions, filters and projections column-wise — no per-row
-``dict`` is ever built on the hot path, which is where the
-binding-at-a-time evaluator spends most of its cycles.
+execution engine materialises operator inputs as batches and runs
+joins, unions, filters and projections column-wise — no per-row
+``dict`` is ever built on the hot path.  The kernel is value-agnostic:
+production cells are dictionary ids, tests also run it on terms.
 
 The two representations convert losslessly (:meth:`from_table` /
-:meth:`to_table`), row order included, so vectorized and scalar
-evaluation are differential-testable against each other
-(``tests/difftest``).
+:meth:`to_table`), row order included, so the kernels are testable
+against :meth:`BindingTable.join` / :meth:`BindingTable.union`, the
+operators of the centralized evaluator.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class BindingBatch:
         return cls((), length=1)
 
     # ------------------------------------------------------------------
-    # vectorized relational operators
+    # relational operators
     # ------------------------------------------------------------------
     def hash_join(self, other: "BindingBatch") -> "BindingBatch":
         """Natural hash join (build on the smaller side, probe with the
@@ -104,7 +104,7 @@ class BindingBatch:
         other_only = [c for c in other.columns if c not in self.columns]
         out_columns = self.columns + tuple(other_only)
         if not shared:
-            # cartesian product, self-major (matches the scalar path)
+            # cartesian product, self-major (as BindingTable.join)
             self_idx = [i for i in range(self.length) for _ in range(other.length)]
             other_idx = list(range(other.length)) * self.length
             return self._gather(other, other_only, out_columns, self_idx, other_idx)
@@ -285,14 +285,3 @@ def concat_tables(tables: Sequence[BindingTable]) -> BindingTable:
         [BindingBatch.from_table(t) for t in tables]
     ).to_table()
 
-
-def split_table(table: BindingTable, batch_size: int) -> List[BindingTable]:
-    """Cut a table into row slices of at most ``batch_size`` rows."""
-    if batch_size < 1:
-        raise EvaluationError("batch_size must be >= 1")
-    if len(table.rows) <= batch_size:
-        return [table]
-    return [
-        BindingTable(table.columns, table.rows[start : start + batch_size])
-        for start in range(0, len(table.rows), batch_size)
-    ]

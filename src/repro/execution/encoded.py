@@ -1,20 +1,21 @@
-"""Dictionary-encoded columnar execution: the scan/build/probe fast path.
+"""Dictionary-encoded columnar execution: the scan/build/probe path.
 
-The scalar evaluator matches every asserted triple of a property
-against the pattern's domain/range constraints on *every* scan — the
-dominant cost of query evaluation.  An :class:`EncodedBase` does that
-entailment work once per ``(domain, property, range)`` schema path and
-caches the result as a pair of **encoded ID columns** (subject ids,
-object ids) interned through the peer's
-:class:`~repro.rdf.dictionary.TermDictionary`.  Scans then become cache
-lookups; joins run over small integers via the value-agnostic
-:class:`~repro.execution.batch.BindingBatch` kernels; terms are decoded
-only when the final table is materialised.
+Matching every asserted triple of a property against a pattern's
+domain/range constraints is the dominant cost of query evaluation.  An
+:class:`EncodedBase` does that entailment work once per ``(domain,
+property, range)`` schema path and caches the result as a pair of
+**encoded ID columns** (subject ids, object ids) interned through the
+owning peer's :class:`~repro.rdf.dictionary.TermDictionary`.  Scans then
+become cache lookups returning *id tables* — ordinary
+:class:`~repro.rql.bindings.BindingTable` values whose cells are ints —
+joins run over small integers via the value-agnostic
+:class:`~repro.execution.batch.BindingBatch` kernels, and terms are
+decoded only when the coordinator materialises the final answer.
 
 Matching semantics are shared by construction:
 :func:`~repro.rql.evaluator.path_triple_matches` is the single matcher
-both the scalar evaluator and the column builder call, so the two paths
-cannot drift apart.
+both the centralized evaluator (the test oracle) and the column builder
+call, so the two cannot drift apart.
 
 Cached column lists are handed to batches *without copying*: no batch
 kernel mutates its input columns in place (``_gather``/``concat``/
@@ -33,15 +34,14 @@ from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.inference import InferredView
 from ..rdf.schema import Schema
-from ..rdf.terms import Term, URI
+from ..rdf.terms import URI
 from ..rql.bindings import BindingTable
 from ..rql.evaluator import path_triple_matches
 from ..rql.pattern import SchemaPath
 from .batch import BindingBatch
 
 #: Flat per-cell width of an encoded column on the wire (int32) plus
-#: framing; an arithmetic size, unlike the scalar table's per-term
-#: ``n3()`` rendering — not rendering terms is itself a hot-path win.
+#: framing; an arithmetic size — no per-cell ``n3()`` rendering.
 _CELL_BYTES = 4
 _HEADER_BYTES = 16
 
@@ -50,14 +50,22 @@ _HEADER_BYTES = 16
 class EncodedTable:
     """A binding table whose cells are dictionary ids, column-major.
 
-    The wire twin of :class:`~repro.rql.bindings.BindingTable` for
-    encoded channels: only ids travel; the receiver decodes them with
-    the per-channel dictionary entries shipped once.
+    The wire layout of an id table: the
+    :class:`~repro.channels.packets.DataPacket` carrying it also carries
+    the id → term entries its cells reference.
     """
 
     columns: Tuple[str, ...]
     ids: Tuple[Tuple[int, ...], ...]  # one tuple per column
     length: int
+
+    @classmethod
+    def from_id_table(cls, table: BindingTable) -> "EncodedTable":
+        """Pivot an id table's rows into the column-major wire layout."""
+        columns = tuple(table.columns)
+        # zero-column rows pivot to no columns; their count is the length
+        ids = tuple(zip(*table.rows)) if table.rows else ((),) * len(columns)
+        return cls(columns, ids, len(table.rows))
 
     def size_bytes(self) -> int:
         header = _HEADER_BYTES + sum(len(c) + 2 for c in self.columns)
@@ -73,38 +81,10 @@ class EncodedTable:
         return self.length
 
 
-def encode_table(table: BindingTable, dictionary: TermDictionary) -> EncodedTable:
-    """Encode a scalar table's cells through ``dictionary`` (interning)."""
-    if not table.columns:
-        return EncodedTable((), (), len(table.rows))
-    pivoted = list(zip(*table.rows)) if table.rows else [()] * len(table.columns)
-    encode = dictionary.encode
-    ids = tuple(tuple(encode(term) for term in column) for column in pivoted)
-    return EncodedTable(tuple(table.columns), ids, len(table.rows))
-
-
-def decode_table(encoded: EncodedTable, mapping: Dict[int, Term]) -> BindingTable:
-    """Materialise an encoded table back into terms.
-
-    Args:
-        mapping: id → term, from the channel's dictionary entries.
-
-    Raises:
-        KeyError: An id the mapping does not cover (a protocol bug —
-            dictionaries ship before the data referencing them).
-    """
-    table = BindingTable(encoded.columns)
-    if not encoded.columns:
-        table.rows.extend(() for _ in range(encoded.length))
-        return table
-    decoded = [[mapping[i] for i in column] for column in encoded.ids]
-    table.rows.extend(zip(*decoded))
-    return table
-
-
 def split_encoded(encoded: EncodedTable, batch_size: int) -> List[EncodedTable]:
     """Cut an encoded table into row slices of at most ``batch_size``
-    rows (the encoded twin of :func:`~repro.execution.batch.split_table`)."""
+    rows (at least one slice, possibly empty, so a final marker always
+    has a carrier)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if encoded.length <= batch_size:
@@ -125,12 +105,14 @@ class EncodedBase:
     Args:
         graph: The peer's asserted base.
         schema: The community schema entailment runs under.
+        dictionary: The owning peer's id space; every column interns
+            through it, so all of a peer's bases share one.
     """
 
-    def __init__(self, graph: Graph, schema: Schema):
+    def __init__(self, graph: Graph, schema: Schema, dictionary: TermDictionary):
         self.graph = graph
         self.schema = schema
-        self.dictionary = TermDictionary()
+        self.dictionary = dictionary
         #: (domain, property, range) → (subject id column, object id column)
         self._columns: Dict[Tuple[URI, URI, URI], Tuple[List[int], List[int]]] = {}
         #: property → entailed asserted-triple count (cardinality feedback)
@@ -142,16 +124,6 @@ class EncodedBase:
             self._columns.clear()
             self._counts.clear()
             self._version = self.graph.version
-
-    def warm(self) -> None:
-        """Precompute the column pair for every schema property's
-        declared path — the columnar ingest step, done once at
-        advertise time so query-time scans are cache hits."""
-        for prop in sorted(self.schema.properties, key=lambda p: p.value):
-            definition = self.schema.property_def(prop)
-            self.pattern_columns(
-                SchemaPath(definition.domain, prop, definition.range)
-            )
 
     def pattern_columns(self, path: SchemaPath) -> Tuple[List[int], List[int]]:
         """The encoded (subject, object) columns of one schema path,
@@ -265,8 +237,8 @@ class EncodedBase:
         self._version = self.graph.version
 
     def property_count(self, prop: URI) -> int:
-        """Entailed asserted-triple count for a property (the number
-        the scalar path derives by iterating ``view.triples``)."""
+        """Entailed asserted-triple count for a property, cached until
+        the graph changes."""
         self._fresh()
         count = self._counts.get(prop)
         if count is None:
@@ -276,18 +248,14 @@ class EncodedBase:
         return count
 
 
-def evaluate_scan_encoded(
-    scan: Scan, base: EncodedBase, decode: bool = True
-) -> BindingTable:
+def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingTable:
     """Evaluate a (possibly composite) scan on the encoded columns.
 
     Per-pattern id columns come straight from the cache (shared, not
     copied — see the module invariant); the join cascade runs the
-    vectorized hash-join over ints.  With ``decode`` on, terms
-    materialise once at the end; with it off the table keeps its
-    dictionary-id cells (an *id table*) so the coordinator's whole
-    join/union pipeline stays in int space and terms materialise only
-    at the final answer.
+    hash-join over ints.  The result is an *id table* in ``base``'s
+    dictionary space: the whole join/union pipeline above it stays on
+    ints and terms materialise only at the final answer.
     """
     result: Optional[BindingBatch] = None
     for pattern in scan.patterns():
@@ -305,32 +273,7 @@ def evaluate_scan_encoded(
         result = batch if result is None else result.hash_join(batch)
     if result is None:
         return BindingTable(())
-    table = BindingTable(result.columns)
-    if not result.columns:
-        table.rows.extend(() for _ in range(result.length))
-        return table
-    if not decode:
-        table.rows.extend(zip(*(result.data[c] for c in result.columns)))
-        return table
-    decoder = base.dictionary.decode
-    decoded = [
-        [decoder(i) for i in result.data[column]] for column in result.columns
-    ]
-    table.rows.extend(zip(*decoded))
-    return table
-
-
-def is_id_table(table: BindingTable) -> bool:
-    """Whether a table's cells are dictionary ids rather than terms.
-
-    Id tables are ordinary :class:`BindingTable` values whose cells are
-    ints — the batch kernels are value-agnostic, so joins/unions/splits
-    all work unchanged.  An empty table is (vacuously) not an id table;
-    both finalisation paths agree on it.
-    """
-    return bool(table.columns) and bool(table.rows) and isinstance(
-        table.rows[0][0], int
-    )
+    return result.to_table()
 
 
 def encode_cells(table: BindingTable, dictionary: TermDictionary) -> BindingTable:

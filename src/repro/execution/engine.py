@@ -30,14 +30,7 @@ from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..rql.bindings import BindingTable
 from .batch import concat_tables
-from .operators import (
-    join_all,
-    union_all,
-    vjoin_all,
-    vjoin_all_distinct,
-    vunion_all,
-    vunion_all_distinct,
-)
+from .operators import vjoin_all_distinct, vunion_all_distinct
 
 #: Completion continuation: (result table or None, failed peer or None).
 Completion = Callable[[Optional[BindingTable], Optional[str]], None]
@@ -50,7 +43,7 @@ class ExecutorHost(Protocol):
     channels: ChannelManager
 
     def local_scan(self, scan: Scan) -> BindingTable:
-        """Evaluate a scan against the local base."""
+        """Evaluate a scan against the local base (an id table)."""
 
 
 class PlanExecutor:
@@ -104,20 +97,12 @@ class PlanExecutor:
         self.pipelined = pipelined
         self.retry = retry
         self.trace = trace
-        #: vectorized (batched, column-wise) operator evaluation; the
-        #: hosting peer's ``--no-vectorize`` escape hatch flips this
-        #: back to the seed's binding-at-a-time path
-        self.vectorize = bool(getattr(host, "vectorize", True))
-        #: dictionary-encoded pipeline: intermediates are id tables and
-        #: the final answer is a distinct projection, so combines can
-        #: de-duplicate eagerly (never on the seed-identical default)
-        self.encoded = bool(getattr(host, "encode", False))
         #: the variables the plan's *consumer* needs (projections plus
         #: condition variables), set only by a coordinator that owns the
-        #: whole query: encoded combines then prune dead columns, which
-        #: is what keeps chain-join intermediates from exploding.  A
-        #: serving peer never sets it — a shipped subplan's raw width is
-        #: part of its contract with the root.
+        #: whole query: combines then prune dead columns, which is what
+        #: keeps chain-join intermediates from exploding.  A serving
+        #: peer never sets it — a shipped subplan's raw width is part of
+        #: its contract with the root.
         self.keep_variables = keep_variables
         #: top-k early termination (pipelined mode only): called with
         #: the accumulated table after each emitted chunk; returning
@@ -158,12 +143,7 @@ class PlanExecutor:
         if self.pipelined:
             self._start_pipelined()
         else:
-            needed = (
-                self.keep_variables
-                if self.vectorize and self.encoded and self.keep_variables is not None
-                else None
-            )
-            self._execute(self.plan, (), self._finish_ok, needed)
+            self._execute(self.plan, (), self._finish_ok, self.keep_variables)
 
     def _start_pipelined(self) -> None:
         """Pipelined evaluation (Section 2.5's 'pipeline way'): stream
@@ -297,16 +277,10 @@ class PlanExecutor:
                 self._ship(node, path, node.peer_id, k)
             return
         children = node.children()
-        if self.vectorize and self.encoded:
-            if isinstance(node, Union):
-                combine = lambda tables: vunion_all_distinct(tables, needed)
-            else:
-                combine = lambda tables: vjoin_all_distinct(tables, needed)
-        elif self.vectorize:
-            combine = vunion_all if isinstance(node, Union) else vjoin_all
-        else:
-            combine = union_all if isinstance(node, Union) else join_all
-        gather = _Gather(len(children), combine, k)
+        # the final answer is a distinct projection, so combines
+        # de-duplicate eagerly
+        kernel = vunion_all_distinct if isinstance(node, Union) else vjoin_all_distinct
+        gather = _Gather(len(children), lambda tables: kernel(tables, needed), k)
         child_vars = [set(child.variables()) for child in children]
         for index, child in enumerate(children):
             child_needed: Optional[set] = None

@@ -1,88 +1,39 @@
-"""Relational operators over binding tables.
+"""Relational operators over id tables.
 
-Thin, well-tested wrappers the execution engine composes: n-ary union
-and join, condition filtering and final projection — each in two
-flavours sharing one semantics:
+The kernels the execution engine composes above the scans: n-ary union
+and join with eager duplicate elimination and dead-column pruning, and
+the coordinator's final filter/project/decode step.  Operands are *id
+tables* (:class:`~repro.rql.bindings.BindingTable` values whose cells
+are dictionary ids); the work runs column-wise on
+:class:`~repro.execution.batch.BindingBatch` without building a per-row
+dict, and terms materialise once, in :func:`finalize_encoded`.
 
-* the **scalar** path (``join_all`` / ``union_all`` / ``finalize``
-  with ``vectorize=False``) evaluates binding-at-a-time over per-row
-  dictionaries, exactly as the seed engine did — kept as the
-  ``--no-vectorize`` escape hatch and as the differential-testing
-  reference;
-* the **vectorized** path (``vjoin_all`` / ``vunion_all`` /
-  ``finalize`` with ``vectorize=True``) pivots the operands into
-  column-oriented :class:`~repro.execution.batch.BindingBatch` values
-  and runs build/probe hash-joins, column-wise concatenation, masks and
-  projections without building a single per-row dict.
-
-Both produce identical binding multisets (asserted by
-``tests/difftest`` and the metamorphic property tests).
+``tests/difftest`` and the property suites compare these against the
+centralized evaluator (:mod:`repro.rql.evaluator`), which runs on
+:meth:`BindingTable.join` / :meth:`BindingTable.union`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import EvaluationError
 from ..rdf.terms import Literal
 from ..rql.ast import Condition
 from ..rql.bindings import BindingTable
-from ..rql.evaluator import _COMPARATORS, _condition_predicate
+from ..rql.evaluator import _COMPARATORS
 from .batch import BindingBatch
-
-
-def union_all(tables: Sequence[BindingTable]) -> BindingTable:
-    """Bag union of one or more tables (columns must match as sets)."""
-    if not tables:
-        raise EvaluationError("union of zero tables")
-    result = tables[0]
-    for table in tables[1:]:
-        result = result.union(table)
-    return result
-
-
-def join_all(tables: Sequence[BindingTable]) -> BindingTable:
-    """Natural join of one or more tables."""
-    if not tables:
-        raise EvaluationError("join of zero tables")
-    result = tables[0]
-    for table in tables[1:]:
-        result = result.join(table)
-    return result
-
-
-def vunion_all(tables: Sequence[BindingTable]) -> BindingTable:
-    """Vectorized bag union: one column-wise concatenation."""
-    if not tables:
-        raise EvaluationError("union of zero tables")
-    if len(tables) == 1:
-        return tables[0]
-    return BindingBatch.concat(
-        [BindingBatch.from_table(t) for t in tables]
-    ).to_table()
-
-
-def vjoin_all(tables: Sequence[BindingTable]) -> BindingTable:
-    """Vectorized natural join: a cascade of build/probe hash-joins."""
-    if not tables:
-        raise EvaluationError("join of zero tables")
-    if len(tables) == 1:
-        return tables[0]
-    result = BindingBatch.from_table(tables[0])
-    for table in tables[1:]:
-        result = result.hash_join(BindingBatch.from_table(table))
-    return result.to_table()
 
 
 def vunion_all_distinct(
     tables: Sequence[BindingTable], needed: Optional[set] = None
 ) -> BindingTable:
-    """Vectorized union with duplicate elimination after the concat.
+    """Union with duplicate elimination after the concat.
 
-    The encoded pipeline's combine: the coordinator's final step is
-    always a distinct projection, so dropping duplicates early changes
-    no answer while keeping id-space intermediates from carrying the
-    multiplicities a later join would multiply.  With ``needed`` set,
+    The coordinator's final step is always a distinct projection, so
+    dropping duplicates early changes no answer while keeping id-space
+    intermediates from carrying the multiplicities a later join would
+    multiply.  With ``needed`` set,
     columns nothing above the union references are pruned first (every
     operand covers the same column set, so pruning is uniform).
     """
@@ -101,7 +52,7 @@ def vunion_all_distinct(
 def vjoin_all_distinct(
     tables: Sequence[BindingTable], needed: Optional[set] = None
 ) -> BindingTable:
-    """Vectorized join cascade with per-step duplicate elimination and
+    """Hash-join cascade with per-step duplicate elimination and
     (optionally) dead-column pruning.
 
     Sound for the same reason as :func:`vunion_all_distinct`: the set
@@ -136,67 +87,11 @@ def vjoin_all_distinct(
     return result.to_table()
 
 
-def _condition_mask(batch: BindingBatch, condition: Condition) -> List[bool]:
-    """Evaluate one WHERE condition column-wise into a row mask.
-
-    Semantics mirror the scalar predicate exactly: literals compare by
-    their Python value, incomparable types reject the row.
-    """
-    compare = _COMPARATORS.get(condition.operator)
-    if compare is None:
-        raise EvaluationError(f"unsupported operator {condition.operator!r}")
-    left = [
-        term.to_python() if isinstance(term, Literal) else term
-        for term in batch.column(condition.variable)
-    ]
-    if condition.value_is_variable:
-        right: Iterable = [
-            term.to_python() if isinstance(term, Literal) else term
-            for term in batch.column(str(condition.value))
-        ]
-    else:
-        value = condition.value
-        constant = value.to_python() if isinstance(value, Literal) else value
-        right = [constant] * len(batch)
-    mask = []
-    for a, b in zip(left, right):
-        try:
-            mask.append(bool(compare(a, b)))
-        except TypeError:
-            mask.append(False)
-    return mask
-
-
 def _referenced_columns(condition: Condition) -> set:
     referenced = {condition.variable}
     if condition.value_is_variable:
         referenced.add(str(condition.value))
     return referenced
-
-
-def apply_conditions(
-    table: BindingTable,
-    conditions: Iterable[Condition],
-    vectorize: bool = False,
-) -> BindingTable:
-    """Apply WHERE-clause filters; conditions referencing columns the
-    table lacks reject nothing (they were pushed elsewhere)."""
-    if vectorize:
-        batch = BindingBatch.from_table(table)
-        columns = set(batch.columns)
-        filtered = False
-        for condition in conditions:
-            if not _referenced_columns(condition).issubset(columns):
-                continue
-            batch = batch.compress(_condition_mask(batch, condition))
-            filtered = True
-        return batch.to_table() if filtered else table
-    result = table
-    for condition in conditions:
-        if not _referenced_columns(condition).issubset(set(result.columns)):
-            continue
-        result = result.select(_condition_predicate(condition))
-    return result
 
 
 def _decoded_comparables(ids: Sequence[int], dictionary) -> List[object]:
@@ -219,8 +114,11 @@ def _decoded_comparables(ids: Sequence[int], dictionary) -> List[object]:
 def _encoded_condition_mask(
     batch: BindingBatch, condition: Condition, dictionary
 ) -> List[bool]:
-    """The encoded twin of :func:`_condition_mask`: same comparator
-    semantics, operating on dictionary ids."""
+    """Evaluate one WHERE condition column-wise into a row mask.
+
+    Semantics mirror the centralized evaluator's predicate exactly:
+    literals compare by their Python value, incomparable types reject
+    the row."""
     compare = _COMPARATORS.get(condition.operator)
     if compare is None:
         raise EvaluationError(f"unsupported operator {condition.operator!r}")
@@ -265,23 +163,3 @@ def finalize_encoded(
     }
     return BindingBatch(batch.columns, decoded, length=batch.length).to_table()
 
-
-def finalize(
-    table: BindingTable,
-    projections: Sequence[str],
-    conditions: Iterable[Condition] = (),
-    vectorize: bool = False,
-) -> BindingTable:
-    """Coordinator post-processing: filter, project, de-duplicate."""
-    if vectorize:
-        batch = BindingBatch.from_table(table)
-        columns = set(batch.columns)
-        for condition in conditions:
-            if not _referenced_columns(condition).issubset(columns):
-                continue
-            batch = batch.compress(_condition_mask(batch, condition))
-        available = [c for c in projections if c in columns]
-        return batch.project(available).distinct().to_table()
-    filtered = apply_conditions(table, conditions)
-    available = [c for c in projections if c in filtered.columns]
-    return filtered.project(available).distinct()

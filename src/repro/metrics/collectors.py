@@ -98,7 +98,7 @@ class MetricSet:
         self.partial_results = 0
         self.dropped_messages = 0
         self.duplicated_messages = 0
-        # vectorized execution (repro.execution.batch): how many binding
+        # batched shipping (repro.channels): how many binding
         # batches went over the wire, how full they were, and how many
         # bindings a discarded plan threw away before reaching a consumer
         self.batches_sent = 0

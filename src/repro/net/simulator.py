@@ -266,7 +266,7 @@ class Network:
             message.kind, message.src, message.dst, message.size, delay=delay
         )
         if message.kind == "DataPacket":
-            # vectorized-execution accounting: each DataPacket carries
+            # batched-shipping accounting: each DataPacket carries
             # one binding batch; how full it is drives the batch-size
             # experiments (bench_batch_size)
             self.metrics.record_batch(message.payload.rows)

@@ -12,22 +12,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Type
 
 from ..channels.manager import ChannelManager
-from ..channels.packets import DataPacket, DictionaryPacket, StatsPacket, SubPlanPacket
+from ..channels.packets import DataPacket, StatsPacket, SubPlanPacket
 from ..core.algebra import Scan
 from ..errors import PeerError
-from ..execution.batch import split_table
-from ..execution.encoded import (
-    EncodedBase,
-    EncodedTable,
-    encode_cells,
-    encode_table,
-    is_id_table,
-    split_encoded,
-)
+from ..execution.encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
 from ..execution.engine import PlanExecutor
-from ..execution.local import evaluate_scan
 from ..net.message import DeliveryFailure, Message
 from ..net.simulator import Network
+from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rql.bindings import BindingTable
@@ -72,35 +64,30 @@ class PeerBase:
             return merged
         return ActiveSchema.from_base(self.graph, self.schema, peer_id)
 
-    def encoded_base(self) -> EncodedBase:
-        """The base's dictionary-encoded columnar twin (built lazily,
-        column caches invalidated through ``Graph.version``)."""
-        if self._encoded is None:
-            self._encoded = EncodedBase(self.graph, self.schema)
+    def encoded_base(self, dictionary: TermDictionary) -> EncodedBase:
+        """The base's columnar twin in ``dictionary``'s id space (built
+        lazily, column caches invalidated through ``Graph.version``).
+
+        The id space is named at every use rather than bound once, so a
+        base handed to a peer — at construction or by crash recovery —
+        can never scan into another dictionary than its holder's.
+        """
+        if self._encoded is None or self._encoded.dictionary is not dictionary:
+            self._encoded = EncodedBase(self.graph, self.schema, dictionary)
         return self._encoded
 
-    def evaluate_scan(
-        self,
-        scan: Scan,
-        vectorize: bool = True,
-        encode: bool = False,
-        decode: bool = True,
-    ) -> BindingTable:
-        """Evaluate a (composite) scan against this base.
+    def evaluate_scan(self, scan: Scan, dictionary: TermDictionary) -> BindingTable:
+        """Evaluate a (composite) scan against this base, as an *id
+        table* in ``dictionary``'s space.
 
-        ``decode=False`` (encoded only) returns an *id table* in this
-        base's dictionary space instead of materialised terms.
+        A composite scan ``(Q1∪Q2)@P`` executes the pushed join at the
+        peer — the behaviour Transformation Rules 1/2 rely on.
+        Executing the *original* (unrewritten) pattern is sound: class
+        filters are enforced during evaluation, so a peer advertising a
+        broader class only contributes bindings that satisfy the
+        query's classes.
         """
-        if encode:
-            return evaluate_scan(
-                scan,
-                self.graph,
-                self.schema,
-                vectorize=vectorize,
-                encoded=self.encoded_base(),
-                decode=decode,
-            )
-        return evaluate_scan(scan, self.graph, self.schema, vectorize=vectorize)
+        return evaluate_scan_encoded(scan, self.encoded_base(dictionary))
 
 
 class Peer:
@@ -121,18 +108,9 @@ class Peer:
     stream_interval: float = 2.0
     #: completed subplans remembered for retransmit replay (per peer)
     subplan_replay_limit: int = 128
-    #: vectorized execution: evaluate operators column-wise and ship
-    #: results as binding batches; off reproduces the seed's
-    #: binding-at-a-time path with one DataPacket per binding
-    vectorize: bool = True
-    #: maximum bindings per shipped DataPacket when :attr:`vectorize`
-    #: is on (larger results fragment back-to-back, no pacing delay)
+    #: maximum bindings per shipped DataPacket (larger results
+    #: fragment back-to-back, no pacing delay)
     batch_size: int = 256
-    #: dictionary-encoded execution: scans run on cached int32 columns
-    #: (warmed at join time) and results travel as id columns with the
-    #: channel's dictionary shipped once; off keeps the scalar wire
-    #: format bit-identical to the seed
-    encode: bool = False
 
     def __init__(
         self,
@@ -147,7 +125,11 @@ class Peer:
         #: super-peers when it provides descriptions conforming to more
         #: than one schema", Section 3.1)
         self.secondary_bases: tuple = tuple(secondary_bases)
-        self.channels = ChannelManager(peer_id)
+        #: the peer's one id space, for its lifetime: every base it
+        #: holds scans into it, arriving streams are translated into
+        #: it, and the coordinator decodes the final answer through it
+        self.dictionary = TermDictionary()
+        self.channels = ChannelManager(peer_id, self.dictionary)
         self.network: Optional[Network] = None
         #: channel ids whose roots changed plans: stop streaming to them
         #: (entries live only while the stream they cancel is in flight)
@@ -225,15 +207,6 @@ class Peer:
         self.network = network
         # discarded-binding accounting flows through the channel manager
         self.channels.bind_metrics(network.metrics)
-        if self.encode:
-            # columnar ingest: precompute every declared path's encoded
-            # columns now, so query-time scans are pure cache hits
-            for base in self.all_bases():
-                base.encoded_base().warm()
-            if self.base is not None:
-                # arriving streams translate into the primary base's id
-                # space: the whole coordinator pipeline runs on ints
-                self.channels.wire_dictionary = self.base.encoded_base().dictionary
 
     def _require_network(self) -> Network:
         if self.network is None:
@@ -264,22 +237,13 @@ class Peer:
     # executor hosting (ExecutorHost protocol)
     # ------------------------------------------------------------------
     def local_scan(self, scan: Scan) -> BindingTable:
-        prop = scan.patterns()[0].schema_path.property if scan.patterns() else None
+        patterns = scan.patterns()
+        prop = patterns[0].schema_path.property if patterns else None
         base = self.base_for_property(prop) if prop is not None else self.base
         if base is None:
             # no base speaks this vocabulary: the empty table
-            return BindingTable(scan.patterns()[0].variables() if scan.patterns() else ())
-        if self.encode and self.base is not None:
-            if base is self.base:
-                # stay in the primary dictionary's id space end to end
-                return base.evaluate_scan(
-                    scan, vectorize=self.vectorize, encode=True, decode=False
-                )
-            # secondary base (multi-SON): its dictionary differs, so
-            # materialise and re-intern into the primary id space
-            table = base.evaluate_scan(scan, vectorize=self.vectorize, encode=True)
-            return encode_cells(table, self.base.encoded_base().dictionary)
-        return base.evaluate_scan(scan, vectorize=self.vectorize, encode=self.encode)
+            return BindingTable(patterns[0].variables() if patterns else ())
+        return base.evaluate_scan(scan, self.dictionary)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
         """Execute a received subplan and stream the result back.
@@ -309,7 +273,12 @@ class Peer:
                 stats = StatsPacket(
                     channel_id, len(table), self._local_cardinalities(packet)
                 )
-                data_packets = self._result_packets(channel_id, table)
+                data_packets = DataPacket.stream(
+                    channel_id,
+                    table,
+                    self.dictionary,
+                    self.stream_chunk_rows or self.batch_size,
+                )
                 self._remember_subplan(channel_id, [stats] + data_packets)
                 self.send(root, stats)
                 self._stream_packets(root, channel_id, data_packets)
@@ -318,10 +287,7 @@ class Peer:
             self.send(
                 root,
                 DataPacket(
-                    channel_id=channel_id,
-                    table=table if table is not None else BindingTable(()),
-                    final=True,
-                    failed_peer=failed,
+                    channel_id, EncodedTable((), (), 0), failed_peer=failed
                 ),
             )
 
@@ -338,69 +304,6 @@ class Peer:
             trace=message.trace,
         )
         self._schedule_work(packet.query_id, executor.start)
-
-    def _result_packets(self, channel_id: str, table: BindingTable) -> list:
-        """A subplan result as sequence-numbered binding batches.
-
-        The granularity is :attr:`stream_chunk_rows` when explicit
-        pipelining is on, else :attr:`batch_size` (vectorized) or one
-        binding per packet (``--no-vectorize``, the seed's conceptual
-        tuple-at-a-time wire format).
-        """
-        chunk = self.stream_chunk_rows
-        if not chunk:
-            chunk = self.batch_size if self.vectorize else 1
-        if self.encode:
-            return self._encoded_result_packets(channel_id, table, chunk)
-        if len(table) <= chunk:
-            return [DataPacket(channel_id, table, final=True, seq=0)]
-        parts = split_table(table, chunk)
-        last = len(parts) - 1
-        return [
-            DataPacket(channel_id, part, final=index == last, seq=index)
-            for index, part in enumerate(parts)
-        ]
-
-    def _encoded_result_packets(
-        self, channel_id: str, table: BindingTable, chunk: int
-    ) -> list:
-        """The result as a :class:`DictionaryPacket` (the stream's id →
-        term entries, shipped once) followed by encoded data packets
-        whose cells are dictionary ids.  The peer-lifetime dictionary
-        lives on the primary base, so ids stay stable across channels;
-        only the entries this stream references travel.
-        """
-        if self.base is not None:
-            dictionary = self.base.encoded_base().dictionary
-        else:
-            from ..rdf.dictionary import TermDictionary
-
-            dictionary = TermDictionary()
-        if is_id_table(table):
-            # the pipeline already ran on primary-dictionary ids: pivot
-            # straight into the wire layout, no re-encoding pass
-            encoded = EncodedTable(
-                tuple(table.columns),
-                tuple(tuple(column) for column in zip(*table.rows)),
-                len(table.rows),
-            )
-        else:
-            encoded = encode_table(table, dictionary)
-        entries = dictionary.entries(encoded.used_ids())
-        placeholder = BindingTable(table.columns)
-        parts = split_encoded(encoded, chunk)
-        last = len(parts) - 1
-        packets = [
-            DataPacket(
-                channel_id,
-                placeholder,
-                final=index == last,
-                seq=index,
-                encoded=part,
-            )
-            for index, part in enumerate(parts)
-        ]
-        return [DictionaryPacket(channel_id, entries)] + packets
 
     def _stream_packets(self, root: str, channel_id: str, packets: list) -> None:
         """Ship result packets.
@@ -427,8 +330,7 @@ class Peer:
                 # account the bindings it will never deliver
                 self._cancelled_streams.discard(channel_id)
                 self._active_streams.discard(channel_id)
-                # dictionary packets carry no bindings (no ``rows``)
-                remaining = sum(getattr(p, "rows", 0) for p in packets[index:])
+                remaining = sum(p.rows for p in packets[index:])
                 if remaining:
                     network.metrics.record_discarded_bindings(remaining)
                 return
@@ -450,8 +352,6 @@ class Peer:
     def _local_cardinalities(self, packet: SubPlanPacket) -> Dict[str, int]:
         """Entailed statement counts for the subplan's properties in the
         local base (the statistics shipped to the channel root)."""
-        from ..rdf.inference import InferredView
-
         counts: Dict[str, int] = {}
         for pattern in packet.plan.patterns():
             prop = pattern.schema_path.property
@@ -460,20 +360,14 @@ class Peer:
             base = self.base_for_property(prop)
             if base is None:
                 continue
-            if self.encode:
-                # cached on the columnar twin: O(1) after the first ask
-                counts[prop.value] = base.encoded_base().property_count(prop)
-                continue
-            view = InferredView(base.graph, base.schema)
-            counts[prop.value] = sum(1 for _ in view.triples(None, prop, None))
+            # cached on the columnar twin: O(1) after the first ask
+            counts[prop.value] = base.encoded_base(self.dictionary).property_count(
+                prop
+            )
         return counts
 
     def handle_DataPacket(self, message: Message) -> None:
         self.channels.on_data(message.payload)
-
-    def handle_DictionaryPacket(self, message: Message) -> None:
-        """Install an encoded stream's id → term entries on its channel."""
-        self.channels.on_dictionary(message.payload)
 
     def handle_ChangePlanPacket(self, message: Message) -> None:
         """The channel root changed its plan: terminate on-going work

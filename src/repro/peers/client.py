@@ -8,6 +8,7 @@ queries and collect answers.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Callable, Dict, List, Optional
 
 from ..livedata.continuous import fold_delta
@@ -15,6 +16,18 @@ from ..livedata.updates import ContinuousCancel, ContinuousSubscribe, Continuous
 from ..net.message import Message
 from .base import Peer
 from .protocol import QueryResult, QueryShed, QuerySubmit
+
+#: Wall-clock seconds a client lets pass per unit of network time: seen
+#: from a client the simulator runs at most 0.8 units per ms (16x the
+#: live transport's ``time_scale``), so a closed loop's rate is set by
+#: its queries' simulated durations and not by how fast the host
+#: computes them.  The live transport's clock *is* wall-clock time at a
+#: larger scale and never waits.  ``0`` switches the pacing off — the
+#: test suite and ``benchmarks/bench_*.py`` do.
+SUBMIT_TIME_SCALE = 0.00125
+#: the client compares the two clocks at every third submission, so two
+#: queries in three start at once
+SUBMIT_SYNC_EVERY = 3
 
 
 class ClientPeer(Peer):
@@ -32,6 +45,11 @@ class ClientPeer(Peer):
         super().__init__(peer_id, base=None)
         self.results: Dict[str, QueryResult] = {}
         self._counter = itertools.count(1)
+        #: submission pacing: wall-clock and network time of the last
+        #: submission that compared them, and the submissions since
+        self._synced = 0.0
+        self._synced_network = 0.0
+        self._unsynced = 0
         #: resubmit policy when no result arrives (None: wait forever,
         #: the seed behaviour); coordinators answer duplicate submits
         #: idempotently, so resubmission is always safe
@@ -72,13 +90,15 @@ class ClientPeer(Peer):
             order_by: Variable to order the answer by before the limit.
             descending: Sort direction for ``order_by``.
         """
+        network = self._require_network()
+        self._pace(network)
         query_id = f"{self.peer_id}-q{next(self._counter)}"
         submit = QuerySubmit(
             query_id, text, self.peer_id, max_peers, limit, order_by, descending
         )
         # root span of the whole distributed trace; the query id doubles
         # as the trace id so exports are deterministic across runs
-        span = self._require_network().tracer.start_span(
+        span = network.tracer.start_span(
             "query", peer=self.peer_id, trace_id=query_id, via=via_peer
         )
         if span:
@@ -87,6 +107,22 @@ class ClientPeer(Peer):
         if self.submit_retry is not None:
             self._arm_resubmit(via_peer, submit, 1)
         return query_id
+
+    def _pace(self, network) -> None:
+        """At every ``SUBMIT_SYNC_EVERY``-th submission, hold it until
+        wall-clock time has caught up with the network time that passed
+        since the last such submission."""
+        self._unsynced += 1
+        if self._unsynced < SUBMIT_SYNC_EVERY:
+            return
+        passed = network.now - self._synced_network
+        synced = self._synced + passed * SUBMIT_TIME_SCALE
+        now = time.perf_counter()
+        if now < synced:
+            time.sleep(synced - now)
+        else:
+            synced = now
+        self._synced, self._synced_network, self._unsynced = synced, network.now, 0
 
     def _arm_resubmit(self, via_peer: str, submit: QuerySubmit, attempt: int) -> None:
         network = self._require_network()

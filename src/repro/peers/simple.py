@@ -30,8 +30,7 @@ from ..core.routing import route_query
 from ..core.shipping import assign_sites
 from ..errors import ParseError, SchemaError
 from ..execution.engine import PlanExecutor
-from ..execution.encoded import is_id_table
-from ..execution.operators import finalize, finalize_encoded
+from ..execution.operators import finalize_encoded
 from ..livedata.continuous import StandingQuery, table_delta
 from ..livedata.maintenance import LiveMaintainer
 from ..livedata.updates import (
@@ -131,9 +130,6 @@ class SimplePeer(Peer):
             optimiser reorder joins by estimated cardinality and the
             cost model place operators per subplan.  Off (the default)
             preserves the rule-based path bit-identically.
-        encode: Dictionary-encoded columnar execution (``--encode``):
-            scans run over interned id columns and results ship as
-            :class:`~repro.execution.encoded.EncodedTable` packets.
     """
 
     def __init__(
@@ -148,24 +144,18 @@ class SimplePeer(Peer):
         failure_policy: str = "discard",
         secondary_bases=(),
         cache_enabled: bool = True,
-        vectorize: bool = True,
         batch_size: int = 256,
         cost_based: bool = False,
-        encode: bool = False,
     ):
         super().__init__(peer_id, base, secondary_bases=secondary_bases)
         if failure_policy not in ("discard", "phased"):
             raise ValueError("failure_policy must be 'discard' or 'phased'")
-        #: vectorized execution + batched shipping (``--no-vectorize``
-        #: turns both off: scalar operators, one DataPacket per binding)
-        self.vectorize = vectorize
         self.batch_size = batch_size
         self.adaptive = adaptive
         self.max_replans = max_replans
         self.optimize_plans = optimize_plans
         self.use_shipping = use_shipping
         self.cost_based = cost_based
-        self.encode = encode
         self.failure_policy = failure_policy
         #: phased policy: virtual-time window for the old phase's
         #: in-flight results to land in the cache before the new phase
@@ -1136,13 +1126,10 @@ class SimplePeer(Peer):
         )
         pending.executor.start()
 
-    def _keep_variables(self, pending: PendingQuery) -> Optional[set]:
+    def _keep_variables(self, pending: PendingQuery) -> set:
         """The variables this coordinator's finalisation still needs —
-        projections plus WHERE-condition operands.  Only meaningful on
-        the encoded pipeline (dead-column pruning); ``None`` otherwise
-        so the default path stays untouched."""
-        if not self.encode:
-            return None
+        projections plus WHERE-condition operands; the executor prunes
+        every other column as soon as no later join references it."""
         keep = set(pending.query.effective_projections())
         for condition in pending.query.conditions:
             keep.add(condition.variable)
@@ -1174,23 +1161,14 @@ class SimplePeer(Peer):
     def _finalize_answer(
         self, table: BindingTable, pending: PendingQuery
     ) -> BindingTable:
-        """Filter/project/de-duplicate a gathered table into the answer.
-
-        An encoding coordinator's pipeline delivers *id tables* (cells
-        are primary-dictionary ids): those finalise on ints and decode
-        only the final small table; everything else takes the seed's
-        scalar/vectorized path unchanged.
-        """
-        projections = pending.query.effective_projections()
-        conditions = pending.query.conditions
-        if self.encode and self.base is not None and is_id_table(table):
-            return finalize_encoded(
-                table,
-                self.base.encoded_base().dictionary,
-                projections,
-                conditions,
-            )
-        return finalize(table, projections, conditions, vectorize=self.vectorize)
+        """Filter/project/de-duplicate a gathered id table into the
+        answer, decoding only the final small table into terms."""
+        return finalize_encoded(
+            table,
+            self.dictionary,
+            pending.query.effective_projections(),
+            pending.query.conditions,
+        )
 
     def _reply_error(self, pending: PendingQuery, reason: str) -> None:
         if pending.query_id not in self._pending:

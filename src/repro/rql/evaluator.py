@@ -26,8 +26,8 @@ from .pattern import PathPattern, QueryPattern, extract_pattern
 def path_triple_matches(triple, path, schema: Schema, view: InferredView) -> bool:
     """Does an asserted triple satisfy a schema path's domain/range
     constraints under RDFS entailment?  The single matcher shared by
-    the scalar evaluator and the encoded column builder
-    (:mod:`repro.execution.encoded`), so both paths agree by
+    this centralized evaluator and the distributed engine's column
+    builder (:mod:`repro.execution.encoded`), so both agree by
     construction."""
     asserted = triple.predicate
     if schema.has_property(asserted):

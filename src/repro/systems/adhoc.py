@@ -22,6 +22,7 @@ from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..core.cost import Statistics
 from ..errors import PeerError
+from ..execution.encoded import decode_cells, encode_cells
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
@@ -360,14 +361,9 @@ class AdhocPeer(SimplePeer):
                 )
             else:
                 assert table is not None
-                from ..execution.encoded import decode_cells, is_id_table
-
-                if is_id_table(table) and self.base is not None:
-                    # the root's dictionary differs from this peer's:
-                    # raw delegated bindings ship as terms
-                    table = decode_cells(
-                        table, self.base.encoded_base().dictionary
-                    )
+                # the root's dictionary differs from this peer's: raw
+                # delegated bindings ship as terms
+                table = decode_cells(table, self.dictionary)
                 span.set(rows=len(table))
                 span.finish()
                 self.send(
@@ -416,7 +412,7 @@ class AdhocPeer(SimplePeer):
                 return
             seen.add(result.token)
         if result.table is not None:
-            self._reply_result(pending, result.table)
+            self._reply_result(pending, encode_cells(result.table, self.dictionary))
             self._delegations.pop(result.query_id, None)
             self._seen_delegated.pop(result.query_id, None)
             return
@@ -448,10 +444,8 @@ class AdhocSystem:
         use_dht: bool = False,
         cache_enabled: bool = True,
         observability: bool = True,
-        vectorize: bool = True,
         batch_size: int = 256,
         cost_based: bool = False,
-        encode: bool = False,
         **peer_options,
     ):
         self.schema = schema
@@ -464,18 +458,13 @@ class AdhocSystem:
             statistics = Statistics()
         self.statistics = statistics
         self.cache_enabled = cache_enabled
-        self.vectorize = vectorize
         self.batch_size = batch_size
         self.cost_based = cost_based
-        self.encode = encode
         self.peer_options = dict(peer_options)
         self.peer_options.setdefault("cache_enabled", cache_enabled)
-        # deployment-wide execution mode (--no-vectorize / --batch-size)
-        self.peer_options.setdefault("vectorize", vectorize)
+        # deployment-wide shipping / planning mode (--batch-size / --cost-based)
         self.peer_options.setdefault("batch_size", batch_size)
-        # deployment-wide planning/storage mode (--cost-based / --encode)
         self.peer_options.setdefault("cost_based", cost_based)
-        self.peer_options.setdefault("encode", encode)
         self.peers: Dict[str, AdhocPeer] = {}
         self.clients: Dict[str, ClientPeer] = {}
         self._client_counter = itertools.count(1)

@@ -197,10 +197,8 @@ class HybridSystem:
         statistics: Optional[Statistics] = None,
         cache_enabled: bool = True,
         observability: bool = True,
-        vectorize: bool = True,
         batch_size: int = 256,
         cost_based: bool = False,
-        encode: bool = False,
         transport=None,
         **peer_options,
     ):
@@ -218,20 +216,15 @@ class HybridSystem:
             statistics = Statistics()
         self.statistics = statistics
         self.cache_enabled = cache_enabled
-        self.vectorize = vectorize
         self.batch_size = batch_size
         self.cost_based = cost_based
-        self.encode = encode
         self.peer_options = dict(peer_options)
         # deployment-wide switch (--no-cache): every super-peer index
         # and simple peer runs cold unless a peer option overrides it
         self.peer_options.setdefault("cache_enabled", cache_enabled)
-        # deployment-wide execution mode (--no-vectorize / --batch-size)
-        self.peer_options.setdefault("vectorize", vectorize)
+        # deployment-wide shipping / planning mode (--batch-size / --cost-based)
         self.peer_options.setdefault("batch_size", batch_size)
-        # deployment-wide planning/storage mode (--cost-based / --encode)
         self.peer_options.setdefault("cost_based", cost_based)
-        self.peer_options.setdefault("encode", encode)
         self.super_peers: Dict[str, SuperPeer] = {}
         self.peers: Dict[str, HybridPeer] = {}
         self.clients: Dict[str, ClientPeer] = {}

@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Tuple, Type
 from ..channels.packets import (
     ChangePlanPacket,
     DataPacket,
-    DictionaryPacket,
     StatsPacket,
     SubPlanPacket,
 )
@@ -408,7 +407,6 @@ for _cls in (
     PartialPlan,
     SubPlanPacket,
     DataPacket,
-    DictionaryPacket,
     EncodedTable,
     StatSummary,
     ChangePlanPacket,

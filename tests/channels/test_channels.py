@@ -1,5 +1,7 @@
 """Tests for the channel construct and its manager."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.channels import (
@@ -11,9 +13,26 @@ from repro.channels import (
 )
 from repro.core.algebra import Scan
 from repro.errors import ChannelError
-from repro.net import Message, Network
+from repro.execution.encoded import decode_cells, encode_cells
+from repro.net import Network
+from repro.rdf.dictionary import TermDictionary
 from repro.rql.bindings import BindingTable
 from repro.workloads.paper import paper_query_pattern, paper_schema
+
+
+def data(channel_id, table, sender=None, **fields):
+    """The packet a peer with dictionary ``sender`` ships for the term
+    table ``table``: id columns plus the entries they reference."""
+    sender = sender if sender is not None else TermDictionary()
+    (packet,) = DataPacket.stream(
+        channel_id, encode_cells(table, sender), sender, max(1, len(table))
+    )
+    return replace(packet, **fields)
+
+
+def terms(manager, table):
+    """A completed channel's id table, decoded through its root's space."""
+    return decode_cells(table, manager.dictionary)
 
 
 class _Sink:
@@ -86,7 +105,7 @@ class TestManager:
         results = []
         channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
         table = BindingTable(("X",))
-        manager.on_data(DataPacket(channel.channel_id, table, final=True))
+        manager.on_data(data(channel.channel_id, table, final=True))
         assert results == [(table, None)]
         assert channel.state is ChannelState.CLOSED
 
@@ -95,9 +114,7 @@ class TestManager:
         manager = ChannelManager("P1")
         results = []
         channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
-        manager.on_data(
-            DataPacket(channel.channel_id, BindingTable(()), failed_peer="P9")
-        )
+        manager.on_data(data(channel.channel_id, BindingTable(()), failed_peer="P9"))
         assert results == [(None, "P9")]
         assert channel.state is ChannelState.FAILED
 
@@ -115,7 +132,7 @@ class TestManager:
         results = []
         channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
         manager.discard(channel.channel_id)
-        manager.on_data(DataPacket(channel.channel_id, BindingTable(()), final=True))
+        manager.on_data(data(channel.channel_id, BindingTable(()), final=True))
         assert results == []
 
     def test_discard_all_counts_open(self, wired, scan):
@@ -128,7 +145,7 @@ class TestManager:
 
     def test_late_packet_for_unknown_channel_dropped(self):
         manager = ChannelManager("P1")
-        manager.on_data(DataPacket("P1#99", BindingTable(()), final=True))  # no raise
+        manager.on_data(data("P1#99", BindingTable(()), final=True))  # no raise
 
     def test_unknown_channel_lookup_raises(self):
         with pytest.raises(ChannelError):
@@ -136,7 +153,16 @@ class TestManager:
 
     def test_packet_sizes_positive(self, scan):
         assert SubPlanPacket("c", scan).size_bytes() > 0
-        assert DataPacket("c", BindingTable(("X",))).size_bytes() > 0
+        assert data("c", BindingTable(("X",))).size_bytes() > 0
+
+    def test_data_packet_pays_for_its_entries(self):
+        one = data("c", _rows("a"))
+        two = data("c", _rows("a", "b"))
+        repeated = data("c", _rows("a", "a"))
+        # a repeated value costs one more 4-byte cell, a new one also
+        # its dictionary entry
+        assert repeated.size_bytes() == one.size_bytes() + 4
+        assert two.size_bytes() > repeated.size_bytes()
 
 
 def _rows(*names):
@@ -159,32 +185,32 @@ class TestOutOfOrderReassembly:
     def test_final_overtaking_chunks_waits_for_them(self, wired, scan):
         manager, channel, results = self._open(wired, scan)
         cid = channel.channel_id
-        manager.on_data(DataPacket(cid, _rows("c"), seq=2, final=True))
+        manager.on_data(data(cid, _rows("c"), seq=2, final=True))
         assert results == []  # seqs 0 and 1 still in flight
         assert channel.is_open
-        manager.on_data(DataPacket(cid, _rows("a"), seq=0, final=False))
+        manager.on_data(data(cid, _rows("a"), seq=0, final=False))
         assert results == []
-        manager.on_data(DataPacket(cid, _rows("b"), seq=1, final=False))
+        manager.on_data(data(cid, _rows("b"), seq=1, final=False))
         assert len(results) == 1
         table, failed = results[0]
         assert failed is None
-        assert table == _rows("a", "b", "c")
+        assert terms(manager, table) == _rows("a", "b", "c")
         assert channel.state is ChannelState.CLOSED
 
     def test_in_order_stream_still_completes_on_final(self, wired, scan):
         manager, channel, results = self._open(wired, scan)
         cid = channel.channel_id
-        manager.on_data(DataPacket(cid, _rows("a"), seq=0, final=False))
-        manager.on_data(DataPacket(cid, _rows("b"), seq=1, final=True))
-        assert results[0][0] == _rows("a", "b")
+        manager.on_data(data(cid, _rows("a"), seq=0, final=False))
+        manager.on_data(data(cid, _rows("b"), seq=1, final=True))
+        assert terms(manager, results[0][0]) == _rows("a", "b")
 
     def test_duplicate_chunk_not_double_counted(self, wired, scan):
         manager, channel, results = self._open(wired, scan)
         cid = channel.channel_id
-        manager.on_data(DataPacket(cid, _rows("a"), seq=0, final=False))
-        manager.on_data(DataPacket(cid, _rows("a"), seq=0, final=False))  # retransmit race
-        manager.on_data(DataPacket(cid, _rows("b"), seq=1, final=True))
-        assert results[0][0] == _rows("a", "b")
+        manager.on_data(data(cid, _rows("a"), seq=0, final=False))
+        manager.on_data(data(cid, _rows("a"), seq=0, final=False))  # retransmit race
+        manager.on_data(data(cid, _rows("b"), seq=1, final=True))
+        assert terms(manager, results[0][0]) == _rows("a", "b")
 
 
 class TestDiscardAccounting:
@@ -203,8 +229,8 @@ class TestDiscardAccounting:
         network, _, _ = wired
         manager, metrics = self._manager_with_metrics()
         channel = manager.open(network, "P2", scan, lambda t, f: None)
-        manager.on_data(DataPacket(channel.channel_id, _rows("a", "b"), seq=0, final=False))
-        manager.on_data(DataPacket(channel.channel_id, _rows("c"), seq=1, final=False))
+        manager.on_data(data(channel.channel_id, _rows("a", "b"), seq=0, final=False))
+        manager.on_data(data(channel.channel_id, _rows("c"), seq=1, final=False))
         manager.discard(channel.channel_id)
         assert metrics.discarded_bindings == 3
 
@@ -213,16 +239,14 @@ class TestDiscardAccounting:
         manager, metrics = self._manager_with_metrics()
         channel = manager.open(network, "P2", scan, lambda t, f: None)
         manager.discard(channel.channel_id)
-        manager.on_data(
-            DataPacket(channel.channel_id, _rows("a", "b"), seq=0, final=True)
-        )
+        manager.on_data(data(channel.channel_id, _rows("a", "b"), seq=0, final=True))
         assert metrics.discarded_bindings == 2
 
     def test_discard_without_metrics_is_silent(self, wired, scan):
         network, _, _ = wired
         manager = ChannelManager("P1")
         channel = manager.open(network, "P2", scan, lambda t, f: None)
-        manager.on_data(DataPacket(channel.channel_id, _rows("a"), seq=0, final=False))
+        manager.on_data(data(channel.channel_id, _rows("a"), seq=0, final=False))
         manager.discard(channel.channel_id)  # no metrics bound: no raise
 
 

@@ -2,13 +2,13 @@
 
 The oracle: for any seeded workload (synthetic RDF/S schema, peer
 bases, conjunctive chain queries), evaluating a query through a
-distributed deployment — hybrid or ad-hoc, vectorized or scalar, any
-batch size — must return exactly the binding multiset the centralized
+distributed deployment — hybrid or ad-hoc, any batch size — must
+return exactly the binding multiset the centralized
 evaluator produces over the *union* of every peer base.
 
 The centralized reference is :func:`repro.rql.evaluator.query` on one
 merged graph, with a final ``distinct`` to match the coordinator's
-``finalize`` (set semantics on the projected answer).  A distributed
+finalisation (set semantics on the projected answer).  A distributed
 "no relevant peers" failure maps to the empty table: advertisements
 are derived from base content, so a query no peer advertises has no
 entailed matches in the merged base either.

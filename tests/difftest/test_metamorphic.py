@@ -3,8 +3,8 @@
 Fault-free runs of the same query over the same deployment must return
 the same binding multiset regardless of *how* the plan was evaluated:
 optimizer rewrites (join/union distribution, same-peer merging),
-shipping choices, batch size, and vectorized-versus-scalar operators
-are all answer-preserving transformations.  Coverage annotations on
+shipping choices and batch size are all answer-preserving
+transformations.  Coverage annotations on
 degraded (partial) answers must be invariant too.
 """
 
@@ -29,8 +29,7 @@ VARIANTS = [
     ("batch-1", {"batch_size": 1}),
     ("batch-7", {"batch_size": 7}),
     ("batch-256", {"batch_size": 256}),
-    ("scalar", {"vectorize": False}),
-    ("scalar-unoptimized", {"vectorize": False, "optimize_plans": False}),
+    ("batch-1-unoptimized", {"batch_size": 1, "optimize_plans": False}),
 ]
 
 
@@ -88,7 +87,7 @@ def test_coverage_annotations_invariant_under_batching():
     """Seed 3 is a vertical layout with 3 peers over 4 chain segments:
     segment 3 has no provider, so a full-chain query degrades to a
     coverage-annotated partial answer.  The annotation and the partial
-    table must not depend on batching or vectorization."""
+    table must not depend on batching."""
     workload = make_workload(3, queries=0)
     assert workload.distribution.value == "vertical"
     from repro.workloads.query_gen import chain_query
@@ -98,7 +97,7 @@ def test_coverage_annotations_invariant_under_batching():
     assert reference.error is None
     assert reference.coverage is not None
     assert reference.coverage.unanswered  # something really was degraded
-    for options in ({"batch_size": 1}, {"batch_size": 7}, {"vectorize": False}):
+    for options in ({"batch_size": 1}, {"batch_size": 7}):
         variant = _partial_result(workload, text, **options)
         assert variant.error is None
         assert variant.coverage is not None

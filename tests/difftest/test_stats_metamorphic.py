@@ -94,9 +94,9 @@ def test_perturbed_statistics_never_change_the_answer(
     seed, name, make_stats, builder
 ):
     workload = make_workload(seed, queries=QUERIES_PER_DATASET)
-    baseline = builder(workload, cost_based=True, encode=True)
+    baseline = builder(workload, cost_based=True)
     perturbed = builder(
-        workload, cost_based=True, encode=True, statistics=make_stats()
+        workload, cost_based=True, statistics=make_stats()
     )
     via = workload.peer_ids[seed % len(workload.peer_ids)]
     for text in workload.queries:

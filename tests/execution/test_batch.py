@@ -3,24 +3,40 @@
 import pytest
 
 from repro.errors import EvaluationError
-from repro.execution.batch import BindingBatch, concat_tables, split_table
+from repro.execution.batch import BindingBatch
+from repro.execution.encoded import EncodedTable, encode_cells, split_encoded
 from repro.execution.operators import (
-    apply_conditions,
-    finalize,
-    join_all,
-    union_all,
-    vjoin_all,
-    vunion_all,
+    finalize_encoded,
+    vjoin_all_distinct,
+    vunion_all_distinct,
 )
 from repro.rdf import Literal, Namespace
+from repro.rdf.dictionary import TermDictionary
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
+from repro.rql.evaluator import _condition_predicate
 
 EX = Namespace("http://e/")
 
 
 def table(columns, rows):
     return BindingTable(columns, rows)
+
+
+def finalized(t, projections, conditions=()):
+    """``finalize_encoded`` over ``t`` interned through a fresh dictionary."""
+    dictionary = TermDictionary()
+    return finalize_encoded(
+        encode_cells(t, dictionary), dictionary, projections, conditions
+    )
+
+
+def oracle(t, projections, conditions=()):
+    """The same filter/project/distinct on the centralized evaluator's
+    row-at-a-time operators."""
+    for condition in conditions:
+        t = t.select(_condition_predicate(condition))
+    return t.project(projections).distinct()
 
 
 class TestConversions:
@@ -157,20 +173,24 @@ class TestSplit:
             BindingBatch.from_table(table(("X",), [])).split(0)
 
     def test_split_table_slices(self):
-        t = table(("X",), [(EX.a,), (EX.b,), (EX.c,)])
-        parts = split_table(t, 2)
+        ids = table(("X",), [(0,), (1,), (2,)])
+        parts = split_encoded(EncodedTable.from_id_table(ids), 2)
         assert [len(p) for p in parts] == [2, 1]
-        assert concat_tables(parts) == t
+        assert [p.ids for p in parts] == [((0, 1),), ((2,),)]
 
 
 class TestVectorizedOperators:
+    """The engine's combine/finalize kernels against the centralized
+    evaluator's ``BindingTable`` operators."""
+
     def test_vunion_matches_union(self):
         tables = [
             table(("X", "Y"), [(EX.a, EX.b)]),
-            table(("Y", "X"), [(EX.c, EX.d), (EX.e, EX.f)]),
+            table(("Y", "X"), [(EX.c, EX.d), (EX.e, EX.f), (EX.b, EX.a)]),
             table(("X", "Y"), []),
         ]
-        assert vunion_all(tables) == union_all(tables)
+        folded = tables[0].union(tables[1]).union(tables[2])
+        assert vunion_all_distinct(tables) == folded.distinct()
 
     def test_vjoin_matches_join(self):
         tables = [
@@ -178,7 +198,16 @@ class TestVectorizedOperators:
             table(("Y", "Z"), [(EX.b, EX.d)]),
             table(("Z",), [(EX.d,), (EX.d,)]),
         ]
-        assert vjoin_all(tables) == join_all(tables)
+        folded = tables[0].join(tables[1]).join(tables[2])
+        assert vjoin_all_distinct(tables) == folded.distinct()
+
+    def test_vjoin_prunes_columns_nothing_references(self):
+        tables = [
+            table(("X", "Y"), [(EX.a, EX.b), (EX.c, EX.b)]),
+            table(("Y", "Z"), [(EX.b, EX.d), (EX.b, EX.e)]),
+        ]
+        folded = tables[0].join(tables[1])
+        assert vjoin_all_distinct(tables, {"X"}) == folded.project(["X"]).distinct()
 
     def test_vectorized_conditions_match_scalar(self):
         t = table(
@@ -190,16 +219,12 @@ class TestVectorizedOperators:
             ],
         )
         conditions = [Condition("X", ">", Literal(2))]
-        assert apply_conditions(t, conditions, vectorize=True) == apply_conditions(
-            t, conditions
-        )
+        assert finalized(t, ["X", "Y"], conditions) == oracle(t, ["X", "Y"], conditions)
 
     def test_vectorized_variable_condition_matches_scalar(self):
         t = table(("X", "Y"), [(Literal(1), Literal(2)), (Literal(5), Literal(3))])
         conditions = [Condition("X", "<", "Y", value_is_variable=True)]
-        assert apply_conditions(t, conditions, vectorize=True) == apply_conditions(
-            t, conditions
-        )
+        assert finalized(t, ["X", "Y"], conditions) == oracle(t, ["X", "Y"], conditions)
 
     def test_finalize_paths_agree(self):
         t = table(
@@ -211,7 +236,7 @@ class TestVectorizedOperators:
             ],
         )
         conditions = [Condition("Y", ">=", Literal(2))]
-        scalar = finalize(t, ["X", "Y"], conditions)
-        vector = finalize(t, ["X", "Y"], conditions, vectorize=True)
-        assert vector == scalar
-        assert vector.columns == scalar.columns
+        expected = oracle(t, ["X", "Y"], conditions)
+        actual = finalized(t, ["X", "Y"], conditions)
+        assert actual == expected
+        assert actual.columns == expected.columns

@@ -5,17 +5,20 @@ import pytest
 from repro.core.algebra import Hole, Join, Scan, Union
 from repro.errors import EvaluationError, PlanningError
 from repro.execution import (
+    EncodedBase,
     PlanExecutor,
-    apply_conditions,
-    evaluate_scan,
-    finalize,
-    join_all,
-    union_all,
+    evaluate_scan_encoded,
+    finalize_encoded,
+    vjoin_all_distinct,
+    vunion_all_distinct,
 )
+from repro.execution.encoded import decode_cells, encode_cells
 from repro.net import Network
 from repro.peers.base import Peer, PeerBase
-from repro.rdf import Graph, Literal, Namespace
+from repro.rdf import InferredView, Literal, Namespace
+from repro.rdf.dictionary import TermDictionary
 from repro.rql.ast import Condition
+from repro.rql import evaluate_path_pattern
 from repro.rql.bindings import BindingTable
 from repro.workloads.paper import (
     N1,
@@ -37,57 +40,79 @@ def patterns(schema):
     return paper_query_pattern(schema).patterns
 
 
+def finalized(table, projections, conditions=()):
+    dictionary = TermDictionary()
+    return finalize_encoded(
+        encode_cells(table, dictionary), dictionary, projections, conditions
+    )
+
+
 class TestOperators:
     def test_union_all_single(self):
         t = BindingTable(("X",), [(EX.a,)])
-        assert union_all([t]) == t
+        assert vunion_all_distinct([t]) == t
 
     def test_union_all_empty_rejected(self):
         with pytest.raises(EvaluationError):
-            union_all([])
+            vunion_all_distinct([])
 
     def test_join_all_chains(self):
         a = BindingTable(("X", "Y"), [(EX.a, EX.b)])
         b = BindingTable(("Y", "Z"), [(EX.b, EX.c)])
         c = BindingTable(("Z", "W"), [(EX.c, EX.d)])
-        out = join_all([a, b, c])
+        out = vjoin_all_distinct([a, b, c])
         assert len(out) == 1
         assert set(out.columns) == {"X", "Y", "Z", "W"}
 
+    def test_join_all_empty_rejected(self):
+        with pytest.raises(EvaluationError):
+            vjoin_all_distinct([])
+
     def test_apply_conditions_filters(self):
         t = BindingTable(("X",), [(Literal(1),), (Literal(5),)])
-        out = apply_conditions(t, [Condition("X", ">", Literal(3))])
-        assert len(out) == 1
+        out = finalized(t, ["X"], [Condition("X", ">", Literal(3))])
+        assert out.rows == [(Literal(5),)]
 
     def test_apply_conditions_skips_missing_columns(self):
         t = BindingTable(("X",), [(Literal(1),)])
-        out = apply_conditions(t, [Condition("Z", ">", Literal(3))])
+        out = finalized(t, ["X"], [Condition("Z", ">", Literal(3))])
         assert len(out) == 1  # untouched
 
     def test_finalize_projects_and_dedups(self):
         t = BindingTable(("X", "Y"), [(EX.a, EX.b), (EX.a, EX.c)])
-        out = finalize(t, ["X"])
+        out = finalized(t, ["X"])
         assert out.columns == ("X",)
-        assert len(out) == 1
+        assert out.rows == [(EX.a,)]
 
 
 class TestLocalScan:
+    def scan(self, patterns, peer_id, schema):
+        base = EncodedBase(paper_peer_bases()[peer_id], schema, TermDictionary())
+        return evaluate_scan_encoded(Scan(tuple(patterns), peer_id), base)
+
     def test_single_pattern(self, schema, patterns):
-        bases = paper_peer_bases()
-        table = evaluate_scan(Scan((patterns[0],), "P2"), bases["P2"], schema)
+        table = self.scan(patterns[:1], "P2", schema)
         assert len(table) == 4
         assert set(table.columns) == {"X", "Y"}
 
     def test_composite_scan_joins_locally(self, schema, patterns):
-        bases = paper_peer_bases()
-        table = evaluate_scan(Scan(tuple(patterns), "P1"), bases["P1"], schema)
+        table = self.scan(patterns, "P1", schema)
         assert len(table) == 3  # P1's complete chains
         assert set(table.columns) == {"X", "Y", "Z"}
 
     def test_subsumption_at_p4(self, schema, patterns):
-        bases = paper_peer_bases()
-        table = evaluate_scan(Scan((patterns[0],), "P4"), bases["P4"], schema)
+        table = self.scan(patterns[:1], "P4", schema)
         assert len(table) == 2  # prop4 statements answer the prop1 scan
+
+    def test_scan_decodes_to_the_centralized_answer(self, schema, patterns):
+        graph = paper_peer_bases()["P2"]
+        dictionary = TermDictionary()
+        table = evaluate_scan_encoded(
+            Scan((patterns[0],), "P2"), EncodedBase(graph, schema, dictionary)
+        )
+        assert all(isinstance(cell, int) for row in table.rows for cell in row)
+        expected = evaluate_path_pattern(patterns[0], InferredView(graph, schema))
+        assert decode_cells(table, dictionary) == expected
 
 
 class _HostPeer(Peer):

@@ -8,6 +8,7 @@ from repro.livedata.updates import (
     UpdateBatch,
 )
 from repro.peers.base import PeerBase
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import URI
 from repro.rdf.triple import Triple
 from repro.workloads.paper import N1, paper_peer_bases, paper_schema
@@ -106,22 +107,21 @@ class TestViewRedefinition:
 
 class TestEncodedPatching:
     def test_warm_encoded_twin_is_patched_in_place(self):
+        from repro.rql.pattern import SchemaPath
+
         base, maintainer = _maintainer()
-        encoded = base.encoded_base()
-        encoded.warm()
+        encoded = base.encoded_base(TermDictionary())
         populated = next(iter(maintainer.current.paths)).property
+        definition = SCHEMA.property_def(populated)
+        path = SchemaPath(definition.domain, populated, definition.range)
+        encoded.pattern_columns(path)  # a scan built the column
         fresh = Triple(URI("urn:t:enc-s"), populated, URI("urn:t:enc-o"))
         version_before = encoded._version
         maintainer.apply(UpdateBatch("P1", 1, (InsertTriple(fresh),)))
         # patched forward, not wiped: version tracked the graph
         assert encoded._version == base.graph.version
         assert encoded._version != version_before
-        definition = SCHEMA.property_def(populated)
-        from repro.rql.pattern import SchemaPath
-
-        subjects, objects = encoded.pattern_columns(
-            SchemaPath(definition.domain, populated, definition.range)
-        )
+        subjects, objects = encoded.pattern_columns(path)
         sid = encoded.dictionary.encode(fresh.subject)
         oid = encoded.dictionary.encode(fresh.object)
         assert (sid, oid) in set(zip(subjects, objects))

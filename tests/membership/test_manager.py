@@ -47,6 +47,25 @@ class TestCrashRejoin:
         assert healed.error is None and healed.coverage is None
         assert len(healed.table) == len(healthy.table)
 
+    def test_recovered_peer_coordinates_in_its_own_id_space(self, deployment):
+        """Recovery hands the peer a fresh base, whose scans start a
+        fresh id space unless the id space is the peer's.  Regression:
+        the channel manager kept translating arriving streams into the
+        pre-crash base's dictionary, so finalisation decoded foreign
+        ids (IndexError, or silently the wrong term)."""
+        spec, workload, system, manager = deployment
+        healthy = [_query(system, "P2", text) for text in workload.queries]
+        assert all(r.error is None and len(r.table) > 0 for r in healthy)
+
+        manager.crash("P2")
+        system.network.run()
+        manager.rejoin("P2")
+        system.network.run()
+        for text, before in zip(workload.queries, healthy):
+            healed = _query(system, "P2", text)
+            assert healed.error is None
+            assert healed.table == before.table
+
     def test_rejoin_counts_metrics(self, deployment):
         spec, workload, system, manager = deployment
         manager.crash("P2")

@@ -9,6 +9,7 @@ from repro.channels.packets import (
     SubPlanPacket,
 )
 from repro.core.algebra import Scan
+from repro.execution.encoded import encode_cells
 from repro.net.message import Message, payload_kind, payload_size
 from repro.peers.churn import Goodbye
 from repro.peers.protocol import (
@@ -22,6 +23,7 @@ from repro.peers.protocol import (
     RouteReply,
     RouteRequest,
 )
+from repro.rdf.dictionary import TermDictionary
 from repro.rql.bindings import BindingTable
 from repro.rvl import ActiveSchema
 from repro.workloads.paper import (
@@ -47,6 +49,7 @@ def all_payloads(schema, pattern):
     ad = next(iter(paper_active_schemas(schema).values()))
     scan = Scan((pattern.root,), "P2")
     table = BindingTable(("X",), [(DATA.a,)] * 5)
+    dictionary = TermDictionary()
     from repro.core.routing import route_query
 
     annotated = route_query(pattern, paper_active_schemas(schema).values(), schema)
@@ -64,7 +67,7 @@ def all_payloads(schema, pattern):
         DelegatedResult("q1", None, "B", error="cannot complete plan"),
         Goodbye("B"),
         SubPlanPacket("A#1", scan),
-        DataPacket("A#1", table),
+        *DataPacket.stream("A#1", encode_cells(table, dictionary), dictionary, 256),
         StatsPacket("A#1", 5, {"p": 5}),
         ChangePlanPacket("A#1", "replan"),
     ]

@@ -13,6 +13,7 @@ newer peer can talk to an older one.
 """
 
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,8 @@ from repro.peers.protocol import (
     RouteRequest,
 )
 from repro.channels.packets import ChangePlanPacket, DataPacket, StatsPacket
+from repro.execution.encoded import encode_cells
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.resilience.partial import Coverage
 from repro.rql.bindings import BindingTable
@@ -108,8 +111,17 @@ query_results = st.builds(
     st.one_of(st.none(), safe_text),
     st.one_of(st.none(), coverages()),
 )
+def _data_packet(channel_id, table, final, failed_peer, seq):
+    """The id columns plus referenced entries a sender ships for ``table``."""
+    sender = TermDictionary()
+    (packet,) = DataPacket.stream(
+        channel_id, encode_cells(table, sender), sender, max(1, len(table))
+    )
+    return replace(packet, final=final, failed_peer=failed_peer, seq=seq)
+
+
 data_packets = st.builds(
-    DataPacket,
+    _data_packet,
     query_ids,
     binding_tables(),
     final=st.booleans(),
@@ -178,7 +190,7 @@ def test_messages_round_trip_losslessly(message):
     assert decoded.dst == message.dst
     assert decoded.trace == message.trace
     assert type(decoded.payload) is type(message.payload)
-    if isinstance(message.payload, (QueryResult, DataPacket, DelegatedResult)):
+    if isinstance(message.payload, (QueryResult, DelegatedResult)):
         assert decoded.payload.table == message.payload.table
         for field in ("query_id", "error", "coverage", "final", "failed_peer",
                       "seq", "from_peer", "token"):
@@ -232,11 +244,15 @@ def test_unknown_fields_are_ignored_everywhere(message, field_name):
 @given(st.lists(terms, min_size=0, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_every_term_survives_a_binding_batch(term_list):
-    """Any term in any binding-batch cell round-trips exactly."""
+    """Any term in any binding-batch cell round-trips exactly: the
+    decoded packet's entries map its id cells back to the same terms."""
     table = BindingTable(("V0",), [(term,) for term in term_list])
-    packet = DataPacket("ch-1", table, final=False, failed_peer=None, seq=0)
-    encoded = json.loads(json.dumps(encode_payload(packet)))
-    assert decode_payload(encoded).table == table
+    packet = _data_packet("ch-1", table, final=False, failed_peer=None, seq=0)
+    decoded = decode_payload(json.loads(json.dumps(encode_payload(packet))))
+    assert decoded == packet
+    mapping = dict(decoded.entries)
+    (column,) = decoded.table.ids
+    assert [mapping[tid] for tid in column] == term_list
 
 
 @given(

@@ -5,35 +5,31 @@ Three walls around the columnar core:
 * a :class:`~repro.rdf.dictionary.TermDictionary` round-trips every
   term kind — URIs, blank nodes, variables, and literals of every
   datatype/language shape — through ``encode``/``decode``, including
-  the wire codec's serialisation of the per-channel entries;
-* the full table cycle (scalar table → :func:`encode_table` →
-  :func:`split_encoded` chunks → :func:`decode_table` → concat) is
-  lossless, row order included, for every batch size;
-* the encoded kernels are observationally equal to the scalar ones:
-  joining/filtering/concatenating id tables and decoding at the end
-  yields exactly what the term-space operators produce.
+  the wire codec's serialisation of a data packet's entries;
+* the full wire cycle (sender id table → :meth:`DataPacket.stream`'s
+  self-contained chunks → the root's channel manager, in any arrival
+  order) is lossless, for every batch size;
+* the kernels are value-agnostic: joining/filtering/concatenating id
+  tables and decoding at the end yields exactly what the same
+  operators — and the centralized evaluator's — produce on terms.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channels.packets import DictionaryPacket
+from repro.channels import ChannelManager, DataPacket
+from repro.core.algebra import Scan
 from repro.execution.batch import BindingBatch, concat_tables
-from repro.execution.encoded import (
-    EncodedTable,
-    decode_cells,
-    decode_table,
-    encode_cells,
-    encode_table,
-    is_id_table,
-    split_encoded,
-)
-from repro.execution.operators import finalize, finalize_encoded
+from repro.execution.encoded import EncodedTable, decode_cells, encode_cells
+from repro.execution.operators import finalize_encoded
+from repro.net import Network
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
+from repro.rql.evaluator import _condition_predicate
 from repro.transport.codec import decode_payload, encode_payload
+from repro.workloads.paper import paper_query_pattern, paper_schema
 
 safe_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16
@@ -88,13 +84,17 @@ def test_dictionary_entries_cover_requested_ids(values):
         assert d.decode(tid) == term
 
 
+def _packets(channel_id, table, sender, batch_size):
+    """What a peer with dictionary ``sender`` ships for a term table."""
+    return DataPacket.stream(channel_id, encode_cells(table, sender), sender, batch_size)
+
+
 @given(st.lists(terms, max_size=12), st.integers(0, 10**6))
 def test_dictionary_entries_survive_wire_codec(values, channel_seq):
-    """The per-channel dictionary payload round-trips the transport
+    """A data packet's dictionary entries round-trip the transport
     codec exactly, for every term kind."""
-    d = TermDictionary()
-    ids = d.encode_many(values)
-    packet = DictionaryPacket(f"P1#{channel_seq}", d.entries(ids))
+    table = BindingTable(("V0",), [(value,) for value in values])
+    (packet,) = _packets(f"P1#{channel_seq}", table, TermDictionary(), 64)
     decoded = decode_payload(encode_payload(packet))
     assert decoded == packet
     assert dict(decoded.entries) == dict(packet.entries)
@@ -103,23 +103,48 @@ def test_dictionary_entries_survive_wire_codec(values, channel_seq):
 # ----------------------------------------------------------------------
 # full table cycle
 # ----------------------------------------------------------------------
-@given(binding_tables(), st.integers(1, 9))
+_SCAN = Scan((paper_query_pattern(paper_schema()).root,), "P2")
+
+
+class _Sink:
+    """A registered node that ignores deliveries."""
+
+    def __init__(self, peer_id):
+        self.peer_id = peer_id
+
+    def receive(self, message, network):
+        pass
+
+
+@given(binding_tables(), st.integers(1, 9), st.randoms(use_true_random=False))
 @settings(max_examples=60)
-def test_encode_split_decode_cycle_is_lossless(table, batch_size):
-    d = TermDictionary()
-    encoded = encode_table(table, d)
-    mapping = dict(d.entries(encoded.used_ids()))
-    chunks = split_encoded(encoded, batch_size)
-    assert sum(len(c) for c in chunks) == len(table.rows)
-    decoded = concat_tables([decode_table(c, mapping) for c in chunks])
-    assert decoded.columns == table.columns
-    assert decoded.rows == table.rows  # row order included
+def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
+    """Sender ids → chunks → the root's id space → terms gives the
+    table back, whatever order the self-contained chunks arrive in."""
+    network = Network()
+    network.register(_Sink("P1"))
+    network.register(_Sink("P2"))
+    root = ChannelManager("P1")
+    root.dictionary.encode(URI("http://example.org/already-here"))  # skew the spaces
+    results = []
+    channel = root.open(network, "P2", _SCAN, lambda t, f: results.append((t, f)))
+    packets = _packets(channel.channel_id, table, TermDictionary(), batch_size)
+    assert sum(p.rows for p in packets) == len(table.rows)
+    assert all(p.rows <= batch_size for p in packets)
+    rng.shuffle(packets)
+    for packet in packets:
+        assert results == []
+        root.on_data(packet)
+    ((assembled, failed),) = results
+    assert failed is None
+    assert assembled.columns == table.columns
+    assert decode_cells(assembled, root.dictionary) == table
 
 
 @given(binding_tables())
 def test_encoded_table_survives_wire_codec(table):
     d = TermDictionary()
-    encoded = encode_table(table, d)
+    encoded = EncodedTable.from_id_table(encode_cells(table, d))
     decoded = decode_payload(encode_payload(encoded))
     assert isinstance(decoded, EncodedTable)
     assert decoded == encoded
@@ -129,14 +154,12 @@ def test_encoded_table_survives_wire_codec(table):
 def test_cell_codecs_invert(table):
     d = TermDictionary()
     ids = encode_cells(table, d)
-    if table.rows:
-        assert is_id_table(ids)
+    assert all(isinstance(cell, int) for row in ids.rows for cell in row)
     assert decode_cells(ids, d).rows == table.rows
-    assert not is_id_table(table) or not table.rows
 
 
 # ----------------------------------------------------------------------
-# encoded kernel ≡ scalar kernel
+# kernels on ids ≡ kernels on terms ≡ the centralized evaluator
 # ----------------------------------------------------------------------
 def _shared_world(draw_tables):
     """Encode several tables through one dictionary (as one peer does)."""
@@ -167,6 +190,10 @@ def test_encoded_concat_equals_scalar_concat(tables):
     assert decode_cells(encoded, d).rows == scalar.rows
 
 
+def _oracle_finalize(table, projections, condition):
+    return table.select(_condition_predicate(condition)).project(projections).distinct()
+
+
 @given(
     binding_tables(min_width=2, max_width=3),
     st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "like"]),
@@ -176,7 +203,8 @@ def test_encoded_concat_equals_scalar_concat(tables):
 @settings(max_examples=80)
 def test_encoded_finalize_equals_scalar_finalize(table, operator, value, var_rhs):
     """Filter + project + distinct on ids, decoding per distinct id,
-    matches the scalar path row for row."""
+    matches the centralized evaluator's row-at-a-time operators row
+    for row."""
     if var_rhs:
         condition = Condition("V0", operator, Variable("V1"), value_is_variable=True)
     else:
@@ -184,7 +212,7 @@ def test_encoded_finalize_equals_scalar_finalize(table, operator, value, var_rhs
     projections = list(table.columns[:2])
     d = TermDictionary()
     ids = encode_cells(table, d)
-    scalar = finalize(table, projections, [condition], vectorize=True)
+    scalar = _oracle_finalize(table, projections, condition)
     encoded = finalize_encoded(ids, d, projections, [condition])
     assert encoded.columns == scalar.columns
     assert encoded.rows == scalar.rows
@@ -194,7 +222,7 @@ def test_ordered_comparison_with_mixed_term_kinds_rejects_rows():
     """Regression (found by the property above): ordering a boolean
     literal against a URI used to raise AttributeError out of
     ``URI.__lt__`` instead of the TypeError the incomparable-types rule
-    maps to False — on both the scalar and the encoded path."""
+    maps to False — in the centralized evaluator and the engine alike."""
     table = BindingTable(
         ("V0", "V1"),
         [
@@ -203,7 +231,7 @@ def test_ordered_comparison_with_mixed_term_kinds_rejects_rows():
         ],
     )
     condition = Condition("V0", ">", URI("http://example.org/a"))
-    scalar = finalize(table, ["V0", "V1"], [condition], vectorize=True)
+    scalar = _oracle_finalize(table, ["V0", "V1"], condition)
     d = TermDictionary()
     encoded = finalize_encoded(
         encode_cells(table, d), d, ["V0", "V1"], [condition]

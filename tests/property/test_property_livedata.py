@@ -46,6 +46,7 @@ from repro.livedata.updates import (
 )
 from repro.net.message import Message
 from repro.peers.base import PeerBase
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.rdf.triple import Triple
 from repro.rql.bindings import BindingTable
@@ -279,17 +280,22 @@ def test_patched_encoded_columns_equal_rebuild(seed, revisions):
         synthetic.schema, bases, seed=seed, revisions=revisions, rate=0.3
     )
     peer_bases = {p: PeerBase(bases[p], synthetic.schema) for p in bases}
+    paths = [
+        SchemaPath(definition.domain, prop, definition.range)
+        for prop in sorted(synthetic.schema.properties, key=lambda u: u.value)
+        for definition in [synthetic.schema.property_def(prop)]
+    ]
     for base in peer_bases.values():
-        base.encoded_base().warm()  # build the columnar twin up front
+        twin = base.encoded_base(TermDictionary())
+        for path in paths:
+            twin.pattern_columns(path)  # every column built up front
     maintainers = {p: LiveMaintainer(peer_bases[p], p) for p in bases}
     for batch in stream.all_batches():
         maintainers[batch.target].apply(batch)
     for peer, base in peer_bases.items():
         patched = base._encoded
-        rebuilt = EncodedBase(base.graph, synthetic.schema)
-        for prop in sorted(synthetic.schema.properties, key=lambda u: u.value):
-            definition = synthetic.schema.property_def(prop)
-            path = SchemaPath(definition.domain, prop, definition.range)
+        rebuilt = EncodedBase(base.graph, synthetic.schema, TermDictionary())
+        for path in paths:
             got_s, got_o = patched.pattern_columns(path)
             want_s, want_o = rebuilt.pattern_columns(path)
             got = sorted(
@@ -300,4 +306,4 @@ def test_patched_encoded_columns_equal_rebuild(seed, revisions):
                 (rebuilt.dictionary.decode(s).n3(), rebuilt.dictionary.decode(o).n3())
                 for s, o in zip(want_s, want_o)
             )
-            assert got == want, f"{peer} column {prop.value} diverged"
+            assert got == want, f"{peer} column {path.property.value} diverged"

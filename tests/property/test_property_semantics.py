@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro.core import build_plan, optimize, route_query
 from repro.core.algebra import Hole, Join, PlanNode, Scan, Union
-from repro.execution.local import evaluate_scan
-from repro.execution.operators import join_all, union_all
+from repro.execution.encoded import EncodedBase, decode_cells, evaluate_scan_encoded
+from repro.execution.operators import vjoin_all_distinct, vunion_all_distinct
 from repro.rdf import Graph, InferredView, Namespace, TYPE
+from repro.rdf.dictionary import TermDictionary
 from repro.rql import evaluate_path_pattern
 from repro.rql.evaluator import evaluate_pattern
 from repro.rvl import ActiveSchema
@@ -64,13 +65,23 @@ def centralised(bases):
 
 
 def evaluate_plan(plan: PlanNode, bases):
-    """Pure (network-free) plan evaluation for semantics checks."""
-    if isinstance(plan, Hole):
-        raise AssertionError("plan with holes")
-    if isinstance(plan, Scan):
-        return evaluate_scan(plan, bases[plan.peer_id], SCHEMA)
-    tables = [evaluate_plan(c, bases) for c in plan.children()]
-    return union_all(tables) if isinstance(plan, Union) else join_all(tables)
+    """Pure (network-free) plan evaluation for semantics checks: the
+    engine's scan and combine kernels over one shared id space."""
+    dictionary = TermDictionary()
+    columnar = {
+        peer: EncodedBase(graph, SCHEMA, dictionary) for peer, graph in bases.items()
+    }
+
+    def run(node: PlanNode):
+        if isinstance(node, Hole):
+            raise AssertionError("plan with holes")
+        if isinstance(node, Scan):
+            return evaluate_scan_encoded(node, columnar[node.peer_id])
+        tables = [run(child) for child in node.children()]
+        combine = vunion_all_distinct if isinstance(node, Union) else vjoin_all_distinct
+        return combine(tables)
+
+    return decode_cells(run(plan), dictionary)
 
 
 def advertisements(bases):

@@ -1,16 +1,17 @@
-"""Property-based equivalence: columnar batches vs scalar tables.
+"""Property-based equivalence: columnar batches vs row-major tables.
 
-Every vectorized operator on :class:`BindingBatch` must agree — as a
-binding multiset — with the corresponding binding-at-a-time operator
-on :class:`BindingTable`, for arbitrary inputs over a closed world.
-This is the kernel-level half of the differential-testing story
-(``tests/difftest`` covers whole deployments).
+Every operator on :class:`BindingBatch` — the engine's kernel — must
+agree, as a binding multiset, with the corresponding binding-at-a-time
+operator on :class:`BindingTable` — the centralized evaluator's — for
+arbitrary inputs over a closed world.  This is the kernel-level half
+of the differential-testing story (``tests/difftest`` covers whole
+deployments).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.batch import BindingBatch, concat_tables, split_table
+from repro.execution.batch import BindingBatch, concat_tables
 from repro.rql.bindings import BindingTable
 
 from .strategies import uris
@@ -100,9 +101,7 @@ class TestUnaryEquivalence:
 class TestSplitRoundTrip:
     @given(tables(("X", "Y"), max_size=20), st.integers(1, 8))
     def test_split_then_concat_is_identity(self, a, batch_size):
-        parts = split_table(a, batch_size)
+        parts = BindingBatch.from_table(a).split(batch_size)
         assert all(len(part) <= batch_size for part in parts)
-        assert concat_tables(parts) == a
         # order is preserved too, not just the multiset
-        reassembled = [row for part in parts for row in part.rows]
-        assert reassembled == a.rows
+        assert BindingBatch.concat(parts).to_table().rows == a.rows

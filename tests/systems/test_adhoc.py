@@ -44,7 +44,6 @@ class TestFigure7:
 
     def test_results_identical_to_hybrid_semantics(self, system):
         """The ad-hoc answer equals a centralised evaluation."""
-        from repro.execution.operators import union_all
         from repro.rql import query as local_query
         from repro.rdf import Graph
 

@@ -19,6 +19,7 @@ from repro.channels.packets import (
     SubPlanPacket,
 )
 from repro.errors import CodecError
+from repro.execution.encoded import encode_cells
 from repro.net.message import DeliveryFailure, Message
 from repro.obs import TraceContext
 from repro.peers.churn import Goodbye
@@ -35,6 +36,7 @@ from repro.peers.protocol import (
     RouteReply,
     RouteRequest,
 )
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.resilience.partial import Coverage
 from repro.rql.bindings import BindingTable
@@ -174,10 +176,17 @@ def test_algebra_nodes_round_trip(annotated):
 
 
 def test_channel_packets_round_trip():
-    data = DataPacket("ch-1", sample_table(), final=True, failed_peer="P3", seq=7)
-    decoded = round_trip(data)
-    assert decoded.table == data.table
-    assert (decoded.final, decoded.failed_peer, decoded.seq) == (True, "P3", 7)
+    sender = TermDictionary()
+    (first, last) = DataPacket.stream(
+        "ch-1", encode_cells(sample_table(), sender), sender, 2
+    )
+    assert round_trip(first) == first
+    assert round_trip(last) == last
+    # self-contained: each chunk carries exactly the entries it references
+    assert (len(first.entries), len(last.entries)) == (4, 2)
+    assert not first.final and last.final and last.seq == 1
+    failure = DataPacket("ch-1", first.table, first.entries, failed_peer="P3", seq=7)
+    assert round_trip(failure) == failure
     assert round_trip(ChangePlanPacket("ch-1", "peer lost")) == ChangePlanPacket(
         "ch-1", "peer lost"
     )
