@@ -7,6 +7,7 @@ failing under the coordinator, adaptive execution recovers answers
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.errors import PeerError
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
@@ -24,7 +25,7 @@ def _system(adaptive: bool, seed: int = 0) -> HybridSystem:
     gen = generate_bases(
         SYNTH, PEERS, Distribution.HORIZONTAL, statements_per_segment=8, seed=seed
     )
-    system = HybridSystem(SYNTH.schema, adaptive=adaptive)
+    system = HybridSystem(SYNTH.schema, config=PeerConfig(adaptive=adaptive))
     system.add_super_peer("SP1")
     for peer_id, graph in gen.bases.items():
         system.add_peer(peer_id, graph, "SP1")

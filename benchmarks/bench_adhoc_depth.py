@@ -14,6 +14,7 @@ and so does the advertisement traffic.
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.errors import PeerError
 from repro.rdf import Graph, TYPE
 from repro.systems import AdhocSystem
@@ -38,7 +39,7 @@ def _provider_base(rows: int = 3) -> Graph:
 
 def _chain_system(distance: int, max_depth: int) -> AdhocSystem:
     """P1 -(distance hops of empty peers)- W."""
-    system = AdhocSystem(SCHEMA, max_discovery_depth=max_depth)
+    system = AdhocSystem(SCHEMA, config=PeerConfig(max_discovery_depth=max_depth))
     names = ["P1"] + [f"M{i}" for i in range(1, distance)] + ["W"]
     for index, name in enumerate(names):
         neighbours = []

@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.config import PeerConfig
 from repro.rdf.graph import Graph
 from repro.rql.evaluator import query as centralized_query
 from repro.systems import HybridSystem
@@ -67,7 +68,9 @@ def run_once(batch_size: int, statements: int = FULL_STATEMENTS, cost_based=Fals
     """One end-to-end query; returns a measurement dict."""
     bases = _bases(statements)
     system = HybridSystem(
-        SYNTH.schema, seed=SEED, batch_size=batch_size, cost_based=cost_based
+        SYNTH.schema,
+        seed=SEED,
+        config=PeerConfig(batch_size=batch_size, cost_based=cost_based),
     )
     system.add_super_peer("SP")
     for peer_id in PEERS:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.config import PeerConfig
 from repro.errors import PeerError
 from repro.systems import HybridSystem
 from repro.workload_engine import AdmissionControl, WorkloadSpec
@@ -69,7 +70,9 @@ def _dataset():
 
 def _deployment():
     synthetic, peer_ids, bases, _ = _dataset()
-    system = HybridSystem(synthetic.schema, seed=SEED, cache_enabled=False)
+    system = HybridSystem(
+        synthetic.schema, seed=SEED, config=PeerConfig(cache_enabled=False)
+    )
     system.add_super_peer("SP")
     for peer_id in peer_ids:
         system.add_peer(peer_id, bases[peer_id], "SP")

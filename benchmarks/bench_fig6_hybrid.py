@@ -7,6 +7,7 @@ end-to-end hybrid query.
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, hybrid_scenario
 
@@ -14,7 +15,9 @@ from ._common import banner, format_table, write_report
 
 
 def _run(**options):
-    system = HybridSystem.from_scenario(hybrid_scenario(), **options)
+    system = HybridSystem.from_scenario(
+        hybrid_scenario(), config=PeerConfig(**options)
+    )
     table = system.query("P1", PAPER_QUERY)
     return system, table
 

@@ -8,6 +8,7 @@ update, an active-schema only when the intensional footprint flips.
 
 from __future__ import annotations
 
+from repro.config import reconfigure
 from repro.baselines import run_churn
 from repro.livedata import LiveDataDriver, UpdateStream
 from repro.rdf import Graph
@@ -86,7 +87,7 @@ def live_maintenance_costs(
     way (same seed), so the runs differ only in maintenance policy."""
     synth, gen, system = _live_deployment(distribution, noise_properties)
     for peer_id in LIVE_PEERS:
-        system.peers[peer_id].live_full_refresh = full_refresh
+        reconfigure(system.peers[peer_id], live_full_refresh=full_refresh)
     before = _ad_traffic(system.network.metrics)
     stream = UpdateStream(
         synth.schema,

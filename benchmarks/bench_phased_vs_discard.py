@@ -10,6 +10,7 @@ phased policy salvages.
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -26,7 +27,7 @@ def _run(policy: str, failures: int, seed: int = 0):
     gen = generate_bases(
         SYNTH, PEERS, Distribution.HORIZONTAL, statements_per_segment=8, seed=seed
     )
-    system = HybridSystem(SYNTH.schema, failure_policy=policy)
+    system = HybridSystem(SYNTH.schema, config=PeerConfig(failure_policy=policy))
     system.add_super_peer("SP1")
     for peer_id, graph in gen.bases.items():
         system.add_peer(peer_id, graph, "SP1")

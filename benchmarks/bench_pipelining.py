@@ -11,6 +11,7 @@ duration.
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
@@ -18,14 +19,17 @@ from ._common import banner, format_table, write_report
 
 
 def _system(pipelined: bool, interval: float) -> HybridSystem:
-    system = HybridSystem(paper_schema())
+    system = HybridSystem(
+        paper_schema(),
+        config=PeerConfig(
+            pipelined_execution=pipelined,
+            stream_chunk_rows=1,
+            stream_interval=interval,
+        ),
+    )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
-    for peer in system.peers.values():
-        peer.pipelined_execution = pipelined
-        peer.stream_chunk_rows = 1
-        peer.stream_interval = interval
     return system
 
 

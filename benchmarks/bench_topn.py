@@ -10,6 +10,7 @@ messages, fewer (but still sound) answers.
 
 from __future__ import annotations
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query, random_queries
@@ -63,14 +64,15 @@ def _cancel_system(cancel: bool) -> HybridSystem:
         shared_pool=6,
         seed=CANCEL_SEED,
     )
-    system = HybridSystem(CANCEL_SYNTH.schema, seed=CANCEL_SEED)
+    system = HybridSystem(
+        CANCEL_SYNTH.schema,
+        seed=CANCEL_SEED,
+        config=PeerConfig(topk_cancel=cancel, stream_chunk_rows=4),
+    )
     system.add_super_peer("SP")
     for peer_id in CANCEL_PEERS:
         system.add_peer(peer_id, gen.bases[peer_id], "SP")
     system.run()
-    for peer_id in CANCEL_PEERS:
-        system.peers[peer_id].topk_cancel = cancel
-        system.peers[peer_id].stream_chunk_rows = 4
     return system
 
 

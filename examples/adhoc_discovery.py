@@ -16,6 +16,7 @@ Run with::
     python examples/adhoc_discovery.py
 """
 
+from repro.config import PeerConfig
 from repro.core import build_plan, optimize, route_query
 from repro.rdf import Graph, TYPE
 from repro.rvl import ActiveSchema
@@ -72,7 +73,7 @@ def depth_discovery_walkthrough() -> None:
         provider_base.add(y, N1.prop2, z)
         provider_base.add(z, TYPE, N1.C3)
 
-    system = AdhocSystem(schema, max_discovery_depth=3)
+    system = AdhocSystem(schema, config=PeerConfig(max_discovery_depth=3))
     system.add_peer("asker", Graph(), neighbours=("relay",))
     system.add_peer("relay", Graph(), neighbours=("asker", "provider"))
     system.add_peer("provider", provider_base, neighbours=("relay",))

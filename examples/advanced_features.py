@@ -17,6 +17,7 @@ Run with::
     python examples/advanced_features.py
 """
 
+from repro.config import PeerConfig, reconfigure
 from repro.rdf import Graph, TYPE
 from repro.systems import AdhocSystem, HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
@@ -54,7 +55,9 @@ def dht_demo() -> None:
         provider.add(x, N1.prop1, y)
         provider.add(y, N1.prop2, z)
         provider.add(z, TYPE, N1.C3)
-    system = AdhocSystem(schema, use_dht=True, max_discovery_depth=1)
+    system = AdhocSystem(
+        schema, use_dht=True, config=PeerConfig(max_discovery_depth=1)
+    )
     # asker -- relay -- provider: the provider is invisible to 1-depth
     # neighbourhood discovery, but one DHT lookup finds it
     system.add_peer("asker", Graph(), neighbours=("relay",))
@@ -69,7 +72,7 @@ def dht_demo() -> None:
 def phased_demo() -> None:
     print("\n=== 3. Phased execution vs ubQL discard (Section 2.5) ===")
     for policy in ("discard", "phased"):
-        system = HybridSystem(paper_schema(), failure_policy=policy)
+        system = HybridSystem(paper_schema(), config=PeerConfig(failure_policy=policy))
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")
@@ -83,17 +86,15 @@ def phased_demo() -> None:
 
 def monitoring_demo() -> None:
     print("\n=== 4. Throughput monitoring (Section 2.5) ===")
-    system = HybridSystem(paper_schema())
+    system = HybridSystem(
+        paper_schema(),
+        config=PeerConfig(monitor_channels=True, monitor_interval=5.0),
+    )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
-    for peer in system.peers.values():
-        peer.monitor_channels = True
-        peer.monitor_interval = 5.0
     # P2 streams one row per aeon: effectively stalled, never down
-    slowpoke = system.peers["P2"]
-    slowpoke.stream_chunk_rows = 1
-    slowpoke.stream_interval = 1e6
+    reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
     table = system.query("P1", PAPER_QUERY)
     print(f"  stalled P2 detected by tuple-flow watchdog; replan "
           f"answered {len(table)} rows without it")

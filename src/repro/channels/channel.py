@@ -34,6 +34,17 @@ class Channel:
         span: The root-side tracing span covering the channel's
             open-transfer-close lifetime (``None`` outside a traced
             network).
+        callback: Continuation invoked with ``(table, failed_peer)``
+            when the channel completes.
+        progress: Per-chunk consumer (pipelined channels only).
+        chunks: Streamed chunks, buffered as a list and concatenated
+            once at the final packet (linear in total rows).
+        received_seqs: Sequence numbers seen (packet dedup).
+        final_seq: The seq carried by the stream's final packet, once
+            seen — the stream completes when seqs 0..final have ALL
+            arrived, not when the final packet does (back-to-back
+            batches can arrive out of order: delivery delay grows with
+            packet size).
     """
 
     __slots__ = (
@@ -45,6 +56,11 @@ class Channel:
         "tuples_received",
         "query_id",
         "span",
+        "callback",
+        "progress",
+        "chunks",
+        "received_seqs",
+        "final_seq",
     )
 
     def __init__(
@@ -55,6 +71,8 @@ class Channel:
         plan: Optional[PlanNode],
         query_id: str = "",
         span=None,
+        callback=None,
+        progress=None,
     ):
         self.channel_id = channel_id
         self.root = root
@@ -64,6 +82,11 @@ class Channel:
         self.tuples_received = 0
         self.query_id = query_id
         self.span = span
+        self.callback = callback
+        self.progress = progress
+        self.chunks: list = []
+        self.received_seqs: set = set()
+        self.final_seq: Optional[int] = None
 
     @property
     def is_open(self) -> bool:

@@ -8,7 +8,7 @@ failures to the continuation registered when the channel was opened.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional
 
 from ..core.algebra import PlanNode
 from ..errors import ChannelError
@@ -25,6 +25,8 @@ from .packets import DataPacket, SubPlanPacket, TreePath
 ChannelCallback = Callable[[Optional[BindingTable], Optional[str]], None]
 #: Per-chunk consumer for pipelined channels.
 ProgressCallback = Callable[[BindingTable], None]
+#: discarded channel ids remembered for late-packet accounting (per peer)
+DISCARDED_CHANNEL_LIMIT = 1024
 
 
 class ChannelManager:
@@ -47,23 +49,15 @@ class ChannelManager:
         #: keep a retransmit-replay cache keyed by channel id, and a
         #: stale hit would replay another query's result verbatim
         self.epoch = 0
+        #: the open channels: a record lives from :meth:`open` until its
+        #: continuation has run (or it is discarded), and all of a
+        #: channel's state is on the record, so teardown is one ``del``
         self._channels: Dict[str, Channel] = {}
-        self._callbacks: Dict[str, ChannelCallback] = {}
-        #: streamed chunks, buffered as a list and concatenated once at
-        #: the final packet (linear in total rows, not quadratic)
-        self._buffers: Dict[str, List[BindingTable]] = {}
-        self._progress: Dict[str, ProgressCallback] = {}  # pipelined channels
         self._counter = itertools.count(1)
-        self._received_seqs: Dict[str, Set[int]] = {}  # packet dedup
-        self._activity: Dict[str, int] = {}  # packets seen (timeout resets)
-        #: seq carried by the stream's final packet, once seen — the
-        #: stream completes when seqs 0..final have ALL arrived, not
-        #: when the final packet does (back-to-back batches can arrive
-        #: out of order: delivery delay grows with packet size)
-        self._final_seqs: Dict[str, int] = {}
-        #: channels torn down by a replan: late packets for them count
-        #: as discarded bindings instead of silently vanishing
-        self._discarded: Set[str] = set()
+        #: ids of channels torn down by a replan (bounded FIFO): late
+        #: packets for them count as discarded bindings instead of
+        #: silently vanishing
+        self._discarded: Dict[str, None] = {}
         self._metrics = None  # bound by Peer.join
         self._scheduler = None  # bound by Peer.install_scheduler
 
@@ -138,11 +132,10 @@ class ChannelManager:
             plan,
             query_id,
             span=span if span else None,
+            callback=callback,
+            progress=progress,
         )
         self._channels[channel_id] = channel
-        self._callbacks[channel_id] = callback
-        if progress is not None:
-            self._progress[channel_id] = progress
         packet = SubPlanPacket(
             channel_id=channel_id,
             plan=plan,
@@ -152,31 +145,27 @@ class ChannelManager:
         )
         network.send(Message(self.owner, destination, packet, trace=span.context()))
         if retry is not None:
-            self._arm_timeout(network, channel_id, packet, destination, retry, 1)
+            self._arm_timeout(network, channel, packet, retry, 1)
         return channel
 
     def _arm_timeout(
         self,
         network: Network,
-        channel_id: str,
+        channel: Channel,
         packet: SubPlanPacket,
-        destination: str,
         retry: RetryPolicy,
         attempt: int,
     ) -> None:
         """Arm one attempt's deadline for an open channel."""
-        progress_mark = self._activity.get(channel_id, 0)
+        progress_mark = len(channel.received_seqs)
 
         def check() -> None:
-            channel = self._channels.get(channel_id)
-            if channel is None or not channel.is_open:
+            if not channel.is_open:
                 return
-            if self._activity.get(channel_id, 0) > progress_mark:
+            if len(channel.received_seqs) > progress_mark:
                 # packets flowed during the window: the destination is
                 # alive, keep waiting without burning an attempt
-                self._arm_timeout(
-                    network, channel_id, packet, destination, retry, attempt
-                )
+                self._arm_timeout(network, channel, packet, retry, attempt)
                 return
             if retry.attempts_left(attempt + 1):
                 network.metrics.record_retransmit()
@@ -185,16 +174,14 @@ class ChannelManager:
                 network.send(
                     Message(
                         self.owner,
-                        destination,
+                        channel.destination,
                         packet,
                         trace=channel.span.context() if channel.span else None,
                     )
                 )
-                self._arm_timeout(
-                    network, channel_id, packet, destination, retry, attempt + 1
-                )
+                self._arm_timeout(network, channel, packet, retry, attempt + 1)
             else:
-                self.on_failure(channel_id)
+                self.on_failure(channel.channel_id)
 
         network.call_later(retry.timeout(attempt), check)
 
@@ -209,22 +196,19 @@ class ChannelManager:
         """Dispatch a data packet to the channel's continuation."""
         channel = self._channels.get(packet.channel_id)
         if channel is None:
-            # late packet for a channel this peer never rooted: drop it
-            return
-        if not channel.is_open:
+            # never rooted here, already answered, or torn down
             if packet.channel_id in self._discarded:
                 # the replan already tore this channel down: these
                 # bindings were computed for nothing — account them
                 self._record_discarded(packet.rows)
             return
-        seen = self._received_seqs.setdefault(packet.channel_id, set())
+        seen = channel.received_seqs
         if packet.seq in seen:
             # duplicated in flight, or replayed after a retransmit the
             # original answer raced: never union the same rows twice
             return
         seen.add(packet.seq)
         table = self._translate(packet)
-        self._activity[packet.channel_id] = self._activity.get(packet.channel_id, 0) + 1
         channel.record_tuples(len(table))
         if channel.span is not None:
             channel.span.annotate(
@@ -233,30 +217,22 @@ class ChannelManager:
             )
         if packet.failed_peer is not None:
             channel.fail()
-            self._buffers.pop(packet.channel_id, None)
-            self._progress.pop(packet.channel_id, None)
-            self._final_seqs.pop(packet.channel_id, None)
-            self._finish(packet.channel_id, None, packet.failed_peer)
+            self._finish(channel, None, packet.failed_peer)
             return
         if packet.final:
-            self._final_seqs[packet.channel_id] = packet.seq
-        progress = self._progress.get(packet.channel_id)
-        if progress is not None:
-            progress(table)
+            channel.final_seq = packet.seq
+        if channel.progress is not None:
+            channel.progress(table)
         else:
-            self._buffers.setdefault(packet.channel_id, []).append(table)
-        final_seq = self._final_seqs.get(packet.channel_id)
-        if final_seq is None or len(seen) < final_seq + 1:
+            channel.chunks.append(table)
+        if channel.final_seq is None or len(seen) < channel.final_seq + 1:
             return  # chunks still outstanding
         channel.close()
-        self._final_seqs.pop(packet.channel_id, None)
-        if progress is not None:
-            self._progress.pop(packet.channel_id, None)
-            self._finish(packet.channel_id, BindingTable(table.columns), None)
+        if channel.progress is not None:
+            self._finish(channel, BindingTable(table.columns), None)
             return
-        chunks = self._buffers.pop(packet.channel_id, None)
-        table = concat_tables(chunks) if chunks else table
-        self._finish(packet.channel_id, table, None)
+        chunks, channel.chunks = channel.chunks, []
+        self._finish(channel, concat_tables(chunks), None)
 
     def _translate(self, packet: DataPacket) -> BindingTable:
         """Map a packet's cells sender-id → owner-id, yielding an *id
@@ -272,23 +248,20 @@ class ChannelManager:
     def on_failure(self, channel_id: str) -> None:
         """Transport-level failure of the channel's destination."""
         channel = self._channels.get(channel_id)
-        if channel is None or not channel.is_open:
+        if channel is None:
             return
         channel.fail()
-        self._finish(channel_id, None, channel.destination)
+        self._finish(channel, None, channel.destination)
 
-    def _finish(self, channel_id: str, table, failed_peer) -> None:
-        self._received_seqs.pop(channel_id, None)
-        self._activity.pop(channel_id, None)
-        self._final_seqs.pop(channel_id, None)
-        callback = self._callbacks.pop(channel_id, None)
-        if callback is None:
-            return
+    def _finish(self, channel: Channel, table, failed_peer) -> None:
+        """Drop the record and run its continuation."""
+        if self._channels.pop(channel.channel_id, None) is None:
+            return  # discarded from inside its own progress consumer
+        callback = channel.callback
         if self._scheduler is None:
             callback(table, failed_peer)
             return
-        channel = self._channels.get(channel_id)
-        key = channel.query_id if channel is not None and channel.query_id else channel_id
+        key = channel.query_id or channel.channel_id
         self._scheduler.submit(key, lambda: callback(table, failed_peer))
 
     # ------------------------------------------------------------------
@@ -301,33 +274,29 @@ class ChannelManager:
         still-open channels of the old phase keep collecting into the
         scan cache instead of being discarded."""
         channel = self._channels.get(channel_id)
-        if channel is not None and channel.is_open:
-            self._callbacks[channel_id] = callback
+        if channel is not None:
+            channel.callback = callback
 
     def discard(self, channel_id: str) -> None:
         """Close a channel without invoking its continuation (the ubQL
         discard used when a replan abandons on-going computation).
 
         Buffered chunks the channel had already received are counted as
-        discarded bindings, and the channel is remembered as discarded
-        so bindings still in flight are counted on arrival too.
+        discarded bindings, and the id is remembered as discarded so
+        bindings still in flight are counted on arrival too.
         """
-        channel = self._channels.get(channel_id)
+        channel = self._channels.pop(channel_id, None)
         if channel is not None:
             channel.close()
-            self._discarded.add(channel_id)
-        self._callbacks.pop(channel_id, None)
-        chunks = self._buffers.pop(channel_id, None)
-        if chunks:
-            self._record_discarded(sum(len(chunk) for chunk in chunks))
-        self._progress.pop(channel_id, None)
-        self._received_seqs.pop(channel_id, None)
-        self._activity.pop(channel_id, None)
-        self._final_seqs.pop(channel_id, None)
+            self._record_discarded(sum(len(chunk) for chunk in channel.chunks))
+            channel.chunks = []
+        self._discarded[channel_id] = None
+        while len(self._discarded) > DISCARDED_CHANNEL_LIMIT:
+            self._discarded.pop(next(iter(self._discarded)))
 
     def discard_all(self) -> int:
         """Discard every open channel; returns how many were open."""
-        open_ids = [cid for cid, ch in self._channels.items() if ch.is_open]
+        open_ids = list(self._channels)
         for channel_id in open_ids:
             self.discard(channel_id)
         return len(open_ids)
@@ -339,7 +308,8 @@ class ChannelManager:
             raise ChannelError(f"unknown channel {channel_id}") from None
 
     def open_channels(self) -> Dict[str, Channel]:
-        return {cid: ch for cid, ch in self._channels.items() if ch.is_open}
+        return dict(self._channels)
 
     def __len__(self) -> int:
+        """Channels currently open (finished ones leave no record)."""
         return len(self._channels)

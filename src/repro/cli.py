@@ -57,8 +57,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
+from .config import DEFAULT_CONFIG, PeerConfig
 from .core import build_plan, optimize, route_query
 from .rdf import load_graph, load_schema
 from .systems import HybridSystem
@@ -445,9 +447,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     system = HybridSystem(
         schema,
-        cache_enabled=not args.no_cache,
-        batch_size=args.batch_size,
-        cost_based=args.cost_based,
+        config=PeerConfig(
+            cache_enabled=not args.no_cache,
+            batch_size=args.batch_size,
+            cost_based=args.cost_based,
+        ),
     )
     system.add_super_peer("SP")
     names = []
@@ -757,16 +761,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     texts = random_queries(
         synthetic, max(4, min(args.count, 12)), max_length=3, seed=args.seed
     )
+    config = DEFAULT_CONFIG
+    if args.topk is not None:
+        # any-k early termination, with paced chunked streaming so the
+        # cancellation has channels left to stop
+        config = replace(config, topk_cancel=True, stream_chunk_rows=4)
     if args.arch == "adhoc":
         from .systems import AdhocSystem
 
-        system = AdhocSystem(synthetic.schema, seed=args.seed)
+        system = AdhocSystem(synthetic.schema, seed=args.seed, config=config)
         for peer_id in peer_ids:
             neighbours = [p for p in peer_ids if p != peer_id]
             system.add_peer(peer_id, generated.bases[peer_id], neighbours)
         system.discover_all()
     else:
-        system = HybridSystem(synthetic.schema, seed=args.seed)
+        system = HybridSystem(synthetic.schema, seed=args.seed, config=config)
         system.add_super_peer("SP")
         for peer_id in peer_ids:
             system.add_peer(peer_id, generated.bases[peer_id], "SP")
@@ -790,10 +799,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         driver = LiveDataDriver(system, stream)
         driver.schedule()
-    if args.topk is not None:
-        for peer_id in peer_ids:
-            system.peers[peer_id].topk_cancel = True
-            system.peers[peer_id].stream_chunk_rows = 4
     spec = WorkloadSpec(
         queries=tuple(
             (peer_ids[i % len(peer_ids)], texts[i % len(texts)])

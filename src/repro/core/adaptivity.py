@@ -10,6 +10,7 @@ phased cleanup.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set
 
 from ..rdf.schema import Schema
@@ -91,6 +92,7 @@ def replan(
     return ReplanResult(plan, annotated, excluded, discarded_results)
 
 
+@dataclass(frozen=True)
 class ReplanBudget:
     """Bounds the run-time adaptation loop of a query root.
 
@@ -101,21 +103,16 @@ class ReplanBudget:
     replan storm.
     """
 
-    def __init__(
-        self,
-        max_rounds: int = 3,
-        base_delay: float = 0.0,
-        backoff: float = 2.0,
-        max_delay: float = 120.0,
-    ):
-        if max_rounds < 0:
+    max_rounds: int = 3
+    base_delay: float = 0.0
+    backoff: float = 2.0
+    max_delay: float = 120.0
+
+    def __post_init__(self):
+        if self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        if base_delay < 0 or max_delay < 0:
+        if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be non-negative")
-        self.max_rounds = max_rounds
-        self.base_delay = base_delay
-        self.backoff = backoff
-        self.max_delay = max_delay
 
     def exhausted(self, attempts: int) -> bool:
         """True when ``attempts`` executions have used up the budget
@@ -129,12 +126,6 @@ class ReplanBudget:
             return 0.0
         return min(
             self.base_delay * (self.backoff ** max(0, attempts - 1)), self.max_delay
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplanBudget(rounds={self.max_rounds}, base={self.base_delay}, "
-            f"backoff={self.backoff})"
         )
 
 

@@ -139,12 +139,11 @@ class LiveCluster:
     # ------------------------------------------------------------------
     def add_client(self, peer_id: Optional[str] = None) -> ClientPeer:
         self._client_counter += 1
-        client = ClientPeer(peer_id or f"client{self._client_counter}")
+        client = ClientPeer(
+            peer_id or f"client{self._client_counter}",
+            config=self.spec.peer_config(),
+        )
         client.join(self.network)
-        if self.spec.resilient:
-            from ..resilience import ResilienceConfig
-
-            client.submit_retry = ResilienceConfig.default(self.spec.seed).client_retry
         self.clients[client.peer_id] = client
         return client
 
@@ -444,26 +443,25 @@ def run_launch(args) -> int:
     from .supervisor import Supervisor
 
     spec = spec_from_args(args)
-    updates = getattr(args, "updates", False)
-    topk = getattr(args, "topk", None)
+    topk = args.topk
     if topk is not None and not spec.livedata:
         # top-k cancel needs the nodes' live data plane switched on
         spec = replace(spec, livedata=True)
-    kill_signal = getattr(args, "kill_signal", "term")
-    restart_after = getattr(args, "restart_after", None)
-    supervise = getattr(args, "supervise", False)
-    joiner = getattr(args, "join", None)
-    statedir = getattr(args, "statedir", None)
+    kill_signal = args.kill_signal
+    restart_after = args.restart_after
+    supervise = args.supervise
+    joiner = args.join
+    statedir = args.statedir
     if statedir is None and (supervise or restart_after is not None):
         # restarted processes need somewhere to recover from
         statedir = str(Path(args.outdir) / "state")
-    telemetry = not getattr(args, "no_telemetry", False)
-    scrape_every = max(1, getattr(args, "scrape_every", 2))
+    telemetry = not args.no_telemetry
+    scrape_every = max(1, args.scrape_every)
     cluster = LiveCluster(
         spec, args.outdir, host=args.host, statedir=statedir,
         telemetry=telemetry,
-        slo_window=getattr(args, "slo_window", 120.0),
-        shed_alert=getattr(args, "shed_alert", 0.25),
+        slo_window=args.slo_window,
+        shed_alert=args.shed_alert,
     )
     print(f"launching {spec.super_peers} super-peer(s) + {spec.peers} peer(s) "
           f"on {args.host} (seed {spec.seed}, "
@@ -502,7 +500,7 @@ def run_launch(args) -> int:
             )
         kill_index = args.count // 2 if args.kill is not None else None
         join_index = (3 * args.count) // 4 if joiner is not None else None
-        update_index = args.count // 3 if updates else None
+        update_index = args.count // 3 if args.updates else None
         for index in range(args.count):
             if update_index is not None and index == update_index:
                 from ..livedata import LiveDataDriver, UpdateStream
@@ -518,12 +516,12 @@ def run_launch(args) -> int:
                     live_bases,
                     seed=spec.seed,
                     revisions=1,
-                    rate=getattr(args, "update_rate", 0.08),
+                    rate=args.update_rate,
                 )
                 update_driver = LiveDataDriver(cluster, stream)
                 print(f"injecting live update revision "
                       f"({stream.total_records()} records, "
-                      f"rate {getattr(args, 'update_rate', 0.08)})")
+                      f"rate {args.update_rate})")
                 update_driver.inject(0)
                 if not cluster.transport.run_until(
                     lambda: update_driver.acked(1), QUERY_TIMEOUT

@@ -9,8 +9,9 @@ seed, and serves until SIGTERM.  On shutdown it exports its metrics
 labels) and its trace spans into the run's output directory, says a
 graceful bye, and exits 0.
 
-Resilience mirrors the in-sim wiring minus the heartbeat layer: live
-deployments have no heartbeat emitters driving the failure detector, so
+The node runs :meth:`ClusterSpec.peer_config` — the same value the
+in-sim twin's peers carry — minus the heartbeat layer: live deployments
+have no heartbeat emitters driving the failure detector, so
 ``watch_cluster`` would suspect every peer.  Failure detection instead
 rides on the transport's dial-give-up bounces, which produce the same
 :class:`~repro.net.message.DeliveryFailure` signal chaos runs do.
@@ -37,8 +38,6 @@ from ..obs.telemetry import (
 from ..peers.base import PeerBase
 from ..peers.super import SuperPeer
 from ..systems.hybrid import HybridPeer
-from ..core.adaptivity import ReplanBudget
-from ..resilience import ResilienceConfig
 from ..transport.live import AsyncioTransport
 from .workload import ClusterSpec, build_workload
 
@@ -85,27 +84,13 @@ def spec_from_args(args) -> ClusterSpec:
         resilient=args.resilient,
         time_scale=args.time_scale,
         joiners=args.joiners,
-        livedata=getattr(args, "livedata", False),
+        livedata=args.livedata,
     )
 
 
 def parse_address(text: str) -> Tuple[str, int]:
     host, _, port = text.rpartition(":")
     return (host or "127.0.0.1", int(port))
-
-
-def _apply_resilience(node, config: ResilienceConfig) -> None:
-    """Mirror of ``HybridSystem._apply_resilience_*`` minus heartbeats."""
-    if isinstance(node, SuperPeer):
-        node.quarantine_enabled = config.quarantine_enabled
-        return
-    node.channel_retry = config.channel_retry
-    node.routing_retry = config.routing_retry
-    node.quarantine_enabled = config.quarantine_enabled
-    node.partial_results = config.partial_results
-    node.replan_budget = ReplanBudget(
-        config.max_replans, config.replan_delay, config.replan_backoff
-    )
 
 
 def export_artifacts(outdir: Path, node_id: str, network: Network,
@@ -132,6 +117,7 @@ def _trip_quarantine(quarantine, suspects) -> None:
 def run_node(args) -> int:
     """Entry point of the ``python -m repro peer`` subcommand."""
     spec = spec_from_args(args)
+    config = spec.peer_config()
     workload = build_workload(spec)
     node_id = args.node_id
     role = "super" if node_id in spec.super_ids() else "peer"
@@ -152,7 +138,7 @@ def run_node(args) -> int:
     # slow-query log, attached before any event can fire so a crash
     # always leaves its last moments in <node>.events.jsonl
     outdir = Path(args.outdir)
-    telemetry_on = not getattr(args, "no_telemetry", False)
+    telemetry_on = not args.no_telemetry
     event_sink = None
     slow_log = None
     if telemetry_on:
@@ -169,7 +155,7 @@ def run_node(args) -> int:
             )
 
         slow_log = SlowQueryLog(
-            threshold=getattr(args, "slow_query_threshold", 500.0),
+            threshold=args.slow_query_threshold,
             collector=network.trace_collector,
             on_slow=_dump_slow,
         ).install(network.metrics)
@@ -178,7 +164,7 @@ def run_node(args) -> int:
     # own state directory; a restarted process finds it and recovers
     state_store = None
     recovered = None
-    if getattr(args, "statedir", None):
+    if args.statedir:
         state_store = PeerStateStore(
             FileStore(Path(args.statedir) / node_id), node_id
         )
@@ -188,7 +174,7 @@ def run_node(args) -> int:
             state_store.log_recover()
 
     if role == "super":
-        node = SuperPeer(node_id, schemas=[workload.synthetic.schema])
+        node = SuperPeer(node_id, schemas=[workload.synthetic.schema], config=config)
         node.join(network)
         if state_store is not None:
             node.attach_durability(state_store)
@@ -215,7 +201,7 @@ def run_node(args) -> int:
                             recovered.views)
         else:
             base = PeerBase(workload.bases[node_id], workload.synthetic.schema)
-        node = HybridPeer(node_id, base, home_super_peer=home)
+        node = HybridPeer(node_id, base, home_super_peer=home, config=config)
         if recovered is not None:
             node.rejoining = True  # join() advertises with the rejoin flag
         node.join(network)
@@ -236,14 +222,6 @@ def run_node(args) -> int:
             network.emit_event("recovery", peer=node_id, pid=os.getpid())
         elif state_store is not None:
             node.save_durable_snapshot()
-    if spec.resilient:
-        _apply_resilience(node, ResilienceConfig.default(spec.seed))
-    if spec.livedata and role != "super":
-        # live data plane: LIMIT queries terminate early once k answers
-        # are stable, discarding still-streaming channels the ubQL way;
-        # paced chunked streaming gives the discard something to stop
-        node.topk_cancel = True
-        node.stream_chunk_rows = 4
 
     stopping = []
 
@@ -276,7 +254,7 @@ def run_node(args) -> int:
                 ),
             },
             host=args.host,
-            port=getattr(args, "telemetry_port", 0),
+            port=args.telemetry_port,
         )
         telemetry_host, telemetry_port = server.start(transport.loop)
         write_endpoint_file(

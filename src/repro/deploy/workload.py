@@ -11,10 +11,12 @@ in-sim so differential runs compare like with like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..rdf.graph import Graph
+from ..resilience import RESILIENCE_OFF, ResilienceConfig
 from ..workloads.data_gen import Distribution, generate_bases
 from ..workloads.query_gen import random_queries
 from ..workloads.schema_gen import SyntheticSchema, generate_schema
@@ -83,6 +85,20 @@ class ClusterSpec:
         index = int(peer_id[1:]) - 1
         return f"SP{(index % self.super_peers) + 1}"
 
+    def peer_config(self) -> PeerConfig:
+        """The behaviour every node of this cluster runs — the one
+        derivation node processes, launcher clients and the in-sim twin
+        all share, so they cannot drift apart."""
+        config = DEFAULT_CONFIG
+        if self.resilient:
+            config = replace(config, resilience=ResilienceConfig.default(self.seed))
+        if self.livedata:
+            # LIMIT queries terminate early once k answers are stable,
+            # discarding still-streaming channels the ubQL way; paced
+            # chunked streaming gives the discard something to stop
+            config = replace(config, topk_cancel=True, stream_chunk_rows=4)
+        return config
+
     def to_args(self) -> List[str]:
         """The CLI fragment a child process rebuilds the spec from."""
         args = [
@@ -140,19 +156,27 @@ def build_workload(spec: ClusterSpec) -> ClusterWorkload:
     return ClusterWorkload(spec, synthetic, generated.bases, texts, distribution)
 
 
-def build_sim_system(spec: ClusterSpec, workload: ClusterWorkload = None, **options):
+def build_sim_system(spec: ClusterSpec, workload: ClusterWorkload = None):
     """The in-sim twin of a live cluster: same workload, same topology,
-    same options, on :class:`~repro.transport.SimTransport`."""
-    from ..resilience import ResilienceConfig
+    same :meth:`ClusterSpec.peer_config`, on
+    :class:`~repro.transport.SimTransport`.  (Heartbeat emitters and
+    per-super-peer failure detectors are the sim-only difference: live
+    failure detection rides on the transport's dial-give-up bounces.)"""
     from ..systems import HybridSystem
 
     workload = workload or build_workload(spec)
-    system = HybridSystem(workload.synthetic.schema, seed=spec.seed, **options)
+    config = spec.peer_config()
+    system = HybridSystem(
+        workload.synthetic.schema,
+        seed=spec.seed,
+        config=replace(config, resilience=RESILIENCE_OFF),
+    )
     for super_id in spec.super_ids():
         system.add_super_peer(super_id)
     for peer_id in spec.peer_ids():
         system.add_peer(peer_id, workload.bases[peer_id], spec.home_for(peer_id))
     system.run()  # settle the advertisement push
     if spec.resilient:
-        system.enable_resilience(ResilienceConfig.default(spec.seed))
+        # only now: the failure detectors count from a settled cluster
+        system.enable_resilience(config.resilience)
     return system

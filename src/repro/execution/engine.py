@@ -116,7 +116,9 @@ class PlanExecutor:
         self.first_output_at: Optional[float] = None
         self.reused_rows = 0
         self._finished = False
-        self._open_channel_ids: List[str] = []
+        #: every channel this executor opened (the manager forgets a
+        #: channel once answered; releasing needs its final state)
+        self._channels: list = []
 
     def _defer(self, unit: Callable[[], None]) -> None:
         """Run a local work unit through the host's fair scheduler when
@@ -163,7 +165,7 @@ class PlanExecutor:
                         "topk_cancel",
                         peer=self.host.peer_id,
                         query_id=self.query_id,
-                        channels=len(self._open_channel_ids),
+                        channels=len(self._channels),
                     )
                     self.span.set(topk_cancelled=True)
                     self._release_channels()
@@ -195,8 +197,8 @@ class PlanExecutor:
         from ..channels.packets import ChangePlanPacket
         from ..net.message import Message
 
-        for channel_id in self._open_channel_ids:
-            channel = self.host.channels.channel(channel_id)
+        for channel in self._channels:
+            channel_id = channel.channel_id
             if self.scan_cache is not None and isinstance(channel.plan, Scan):
                 # phased policy: keep collecting into the cache
                 self.host.channels.redirect(
@@ -392,7 +394,7 @@ class PlanExecutor:
             retry=self.retry,
             trace=self.span.context(),
         )
-        self._open_channel_ids.append(channel.channel_id)
+        self._channels.append(channel)
 
     def _ship(
         self,
@@ -442,7 +444,7 @@ class PlanExecutor:
             retry=self.retry,
             trace=self.span.context(),
         )
-        self._open_channel_ids.append(channel.channel_id)
+        self._channels.append(channel)
 
 
 class _Gather:

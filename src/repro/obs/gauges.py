@@ -41,15 +41,11 @@ def system_gauges(system) -> Dict[str, Dict[str, Any]]:
     """Gauges for every peer of a deployed system (hybrid or ad-hoc:
     super-peers, simple peers and clients alike), plus the network's
     own state under the pseudo-peer id ``_network``."""
-    peers = []
-    for attribute in ("super_peers", "peers", "clients"):
-        peers.extend(getattr(system, attribute, {}).values())
-    gauges = peer_gauges(peers)
-    network = getattr(system, "network", None)
-    if network is not None:
-        gauges["_network"] = {
-            "virtual_time": network.now,
-            "pending_events": network.pending_events(),
-            "down_peers": len(network._down),
-        }
+    gauges = peer_gauges(system.nodes())
+    network = system.network
+    gauges["_network"] = {
+        "virtual_time": network.now,
+        "pending_events": network.pending_events(),
+        "down_peers": len(network._down),
+    }
     return gauges

@@ -9,10 +9,11 @@ and message dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence
 
 from ..channels.manager import ChannelManager
 from ..channels.packets import DataPacket, StatsPacket, SubPlanPacket
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import Scan
 from ..errors import PeerError
 from ..execution.encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
@@ -25,6 +26,9 @@ from ..rdf.schema import Schema
 from ..rql.bindings import BindingTable
 from ..rvl.active_schema import ActiveSchema
 from ..rvl.view import ViewDefinition
+
+#: completed subplans remembered for retransmit replay (per peer)
+SUBPLAN_REPLAY_LIMIT = 128
 
 
 class PeerBase:
@@ -98,27 +102,18 @@ class Peer:
     received subplans and roots channels for the plans it launches.
     """
 
-    #: when set, subplan results stream back in chunks of this many rows
-    #: (one DataPacket per chunk) paced by :attr:`stream_interval`,
-    #: modelling pipelined production — the tuple flow run-time
-    #: adaptation observes (Section 2.5).  Takes precedence over the
-    #: implicit :attr:`batch_size` fragmentation.
-    stream_chunk_rows: Optional[int] = None
-    #: virtual-time spacing between streamed chunks
-    stream_interval: float = 2.0
-    #: completed subplans remembered for retransmit replay (per peer)
-    subplan_replay_limit: int = 128
-    #: maximum bindings per shipped DataPacket (larger results
-    #: fragment back-to-back, no pacing delay)
-    batch_size: int = 256
-
     def __init__(
         self,
         peer_id: str,
         base: Optional[PeerBase] = None,
         secondary_bases: Sequence[PeerBase] = (),
+        config: PeerConfig = DEFAULT_CONFIG,
     ):
         self.peer_id = peer_id
+        #: every behaviour value this peer reads, at the point of use;
+        #: replaced as a whole (:func:`repro.config.reconfigure`), never
+        #: poked field by field
+        self.config = config
         self.base = base
         #: additional bases for peers committing to several community
         #: schemas ("a simple-peer can be connected to multiple
@@ -136,9 +131,6 @@ class Peer:
         self._cancelled_streams: set = set()
         #: channel ids with a paced chunk stream currently in flight
         self._active_streams: set = set()
-        #: ack/retransmit policy for channels this peer roots (None
-        #: keeps the seed's fire-and-forget channels)
-        self.channel_retry = None
         #: heartbeat-based failure detector, when resilience is enabled
         self.failure_detector = None
         #: channels whose subplan is still executing (duplicate packets
@@ -277,7 +269,7 @@ class Peer:
                     channel_id,
                     table,
                     self.dictionary,
-                    self.stream_chunk_rows or self.batch_size,
+                    self.config.stream_chunk_rows or self.config.batch_size,
                 )
                 self._remember_subplan(channel_id, [stats] + data_packets)
                 self.send(root, stats)
@@ -298,7 +290,7 @@ class Peer:
             sites=packet.sites,
             query_id=packet.query_id,
             on_complete=on_complete,
-            retry=self.channel_retry,
+            retry=self.config.resilience.channel_retry,
             # stitch this remote execution under the shipped channel
             # span: the arriving message carries the root's context
             trace=message.trace,
@@ -309,15 +301,15 @@ class Peer:
         """Ship result packets.
 
         A single packet goes immediately.  Implicit fragmentation (the
-        table outgrew :attr:`batch_size`) sends back-to-back — batching
-        changes message count, not timing.  Explicit pipelining
-        (:attr:`stream_chunk_rows`) paces chunks by
-        :attr:`stream_interval` and honours mid-stream discards.
+        table outgrew ``config.batch_size``) sends back-to-back —
+        batching changes message count, not timing.  Explicit pipelining
+        (``config.stream_chunk_rows``) paces chunks by
+        ``config.stream_interval`` and honours mid-stream discards.
         """
         if len(packets) == 1:
             self.send(root, packets[0])
             return
-        if not self.stream_chunk_rows:
+        if not self.config.stream_chunk_rows:
             for packet in packets:
                 self.send(root, packet)
             return
@@ -336,7 +328,9 @@ class Peer:
                 return
             self.send(root, packets[index])
             if index + 1 < len(packets):
-                network.call_later(self.stream_interval, lambda: send_batch(index + 1))
+                network.call_later(
+                    self.config.stream_interval, lambda: send_batch(index + 1)
+                )
             else:
                 self._active_streams.discard(channel_id)
 
@@ -346,7 +340,7 @@ class Peer:
         """Cache a completed subplan's replies for retransmit replay
         (bounded FIFO so long-lived peers don't grow without limit)."""
         self._subplan_replay[channel_id] = payloads
-        while len(self._subplan_replay) > self.subplan_replay_limit:
+        while len(self._subplan_replay) > SUBPLAN_REPLAY_LIMIT:
             self._subplan_replay.pop(next(iter(self._subplan_replay)))
 
     def _local_cardinalities(self, packet: SubPlanPacket) -> Dict[str, int]:

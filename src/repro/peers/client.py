@@ -11,6 +11,7 @@ import itertools
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..livedata.continuous import fold_delta
 from ..livedata.updates import ContinuousCancel, ContinuousSubscribe, ContinuousUpdate
 from ..net.message import Message
@@ -41,8 +42,8 @@ class ClientPeer(Peer):
         >>> client.result(qid)                 # doctest: +SKIP
     """
 
-    def __init__(self, peer_id: str):
-        super().__init__(peer_id, base=None)
+    def __init__(self, peer_id: str, config: PeerConfig = DEFAULT_CONFIG):
+        super().__init__(peer_id, base=None, config=config)
         self.results: Dict[str, QueryResult] = {}
         self._counter = itertools.count(1)
         #: submission pacing: wall-clock and network time of the last
@@ -50,10 +51,6 @@ class ClientPeer(Peer):
         self._synced = 0.0
         self._synced_network = 0.0
         self._unsynced = 0
-        #: resubmit policy when no result arrives (None: wait forever,
-        #: the seed behaviour); coordinators answer duplicate submits
-        #: idempotently, so resubmission is always safe
-        self.submit_retry = None
         #: open root spans per in-flight query (repro.obs)
         self._spans: Dict[str, object] = {}
         #: retry-after hints of queries shed by admission control,
@@ -104,7 +101,10 @@ class ClientPeer(Peer):
         if span:
             self._spans[query_id] = span
         self.send(via_peer, submit, trace=span.context())
-        if self.submit_retry is not None:
+        # resubmit when no result arrives (no policy: wait forever, the
+        # seed behaviour); coordinators answer duplicate submits
+        # idempotently, so resubmission is always safe
+        if self.config.resilience.client_retry is not None:
             self._arm_resubmit(via_peer, submit, 1)
         return query_id
 
@@ -126,7 +126,7 @@ class ClientPeer(Peer):
 
     def _arm_resubmit(self, via_peer: str, submit: QuerySubmit, attempt: int) -> None:
         network = self._require_network()
-        retry = self.submit_retry
+        retry = self.config.resilience.client_retry
 
         def check() -> None:
             if submit.query_id in self.results:

@@ -19,7 +19,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from ..cache.coalescer import QueryCoalescer
 from ..cache.plan_cache import PlanCache
 from ..cache.routing_cache import RoutingCache
-from ..core.adaptivity import ReplanBudget
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode
 from ..core.annotations import AnnotatedQueryPattern
 from ..core.constraints import QueryConstraints, UNCONSTRAINED, apply_peer_bound
@@ -42,6 +42,7 @@ from ..livedata.updates import (
 from ..net.message import Message
 from ..obs.tracer import NULL_SPAN, NULL_TRACER
 from ..rdf.schema import Schema
+from ..rdf.terms import URI
 from ..resilience.detector import PeerQuarantine
 from ..resilience.partial import Coverage, restrict_to_answerable
 from ..rql.ast import RQLQuery
@@ -59,6 +60,16 @@ from .protocol import (
     QueryShed,
     QuerySubmit,
 )
+
+#: phased policy: virtual-time window for the old phase's in-flight
+#: results to land in the scan cache before the new phase starts
+PHASE_SETTLE_TIME = 10.0
+#: consecutive monitoring ticks without tuple flow before a channel is
+#: declared stalled
+STALL_CHECKS = 2
+#: answered queries remembered per coordinator, so duplicate
+#: QuerySubmits are served idempotently instead of re-coordinated
+COMPLETED_QUERY_LIMIT = 128
 
 
 class PendingQuery:
@@ -110,67 +121,26 @@ class SimplePeer(Peer):
     Args:
         peer_id: Network address.
         base: Local description base.
-        adaptive: Replan on channel failures (Section 2.5).
-        max_replans: Bound on adaptation rounds per query.
-        optimize_plans: Apply compile-time optimisation.
-        use_shipping: Let the cost model place operators (hybrid
-            shipping); otherwise everything joins at the coordinator.
-        failure_policy: What happens to partial results on a replan —
-            ``"discard"`` (the ubQL policy SQPeer adopts: previous
-            intermediate results are thrown away) or ``"phased"`` (the
-            [Ives02] alternative: completed subresults carry over into
-            the next phase and are combined at cleanup).
-        cache_enabled: Run the :mod:`repro.cache` subsystem — routing
-            cache, plan cache and request coalescing.  Off reproduces
-            the paper's cold per-query routing exactly (``--no-cache``).
-        cost_based: Statistics-driven planning (``--cost-based``): the
-            peer advertises a :class:`~repro.core.cost.StatSummary`
-            alongside its active-schema, folds observed link behaviour
-            into the shared statistics before compiling, lets the
-            optimiser reorder joins by estimated cardinality and the
-            cost model place operators per subplan.  Off (the default)
-            preserves the rule-based path bit-identically.
+        statistics: The statistics store plans are priced with (one
+            shared store per deployment under cost-based planning).
+        secondary_bases: Extra bases of a multi-SON peer.
+        config: Every behaviour value — caching, batching, planning,
+            adaptation, streaming, resilience, admission; see
+            :class:`~repro.config.PeerConfig`.
     """
 
     def __init__(
         self,
         peer_id: str,
         base: Optional[PeerBase] = None,
-        adaptive: bool = True,
-        max_replans: int = 3,
-        optimize_plans: bool = True,
-        use_shipping: bool = False,
         statistics: Optional[Statistics] = None,
-        failure_policy: str = "discard",
         secondary_bases=(),
-        cache_enabled: bool = True,
-        batch_size: int = 256,
-        cost_based: bool = False,
+        config: PeerConfig = DEFAULT_CONFIG,
     ):
-        super().__init__(peer_id, base, secondary_bases=secondary_bases)
-        if failure_policy not in ("discard", "phased"):
-            raise ValueError("failure_policy must be 'discard' or 'phased'")
-        self.batch_size = batch_size
-        self.adaptive = adaptive
-        self.max_replans = max_replans
-        self.optimize_plans = optimize_plans
-        self.use_shipping = use_shipping
-        self.cost_based = cost_based
-        self.failure_policy = failure_policy
-        #: phased policy: virtual-time window for the old phase's
-        #: in-flight results to land in the cache before the new phase
-        self.phase_settle_time = 10.0
-        #: pipelined evaluation (Section 2.5's "pipeline way"): stream
-        #: remote chunks through incremental joins/unions at the
-        #: coordinator; ``last_first_output_at`` records when the most
-        #: recent query produced its first rows
-        self.pipelined_execution = False
+        super().__init__(peer_id, base, secondary_bases=secondary_bases, config=config)
+        #: virtual time at which the most recent query produced its
+        #: first rows (pipelined evaluation)
         self.last_first_output_at: Optional[float] = None
-        #: run-time throughput monitoring (Section 2.5): watch per-
-        #: channel tuple flow and replan away from stalled channels
-        self.monitor_channels = False
-        self.monitor_interval = 15.0
-        self.stall_checks = 2
         #: channel id -> (tuples seen at last tick, consecutive stalls)
         self._stall_counts: Dict[str, tuple] = {}
         self.statistics = statistics or Statistics()
@@ -179,7 +149,7 @@ class SimplePeer(Peer):
         self._query_counter = itertools.count(1)
         self._tracker = AdvertisementTracker(base) if base is not None else None
         #: the repro.cache subsystem (None of each when disabled)
-        self.cache_enabled = cache_enabled
+        cache_enabled = config.cache_enabled
         schemas = [b.schema for b in self.all_bases()]
         self.routing_cache = RoutingCache(schemas) if cache_enabled else None
         self.plan_cache = PlanCache() if cache_enabled else None
@@ -187,41 +157,22 @@ class SimplePeer(Peer):
         #: the own-advertisement set the cache's entries were routed
         #: with; silent base drift is detected against it per query
         self._cached_own_ads: Optional[tuple] = None
-        #: resilience (repro.resilience) — all off by default so the
-        #: seed's omniscient-failure behaviour is reproduced exactly
         self.quarantine = PeerQuarantine()
-        self.quarantine_enabled = False
-        self.partial_results = False
-        self.routing_retry = None
-        self.replan_budget: Optional[ReplanBudget] = None
         #: True while this peer is re-entering the overlay after a
         #: crash/departure: the advertisements pushed by ``join`` carry
         #: the rejoin flag so holders rehabilitate instead of merely
         #: registering (repro.membership)
         self.rejoining = False
-        #: answered queries remembered so duplicate QuerySubmits are
-        #: served idempotently instead of re-coordinated
+        #: answered queries remembered (bounded FIFO) so duplicate
+        #: QuerySubmits are served idempotently
         self._completed: Dict[str, QueryResult] = {}
-        self.completed_query_limit = 128
-        #: admission control (repro.workload_engine): bound concurrent
-        #: coordinations, park overflow, shed beyond the queue bound and
-        #: cancel deadline stragglers.  None admits everything (seed).
-        self.admission = None
+        #: admission control (repro.workload_engine): queries parked
+        #: beyond ``config.admission``'s concurrency bound
         self._admission_queue: Deque[Tuple[QuerySubmit, object]] = deque()
         self._parked_ids: Set[str] = set()
         #: live data plane (repro.livedata): the incremental maintainer
         #: is created on the first UpdateBatch; standing queries push
-        #: binding deltas per quiescent revision; ``topk_cancel`` opts
-        #: this coordinator into any-k early termination for LIMIT
-        #: queries (remaining channels discarded the ubQL way).  All
-        #: off/empty by default — the seed behaviour is untouched.
-        self.topk_cancel = False
-        #: baseline mode for the maintenance-cost experiments: re-derive
-        #: and re-push the *full* advertisement after every applied
-        #: update batch, the way a per-statement data index would.  The
-        #: default (False) is the paper's economy — deltas, and only
-        #: when the intensional footprint moved.
-        self.live_full_refresh = False
+        #: binding deltas per quiescent revision
         self._maintainer: Optional[LiveMaintainer] = None
         self._standing: Dict[str, StandingQuery] = {}
         self._result_hooks: Dict[str, Callable[[QueryResult], None]] = {}
@@ -260,7 +211,7 @@ class SimplePeer(Peer):
         network.metrics.record_suspicion()
         if self.routing_cache is not None:
             self.routing_cache.invalidate_peer(peer_id)
-        if self.quarantine_enabled:
+        if self.config.resilience.quarantine_enabled:
             tripped = self.quarantine.record_failure(peer_id)
             if tripped:
                 network.emit_event("quarantine", peer=self.peer_id, suspect=peer_id)
@@ -336,12 +287,12 @@ class SimplePeer(Peer):
 
     def handle_Advertise(self, message: Message) -> None:
         advertisement = message.payload.active_schema
-        stats = getattr(message.payload, "stats", None)
+        stats = message.payload.stats
         if stats is not None:
             # a cost-based sender shared its per-predicate statistics:
             # fold them so this coordinator prices plans with them
             self.statistics.fold_summary(stats)
-        if getattr(message.payload, "rejoin", False) and advertisement.peer_id:
+        if message.payload.rejoin and advertisement.peer_id:
             self._rehabilitate(advertisement.peer_id)
         self.remember_advertisement(advertisement)
 
@@ -366,7 +317,7 @@ class SimplePeer(Peer):
         cost-based planning is on, so the default wire format stays
         seed-identical.  The summary is also folded locally, giving the
         coordinator exact cardinalities for its own base."""
-        if not self.cost_based or self.base is None:
+        if not self.config.cost_based or self.base is None:
             return None
         summary = harvest_stat_summary(
             self.base.graph, self.base.schema, self.peer_id
@@ -438,7 +389,7 @@ class SimplePeer(Peer):
             revision=batch.revision,
             applied=result.applied,
         )
-        if self.live_full_refresh:
+        if self.config.live_full_refresh:
             if result.applied or result.views_changed:
                 self._push_full_refresh()
         elif result.delta is not None:
@@ -448,7 +399,7 @@ class SimplePeer(Peer):
         )
 
     def _push_full_refresh(self) -> None:
-        """The :attr:`live_full_refresh` baseline: re-push every own
+        """The ``config.live_full_refresh`` baseline: re-push every own
         advertisement wholesale (correct, but pays full-advertisement
         bytes for extensional churn the delta path ships nothing for)."""
         stats = self.own_stat_summary()
@@ -673,7 +624,7 @@ class SimplePeer(Peer):
             if submit.reply_to != self.peer_id:
                 self.send(submit.reply_to, done)
             return
-        admission = self.admission
+        admission = self.config.admission
         if admission is not None and len(self._pending) >= admission.max_concurrent:
             if len(self._admission_queue) >= admission.max_queued:
                 # load shedding: refuse this query with a back-off hint
@@ -759,7 +710,7 @@ class SimplePeer(Peer):
         )
         pending.span = span
         self._pending[submit.query_id] = pending
-        admission = self.admission
+        admission = self.config.admission
         if admission is not None and admission.deadline is not None:
             network.call_later(
                 admission.deadline,
@@ -790,7 +741,7 @@ class SimplePeer(Peer):
 
     def _drain_admission_queue(self) -> None:
         """Promote parked queries into freed coordination slots."""
-        admission = self.admission
+        admission = self.config.admission
         if admission is None:
             return
         while self._admission_queue and len(self._pending) < admission.max_concurrent:
@@ -844,7 +795,7 @@ class SimplePeer(Peer):
         planning on, an ``optimize.cost`` span records the chosen
         plan's estimated cost against the rule-based alternative's.
         """
-        if self.cost_based and self.network is not None:
+        if self.config.cost_based and self.network is not None:
             # refresh link costs from observed channel behaviour before
             # pricing (rounded folding, so unchanged observations do
             # not churn the statistics version / plan cache)
@@ -860,11 +811,11 @@ class SimplePeer(Peer):
                 span.finish()
                 return plan
         plan = build_plan(annotated)
-        if self.optimize_plans:
+        if self.config.optimize_plans:
             traced = optimize(
                 plan,
                 CostModel(self.statistics),
-                cost_based=self.cost_based,
+                cost_based=self.config.cost_based,
                 coordinator=self.peer_id,
             )
             if span:  # skip minting rewrite spans on the no-op path
@@ -894,7 +845,7 @@ class SimplePeer(Peer):
         """Peers excluded from this query's routing: those observed to
         fail during it plus (when enabled) the quarantined ones."""
         excluded = set(pending.excluded)
-        if self.quarantine_enabled:
+        if self.config.resilience.quarantine_enabled:
             excluded |= self.quarantine.peers
         return excluded
 
@@ -913,8 +864,9 @@ class SimplePeer(Peer):
     # ------------------------------------------------------------------
     def _execute_plan(self, pending: PendingQuery, plan: PlanNode) -> None:
         network = self._require_network()
+        config = self.config
         sites = None
-        if self.use_shipping or self.cost_based:
+        if config.use_shipping or config.cost_based:
             # cost-based planning also lets the model choose data/
             # query/hybrid shipping per subplan (Section 2.5)
             assignment = assign_sites(plan, self.peer_id, CostModel(self.statistics))
@@ -930,11 +882,11 @@ class SimplePeer(Peer):
                 assert table is not None
                 self._reply_result(pending, table)
 
-        pipelined = self.pipelined_execution
+        pipelined = config.pipelined_execution
         early_stop = None
         limit = pending.constraints.max_results
         if (
-            self.topk_cancel
+            config.topk_cancel
             and limit is not None
             and pending.constraints.order_by is None
         ):
@@ -956,15 +908,15 @@ class SimplePeer(Peer):
             sites=sites,
             query_id=pending.query_id,
             on_complete=on_complete,
-            scan_cache=pending.scan_cache if self.failure_policy == "phased" else None,
+            scan_cache=pending.scan_cache if config.failure_policy == "phased" else None,
             pipelined=pipelined,
-            retry=self.channel_retry,
+            retry=config.resilience.channel_retry,
             trace=pending.span.context(),
             keep_variables=self._keep_variables(pending),
             early_stop=early_stop,
         )
         pending.executor.start()
-        if self.monitor_channels and self.adaptive:
+        if config.monitor_channels and config.adaptive:
             self._schedule_monitor_tick(pending.query_id)
 
     # ------------------------------------------------------------------
@@ -973,13 +925,13 @@ class SimplePeer(Peer):
     def _schedule_monitor_tick(self, query_id: str) -> None:
         network = self._require_network()
         network.call_later(
-            self.monitor_interval, lambda: self._monitor_tick(query_id)
+            self.config.monitor_interval, lambda: self._monitor_tick(query_id)
         )
 
     def _monitor_tick(self, query_id: str) -> None:
         """Check the query's open channels for stalled tuple flow.
 
-        A channel that made no progress across ``stall_checks``
+        A channel that made no progress across :data:`STALL_CHECKS`
         consecutive ticks is declared failed; the usual adaptation path
         then replans without its destination ("the root node of each
         channel is responsible for identifying possible problems ...
@@ -997,7 +949,7 @@ class SimplePeer(Peer):
             else:
                 count = 1
             self._stall_counts[channel_id] = (channel.tuples_received, count)
-            if count > self.stall_checks:
+            if count > STALL_CHECKS:
                 stalled_channel = channel_id
         if stalled_channel is not None:
             self._stall_counts.pop(stalled_channel, None)
@@ -1023,16 +975,16 @@ class SimplePeer(Peer):
             # ubQL: discard on-going computation; phased: salvage the
             # old phase's in-flight scan results into the cache
             pending.executor.abort()
-        budget = self.replan_budget or ReplanBudget(self.max_replans)
-        if not self.adaptive or budget.exhausted(pending.attempts):
+        budget = self.config.replan_budget
+        if not self.config.adaptive or budget.exhausted(pending.attempts):
             self._give_up(pending, f"peer {failed_peer} failed")
             return
-        if self.failure_policy == "phased":
+        if self.config.failure_policy == "phased":
             # phase boundary: give the previous phase's completed
             # computations time to land before the cleanup/retry phase
             network = self._require_network()
             network.call_later(
-                self.phase_settle_time,
+                PHASE_SETTLE_TIME,
                 lambda: self._retry_if_pending(pending.query_id),
             )
             return
@@ -1055,31 +1007,23 @@ class SimplePeer(Peer):
     # ------------------------------------------------------------------
     def handle_StatsPacket(self, message: Message) -> None:
         """Fold a destination's reported cardinalities into the local
-        statistics store, keyed by the channel's destination peer —
-        the optimiser of subsequent queries benefits."""
-        packet = message.payload
-        try:
-            channel = self.channels.channel(packet.channel_id)
-        except Exception:
-            return  # stats for a discarded channel: ignore
-        from ..rdf.terms import URI
-
-        for prop_value, rows in packet.cardinalities.items():
-            self.statistics.set_cardinality(
-                channel.destination, URI(prop_value), rows
-            )
+        statistics store, keyed by the sender — they describe its base,
+        whatever became of the channel they were measured on — so the
+        optimiser of subsequent queries benefits."""
+        for prop_value, rows in message.payload.cardinalities.items():
+            self.statistics.set_cardinality(message.src, URI(prop_value), rows)
 
     # ------------------------------------------------------------------
     # graceful degradation
     # ------------------------------------------------------------------
     def _give_up(self, pending: PendingQuery, reason: str) -> None:
         """The adaptation loop cannot repair the query.  With
-        ``partial_results`` on, restrict the query to its still-
+        ``config.resilience.partial_results`` on, restrict the query to its still-
         answerable path patterns and return that sub-answer annotated
         with coverage metadata; otherwise report the error."""
         if pending.query_id not in self._pending:
             return
-        if not self.partial_results or pending.annotated is None:
+        if not self.config.resilience.partial_results or pending.annotated is None:
             self._reply_error(pending, reason)
             return
         excluded = self._excluded_for(pending)
@@ -1120,7 +1064,7 @@ class SimplePeer(Peer):
             plan,
             query_id=pending.query_id,
             on_complete=on_complete,
-            retry=self.channel_retry,
+            retry=self.config.resilience.channel_retry,
             trace=pending.span.context(),
             keep_variables=self._keep_variables(pending),
         )
@@ -1218,7 +1162,7 @@ class SimplePeer(Peer):
         """Remember an answered query (bounded FIFO) so duplicate
         submissions are replied to idempotently."""
         self._completed[result.query_id] = result
-        while len(self._completed) > self.completed_query_limit:
+        while len(self._completed) > COMPLETED_QUERY_LIMIT:
             self._completed.pop(next(iter(self._completed)))
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.cost import Statistics
 from ..core.routing_index import RoutingIndex
@@ -51,14 +52,20 @@ class SuperPeer(Peer):
             hierarchical organisation of Section 3.1: requests for
             schemas unknown to this layer escalate upward instead of
             failing.
-        cache_enabled: Layer a routing cache over every per-SON index
-            (scoped invalidation keeps it coherent under churn).
         statistics: Shared :class:`~repro.core.cost.Statistics` store.
             When set, advertised :class:`~repro.core.cost.StatSummary`
             payloads are folded into it and observed channel behaviour
             (from the network's per-link histograms) refreshes its link
             costs on every served route request.  None (the default)
             keeps the seed's static-defaults behaviour.
+        config: The deployment's :class:`~repro.config.PeerConfig`; a
+            super-peer reads ``cache_enabled`` (a routing cache over
+            every per-SON index, kept coherent under churn by scoped
+            invalidation), ``resilience.quarantine_enabled`` (suspected
+            cluster members stay out of route replies until heard from
+            again) and ``admission`` (route requests queue and are
+            served one per ``service_time``; overflow is answered with
+            RouteBusy).
     """
 
     def __init__(
@@ -67,12 +74,11 @@ class SuperPeer(Peer):
         schemas: Iterable[Schema] = (),
         backbone_directory: Optional[Dict[str, str]] = None,
         parent: Optional[str] = None,
-        cache_enabled: bool = True,
         statistics: Optional[Statistics] = None,
+        config: PeerConfig = DEFAULT_CONFIG,
     ):
-        super().__init__(peer_id, base=None)
+        super().__init__(peer_id, base=None, config=config)
         self.parent = parent
-        self.cache_enabled = cache_enabled
         self.statistics = statistics
         self.schemas: Dict[str, Schema] = {s.namespace.uri: s for s in schemas}
         self.backbone_directory = (
@@ -85,19 +91,11 @@ class SuperPeer(Peer):
         }
         #: per-SON property-bucket indices for O(candidates) routing
         self.indices: Dict[str, RoutingIndex] = {
-            uri: RoutingIndex(schema, use_cache=cache_enabled)
+            uri: RoutingIndex(schema, use_cache=config.cache_enabled)
             for uri, schema in self.schemas.items()
         }
         self.articulations: List[Articulation] = []
-        #: resilience: suspected cluster members are kept out of route
-        #: replies until heard from again (off by default)
         self.quarantine = PeerQuarantine()
-        self.quarantine_enabled = False
-        #: admission control over the routing service
-        #: (repro.workload_engine): requests queue and are served one
-        #: per ``service_time``; overflow is answered with RouteBusy.
-        #: None serves every request the instant it arrives (seed).
-        self.admission = None
         self._route_queue: Deque[Message] = deque()
         self._route_service_busy = False
 
@@ -138,7 +136,7 @@ class SuperPeer(Peer):
         if self.network is not None:
             self.network.metrics.record_suspicion()
         self._invalidate_routing(peer_id)
-        if self.quarantine_enabled:
+        if self.config.resilience.quarantine_enabled:
             tripped = self.quarantine.record_failure(peer_id)
             if tripped:
                 if self.network is not None:
@@ -196,7 +194,7 @@ class SuperPeer(Peer):
                 self.schemas[uri] = schema
                 self.backbone_directory[uri] = self.peer_id
                 self.registry.setdefault(uri, {})
-                index = RoutingIndex(schema, use_cache=self.cache_enabled)
+                index = RoutingIndex(schema, use_cache=self.config.cache_enabled)
                 if index.cache is not None and self.network is not None:
                     network = self.network
                     index.cache.bind_metrics(network.metrics)
@@ -213,14 +211,12 @@ class SuperPeer(Peer):
     # ------------------------------------------------------------------
     def handle_Advertise(self, message: Message) -> None:
         payload = message.payload
-        stats = getattr(payload, "stats", None)
+        stats = payload.stats
         if stats is not None and self.statistics is not None:
             # Section 2.5: observed per-predicate cardinalities and
             # distinct counts replace the optimiser's static defaults
             self.statistics.fold_summary(stats)
-        self.register_advertisement(
-            payload.active_schema, rejoin=getattr(payload, "rejoin", False)
-        )
+        self.register_advertisement(payload.active_schema, rejoin=payload.rejoin)
 
     def register_advertisement(
         self, advertisement: ActiveSchema, rejoin: bool = False, record: bool = True
@@ -358,7 +354,7 @@ class SuperPeer(Peer):
         return schema_uri in self.schemas
 
     def handle_RouteRequest(self, message: Message) -> None:
-        admission = self.admission
+        admission = self.config.admission
         if admission is None:
             self._serve_route_request(message)
             return
@@ -390,7 +386,7 @@ class SuperPeer(Peer):
             return
         message = self._route_queue.popleft()
         self._serve_route_request(message)
-        admission = self.admission
+        admission = self.config.admission
         if self._route_queue and admission is not None:
             self._require_network().call_later(
                 admission.service_time, self._serve_next_route
@@ -429,7 +425,7 @@ class SuperPeer(Peer):
             check.set(peers=len(annotated.all_peers()))
             check.finish()
             self._mediate(request, annotated)
-            if self.quarantine_enabled and len(self.quarantine):
+            if self.config.resilience.quarantine_enabled and len(self.quarantine):
                 # filter after the cache layer: entries stay unfiltered
                 # (and restore_peer still invalidates the peer's scope,
                 # symmetric with suspicion, so downstream caches keyed

@@ -31,7 +31,7 @@ from .partial import Coverage, full_coverage, restrict_to_answerable
 from .retry import RetryPolicy, stable_seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResilienceConfig:
     """One switchboard for a system's resilience features.
 
@@ -47,9 +47,6 @@ class ResilienceConfig:
         suspicion_timeout: Silence before a watched peer is suspected.
         delegation_timeout: Ad-hoc forwarding deadline (``None`` keeps
             the seed's wait-forever behaviour).
-        max_replans: Bounded-replan budget at the query root.
-        replan_delay: Base delay before a replanned re-execution.
-        replan_backoff: Multiplier on the replan delay per round.
         seed: Base seed for per-peer retry jitter streams.
     """
 
@@ -61,9 +58,6 @@ class ResilienceConfig:
     heartbeat_interval: float = 10.0
     suspicion_timeout: float = 30.0
     delegation_timeout: Optional[float] = None
-    max_replans: int = 3
-    replan_delay: float = 0.0
-    replan_backoff: float = 2.0
     seed: int = 0
 
     @classmethod
@@ -81,6 +75,11 @@ class ResilienceConfig:
         )
 
 
+#: every policy off: fire-and-forget channels, no quarantine, errors
+#: instead of partial answers — the seed's friendly-network behaviour
+RESILIENCE_OFF = ResilienceConfig(quarantine_enabled=False, partial_results=False)
+
+
 __all__ = [
     "ChaosReport",
     "CrashEvent",
@@ -93,6 +92,7 @@ __all__ = [
     "LinkPartition",
     "PeerQuarantine",
     "QueryOutcome",
+    "RESILIENCE_OFF",
     "ResilienceConfig",
     "RetryPolicy",
     "full_coverage",

@@ -84,12 +84,11 @@ def heartbeat_round(system) -> None:
     """Drive one round of liveness traffic: every live peer's emitter
     beats, every super-peer failure detector polls.  A no-op for
     systems without either (plain ad-hoc deployments)."""
-    for emitter in getattr(system, "heartbeat_emitters", {}).values():
+    for emitter in system.heartbeat_emitters.values():
         emitter.emit_once()
-    for super_peer in getattr(system, "super_peers", {}).values():
-        detector = getattr(super_peer, "failure_detector", None)
-        if detector is not None:
-            detector.poll()
+    for super_peer in system.super_peers.values():
+        if super_peer.failure_detector is not None:
+            super_peer.failure_detector.poll()
 
 
 def classify(result, via_peer: str, query_id: str) -> QueryOutcome:
@@ -99,7 +98,7 @@ def classify(result, via_peer: str, query_id: str) -> QueryOutcome:
         return QueryOutcome(query_id, via_peer, "no-reply")
     if result.error is not None:
         return QueryOutcome(query_id, via_peer, "error", error=result.error)
-    coverage = getattr(result, "coverage", None)
+    coverage = result.coverage
     if coverage is not None and not coverage.is_complete:
         return QueryOutcome(
             query_id,

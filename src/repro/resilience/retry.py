@@ -52,7 +52,22 @@ class RetryPolicy:
         self.backoff = backoff
         self.max_timeout = max_timeout
         self.jitter = jitter
+        self.seed = seed
         self.rng = random.Random(seed)
+
+    def _parameters(self) -> tuple:
+        return (self.max_attempts, self.base_timeout, self.backoff,
+                self.max_timeout, self.jitter, self.seed)
+
+    def __eq__(self, other) -> bool:
+        """Policies are equal when built from the same parameters (the
+        jitter stream's position is run-time state, not identity)."""
+        if not isinstance(other, RetryPolicy):
+            return NotImplemented
+        return self._parameters() == other._parameters()
+
+    def __hash__(self) -> int:
+        return hash(self._parameters())
 
     def timeout(self, attempt: int) -> float:
         """The deadline for attempt number ``attempt`` (1-based)."""

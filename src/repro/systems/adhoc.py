@@ -17,17 +17,15 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.adaptivity import ReplanBudget
+from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..core.cost import Statistics
-from ..errors import PeerError
 from ..execution.encoded import decode_cells, encode_cells
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..peers.base import PeerBase
-from ..peers.client import ClientPeer
 from ..peers.protocol import (
     AdvertisementReply,
     AdvertisementRequest,
@@ -37,11 +35,12 @@ from ..peers.protocol import (
 from ..peers.simple import PendingQuery, SimplePeer
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
-from ..resilience import ResilienceConfig
 from ..rql.bindings import BindingTable
-from ..rql.pattern import QueryPattern
-from ..workload_engine import AdmissionControl, FairScheduler, WorkloadReport, WorkloadSpec
-from ..workload_engine import serve as _serve_workload
+from .deployment import Deployment
+
+#: virtual-time budget allowed for one round of deeper discovery before
+#: the query is retried (scaled by the depth reached)
+DISCOVERY_SETTLE_TIME = 20.0
 
 
 class AdhocPeer(SimplePeer):
@@ -49,11 +48,6 @@ class AdhocPeer(SimplePeer):
 
     Args:
         neighbours: Physically known peers at join time.
-        max_discovery_depth: How far advertisement requests may travel
-            when local knowledge leaves holes (Section 3.2's 2-depth,
-            3-depth neighbourhoods).
-        discovery_settle_time: Virtual-time budget allowed for one
-            round of deeper discovery before the query is retried.
         dht: Optional schema DHT (Section 5 / footnote 2).  When set,
             unanswerable patterns are resolved with O(log N) overlay
             lookups instead of k-depth neighbourhood broadcasts.
@@ -64,20 +58,13 @@ class AdhocPeer(SimplePeer):
         peer_id: str,
         base: Optional[PeerBase] = None,
         neighbours: Sequence[str] = (),
-        max_discovery_depth: int = 3,
-        discovery_settle_time: float = 20.0,
         dht=None,
-        **kwargs,
+        statistics: Optional[Statistics] = None,
+        config: PeerConfig = DEFAULT_CONFIG,
     ):
-        super().__init__(peer_id, base, **kwargs)
+        super().__init__(peer_id, base, statistics, config=config)
         self.neighbours: Tuple[str, ...] = tuple(neighbours)
-        self.max_discovery_depth = max_discovery_depth
-        self.discovery_settle_time = discovery_settle_time
         self.dht = dht
-        #: deadline on one round of delegated forwards (None: wait
-        #: forever, the seed behaviour); on expiry the root deepens
-        #: discovery as if every branch had declined
-        self.delegation_timeout: Optional[float] = None
         self._discovery_depth: Dict[str, int] = {}  # per query id
         self._dht_attempted: Set[str] = set()  # query ids
         self._delegations: Dict[str, int] = {}  # outstanding forwards
@@ -160,9 +147,13 @@ class AdhocPeer(SimplePeer):
                 ),
                 trace=pending.span.context(),
             )
-        if self.delegation_timeout is not None:
+        # deadline on this round of forwards (none: wait forever, the
+        # seed behaviour); on expiry the root deepens discovery as if
+        # every branch had declined
+        delegation_timeout = self.config.resilience.delegation_timeout
+        if delegation_timeout is not None:
             self._require_network().call_later(
-                self.delegation_timeout,
+                delegation_timeout,
                 lambda: self._delegation_deadline(pending.query_id, round_no),
             )
 
@@ -201,7 +192,7 @@ class AdhocPeer(SimplePeer):
                 self._obtain_routing(pending)
                 return
         depth = self._discovery_depth.get(pending.query_id, 1) + 1
-        if depth > self.max_discovery_depth:
+        if depth > self.config.max_discovery_depth:
             # discovery exhausted: degrade to whatever this peer can
             # answer itself (partial results, when enabled) or error out
             self._give_up(pending, "no relevant peers within discovery depth")
@@ -210,7 +201,7 @@ class AdhocPeer(SimplePeer):
         pending.span.annotate(f"deepen discovery to depth {depth}")
         self.discover_neighbourhood(depth)
         network = self._require_network()
-        settle = self.discovery_settle_time * depth
+        settle = DISCOVERY_SETTLE_TIME * depth
         network.call_later(settle, lambda: self._retry_after_discovery(pending.query_id))
 
     def _dht_discover(self, pending: PendingQuery) -> bool:
@@ -380,7 +371,7 @@ class AdhocPeer(SimplePeer):
             plan,
             query_id=partial.query_id,
             on_complete=on_complete,
-            retry=self.channel_retry,
+            retry=self.config.resilience.channel_retry,
             trace=span.context(),
         )
         executor.start()
@@ -426,7 +417,7 @@ class AdhocPeer(SimplePeer):
             self._deepen_or_fail(pending)
 
 
-class AdhocSystem:
+class AdhocSystem(Deployment):
     """Builder/harness for an ad-hoc deployment.
 
     Args:
@@ -442,102 +433,22 @@ class AdhocSystem:
         default_latency: float = 1.0,
         statistics: Optional[Statistics] = None,
         use_dht: bool = False,
-        cache_enabled: bool = True,
+        config: PeerConfig = DEFAULT_CONFIG,
         observability: bool = True,
-        batch_size: int = 256,
-        cost_based: bool = False,
-        **peer_options,
     ):
-        self.schema = schema
-        self.network = Network(
-            seed=seed, default_latency=default_latency, observability=observability
+        super().__init__(
+            schema,
+            seed=seed,
+            default_latency=default_latency,
+            statistics=statistics,
+            config=config,
+            observability=observability,
         )
-        # cost-based planning shares one statistics store across the
-        # deployment: every peer folds its own summary in at join time
-        if statistics is None and cost_based:
-            statistics = Statistics()
-        self.statistics = statistics
-        self.cache_enabled = cache_enabled
-        self.batch_size = batch_size
-        self.cost_based = cost_based
-        self.peer_options = dict(peer_options)
-        self.peer_options.setdefault("cache_enabled", cache_enabled)
-        # deployment-wide shipping / planning mode (--batch-size / --cost-based)
-        self.peer_options.setdefault("batch_size", batch_size)
-        self.peer_options.setdefault("cost_based", cost_based)
-        self.peers: Dict[str, AdhocPeer] = {}
-        self.clients: Dict[str, ClientPeer] = {}
-        self._client_counter = itertools.count(1)
-        #: set by :meth:`enable_resilience`; later-added peers inherit it
-        self.resilience: Optional[ResilienceConfig] = None
-        #: set by :meth:`enable_admission` / :meth:`enable_fair_scheduling`;
-        #: later-added peers inherit both
-        self.admission: Optional[AdmissionControl] = None
-        self.fair_quantum: Optional[float] = None
         self.dht = None
         if use_dht:
             from ..dht import ChordRing, SchemaDHT
 
             self.dht = SchemaDHT(ChordRing(), schema)
-
-    # ------------------------------------------------------------------
-    # concurrency (repro.workload_engine)
-    # ------------------------------------------------------------------
-    def enable_admission(
-        self, control: Optional[AdmissionControl] = None
-    ) -> AdmissionControl:
-        """Bound what every peer's coordinator role accepts: park
-        overflow queries, shed beyond the queue with a retry-after
-        hint, and (when set) cancel deadline stragglers.  The ad-hoc
-        architecture has no routing servers, so there is no RouteBusy
-        tier here — delegation back-pressure comes from the same
-        coordinator bounds at each forwarding peer."""
-        control = control or AdmissionControl.default()
-        self.admission = control
-        for peer in self.peers.values():
-            peer.admission = control
-        return control
-
-    def enable_fair_scheduling(self, quantum: float = 0.25) -> None:
-        """Give every peer a fair per-query scheduler (see the hybrid
-        twin): local work interleaves round-robin across queries."""
-        self.fair_quantum = quantum
-        for peer in self.peers.values():
-            if peer.scheduler is None:
-                peer.install_scheduler(FairScheduler(self.network, quantum))
-
-    def serve(self, spec: WorkloadSpec, max_events: int = 2_000_000) -> WorkloadReport:
-        """Drive a workload against this deployment (see the hybrid
-        twin); returns the workload report."""
-        return _serve_workload(self, spec, max_events=max_events)
-
-    # ------------------------------------------------------------------
-    # resilience
-    # ------------------------------------------------------------------
-    def enable_resilience(
-        self, config: Optional[ResilienceConfig] = None
-    ) -> ResilienceConfig:
-        """Turn the resilience layer on deployment-wide.  The ad-hoc
-        architecture has no routing servers to run a failure detector
-        on; its suspicion signal comes from channel timeouts and the
-        delegation deadline instead."""
-        config = config or ResilienceConfig.default()
-        self.resilience = config
-        for peer in self.peers.values():
-            self._apply_resilience_peer(peer)
-        for client in self.clients.values():
-            client.submit_retry = config.client_retry
-        return config
-
-    def _apply_resilience_peer(self, peer: "AdhocPeer") -> None:
-        config = self.resilience
-        peer.channel_retry = config.channel_retry
-        peer.quarantine_enabled = config.quarantine_enabled
-        peer.partial_results = config.partial_results
-        peer.delegation_timeout = config.delegation_timeout
-        peer.replan_budget = ReplanBudget(
-            config.max_replans, config.replan_delay, config.replan_backoff
-        )
 
     def add_peer(
         self,
@@ -554,16 +465,9 @@ class AdhocSystem:
             neighbours=neighbours,
             statistics=self.statistics,
             dht=self.dht,
-            **self.peer_options,
+            config=self.config,
         )
-        peer.join(self.network)
-        self.peers[peer_id] = peer
-        if self.resilience is not None:
-            self._apply_resilience_peer(peer)
-        if self.admission is not None:
-            peer.admission = self.admission
-        if self.fair_quantum is not None:
-            peer.install_scheduler(FairScheduler(self.network, self.fair_quantum))
+        self._admit_peer(peer)
         if self.dht is not None:
             advertisement = peer.own_advertisement()
             if advertisement is not None:
@@ -571,15 +475,6 @@ class AdhocSystem:
             else:
                 self.dht.ring.join(peer_id)
         return peer
-
-    def add_client(self, peer_id: Optional[str] = None) -> ClientPeer:
-        peer_id = peer_id or f"client{next(self._client_counter)}"
-        client = ClientPeer(peer_id)
-        client.join(self.network)
-        self.clients[peer_id] = client
-        if self.resilience is not None:
-            client.submit_retry = self.resilience.client_retry
-        return client
 
     def discover_all(self, depth: int = 1) -> None:
         """Have every peer pull its neighbourhood's advertisements and
@@ -589,63 +484,21 @@ class AdhocSystem:
         self.network.run()
 
     @classmethod
-    def from_scenario(cls, scenario, **kwargs) -> "AdhocSystem":
+    def from_scenario(
+        cls,
+        scenario,
+        seed: int = 0,
+        config: PeerConfig = DEFAULT_CONFIG,
+        observability: bool = True,
+    ) -> "AdhocSystem":
         """Build Figure 7's deployment from an
         :class:`~repro.workloads.paper.AdhocScenario`."""
-        system = cls(scenario.schema, **kwargs)
+        system = cls(
+            scenario.schema, seed=seed, config=config, observability=observability
+        )
         for peer_id in scenario.peers:
             system.add_peer(
                 peer_id, scenario.bases[peer_id], scenario.neighbours.get(peer_id, ())
             )
         system.discover_all()
         return system
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        return self.network.run(max_events=max_events)
-
-    def submit(self, via_peer: str, text: str, client: Optional[ClientPeer] = None,
-               max_peers=None, limit=None, order_by=None, descending=False) -> str:
-        """Submit a query through a peer; returns the query id.
-
-        Call :meth:`run` afterwards to drive the event loop.  Accepts
-        the same ``client`` and result-shaping keywords as
-        :meth:`query` (the hybrid twin's signature, kept symmetric).
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        return client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-
-    def query(self, via_peer: str, text: str, max_peers=None, limit=None,
-              order_by=None, descending=False,
-              client: Optional[ClientPeer] = None):
-        """Submit through a peer, run to quiescence, return the table.
-
-        Args:
-            via_peer: The peer the client connects through.
-            text: RQL source text.
-            max_peers: Per-pattern broadcast bound (Section 5).
-            limit: Top-N bound on the answer.
-            client: Submit through this client instead of the first
-                registered one (same keyword :meth:`submit` honours).
-
-        Raises:
-            PeerError: When the query failed (carries the reason).
-        """
-        client = client or (
-            next(iter(self.clients.values())) if self.clients else self.add_client()
-        )
-        query_id = client.submit(
-            via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
-        )
-        self.run()
-        result = client.result(query_id)
-        if result is None:
-            raise PeerError(f"query {query_id} produced no reply")
-        if result.error is not None:
-            raise PeerError(f"query {query_id} failed: {result.error}")
-        return result.table

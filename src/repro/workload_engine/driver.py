@@ -79,8 +79,7 @@ class WorkloadDriver:
         if probe is None:
             probe = TelemetryProbe(
                 self.network,
-                peers=list(getattr(self.system, "peers", {}).values())
-                + list(getattr(self.system, "super_peers", {}).values()),
+                peers=[*self.system.peers.values(), *self.system.super_peers.values()],
             )
         self.probe = probe
         self.telemetry_series = PeerSeries()

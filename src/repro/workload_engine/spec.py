@@ -47,7 +47,7 @@ class WorkloadSpec:
             back-off instead of recording them as refused.
         max_shed_retries: Bound on re-offers per logical query.
         limit: Submit every query as top-``limit`` (``LIMIT`` k).  With
-            :attr:`~repro.peers.simple.Peer.topk_cancel` enabled on the
+            :attr:`~repro.config.PeerConfig.topk_cancel` enabled on the
             coordinators this turns the whole workload into any-k
             early-terminated queries.
     """

@@ -1,5 +1,6 @@
 """Tests for request coalescing: unit behaviour and end-to-end flow."""
 
+from repro.config import PeerConfig
 from repro.cache import QueryCoalescer
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 from repro.systems import HybridSystem
@@ -54,8 +55,8 @@ class TestQueryCoalescer:
         assert coalescer.parked() == 1
 
 
-def _system(**kwargs):
-    system = HybridSystem(paper_schema(), **kwargs)
+def _system(**options):
+    system = HybridSystem(paper_schema(), config=PeerConfig(**options))
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")

@@ -256,19 +256,18 @@ class TestStreamTeardownDrain:
     bindings accounted."""
 
     def _stalled_system(self):
+        from repro.config import PeerConfig, reconfigure
         from repro.systems import HybridSystem
         from repro.workloads.paper import paper_peer_bases, paper_schema
 
-        system = HybridSystem(paper_schema())
+        system = HybridSystem(
+            paper_schema(),
+            config=PeerConfig(monitor_channels=True, monitor_interval=5.0),
+        )
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")
-        for peer in system.peers.values():
-            peer.monitor_channels = True
-            peer.monitor_interval = 5.0
-        slowpoke = system.peers["P2"]
-        slowpoke.stream_chunk_rows = 1
-        slowpoke.stream_interval = 50.0
+        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=50.0)
         return system
 
     def test_network_drains_after_cancelled_stream(self):

@@ -4,6 +4,7 @@ self-contained data packets that reassemble in any arrival order."""
 import pytest
 
 from repro.channels import ChannelManager, DataPacket
+from repro.config import PeerConfig
 from repro.core.algebra import Scan
 from repro.execution.encoded import decode_cells, encode_cells
 from repro.net import Network
@@ -30,12 +31,17 @@ class _Sink:
         pass
 
 
-def _opened(scan):
-    """A root manager with one open channel; its id space is skewed so
-    sender ids never coincide with the root's."""
+def _network():
     network = Network()
     network.register(_Sink("P1"))
     network.register(_Sink("P2"))
+    return network
+
+
+def _opened(scan):
+    """A root manager with one open channel; its id space is skewed so
+    sender ids never coincide with the root's."""
+    network = _network()
     root = ChannelManager("P1")
     root.dictionary.encode(DATA.already_interned)
     results = []
@@ -45,13 +51,11 @@ def _opened(scan):
 
 def _per_channel_state(manager, channel_id):
     """Names of the manager's tables still holding anything for the
-    channel (the ``Channel`` record itself is kept for late lookups)."""
+    channel."""
     return [
         name
         for name, value in vars(manager).items()
-        if name != "_channels"
-        and isinstance(value, (dict, set))
-        and channel_id in value
+        if isinstance(value, (dict, set)) and channel_id in value
     ]
 
 
@@ -88,6 +92,56 @@ def test_reversed_duplicated_and_replayed_stream_equals_in_order_delivery(scan):
     assert _per_channel_state(root, channel.channel_id) == []
 
 
+def test_answered_and_discarded_channels_leave_no_record(scan):
+    """A long-lived peer forgets every channel it has finished with:
+    answered, failed or discarded, none stays in the manager (the
+    discarded ids it remembers for late-packet accounting are bounded)."""
+    from repro.channels.manager import DISCARDED_CHANNEL_LIMIT
+
+    root, _, results = _opened(scan)
+    sender = TermDictionary()
+    ids = encode_cells(BindingTable(("X", "Y"), [(DATA.s, DATA.o)]), sender)
+    network = _network()
+    for index in range(1000):
+        channel = root.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        if index % 3 == 0:
+            root.on_failure(channel.channel_id)
+        else:
+            for packet in DataPacket.stream(channel.channel_id, ids, sender, 4):
+                root.on_data(packet)
+        assert not channel.is_open
+    assert len(results) == 1000
+    assert len(root) == 1 and len(root.open_channels()) == 1  # _opened()'s own
+
+    for _ in range(DISCARDED_CHANNEL_LIMIT + 50):
+        channel = root.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        root.discard(channel.channel_id)
+    assert len(results) == 1000  # discards never ran a continuation
+    assert len(root) == 1
+    assert len(root._discarded) == DISCARDED_CHANNEL_LIMIT
+
+
+def test_late_packets_after_teardown(scan):
+    """Bindings arriving for a discarded channel are accounted as
+    discarded; a replay for an answered channel is dropped silently."""
+    from repro.metrics import MetricSet
+
+    root, channel, results = _opened(scan)
+    root.bind_metrics(MetricSet())
+    sender = TermDictionary()
+    ids = encode_cells(BindingTable(("X", "Y"), [(DATA.s, DATA.o)]), sender)
+    (packet,) = DataPacket.stream(channel.channel_id, ids, sender, 4)
+    root.on_data(packet)
+    root.on_data(packet)  # replayed after the answer: nothing to account
+    assert len(results) == 1 and root._metrics.discarded_bindings == 0
+
+    discarded = root.open(_network(), "P2", scan, lambda t, f: results.append((t, f)))
+    root.discard(discarded.channel_id)
+    (late,) = DataPacket.stream(discarded.channel_id, ids, sender, 4)
+    root.on_data(late)
+    assert len(results) == 1 and root._metrics.discarded_bindings == 1
+
+
 @pytest.mark.parametrize("rows", [0, 1, BATCH_SIZE, BATCH_SIZE + 1])
 def test_reply_is_one_stats_packet_plus_ceil_rows_over_batch_size(rows, scan):
     schema = paper_schema()
@@ -99,8 +153,9 @@ def test_reply_is_one_stats_packet_plus_ceil_rows_over_batch_size(rows, scan):
         graph.add(obj, TYPE, definition.range)
         graph.add(subject, N1.prop1, obj)
     network = Network()
-    serving = Peer("P2", PeerBase(graph, schema))
-    serving.batch_size = BATCH_SIZE
+    serving = Peer(
+        "P2", PeerBase(graph, schema), config=PeerConfig(batch_size=BATCH_SIZE)
+    )
     root = Peer("P1")
     serving.join(network)
     root.join(network)

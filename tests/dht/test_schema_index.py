@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.dht import ChordRing, SchemaDHT
 from repro.rql.pattern import SchemaPath
 from repro.rvl import ActiveSchema
@@ -95,7 +96,9 @@ class TestAdhocIntegration:
             provider_base.add(x, N1.prop1, y)
             provider_base.add(y, N1.prop2, z)
             provider_base.add(z, TYPE, N1.C3)
-        system = AdhocSystem(schema, use_dht=True, max_discovery_depth=1)
+        system = AdhocSystem(
+            schema, use_dht=True, config=PeerConfig(max_discovery_depth=1)
+        )
         system.add_peer("asker", Graph(), neighbours=("relay",))
         system.add_peer("relay", Graph(), neighbours=("asker", "provider"))
         system.add_peer("provider", provider_base, neighbours=("relay",))
@@ -110,7 +113,9 @@ class TestAdhocIntegration:
         provider_base = Graph()
         provider_base.add(DATA.qx, N1.prop1, DATA.qy)
         provider_base.add(DATA.qy, N1.prop2, DATA.qz)
-        system = AdhocSystem(schema, use_dht=False, max_discovery_depth=1)
+        system = AdhocSystem(
+            schema, use_dht=False, config=PeerConfig(max_discovery_depth=1)
+        )
         system.add_peer("asker", Graph(), neighbours=("relay",))
         system.add_peer("relay", Graph(), neighbours=("asker", "provider"))
         system.add_peer("provider", provider_base, neighbours=("relay",))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.config import PeerConfig
 from repro.errors import PeerError
 from repro.rdf.graph import Graph
 from repro.rql.bindings import BindingTable
@@ -101,9 +102,18 @@ def centralized_answer(workload: Workload, text: str) -> BindingTable:
     ).distinct()
 
 
-def build_hybrid(workload: Workload, **options) -> HybridSystem:
-    """A one-super-peer hybrid deployment of the workload."""
-    system = HybridSystem(workload.synthetic.schema, seed=workload.seed, **options)
+def build_hybrid(
+    workload: Workload, statistics=None, transport=None, **options
+) -> HybridSystem:
+    """A one-super-peer hybrid deployment of the workload; ``options``
+    are :class:`~repro.config.PeerConfig` fields."""
+    system = HybridSystem(
+        workload.synthetic.schema,
+        seed=workload.seed,
+        statistics=statistics,
+        transport=transport,
+        config=PeerConfig(**options),
+    )
     system.add_super_peer("SP")
     for peer_id in workload.peer_ids:
         system.add_peer(peer_id, workload.bases[peer_id], "SP")
@@ -111,9 +121,15 @@ def build_hybrid(workload: Workload, **options) -> HybridSystem:
     return system
 
 
-def build_adhoc(workload: Workload, **options) -> AdhocSystem:
-    """A fully-connected ad-hoc deployment of the workload."""
-    system = AdhocSystem(workload.synthetic.schema, seed=workload.seed, **options)
+def build_adhoc(workload: Workload, statistics=None, **options) -> AdhocSystem:
+    """A fully-connected ad-hoc deployment of the workload; ``options``
+    are :class:`~repro.config.PeerConfig` fields."""
+    system = AdhocSystem(
+        workload.synthetic.schema,
+        seed=workload.seed,
+        statistics=statistics,
+        config=PeerConfig(**options),
+    )
     for peer_id in workload.peer_ids:
         neighbours = [p for p in workload.peer_ids if p != peer_id]
         system.add_peer(peer_id, workload.bases[peer_id], neighbours)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import PeerConfig
 from repro.livedata import (
     LiveDataDriver,
     UpdateStream,
@@ -41,14 +42,18 @@ def build_twin(kind: str, workload: Workload, snapshot, **options):
     """A fresh deployment of the snapshotted bases: full re-derivation
     of every active schema, cold caches — the from-scratch oracle."""
     if kind == "hybrid":
-        twin = HybridSystem(workload.synthetic.schema, seed=workload.seed, **options)
+        twin = HybridSystem(
+            workload.synthetic.schema, seed=workload.seed, config=PeerConfig(**options)
+        )
         twin.add_super_peer("SP")
         for peer_id in workload.peer_ids:
             graph, views = snapshot[peer_id]
             twin.add_peer(peer_id, graph, "SP", views=views)
         twin.run()
         return twin
-    twin = AdhocSystem(workload.synthetic.schema, seed=workload.seed, **options)
+    twin = AdhocSystem(
+        workload.synthetic.schema, seed=workload.seed, config=PeerConfig(**options)
+    )
     for peer_id in workload.peer_ids:
         graph, views = snapshot[peer_id]
         neighbours = [p for p in workload.peer_ids if p != peer_id]
@@ -130,7 +135,7 @@ def assert_digests_fresh(live, workload: Workload) -> None:
         peer_id: live.peers[peer_id].base.active_schema(peer_id)
         for peer_id in workload.peer_ids
     }
-    if hasattr(live, "super_peers"):
+    if live.super_peers:
         for sp in live.super_peers.values():
             registry = sp.registry.get(schema_uri, {})
             held = [registry[p] for p in sorted(registry)]

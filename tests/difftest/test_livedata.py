@@ -119,11 +119,8 @@ def test_live_scenario_with_skewed_per_peer_rates():
 # top-k: provable channel cancellation
 # ----------------------------------------------------------------------
 def _run_topk(workload, limit, cancel_enabled):
-    system = build_hybrid(workload)
-    for peer_id in workload.peer_ids:
-        peer = system.peers[peer_id]
-        peer.topk_cancel = cancel_enabled
-        peer.stream_chunk_rows = 4  # paced streaming: cancellation has teeth
+    # paced streaming: cancellation has teeth
+    system = build_hybrid(workload, topk_cancel=cancel_enabled, stream_chunk_rows=4)
     client = system.add_client("C-topk")
     query_id = client.submit(workload.peer_ids[0], workload.queries[0], limit=limit)
     system.run()
@@ -174,10 +171,7 @@ def test_topk_with_order_by_never_cancels():
     """ORDER BY needs every candidate row: the early-stop gate must
     stay closed so the sorted top-k stays exact."""
     workload = make_workload(3, statements_per_segment=30)
-    system = build_hybrid(workload)
-    for peer_id in workload.peer_ids:
-        system.peers[peer_id].topk_cancel = True
-        system.peers[peer_id].stream_chunk_rows = 4
+    system = build_hybrid(workload, topk_cancel=True, stream_chunk_rows=4)
     client = system.add_client("C-ordered")
     query_id = client.submit(
         workload.peer_ids[0], workload.queries[0], limit=3, order_by="V0"
@@ -205,10 +199,7 @@ def test_topk_during_update_storm():
     from repro.livedata import LiveDataDriver, UpdateStream
 
     workload = make_workload(11, statements_per_segment=30)
-    system = build_hybrid(workload)
-    for peer_id in workload.peer_ids:
-        system.peers[peer_id].topk_cancel = True
-        system.peers[peer_id].stream_chunk_rows = 4
+    system = build_hybrid(workload, topk_cancel=True, stream_chunk_rows=4)
     stream = UpdateStream(
         workload.synthetic.schema, workload.bases, seed=11, revisions=1
     )

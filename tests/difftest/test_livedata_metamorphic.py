@@ -73,7 +73,7 @@ def _fingerprint(system, workload):
         )
         answers.append((error, rows, coverage))
     schema_uri = workload.synthetic.schema.namespace.uri
-    if hasattr(system, "super_peers"):
+    if system.super_peers:
         registry = next(iter(system.super_peers.values())).registry.get(
             schema_uri, {}
         )

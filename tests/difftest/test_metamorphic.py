@@ -8,7 +8,11 @@ transformations.  Coverage annotations on
 degraded (partial) answers must be invariant too.
 """
 
+from dataclasses import replace
+
 import pytest
+
+from repro.resilience import RESILIENCE_OFF
 
 from .harness import (
     build_adhoc,
@@ -72,9 +76,11 @@ def test_variants_agree_adhoc(seed):
 def _partial_result(workload, text, **options):
     """Run one query with graceful degradation on; returns the client's
     QueryResult (table + coverage annotation)."""
-    system = build_hybrid(workload, **options)
-    for peer in system.peers.values():
-        peer.partial_results = True
+    system = build_hybrid(
+        workload,
+        resilience=replace(RESILIENCE_OFF, partial_results=True),
+        **options,
+    )
     client = system.add_client()
     query_id = client.submit(workload.peer_ids[0], text)
     system.run()

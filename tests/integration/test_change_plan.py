@@ -4,19 +4,19 @@ on-going computation."""
 
 import pytest
 
+from repro.config import PeerConfig, reconfigure
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
 
 def build_system(monitoring: bool = True) -> HybridSystem:
-    system = HybridSystem(paper_schema())
+    system = HybridSystem(
+        paper_schema(),
+        config=PeerConfig(monitor_channels=monitoring, monitor_interval=5.0),
+    )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
-    for peer in system.peers.values():
-        if monitoring:
-            peer.monitor_channels = True
-            peer.monitor_interval = 5.0
     return system
 
 
@@ -25,9 +25,7 @@ class TestChangePlanPackets:
         """When the watchdog replans away from a stalled streamer, the
         healthy channels of the abandoned attempt get ChangePlanPackets."""
         system = build_system()
-        slowpoke = system.peers["P2"]
-        slowpoke.stream_chunk_rows = 1
-        slowpoke.stream_interval = 1e6
+        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
         table = system.query("P1", PAPER_QUERY)
         kinds = system.network.metrics.messages_by_kind
         assert kinds.get("ChangePlanPacket", 0) >= 1
@@ -38,8 +36,8 @@ class TestChangePlanPackets:
         the cancel arrives."""
         system = build_system()
         for peer in system.peers.values():
-            peer.stream_chunk_rows = 1
-            peer.stream_interval = 30.0  # slow enough to be stalled
+            # slow enough to be stalled
+            reconfigure(peer, stream_chunk_rows=1, stream_interval=30.0)
         system.query("P1", PAPER_QUERY)
         data_packets = system.network.metrics.messages_by_kind["DataPacket"]
 
@@ -59,8 +57,7 @@ class TestChangePlanPackets:
         channels of the failed attempt."""
         system = build_system(monitoring=False)
         for peer in system.peers.values():
-            peer.stream_chunk_rows = 1
-            peer.stream_interval = 3.0
+            reconfigure(peer, stream_chunk_rows=1, stream_interval=3.0)
         system.run()
         system.network.fail_peer("P2")
         table = system.query("P1", PAPER_QUERY)

@@ -9,6 +9,7 @@ shipped scans after a failure while producing the same answers.
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -21,7 +22,7 @@ def build(failure_policy: str, seed: int = 0):
     gen = generate_bases(
         synth, peers, Distribution.HORIZONTAL, statements_per_segment=8, seed=seed
     )
-    system = HybridSystem(synth.schema, failure_policy=failure_policy)
+    system = HybridSystem(synth.schema, config=PeerConfig(failure_policy=failure_policy))
     system.add_super_peer("SP1")
     for peer_id, graph in gen.bases.items():
         system.add_peer(peer_id, graph, "SP1")
@@ -31,10 +32,8 @@ def build(failure_policy: str, seed: int = 0):
 
 class TestPolicies:
     def test_invalid_policy_rejected(self):
-        from repro.peers.simple import SimplePeer
-
         with pytest.raises(ValueError):
-            SimplePeer("X", failure_policy="yolo")
+            PeerConfig(failure_policy="yolo")
 
     def test_same_answers_without_failures(self):
         discard_system, synth = build("discard")

@@ -4,6 +4,7 @@ a pipeline way')."""
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 from repro.workloads.data_gen import Distribution, generate_bases
@@ -12,14 +13,17 @@ from repro.workloads.schema_gen import generate_schema
 
 
 def build_system(pipelined: bool, chunk_rows=2, interval=5.0) -> HybridSystem:
-    system = HybridSystem(paper_schema())
+    system = HybridSystem(
+        paper_schema(),
+        config=PeerConfig(
+            pipelined_execution=pipelined,
+            stream_chunk_rows=chunk_rows,
+            stream_interval=interval,
+        ),
+    )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
-    for peer in system.peers.values():
-        peer.pipelined_execution = pipelined
-        peer.stream_chunk_rows = chunk_rows
-        peer.stream_interval = interval
     return system
 
 
@@ -40,13 +44,13 @@ class TestCorrectness:
         )
 
         def run(pipelined):
-            system = HybridSystem(synth.schema)
+            system = HybridSystem(
+                synth.schema,
+                config=PeerConfig(pipelined_execution=pipelined, stream_chunk_rows=3),
+            )
             system.add_super_peer("SP1")
             for peer_id, graph in gen.bases.items():
                 system.add_peer(peer_id, graph, "SP1")
-            for peer in system.peers.values():
-                peer.pipelined_execution = pipelined
-                peer.stream_chunk_rows = 3
             return system.query("P0", chain_query(synth, 0, 2))
 
         assert run(True) == run(False)

@@ -4,6 +4,7 @@ execution regardless of where joins land."""
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.systems import AdhocSystem, HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.paper import PAPER_QUERY, adhoc_scenario, paper_peer_bases, paper_schema
@@ -13,7 +14,7 @@ from repro.workloads.schema_gen import generate_schema
 
 class TestHybridWithShipping:
     def build(self, use_shipping: bool) -> HybridSystem:
-        system = HybridSystem(paper_schema(), use_shipping=use_shipping)
+        system = HybridSystem(paper_schema(), config=PeerConfig(use_shipping=use_shipping))
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")
@@ -35,7 +36,9 @@ class TestHybridWithShipping:
         stats.set_link_cost("P2", "P3", 0.01)
         stats.set_link_cost("P2", "P4", 0.01)
         stats.set_link_cost("P3", "P4", 0.01)
-        system = HybridSystem(paper_schema(), use_shipping=True, statistics=stats)
+        system = HybridSystem(
+            paper_schema(), statistics=stats, config=PeerConfig(use_shipping=True)
+        )
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")
@@ -50,7 +53,9 @@ class TestHybridWithShipping:
         )
 
         def run(use_shipping):
-            system = HybridSystem(synth.schema, use_shipping=use_shipping)
+            system = HybridSystem(
+                synth.schema, config=PeerConfig(use_shipping=use_shipping)
+            )
             system.add_super_peer("SP1")
             for peer_id, graph in gen.bases.items():
                 system.add_peer(peer_id, graph, "SP1")
@@ -62,7 +67,7 @@ class TestHybridWithShipping:
 class TestAdhocWithShipping:
     def test_figure7_with_shipping(self):
         scenario = adhoc_scenario()
-        system = AdhocSystem(scenario.schema, use_shipping=True)
+        system = AdhocSystem(scenario.schema, config=PeerConfig(use_shipping=True))
         for peer_id in scenario.peers:
             system.add_peer(
                 peer_id, scenario.bases[peer_id], scenario.neighbours.get(peer_id, ())
@@ -72,7 +77,7 @@ class TestAdhocWithShipping:
         assert len(table) == 6
 
     def test_shipping_with_failures(self):
-        system = HybridSystem(paper_schema(), use_shipping=True)
+        system = HybridSystem(paper_schema(), config=PeerConfig(use_shipping=True))
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")

@@ -7,6 +7,7 @@ by the number of incoming or outgoing tuples."
 
 import pytest
 
+from repro.config import PeerConfig, reconfigure
 from repro.errors import PeerError
 from repro.net import Message
 from repro.peers.base import Peer
@@ -26,7 +27,7 @@ class SilentPeer(Peer):
 
 
 def build_system(**peer_options) -> HybridSystem:
-    system = HybridSystem(paper_schema(), **peer_options)
+    system = HybridSystem(paper_schema(), config=PeerConfig(**peer_options))
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
@@ -36,9 +37,7 @@ def build_system(**peer_options) -> HybridSystem:
 class TestStreaming:
     def test_chunked_results_identical(self):
         plain = build_system().query("P1", PAPER_QUERY)
-        streamed_system = build_system()
-        for peer in streamed_system.peers.values():
-            peer.stream_chunk_rows = 2
+        streamed_system = build_system(stream_chunk_rows=2)
         streamed = streamed_system.query("P1", PAPER_QUERY)
         assert streamed == plain
 
@@ -47,17 +46,13 @@ class TestStreaming:
         baseline.query("P1", PAPER_QUERY)
         base_packets = baseline.network.metrics.messages_by_kind["DataPacket"]
 
-        chunked = build_system()
-        for peer in chunked.peers.values():
-            peer.stream_chunk_rows = 1
+        chunked = build_system(stream_chunk_rows=1)
         chunked.query("P1", PAPER_QUERY)
         chunk_packets = chunked.network.metrics.messages_by_kind["DataPacket"]
         assert chunk_packets > base_packets
 
     def test_single_row_results_not_split(self):
-        system = build_system()
-        for peer in system.peers.values():
-            peer.stream_chunk_rows = 1000  # larger than any result
+        system = build_system(stream_chunk_rows=1000)  # larger than any result
         table = system.query("P1", PAPER_QUERY)
         assert len(table) == 9
 
@@ -70,11 +65,7 @@ class TestThroughputMonitoring:
         from repro.peers.protocol import Advertise
         from repro.rvl import ActiveSchema
 
-        system = build_system()
-        if monitoring:
-            for peer in system.peers.values():
-                peer.monitor_channels = True
-                peer.monitor_interval = 5.0
+        system = build_system(monitor_channels=monitoring, monitor_interval=5.0)
         silent = SilentPeer("SILENT", None)
         silent.join(system.network)
         # hand-craft an advertisement claiming prop1 coverage
@@ -102,23 +93,16 @@ class TestThroughputMonitoring:
         assert len(table) == 9  # the real peers' answers survive
 
     def test_monitoring_does_not_disturb_healthy_queries(self):
-        system = build_system()
-        for peer in system.peers.values():
-            peer.monitor_channels = True
-            peer.monitor_interval = 5.0
+        system = build_system(monitor_channels=True, monitor_interval=5.0)
         table = system.query("P1", PAPER_QUERY)
         assert len(table) == 9
 
     def test_slow_streamer_detected(self):
         """A peer streaming with an enormous inter-chunk delay is
         treated as stalled and replaced."""
-        system = build_system()
-        for peer in system.peers.values():
-            peer.monitor_channels = True
-            peer.monitor_interval = 5.0
-        slowpoke = system.peers["P2"]
-        slowpoke.stream_chunk_rows = 1
-        slowpoke.stream_interval = 1e6  # effectively never finishes
+        system = build_system(monitor_channels=True, monitor_interval=5.0)
+        # effectively never finishes
+        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
         table = system.query("P1", PAPER_QUERY)
         # P2's four bridge chains are lost, the others answer
         assert len(table) == 5

@@ -1,5 +1,6 @@
 """Unit tests for continuous (standing) queries and top-k cancel."""
 
+from repro.config import reconfigure
 from repro.livedata import LiveDataDriver, UpdateStream
 from repro.livedata.updates import RefreshStanding
 from repro.obs.telemetry import FlightRecorder
@@ -120,8 +121,7 @@ class TestTopKCancelGates:
     def test_no_limit_means_no_cancel(self):
         workload, system = _deployment(0)
         for peer_id in workload.peer_ids:
-            system.peers[peer_id].topk_cancel = True
-            system.peers[peer_id].stream_chunk_rows = 2
+            reconfigure(system.peers[peer_id], topk_cancel=True, stream_chunk_rows=2)
         client = system.add_client("C")
         query_id = client.submit("P1", workload.queries[0])
         system.run()
@@ -133,8 +133,7 @@ class TestTopKCancelGates:
         recorder = FlightRecorder(clock=lambda: system.network.now)
         system.network.flight_recorder = recorder
         for peer_id in workload.peer_ids:
-            system.peers[peer_id].topk_cancel = True
-            system.peers[peer_id].stream_chunk_rows = 4
+            reconfigure(system.peers[peer_id], topk_cancel=True, stream_chunk_rows=4)
         client = system.add_client("C")
         query_id = client.submit("P1", workload.queries[0], limit=5)
         system.run()

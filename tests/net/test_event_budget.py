@@ -9,6 +9,7 @@ error now carries a point-in-time diagnostics report.
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.errors import EventBudgetExhausted, NetworkError
 from repro.net.simulator import Network
 from repro.systems import HybridSystem
@@ -44,7 +45,9 @@ class TestBudgetExhaustion:
     def test_diagnostics_name_the_stuck_queries(self):
         """A serving run cut off mid-flight reports which queries were
         still open and what each peer was holding."""
-        system = HybridSystem.from_scenario(hybrid_scenario(), cache_enabled=False)
+        system = HybridSystem.from_scenario(
+            hybrid_scenario(), config=PeerConfig(cache_enabled=False)
+        )
         system.run()  # settle advertisements within their own budget
         spec = WorkloadSpec(
             queries=(("P1", PAPER_QUERY),), count=8, mode="open",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.rdf import Graph, InferredView, Namespace, TYPE
 from repro.rql.evaluator import evaluate_pattern
+from repro.config import PeerConfig
 from repro.systems import HybridSystem
 from repro.workloads.paper import N1, PAPER_QUERY, paper_query_pattern, paper_schema
 
@@ -53,13 +54,13 @@ def centralised(bases):
 
 
 def run_distributed(bases, pipelined: bool, chunk_rows):
-    system = HybridSystem(SCHEMA)
+    system = HybridSystem(
+        SCHEMA,
+        config=PeerConfig(pipelined_execution=pipelined, stream_chunk_rows=chunk_rows),
+    )
     system.add_super_peer("SP1")
     for peer_id, graph in bases.items():
         system.add_peer(peer_id, graph, "SP1")
-    for peer in system.peers.values():
-        peer.pipelined_execution = pipelined
-        peer.stream_chunk_rows = chunk_rows
     try:
         return system.query("A", PAPER_QUERY)
     except Exception:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.errors import PeerError
 from repro.systems import HybridSystem
 from repro.workloads.paper import DATA, N1, PAPER_QUERY, hybrid_scenario
@@ -97,7 +98,7 @@ class TestAdaptivity:
 
     def test_non_adaptive_mode_fails_fast(self):
         scenario = hybrid_scenario()
-        system = HybridSystem.from_scenario(scenario, adaptive=False)
+        system = HybridSystem.from_scenario(scenario, config=PeerConfig(adaptive=False))
         system.run()
         system.network.fail_peer("P2")
         with pytest.raises(PeerError):

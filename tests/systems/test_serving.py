@@ -3,6 +3,7 @@ scheduling and the workload driver, on both architectures."""
 
 import pytest
 
+from repro.config import PeerConfig
 from repro.systems import AdhocSystem, HybridSystem
 from repro.workload_engine import AdmissionControl, WorkloadSpec
 from repro.workloads.paper import PAPER_QUERY, adhoc_scenario, hybrid_scenario
@@ -71,7 +72,9 @@ class TestAdmissionControl:
 
     def test_saturation_sheds_with_retry_after(self):
         # cold caches so repeated texts cannot coalesce behind a leader
-        system = HybridSystem.from_scenario(hybrid_scenario(), cache_enabled=False)
+        system = HybridSystem.from_scenario(
+            hybrid_scenario(), config=PeerConfig(cache_enabled=False)
+        )
         system.enable_admission(
             AdmissionControl(max_concurrent=1, max_queued=1, retry_after=7.0)
         )
@@ -84,7 +87,9 @@ class TestAdmissionControl:
         assert all("retry after" in o.error for o in shed)
 
     def test_shed_queries_recover_via_resubmission(self):
-        system = HybridSystem.from_scenario(hybrid_scenario(), cache_enabled=False)
+        system = HybridSystem.from_scenario(
+            hybrid_scenario(), config=PeerConfig(cache_enabled=False)
+        )
         system.enable_admission(
             AdmissionControl(max_concurrent=1, max_queued=1, retry_after=7.0)
         )
@@ -94,7 +99,9 @@ class TestAdmissionControl:
         assert any(o.shed_retries > 0 for o in report.outcomes)
 
     def test_deadline_cancels_stragglers(self):
-        system = HybridSystem.from_scenario(hybrid_scenario(), cache_enabled=False)
+        system = HybridSystem.from_scenario(
+            hybrid_scenario(), config=PeerConfig(cache_enabled=False)
+        )
         system.enable_admission(
             AdmissionControl(max_concurrent=8, max_queued=8, deadline=2.0)
         )
@@ -182,7 +189,9 @@ class TestRouteBusy:
     def test_route_saturation_backs_off_and_recovers(self):
         """When the super-peer's routing queue overflows, coordinators
         back off on RouteBusy and retry instead of failing."""
-        system = HybridSystem.from_scenario(hybrid_scenario(), cache_enabled=False)
+        system = HybridSystem.from_scenario(
+            hybrid_scenario(), config=PeerConfig(cache_enabled=False)
+        )
         system.enable_admission(
             AdmissionControl(
                 max_concurrent=16, max_queued=1, retry_after=3.0,

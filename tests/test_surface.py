@@ -1,0 +1,81 @@
+"""A ratchet on the configuration surface of ``src/``.
+
+ROADMAP aim 2 calls these numbers "to push *down*": each ceiling is what
+the tree measured when it was last lowered.  A change that raises a
+count fails here; one that lowers it should lower the ceiling with it.
+Everything is counted on the syntax tree, never by ``grep``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: fields of ``PeerConfig`` — every independently settable peer value
+#: (a nested policy object, ``ResilienceConfig`` / ``AdmissionControl`` /
+#: ``ReplanBudget``, is handed over whole and counts once)
+MAX_PEER_CONFIG_FIELDS = 18
+#: ``**kwargs``-style parameters under ``systems/`` and ``peers/``:
+#: options reach a peer as one ``config=`` value, never threaded
+MAX_VAR_KEYWORD_PARAMETERS = 0
+#: ``getattr(x, "name", default)`` probes of attributes that may not exist
+MAX_THREE_ARGUMENT_GETATTRS = 26
+#: command-line flags (``cli.py`` 91 + ``deploy/node.py`` 10)
+MAX_ADD_ARGUMENT_CALLS = 101
+
+
+def _trees(*packages):
+    roots = [SRC / package for package in packages] if packages else [SRC]
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _calls(tree):
+    return (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+def test_peer_config_fields():
+    tree = ast.parse((SRC / "config.py").read_text())
+    (config,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "PeerConfig"
+    ]
+    fields = [
+        statement.target.id for statement in config.body
+        if isinstance(statement, ast.AnnAssign)
+    ]
+    assert len(fields) <= MAX_PEER_CONFIG_FIELDS, fields
+
+
+def test_no_keyword_threading_through_systems_and_peers():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}(**{node.args.kwarg.arg})"
+        for path, tree in _trees("systems", "peers")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.args.kwarg is not None
+    ]
+    assert len(found) <= MAX_VAR_KEYWORD_PARAMETERS, found
+
+
+def test_three_argument_getattr_sites():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Name)
+        and call.func.id == "getattr"
+        and len(call.args) == 3
+    ]
+    assert len(found) <= MAX_THREE_ARGUMENT_GETATTRS, found
+
+
+def test_command_line_flags():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument"
+    ]
+    assert len(found) <= MAX_ADD_ARGUMENT_CALLS, len(found)
