@@ -267,16 +267,6 @@ class ChannelManager:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def redirect(self, channel_id: str, callback: ChannelCallback) -> None:
-        """Replace an open channel's continuation.
-
-        Used by the phased execution policy: when a plan changes, the
-        still-open channels of the old phase keep collecting into the
-        scan cache instead of being discarded."""
-        channel = self._channels.get(channel_id)
-        if channel is not None:
-            channel.callback = callback
-
     def discard(self, channel_id: str) -> None:
         """Close a channel without invoking its continuation (the ubQL
         discard used when a replan abandons on-going computation).

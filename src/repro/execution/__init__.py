@@ -2,7 +2,7 @@
 
 from .batch import BindingBatch, concat_tables
 from .encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
-from .engine import Completion, ExecutorHost, PlanExecutor
+from .engine import Completion, ExecutionStrategy, ExecutorHost, PlanExecutor
 from .operators import finalize_encoded, vjoin_all_distinct, vunion_all_distinct
 
 __all__ = [
@@ -10,6 +10,7 @@ __all__ = [
     "Completion",
     "EncodedBase",
     "EncodedTable",
+    "ExecutionStrategy",
     "ExecutorHost",
     "PlanExecutor",
     "concat_tables",

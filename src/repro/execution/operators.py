@@ -87,7 +87,8 @@ def vjoin_all_distinct(
     return result.to_table()
 
 
-def _referenced_columns(condition: Condition) -> set:
+def referenced_columns(condition: Condition) -> set:
+    """The variables a WHERE condition reads."""
     referenced = {condition.variable}
     if condition.value_is_variable:
         referenced.add(str(condition.value))
@@ -152,7 +153,7 @@ def finalize_encoded(
     batch = BindingBatch.from_table(table)
     columns = set(batch.columns)
     for condition in conditions:
-        if not _referenced_columns(condition).issubset(columns):
+        if not referenced_columns(condition).issubset(columns):
             continue
         batch = batch.compress(_encoded_condition_mask(batch, condition, dictionary))
     available = [c for c in projections if c in columns]

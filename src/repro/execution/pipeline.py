@@ -1,29 +1,78 @@
-"""Incremental (pipelined) operators over streamed binding chunks.
+"""The operators a plan walk builds at a ``Join``/``Union`` node.
 
-Section 2.5 credits the distributed plan shape with "the ability to
-evaluate this plan in a pipeline way": with peers streaming result
-chunks (``DataPacket(final=False)``), joins and unions can emit output
-as soon as matching inputs meet, instead of blocking on complete
-inputs.  The observable win is **time to first result**.
+:class:`~repro.execution.engine.PlanExecutor` walks a plan once; what
+it builds at an inner node is the only thing that differs between the
+two ways of running it.  Both families have the same shape — ``n``
+inputs, each fed chunks through ``input(i)``'s ``feed`` and closed by
+its ``finish``, one ``emit`` downstream, ``done`` once every input is
+closed — so the walk wires either up the same way:
 
-:class:`IncrementalHashJoin` is a symmetric hash join: every arriving
-chunk probes the opposite side's hash table (emitting matches
-immediately) and is then inserted into its own side.  N-ary joins
-cascade binary stages; unions re-emit chunks aligned to canonical
-column order.
+* **gather** — :class:`BlockingCombine` holds each input's table and
+  runs one vectorized kernel (``vjoin_all_distinct`` /
+  ``vunion_all_distinct``, eager de-duplication and dead-column
+  pruning) when its last input closes.
+* **streaming** — Section 2.5's "ability to evaluate this plan in a
+  pipeline way": with peers streaming result chunks
+  (``DataPacket(final=False)``), :class:`JoinCascade` (symmetric hash
+  joins: every arriving chunk probes the opposite side's hash table,
+  emits the matches, then builds its own side) and
+  :class:`IncrementalUnion` (chunks re-emitted in canonical column
+  order) emit output as soon as matching inputs meet.  The observable
+  win is **time to first result**.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
 from ..rql.bindings import BindingTable
 from .batch import BindingBatch
+from .operators import vjoin_all_distinct, vunion_all_distinct
 
 #: Downstream consumer of emitted output chunks.
 Emit = Callable[[BindingTable], None]
+#: One operator input: (feed a chunk, close the input).
+Input = Tuple[Emit, Callable[[], None]]
+
+
+class BlockingCombine:
+    """The gather family: hold each input's table, combine them once.
+
+    Args:
+        union: Combine by ``vunion_all_distinct``, else by
+            ``vjoin_all_distinct``.
+        inputs: Number of inputs; each is fed exactly one table.
+        needed: The columns the rest of the query references (``None``
+            keeps every column) — handed to the kernel, which prunes
+            the others before de-duplicating.
+        emit: Called once, with the combined table, when the last
+            input closes.
+    """
+
+    def __init__(self, union: bool, inputs: int, needed: Optional[set], emit: Emit):
+        self._kernel = vunion_all_distinct if union else vjoin_all_distinct
+        self._tables: List[Optional[BindingTable]] = [None] * inputs
+        self._remaining = inputs
+        self._needed = needed
+        self._emit = emit
+
+    def input(self, index: int) -> Input:
+        return partial(self._store, index), self._finish_one
+
+    def _store(self, index: int, table: BindingTable) -> None:
+        self._tables[index] = table
+
+    def _finish_one(self) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._emit(self._kernel(self._tables, self._needed))
+
+    @property
+    def done(self) -> bool:
+        return self._remaining == 0
 
 
 class IncrementalHashJoin:
@@ -55,7 +104,6 @@ class IncrementalHashJoin:
         self._right_rows: Dict[tuple, List[dict]] = defaultdict(list)
         self._left_done = False
         self._right_done = False
-        self.rows_emitted = 0
 
     # ------------------------------------------------------------------
     # feeding
@@ -86,7 +134,6 @@ class IncrementalHashJoin:
                 out.append_binding(merged)
             own_store[key if self.shared else ()].append(binding)
         if out:
-            self.rows_emitted += len(out)
             self._emit(out)
 
     # ------------------------------------------------------------------
@@ -112,7 +159,6 @@ class IncrementalUnion:
         self.columns = tuple(columns)
         self._emit = emit
         self._remaining = inputs
-        self.rows_emitted = 0
 
     def feed(self, chunk: BindingTable) -> None:
         if set(chunk.columns) != set(self.columns):
@@ -125,11 +171,13 @@ class IncrementalUnion:
             # column-wise header reorder, no per-row work
             aligned = BindingBatch.from_table(chunk).align(self.columns).to_table()
         if aligned:
-            self.rows_emitted += len(aligned)
             self._emit(aligned)
 
     def finish_one(self) -> None:
         self._remaining -= 1
+
+    def input(self, index: int) -> Input:
+        return self.feed, self.finish_one
 
     @property
     def done(self) -> bool:
@@ -181,6 +229,38 @@ class JoinCascade:
     def finish(self, input_index: int) -> None:
         self._inputs_done[input_index] = True
 
+    def input(self, index: int) -> Input:
+        return partial(self.feed, index), partial(self.finish, index)
+
     @property
     def done(self) -> bool:
         return all(self._inputs_done)
+
+
+def _pruned(emit: Emit, columns: Sequence[str], needed: Optional[set]) -> Emit:
+    """``emit`` behind a projection onto the ``needed`` columns."""
+    if needed is None:
+        return emit
+    keep = [c for c in columns if c in needed]
+    if len(keep) == len(columns):
+        return emit
+    return lambda chunk: emit(chunk.project(keep))
+
+
+def streaming_operator(
+    union: bool,
+    input_columns: Sequence[Sequence[str]],
+    needed: Optional[set],
+    emit: Emit,
+):
+    """The incremental operator of a ``Union`` (``union``) or ``Join``
+    node whose inputs emit ``input_columns``; its output chunks are cut
+    down to the ``needed`` columns on the way out."""
+    if union or len(input_columns) == 1:
+        # a single-input join passes its input through, as a union does
+        columns = tuple(input_columns[0])
+        return IncrementalUnion(
+            columns, len(input_columns), _pruned(emit, columns, needed)
+        )
+    columns = tuple(dict.fromkeys(c for cols in input_columns for c in cols))
+    return JoinCascade(input_columns, _pruned(emit, columns, needed))

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 from ..errors import EventBudgetExhausted, NetworkError
 from ..metrics.collectors import MetricSet
 from ..obs.collect import TraceCollector
+from ..obs.gauges import node_load
 from ..obs.telemetry.flightrec import FlightRecorder
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..resilience.faults import FaultInjector, FaultPlan
@@ -369,16 +370,16 @@ class Network:
         """
         per_peer: Dict[str, Dict[str, int]] = {}
         for peer_id in sorted(self._nodes):
-            node = self._nodes[peer_id]
+            load = node_load(self._nodes[peer_id])
             gauges = {
-                "pending_queries": len(getattr(node, "_pending", ())),
-                "queued_queries": len(getattr(node, "_admission_queue", ())),
-                "queued_route_requests": len(getattr(node, "_route_queue", ())),
+                name: load[name]
+                for name in (
+                    "pending_queries",
+                    "queued_queries",
+                    "queued_route_requests",
+                    "open_channels",
+                )
             }
-            channels = getattr(node, "channels", None)
-            gauges["open_channels"] = (
-                len(channels.open_channels()) if channels is not None else 0
-            )
             if any(gauges.values()):
                 per_peer[peer_id] = gauges
         oldest = getattr(self.transport, "oldest_pending_at", lambda: None)()

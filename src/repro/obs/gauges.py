@@ -12,29 +12,33 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable
 
 
-def _gauges_for(peer) -> Dict[str, Any]:
-    channels = getattr(peer, "channels", None)
-    quarantine = getattr(peer, "quarantine", None)
-    scheduler = getattr(peer, "scheduler", None)
-    return {
-        "pending_queries": len(getattr(peer, "_pending", ())),
-        "open_channels": len(channels.open_channels()) if channels is not None else 0,
-        "quarantined_peers": len(quarantine) if quarantine is not None else 0,
-        "known_advertisements": len(getattr(peer, "known_advertisements", ())),
-        # workload engine: admission queue depths and scheduler backlog
-        "queued_queries": len(getattr(peer, "_admission_queue", ())),
-        "queued_route_requests": len(getattr(peer, "_route_queue", ())),
-        "scheduler_backlog": scheduler.pending() if scheduler is not None else 0,
-    }
+#: what a node that declares no load reads as
+IDLE = {
+    "pending_queries": 0,
+    "open_channels": 0,
+    "quarantined_peers": 0,
+    "known_advertisements": 0,
+    # workload engine: admission queue depths and scheduler backlog
+    "queued_queries": 0,
+    "queued_route_requests": 0,
+    "scheduler_backlog": 0,
+}
+
+
+def node_load(node) -> Dict[str, Any]:
+    """``node.load()`` — every :class:`~repro.peers.base.Peer` declares
+    one; a foreign node registered on the network without it is idle."""
+    load = getattr(node, "load", None)
+    return load() if load is not None else dict(IDLE)
 
 
 def peer_gauges(peers: Iterable) -> Dict[str, Dict[str, Any]]:
     """Gauge snapshot for every peer, keyed by peer id.
 
     Accepts any iterable of peer objects (simple peers, super-peers,
-    clients); attributes a role does not have read as zero.
+    clients); what a role does not have reads as zero.
     """
-    return {peer.peer_id: _gauges_for(peer) for peer in peers}
+    return {peer.peer_id: node_load(peer) for peer in peers}
 
 
 def system_gauges(system) -> Dict[str, Dict[str, Any]]:

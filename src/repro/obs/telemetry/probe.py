@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..collect import validate_trace
 from ..exposition import render_prometheus
-from ..gauges import peer_gauges
+from ..gauges import node_load, peer_gauges
 from .sampler import TelemetrySample, sample_metricset
 
 #: schema tags of the JSON payloads (shared by live endpoints)
@@ -83,10 +83,7 @@ class TelemetryProbe:
             if channels is not None and hasattr(channels, "epoch"):
                 incarnations[peer.peer_id] = channels.epoch
         advertisements = max(
-            (
-                len(getattr(peer, "known_advertisements", ()) or ())
-                for peer in self.peers
-            ),
+            (node_load(peer)["known_advertisements"] for peer in self.peers),
             default=0,
         )
         health = {

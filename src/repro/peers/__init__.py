@@ -2,6 +2,7 @@
 
 from .base import Peer, PeerBase
 from .client import ClientPeer
+from .coordinator import PendingQuery, QueryCoordinator
 from .protocol import (
     Advertise,
     AdvertisementReply,
@@ -12,7 +13,7 @@ from .protocol import (
     RouteReply,
     RouteRequest,
 )
-from .simple import PendingQuery, SimplePeer
+from .simple import SimplePeer
 from .son import SONRegistry
 from .super import SuperPeer
 
@@ -25,6 +26,7 @@ __all__ = [
     "Peer",
     "PeerBase",
     "PendingQuery",
+    "QueryCoordinator",
     "QueryResult",
     "QuerySubmit",
     "RouteReply",

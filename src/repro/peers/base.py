@@ -9,23 +9,27 @@ and message dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..channels.manager import ChannelManager
 from ..channels.packets import DataPacket, StatsPacket, SubPlanPacket
 from ..config import DEFAULT_CONFIG, PeerConfig
-from ..core.algebra import Scan
+from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
 from ..execution.encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
-from ..execution.engine import PlanExecutor
+from ..execution.engine import Completion, ExecutionStrategy, PlanExecutor
 from ..net.message import DeliveryFailure, Message
 from ..net.simulator import Network
+from ..obs.gauges import IDLE
 from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rql.bindings import BindingTable
 from ..rvl.active_schema import ActiveSchema
 from ..rvl.view import ViewDefinition
+
+if TYPE_CHECKING:
+    from .coordinator import PendingQuery
 
 #: completed subplans remembered for retransmit replay (per peer)
 SUBPLAN_REPLAY_LIMIT = 128
@@ -169,13 +173,25 @@ class Peer:
         self.scheduler = scheduler
         self.channels.bind_scheduler(scheduler)
 
-    def _schedule_work(self, query_id: str, unit) -> None:
+    def schedule_work(self, query_id: str, unit) -> None:
         """Run ``unit`` through the fair scheduler when one is
         installed; immediately otherwise."""
         if self.scheduler is None:
             unit()
         else:
             self.scheduler.submit(query_id or self.peer_id, unit)
+
+    def load(self) -> Dict[str, int]:
+        """Point-in-time load gauges (``Network.diagnostics`` and
+        :mod:`repro.obs.gauges` read these): what every role has here,
+        the rest idle until a role overrides it."""
+        return {
+            **IDLE,
+            "open_channels": len(self.channels),
+            "scheduler_backlog": (
+                self.scheduler.pending() if self.scheduler is not None else 0
+            ),
+        }
 
     def all_bases(self) -> tuple:
         """Primary base first, then the secondary ones."""
@@ -283,19 +299,64 @@ class Peer:
                 ),
             )
 
-        executor = PlanExecutor(
-            self,
-            self._require_network(),
+        executor = self.plan_executor(
             packet.plan,
+            on_complete,
             sites=packet.sites,
             query_id=packet.query_id,
-            on_complete=on_complete,
-            retry=self.config.resilience.channel_retry,
             # stitch this remote execution under the shipped channel
             # span: the arriving message carries the root's context
             trace=message.trace,
         )
-        self._schedule_work(packet.query_id, executor.start)
+        self.schedule_work(packet.query_id, executor.start)
+
+    def plan_executor(
+        self,
+        plan: PlanNode,
+        on_complete: Completion,
+        sites=None,
+        query_id: str = "",
+        trace=None,
+        query: Optional["PendingQuery"] = None,
+    ) -> PlanExecutor:
+        """An executor for ``plan`` at this peer, not yet started — the
+        one place an executor is built, and where an attempt's
+        :class:`ExecutionStrategy` is decided.
+
+        A hosted subplan or delegated plan gathers, discards on failure
+        and keeps its raw width (its table is a contract with the
+        channel root).  A coordinator passes the ``query`` it runs the
+        plan for, and the configuration applies: ``pipelined_execution``
+        streams, ``failure_policy="phased"`` carries the query's scan
+        cache across attempts, and ``topk_cancel`` stops a ``LIMIT k``
+        query once k answer rows exist — which needs streaming to see
+        rows early, and no ``ORDER BY``: every operator is monotone, so
+        the first k distinct finalised rows are stable under any
+        completion order, while ranked top-k needs every candidate.
+        """
+        config = self.config
+        stream, cache, stop, needed = False, None, None, None
+        if query is not None:
+            limit = query.constraints.max_results
+            if (
+                config.topk_cancel
+                and limit is not None
+                and query.constraints.order_by is None
+            ):
+
+                def stop(merged: BindingTable) -> bool:
+                    return len(query.shape(merged, self.dictionary)) >= limit
+
+            stream = config.pipelined_execution or stop is not None
+            if config.failure_policy == "phased":
+                cache = query.scan_cache
+            needed = query.needed()
+        strategy = ExecutionStrategy(
+            stream, cache, stop, config.resilience.channel_retry, needed, trace
+        )
+        return PlanExecutor(
+            self, self._require_network(), plan, sites, query_id, on_complete, strategy
+        )
 
     def _stream_packets(self, root: str, channel_id: str, packets: list) -> None:
         """Ship result packets.

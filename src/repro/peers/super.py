@@ -111,6 +111,13 @@ class SuperPeer(Peer):
         # honest: entries must never resurrect a peer known to be down
         network.add_liveness_listener(self._on_liveness)
 
+    def load(self) -> Dict[str, int]:
+        return {
+            **super().load(),
+            "quarantined_peers": len(self.quarantine),
+            "queued_route_requests": len(self._route_queue),
+        }
+
     # ------------------------------------------------------------------
     # liveness / suspicion
     # ------------------------------------------------------------------

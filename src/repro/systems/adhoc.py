@@ -27,12 +27,12 @@ from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
 from ..peers.base import PeerBase
 from ..peers.protocol import (
-    AdvertisementReply,
     AdvertisementRequest,
     DelegatedResult,
     PartialPlan,
 )
-from ..peers.simple import PendingQuery, SimplePeer
+from ..peers.coordinator import PendingQuery
+from ..peers.simple import SimplePeer
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rql.bindings import BindingTable
@@ -104,10 +104,8 @@ class AdhocPeer(SimplePeer):
             self.send(neighbour, AdvertisementRequest(self.peer_id, depth))
 
     def handle_AdvertisementRequest(self, message: Message) -> None:
+        super().handle_AdvertisementRequest(message)
         request: AdvertisementRequest = message.payload
-        own = self.own_advertisement()
-        schemas = (own,) if own is not None else ()
-        self.send(request.requester, AdvertisementReply(tuple(schemas), self.peer_id))
         if request.depth > 1:
             for neighbour in self.neighbours:
                 if neighbour not in (request.requester, message.src):
@@ -162,7 +160,7 @@ class AdhocPeer(SimplePeer):
         delegates, lost results): stop waiting and deepen discovery as
         if every outstanding branch had declined.  Late answers are
         still accepted — first winner takes the query either way."""
-        pending = self._pending.get(query_id)
+        pending = self.coordinator.get(query_id)
         if pending is None:
             return  # answered in the meantime
         if self._delegation_rounds.get(query_id) != round_no:
@@ -189,20 +187,24 @@ class AdhocPeer(SimplePeer):
         if self.dht is not None and pending.query_id not in self._dht_attempted:
             self._dht_attempted.add(pending.query_id)
             if self._dht_discover(pending):
-                self._obtain_routing(pending)
+                self.coordinator.route(pending)
                 return
         depth = self._discovery_depth.get(pending.query_id, 1) + 1
         if depth > self.config.max_discovery_depth:
             # discovery exhausted: degrade to whatever this peer can
             # answer itself (partial results, when enabled) or error out
-            self._give_up(pending, "no relevant peers within discovery depth")
+            self.coordinator.give_up(
+                pending, "no relevant peers within discovery depth"
+            )
             return
         self._discovery_depth[pending.query_id] = depth
         pending.span.annotate(f"deepen discovery to depth {depth}")
         self.discover_neighbourhood(depth)
         network = self._require_network()
         settle = DISCOVERY_SETTLE_TIME * depth
-        network.call_later(settle, lambda: self._retry_after_discovery(pending.query_id))
+        network.call_later(
+            settle, lambda: self.coordinator.retry_routing(pending.query_id)
+        )
 
     def _dht_discover(self, pending: PendingQuery) -> bool:
         """Look the query's patterns up in the schema DHT; returns True
@@ -218,12 +220,6 @@ class AdhocPeer(SimplePeer):
                     self.remember_advertisement(advertisement)
                     learned = True
         return learned
-
-    def _retry_after_discovery(self, query_id: str) -> None:
-        pending = self._pending.get(query_id)
-        if pending is None:
-            return  # answered in the meantime
-        self._obtain_routing(pending)
 
     # ------------------------------------------------------------------
     # receiving a partial plan: fill holes with local knowledge
@@ -251,14 +247,14 @@ class AdhocPeer(SimplePeer):
         guard = (partial.query_id, self.peer_id)
         if guard in self._seen_partials:
             span.finish("declined")
-            self._decline(partial)
+            self._report(partial, error="cannot complete plan")
             return
         self._seen_partials.add(guard)
         # one local routing pass (cached when the cache is on) feeds
         # both the knowledge merge and the forward-candidate choice
-        local = self._route_local(partial.pattern, trace=span.context())
+        local = self.coordinator.route_local(partial.pattern, trace=span.context())
         merged = self._merge_knowledge(partial, local)
-        plan = self._compile(merged, trace=span.context())
+        plan = self.coordinator.plan_for(merged, trace=span.context())
         if plan.is_complete():
             self._execute_delegated(partial, plan, span)
             return
@@ -269,7 +265,7 @@ class AdhocPeer(SimplePeer):
         candidates = self._forward_candidates(local, visited)
         if not candidates:
             span.finish("declined")
-            self._decline(partial)
+            self._report(partial, error="cannot complete plan")
             return
         # forward onward; account the extra branches at the root's sender
         for candidate in candidates:
@@ -291,16 +287,7 @@ class AdhocPeer(SimplePeer):
         # this peer neither completed nor declined: the forwards replace
         # its own obligation, so tell the root about the fan-out delta
         if len(candidates) > 1:
-            self.send(
-                partial.reply_to,
-                DelegatedResult(
-                    partial.query_id,
-                    None,
-                    self.peer_id,
-                    error=f"forwarded:{len(candidates) - 1}",
-                    token=self._new_token(),
-                ),
-            )
+            self._report(partial, error=f"forwarded:{len(candidates) - 1}")
 
     def _merge_knowledge(
         self,
@@ -310,7 +297,7 @@ class AdhocPeer(SimplePeer):
         """Annotations from the incoming plan's scans plus this peer's
         own routing knowledge — the interleaving step."""
         if local is None:
-            local = self._route_local(partial.pattern)
+            local = self.coordinator.route_local(partial.pattern)
         from_plan = AnnotatedQueryPattern(partial.pattern)
         for node in partial.plan.walk():
             if not isinstance(node, Scan):
@@ -332,59 +319,30 @@ class AdhocPeer(SimplePeer):
         """This peer filled every hole: execute and ship raw results to
         the root ("the first peer that is able to fill all the holes...
         holds also the responsibility of executing it")."""
-        from ..execution.engine import PlanExecutor
-
-        network = self._require_network()
 
         def on_complete(table: Optional[BindingTable], failed: Optional[str]) -> None:
             if failed is not None:
                 self.suspect_peer(failed)
                 span.finish("failed")
-                self.send(
-                    partial.reply_to,
-                    DelegatedResult(
-                        partial.query_id,
-                        None,
-                        self.peer_id,
-                        error=f"peer {failed} failed",
-                        token=self._new_token(),
-                    ),
-                )
+                self._report(partial, error=f"peer {failed} failed")
             else:
-                assert table is not None
                 # the root's dictionary differs from this peer's: raw
                 # delegated bindings ship as terms
                 table = decode_cells(table, self.dictionary)
                 span.set(rows=len(table))
                 span.finish()
-                self.send(
-                    partial.reply_to,
-                    DelegatedResult(
-                        partial.query_id, table, self.peer_id,
-                        token=self._new_token(),
-                    ),
-                )
+                self._report(partial, table)
 
-        executor = PlanExecutor(
-            self,
-            network,
-            plan,
-            query_id=partial.query_id,
-            on_complete=on_complete,
-            retry=self.config.resilience.channel_retry,
-            trace=span.context(),
-        )
-        executor.start()
+        self.plan_executor(
+            plan, on_complete, query_id=partial.query_id, trace=span.context()
+        ).start()
 
-    def _decline(self, partial: PartialPlan) -> None:
+    def _report(self, partial: PartialPlan, table=None, error=None) -> None:
+        """Tell the root how this branch of its delegation ended."""
         self.send(
             partial.reply_to,
             DelegatedResult(
-                partial.query_id,
-                None,
-                self.peer_id,
-                error="cannot complete plan",
-                token=self._new_token(),
+                partial.query_id, table, self.peer_id, error, self._new_token()
             ),
         )
 
@@ -393,7 +351,7 @@ class AdhocPeer(SimplePeer):
     # ------------------------------------------------------------------
     def handle_DelegatedResult(self, message: Message) -> None:
         result: DelegatedResult = message.payload
-        pending = self._pending.get(result.query_id)
+        pending = self.coordinator.get(result.query_id)
         if pending is None:
             return  # already answered: first winner took it
         if result.token:
@@ -403,7 +361,9 @@ class AdhocPeer(SimplePeer):
                 return
             seen.add(result.token)
         if result.table is not None:
-            self._reply_result(pending, encode_cells(result.table, self.dictionary))
+            self.coordinator.finalize(
+                pending, encode_cells(result.table, self.dictionary)
+            )
             self._delegations.pop(result.query_id, None)
             self._seen_delegated.pop(result.query_id, None)
             return

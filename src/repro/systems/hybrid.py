@@ -21,7 +21,8 @@ from ..net.simulator import Network
 from ..resilience import RESILIENCE_OFF, HeartbeatEmitter
 from ..peers.base import PeerBase
 from ..peers.protocol import Advertise, RouteBusy, RouteReply, RouteRequest
-from ..peers.simple import PendingQuery, SimplePeer
+from ..peers.coordinator import PendingQuery
+from ..peers.simple import SimplePeer
 from ..peers.super import SuperPeer
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
@@ -82,22 +83,25 @@ class HybridPeer(SimplePeer):
         pending.routing_attempts += 1
         # one span per routing round: the super-peer's route span (and
         # any backbone hops) stitch under it via the request's context
-        pending.routing_span = self._tracer().start_span(
+        pending.routing_span = self._require_network().tracer.start_span(
             "routing",
             peer=self.peer_id,
             parent=pending.span.context(),
             mode="super-peer",
             target=target,
         )
+        self._request_route(pending, target)
+        if self.config.resilience.routing_retry is not None:
+            self._arm_routing_timeout(
+                pending.query_id, target, pending.routing_attempts, 1
+            )
+
+    def _request_route(self, pending: PendingQuery, target: str) -> None:
         self.send(
             target,
             RouteRequest(pending.query_id, pending.pattern, self.peer_id),
             trace=pending.routing_span.context(),
         )
-        if self.config.resilience.routing_retry is not None:
-            self._arm_routing_timeout(
-                pending.query_id, target, pending.routing_attempts, 1
-            )
 
     def _arm_routing_timeout(
         self, query_id: str, target: str, round_no: int, attempt: int
@@ -109,7 +113,7 @@ class HybridPeer(SimplePeer):
         retry = self.config.resilience.routing_retry
 
         def check() -> None:
-            pending = self._pending.get(query_id)
+            pending = self.coordinator.get(query_id)
             if pending is None or not pending.awaiting_routing:
                 return
             if pending.routing_attempts != round_no:
@@ -117,16 +121,12 @@ class HybridPeer(SimplePeer):
             if retry.attempts_left(attempt + 1):
                 network.metrics.record_retry()
                 pending.routing_span.annotate(f"retry attempt={attempt + 1}")
-                self.send(
-                    target,
-                    RouteRequest(query_id, pending.pattern, self.peer_id),
-                    trace=pending.routing_span.context(),
-                )
+                self._request_route(pending, target)
                 self._arm_routing_timeout(query_id, target, round_no, attempt + 1)
             else:
                 self.suspect_peer(target)
                 pending.routing_span.finish("timeout")
-                self._give_up(pending, f"routing via {target} timed out")
+                self.coordinator.give_up(pending, f"routing via {target} timed out")
 
         network.call_later(retry.timeout(attempt), check)
 
@@ -135,13 +135,15 @@ class HybridPeer(SimplePeer):
         and re-send, up to :data:`ROUTE_BUSY_BUDGET` times per routing
         round, then give up (degrade to a partial answer or error)."""
         busy: RouteBusy = message.payload
-        pending = self._pending.get(busy.query_id)
+        pending = self.coordinator.get(busy.query_id)
         if pending is None or not pending.awaiting_routing:
             return  # answered or superseded in the meantime
         pending.routing_busy_retries += 1
         if pending.routing_busy_retries > ROUTE_BUSY_BUDGET:
             pending.routing_span.finish("busy")
-            self._give_up(pending, f"routing via {message.src} is overloaded")
+            self.coordinator.give_up(
+                pending, f"routing via {message.src} is overloaded"
+            )
             return
         network = self._require_network()
         network.metrics.record_retry()
@@ -152,23 +154,19 @@ class HybridPeer(SimplePeer):
         target = message.src
 
         def resend() -> None:
-            current = self._pending.get(busy.query_id)
+            current = self.coordinator.get(busy.query_id)
             if current is None or not current.awaiting_routing:
                 return
             if current.routing_attempts != round_no:
                 return  # a replan already started a newer routing round
-            self.send(
-                target,
-                RouteRequest(busy.query_id, current.pattern, self.peer_id),
-                trace=current.routing_span.context(),
-            )
+            self._request_route(current, target)
 
         network.call_later(busy.retry_after, resend)
 
     def handle_RouteReply(self, message: Message) -> None:
         """Phase 2: generate the plan and execute it."""
         reply: RouteReply = message.payload
-        pending = self._pending.get(reply.query_id)
+        pending = self.coordinator.get(reply.query_id)
         if pending is None:
             return  # stale reply for an already-answered query
         if not pending.awaiting_routing:
@@ -176,7 +174,7 @@ class HybridPeer(SimplePeer):
         pending.awaiting_routing = False
         pending.routing_span.set(peers=len(reply.annotated.all_peers()))
         pending.routing_span.finish()
-        self._on_annotated(pending, reply.annotated)
+        self.coordinator.compile(pending, reply.annotated)
 
 
 class HybridSystem(Deployment):

@@ -3,9 +3,10 @@
 Fault-free runs of the same query over the same deployment must return
 the same binding multiset regardless of *how* the plan was evaluated:
 optimizer rewrites (join/union distribution, same-peer merging),
-shipping choices and batch size are all answer-preserving
-transformations.  Coverage annotations on
-degraded (partial) answers must be invariant too.
+shipping choices, batch size and gathering versus streaming — alone or
+composed with placement — are all answer-preserving transformations.
+Coverage annotations on degraded (partial) answers must be invariant
+too.
 """
 
 from dataclasses import replace
@@ -36,6 +37,19 @@ VARIANTS = [
     ("batch-1-unoptimized", {"batch_size": 1, "optimize_plans": False}),
 ]
 
+#: Streaming composed with placement, chunked so operators really see
+#: several chunks per input (also run on the ad-hoc architecture).
+STREAMING_VARIANTS = [
+    (name, {**options, "stream_chunk_rows": 3})
+    for name, options in (
+        ("pipelined", {"pipelined_execution": True}),
+        ("pipelined-shipping", {"pipelined_execution": True, "use_shipping": True}),
+        ("pipelined-cost", {"pipelined_execution": True, "cost_based": True}),
+        ("topk-shipping", {"topk_cancel": True, "use_shipping": True}),
+    )
+]
+VARIANTS += STREAMING_VARIANTS
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_variants_agree_hybrid(seed):
@@ -64,13 +78,32 @@ def test_variants_agree_adhoc(seed):
     via = workload.peer_ids[-1]
     for text in workload.queries:
         reference = centralized_answer(workload, text)
-        for name, options in VARIANTS[:6]:
+        for name, options in VARIANTS[:6] + STREAMING_VARIANTS:
             system = build_adhoc(workload, **options)
             actual = distributed_answer(system, via, text)
             if actual is None:
                 assert len(reference) == 0
                 continue
             assert actual == reference, f"adhoc variant {name} diverged (seed {seed})"
+
+
+@pytest.mark.parametrize("build", [build_hybrid, build_adhoc])
+def test_topk_stop_composes_with_placement(build):
+    """``LIMIT k`` without ``ORDER BY`` under ``topk_cancel`` forces the
+    streaming operators; with placement on, the k rows must still be k
+    distinct rows of the full answer."""
+    workload = make_workload(1, queries=3)
+    (_, options), = [v for v in STREAMING_VARIANTS if v[0] == "topk-shipping"]
+    for text in workload.queries:
+        reference = centralized_answer(workload, text)
+        if not len(reference):
+            continue
+        system = build(workload, **options)
+        table = system.query(workload.peer_ids[0], text, limit=2)
+        assert system.network.metrics.topk_cancels == 1
+        rows = set(table.project(reference.columns).rows)
+        assert len(rows) == len(table) == min(2, len(reference))
+        assert rows <= set(reference.rows)
 
 
 def _partial_result(workload, text, **options):

@@ -121,7 +121,8 @@ def test_degenerate_statistics_do_not_crash_direct_planning():
     system = build_hybrid(workload, cost_based=True)
     peer = system.peers[workload.peer_ids[0]]
     query = parse_query(workload.queries[0])
-    annotated = peer._route_local(peer._extract_against_any_schema(query))
+    coordinator = peer.coordinator
+    annotated = coordinator.route_local(coordinator.extract_pattern(query))
     plan = build_plan(annotated)
     for stats in (ZeroStatistics(), AmnesiacStatistics(), Statistics()):
         trace = optimize(

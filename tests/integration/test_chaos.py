@@ -90,7 +90,7 @@ class TestCrashDiscoveredByTimeout:
         table = system.query("P0", QUERY)
         assert len(table) > 0
         coordinator = system.peers["P0"]
-        assert coordinator._pending == {}  # nothing leaked
+        assert coordinator.coordinator.in_flight() == 0  # nothing leaked
         open_destinations = {
             ch.destination for ch in coordinator.channels.open_channels().values()
         }
@@ -129,7 +129,7 @@ class TestDuplicateDeliveryIdempotence:
         assert root._delegations == {}
         # outstanding counters never went negative into a spurious
         # deepen/fail round: the query is gone from pending exactly once
-        assert root._pending == {}
+        assert root.coordinator.in_flight() == 0
 
 
 class TestLostMessages:
@@ -194,7 +194,7 @@ class TestGracefulDegradation:
         assert coverage.answered and coverage.unanswered
         assert set(coverage.excluded_peers) >= {"P1", "P3", "P5"}
         assert system.network.metrics.partial_results == 1
-        assert system.peers["P0"]._pending == {}
+        assert system.peers["P0"].coordinator.in_flight() == 0
 
     def test_partial_results_disabled_errors_instead(self):
         config = fast_config(partial_results=False)

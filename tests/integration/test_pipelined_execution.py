@@ -103,3 +103,97 @@ class TestFirstResultLatency:
 
         with pytest.raises(PeerError):
             system.query("P1", text)
+
+
+class TestComposition:
+    """Streaming is an operator family of the one plan walk, so it
+    composes with placement and with the phased failure policy."""
+
+    def test_streaming_honours_placement(self):
+        """With links that make the coordinator the worst join site, a
+        streaming run ships whole joins, not only scans: peers other
+        than the coordinator root channels of their own."""
+        from repro.core import Statistics
+
+        stats = Statistics(default_cardinality=1000, join_selectivity=0.0001)
+        for other in ("P2", "P3", "P4"):
+            stats.set_link_cost("P1", other, 50.0)
+        for a, b in (("P2", "P3"), ("P2", "P4"), ("P3", "P4")):
+            stats.set_link_cost(a, b, 0.01)
+        system = HybridSystem(
+            paper_schema(),
+            statistics=stats,
+            config=PeerConfig(
+                pipelined_execution=True, use_shipping=True, stream_chunk_rows=2
+            ),
+        )
+        system.add_super_peer("SP1")
+        for peer_id, graph in paper_peer_bases().items():
+            system.add_peer(peer_id, graph, "SP1")
+        assert system.query("P1", PAPER_QUERY) == build_system(False).query(
+            "P1", PAPER_QUERY
+        )
+        collector = system.network.tracer.collector
+        channel_roots = {
+            span.peer_id
+            for trace_id in collector.trace_ids()
+            for span in collector.spans(trace_id)
+            if span.name == "channel"
+        }
+        assert channel_roots - {"P1"}
+
+    @pytest.mark.parametrize("policy", ["discard", "phased"])
+    def test_peer_failing_mid_stream(self, policy):
+        """P3 dies while every scan is still streaming (the simulator
+        only bounces messages *to* a down peer, so the crashed process's
+        paced sends are cut here).  The stall monitor fails its channel;
+        the phased policy then salvages what the surviving streams
+        deliver — real rows, although a streamed channel's completion
+        itself carries none — and the retry ships nothing again.  Either
+        way the answer is the centralized one over the survivors."""
+        from repro.rdf.graph import Graph
+        from repro.rql.evaluator import query as centralized_query
+
+        synth = generate_schema(chain_length=2, refinement_fraction=0.0, seed=0)
+        peers = [f"P{i}" for i in range(6)]
+        gen = generate_bases(
+            synth, peers, Distribution.HORIZONTAL, statements_per_segment=60, seed=0
+        )
+        system = HybridSystem(
+            synth.schema,
+            config=PeerConfig(
+                pipelined_execution=True,
+                failure_policy=policy,
+                stream_chunk_rows=1,
+                stream_interval=0.25,
+                monitor_channels=True,
+                monitor_interval=1.0,
+            ),
+        )
+        system.add_super_peer("SP1")
+        for peer_id, graph in gen.bases.items():
+            system.add_peer(peer_id, graph, "SP1")
+        system.run()
+        text = chain_query(synth, 0, 2)
+        client = system.add_client("C")
+        query_id = client.submit("P0", text)
+        system.network.run(until=system.network.now + 7.0)
+        streamed = system.peers["P0"].channels.open_channels().values()
+        assert {channel.destination for channel in streamed} >= {"P3", "P4"}
+        assert all(channel.tuples_received for channel in streamed)
+        system.network.fail_peer("P3")
+        system.peers["P3"].send = lambda *args, **kwargs: None
+        system.run()
+
+        survivors = Graph()
+        for peer_id, graph in gen.bases.items():
+            if peer_id != "P3":
+                for triple in graph.triples():
+                    survivors.add_triple(triple)
+        expected = centralized_query(text, survivors, synth.schema).distinct()
+        result = client.result(query_id)
+        assert result.error is None
+        assert result.table == expected
+        shipped = system.network.metrics.messages_by_kind["SubPlanPacket"]
+        remote_scans = 2 * (len(peers) - 1)  # per path pattern and remote peer
+        assert shipped == remote_scans + (0 if policy == "phased" else remote_scans - 2)

@@ -1,6 +1,7 @@
 """The whole-system property: for random peer contents, a distributed
-hybrid query — blocking or pipelined, with or without streaming —
-returns exactly the centralised answer."""
+hybrid query — blocking or pipelined, with or without streaming, with
+or without operator placement — returns exactly the centralised
+answer."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,10 +54,14 @@ def centralised(bases):
     )
 
 
-def run_distributed(bases, pipelined: bool, chunk_rows):
+def run_distributed(bases, pipelined: bool, chunk_rows, shipping: bool = False):
     system = HybridSystem(
         SCHEMA,
-        config=PeerConfig(pipelined_execution=pipelined, stream_chunk_rows=chunk_rows),
+        config=PeerConfig(
+            pipelined_execution=pipelined,
+            stream_chunk_rows=chunk_rows,
+            use_shipping=shipping,
+        ),
     )
     system.add_super_peer("SP1")
     for peer_id, graph in bases.items():
@@ -84,6 +89,16 @@ class TestDistributedEqualsCentralised:
     def test_pipelined_streaming(self, bases):
         expected = centralised(bases)
         actual = run_distributed(bases, pipelined=True, chunk_rows=1)
+        if actual is None:
+            assert len(expected) == 0
+        else:
+            assert actual == expected
+
+    @given(peer_contents())
+    @settings(max_examples=25, deadline=None)
+    def test_pipelined_streaming_with_placement(self, bases):
+        expected = centralised(bases)
+        actual = run_distributed(bases, pipelined=True, chunk_rows=1, shipping=True)
         if actual is None:
             assert len(expected) == 0
         else:

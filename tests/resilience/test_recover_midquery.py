@@ -79,7 +79,7 @@ def test_recovery_after_partial_does_not_leak_state():
     system.network.recover_peer("P2")
     system.run()
     coordinator = system.peers["P1"]
-    assert coordinator._pending == {}
+    assert coordinator.coordinator.in_flight() == 0
     assert system.network.metrics.inflight_queries == 0
     # and the next query is whole again
     follow_up = system.query("P1", PAPER_QUERY)

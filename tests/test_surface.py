@@ -19,9 +19,18 @@ MAX_PEER_CONFIG_FIELDS = 18
 #: options reach a peer as one ``config=`` value, never threaded
 MAX_VAR_KEYWORD_PARAMETERS = 0
 #: ``getattr(x, "name", default)`` probes of attributes that may not exist
-MAX_THREE_ARGUMENT_GETATTRS = 26
+MAX_THREE_ARGUMENT_GETATTRS = 14
 #: command-line flags (``cli.py`` 91 + ``deploy/node.py`` 10)
 MAX_ADD_ARGUMENT_CALLS = 101
+#: places that build a ``PlanExecutor`` (``Peer.plan_executor``, which
+#: is also where an attempt's ``ExecutionStrategy`` is chosen)
+MAX_PLAN_EXECUTOR_CONSTRUCTION_SITES = 1
+#: functions of ``execution/engine.py`` named ``_execute*`` / ``_ship*``:
+#: one plan walk, one shipper — not one per execution mode
+MAX_ENGINE_WALKERS_AND_SHIPPERS = 1
+#: methods of ``SimplePeer`` (per-query coordination lives in
+#: ``peers/coordinator.py::QueryCoordinator``)
+MAX_SIMPLE_PEER_METHODS = 33
 
 
 def _trees(*packages):
@@ -79,3 +88,39 @@ def test_command_line_flags():
         if isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument"
     ]
     assert len(found) <= MAX_ADD_ARGUMENT_CALLS, len(found)
+
+
+def _functions(tree):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_one_plan_executor_construction_site():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Name) and call.func.id == "PlanExecutor"
+    ]
+    assert len(found) <= MAX_PLAN_EXECUTOR_CONSTRUCTION_SITES, found
+
+
+def test_one_plan_walk_one_shipper():
+    tree = ast.parse((SRC / "execution" / "engine.py").read_text())
+    found = [
+        function.name for function in _functions(tree)
+        if function.name.startswith(("_execute", "_ship"))
+    ]
+    assert len(found) <= MAX_ENGINE_WALKERS_AND_SHIPPERS, found
+
+
+def test_simple_peer_methods():
+    tree = ast.parse((SRC / "peers" / "simple.py").read_text())
+    (simple_peer,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SimplePeer"
+    ]
+    found = [function.name for function in _functions(simple_peer)]
+    assert len(found) <= MAX_SIMPLE_PEER_METHODS, found
