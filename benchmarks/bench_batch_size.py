@@ -1,8 +1,8 @@
 """Experiment batch — batched shipping (Section 2.5).
 
 A channel's cost is paid per *packet*: the engine ships
-:attr:`batch_size` bindings per ``DataPacket`` (each carrying the
-dictionary entries its id columns reference), so a larger batch pays
+:attr:`batch_size` bindings per ``DataPacket`` (each naming the
+distinct terms its cells reference), so a larger batch pays
 the per-message cost fewer times.  This experiment sweeps batch size ×
 ``cost_based`` over a union-heavy synthetic workload (~500 answer rows)
 and measures answer equality against the centralized evaluator,

@@ -171,11 +171,14 @@ COMMENTARY = {
         "of per binding: at batch size 256 the ~500-row sweep query needs "
         ">10x fewer simulator messages than per-binding shipping, with "
         "every row of the batch-size x cost_based sweep returning the "
-        "centralized answer. There is one engine now (dictionary-encoded "
-        "columnar, id columns plus their dictionary entries on the wire), "
-        "so against earlier revisions of this file the byte and "
-        "wall-clock cells of every experiment moved while the "
-        "figure-reproduction message counts did not. History: when the "
+        "centralized answer. There is one engine (dictionary-encoded "
+        "columnar) and one wire table (each distinct term once per "
+        "message, cells as positions into that list), and a channel "
+        "answers with one stream (its statistics ride on the first data "
+        "packet), so against earlier revisions of this file the message, "
+        "byte and virtual-time cells of every experiment moved (PR 14: "
+        "bytes; PR 17: one message less per channel and fewer bytes). "
+        "History: when the "
         "scalar binding-at-a-time engine still existed, this sweep "
         "measured the encoded engine under the cost-based planner at "
         "14-25x over it on the full workload (PR 9, commit 1573fa7).",

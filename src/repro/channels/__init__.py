@@ -2,7 +2,7 @@
 
 from .channel import Channel, ChannelState
 from .manager import ChannelCallback, ChannelManager
-from .packets import ChangePlanPacket, DataPacket, StatsPacket, SubPlanPacket
+from .packets import ChangePlanPacket, DataPacket, SubPlanPacket
 
 __all__ = [
     "ChangePlanPacket",
@@ -11,6 +11,5 @@ __all__ = [
     "ChannelManager",
     "ChannelState",
     "DataPacket",
-    "StatsPacket",
     "SubPlanPacket",
 ]

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.algebra import PlanNode
 from ..errors import ChannelError
-from ..execution.batch import BindingBatch, concat_tables
+from ..execution.batch import concat_tables
 from ..net.message import Message
 from ..net.simulator import Network
 from ..rdf.dictionary import TermDictionary
@@ -35,9 +35,8 @@ class ChannelManager:
     Args:
         owner: The peer id owning (rooting) these channels.
         dictionary: The owning peer's id space: arriving packets are
-            translated into it (one ``encode`` per entry, not per cell),
-            so completed tables are id tables the owner's pipeline
-            joins directly.
+            interned into it, so completed tables are id tables the
+            owner's pipeline joins directly.
     """
 
     def __init__(self, owner: str, dictionary: Optional[TermDictionary] = None):
@@ -185,12 +184,11 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
-    def on_dictionary(self, packet: DataPacket) -> Dict[int, int]:
-        """Install a packet's id → term entries in the owner's
-        dictionary; returns the sender-id → owner-id translation its
-        cells map through (idempotent: interning is)."""
-        encode = self.dictionary.encode
-        return {tid: encode(term) for tid, term in packet.entries}
+    def on_dictionary(self, packet: DataPacket) -> BindingTable:
+        """Intern a packet's terms in the owner's dictionary (one
+        ``encode`` per term, not per cell); returns its bindings as an
+        *id table* in the owner's space (idempotent: interning is)."""
+        return packet.table.intern(self.dictionary)
 
     def on_data(self, packet: DataPacket) -> None:
         """Dispatch a data packet to the channel's continuation."""
@@ -208,7 +206,7 @@ class ChannelManager:
             # original answer raced: never union the same rows twice
             return
         seen.add(packet.seq)
-        table = self._translate(packet)
+        table = self.on_dictionary(packet)
         channel.record_tuples(len(table))
         if channel.span is not None:
             channel.span.annotate(
@@ -233,17 +231,6 @@ class ChannelManager:
             return
         chunks, channel.chunks = channel.chunks, []
         self._finish(channel, concat_tables(chunks), None)
-
-    def _translate(self, packet: DataPacket) -> BindingTable:
-        """Map a packet's cells sender-id → owner-id, yielding an *id
-        table* in the owning peer's dictionary space."""
-        encoded = packet.table
-        translation = self.on_dictionary(packet)
-        data = {
-            name: [translation[i] for i in column]
-            for name, column in zip(encoded.columns, encoded.ids)
-        }
-        return BindingBatch(encoded.columns, data, length=encoded.length).to_table()
 
     def on_failure(self, channel_id: str) -> None:
         """Transport-level failure of the channel's destination."""

@@ -1,10 +1,12 @@
 """Channel packet payloads (paper Section 2.4).
 
 Channels carry subplans from root to destination and, in the reverse
-direction, data packets with query results — plus failure
-notifications, "changing plan" packets and statistics, as ubQL
-prescribes.  Every payload provides ``size_bytes()`` so the simulator
-can charge bandwidth.
+direction, one stream of data packets with query results — which also
+carries failure notifications and the destination's statistics, as
+ubQL prescribes — plus "changing plan" packets.  A channel is exactly
+one ``SubPlanPacket`` out and ``max(1, ⌈rows / batch_size⌉)``
+``DataPacket``s back.  Every payload provides ``size_bytes()`` so the
+simulator can charge bandwidth.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 from ..core.algebra import PlanNode, count_scans
 from ..execution.encoded import EncodedTable, split_encoded
 from ..rdf.dictionary import TermDictionary
-from ..rdf.terms import Term
 from ..rql.bindings import BindingTable
 
 #: Relative tree path inside a shipped subplan.
@@ -50,28 +51,31 @@ class SubPlanPacket:
 class DataPacket:
     """Destination → root: a batch of result bindings.
 
-    A packet is self-contained: ``entries`` holds the id → term pair of
-    every id its own cells reference, so the root can translate it into
-    its id space whatever else of the stream has or has not arrived.
+    A packet is self-contained: its table names every term its cells
+    reference, so the root can intern it into its own id space whatever
+    else of the stream has or has not arrived.
 
     Attributes:
         channel_id: The channel the data flows over.
-        table: The bindings, as sender-dictionary id columns.
-        entries: ``(id, term)`` for each distinct id in ``table``.
+        table: The bindings, packed over their own terms.
         final: True when no more packets will follow on this channel.
         failed_peer: When execution below the destination failed, the
             peer that caused it (the root replans; ubQL failure info).
         seq: Position of this packet in the channel's stream.  The root
             deduplicates on it, so duplicated or retransmitted packets
             never union the same rows twice.
+        cardinalities: The destination's statement count per property
+            of the subplan — the "statistics useful for query
+            optimization" of Section 2.4, riding on the stream's first
+            packet (``seq == 0``) only; a failure packet carries none.
     """
 
     channel_id: str
     table: EncodedTable
-    entries: Tuple[Tuple[int, Term], ...] = ()
     final: bool = True
     failed_peer: Optional[str] = None
     seq: int = 0
+    cardinalities: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def stream(
@@ -80,19 +84,20 @@ class DataPacket:
         table: BindingTable,
         dictionary: TermDictionary,
         chunk: int,
+        cardinalities: Optional[Dict[str, int]] = None,
     ) -> List["DataPacket"]:
         """An id table in ``dictionary``'s space as sequence-numbered
         packets of at most ``chunk`` rows — at least one, so the final
-        marker always has a carrier."""
-        parts = split_encoded(EncodedTable.from_id_table(table), chunk)
+        marker and the ``cardinalities`` always have a carrier."""
+        parts = split_encoded(EncodedTable.pack(table, dictionary), chunk)
         last = len(parts) - 1
         return [
             cls(
                 channel_id,
                 part,
-                dictionary.entries(part.used_ids()),
                 final=index == last,
                 seq=index,
+                cardinalities=(cardinalities or {}) if index == 0 else {},
             )
             for index, part in enumerate(parts)
         ]
@@ -103,8 +108,7 @@ class DataPacket:
         return self.table.length
 
     def size_bytes(self) -> int:
-        dictionary = sum(4 + len(term.n3()) for _, term in self.entries)
-        return 64 + self.table.size_bytes() + dictionary
+        return 64 + self.table.size_bytes() + 16 * len(self.cardinalities)
 
 
 @dataclass(frozen=True)
@@ -121,16 +125,3 @@ class ChangePlanPacket:
 
     def size_bytes(self) -> int:
         return 96 + len(self.reason)
-
-
-@dataclass(frozen=True)
-class StatsPacket:
-    """Destination → root: execution statistics for the optimiser
-    (tuple counts measured on the channel, Section 2.5)."""
-
-    channel_id: str
-    tuples_produced: int
-    cardinalities: Dict[str, int] = field(default_factory=dict)
-
-    def size_bytes(self) -> int:
-        return 64 + 16 * len(self.cardinalities)

@@ -9,8 +9,10 @@ owning peer's :class:`~repro.rdf.dictionary.TermDictionary`.  Scans then
 become cache lookups returning *id tables* — ordinary
 :class:`~repro.rql.bindings.BindingTable` values whose cells are ints —
 joins run over small integers via the value-agnostic
-:class:`~repro.execution.batch.BindingBatch` kernels, and terms are
-decoded only when the coordinator materialises the final answer.
+:class:`~repro.execution.batch.BindingBatch` kernels, and terms appear
+only where a table crosses a link: as an :class:`EncodedTable`, the one
+wire form of a binding table, which names each of its distinct terms
+once.
 
 Matching semantics are shared by construction:
 :func:`~repro.rql.evaluator.path_triple_matches` is the single matcher
@@ -27,55 +29,83 @@ invalidate stale columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.algebra import Scan
 from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.inference import InferredView
 from ..rdf.schema import Schema
-from ..rdf.terms import URI
-from ..rql.bindings import BindingTable
+from ..rdf.terms import URI, Term
+from ..rql.bindings import BindingTable, table_size_bytes
 from ..rql.evaluator import path_triple_matches
 from ..rql.pattern import SchemaPath
 from .batch import BindingBatch
 
-#: Flat per-cell width of an encoded column on the wire (int32) plus
-#: framing; an arithmetic size — no per-cell ``n3()`` rendering.
-_CELL_BYTES = 4
-_HEADER_BYTES = 16
-
 
 @dataclass(frozen=True)
 class EncodedTable:
-    """A binding table whose cells are dictionary ids, column-major.
+    """A binding table in the one form that crosses a link.
 
-    The wire layout of an id table: the
-    :class:`~repro.channels.packets.DataPacket` carrying it also carries
-    the id → term entries its cells reference.
+    ``terms`` holds each distinct term of *this* table once, in
+    first-use order; ``ids`` holds the cells column-major as positions
+    into ``terms``.  A table is therefore self-contained: whoever
+    receives it can :meth:`intern` it into its own id space (or read it
+    back :meth:`to_terms`) knowing nothing about the sender's
+    dictionary or about any other table of the same stream.
     """
 
     columns: Tuple[str, ...]
+    terms: Tuple[Term, ...]
     ids: Tuple[Tuple[int, ...], ...]  # one tuple per column
     length: int
 
     @classmethod
-    def from_id_table(cls, table: BindingTable) -> "EncodedTable":
-        """Pivot an id table's rows into the column-major wire layout."""
-        columns = tuple(table.columns)
-        # zero-column rows pivot to no columns; their count is the length
-        ids = tuple(zip(*table.rows)) if table.rows else ((),) * len(columns)
-        return cls(columns, ids, len(table.rows))
+    def of_batch(
+        cls, batch: BindingBatch, resolve: Callable[[Iterable], Iterable[Term]]
+    ) -> "EncodedTable":
+        """Pack a batch: number its distinct cell values in first-use
+        order and let ``resolve`` turn them into terms."""
+        positions: dict = {}
+        position = positions.setdefault
+        ids = tuple(
+            tuple([position(cell, len(positions)) for cell in batch.data[name]])
+            for name in batch.columns
+        )
+        return cls(batch.columns, tuple(resolve(positions)), ids, batch.length)
+
+    @classmethod
+    def pack(cls, table: BindingTable, dictionary: TermDictionary) -> "EncodedTable":
+        """Pack an id table of ``dictionary``'s space (one ``decode``
+        per distinct id, never per cell)."""
+        return cls.of_batch(BindingBatch.from_table(table), dictionary.decode_many)
+
+    @classmethod
+    def of_terms(cls, table: BindingTable) -> "EncodedTable":
+        """Pack a table whose cells are terms."""
+        return cls.of_batch(BindingBatch.from_table(table), tuple)
+
+    def intern(self, dictionary: TermDictionary) -> BindingTable:
+        """The table as an id table in ``dictionary``'s space: one
+        ``encode`` per term, then a list index per cell (idempotent:
+        interning is)."""
+        return self._rows(dictionary.encode_many(self.terms))
+
+    def to_terms(self) -> BindingTable:
+        """The table with its cells materialised as terms."""
+        return self._rows(self.terms)
+
+    def _rows(self, values: Sequence) -> BindingTable:
+        data = {
+            name: [values[i] for i in column]
+            for name, column in zip(self.columns, self.ids)
+        }
+        return BindingBatch(self.columns, data, length=self.length).to_table()
 
     def size_bytes(self) -> int:
-        header = _HEADER_BYTES + sum(len(c) + 2 for c in self.columns)
-        return header + _CELL_BYTES * len(self.columns) * self.length
-
-    def used_ids(self) -> List[int]:
-        seen = set()
-        for column in self.ids:
-            seen.update(column)
-        return sorted(seen)
+        return table_size_bytes(
+            self.columns, len(self.columns) * self.length, self.terms
+        )
 
     def __len__(self) -> int:
         return self.length
@@ -84,18 +114,19 @@ class EncodedTable:
 def split_encoded(encoded: EncodedTable, batch_size: int) -> List[EncodedTable]:
     """Cut an encoded table into row slices of at most ``batch_size``
     rows (at least one slice, possibly empty, so a final marker always
-    has a carrier)."""
+    has a carrier).  Each slice is re-packed over its own terms, so it
+    stays self-contained."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if encoded.length <= batch_size:
         return [encoded]
+    terms = encoded.terms
+    whole = BindingBatch(
+        encoded.columns, dict(zip(encoded.columns, encoded.ids)), encoded.length
+    )
     return [
-        EncodedTable(
-            encoded.columns,
-            tuple(column[start : start + batch_size] for column in encoded.ids),
-            min(start + batch_size, encoded.length) - start,
-        )
-        for start in range(0, encoded.length, batch_size)
+        EncodedTable.of_batch(part, lambda positions: [terms[i] for i in positions])
+        for part in whole.split(batch_size)
     ]
 
 
@@ -274,25 +305,3 @@ def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingTable:
     if result is None:
         return BindingTable(())
     return result.to_table()
-
-
-def encode_cells(table: BindingTable, dictionary: TermDictionary) -> BindingTable:
-    """Intern a term table's cells into an id table (same shape)."""
-    out = BindingTable(table.columns)
-    if not table.columns:
-        out.rows.extend(table.rows)
-        return out
-    encode = dictionary.encode
-    out.rows.extend(tuple(encode(term) for term in row) for row in table.rows)
-    return out
-
-
-def decode_cells(table: BindingTable, dictionary: TermDictionary) -> BindingTable:
-    """Materialise an id table's cells back into terms (same shape)."""
-    out = BindingTable(table.columns)
-    if not table.columns:
-        out.rows.extend(table.rows)
-        return out
-    decode = dictionary.decode
-    out.rows.extend(tuple(decode(tid) for tid in row) for row in table.rows)
-    return out

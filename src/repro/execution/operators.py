@@ -2,11 +2,12 @@
 
 The kernels the execution engine composes above the scans: n-ary union
 and join with eager duplicate elimination and dead-column pruning, and
-the coordinator's final filter/project/decode step.  Operands are *id
+the coordinator's final filter/project/pack step.  Operands are *id
 tables* (:class:`~repro.rql.bindings.BindingTable` values whose cells
 are dictionary ids); the work runs column-wise on
 :class:`~repro.execution.batch.BindingBatch` without building a per-row
-dict, and terms materialise once, in :func:`finalize_encoded`.
+dict, and terms appear once each, when :func:`finalize_encoded` packs
+the answer.
 
 ``tests/difftest`` and the property suites compare these against the
 centralized evaluator (:mod:`repro.rql.evaluator`), which runs on
@@ -23,6 +24,7 @@ from ..rql.ast import Condition
 from ..rql.bindings import BindingTable
 from ..rql.evaluator import _COMPARATORS
 from .batch import BindingBatch
+from .encoded import EncodedTable
 
 
 def vunion_all_distinct(
@@ -146,10 +148,10 @@ def finalize_encoded(
     dictionary,
     projections: Sequence[str],
     conditions: Iterable[Condition] = (),
-) -> BindingTable:
+) -> EncodedTable:
     """Coordinator post-processing of an *id table*: filter (decoding
-    per distinct id), project, de-duplicate on ints, and only then
-    materialise the final — already small — table into terms."""
+    per distinct id), project, de-duplicate on ints, and pack the final
+    — already small — table for the wire, each distinct term once."""
     batch = BindingBatch.from_table(table)
     columns = set(batch.columns)
     for condition in conditions:
@@ -158,9 +160,4 @@ def finalize_encoded(
         batch = batch.compress(_encoded_condition_mask(batch, condition, dictionary))
     available = [c for c in projections if c in columns]
     batch = batch.project(available).distinct()
-    decoded = {
-        column: dictionary.decode_many(batch.data[column])
-        for column in batch.columns
-    }
-    return BindingBatch(batch.columns, decoded, length=batch.length).to_table()
-
+    return EncodedTable.of_batch(batch, dictionary.decode_many)

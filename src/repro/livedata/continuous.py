@@ -93,14 +93,15 @@ def fold_delta(
     revision order onto the initial snapshot reproduces the
     coordinator's current answer exactly.
     """
-    columns = update.added.columns or (
-        previous.columns if previous is not None else update.removed.columns
+    added, removed = update.added.to_terms(), update.removed.to_terms()
+    columns = added.columns or (
+        previous.columns if previous is not None else removed.columns
     )
     rows = _canonical(
         _aligned_rows(previous, columns) if previous is not None else ()
     )
-    rows = rows - _canonical(_aligned_rows(update.removed, columns))
-    rows = rows + _canonical(_aligned_rows(update.added, columns))
+    rows = rows - _canonical(_aligned_rows(removed, columns))
+    rows = rows + _canonical(_aligned_rows(added, columns))
     out = BindingTable(columns)
     for row, count in sorted(rows.items(), key=lambda kv: _row_key(kv[0])):
         for _ in range(count):

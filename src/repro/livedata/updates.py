@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
 from ..errors import SchemaError
+from ..execution.encoded import EncodedTable
 from ..rdf.terms import URI
 from ..rdf.triple import Triple
-from ..rql.bindings import BindingTable
 from ..rql.pattern import SchemaPath
 from ..rvl.active_schema import ActiveSchema
 
@@ -221,11 +221,12 @@ class ContinuousUpdate:
 
     Folding every update in revision order onto the initial snapshot
     reproduces the current answer: ``next = (prev - removed) + added``.
+    Both tables cross the link packed, like every binding table.
     """
 
     query_id: str
-    added: BindingTable
-    removed: BindingTable
+    added: EncodedTable
+    removed: EncodedTable
     revision: int
     error: Optional[str] = None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..channels.manager import ChannelManager
-from ..channels.packets import DataPacket, StatsPacket, SubPlanPacket
+from ..channels.packets import DataPacket, SubPlanPacket
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
@@ -125,8 +125,8 @@ class Peer:
         #: than one schema", Section 3.1)
         self.secondary_bases: tuple = tuple(secondary_bases)
         #: the peer's one id space, for its lifetime: every base it
-        #: holds scans into it, arriving streams are translated into
-        #: it, and the coordinator decodes the final answer through it
+        #: holds scans into it, arriving tables are interned into it,
+        #: and every table this peer ships is packed through it
         self.dictionary = TermDictionary()
         self.channels = ChannelManager(peer_id, self.dictionary)
         self.network: Optional[Network] = None
@@ -256,8 +256,8 @@ class Peer:
     def handle_SubPlanPacket(self, message: Message) -> None:
         """Execute a received subplan and stream the result back.
 
-        Alongside the data packet, the destination reports statistics
-        (its local cardinalities for the subplan's properties) so the
+        The stream's first packet also reports statistics (this peer's
+        local cardinalities for the subplan's properties) so the
         channel root can feed its optimiser — the "statistics useful
         for query optimization" ubQL packets of Section 2.4.
         """
@@ -278,24 +278,21 @@ class Peer:
         def on_complete(table: Optional[BindingTable], failed: Optional[str]) -> None:
             self._executing_subplans.discard(channel_id)
             if failed is None and table is not None:
-                stats = StatsPacket(
-                    channel_id, len(table), self._local_cardinalities(packet)
-                )
-                data_packets = DataPacket.stream(
+                packets = DataPacket.stream(
                     channel_id,
                     table,
                     self.dictionary,
                     self.config.stream_chunk_rows or self.config.batch_size,
+                    self._local_cardinalities(packet),
                 )
-                self._remember_subplan(channel_id, [stats] + data_packets)
-                self.send(root, stats)
-                self._stream_packets(root, channel_id, data_packets)
+                self._remember_subplan(channel_id, packets)
+                self._stream_packets(root, channel_id, packets)
                 return
             # failures are not remembered: a retransmit retries execution
             self.send(
                 root,
                 DataPacket(
-                    channel_id, EncodedTable((), (), 0), failed_peer=failed
+                    channel_id, EncodedTable((), (), (), 0), failed_peer=failed
                 ),
             )
 
@@ -406,7 +403,8 @@ class Peer:
 
     def _local_cardinalities(self, packet: SubPlanPacket) -> Dict[str, int]:
         """Entailed statement counts for the subplan's properties in the
-        local base (the statistics shipped to the channel root)."""
+        local base (the statistics its result stream carries to the
+        channel root)."""
         counts: Dict[str, int] = {}
         for pattern in packet.plan.patterns():
             prop = pattern.schema_path.property
@@ -434,9 +432,6 @@ class Peer:
         channel_id = message.payload.channel_id
         if channel_id in self._active_streams:
             self._cancelled_streams.add(channel_id)
-
-    def handle_StatsPacket(self, message: Message) -> None:
-        """Base peers ignore statistics; coordinators override."""
 
     def handle_Heartbeat(self, message: Message) -> None:
         """Feed liveness beacons to the failure detector, if one runs."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from ..config import DEFAULT_CONFIG, PeerConfig
@@ -161,6 +162,9 @@ class ClientPeer(Peer):
         result: QueryResult = message.payload
         if result.query_id in self.results:
             return  # late duplicate (ad-hoc races): first answer won
+        if result.table is not None:
+            # the answer arrives packed; readers get a term table
+            result = replace(result, table=result.table.to_terms())
         self.results[result.query_id] = result
         if result.error:
             status = "error"

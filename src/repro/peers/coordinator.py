@@ -37,6 +37,7 @@ from ..core.planning import build_plan
 from ..core.routing import route_query
 from ..core.shipping import assign_sites
 from ..errors import ParseError, SchemaError
+from ..execution.encoded import EncodedTable
 from ..execution.operators import finalize_encoded, referenced_columns
 from ..obs.tracer import NULL_SPAN
 from ..resilience.partial import Coverage, restrict_to_answerable
@@ -114,9 +115,9 @@ class PendingQuery:
             keep |= referenced_columns(condition)
         return frozenset(keep)
 
-    def shape(self, table: BindingTable, dictionary) -> BindingTable:
+    def shape(self, table: BindingTable, dictionary) -> EncodedTable:
         """Filter/project/de-duplicate a gathered id table into the
-        answer, decoding only the final small table into terms."""
+        answer, packed for the wire."""
         query = self.query
         return finalize_encoded(
             table, dictionary, query.effective_projections(), query.conditions
@@ -607,7 +608,12 @@ class QueryCoordinator:
             if coverage is not None:
                 network.metrics.record_partial_result()
             table = pending.shape(table, self.peer.dictionary)
-            table = pending.constraints.apply_result_bounds(table)
+            bounds = pending.constraints
+            if bounds.order_by is not None or bounds.max_results is not None:
+                # ordering compares terms: the one case that unpacks here
+                table = EncodedTable.of_terms(
+                    bounds.apply_result_bounds(table.to_terms())
+                )
         # idempotent: closes a routing round still open when the query
         # is abandoned mid-routing (hybrid timeout give-up)
         pending.routing_span.finish("abandoned")

@@ -10,11 +10,12 @@ forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from ..core.algebra import PlanNode, count_scans
 from ..core.annotations import AnnotatedQueryPattern
 from ..core.cost import StatSummary
+from ..execution.encoded import EncodedTable
 from ..rql.bindings import BindingTable
 from ..rql.pattern import QueryPattern
 from ..rvl.active_schema import ActiveSchema
@@ -48,10 +49,15 @@ class QueryResult:
     coordinator could not repair the plan for every path pattern and
     returns what was answerable, annotated with exactly which patterns
     made it (:class:`repro.resilience.partial.Coverage`).
+
+    ``table`` crosses the link packed, like every binding table; the
+    client materialises it on arrival and keeps the result with a term
+    :class:`~repro.rql.bindings.BindingTable` there, which is what
+    every reader of a client's results sees.
     """
 
     query_id: str
-    table: Optional[BindingTable]
+    table: Union[EncodedTable, BindingTable, None]
     error: Optional[str] = None
     coverage: Optional[object] = None
 
@@ -189,8 +195,9 @@ class AdvertisementReply:
 class DelegatedResult:
     """Completing peer → query root: the outcome of a forwarded plan.
 
-    Carries the *raw* (unprojected) bindings so the root applies the
-    original query's filters and projection; or an error when the
+    Carries the *raw* (unprojected) bindings, packed — the root interns
+    them into its own id space and applies the original query's
+    filters and projection; or an error when the
     receiving peer could not fill the plan's holes either.
 
     ``token`` identifies the logical result so the root's outstanding-
@@ -198,7 +205,7 @@ class DelegatedResult:
     """
 
     query_id: str
-    table: Optional[BindingTable]
+    table: Optional[EncodedTable]
     from_peer: str
     error: Optional[str] = None
     token: str = ""

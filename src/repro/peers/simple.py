@@ -23,6 +23,7 @@ from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode
 from ..core.annotations import AnnotatedQueryPattern
 from ..core.cost import StatSummary, Statistics, harvest_stat_summary
+from ..execution.encoded import EncodedTable
 from ..livedata.continuous import StandingQuery, table_delta
 from ..livedata.maintenance import LiveMaintainer
 from ..livedata.updates import (
@@ -427,38 +428,36 @@ class SimplePeer(Peer):
         standing.evaluating = False
         network = self._require_network()
         columns = standing.snapshot.columns if standing.snapshot is not None else ()
-        if result.error is not None and "no relevant peers" in result.error:
+        error = result.error
+        if error is None:
+            current = result.table.to_terms()
+        elif "no relevant peers" in error:
             # the community currently holds nothing the query touches —
             # for a *standing* query that is an empty answer, not a
             # failure: peers may advertise matching fragments at any
             # later revision and the subscription must survive to see
             # them (advertisements derive from base content, so an
             # unrouted query has no entailed matches either)
-            result = QueryResult(result.query_id, BindingTable(columns), None)
+            current, error = BindingTable(columns), None
         if standing.query_id in self._standing:  # not cancelled meanwhile
-            if result.error is not None:
+            if error is not None:
+                added = removed = BindingTable(columns)
+            else:
+                added, removed = table_delta(standing.snapshot, current)
+            if error is not None or added or removed or standing.snapshot is None:
                 network.metrics.record_continuous_push()
                 self.send(
                     standing.reply_to,
                     ContinuousUpdate(
                         standing.query_id,
-                        BindingTable(columns),
-                        BindingTable(columns),
+                        EncodedTable.of_terms(added),
+                        EncodedTable.of_terms(removed),
                         revision,
-                        error=result.error,
+                        error,
                     ),
                 )
-            else:
-                added, removed = table_delta(standing.snapshot, result.table)
-                if added or removed or standing.snapshot is None:
-                    network.metrics.record_continuous_push()
-                    self.send(
-                        standing.reply_to,
-                        ContinuousUpdate(
-                            standing.query_id, added, removed, revision
-                        ),
-                    )
-                standing.snapshot = result.table
+            if error is None:
+                standing.snapshot = current
                 standing.revision = revision
         if standing.pending_revisions and standing.query_id in self._standing:
             self._evaluate_standing(standing, standing.pending_revisions.pop(0))
@@ -496,14 +495,17 @@ class SimplePeer(Peer):
         holes = ", ".join(h.render() for h in plan.holes())
         self.coordinator.give_up(pending, f"no relevant peers for: {holes}")
 
-    def handle_StatsPacket(self, message: Message) -> None:
-        """Fold a destination's reported cardinalities (Section 2.5:
-        per-channel stats packets) into the local statistics store,
-        keyed by the sender — they describe its base, whatever became
-        of the channel they were measured on — so the optimiser of
-        subsequent queries benefits."""
+    def handle_DataPacket(self, message: Message) -> None:
+        """Before the bindings go to their channel, fold the
+        cardinalities the destination reports on its stream's first
+        packet (Section 2.5) into the local statistics store, keyed by
+        the sender — they describe its base, whatever became of the
+        channel they were measured on — so the optimiser of subsequent
+        queries benefits.  Idempotent, so duplicates and replays fold
+        nothing twice."""
         for prop_value, rows in message.payload.cardinalities.items():
             self.statistics.set_cardinality(message.src, URI(prop_value), rows)
+        super().handle_DataPacket(message)
 
     def load(self) -> Dict[str, int]:
         return {

@@ -5,12 +5,14 @@ work on small integers instead of boxed terms; the dictionary maps the
 integers back only when results are materialised.  A
 :class:`TermDictionary` assigns each distinct :class:`Term` a dense id
 in first-seen order, so a peer's dictionary is append-only and stable:
-ids already shipped to a channel stay valid for the peer's lifetime.
+cached id columns stay valid for the peer's lifetime.  Ids never leave
+the peer — a table crossing a link names its terms itself
+(:class:`~repro.execution.encoded.EncodedTable`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 from .terms import Term
 
@@ -66,12 +68,6 @@ class TermDictionary:
         """The term's id if interned, else ``None`` (no interning)."""
         return self._ids.get(term)
 
-    def entries(self, ids: Iterable[int]) -> Tuple[Tuple[int, Term], ...]:
-        """``(id, term)`` pairs for a subset of ids — the wire payload
-        that lets a receiver decode columns referencing them."""
-        terms = self._terms
-        return tuple((tid, terms[tid]) for tid in sorted(set(ids)))
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -81,10 +77,3 @@ class TermDictionary:
     def __repr__(self) -> str:
         return f"TermDictionary(<{len(self)} terms>)"
 
-
-def used_ids(columns: Sequence[Sequence[int]]) -> List[int]:
-    """The distinct ids referenced by a set of encoded columns."""
-    seen = set()
-    for column in columns:
-        seen.update(column)
-    return sorted(seen)

@@ -18,6 +18,14 @@ from ..rdf.terms import Term
 Row = Tuple[Term, ...]
 
 
+def table_size_bytes(columns: Sequence[str], cells: int, terms: Iterable[Term]) -> int:
+    """The one wire-size rule of a binding table: a header, the column
+    names, an int32 per cell and each *distinct* term's rendering once
+    — what :class:`~repro.execution.encoded.EncodedTable` ships."""
+    header = 16 + sum(len(c) + 2 for c in columns)
+    return header + 4 * cells + sum(len(term.n3()) for term in terms)
+
+
 class BindingTable:
     """An ordered-column bag of variable bindings.
 
@@ -158,10 +166,11 @@ class BindingTable:
     # size / protocol
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Approximate wire size: sum of term renderings plus row overhead."""
-        header = sum(len(c) for c in self.columns) + 2 * len(self.columns)
-        body = sum(len(term.n3()) + 1 for row in self.rows for term in row)
-        return header + body + 2 * len(self.rows)
+        """Wire size of this (term) table, were it shipped."""
+        cells = len(self.columns) * len(self.rows)
+        return table_size_bytes(
+            self.columns, cells, {term for row in self.rows for term in row}
+        )
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -21,7 +21,7 @@ from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..core.cost import Statistics
-from ..execution.encoded import decode_cells, encode_cells
+from ..execution.encoded import EncodedTable
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
@@ -326,12 +326,9 @@ class AdhocPeer(SimplePeer):
                 span.finish("failed")
                 self._report(partial, error=f"peer {failed} failed")
             else:
-                # the root's dictionary differs from this peer's: raw
-                # delegated bindings ship as terms
-                table = decode_cells(table, self.dictionary)
                 span.set(rows=len(table))
                 span.finish()
-                self._report(partial, table)
+                self._report(partial, EncodedTable.pack(table, self.dictionary))
 
         self.plan_executor(
             plan, on_complete, query_id=partial.query_id, trace=span.context()
@@ -361,9 +358,7 @@ class AdhocPeer(SimplePeer):
                 return
             seen.add(result.token)
         if result.table is not None:
-            self.coordinator.finalize(
-                pending, encode_cells(result.table, self.dictionary)
-            )
+            self.coordinator.finalize(pending, result.table.intern(self.dictionary))
             self._delegations.pop(result.query_id, None)
             self._seen_delegated.pop(result.query_id, None)
             return

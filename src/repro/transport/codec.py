@@ -29,12 +29,7 @@ import dataclasses
 import json
 from typing import Any, Callable, Dict, Tuple, Type
 
-from ..channels.packets import (
-    ChangePlanPacket,
-    DataPacket,
-    StatsPacket,
-    SubPlanPacket,
-)
+from ..channels.packets import ChangePlanPacket, DataPacket, SubPlanPacket
 from ..core.algebra import Hole, Join, Scan, Union
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.cost import StatSummary
@@ -73,7 +68,6 @@ from ..rdf.terms import BNode, Literal, Namespace, URI, Variable
 from ..rdf.triple import Triple
 from ..resilience.detector import Heartbeat
 from ..resilience.partial import Coverage
-from ..rql.bindings import BindingTable
 from ..rql.pattern import PathPattern, QueryPattern, SchemaPath
 from ..rvl.active_schema import ActiveSchema
 
@@ -342,14 +336,21 @@ _register(
     lambda s: s.to_dict(),
     lambda f: ActiveSchema.from_dict(f),
 )
+# the one wire shape of a binding table: each distinct term once, the
+# cells as plain integer positions into that list
 _register(
-    BindingTable,
+    EncodedTable,
     lambda t: {
         "columns": list(t.columns),
-        "rows": [[_encode(term) for term in row] for row in t.rows],
+        "terms": [_encode(term) for term in t.terms],
+        "ids": [list(column) for column in t.ids],
+        "length": t.length,
     },
-    lambda f: BindingTable(
-        f["columns"], [tuple(_decode(t) for t in row) for row in f.get("rows", [])]
+    lambda f: EncodedTable(
+        tuple(f["columns"]),
+        tuple(_decode(term) for term in f["terms"]),
+        tuple(tuple(column) for column in f["ids"]),
+        f["length"],
     ),
 )
 _register(
@@ -407,10 +408,8 @@ for _cls in (
     PartialPlan,
     SubPlanPacket,
     DataPacket,
-    EncodedTable,
     StatSummary,
     ChangePlanPacket,
-    StatsPacket,
     Coverage,
     Goodbye,
     InsertTriple,

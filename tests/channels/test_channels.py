@@ -13,11 +13,12 @@ from repro.channels import (
 )
 from repro.core.algebra import Scan
 from repro.errors import ChannelError
-from repro.execution.encoded import decode_cells, encode_cells
 from repro.net import Network
 from repro.rdf.dictionary import TermDictionary
 from repro.rql.bindings import BindingTable
 from repro.workloads.paper import paper_query_pattern, paper_schema
+
+from ..idtables import decode_cells, encode_cells
 
 
 def data(channel_id, table, sender=None, **fields):

@@ -104,6 +104,53 @@ class TestPlanCost:
         estimate = model.plan_cost(plan, "P1")
         assert estimate.messages == 12  # 6 scans x 2
 
+    @pytest.mark.parametrize("case", ["figure-3", "flat-fan-out"])
+    def test_estimated_messages_are_the_messages_sent(self, schema, case):
+        """Estimated vs actual: the two messages the model (and
+        ``core.shipping``) charge per shipped scan — subplan out,
+        results back — are what a channel puts on the wire when the
+        reply fits one packet."""
+        from repro.config import PeerConfig
+        from repro.rdf import TYPE, Graph
+        from repro.rql import extract_pattern, parse_query
+        from repro.systems import HybridSystem
+        from repro.workloads.paper import DATA, PAPER_QUERY, paper_peer_bases
+
+        if case == "figure-3":
+            bases, text = paper_peer_bases(), PAPER_QUERY
+        else:  # six peers answer one pattern; the coordinator holds nothing
+            bases, text = {"P1": Graph()}, PAPER_QUERY.replace(", {Y} n1:prop2 {Z}", "")
+            for index in range(2, 8):
+                graph = bases[f"P{index}"] = Graph()
+                subject, obj = DATA[f"x{index}"], DATA[f"y{index}"]
+                graph.add(subject, TYPE, N1.C1)
+                graph.add(obj, TYPE, N1.C2)
+                graph.add(subject, N1.prop1, obj)
+        system = HybridSystem(schema, config=PeerConfig(optimize_plans=False))
+        system.add_super_peer("SP1")
+        for peer_id, graph in bases.items():
+            system.add_peer(peer_id, graph, "SP1")
+        system.network.run()
+        before = dict(system.network.metrics.messages_by_kind)
+        assert len(system.query("P1", text)) > 0
+
+        ads = [p.base.active_schema(pid) for pid, p in system.peers.items()]
+        pattern = extract_pattern(parse_query(text), schema)
+        plan = build_plan(route_query(pattern, ads, schema))
+        scans = [node for node in plan.walk() if isinstance(node, Scan)]
+        remote = [scan for scan in scans if scan.peer_id != "P1"]
+        assert (len(scans), len(remote)) == ((6, 4) if case == "figure-3" else (6, 6))
+        model = CostModel()
+        estimated = sum(model.plan_cost(scan, "P1").messages for scan in remote)
+        assert estimated == 2 * len(remote)
+        kinds = system.network.metrics.messages_by_kind
+        sent = {kind: kinds[kind] - before.get(kind, 0) for kind in kinds}
+        assert sent["SubPlanPacket"] == sent["DataPacket"] == len(remote)
+        # ... and nothing else crosses a channel: what is left is the
+        # client's round trip and the routing round trip
+        around = {"QuerySubmit", "QueryResult", "RouteRequest", "RouteReply"}
+        assert sum(n for kind, n in sent.items() if kind not in around) == estimated
+
     def test_intermediate_rows(self, stats, patterns):
         model = CostModel(stats)
         plan = Union([Scan((patterns[0],), "P1"), Scan((patterns[0],), "P2")])

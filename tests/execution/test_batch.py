@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.execution.batch import BindingBatch
-from repro.execution.encoded import EncodedTable, encode_cells, split_encoded
+from repro.execution.encoded import EncodedTable, split_encoded
 from repro.execution.operators import (
     finalize_encoded,
     vjoin_all_distinct,
@@ -15,6 +15,8 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
 from repro.rql.evaluator import _condition_predicate
+
+from ..idtables import encode_cells
 
 EX = Namespace("http://e/")
 
@@ -28,7 +30,7 @@ def finalized(t, projections, conditions=()):
     dictionary = TermDictionary()
     return finalize_encoded(
         encode_cells(t, dictionary), dictionary, projections, conditions
-    )
+    ).to_terms()
 
 
 def oracle(t, projections, conditions=()):
@@ -173,10 +175,12 @@ class TestSplit:
             BindingBatch.from_table(table(("X",), [])).split(0)
 
     def test_split_table_slices(self):
-        ids = table(("X",), [(0,), (1,), (2,)])
-        parts = split_encoded(EncodedTable.from_id_table(ids), 2)
+        terms = table(("X",), [(EX.a,), (EX.b,), (EX.b,)])
+        parts = split_encoded(EncodedTable.of_terms(terms), 2)
         assert [len(p) for p in parts] == [2, 1]
-        assert [p.ids for p in parts] == [((0, 1),), ((2,),)]
+        # each slice is re-packed over its own terms
+        assert [p.terms for p in parts] == [(EX.a, EX.b), (EX.b,)]
+        assert [p.ids for p in parts] == [((0, 1),), ((0,),)]
 
 
 class TestVectorizedOperators:

@@ -12,7 +12,6 @@ from repro.execution import (
     vjoin_all_distinct,
     vunion_all_distinct,
 )
-from repro.execution.encoded import decode_cells, encode_cells
 from repro.net import Network
 from repro.peers.base import Peer, PeerBase
 from repro.rdf import InferredView, Literal, Namespace
@@ -26,6 +25,8 @@ from repro.workloads.paper import (
     paper_query_pattern,
     paper_schema,
 )
+
+from ..idtables import decode_cells, encode_cells
 
 EX = Namespace("http://e/")
 
@@ -44,7 +45,7 @@ def finalized(table, projections, conditions=()):
     dictionary = TermDictionary()
     return finalize_encoded(
         encode_cells(table, dictionary), dictionary, projections, conditions
-    )
+    ).to_terms()
 
 
 class TestOperators:

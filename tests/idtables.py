@@ -1,0 +1,25 @@
+"""Test helpers: term tables ↔ id tables through the one wire form, and
+the payloads that carry it."""
+
+from repro.channels.packets import DataPacket
+from repro.execution.encoded import EncodedTable
+from repro.livedata.updates import ContinuousUpdate
+from repro.peers.protocol import DelegatedResult, QueryResult
+
+#: payload kind → (build it around a packed table, read the table back)
+TABLE_BEARERS = {
+    "DataPacket": (lambda t: DataPacket("ch-1", t), lambda p: p.table),
+    "QueryResult": (lambda t: QueryResult("q1", t), lambda p: p.table),
+    "DelegatedResult": (lambda t: DelegatedResult("q1", t, "P2"), lambda p: p.table),
+    "ContinuousUpdate": (lambda t: ContinuousUpdate("q1", t, t, 3), lambda p: p.added),
+}
+
+
+def encode_cells(table, dictionary):
+    """Intern a term table's cells into ``dictionary`` (an id table)."""
+    return EncodedTable.of_terms(table).intern(dictionary)
+
+
+def decode_cells(table, dictionary):
+    """Materialise an id table of ``dictionary``'s space as terms."""
+    return EncodedTable.pack(table, dictionary).to_terms()

@@ -5,11 +5,10 @@ import pytest
 from repro.channels.packets import (
     ChangePlanPacket,
     DataPacket,
-    StatsPacket,
     SubPlanPacket,
 )
 from repro.core.algebra import Scan
-from repro.execution.encoded import encode_cells
+from repro.execution.encoded import EncodedTable
 from repro.net.message import Message, payload_kind, payload_size
 from repro.peers.churn import Goodbye
 from repro.peers.protocol import (
@@ -34,6 +33,8 @@ from repro.workloads.paper import (
     paper_schema,
 )
 
+from ..idtables import encode_cells
+
 
 @pytest.fixture
 def schema():
@@ -48,7 +49,8 @@ def pattern(schema):
 def all_payloads(schema, pattern):
     ad = next(iter(paper_active_schemas(schema).values()))
     scan = Scan((pattern.root,), "P2")
-    table = BindingTable(("X",), [(DATA.a,)] * 5)
+    terms = BindingTable(("X",), [(DATA.a,)] * 5)
+    table = EncodedTable.of_terms(terms)
     dictionary = TermDictionary()
     from repro.core.routing import route_query
 
@@ -67,8 +69,9 @@ def all_payloads(schema, pattern):
         DelegatedResult("q1", None, "B", error="cannot complete plan"),
         Goodbye("B"),
         SubPlanPacket("A#1", scan),
-        *DataPacket.stream("A#1", encode_cells(table, dictionary), dictionary, 256),
-        StatsPacket("A#1", 5, {"p": 5}),
+        *DataPacket.stream(
+            "A#1", encode_cells(terms, dictionary), dictionary, 256, {"p": 5}
+        ),
         ChangePlanPacket("A#1", "replan"),
     ]
 
@@ -79,8 +82,10 @@ class TestSizes:
             assert payload_size(payload) > 0, payload
 
     def test_result_size_scales_with_rows(self):
-        small = QueryResult("q", BindingTable(("X",), [(DATA.a,)]))
-        big = QueryResult("q", BindingTable(("X",), [(DATA.a,)] * 100))
+        small = QueryResult("q", EncodedTable.of_terms(BindingTable(("X",), [(DATA.a,)])))
+        big = QueryResult(
+            "q", EncodedTable.of_terms(BindingTable(("X",), [(DATA.a,)] * 100))
+        )
         assert payload_size(big) > payload_size(small)
 
     def test_subplan_size_scales_with_scans(self, pattern):

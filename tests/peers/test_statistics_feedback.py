@@ -36,8 +36,11 @@ class TestStatisticsFeedback:
 
     def test_stats_packets_on_wire(self, system):
         system.query("P1", PAPER_QUERY)
+        # no message of their own: the cardinalities ride on the one
+        # reply stream each contacted peer answers its subplan with
         kinds = system.network.metrics.messages_by_kind
-        assert kinds["StatsPacket"] >= 3  # one per contacted peer
+        assert "StatsPacket" not in kinds
+        assert kinds["DataPacket"] == kinds["SubPlanPacket"] >= 3
 
     def test_unknown_peer_keeps_default(self, system):
         system.query("P1", PAPER_QUERY)

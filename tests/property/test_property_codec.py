@@ -30,8 +30,9 @@ from repro.peers.protocol import (
     RouteBusy,
     RouteRequest,
 )
-from repro.channels.packets import ChangePlanPacket, DataPacket, StatsPacket
-from repro.execution.encoded import encode_cells
+from repro.channels.packets import ChangePlanPacket, DataPacket
+from repro.execution.encoded import EncodedTable
+from repro.livedata.updates import ContinuousUpdate
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.resilience.partial import Coverage
@@ -44,6 +45,8 @@ from repro.transport.codec import (
     encode_message,
     encode_payload,
 )
+
+from ..idtables import TABLE_BEARERS, encode_cells
 
 # ----------------------------------------------------------------------
 # term and table strategies
@@ -73,12 +76,16 @@ terms = st.one_of(
 
 @st.composite
 def binding_tables(draw):
-    width = draw(st.integers(1, 4))
+    width = draw(st.integers(0, 4))  # zero-column and zero-row included
     columns = tuple(f"V{i}" for i in range(width))
     rows = draw(
         st.lists(st.tuples(*([terms] * width)).map(tuple), max_size=8)
     )
     return BindingTable(columns, rows)
+
+
+#: a table as a payload carries it: packed over its own terms
+packed_tables = binding_tables().map(EncodedTable.of_terms)
 
 
 @st.composite
@@ -107,15 +114,22 @@ query_submits = st.builds(
 query_results = st.builds(
     QueryResult,
     query_ids,
-    binding_tables(),
+    packed_tables,
     st.one_of(st.none(), safe_text),
     st.one_of(st.none(), coverages()),
 )
-def _data_packet(channel_id, table, final, failed_peer, seq):
-    """The id columns plus referenced entries a sender ships for ``table``."""
+cardinalities = st.dictionaries(safe_text, st.integers(0, 10**4), max_size=4)
+
+
+def _data_packet(channel_id, table, final, failed_peer, seq, cardinalities=None):
+    """The packet a sender ships for ``table``, its statistics aboard."""
     sender = TermDictionary()
     (packet,) = DataPacket.stream(
-        channel_id, encode_cells(table, sender), sender, max(1, len(table))
+        channel_id,
+        encode_cells(table, sender),
+        sender,
+        max(1, len(table)),
+        cardinalities,
     )
     return replace(packet, final=final, failed_peer=failed_peer, seq=seq)
 
@@ -127,12 +141,7 @@ data_packets = st.builds(
     final=st.booleans(),
     failed_peer=st.one_of(st.none(), peer_ids),
     seq=st.integers(0, 1000),
-)
-stats_packets = st.builds(
-    StatsPacket,
-    query_ids,
-    st.integers(0, 10**6),
-    st.dictionaries(peer_ids, st.integers(0, 10**4), max_size=4),
+    cardinalities=cardinalities,
 )
 simple_payloads = st.one_of(
     st.builds(QueryShed, query_ids, st.floats(0, 1000), peer_ids),
@@ -143,15 +152,16 @@ simple_payloads = st.one_of(
     st.builds(
         DelegatedResult,
         query_ids,
-        binding_tables(),
+        packed_tables,
         peer_ids,
         st.one_of(st.none(), safe_text),
         token=st.integers(0, 9),
     ),
+    st.builds(
+        ContinuousUpdate, query_ids, packed_tables, packed_tables, st.integers(0, 99)
+    ),
 )
-payloads = st.one_of(
-    query_submits, query_results, data_packets, stats_packets, simple_payloads
-)
+payloads = st.one_of(query_submits, query_results, data_packets, simple_payloads)
 
 traces = st.one_of(
     st.none(),
@@ -245,14 +255,36 @@ def test_unknown_fields_are_ignored_everywhere(message, field_name):
 @settings(max_examples=100, deadline=None)
 def test_every_term_survives_a_binding_batch(term_list):
     """Any term in any binding-batch cell round-trips exactly: the
-    decoded packet's entries map its id cells back to the same terms."""
+    decoded packet's terms map its cells back to the same terms."""
     table = BindingTable(("V0",), [(term,) for term in term_list])
     packet = _data_packet("ch-1", table, final=False, failed_peer=None, seq=0)
     decoded = decode_payload(json.loads(json.dumps(encode_payload(packet))))
     assert decoded == packet
-    mapping = dict(decoded.entries)
     (column,) = decoded.table.ids
-    assert [mapping[tid] for tid in column] == term_list
+    assert [decoded.table.terms[position] for position in column] == term_list
+
+
+@given(binding_tables(), st.sampled_from(sorted(TABLE_BEARERS)))
+@settings(max_examples=100, deadline=None)
+def test_packed_table_interns_to_the_senders_table(table, bearer):
+    """``pack → encode_frame → decode_frame → intern``: the receiver's
+    id table is the sender's up to dictionary renaming, for all four
+    table-bearing payloads."""
+    sender, receiver = TermDictionary(), TermDictionary()
+    receiver.encode(URI("http://example.org/skew"))
+    ids = encode_cells(table, sender)
+    build, table_of = TABLE_BEARERS[bearer]
+    payload = build(EncodedTable.pack(ids, sender))
+    frame = encode_frame("msg", encode_message(Message("P1", "P2", payload)))
+    decoded = decode_message(decode_frame(frame)[1]).payload
+    interned = table_of(decoded).intern(receiver)
+    assert interned.columns == ids.columns
+    renaming = {}
+    for ours, theirs in zip(ids.rows, interned.rows, strict=True):
+        for sent, received in zip(ours, theirs, strict=True):
+            assert renaming.setdefault(sent, received) == received
+            assert receiver.decode(received) == sender.decode(sent)
+    assert len(set(renaming.values())) == len(renaming)  # injective
 
 
 @given(

@@ -5,10 +5,10 @@ Three walls around the columnar core:
 * a :class:`~repro.rdf.dictionary.TermDictionary` round-trips every
   term kind — URIs, blank nodes, variables, and literals of every
   datatype/language shape — through ``encode``/``decode``, including
-  the wire codec's serialisation of a data packet's entries;
+  the wire codec's serialisation of a data packet's terms;
 * the full wire cycle (sender id table → :meth:`DataPacket.stream`'s
-  self-contained chunks → the root's channel manager, in any arrival
-  order) is lossless, for every batch size;
+  self-contained chunks → framed JSON → the root's channel manager, in
+  any arrival order) is lossless, for every batch size;
 * the kernels are value-agnostic: joining/filtering/concatenating id
   tables and decoding at the end yields exactly what the same
   operators — and the centralized evaluator's — produce on terms.
@@ -20,16 +20,25 @@ from hypothesis import strategies as st
 from repro.channels import ChannelManager, DataPacket
 from repro.core.algebra import Scan
 from repro.execution.batch import BindingBatch, concat_tables
-from repro.execution.encoded import EncodedTable, decode_cells, encode_cells
+from repro.execution.encoded import EncodedTable
 from repro.execution.operators import finalize_encoded
-from repro.net import Network
+from repro.net import Message, Network
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
 from repro.rql.evaluator import _condition_predicate
-from repro.transport.codec import decode_payload, encode_payload
+from repro.transport.codec import (
+    decode_frame,
+    decode_message,
+    decode_payload,
+    encode_frame,
+    encode_message,
+    encode_payload,
+)
 from repro.workloads.paper import paper_query_pattern, paper_schema
+
+from ..idtables import decode_cells, encode_cells
 
 safe_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16
@@ -75,13 +84,14 @@ def test_dictionary_round_trips_every_term_kind(values):
 
 @given(st.lists(terms, min_size=1, max_size=20))
 def test_dictionary_entries_cover_requested_ids(values):
+    """A packed table names each distinct term of its cells exactly
+    once, in first-use order, and every cell points at its term."""
     d = TermDictionary()
+    d.encode(URI("http://example.org/skew"))  # positions are not sender ids
     ids = d.encode_many(values)
-    entries = d.entries(ids)
-    mapping = dict(entries)
-    assert sorted(mapping) == sorted(set(ids))
-    for tid, term in entries:
-        assert d.decode(tid) == term
+    packed = EncodedTable.pack(BindingTable(("V0",), [(i,) for i in ids]), d)
+    assert list(packed.terms) == list(dict.fromkeys(values))
+    assert [packed.terms[position] for position in packed.ids[0]] == values
 
 
 def _packets(channel_id, table, sender, batch_size):
@@ -97,7 +107,8 @@ def test_dictionary_entries_survive_wire_codec(values, channel_seq):
     (packet,) = _packets(f"P1#{channel_seq}", table, TermDictionary(), 64)
     decoded = decode_payload(encode_payload(packet))
     assert decoded == packet
-    assert dict(decoded.entries) == dict(packet.entries)
+    assert decoded.table.terms == packet.table.terms
+    assert set(decoded.table.terms) == set(values)
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +127,23 @@ class _Sink:
         pass
 
 
-@given(binding_tables(), st.integers(1, 9), st.randoms(use_true_random=False))
+def _over_the_wire(packet):
+    """The packet as the live transport delivers it: framed JSON."""
+    frame = encode_frame("msg", encode_message(Message("P2", "P1", packet)))
+    return decode_message(decode_frame(frame)[1]).payload
+
+
+@given(
+    binding_tables(min_width=0),
+    st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
 @settings(max_examples=60)
 def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
-    """Sender ids → chunks → the root's id space → terms gives the
-    table back, whatever order the self-contained chunks arrive in."""
+    """``pack`` → chunks → ``encode_frame`` → ``decode_frame`` →
+    ``intern`` into the root's id space → terms gives the table back
+    (zero-column and zero-row tables included), whatever order the
+    self-contained chunks arrive in."""
     network = Network()
     network.register(_Sink("P1"))
     network.register(_Sink("P2"))
@@ -134,17 +157,18 @@ def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
     rng.shuffle(packets)
     for packet in packets:
         assert results == []
-        root.on_data(packet)
+        root.on_data(_over_the_wire(packet))
     ((assembled, failed),) = results
     assert failed is None
     assert assembled.columns == table.columns
+    assert all(isinstance(cell, int) for row in assembled.rows for cell in row)
     assert decode_cells(assembled, root.dictionary) == table
 
 
 @given(binding_tables())
 def test_encoded_table_survives_wire_codec(table):
     d = TermDictionary()
-    encoded = EncodedTable.from_id_table(encode_cells(table, d))
+    encoded = EncodedTable.pack(encode_cells(table, d), d)
     decoded = decode_payload(encode_payload(encoded))
     assert isinstance(decoded, EncodedTable)
     assert decoded == encoded
@@ -213,7 +237,7 @@ def test_encoded_finalize_equals_scalar_finalize(table, operator, value, var_rhs
     d = TermDictionary()
     ids = encode_cells(table, d)
     scalar = _oracle_finalize(table, projections, condition)
-    encoded = finalize_encoded(ids, d, projections, [condition])
+    encoded = finalize_encoded(ids, d, projections, [condition]).to_terms()
     assert encoded.columns == scalar.columns
     assert encoded.rows == scalar.rows
 
@@ -235,7 +259,7 @@ def test_ordered_comparison_with_mixed_term_kinds_rejects_rows():
     d = TermDictionary()
     encoded = finalize_encoded(
         encode_cells(table, d), d, ["V0", "V1"], [condition]
-    )
+    ).to_terms()
     # the boolean row is incomparable (rejected); the URI row compares
     assert scalar.rows == [(URI("http://example.org/b"), Literal(False))]
     assert encoded.rows == scalar.rows

@@ -23,7 +23,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.encoded import EncodedBase
+from repro.execution.encoded import EncodedBase, EncodedTable
 from repro.livedata import (
     LiveMaintainer,
     UpdateStream,
@@ -121,8 +121,8 @@ livedata_payloads = st.one_of(
     st.builds(
         ContinuousUpdate,
         query_ids,
-        binding_tables(),
-        binding_tables(),
+        binding_tables().map(EncodedTable.of_terms),
+        binding_tables().map(EncodedTable.of_terms),
         st.integers(0, 9),
         error=st.one_of(st.none(), safe_text),
     ),
@@ -205,7 +205,9 @@ def test_table_delta_and_fold_are_inverses(previous, current):
         else [],
     )
     added, removed = table_delta(previous, current)
-    update = ContinuousUpdate("q", added, removed, 1)
+    update = ContinuousUpdate(
+        "q", EncodedTable.of_terms(added), EncodedTable.of_terms(removed), 1
+    )
     assert fold_delta(previous, update) == current
 
 

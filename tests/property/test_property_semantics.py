@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import build_plan, optimize, route_query
 from repro.core.algebra import Hole, Join, PlanNode, Scan, Union
-from repro.execution.encoded import EncodedBase, decode_cells, evaluate_scan_encoded
+from repro.execution.encoded import EncodedBase, evaluate_scan_encoded
 from repro.execution.operators import vjoin_all_distinct, vunion_all_distinct
 from repro.rdf import Graph, InferredView, Namespace, TYPE
 from repro.rdf.dictionary import TermDictionary
@@ -23,6 +23,8 @@ from repro.rql import evaluate_path_pattern
 from repro.rql.evaluator import evaluate_pattern
 from repro.rvl import ActiveSchema
 from repro.workloads.paper import N1, paper_query_pattern, paper_schema
+
+from ..idtables import decode_cells
 
 DATA = Namespace("http://pw/")
 

@@ -15,11 +15,10 @@ from repro.core.algebra import Hole, Join, Scan, Union
 from repro.channels.packets import (
     ChangePlanPacket,
     DataPacket,
-    StatsPacket,
     SubPlanPacket,
 )
 from repro.errors import CodecError
-from repro.execution.encoded import encode_cells
+from repro.execution.encoded import EncodedTable
 from repro.net.message import DeliveryFailure, Message
 from repro.obs import TraceContext
 from repro.peers.churn import Goodbye
@@ -55,6 +54,8 @@ from repro.workloads.paper import (
     paper_query_pattern,
     paper_schema,
 )
+
+from ..idtables import TABLE_BEARERS, encode_cells
 
 
 def round_trip(payload, src="P1", dst="P2"):
@@ -123,9 +124,10 @@ def test_query_result_with_coverage_round_trip(annotated):
         excluded_peers=("P2",),
         attempts=3,
     )
-    payload = QueryResult("q1", sample_table(), None, coverage)
+    payload = QueryResult("q1", EncodedTable.of_terms(sample_table()), None, coverage)
     decoded = round_trip(payload)
     assert decoded.table == payload.table
+    assert decoded.table.to_terms() == sample_table()
     assert decoded.coverage == coverage
 
 
@@ -182,24 +184,60 @@ def test_channel_packets_round_trip():
     )
     assert round_trip(first) == first
     assert round_trip(last) == last
-    # self-contained: each chunk carries exactly the entries it references
-    assert (len(first.entries), len(last.entries)) == (4, 2)
+    # self-contained: each chunk names exactly the terms it references
+    assert (len(first.table.terms), len(last.table.terms)) == (4, 2)
     assert not first.final and last.final and last.seq == 1
-    failure = DataPacket("ch-1", first.table, first.entries, failed_peer="P3", seq=7)
+    # the destination's statistics ride on the stream's first packet
+    with_stats = DataPacket("ch-1", first.table, final=False, cardinalities={"p": 5})
+    assert round_trip(with_stats) == with_stats
+    failure = DataPacket("ch-1", first.table, failed_peer="P3", seq=7)
     assert round_trip(failure) == failure
     assert round_trip(ChangePlanPacket("ch-1", "peer lost")) == ChangePlanPacket(
         "ch-1", "peer lost"
     )
-    stats = StatsPacket("ch-1", 12, {"P1": 5, "P2": 7})
-    assert round_trip(stats) == stats
 
 
 def test_misc_payloads_round_trip():
     assert round_trip(QueryShed("q1", 25.0, "P1")) == QueryShed("q1", 25.0, "P1")
     assert round_trip(RouteBusy("q1", 10.0, "SP1")) == RouteBusy("q1", 10.0, "SP1")
     assert round_trip(Goodbye("P2")) == Goodbye("P2")
-    delegated = DelegatedResult("q4", sample_table(), "P2", None, token=2)
+    delegated = DelegatedResult(
+        "q4", EncodedTable.of_terms(sample_table()), "P2", None, token=2
+    )
     assert round_trip(delegated).table == delegated.table
+
+
+WIRE_TABLES = {
+    "sample": sample_table(),
+    "repeated-terms": BindingTable(
+        ("X", "Y"), [(URI("http://example.org/a"), Literal("x"))] * 4
+    ),
+    "zero-rows": BindingTable(("X", "Y")),
+    "zero-columns": BindingTable((), [(), ()]),
+    "empty": BindingTable(()),
+}
+
+
+@pytest.mark.parametrize("bearer", sorted(TABLE_BEARERS))
+@pytest.mark.parametrize("table", sorted(WIRE_TABLES))
+def test_packed_table_crosses_the_frame_in_every_payload(bearer, table):
+    """``pack → encode_frame → decode_frame → intern`` gives the
+    receiver the sender's id table up to dictionary renaming."""
+    terms = WIRE_TABLES[table]
+    sender, receiver = TermDictionary(), TermDictionary()
+    receiver.encode(URI("http://example.org/skew"))  # ids never coincide
+    ids = encode_cells(terms, sender)
+    build, table_of = TABLE_BEARERS[bearer]
+    payload = build(EncodedTable.pack(ids, sender))
+    frame = encode_frame("msg", encode_message(Message("P1", "P2", payload)))
+    kind, body = decode_frame(frame)
+    decoded = decode_message(body).payload
+    assert kind == "msg" and decoded == payload
+    interned = table_of(decoded).intern(receiver)
+    assert interned.columns == ids.columns and len(interned) == len(ids)
+    assert [
+        tuple(receiver.decode(cell) for cell in row) for row in interned.rows
+    ] == terms.rows
 
 
 def test_delivery_failure_nests_original():
