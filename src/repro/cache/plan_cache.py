@@ -70,11 +70,11 @@ class PlanCache:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             if self.metrics is not None:
-                self.metrics.record_cache_hit()
+                self.metrics.count("cache_hits")
             return entry[1]
         self.stats.misses += 1
         if self.metrics is not None:
-            self.metrics.record_cache_miss()
+            self.metrics.count("cache_misses")
         return None
 
     def put(
@@ -107,7 +107,7 @@ class PlanCache:
         if stale:
             self.stats.invalidations += len(stale)
             if self.metrics is not None:
-                self.metrics.record_cache_invalidation(len(stale))
+                self.metrics.count("cache_invalidations", len(stale))
         return len(stale)
 
     def clear(self) -> None:

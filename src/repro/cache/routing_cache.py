@@ -163,13 +163,13 @@ class RoutingCache:
         if entry is None:
             self.stats.misses += 1
             if self.metrics is not None:
-                self.metrics.record_cache_miss()
+                self.metrics.count("cache_misses")
             return None
         self.stats.hits += 1
         if entry.is_negative:
             self.stats.negative_hits += 1
         if self.metrics is not None:
-            self.metrics.record_cache_hit()
+            self.metrics.count("cache_hits")
         annotated = AnnotatedQueryPattern(pattern)
         patterns = pattern.patterns
         for position, j in enumerate(signature.order):
@@ -274,7 +274,7 @@ class RoutingCache:
         if count:
             self.stats.invalidations += count
             if self.metrics is not None:
-                self.metrics.record_cache_invalidation(count)
+                self.metrics.count("cache_invalidations", count)
             if self.on_invalidate is not None:
                 self.on_invalidate(count)
         return count

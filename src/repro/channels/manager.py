@@ -73,7 +73,7 @@ class ChannelManager:
 
     def _record_discarded(self, count: int) -> None:
         if count and self._metrics is not None:
-            self._metrics.record_discarded_bindings(count)
+            self._metrics.count("discarded_bindings", count)
 
     def mint_id(self) -> str:
         """The next channel id, unique across this owner's incarnations."""
@@ -167,7 +167,7 @@ class ChannelManager:
                 self._arm_timeout(network, channel, packet, retry, attempt)
                 return
             if retry.attempts_left(attempt + 1):
-                network.metrics.record_retransmit()
+                network.metrics.count("retransmits")
                 if channel.span is not None:
                     channel.span.annotate(f"retransmit attempt={attempt + 1}")
                 network.send(

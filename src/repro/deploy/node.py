@@ -185,7 +185,7 @@ def run_node(args) -> int:
                 node.register_advertisement(advertisement, record=False)
             _trip_quarantine(node.quarantine, recovered.quarantined)
             node.channels.epoch = recovered.incarnations + 1
-            network.metrics.record_recovery()
+            network.metrics.count("recoveries")
             network.emit_event("recovery", peer=node_id, pid=os.getpid())
         host, port = transport.start()
     else:
@@ -218,7 +218,7 @@ def run_node(args) -> int:
             # survivors may hold replay caches keyed by the previous
             # incarnation's channel ids: mint ids they cannot have seen
             node.channels.epoch = recovered.incarnations + 1
-            network.metrics.record_recovery()
+            network.metrics.count("recoveries")
             network.emit_event("recovery", peer=node_id, pid=os.getpid())
         elif state_store is not None:
             node.save_durable_snapshot()

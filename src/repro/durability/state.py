@@ -140,7 +140,7 @@ class PeerStateStore:
         self.store.write_snapshot(text)
         nbytes = len(text.encode("utf-8"))
         if self.metrics is not None:
-            self.metrics.record_snapshot_bytes(nbytes)
+            self.metrics.count("snapshot_bytes", nbytes)
         return nbytes
 
     # ------------------------------------------------------------------
@@ -217,5 +217,5 @@ class PeerStateStore:
             # unknown kinds: a newer incarnation's events — skipped
         state.replayed = len(records)
         if self.metrics is not None and records:
-            self.metrics.record_log_replay(len(records))
+            self.metrics.count("log_replays", len(records))
         return state

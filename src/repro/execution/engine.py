@@ -168,7 +168,7 @@ class PlanExecutor:
         if early_stop is not None and chunk and not self._finished:
             merged = concat_tables(self._output)
             if early_stop(merged):
-                self.network.metrics.record_topk_cancel()
+                self.network.metrics.count("topk_cancels")
                 self.network.emit_event(
                     "topk_cancel",
                     peer=self.host.peer_id,

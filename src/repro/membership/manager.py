@@ -114,7 +114,7 @@ class MembershipManager:
             peer.routing_cache.clear()
         network = self.system.network
         network.recover_peer(peer_id)
-        network.metrics.record_recovery()
+        network.metrics.count("recoveries")
         network.emit_event("recovery", peer=peer_id)
         peer.rejoining = True
         try:

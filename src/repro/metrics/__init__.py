@@ -1,7 +1,8 @@
-"""Measurement utilities shared by the simulator and the benchmarks."""
+"""Measurement utilities shared by the simulator and the benchmarks:
+the instrument table (what is measured) and the set that records it."""
 
-from ..obs.exposition import render_prometheus
 from ..obs.histogram import Histogram
 from .collectors import MetricSet, MetricSnapshot
+from .instruments import COUNTERS, INSTRUMENTS
 
-__all__ = ["Histogram", "MetricSet", "MetricSnapshot", "render_prometheus"]
+__all__ = ["COUNTERS", "Histogram", "INSTRUMENTS", "MetricSet", "MetricSnapshot"]

@@ -276,7 +276,7 @@ class Network:
             if faults.partitioned(message.src, message.dst, self.now) or faults.drops(
                 message
             ):
-                self.metrics.record_dropped_message()
+                self.metrics.count("dropped_messages")
                 return
             delay += faults.extra_delay()
         if message.dst in self._down and self.omniscient_bounces:
@@ -284,7 +284,7 @@ class Network:
             return
         self._schedule(delay, lambda: self._deliver(message))
         if faults is not None and faults.duplicates(message):
-            self.metrics.record_duplicated_message()
+            self.metrics.count("duplicated_messages")
             self._schedule(delay + faults.extra_delay(), lambda: self._deliver(message))
 
     def _bounce(self, message: Message, delay: Optional[float] = None) -> None:
@@ -305,7 +305,7 @@ class Network:
             if self.omniscient_bounces:
                 self._bounce(message)
             else:
-                self.metrics.record_dropped_message()
+                self.metrics.count("dropped_messages")
             return
         self._nodes[message.dst].receive(message, self)
 
@@ -317,7 +317,7 @@ class Network:
         machinery handles the silence, exactly as for an in-sim drop.
         """
         if message.dst not in self._nodes or message.dst in self._down:
-            self.metrics.record_dropped_message()
+            self.metrics.count("dropped_messages")
             return
         self._nodes[message.dst].receive(message, self)
 

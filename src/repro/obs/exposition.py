@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .histogram import Histogram
+from ..metrics.instruments import INSTRUMENTS, Instrument
 
 
 def _fmt(value: Any) -> str:
@@ -26,28 +26,30 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _counter(
-    lines: List[str], name: str, help_text: str, value, labelled=None
-) -> None:
-    lines.append(f"# HELP {name} {help_text}")
-    lines.append(f"# TYPE {name} counter")
-    if labelled is None:
+def _series(lines: List[str], metrics, instrument: Instrument) -> None:
+    """One counter or gauge family: its header, then its one sample —
+    or, for an instrument split by a label, one sample per label value."""
+    name, label = instrument.family, instrument.label
+    value = getattr(metrics, instrument.attribute)
+    lines.append(f"# HELP {name} {instrument.help}")
+    lines.append(f"# TYPE {name} {instrument.kind}")
+    if label is None:
         lines.append(f"{name} {_fmt(value)}")
         return
-    label, samples = labelled
-    for key in sorted(samples):
-        lines.append(f'{name}{{{label}="{_escape(str(key))}"}} {_fmt(samples[key])}')
+    for key in sorted(value):
+        lines.append(f'{name}{{{label}="{_escape(str(key))}"}} {_fmt(value[key])}')
 
 
-def _histogram(
-    lines: List[str],
-    name: str,
-    help_text: str,
-    histograms: Dict[str, Histogram],
-    label: Optional[str] = None,
-) -> None:
-    """One Prometheus histogram family, optionally split by a label."""
-    lines.append(f"# HELP {name} {help_text}")
+def _histogram(lines: List[str], metrics, instrument: Instrument) -> None:
+    """One Prometheus histogram family — the attribute is a
+    :class:`Histogram`, or a mapping of them when the instrument is
+    split by a label.  A family with no observation yet is left out."""
+    value = getattr(metrics, instrument.attribute)
+    name, label = instrument.family, instrument.label
+    histograms = value if label else {"": value} if value.count else {}
+    if not histograms:
+        return
+    lines.append(f"# HELP {name} {instrument.help}")
     lines.append(f"# TYPE {name} histogram")
     for key in sorted(histograms):
         histogram = histograms[key]
@@ -58,6 +60,14 @@ def _histogram(
         suffix = f'{{{label}="{_escape(str(key))}"}}' if label else ""
         lines.append(f"{name}_sum{suffix} {_fmt(histogram.total)}")
         lines.append(f"{name}_count{suffix} {histogram.count}")
+    if instrument.quantile_help:
+        summary = value.summary()
+        lines.append(f"# HELP {name}_quantile {instrument.quantile_help}")
+        lines.append(f"# TYPE {name}_quantile gauge")
+        for quantile in ("p50", "p90", "p99", "max"):
+            lines.append(
+                f'{name}_quantile{{quantile="{quantile}"}} {_fmt(summary[quantile])}'
+            )
 
 
 def add_const_labels(text: str, labels: Dict[str, Any]) -> str:
@@ -142,105 +152,9 @@ def render_prometheus(
     pass ``{"peer_id": ..., "pid": ..., "transport": ...}``.
     """
     lines: List[str] = []
-    _counter(lines, "repro_messages_total", "Messages delivered", metrics.messages_total)
-    _counter(lines, "repro_bytes_total", "Payload bytes shipped", metrics.bytes_total)
-    _counter(
-        lines,
-        "repro_messages_by_kind_total",
-        "Messages by payload kind",
-        None,
-        ("kind", metrics.messages_by_kind),
-    )
-    _counter(
-        lines,
-        "repro_bytes_by_kind_total",
-        "Bytes by payload kind",
-        None,
-        ("kind", metrics.bytes_by_kind),
-    )
-    _counter(
-        lines,
-        "repro_queries_processed_total",
-        "Queries processed per peer",
-        None,
-        ("peer", metrics.queries_processed),
-    )
-    for name, help_text in (
-        ("cache_hits", "Routing/plan cache hits"),
-        ("cache_misses", "Routing/plan cache misses"),
-        ("cache_invalidations", "Cache entries invalidated"),
-        ("coalesced_queries", "Queries parked behind a singleflight leader"),
-        ("retries", "Protocol-level retries"),
-        ("retransmits", "Channel subplan retransmits"),
-        ("suspicions", "Peer suspicions recorded"),
-        ("partial_results", "Coverage-annotated partial answers"),
-        ("dropped_messages", "Messages dropped by the fault plan"),
-        ("duplicated_messages", "Messages duplicated by the fault plan"),
-        ("batches_sent", "Binding batches (DataPackets) shipped"),
-        ("discarded_bindings", "Bindings thrown away by plan discards"),
-        ("queries_shed", "Queries refused by admission control"),
-        ("deadline_expirations", "Per-query deadlines that fired"),
-        ("joins", "Peers registering with the overlay"),
-        ("goodbyes", "Graceful departures observed"),
-        ("rejoins", "Peers re-advertising after crash or departure"),
-        ("recoveries", "Crash recoveries from durable state"),
-        ("log_replays", "Membership-log records replayed on recovery"),
-        ("snapshot_bytes", "Bytes written by durable-state snapshots"),
-    ):
-        _counter(lines, f"repro_{name}_total", help_text, getattr(metrics, name))
-    lines.append("# HELP repro_inflight_queries Queries currently in flight")
-    lines.append("# TYPE repro_inflight_queries gauge")
-    lines.append(f"repro_inflight_queries {metrics.inflight_queries}")
-    lines.append(
-        "# HELP repro_max_inflight_queries High-watermark of concurrent queries"
-    )
-    lines.append("# TYPE repro_max_inflight_queries gauge")
-    lines.append(f"repro_max_inflight_queries {metrics.max_inflight_queries}")
-    if metrics.queue_depth_histogram.count:
-        _histogram(
-            lines,
-            "repro_admission_queue_depth",
-            "Admission queue depth observed at enqueue time",
-            {"": metrics.queue_depth_histogram},
-        )
-    if metrics.latency_histogram.count:
-        _histogram(
-            lines,
-            "repro_query_latency",
-            "End-to-end query latency (virtual time), all attempts",
-            {"": metrics.latency_histogram},
-        )
-        summary = metrics.latency_histogram.summary()
-        lines.append("# HELP repro_query_latency_quantile Query latency percentiles")
-        lines.append("# TYPE repro_query_latency_quantile gauge")
-        for quantile in ("p50", "p90", "p99", "max"):
-            lines.append(
-                f'repro_query_latency_quantile{{quantile="{quantile}"}} '
-                f"{_fmt(summary[quantile])}"
-            )
-    if metrics.bindings_per_batch.count:
-        _histogram(
-            lines,
-            "repro_bindings_per_batch",
-            "Bindings carried per shipped batch",
-            {"": metrics.bindings_per_batch},
-        )
-    if metrics.stage_latency:
-        _histogram(
-            lines,
-            "repro_stage_duration",
-            "Per-stage span durations (virtual time)",
-            metrics.stage_latency,
-            label="stage",
-        )
-    if metrics.message_delay_by_kind:
-        _histogram(
-            lines,
-            "repro_message_delay",
-            "Scheduled delivery delay per message kind",
-            metrics.message_delay_by_kind,
-            label="kind",
-        )
+    for instrument in INSTRUMENTS:
+        render = _histogram if instrument.kind == "histogram" else _series
+        render(lines, metrics, instrument)
     if gauges:
         lines.append("# HELP repro_peer_gauge Point-in-time per-peer state")
         lines.append("# TYPE repro_peer_gauge gauge")

@@ -72,16 +72,11 @@ class TelemetryProbe:
             {
                 suspect
                 for peer in self.peers
-                for suspect in getattr(
-                    getattr(peer, "quarantine", None), "peers", ()
-                )
+                if hasattr(peer, "quarantine")  # a ClientPeer keeps none
+                for suspect in peer.quarantine.peers
             }
         )
-        incarnations = {}
-        for peer in self.peers:
-            channels = getattr(peer, "channels", None)
-            if channels is not None and hasattr(channels, "epoch"):
-                incarnations[peer.peer_id] = channels.epoch
+        incarnations = {peer.peer_id: peer.channels.epoch for peer in self.peers}
         advertisements = max(
             (node_load(peer)["known_advertisements"] for peer in self.peers),
             default=0,
@@ -101,16 +96,10 @@ class TelemetryProbe:
             "known_advertisements": advertisements,
             "recoveries": metrics.recoveries,
             "rejoins": metrics.rejoins,
+            "transport": self.network.transport.kind,
         }
-        transport = getattr(self.network, "transport", None)
-        if transport is not None:
-            health["transport"] = getattr(transport, "kind", "sim")
-            extra = getattr(transport, "diagnostics_extra", None)
-            if callable(extra):
-                health.update(extra())
-        down = getattr(self.network, "_down", None)
-        if down is not None:
-            health["down_peers"] = sorted(down)
+        health.update(self.network.transport.diagnostics_extra())
+        health["down_peers"] = sorted(self.network._down)
         return health
 
     # ------------------------------------------------------------------
@@ -118,29 +107,27 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     def tracez(self, limit: int = 10) -> Dict[str, Any]:
         """Summaries of the most recently collected traces."""
-        collector = getattr(self.network, "trace_collector", None)
+        collector = self.network.trace_collector  # None with tracing off
+        trace_ids = collector.trace_ids() if collector is not None else []
         traces: List[Dict[str, Any]] = []
-        if collector is not None:
-            for trace_id in collector.trace_ids()[-limit:]:
-                spans = collector.spans(trace_id)
-                start = min(span.start for span in spans)
-                ends = [span.end for span in spans if span.end is not None]
-                traces.append(
-                    {
-                        "trace_id": trace_id,
-                        "root": spans[0].name if spans else "?",
-                        "spans": len(spans),
-                        "start": start,
-                        "duration": (max(ends) - start) if ends else None,
-                        "problems": validate_trace(spans),
-                    }
-                )
+        for trace_id in trace_ids[-limit:]:
+            spans = collector.spans(trace_id)
+            start = min(span.start for span in spans)
+            ends = [span.end for span in spans if span.end is not None]
+            traces.append(
+                {
+                    "trace_id": trace_id,
+                    "root": spans[0].name if spans else "?",
+                    "spans": len(spans),
+                    "start": start,
+                    "duration": (max(ends) - start) if ends else None,
+                    "problems": validate_trace(spans),
+                }
+            )
         return {
             "schema": TRACEZ_SCHEMA,
             "node_id": self.node_id,
-            "collected": (
-                len(collector.trace_ids()) if collector is not None else 0
-            ),
+            "collected": len(trace_ids),
             "traces": traces,
         }
 

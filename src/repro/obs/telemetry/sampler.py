@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ...metrics.instruments import FAMILIES
 from .timeseries import (
     DEFAULT_CAPACITY,
     TimeSeries,
@@ -27,11 +28,9 @@ from .timeseries import (
     percentile_from_buckets,
 )
 
-#: Counters every sample carries (missing sources read as zero).
-COUNTER_NAMES = (
-    "messages",
-    "bytes",
-    "queries_finished",
+#: Declared scalar counters a sample keeps — those the SLO rules and
+#: ``repro top`` read; a selection, so a timeline row stays small.
+SAMPLED_COUNTERS = (
     "queries_shed",
     "deadline_expirations",
     "partial_results",
@@ -44,22 +43,18 @@ COUNTER_NAMES = (
     "rejoins",
 )
 
-#: Prometheus family name behind each counter (the scrape-side mapping).
+#: Prometheus family behind each counter of a sample (the scrape-side
+#: mapping), read off the instrument table — so a selected name the
+#: table does not declare is a ``KeyError`` on import.
 EXPOSITION_FAMILIES = {
-    "messages": "repro_messages_total",
-    "bytes": "repro_bytes_total",
-    "queries_finished": "repro_query_latency_count",
-    "queries_shed": "repro_queries_shed_total",
-    "deadline_expirations": "repro_deadline_expirations_total",
-    "partial_results": "repro_partial_results_total",
-    "retries": "repro_retries_total",
-    "retransmits": "repro_retransmits_total",
-    "suspicions": "repro_suspicions_total",
-    "dropped_messages": "repro_dropped_messages_total",
-    "cache_invalidations": "repro_cache_invalidations_total",
-    "recoveries": "repro_recoveries_total",
-    "rejoins": "repro_rejoins_total",
+    "messages": FAMILIES["messages_total"],
+    "bytes": FAMILIES["bytes_total"],
+    "queries_finished": FAMILIES["latency_histogram"] + "_count",
+    **{name: FAMILIES[name] for name in SAMPLED_COUNTERS},
 }
+
+#: Counters every sample carries (missing sources read as zero).
+COUNTER_NAMES = tuple(EXPOSITION_FAMILIES)
 
 
 class TelemetrySample(NamedTuple):
@@ -81,16 +76,7 @@ def sample_metricset(
         "messages": float(metrics.messages_total),
         "bytes": float(metrics.bytes_total),
         "queries_finished": float(metrics.latency_histogram.count),
-        "queries_shed": float(metrics.queries_shed),
-        "deadline_expirations": float(metrics.deadline_expirations),
-        "partial_results": float(metrics.partial_results),
-        "retries": float(metrics.retries),
-        "retransmits": float(metrics.retransmits),
-        "suspicions": float(metrics.suspicions),
-        "dropped_messages": float(metrics.dropped_messages),
-        "cache_invalidations": float(metrics.cache_invalidations),
-        "recoveries": float(metrics.recoveries),
-        "rejoins": float(metrics.rejoins),
+        **{name: float(getattr(metrics, name)) for name in SAMPLED_COUNTERS},
     }
     point = dict(gauges or {})
     point.setdefault("inflight_queries", metrics.inflight_queries)

@@ -382,7 +382,7 @@ class Peer:
                 self._active_streams.discard(channel_id)
                 remaining = sum(p.rows for p in packets[index:])
                 if remaining:
-                    network.metrics.record_discarded_bindings(remaining)
+                    network.metrics.count("discarded_bindings", remaining)
                 return
             self.send(root, packets[index])
             if index + 1 < len(packets):

@@ -134,7 +134,7 @@ class ClientPeer(Peer):
                 return
             span = self._spans.get(submit.query_id)
             if retry.attempts_left(attempt + 1):
-                network.metrics.record_retry()
+                network.metrics.count("retries")
                 if span is not None:
                     span.annotate(f"resubmit attempt={attempt + 1}")
                 self.send(

@@ -190,7 +190,7 @@ class QueryCoordinator:
         if parked and len(self._admission_queue) >= admission.max_queued:
             # load shedding: refuse this query with a back-off hint
             # rather than degrade every admitted one
-            network.metrics.record_shed_query()
+            network.metrics.count("queries_shed")
             network.emit_event("shed", peer=peer.peer_id, query_id=submit.query_id)
             self._answer(
                 QueryShed(submit.query_id, admission.retry_after, peer.peer_id),
@@ -260,7 +260,7 @@ class QueryCoordinator:
             )
             leader = self._coalescer.admit(key, submit.query_id, pending)
             if leader is not None:
-                network.metrics.record_coalesced_query()
+                network.metrics.count("coalesced_queries")
                 span.set(coalesced_behind=leader)
                 span.finish()
                 return  # parked behind the leader; answered in finalize
@@ -293,7 +293,7 @@ class QueryCoordinator:
         if pending is None:
             return  # answered in time
         network = self.peer._require_network()
-        network.metrics.record_deadline_expiration()
+        network.metrics.count("deadline_expirations")
         network.emit_event(
             "deadline_expired", peer=self.peer.peer_id,
             query_id=query_id, deadline=deadline,
@@ -606,7 +606,7 @@ class QueryCoordinator:
         network = self.peer._require_network()
         if table is not None:
             if coverage is not None:
-                network.metrics.record_partial_result()
+                network.metrics.count("partial_results")
             table = pending.shape(table, self.peer.dictionary)
             bounds = pending.constraints
             if bounds.order_by is not None or bounds.max_results is not None:

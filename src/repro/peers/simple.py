@@ -136,7 +136,7 @@ class SimplePeer(Peer):
         if peer_id == self.peer_id:
             return
         network = self._require_network()
-        network.metrics.record_suspicion()
+        network.metrics.count("suspicions")
         if self.routing_cache is not None:
             self.routing_cache.invalidate_peer(peer_id)
         if self.config.resilience.quarantine_enabled:
@@ -280,7 +280,7 @@ class SimplePeer(Peer):
     def handle_Goodbye(self, message: Message) -> None:
         departed = message.payload.peer_id
         if self.known_advertisements.pop(departed, None) is not None:
-            self._require_network().metrics.record_goodbye()
+            self._require_network().metrics.count("goodbyes")
             if self.state_store is not None:
                 self.state_store.log_goodbye(departed)
         if self.routing_cache is not None:
@@ -445,7 +445,7 @@ class SimplePeer(Peer):
             else:
                 added, removed = table_delta(standing.snapshot, current)
             if error is not None or added or removed or standing.snapshot is None:
-                network.metrics.record_continuous_push()
+                network.metrics.count("continuous_pushes")
                 self.send(
                     standing.reply_to,
                     ContinuousUpdate(

@@ -141,7 +141,7 @@ class SuperPeer(Peer):
         if peer_id == self.peer_id:
             return
         if self.network is not None:
-            self.network.metrics.record_suspicion()
+            self.network.metrics.count("suspicions")
         self._invalidate_routing(peer_id)
         if self.config.resilience.quarantine_enabled:
             tripped = self.quarantine.record_failure(peer_id)
@@ -247,12 +247,12 @@ class SuperPeer(Peer):
         if record:
             if self.network is not None:
                 if rejoin:
-                    self.network.metrics.record_rejoin()
+                    self.network.metrics.count("rejoins")
                     self.network.emit_event(
                         "rejoin", peer=advertisement.peer_id, via=self.peer_id
                     )
                 elif previous is None:
-                    self.network.metrics.record_join()
+                    self.network.metrics.count("joins")
                     self.network.emit_event(
                         "join", peer=advertisement.peer_id, via=self.peer_id
                     )
@@ -287,7 +287,7 @@ class SuperPeer(Peer):
             self.failure_detector.unwatch(peer_id)
         if dropped and record:
             if self.network is not None:
-                self.network.metrics.record_goodbye()
+                self.network.metrics.count("goodbyes")
             if self.state_store is not None:
                 self.state_store.log_goodbye(peer_id)
 
@@ -370,7 +370,7 @@ class SuperPeer(Peer):
             # the routing service is saturated: refuse with a back-off
             # hint instead of queueing unboundedly
             request: RouteRequest = message.payload
-            network.metrics.record_shed_query()
+            network.metrics.count("queries_shed")
             network.emit_event(
                 "shed", peer=self.peer_id, query_id=request.query_id,
                 service="routing",

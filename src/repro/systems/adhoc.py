@@ -169,7 +169,7 @@ class AdhocPeer(SimplePeer):
             return  # every branch already reported back
         self._delegations.pop(query_id, None)
         if self.network is not None:
-            self.network.metrics.record_retry()
+            self.network.metrics.count("retries")
         pending.span.annotate(f"delegation round {round_no} timed out")
         self._deepen_or_fail(pending)
 

@@ -119,7 +119,7 @@ class HybridPeer(SimplePeer):
             if pending.routing_attempts != round_no:
                 return  # a replan already started a newer routing round
             if retry.attempts_left(attempt + 1):
-                network.metrics.record_retry()
+                network.metrics.count("retries")
                 pending.routing_span.annotate(f"retry attempt={attempt + 1}")
                 self._request_route(pending, target)
                 self._arm_routing_timeout(query_id, target, round_no, attempt + 1)
@@ -146,7 +146,7 @@ class HybridPeer(SimplePeer):
             )
             return
         network = self._require_network()
-        network.metrics.record_retry()
+        network.metrics.count("retries")
         pending.routing_span.annotate(
             f"route busy: backing off {busy.retry_after:g}"
         )

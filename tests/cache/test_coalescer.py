@@ -82,11 +82,15 @@ class TestCoalescingEndToEnd:
     def test_follower_latency_recorded(self):
         system = _system()
         client = system.add_client()
+        finished = []
+        system.network.metrics.on_query_latency = (
+            lambda query_id, latency: finished.append(query_id)
+        )
         first = client.submit("P1", PAPER_QUERY)
         second = client.submit("P1", PAPER_QUERY)
         system.run()
-        assert first in system.network.metrics.query_latency
-        assert second in system.network.metrics.query_latency
+        assert sorted(finished) == sorted([first, second])
+        assert system.network.metrics.latency_histogram.count == 2
 
     def test_sequential_queries_do_not_coalesce(self):
         system = _system()

@@ -1,6 +1,9 @@
 """Tests for metric collection."""
 
-from repro.metrics import MetricSet
+import pytest
+
+from repro.metrics import COUNTERS, MetricSet
+from repro.obs import render_prometheus
 
 
 class TestMetricSet:
@@ -20,70 +23,99 @@ class TestMetricSet:
         metrics.record_query_processed("A", relevant=False)
         assert metrics.queries_processed["A"] == 2
         assert metrics.irrelevant_queries["A"] == 1
-        assert metrics.peak_peer_load() == 2
 
     def test_latency(self):
         metrics = MetricSet()
         metrics.query_started("q1", 10.0)
         metrics.query_finished("q1", 14.0)
-        assert metrics.query_latency["q1"] == 4.0
+        assert metrics.latency_histogram.count == 1
         assert metrics.mean_latency() == 4.0
 
     def test_finish_without_start_ignored(self):
         metrics = MetricSet()
         metrics.query_finished("ghost", 5.0)
-        assert "ghost" not in metrics.query_latency
+        assert metrics.latency_histogram.count == 0
+        assert metrics.inflight_queries == 0
 
     def test_mean_latency_empty(self):
         assert MetricSet().mean_latency() is None
 
     def test_snapshot_delta(self):
+        """Two snapshots bracket a window: the earlier one is a copy
+        (per-kind counters included), not a view of the live set."""
         metrics = MetricSet()
         metrics.record_message("X", "A", "B", 10)
-        snapshot = metrics.snapshot()
+        before = metrics.snapshot()
         metrics.record_message("X", "A", "B", 20)
-        metrics.record_message("X", "A", "B", 30)
-        delta = metrics.delta(snapshot)
-        assert delta[:2] == (2, 50)
-        assert delta.messages == 2
-        assert delta.bytes == 50
-
-    def test_delta_accepts_legacy_pair(self):
-        metrics = MetricSet()
-        metrics.record_message("X", "A", "B", 10)
-        metrics.record_cache_hit()
-        delta = metrics.delta((0, 0))
-        assert delta.messages == 1
-        assert delta.bytes == 10
-        assert delta.cache_hits == 1
+        metrics.record_message("Y", "A", "B", 30)
+        after = metrics.snapshot()
+        assert before[:2] == (1, 10)
+        assert (after.messages - before.messages, after.bytes - before.bytes) == (2, 50)
+        assert dict(after.messages_by_kind - before.messages_by_kind) == {"X": 1, "Y": 1}
+        assert dict(after.bytes_by_kind - before.bytes_by_kind) == {"X": 20, "Y": 30}
 
     def test_cache_counters(self):
         metrics = MetricSet()
+        metrics.count("cache_hits")
+        metrics.count("cache_misses")
+        metrics.count("cache_invalidations", 3)
+        metrics.count("coalesced_queries")
         snapshot = metrics.snapshot()
-        metrics.record_cache_hit()
-        metrics.record_cache_miss()
-        metrics.record_cache_invalidation(3)
-        metrics.record_coalesced_query()
-        delta = metrics.delta(snapshot)
-        assert delta.cache_hits == 1
-        assert delta.cache_misses == 1
-        assert delta.cache_invalidations == 3
-        assert delta.coalesced_queries == 1
+        assert snapshot.cache_hits == 1
+        assert snapshot.cache_misses == 1
+        assert snapshot.cache_invalidations == 3
+        assert snapshot.coalesced_queries == 1
 
-    def test_summary_keys(self):
-        summary = MetricSet().summary()
-        assert set(summary) >= {
-            "messages",
-            "bytes",
-            "queries_processed",
-            "cache_hits",
-            "cache_misses",
-            "cache_invalidations",
-            "coalesced_queries",
-        }
 
-    def test_peak_load_empty(self):
-        assert MetricSet().peak_peer_load() == 0
+class TestInstrumentTable:
+    """Every declared counter reaches every view — nothing is listed
+    twice, so nothing can be forgotten by one of them."""
+
+    def test_every_counter_reaches_every_view(self):
+        assert {"topk_cancels", "continuous_pushes"} <= set(COUNTERS)
+        assert {"messages", "bytes", "queries_processed", *COUNTERS} <= set(
+            MetricSet().summary()
+        )
+        for name in COUNTERS:
+            metrics = MetricSet()
+            zero, zero_summary = metrics.snapshot(), metrics.summary()
+            metrics.count(name)
+            metrics.count(name, 2)
+            assert getattr(metrics, name) == 3
+            moved = metrics.snapshot()
+            assert [
+                field for field in moved._fields
+                if getattr(moved, field) != getattr(zero, field)
+            ] == [name]
+            assert getattr(moved, name) == 3
+            summary = metrics.summary()
+            assert {
+                key for key in summary if summary[key] != zero_summary[key]
+            } == {name}
+            assert summary[name] == 3
+            exposition = render_prometheus(metrics).splitlines()
+            family = f"repro_{name}_total"
+            assert exposition.count(f"# TYPE {family} counter") == 1
+            assert f"{family} 3" in exposition
+
+    def test_undeclared_counter_raises(self):
+        metrics = MetricSet()
+        with pytest.raises(KeyError):
+            metrics.count("no_such")
+        with pytest.raises(KeyError):
+            metrics.count("messages_total")  # an attribute, not a table counter
+        assert not hasattr(metrics, "no_such")
+
+    def test_snapshot_fields_follow_the_table(self):
+        assert MetricSet().snapshot()._fields == (
+            "messages", "bytes", *COUNTERS, "messages_by_kind", "bytes_by_kind",
+        )
+
+    def test_record_batch_moves_the_declared_counter(self):
+        metrics = MetricSet()
+        metrics.record_batch(4)
+        assert metrics.summary()["batches_sent"] == 1
+        assert metrics.summary()["mean_bindings_per_batch"] == 4.0
 
 
 class TestPerAttemptLatency:
@@ -91,15 +123,21 @@ class TestPerAttemptLatency:
         """A client resubmit of the same query id must not clobber the
         outstanding attempt: both latencies count."""
         metrics = MetricSet()
+        tapped = []
+        metrics.on_query_latency = lambda query_id, latency: tapped.append(
+            (query_id, latency)
+        )
         metrics.query_started("q1", 0.0)
         metrics.query_started("q1", 10.0)  # idempotent resubmit
+        assert metrics.inflight_query_ids() == ["q1"]
         metrics.query_finished("q1", 4.0)  # closes the oldest attempt
         metrics.query_finished("q1", 16.0)
-        assert metrics.query_latencies["q1"] == [4.0, 6.0]
-        assert metrics.all_latencies() == [4.0, 6.0]
+        assert tapped == [("q1", 4.0), ("q1", 6.0)]
+        assert metrics.latency_histogram.count == 2
+        assert metrics.latency_histogram.total == 10.0
         assert metrics.mean_latency() == 5.0
-        # the legacy view keeps the latest attempt only
-        assert metrics.query_latency["q1"] == 6.0
+        assert metrics.inflight_query_ids() == []
+        assert metrics.inflight_queries == 0
 
     def test_latency_feeds_histogram_percentiles(self):
         metrics = MetricSet()
@@ -145,22 +183,3 @@ class TestStageLatency:
         assert metrics.stage_latency["routing"].count == 1
         metrics.observe_stage("routing", 3.0)
         assert metrics.stage_latency["routing"].count == 2
-
-
-class TestPerKindDelta:
-    def test_delta_splits_by_kind(self):
-        metrics = MetricSet()
-        metrics.record_message("RouteRequest", "A", "SP", 10)
-        snapshot = metrics.snapshot()
-        metrics.record_message("RouteReply", "SP", "A", 30)
-        metrics.record_message("RouteReply", "SP", "A", 30)
-        delta = metrics.delta(snapshot)
-        assert dict(delta.messages_by_kind) == {"RouteReply": 2}
-        assert dict(delta.bytes_by_kind) == {"RouteReply": 60}
-
-    def test_legacy_pair_deltas_kinds_against_zero(self):
-        metrics = MetricSet()
-        metrics.record_message("QuerySubmit", "A", "B", 5)
-        delta = metrics.delta((0, 0))
-        assert dict(delta.messages_by_kind) == {"QuerySubmit": 1}
-        assert dict(delta.bytes_by_kind) == {"QuerySubmit": 5}

@@ -11,6 +11,7 @@ from repro.obs.telemetry import (
     sample_metricset,
 )
 from repro.obs.telemetry.probe import HEALTH_SCHEMA, TRACEZ_SCHEMA
+from repro.obs.telemetry.sampler import COUNTER_NAMES, SAMPLED_COUNTERS
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
@@ -81,11 +82,18 @@ class TestSamplingPipeline:
         # rendered exposition — the difftest invariant of the pipeline
         system = paper_system()
         system.query("P1", PAPER_QUERY)
+        # every sampled table counter at its own non-zero value, so
+        # agreement is not 0 == 0 and a crossed family would show
+        for n, name in enumerate(SAMPLED_COUNTERS, start=1):
+            system.network.metrics.count(name, n)
         probe = probed(system)
         direct = sample_metricset(system.network.metrics, t=1.0)
         scraped = sample_from_exposition(
             parse_exposition(probe.metrics_text()), t=1.0
         )
+        assert tuple(direct.counters) == COUNTER_NAMES
+        assert len(COUNTER_NAMES) == 13  # a sample stays a selection
+        assert all(direct.counters.values())
         assert scraped.counters == direct.counters
         assert scraped.latency_buckets == direct.latency_buckets
 
