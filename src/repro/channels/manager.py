@@ -12,19 +12,18 @@ from typing import Callable, Dict, Optional
 
 from ..core.algebra import PlanNode
 from ..errors import ChannelError
-from ..execution.batch import concat_tables
+from ..execution.batch import BindingBatch, concat_tables
 from ..net.message import Message
 from ..net.simulator import Network
 from ..rdf.dictionary import TermDictionary
 from ..resilience.retry import RetryPolicy
-from ..rql.bindings import BindingTable
 from .channel import Channel
 from .packets import DataPacket, SubPlanPacket, TreePath
 
 #: Continuation invoked with (table, failed_peer) when a channel completes.
-ChannelCallback = Callable[[Optional[BindingTable], Optional[str]], None]
+ChannelCallback = Callable[[Optional[BindingBatch], Optional[str]], None]
 #: Per-chunk consumer for pipelined channels.
-ProgressCallback = Callable[[BindingTable], None]
+ProgressCallback = Callable[[BindingBatch], None]
 #: discarded channel ids remembered for late-packet accounting (per peer)
 DISCARDED_CHANNEL_LIMIT = 1024
 
@@ -184,7 +183,7 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
-    def on_dictionary(self, packet: DataPacket) -> BindingTable:
+    def on_dictionary(self, packet: DataPacket) -> BindingBatch:
         """Intern a packet's terms in the owner's dictionary (one
         ``encode`` per term, not per cell); returns its bindings as an
         *id table* in the owner's space (idempotent: interning is)."""
@@ -227,7 +226,7 @@ class ChannelManager:
             return  # chunks still outstanding
         channel.close()
         if channel.progress is not None:
-            self._finish(channel, BindingTable(table.columns), None)
+            self._finish(channel, BindingBatch(table.columns), None)
             return
         chunks, channel.chunks = channel.chunks, []
         self._finish(channel, concat_tables(chunks), None)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.algebra import PlanNode, count_scans
-from ..execution.encoded import EncodedTable, split_encoded
+from ..execution.batch import BindingBatch
+from ..execution.encoded import EncodedTable
 from ..rdf.dictionary import TermDictionary
-from ..rql.bindings import BindingTable
 
 #: Relative tree path inside a shipped subplan.
 TreePath = Tuple[int, ...]
@@ -81,15 +81,20 @@ class DataPacket:
     def stream(
         cls,
         channel_id: str,
-        table: BindingTable,
+        table: BindingBatch,
         dictionary: TermDictionary,
         chunk: int,
         cardinalities: Optional[Dict[str, int]] = None,
     ) -> List["DataPacket"]:
         """An id table in ``dictionary``'s space as sequence-numbered
         packets of at most ``chunk`` rows — at least one, so the final
-        marker and the ``cardinalities`` always have a carrier."""
-        parts = split_encoded(EncodedTable.pack(table, dictionary), chunk)
+        marker and the ``cardinalities`` always have a carrier.  Each
+        slice is packed over its own terms (one ``decode`` per distinct
+        id, never per cell), so every packet is self-contained."""
+        parts = [
+            EncodedTable.of_batch(part, dictionary.decode_many)
+            for part in table.split(chunk)
+        ]
         last = len(parts) - 1
         return [
             cls(

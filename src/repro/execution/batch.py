@@ -1,17 +1,21 @@
-"""Column-oriented binding batches: the one operator kernel.
+"""Column-oriented binding batches: the one id-table type.
 
-A :class:`BindingBatch` holds the same bag of variable bindings as a
-:class:`~repro.rql.bindings.BindingTable`, but column-major: a schema
-header (ordered variable names) plus one value list per column.  The
-execution engine materialises operator inputs as batches and runs
-joins, unions, filters and projections column-wise — no per-row
-``dict`` is ever built on the hot path.  The kernel is value-agnostic:
+A :class:`BindingBatch` holds a bag of variable bindings column-major:
+a schema header (ordered variable names) plus one value list per
+column.  It is what an *id table* is everywhere in the execution
+engine — a scan returns one, channels buffer and concatenate them,
+the join/union/filter/projection kernels consume and emit them, and
+the answer is packed from one — so no per-row ``dict`` or row tuple is
+built between scan and answer.  The kernel is value-agnostic:
 production cells are dictionary ids, tests also run it on terms.
 
-The two representations convert losslessly (:meth:`from_table` /
-:meth:`to_table`), row order included, so the kernels are testable
-against :meth:`BindingTable.join` / :meth:`BindingTable.union`, the
-operators of the centralized evaluator.
+The row-major :class:`~repro.rql.bindings.BindingTable` is the
+term-space form (the centralized evaluator's, and the one a client
+reads).  The two convert losslessly (:meth:`from_table` /
+:meth:`to_table`), row order included; the engine pivots only at the
+term boundary (:meth:`EncodedTable.of_terms` / ``to_terms``), and the
+tests pivot to compare the kernels against :meth:`BindingTable.join` /
+:meth:`BindingTable.union`, the operators of the centralized evaluator.
 """
 
 from __future__ import annotations
@@ -103,43 +107,29 @@ class BindingBatch:
         shared = [c for c in self.columns if c in other.columns]
         other_only = [c for c in other.columns if c not in self.columns]
         out_columns = self.columns + tuple(other_only)
-        if not shared:
-            # cartesian product, self-major (as BindingTable.join)
-            self_idx = [i for i in range(self.length) for _ in range(other.length)]
-            other_idx = list(range(other.length)) * self.length
-            return self._gather(other, other_only, out_columns, self_idx, other_idx)
-        build, probe, build_is_self = (self, other, True)
-        if other.length < self.length:
-            build, probe, build_is_self = (other, self, False)
+        # with nothing shared every pair of rows matches; probing with
+        # ``self`` keeps that product self-major (as BindingTable.join)
+        build_is_self = bool(shared) and self.length <= other.length
+        build, probe = (self, other) if build_is_self else (other, self)
+        buckets: Dict[object, List[int]] = {}
+        bucket_rows(build.join_keys(shared), buckets)
+        probe_idx, build_idx = probe_rows(probe.join_keys(shared), buckets)
+        if build_is_self:
+            return self.gather(other, other_only, out_columns, build_idx, probe_idx)
+        return self.gather(other, other_only, out_columns, probe_idx, build_idx)
+
+    def join_keys(self, shared: Sequence[str]) -> Sequence:
+        """One hashable join key per row, over the ``shared`` columns."""
         if len(shared) == 1:
             # single-key fast path: hash the values directly instead of
             # boxing every key into a 1-tuple (the common case for both
             # chain joins and dictionary-encoded int columns)
-            build_keys: Sequence = build.data[shared[0]]
-            probe_keys: Iterable = probe.data[shared[0]]
-        else:
-            build_keys = list(zip(*(build.data[c] for c in shared)))
-            probe_keys = zip(*(probe.data[c] for c in shared))
-        buckets: Dict[object, List[int]] = {}
-        for index, key in enumerate(build_keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [index]
-            else:
-                bucket.append(index)
-        build_idx: List[int] = []
-        probe_idx: List[int] = []
-        get = buckets.get
-        for index, key in enumerate(probe_keys):
-            bucket = get(key)
-            if bucket is not None:
-                build_idx.extend(bucket)
-                probe_idx.extend([index] * len(bucket))
-        if build_is_self:
-            return self._gather(other, other_only, out_columns, build_idx, probe_idx)
-        return self._gather(other, other_only, out_columns, probe_idx, build_idx)
+            return self.data[shared[0]]
+        if not shared:
+            return [()] * self.length  # every pair of rows matches
+        return list(zip(*(self.data[c] for c in shared)))
 
-    def _gather(
+    def gather(
         self,
         other: "BindingBatch",
         other_only: Sequence[str],
@@ -270,18 +260,43 @@ class BindingBatch:
         return f"BindingBatch(columns={self.columns}, rows={self.length})"
 
 
-def concat_tables(tables: Sequence[BindingTable]) -> BindingTable:
-    """Column-aligned bag union of streamed chunks, done batch-wise.
+def bucket_rows(
+    keys: Iterable, buckets: Dict[object, List[int]], start: int = 0
+) -> None:
+    """The build half of a hash join: file each key's row index
+    (counting from ``start``) under the key, in arrival order."""
+    for index, key in enumerate(keys, start):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [index]
+        else:
+            bucket.append(index)
 
-    Equivalent to folding :meth:`BindingTable.union` over the chunks but
-    linear in total rows instead of quadratic — this is what the channel
-    manager uses to assemble a multi-batch stream.
+
+def probe_rows(
+    keys: Iterable, buckets: Dict[object, List[int]]
+) -> Tuple[List[int], List[int]]:
+    """The probe half: the matching row pairs, probe-major, as
+    ``(probing row indices, bucketed row indices)``."""
+    probe_idx: List[int] = []
+    build_idx: List[int] = []
+    get = buckets.get
+    for index, key in enumerate(keys):
+        bucket = get(key)
+        if bucket is not None:
+            build_idx.extend(bucket)
+            probe_idx.extend([index] * len(bucket))
+    return probe_idx, build_idx
+
+
+def concat_tables(tables: Sequence[BindingBatch]) -> BindingBatch:
+    """Column-aligned bag union of streamed chunks — what the channel
+    manager and the executor assemble a multi-chunk stream with.  A lone
+    chunk is handed on as it is (no kernel mutates its input), the rest
+    is :meth:`BindingBatch.concat`: linear in total rows, where folding
+    :meth:`BindingTable.union` over the chunks would be quadratic.
     """
-    if not tables:
-        raise EvaluationError("concat of zero tables")
     if len(tables) == 1:
         return tables[0]
-    return BindingBatch.concat(
-        [BindingBatch.from_table(t) for t in tables]
-    ).to_table()
+    return BindingBatch.concat(tables)
 

@@ -6,24 +6,29 @@ domain/range constraints is the dominant cost of query evaluation.  An
 property, range)`` schema path and caches the result as a pair of
 **encoded ID columns** (subject ids, object ids) interned through the
 owning peer's :class:`~repro.rdf.dictionary.TermDictionary`.  Scans then
-become cache lookups returning *id tables* — ordinary
-:class:`~repro.rql.bindings.BindingTable` values whose cells are ints —
-joins run over small integers via the value-agnostic
-:class:`~repro.execution.batch.BindingBatch` kernels, and terms appear
-only where a table crosses a link: as an :class:`EncodedTable`, the one
-wire form of a binding table, which names each of its distinct terms
-once.
+become cache lookups returning *id tables* — column-major
+:class:`~repro.execution.batch.BindingBatch` values whose cells are
+ints —, joins run over small integers via that class's value-agnostic
+kernels, and terms appear only where a table crosses a link: as an
+:class:`EncodedTable`, the one wire form of a binding table, which
+names each of its distinct terms once — and where the engine's only
+two pivots to the row-major term table are (:meth:`EncodedTable.of_terms`,
+:meth:`EncodedTable.to_terms`).
 
 Matching semantics are shared by construction:
 :func:`~repro.rql.evaluator.path_triple_matches` is the single matcher
 both the centralized evaluator (the test oracle) and the column builder
 call, so the two cannot drift apart.
 
-Cached column lists are handed to batches *without copying*: no batch
-kernel mutates its input columns in place (``_gather``/``concat``/
-``project`` all allocate fresh lists), an invariant the property suite
-pins down.  Cache validity keys on ``Graph.version``, so base mutations
-invalidate stale columns.
+Cached column lists are handed to the scan's join cascade *without
+copying*: no batch kernel mutates its input columns in place
+(``gather``/``concat``/``project`` all allocate fresh lists), an
+invariant the property suite pins down.  The cache itself does mutate
+them — :meth:`EncodedBase.apply_delta` patches columns in place — so a
+batch that *leaves* :func:`evaluate_scan_encoded` never aliases one: a
+multi-pattern scan's columns are fresh from the join, a single-pattern
+scan copies its own.  Cache validity keys on ``Graph.version``, so
+base mutations invalidate stale columns.
 """
 
 from __future__ import annotations
@@ -75,32 +80,26 @@ class EncodedTable:
         return cls(batch.columns, tuple(resolve(positions)), ids, batch.length)
 
     @classmethod
-    def pack(cls, table: BindingTable, dictionary: TermDictionary) -> "EncodedTable":
-        """Pack an id table of ``dictionary``'s space (one ``decode``
-        per distinct id, never per cell)."""
-        return cls.of_batch(BindingBatch.from_table(table), dictionary.decode_many)
-
-    @classmethod
     def of_terms(cls, table: BindingTable) -> "EncodedTable":
         """Pack a table whose cells are terms."""
         return cls.of_batch(BindingBatch.from_table(table), tuple)
 
-    def intern(self, dictionary: TermDictionary) -> BindingTable:
+    def intern(self, dictionary: TermDictionary) -> BindingBatch:
         """The table as an id table in ``dictionary``'s space: one
         ``encode`` per term, then a list index per cell (idempotent:
         interning is)."""
-        return self._rows(dictionary.encode_many(self.terms))
+        return self._batch(dictionary.encode_many(self.terms))
 
     def to_terms(self) -> BindingTable:
         """The table with its cells materialised as terms."""
-        return self._rows(self.terms)
+        return self._batch(self.terms).to_table()
 
-    def _rows(self, values: Sequence) -> BindingTable:
+    def _batch(self, values: Sequence) -> BindingBatch:
         data = {
             name: [values[i] for i in column]
             for name, column in zip(self.columns, self.ids)
         }
-        return BindingBatch(self.columns, data, length=self.length).to_table()
+        return BindingBatch(self.columns, data, length=self.length)
 
     def size_bytes(self) -> int:
         return table_size_bytes(
@@ -109,25 +108,6 @@ class EncodedTable:
 
     def __len__(self) -> int:
         return self.length
-
-
-def split_encoded(encoded: EncodedTable, batch_size: int) -> List[EncodedTable]:
-    """Cut an encoded table into row slices of at most ``batch_size``
-    rows (at least one slice, possibly empty, so a final marker always
-    has a carrier).  Each slice is re-packed over its own terms, so it
-    stays self-contained."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if encoded.length <= batch_size:
-        return [encoded]
-    terms = encoded.terms
-    whole = BindingBatch(
-        encoded.columns, dict(zip(encoded.columns, encoded.ids)), encoded.length
-    )
-    return [
-        EncodedTable.of_batch(part, lambda positions: [terms[i] for i in positions])
-        for part in whole.split(batch_size)
-    ]
 
 
 class EncodedBase:
@@ -279,7 +259,7 @@ class EncodedBase:
         return count
 
 
-def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingTable:
+def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingBatch:
     """Evaluate a (possibly composite) scan on the encoded columns.
 
     Per-pattern id columns come straight from the cache (shared, not
@@ -288,8 +268,9 @@ def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingTable:
     dictionary space: the whole join/union pipeline above it stays on
     ints and terms materialise only at the final answer.
     """
+    patterns = scan.patterns()
     result: Optional[BindingBatch] = None
-    for pattern in scan.patterns():
+    for pattern in patterns:
         subjects, objects = base.pattern_columns(pattern.schema_path)
         columns = pattern.variables()
         data: Dict[str, List[int]] = {}
@@ -303,5 +284,10 @@ def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingTable:
             batch = BindingBatch((), length=len(subjects))
         result = batch if result is None else result.hash_join(batch)
     if result is None:
-        return BindingTable(())
-    return result.to_table()
+        return BindingBatch(())
+    if len(patterns) == 1:
+        # a lone pattern's batch still holds the cache's own lists,
+        # which ``apply_delta`` patches in place: copy them, so a query
+        # holding this batch across an update keeps what it scanned
+        return result.project(result.columns)
+    return result

@@ -40,12 +40,11 @@ from ..errors import PlanningError
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
-from ..rql.bindings import BindingTable
-from .batch import concat_tables
+from .batch import BindingBatch, concat_tables
 from .pipeline import BlockingCombine, Emit, streaming_operator
 
-#: Completion continuation: (result table or None, failed peer or None).
-Completion = Callable[[Optional[BindingTable], Optional[str]], None]
+#: Completion continuation: (result id table or None, failed peer or None).
+Completion = Callable[[Optional[BindingBatch], Optional[str]], None]
 
 
 class ExecutorHost(Protocol):
@@ -54,7 +53,7 @@ class ExecutorHost(Protocol):
     peer_id: str
     channels: ChannelManager
 
-    def local_scan(self, scan: Scan) -> BindingTable:
+    def local_scan(self, scan: Scan) -> BindingBatch:
         """Evaluate a scan against the local base (an id table)."""
 
     def schedule_work(self, query_id: str, unit: Callable[[], None]) -> None:
@@ -90,8 +89,8 @@ class ExecutionStrategy:
     """
 
     stream: bool = False
-    scan_cache: Optional[Dict[Scan, BindingTable]] = None
-    early_stop: Optional[Callable[[BindingTable], bool]] = None
+    scan_cache: Optional[Dict[Scan, BindingBatch]] = None
+    early_stop: Optional[Callable[[BindingBatch], bool]] = None
     retry: object = None
     needed: Optional[frozenset] = None
     trace: object = None
@@ -139,7 +138,7 @@ class PlanExecutor:
         self.reused_rows = 0
         self._finished = False
         #: what the root of the walk emitted so far
-        self._output: List[BindingTable] = []
+        self._output: List[BindingBatch] = []
         #: every channel this executor opened (the manager forgets a
         #: channel once answered; releasing needs its final state)
         self._channels: list = []
@@ -158,7 +157,7 @@ class PlanExecutor:
         )
         self._walk(self.plan, (), self._emit, self._done, self.strategy.needed)
 
-    def _emit(self, chunk: BindingTable) -> None:
+    def _emit(self, chunk: BindingBatch) -> None:
         """The root's output: one table when gathering, a chunk at a
         time when streaming — where the top-k stop watches it."""
         if chunk and self.first_output_at is None:
@@ -187,7 +186,7 @@ class PlanExecutor:
             # linear in total rows, not quadratic per-chunk unions
             self._finish_ok(concat_tables(self._output))
         else:
-            self._finish_ok(BindingTable(self.plan.variables()))
+            self._finish_ok(BindingBatch(self.plan.variables()))
 
     def abort(self) -> None:
         """Stop without completing.  Under the ubQL discard policy all
@@ -217,7 +216,7 @@ class PlanExecutor:
                     )
                 )
 
-    def _finish_ok(self, table: BindingTable) -> None:
+    def _finish_ok(self, table: BindingBatch) -> None:
         if not self._finished:
             self._finished = True
             self.span.set(rows=len(table), reused_rows=self.reused_rows)
@@ -343,15 +342,15 @@ class PlanExecutor:
             for p, s in self.sites.items()
             if p[: len(path)] == path and p != path
         }
-        kept: List[BindingTable] = []
+        kept: List[BindingBatch] = []
 
-        def on_progress(chunk: BindingTable) -> None:
+        def on_progress(chunk: BindingBatch) -> None:
             if cache is not None:
                 kept.append(chunk)
             if not self._finished:
                 emit(chunk)
 
-        def on_channel(table: Optional[BindingTable], failed: Optional[str]) -> None:
+        def on_channel(table: Optional[BindingBatch], failed: Optional[str]) -> None:
             if failed is None and cache is not None:
                 cache[node] = concat_tables(kept) if kept else table
             if self._finished:

@@ -2,16 +2,16 @@
 
 The kernels the execution engine composes above the scans: n-ary union
 and join with eager duplicate elimination and dead-column pruning, and
-the coordinator's final filter/project/pack step.  Operands are *id
-tables* (:class:`~repro.rql.bindings.BindingTable` values whose cells
-are dictionary ids); the work runs column-wise on
-:class:`~repro.execution.batch.BindingBatch` without building a per-row
-dict, and terms appear once each, when :func:`finalize_encoded` packs
-the answer.
+the coordinator's final filter/project/pack step.  Operands and
+results are *id tables* — column-major
+:class:`~repro.execution.batch.BindingBatch` values whose cells are
+dictionary ids —, so the work runs column-wise from the first operand
+to the last result without a row tuple or per-row dict, and terms
+appear once each, when :func:`finalize_encoded` packs the answer.
 
 ``tests/difftest`` and the property suites compare these against the
-centralized evaluator (:mod:`repro.rql.evaluator`), which runs on
-:meth:`BindingTable.join` / :meth:`BindingTable.union`.
+centralized evaluator (:mod:`repro.rql.evaluator`), which runs on the
+row-major :meth:`BindingTable.join` / :meth:`BindingTable.union`.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ from typing import Iterable, List, Optional, Sequence
 from ..errors import EvaluationError
 from ..rdf.terms import Literal
 from ..rql.ast import Condition
-from ..rql.bindings import BindingTable
 from ..rql.evaluator import _COMPARATORS
 from .batch import BindingBatch
 from .encoded import EncodedTable
 
 
 def vunion_all_distinct(
-    tables: Sequence[BindingTable], needed: Optional[set] = None
-) -> BindingTable:
+    tables: Sequence[BindingBatch], needed: Optional[set] = None
+) -> BindingBatch:
     """Union with duplicate elimination after the concat.
 
     The coordinator's final step is always a distinct projection, so
@@ -41,19 +40,18 @@ def vunion_all_distinct(
     """
     if not tables:
         raise EvaluationError("union of zero tables")
-    batches = [BindingBatch.from_table(t) for t in tables]
     if needed is not None:
-        keep = [c for c in batches[0].columns if c in needed]
-        if len(keep) < len(batches[0].columns):
-            batches = [b.project(keep) for b in batches]
-    if len(batches) == 1:
-        return batches[0].distinct().to_table()
-    return BindingBatch.concat(batches).distinct().to_table()
+        keep = [c for c in tables[0].columns if c in needed]
+        if len(keep) < len(tables[0].columns):
+            tables = [t.project(keep) for t in tables]
+    if len(tables) == 1:
+        return tables[0].distinct()
+    return BindingBatch.concat(tables).distinct()
 
 
 def vjoin_all_distinct(
-    tables: Sequence[BindingTable], needed: Optional[set] = None
-) -> BindingTable:
+    tables: Sequence[BindingBatch], needed: Optional[set] = None
+) -> BindingBatch:
     """Hash-join cascade with per-step duplicate elimination and
     (optionally) dead-column pruning.
 
@@ -71,9 +69,9 @@ def vjoin_all_distinct(
     if not tables:
         raise EvaluationError("join of zero tables")
     remaining = [set(t.columns) for t in tables]
-    result = BindingBatch.from_table(tables[0]).distinct()
+    result = tables[0].distinct()
     for index, table in enumerate(tables[1:], start=1):
-        result = result.hash_join(BindingBatch.from_table(table).distinct())
+        result = result.hash_join(table.distinct())
         if needed is not None:
             later: set = set()
             for columns in remaining[index + 1 :]:
@@ -86,7 +84,7 @@ def vjoin_all_distinct(
         keep = [c for c in result.columns if c in needed]
         if len(keep) < len(result.columns):
             result = result.project(keep).distinct()
-    return result.to_table()
+    return result
 
 
 def referenced_columns(condition: Condition) -> set:
@@ -144,7 +142,7 @@ def _encoded_condition_mask(
 
 
 def finalize_encoded(
-    table: BindingTable,
+    batch: BindingBatch,
     dictionary,
     projections: Sequence[str],
     conditions: Iterable[Condition] = (),
@@ -152,7 +150,6 @@ def finalize_encoded(
     """Coordinator post-processing of an *id table*: filter (decoding
     per distinct id), project, de-duplicate on ints, and pack the final
     — already small — table for the wire, each distinct term once."""
-    batch = BindingBatch.from_table(table)
     columns = set(batch.columns)
     for condition in conditions:
         if not referenced_columns(condition).issubset(columns):

@@ -23,17 +23,15 @@ closed — so the walk wires either up the same way:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
-from ..rql.bindings import BindingTable
-from .batch import BindingBatch
+from .batch import BindingBatch, bucket_rows, probe_rows
 from .operators import vjoin_all_distinct, vunion_all_distinct
 
-#: Downstream consumer of emitted output chunks.
-Emit = Callable[[BindingTable], None]
+#: Downstream consumer of emitted output chunks (id tables).
+Emit = Callable[[BindingBatch], None]
 #: One operator input: (feed a chunk, close the input).
 Input = Tuple[Emit, Callable[[], None]]
 
@@ -54,7 +52,7 @@ class BlockingCombine:
 
     def __init__(self, union: bool, inputs: int, needed: Optional[set], emit: Emit):
         self._kernel = vunion_all_distinct if union else vjoin_all_distinct
-        self._tables: List[Optional[BindingTable]] = [None] * inputs
+        self._tables: List[Optional[BindingBatch]] = [None] * inputs
         self._remaining = inputs
         self._needed = needed
         self._emit = emit
@@ -62,7 +60,7 @@ class BlockingCombine:
     def input(self, index: int) -> Input:
         return partial(self._store, index), self._finish_one
 
-    def _store(self, index: int, table: BindingTable) -> None:
+    def _store(self, index: int, table: BindingBatch) -> None:
         self._tables[index] = table
 
     def _finish_one(self) -> None:
@@ -85,7 +83,11 @@ class IncrementalHashJoin:
 
     The output columns are ``left_columns`` followed by the right-only
     columns (same convention as :meth:`BindingTable.join`), so batch and
-    pipelined evaluation produce identical tables.
+    pipelined evaluation produce identical tables.  Each side keeps the
+    rows it has seen column-major plus their row indices bucketed by
+    join key; a chunk probes the other side's buckets and the matches
+    are materialised by index selection, as in
+    :meth:`BindingBatch.hash_join`.
     """
 
     def __init__(
@@ -97,44 +99,43 @@ class IncrementalHashJoin:
         self.left_columns = tuple(left_columns)
         self.right_columns = tuple(right_columns)
         self.shared = [c for c in self.left_columns if c in self.right_columns]
-        right_only = [c for c in self.right_columns if c not in self.left_columns]
-        self.out_columns: Tuple[str, ...] = self.left_columns + tuple(right_only)
+        self._right_only = [c for c in self.right_columns if c not in self.left_columns]
+        self.out_columns: Tuple[str, ...] = self.left_columns + tuple(self._right_only)
         self._emit = emit
-        self._left_rows: Dict[tuple, List[dict]] = defaultdict(list)
-        self._right_rows: Dict[tuple, List[dict]] = defaultdict(list)
+        #: per side (left, right): the rows seen so far …
+        self._seen = (BindingBatch(self.left_columns), BindingBatch(self.right_columns))
+        #: … and join key → their row indices, in arrival order
+        self._buckets: Tuple[Dict[object, List[int]], ...] = ({}, {})
         self._left_done = False
         self._right_done = False
 
     # ------------------------------------------------------------------
     # feeding
     # ------------------------------------------------------------------
-    def _key(self, binding: dict) -> tuple:
-        return tuple(binding[c] for c in self.shared)
-
-    def feed_left(self, chunk: BindingTable) -> None:
+    def feed_left(self, chunk: BindingBatch) -> None:
         """Probe the right side with a left-input chunk, then build."""
-        self._feed(chunk, self._left_rows, self._right_rows, left_side=True)
+        self._feed(chunk, 0)
 
-    def feed_right(self, chunk: BindingTable) -> None:
+    def feed_right(self, chunk: BindingBatch) -> None:
         """Probe the left side with a right-input chunk, then build."""
-        self._feed(chunk, self._right_rows, self._left_rows, left_side=False)
+        self._feed(chunk, 1)
 
-    def _feed(self, chunk, own_store, other_store, left_side: bool) -> None:
-        out = BindingTable(self.out_columns)
-        for binding in chunk.bindings():
-            key = self._key(binding) if self.shared else ()
-            matches = (
-                other_store.get(key, ())
-                if self.shared
-                else [b for bucket in other_store.values() for b in bucket]
-            )
-            for other in matches:
-                merged = dict(other)
-                merged.update(binding)
-                out.append_binding(merged)
-            own_store[key if self.shared else ()].append(binding)
-        if out:
-            self._emit(out)
+    def _feed(self, chunk: BindingBatch, side: int) -> None:
+        keys = chunk.join_keys(self.shared)
+        chunk_idx, seen_idx = probe_rows(keys, self._buckets[1 - side])
+        own, other = self._seen[side], self._seen[1 - side]
+        bucket_rows(keys, self._buckets[side], start=own.length)
+        for column, values in own.data.items():
+            values.extend(chunk.data[column])
+        own.length += chunk.length
+        if not chunk_idx:
+            return
+        (left, left_idx), (right, right_idx) = (chunk, chunk_idx), (other, seen_idx)
+        if side == 1:  # the chunk is the right input
+            left, left_idx, right, right_idx = right, right_idx, left, left_idx
+        self._emit(
+            left.gather(right, self._right_only, self.out_columns, left_idx, right_idx)
+        )
 
     # ------------------------------------------------------------------
     # termination
@@ -160,18 +161,15 @@ class IncrementalUnion:
         self._emit = emit
         self._remaining = inputs
 
-    def feed(self, chunk: BindingTable) -> None:
+    def feed(self, chunk: BindingBatch) -> None:
         if set(chunk.columns) != set(self.columns):
             raise EvaluationError(
                 f"union chunk columns {chunk.columns} != {self.columns}"
             )
-        if chunk.columns == self.columns:
-            aligned = chunk
-        else:
-            # column-wise header reorder, no per-row work
-            aligned = BindingBatch.from_table(chunk).align(self.columns).to_table()
-        if aligned:
-            self._emit(aligned)
+        if chunk:
+            # a header reorder at most, no per-row work
+            same = chunk.columns == self.columns
+            self._emit(chunk if same else chunk.align(self.columns))
 
     def finish_one(self) -> None:
         self._remaining -= 1
@@ -210,7 +208,7 @@ class JoinCascade:
             left = stage.out_columns
 
     def _feeder(self, next_stage: int) -> Emit:
-        def feed(chunk: BindingTable) -> None:
+        def feed(chunk: BindingBatch) -> None:
             self._stages[next_stage].feed_left(chunk)
 
         return feed
@@ -219,7 +217,7 @@ class JoinCascade:
     def out_columns(self) -> Tuple[str, ...]:
         return self._stages[-1].out_columns
 
-    def feed(self, input_index: int, chunk: BindingTable) -> None:
+    def feed(self, input_index: int, chunk: BindingBatch) -> None:
         """Route a chunk from input ``input_index`` into its stage."""
         if input_index == 0:
             self._stages[0].feed_left(chunk)

@@ -16,6 +16,7 @@ from ..channels.packets import DataPacket, SubPlanPacket
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
+from ..execution.batch import BindingBatch
 from ..execution.encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
 from ..execution.engine import Completion, ExecutionStrategy, PlanExecutor
 from ..net.message import DeliveryFailure, Message
@@ -24,7 +25,6 @@ from ..obs.gauges import IDLE
 from ..rdf.dictionary import TermDictionary
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
-from ..rql.bindings import BindingTable
 from ..rvl.active_schema import ActiveSchema
 from ..rvl.view import ViewDefinition
 
@@ -84,7 +84,7 @@ class PeerBase:
             self._encoded = EncodedBase(self.graph, self.schema, dictionary)
         return self._encoded
 
-    def evaluate_scan(self, scan: Scan, dictionary: TermDictionary) -> BindingTable:
+    def evaluate_scan(self, scan: Scan, dictionary: TermDictionary) -> BindingBatch:
         """Evaluate a (composite) scan against this base, as an *id
         table* in ``dictionary``'s space.
 
@@ -244,13 +244,14 @@ class Peer:
     # ------------------------------------------------------------------
     # executor hosting (ExecutorHost protocol)
     # ------------------------------------------------------------------
-    def local_scan(self, scan: Scan) -> BindingTable:
+    def local_scan(self, scan: Scan) -> BindingBatch:
         patterns = scan.patterns()
         prop = patterns[0].schema_path.property if patterns else None
         base = self.base_for_property(prop) if prop is not None else self.base
         if base is None:
-            # no base speaks this vocabulary: the empty table
-            return BindingTable(patterns[0].variables() if patterns else ())
+            # no base speaks this vocabulary: the empty table, over every
+            # pattern's variables (a sibling union checks the header)
+            return BindingBatch(scan.variables())
         return base.evaluate_scan(scan, self.dictionary)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
@@ -275,7 +276,7 @@ class Peer:
             return
         self._executing_subplans.add(channel_id)
 
-        def on_complete(table: Optional[BindingTable], failed: Optional[str]) -> None:
+        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
             self._executing_subplans.discard(channel_id)
             if failed is None and table is not None:
                 packets = DataPacket.stream(
@@ -341,7 +342,7 @@ class Peer:
                 and query.constraints.order_by is None
             ):
 
-                def stop(merged: BindingTable) -> bool:
+                def stop(merged: BindingBatch) -> bool:
                     return len(query.shape(merged, self.dictionary)) >= limit
 
             stream = config.pipelined_execution or stop is not None

@@ -37,12 +37,12 @@ from ..core.planning import build_plan
 from ..core.routing import route_query
 from ..core.shipping import assign_sites
 from ..errors import ParseError, SchemaError
+from ..execution.batch import BindingBatch
 from ..execution.encoded import EncodedTable
 from ..execution.operators import finalize_encoded, referenced_columns
 from ..obs.tracer import NULL_SPAN
 from ..resilience.partial import Coverage, restrict_to_answerable
 from ..rql.ast import RQLQuery
-from ..rql.bindings import BindingTable
 from ..rql.parser import parse_query
 from ..rql.pattern import QueryPattern, extract_pattern
 from .protocol import QueryResult, QueryShed, QuerySubmit
@@ -115,7 +115,7 @@ class PendingQuery:
             keep |= referenced_columns(condition)
         return frozenset(keep)
 
-    def shape(self, table: BindingTable, dictionary) -> EncodedTable:
+    def shape(self, table: BindingBatch, dictionary) -> EncodedTable:
         """Filter/project/de-duplicate a gathered id table into the
         answer, packed for the wire."""
         query = self.query
@@ -461,7 +461,7 @@ class QueryCoordinator:
             # query/hybrid shipping per subplan (Section 2.5)
             sites = assign_sites(plan, peer.peer_id, CostModel(peer.statistics)).sites
 
-        def on_complete(table: Optional[BindingTable], failed: Optional[str]) -> None:
+        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
             peer.last_first_output_at = executor.first_output_at
             if failed is None:
                 self.finalize(pending, table, coverage=coverage)
@@ -591,7 +591,7 @@ class QueryCoordinator:
     def finalize(
         self,
         pending: PendingQuery,
-        table: Optional[BindingTable] = None,
+        table: Optional[BindingBatch] = None,
         error: Optional[str] = None,
         coverage: Optional[Coverage] = None,
     ) -> None:

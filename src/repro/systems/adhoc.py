@@ -21,6 +21,7 @@ from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..core.cost import Statistics
+from ..execution.batch import BindingBatch
 from ..execution.encoded import EncodedTable
 from ..net.message import Message
 from ..net.simulator import Network
@@ -35,7 +36,6 @@ from ..peers.coordinator import PendingQuery
 from ..peers.simple import SimplePeer
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
-from ..rql.bindings import BindingTable
 from .deployment import Deployment
 
 #: virtual-time budget allowed for one round of deeper discovery before
@@ -320,7 +320,7 @@ class AdhocPeer(SimplePeer):
         the root ("the first peer that is able to fill all the holes...
         holds also the responsibility of executing it")."""
 
-        def on_complete(table: Optional[BindingTable], failed: Optional[str]) -> None:
+        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
             if failed is not None:
                 self.suspect_peer(failed)
                 span.finish("failed")
@@ -328,7 +328,9 @@ class AdhocPeer(SimplePeer):
             else:
                 span.set(rows=len(table))
                 span.finish()
-                self._report(partial, EncodedTable.pack(table, self.dictionary))
+                self._report(
+                    partial, EncodedTable.of_batch(table, self.dictionary.decode_many)
+                )
 
         self.plan_executor(
             plan, on_complete, query_id=partial.query_id, trace=span.context()

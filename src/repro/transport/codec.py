@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from array import array
 from typing import Any, Callable, Dict, Tuple, Type
 
 from ..channels.packets import ChangePlanPacket, DataPacket, SubPlanPacket
@@ -336,6 +337,41 @@ _register(
     lambda s: s.to_dict(),
     lambda f: ActiveSchema.from_dict(f),
 )
+
+
+def _decode_table(fields: dict) -> EncodedTable:
+    """Rebuild an :class:`EncodedTable`, refusing one that is not
+    rectangular or whose cells do not name its own terms.
+
+    Checked here, where the frame is: the receiver indexes ``terms`` by
+    these ids inside a message handler, past the ``except CodecError``
+    that drops a corrupt connection — and a negative id would not even
+    fail there, it would silently alias a term from the end.
+    """
+    table = EncodedTable(
+        tuple(fields["columns"]),
+        tuple(_decode(term) for term in fields["terms"]),
+        tuple(tuple(column) for column in fields["ids"]),
+        fields["length"],
+    )
+    width, length = len(table.columns), table.length
+    try:
+        # one C pass per column (it refuses non-integers), then min/max
+        cells = [array("q", column) for column in table.ids]
+    except (TypeError, OverflowError):
+        raise CodecError("table holds a non-integer id") from None
+    if (
+        len(cells) != width
+        or not isinstance(length, int)
+        or length < 0
+        or any(len(column) != length for column in cells)
+    ):
+        raise CodecError(f"table is not {width} columns by {length!r} rows")
+    if any(c and (min(c) < 0 or max(c) >= len(table.terms)) for c in cells):
+        raise CodecError(f"table has an id outside its {len(table.terms)} terms")
+    return table
+
+
 # the one wire shape of a binding table: each distinct term once, the
 # cells as plain integer positions into that list
 _register(
@@ -346,12 +382,7 @@ _register(
         "ids": [list(column) for column in t.ids],
         "length": t.length,
     },
-    lambda f: EncodedTable(
-        tuple(f["columns"]),
-        tuple(_decode(term) for term in f["terms"]),
-        tuple(tuple(column) for column in f["ids"]),
-        f["length"],
-    ),
+    _decode_table,
 )
 _register(
     Scan,

@@ -107,7 +107,8 @@ class TestManager:
         channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
         table = BindingTable(("X",))
         manager.on_data(data(channel.channel_id, table, final=True))
-        assert results == [(table, None)]
+        ((answered, failed),) = results
+        assert failed is None and terms(manager, answered) == table
         assert channel.state is ChannelState.CLOSED
 
     def test_failure_packet_reports_peer(self, wired, scan):

@@ -223,6 +223,25 @@ def _rooted(scan, rows=10, chunk=3):
     return root, channel, results, packets, deliver
 
 
+def test_stream_packs_each_row_slice_over_its_own_terms(scan):
+    """The stream's literal shape, pinned on the tree that packed the
+    whole table and re-packed row slices of it: slicing the id batch
+    first and packing each slice once gives the same packets — count,
+    per-packet term order (first use within the slice, column by
+    column), cell positions and modelled bytes."""
+    *_, packets, _ = _rooted(scan)
+    assert [(p.seq, p.rows) for p in packets] == [(0, 3), (1, 3), (2, 3), (3, 1)]
+    assert [p.final for p in packets] == [False, False, False, True]
+    assert [[t.value.rsplit("/", 1)[1] for t in p.table.terms] for p in packets] == [
+        ["s0", "s1", "s2", "o0", "o1", "o2"],
+        ["s0", "s1", "s2", "o3", "o4", "o5"],
+        ["s0", "s1", "s2", "o6", "o7", "o8"],
+        ["s0", "o9"],
+    ]
+    assert [p.table.ids for p in packets] == [((0, 1, 2), (3, 4, 5))] * 3 + [((0,), (1,))]
+    assert [p.size_bytes() for p in packets] == [222, 206, 206, 126]
+
+
 def test_statistics_fold_once_whatever_the_arrival_order(scan):
     """Reversed, with a duplicate and a full replay: the same table,
     the same statistics, the same ``Statistics.version`` as in-order

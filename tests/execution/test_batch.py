@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.execution.batch import BindingBatch
-from repro.execution.encoded import EncodedTable, split_encoded
+from repro.execution.encoded import EncodedTable
 from repro.execution.operators import (
     finalize_encoded,
     vjoin_all_distinct,
@@ -23,6 +23,10 @@ EX = Namespace("http://e/")
 
 def table(columns, rows):
     return BindingTable(columns, rows)
+
+
+def batches(tables):
+    return [BindingBatch.from_table(t) for t in tables]
 
 
 def finalized(t, projections, conditions=()):
@@ -176,9 +180,12 @@ class TestSplit:
 
     def test_split_table_slices(self):
         terms = table(("X",), [(EX.a,), (EX.b,), (EX.b,)])
-        parts = split_encoded(EncodedTable.of_terms(terms), 2)
+        parts = [
+            EncodedTable.of_batch(part, tuple)
+            for part in BindingBatch.from_table(terms).split(2)
+        ]
         assert [len(p) for p in parts] == [2, 1]
-        # each slice is re-packed over its own terms
+        # each slice is packed over its own terms
         assert [p.terms for p in parts] == [(EX.a, EX.b), (EX.b,)]
         assert [p.ids for p in parts] == [((0, 1),), ((0,),)]
 
@@ -194,7 +201,7 @@ class TestVectorizedOperators:
             table(("X", "Y"), []),
         ]
         folded = tables[0].union(tables[1]).union(tables[2])
-        assert vunion_all_distinct(tables) == folded.distinct()
+        assert vunion_all_distinct(batches(tables)).to_table() == folded.distinct()
 
     def test_vjoin_matches_join(self):
         tables = [
@@ -203,7 +210,7 @@ class TestVectorizedOperators:
             table(("Z",), [(EX.d,), (EX.d,)]),
         ]
         folded = tables[0].join(tables[1]).join(tables[2])
-        assert vjoin_all_distinct(tables) == folded.distinct()
+        assert vjoin_all_distinct(batches(tables)).to_table() == folded.distinct()
 
     def test_vjoin_prunes_columns_nothing_references(self):
         tables = [
@@ -211,7 +218,8 @@ class TestVectorizedOperators:
             table(("Y", "Z"), [(EX.b, EX.d), (EX.b, EX.e)]),
         ]
         folded = tables[0].join(tables[1])
-        assert vjoin_all_distinct(tables, {"X"}) == folded.project(["X"]).distinct()
+        pruned = vjoin_all_distinct(batches(tables), {"X"})
+        assert pruned.to_table() == folded.project(["X"]).distinct()
 
     def test_vectorized_conditions_match_scalar(self):
         t = table(

@@ -5,6 +5,7 @@ import pytest
 from repro.core.algebra import Hole, Join, Scan, Union
 from repro.errors import EvaluationError, PlanningError
 from repro.execution import (
+    BindingBatch,
     EncodedBase,
     PlanExecutor,
     evaluate_scan_encoded,
@@ -26,7 +27,7 @@ from repro.workloads.paper import (
     paper_schema,
 )
 
-from ..idtables import decode_cells, encode_cells
+from ..idtables import cells, decode_cells, encode_cells
 
 EX = Namespace("http://e/")
 
@@ -51,7 +52,7 @@ def finalized(table, projections, conditions=()):
 class TestOperators:
     def test_union_all_single(self):
         t = BindingTable(("X",), [(EX.a,)])
-        assert vunion_all_distinct([t]) == t
+        assert vunion_all_distinct([BindingBatch.from_table(t)]).to_table() == t
 
     def test_union_all_empty_rejected(self):
         with pytest.raises(EvaluationError):
@@ -61,7 +62,7 @@ class TestOperators:
         a = BindingTable(("X", "Y"), [(EX.a, EX.b)])
         b = BindingTable(("Y", "Z"), [(EX.b, EX.c)])
         c = BindingTable(("Z", "W"), [(EX.c, EX.d)])
-        out = vjoin_all_distinct([a, b, c])
+        out = vjoin_all_distinct([BindingBatch.from_table(t) for t in (a, b, c)])
         assert len(out) == 1
         assert set(out.columns) == {"X", "Y", "Z", "W"}
 
@@ -111,9 +112,29 @@ class TestLocalScan:
         table = evaluate_scan_encoded(
             Scan((patterns[0],), "P2"), EncodedBase(graph, schema, dictionary)
         )
-        assert all(isinstance(cell, int) for row in table.rows for cell in row)
+        assert all(isinstance(cell, int) for cell in cells(table))
         expected = evaluate_path_pattern(patterns[0], InferredView(graph, schema))
         assert decode_cells(table, dictionary) == expected
+
+    def test_scanned_batch_survives_an_in_place_column_patch(self, schema, patterns):
+        """``apply_delta`` appends to / deletes from the cached id
+        columns in place; a batch a query already holds (a lone
+        pattern's scan, which no join has re-materialised) must not
+        alias them — it keeps the rows it scanned, rectangular."""
+        graph = paper_peer_bases()["P2"]
+        base = EncodedBase(graph, schema, TermDictionary())
+        scan = Scan((patterns[0],), "P2")
+        held = evaluate_scan_encoded(scan, base)
+        scanned = {name: list(held.data[name]) for name in held.columns}
+        cached = base.pattern_columns(patterns[0].schema_path)
+        gone = next(graph.triples(None, N1.prop1, None))
+        graph.remove_triple(gone)
+        extra = [graph.add(EX.s1, N1.prop1, EX.o1), graph.add(EX.s2, N1.prop1, EX.o2)]
+        base.apply_delta(extra, [gone])
+        assert base.pattern_columns(patterns[0].schema_path)[0] is cached[0]  # patched
+        assert len(evaluate_scan_encoded(scan, base)) == len(held) + 1
+        assert held.data == scanned
+        assert {len(column) for column in held.data.values()} == {len(held)} == {4}
 
 
 class _HostPeer(Peer):

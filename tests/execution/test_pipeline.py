@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError
+from repro.execution.batch import BindingBatch
 from repro.execution.pipeline import (
     IncrementalHashJoin,
     IncrementalUnion,
@@ -15,7 +16,12 @@ EX = Namespace("http://e/")
 
 
 def chunk(columns, rows):
-    return BindingTable(columns, rows)
+    return BindingBatch.from_table(BindingTable(columns, rows))
+
+
+def rows(batches):
+    """The row tuples of emitted chunks, in emission order."""
+    return [row for batch in batches for row in batch.to_table().rows]
 
 
 class TestIncrementalHashJoin:
@@ -30,7 +36,8 @@ class TestIncrementalHashJoin:
         assert out == []  # nothing to match yet
         join.feed_right(chunk(("Y", "Z"), [(EX.b, EX.c)]))
         assert len(out) == 1
-        assert out[0].rows == [(EX.a, EX.b, EX.c)]
+        assert out[0].columns == ("X", "Y", "Z")
+        assert rows(out) == [(EX.a, EX.b, EX.c)]
 
     def test_symmetric_order_gives_same_rows(self):
         out1, emit1 = self.collect()
@@ -42,11 +49,13 @@ class TestIncrementalHashJoin:
         join2 = IncrementalHashJoin(("X", "Y"), ("Y", "Z"), emit2)
         join2.feed_right(chunk(("Y", "Z"), [(EX.b, EX.c)]))
         join2.feed_left(chunk(("X", "Y"), [(EX.a, EX.b)]))
-        assert out1[0] == out2[0]
+        assert out1[0].to_table() == out2[0].to_table()
 
     def test_equivalent_to_batch_join(self):
-        left = chunk(("X", "Y"), [(EX.a, EX.b), (EX.c, EX.b), (EX.d, EX.e)])
-        right = chunk(("Y", "Z"), [(EX.b, EX.z1), (EX.b, EX.z2), (EX.e, EX.z3)])
+        left = BindingTable(("X", "Y"), [(EX.a, EX.b), (EX.c, EX.b), (EX.d, EX.e)])
+        right = BindingTable(
+            ("Y", "Z"), [(EX.b, EX.z1), (EX.b, EX.z2), (EX.e, EX.z3)]
+        )
         expected = left.join(right)
 
         out, emit = self.collect()
@@ -58,11 +67,7 @@ class TestIncrementalHashJoin:
                 join.feed_right(chunk(right.columns, [right.rows[i]]))
         for i in range(len(left), len(right)):
             join.feed_right(chunk(right.columns, [right.rows[i]]))
-        merged = BindingTable(join.out_columns)
-        for piece in out:
-            for row in piece.rows:
-                merged.append(row)
-        assert merged == expected
+        assert BindingTable(join.out_columns, rows(out)) == expected
 
     def test_no_shared_columns_is_product(self):
         out, emit = self.collect()
@@ -83,8 +88,8 @@ class TestIncrementalHashJoin:
     def test_empty_chunks_emit_nothing(self):
         out, emit = self.collect()
         join = IncrementalHashJoin(("X", "Y"), ("Y", "Z"), emit)
-        join.feed_left(BindingTable(("X", "Y")))
-        join.feed_right(BindingTable(("Y", "Z")))
+        join.feed_left(BindingBatch(("X", "Y")))
+        join.feed_right(BindingBatch(("Y", "Z")))
         assert out == []
 
 
@@ -94,8 +99,8 @@ class TestIncrementalUnion:
         union = IncrementalUnion(("X", "Y"), inputs=2, emit=out.append)
         union.feed(chunk(("X", "Y"), [(EX.a, EX.b)]))
         union.feed(chunk(("Y", "X"), [(EX.d, EX.c)]))  # permuted columns
-        assert out[0].rows == [(EX.a, EX.b)]
-        assert out[1].rows == [(EX.c, EX.d)]
+        assert [batch.columns for batch in out] == [("X", "Y")] * 2
+        assert rows(out) == [(EX.a, EX.b), (EX.c, EX.d)]
 
     def test_mismatched_columns_rejected(self):
         union = IncrementalUnion(("X",), inputs=1, emit=lambda c: None)
@@ -116,21 +121,17 @@ class TestIncrementalUnion:
 
 class TestJoinCascade:
     def test_three_way_equivalent_to_batch(self):
-        a = chunk(("X", "Y"), [(EX.a, EX.b), (EX.a2, EX.b)])
-        b = chunk(("Y", "Z"), [(EX.b, EX.c)])
-        c = chunk(("Z", "W"), [(EX.c, EX.d), (EX.c, EX.d2)])
+        a = BindingTable(("X", "Y"), [(EX.a, EX.b), (EX.a2, EX.b)])
+        b = BindingTable(("Y", "Z"), [(EX.b, EX.c)])
+        c = BindingTable(("Z", "W"), [(EX.c, EX.d), (EX.c, EX.d2)])
         expected = a.join(b).join(c)
 
         out = []
         cascade = JoinCascade([a.columns, b.columns, c.columns], out.append)
-        cascade.feed(2, c)
-        cascade.feed(0, a)
-        cascade.feed(1, b)
-        merged = BindingTable(cascade.out_columns)
-        for piece in out:
-            for row in piece.rows:
-                merged.append(row)
-        assert merged == expected
+        cascade.feed(2, BindingBatch.from_table(c))
+        cascade.feed(0, BindingBatch.from_table(a))
+        cascade.feed(1, BindingBatch.from_table(b))
+        assert BindingTable(cascade.out_columns, rows(out)) == expected
 
     def test_done_tracking(self):
         cascade = JoinCascade([("X",), ("X",), ("X",)], lambda c: None)

@@ -16,10 +16,17 @@ TABLE_BEARERS = {
 
 
 def encode_cells(table, dictionary):
-    """Intern a term table's cells into ``dictionary`` (an id table)."""
+    """Intern a term table's cells into ``dictionary``: the id table
+    (a ``BindingBatch``) the engine would hold for it."""
     return EncodedTable.of_terms(table).intern(dictionary)
 
 
-def decode_cells(table, dictionary):
-    """Materialise an id table of ``dictionary``'s space as terms."""
-    return EncodedTable.pack(table, dictionary).to_terms()
+def decode_cells(batch, dictionary):
+    """Materialise an id table of ``dictionary``'s space as a term
+    ``BindingTable`` — what the oracle's operators compare against."""
+    return EncodedTable.of_batch(batch, dictionary.decode_many).to_terms()
+
+
+def cells(batch):
+    """Every cell of a batch, column by column."""
+    return [cell for name in batch.columns for cell in batch.data[name]]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PeerError
 from repro.core.algebra import Scan
+from repro.execution.operators import vunion_all_distinct
 from repro.net import Message, Network
 from repro.peers import (
     Advertise,
@@ -80,6 +81,17 @@ class TestPeerDispatch:
         peer = Peer("A")
         pattern = paper_query_pattern(schema).root
         assert len(peer.local_scan(Scan((pattern,), "A"))) == 0
+
+    def test_composite_scan_without_base_spans_every_pattern(self, schema):
+        """``(Q1 ⋈ Q2)@A`` at a peer none of whose bases speaks the
+        vocabulary: the empty table has the header a peer that does
+        answer produces, so their union at the channel root lines up."""
+        patterns = tuple(paper_query_pattern(schema).patterns)
+        empty = Peer("A").local_scan(Scan(patterns, "A"))
+        assert len(empty) == 0 and empty.columns == ("X", "Y", "Z")
+        holder = Peer("P1", PeerBase(paper_peer_bases()["P1"], schema))
+        answered = holder.local_scan(Scan(patterns, "P1"))
+        assert len(vunion_all_distinct([answered, empty])) == len(answered) == 3
 
 
 class TestSimplePeerAdvertisements:

@@ -274,14 +274,14 @@ def test_packed_table_interns_to_the_senders_table(table, bearer):
     receiver.encode(URI("http://example.org/skew"))
     ids = encode_cells(table, sender)
     build, table_of = TABLE_BEARERS[bearer]
-    payload = build(EncodedTable.pack(ids, sender))
+    payload = build(EncodedTable.of_batch(ids, sender.decode_many))
     frame = encode_frame("msg", encode_message(Message("P1", "P2", payload)))
     decoded = decode_message(decode_frame(frame)[1]).payload
     interned = table_of(decoded).intern(receiver)
-    assert interned.columns == ids.columns
+    assert interned.columns == ids.columns and len(interned) == len(ids)
     renaming = {}
-    for ours, theirs in zip(ids.rows, interned.rows, strict=True):
-        for sent, received in zip(ours, theirs, strict=True):
+    for name in ids.columns:
+        for sent, received in zip(ids.data[name], interned.data[name], strict=True):
             assert renaming.setdefault(sent, received) == received
             assert receiver.decode(received) == sender.decode(sent)
     assert len(set(renaming.values())) == len(renaming)  # injective

@@ -38,7 +38,7 @@ from repro.transport.codec import (
 )
 from repro.workloads.paper import paper_query_pattern, paper_schema
 
-from ..idtables import decode_cells, encode_cells
+from ..idtables import cells, decode_cells, encode_cells
 
 safe_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16
@@ -89,7 +89,7 @@ def test_dictionary_entries_cover_requested_ids(values):
     d = TermDictionary()
     d.encode(URI("http://example.org/skew"))  # positions are not sender ids
     ids = d.encode_many(values)
-    packed = EncodedTable.pack(BindingTable(("V0",), [(i,) for i in ids]), d)
+    packed = EncodedTable.of_batch(BindingBatch(("V0",), {"V0": ids}), d.decode_many)
     assert list(packed.terms) == list(dict.fromkeys(values))
     assert [packed.terms[position] for position in packed.ids[0]] == values
 
@@ -140,7 +140,7 @@ def _over_the_wire(packet):
 )
 @settings(max_examples=60)
 def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
-    """``pack`` → chunks → ``encode_frame`` → ``decode_frame`` →
+    """``stream`` → chunks → ``encode_frame`` → ``decode_frame`` →
     ``intern`` into the root's id space → terms gives the table back
     (zero-column and zero-row tables included), whatever order the
     self-contained chunks arrive in."""
@@ -161,14 +161,14 @@ def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
     ((assembled, failed),) = results
     assert failed is None
     assert assembled.columns == table.columns
-    assert all(isinstance(cell, int) for row in assembled.rows for cell in row)
+    assert all(isinstance(cell, int) for cell in cells(assembled))
     assert decode_cells(assembled, root.dictionary) == table
 
 
 @given(binding_tables())
 def test_encoded_table_survives_wire_codec(table):
     d = TermDictionary()
-    encoded = EncodedTable.pack(encode_cells(table, d), d)
+    encoded = EncodedTable.of_batch(encode_cells(table, d), d.decode_many)
     decoded = decode_payload(encode_payload(encoded))
     assert isinstance(decoded, EncodedTable)
     assert decoded == encoded
@@ -178,7 +178,7 @@ def test_encoded_table_survives_wire_codec(table):
 def test_cell_codecs_invert(table):
     d = TermDictionary()
     ids = encode_cells(table, d)
-    assert all(isinstance(cell, int) for row in ids.rows for cell in row)
+    assert all(isinstance(cell, int) for cell in cells(ids))
     assert decode_cells(ids, d).rows == table.rows
 
 
@@ -198,9 +198,7 @@ def test_encoded_join_equals_scalar_join(left, right):
     scalar = BindingBatch.from_table(left).hash_join(
         BindingBatch.from_table(right)
     ).to_table()
-    encoded = BindingBatch.from_table(enc_left).hash_join(
-        BindingBatch.from_table(enc_right)
-    ).to_table()
+    encoded = enc_left.hash_join(enc_right)
     assert decode_cells(encoded, d).rows == scalar.rows
     assert encoded.columns == scalar.columns
 
@@ -209,7 +207,7 @@ def test_encoded_join_equals_scalar_join(left, right):
 @settings(max_examples=60)
 def test_encoded_concat_equals_scalar_concat(tables):
     d, encoded_tables = _shared_world(tables)
-    scalar = concat_tables(tables)
+    scalar = concat_tables([BindingBatch.from_table(t) for t in tables]).to_table()
     encoded = concat_tables(encoded_tables)
     assert decode_cells(encoded, d).rows == scalar.rows
 

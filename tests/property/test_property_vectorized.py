@@ -8,10 +8,13 @@ of the differential-testing story (``tests/difftest`` covers whole
 deployments).
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.batch import BindingBatch, concat_tables
+from repro.execution.pipeline import IncrementalHashJoin
 from repro.rql.bindings import BindingTable
 
 from .strategies import uris
@@ -28,6 +31,8 @@ XY = tables(("X", "Y"))
 YZ = tables(("Y", "Z"))
 YX = tables(("Y", "X"))
 W = tables(("W",))
+#: zero columns, n rows: the shape of the join identity
+ZERO = st.integers(0, 4).map(lambda n: BindingTable((), [()] * n))
 
 
 class TestJoinEquivalence:
@@ -59,6 +64,38 @@ class TestJoinEquivalence:
         )
         assert vector == a.join(b)
 
+    @given(
+        st.one_of(
+            st.tuples(XY, YZ),
+            st.tuples(XY, YX),  # every column shared, permuted header
+            st.tuples(XY, W),  # none shared: the cartesian product
+            st.tuples(ZERO, W),
+            st.tuples(ZERO, ZERO),
+        ),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+    )
+    def test_incremental_join_of_any_chunking_emits_the_whole_join(
+        self, pair, left_size, right_size, rng
+    ):
+        """The streaming family's symmetric hash join, fed the two
+        inputs cut into chunks in any interleaving, emits the multiset
+        of rows (multiplicities included) the gather family's
+        ``hash_join`` produces on the whole inputs."""
+        left, right = (BindingBatch.from_table(t) for t in pair)
+        out = []
+        join = IncrementalHashJoin(left.columns, right.columns, out.append)
+        feeds = [(join.feed_left, part) for part in left.split(left_size)]
+        feeds += [(join.feed_right, part) for part in right.split(right_size)]
+        rng.shuffle(feeds)
+        for feed, part in feeds:
+            feed(part)
+        expected = left.hash_join(right)
+        assert all(chunk.columns == expected.columns for chunk in out)
+        emitted = Counter(row for chunk in out for row in chunk.to_table().rows)
+        assert emitted == Counter(expected.to_table().rows)
+
 
 class TestUnionEquivalence:
     @given(XY, YX)
@@ -73,7 +110,8 @@ class TestUnionEquivalence:
         folded = chunks[0]
         for chunk in chunks[1:]:
             folded = folded.union(chunk)
-        assert concat_tables(chunks) == folded
+        batches = [BindingBatch.from_table(chunk) for chunk in chunks]
+        assert concat_tables(batches).to_table() == folded
 
 
 class TestUnaryEquivalence:

@@ -35,6 +35,17 @@ MAX_SIMPLE_PEER_METHODS = 33
 #: ``record_*``): a new counter is a row of ``metrics/instruments.py``
 #: written through ``count(name)``, never a new method
 MAX_METRIC_SET_METHODS = 17
+#: ``.from_table(`` / ``.to_table(`` call sites (15 when every kernel
+#: pivoted its operands in and its result out): an id table is a
+#: column-major ``BindingBatch`` from scan to answer, and the row-major
+#: term ``BindingTable`` is met only at ``EncodedTable.of_terms`` /
+#: ``to_terms``
+MAX_TABLE_PIVOT_SITES = 2
+#: modules importing ``BindingTable`` (17 before): the package and
+#: ``rql`` exports, the centralized evaluator, result bounds, the
+#: standing-query diff, ``peers/simple`` + ``peers/protocol`` (a
+#: client's answer) and the two modules that own the pivots
+MAX_BINDING_TABLE_IMPORTERS = 9
 
 
 def _trees(*packages):
@@ -137,3 +148,28 @@ def test_simple_peer_methods():
 def test_metric_set_methods():
     found = _methods("metrics/collectors.py", "MetricSet")
     assert len(found) <= MAX_METRIC_SET_METHODS, found
+
+
+def test_table_pivot_sites():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno} .{call.func.attr}()"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("from_table", "to_table")
+    ]
+    assert len(found) <= MAX_TABLE_PIVOT_SITES, found
+
+
+def test_binding_table_importers():
+    found = [
+        str(path.relative_to(SRC))
+        for path, tree in _trees()
+        if any(
+            alias.name == "BindingTable"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+    ]
+    assert len(found) <= MAX_BINDING_TABLE_IMPORTERS, found

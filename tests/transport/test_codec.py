@@ -55,7 +55,7 @@ from repro.workloads.paper import (
     paper_schema,
 )
 
-from ..idtables import TABLE_BEARERS, encode_cells
+from ..idtables import TABLE_BEARERS, decode_cells, encode_cells
 
 
 def round_trip(payload, src="P1", dst="P2"):
@@ -228,16 +228,43 @@ def test_packed_table_crosses_the_frame_in_every_payload(bearer, table):
     receiver.encode(URI("http://example.org/skew"))  # ids never coincide
     ids = encode_cells(terms, sender)
     build, table_of = TABLE_BEARERS[bearer]
-    payload = build(EncodedTable.pack(ids, sender))
+    payload = build(EncodedTable.of_batch(ids, sender.decode_many))
     frame = encode_frame("msg", encode_message(Message("P1", "P2", payload)))
     kind, body = decode_frame(frame)
     decoded = decode_message(body).payload
     assert kind == "msg" and decoded == payload
     interned = table_of(decoded).intern(receiver)
     assert interned.columns == ids.columns and len(interned) == len(ids)
-    assert [
-        tuple(receiver.decode(cell) for cell in row) for row in interned.rows
-    ] == terms.rows
+    assert decode_cells(interned, receiver) == terms
+
+
+#: ways a hostile or corrupt frame can break an ``EncodedTable`` (3 rows,
+#: 2 columns, 6 terms) that still parses as JSON
+MALFORMED_TABLES = {
+    "ragged-columns": lambda f: f["ids"][1].pop(),
+    "missing-column": lambda f: f["ids"].pop(),
+    "extra-column": lambda f: f["ids"].append([0, 0, 0]),
+    "length-disagrees": lambda f: f.update(length=2),
+    "negative-length": lambda f: f.update(columns=[], ids=[], length=-1),
+    "id-past-the-terms": lambda f: f["ids"][0].__setitem__(1, 6),
+    "negative-id": lambda f: f["ids"][1].__setitem__(2, -1),
+    "fractional-id": lambda f: f["ids"][0].__setitem__(0, 1.5),
+    "textual-id": lambda f: f["ids"][0].__setitem__(0, "0"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_TABLES))
+def test_malformed_table_is_rejected_where_the_frame_is(damage):
+    """A table that is not rectangular, or whose cells do not name its
+    own terms, is a ``CodecError`` at decode time — not an
+    ``IndexError`` (or a silently aliased term) inside the receiving
+    peer's ``on_data``, past the handler that drops a corrupt link."""
+    payload = DataPacket("ch-1", EncodedTable.of_terms(sample_table()))
+    body = json.loads(json.dumps(encode_message(Message("P1", "P2", payload))))
+    assert decode_message(body).payload == payload
+    MALFORMED_TABLES[damage](body["payload"]["f"]["table"]["f"])
+    with pytest.raises(CodecError):
+        decode_message(body)
 
 
 def test_delivery_failure_nests_original():
