@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from repro.core import build_plan, route_query
 from repro.core.algebra import count_scans
-from repro.channels.manager import ChannelManager
+from repro.execution import PlanExecutor
 from repro.net import Network
+from repro.peers.base import Peer, PeerBase
 from repro.workloads.paper import (
     paper_active_schemas,
+    paper_peer_bases,
     paper_query_pattern,
     paper_schema,
 )
@@ -26,26 +28,21 @@ ANNOTATED = route_query(PATTERN, paper_active_schemas(SCHEMA).values(), SCHEMA)
 PAPER_PLAN = "⋈(∪(Q1@P1, Q1@P2, Q1@P4), ∪(Q2@P1, Q2@P3, Q2@P4))"
 
 
-class _Sink:
-    def __init__(self, peer_id):
-        self.peer_id = peer_id
-
-    def receive(self, message, network):
-        pass
-
-
 def _deploy_channels(plan):
-    """Open one channel per distinct destination peer, as Section 2.4
-    prescribes ('only one channel is of course created')."""
+    """The channels P1's executor opens for ``plan``: one per distinct
+    destination peer, as Section 2.4 prescribes ('only one channel is of
+    course created'), each shipping all of that peer's subplans."""
     network = Network()
-    for peer_id in ("P1", "P2", "P3", "P4"):
-        network.register(_Sink(peer_id))
-    manager = ChannelManager("P1")
-    destinations = sorted(plan.peers() - {"P1"})
-    for destination in destinations:
-        manager.open(network, destination, plan, lambda t, f: None)
+    peers = {}
+    for peer_id, graph in paper_peer_bases().items():
+        peers[peer_id] = Peer(peer_id, PeerBase(graph, SCHEMA))
+        peers[peer_id].join(network)
+    PlanExecutor(peers["P1"], network, plan).start()
+    channels = peers["P1"].channels.open_channels().values()
+    deployed = sorted((c.destination, len(c.outputs)) for c in channels)
     network.run()
-    return destinations
+    assert len(peers["P1"].channels) == 0  # every one answered
+    return deployed
 
 
 def report() -> str:
@@ -57,7 +54,9 @@ def report() -> str:
          f"union arities {[len(c.children()) for c in plan.children()]}"),
         ("vertical distribution", "one join (Q1 ⋈ Q2)", "join arity 2"),
         ("scan subqueries", "6", count_scans(plan)),
-        ("channels from P1", "P2, P3, P4 (one per peer)", ", ".join(channels)),
+        ("channels from P1", "P2, P3, P4 (one per peer)",
+         ", ".join(f"{peer} ({subplans} subplan{'s' * (subplans > 1)})"
+                   for peer, subplans in channels)),
     ]
     text = banner(
         "fig3",

@@ -47,7 +47,9 @@ COMMENTARY = {
     "fig3": (
         "Figure 3 — plan generation and channel deployment",
         "Reproduced exactly: the generated plan string equals the "
-        "paper's, and one channel per contacted peer is deployed.",
+        "paper's, and the executor deploys one channel per contacted "
+        "peer — P4, which answers both path patterns, gets both subplans "
+        "over its one channel ('only one channel is of course created').",
     ),
     "fig4": (
         "Figure 4 — optimisation (distribution + TR1/TR2)",
@@ -177,7 +179,9 @@ COMMENTARY = {
         "answers with one stream (its statistics ride on the first data "
         "packet), so against earlier revisions of this file the message, "
         "byte and virtual-time cells of every experiment moved (PR 14: "
-        "bytes; PR 17: one message less per channel and fewer bytes). "
+        "bytes; PR 17: one message less per channel and fewer bytes; "
+        "PR 21: one channel per destination instead of one per subplan, "
+        "so a peer answering several path patterns costs two messages). "
         "History: when the "
         "scalar binding-at-a-time engine still existed, this sweep "
         "measured the encoded engine under the cost-based planner at "

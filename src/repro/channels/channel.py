@@ -9,7 +9,7 @@ changes.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core.algebra import PlanNode
 
@@ -20,25 +20,43 @@ class ChannelState(enum.Enum):
     FAILED = "failed"
 
 
+class Output:
+    """One subplan shipped over a channel and its root-side consumer.
+
+    Attributes:
+        plan: The subplan; its position among the channel's outputs is
+            the *output index* its tables come back under.
+        callback: Continuation invoked with ``(table, failed_peer)``
+            when the channel completes.
+        progress: Per-chunk consumer (pipelined outputs only).
+        chunks: Streamed chunks, concatenated once at completion.
+        rows: Result tuples seen so far for this output.
+    """
+
+    __slots__ = ("plan", "callback", "progress", "chunks", "rows")
+
+    def __init__(self, plan: Optional[PlanNode], callback=None, progress=None):
+        self.plan = plan
+        self.callback = callback
+        self.progress = progress
+        self.chunks: list = []
+        self.rows = 0
+
+
 class Channel:
     """Root-side bookkeeping for one channel.
 
     Attributes:
         channel_id: Root-local unique id (``"P1#3"``).
-        root: The managing peer (launched the subplan).
-        destination: The peer executing the subplan.
-        plan: The subplan shipped over the channel.
+        root: The managing peer (launched the subplans).
+        destination: The peer executing the subplans.
+        outputs: Everything shipped over the channel, by output index.
         state: Lifecycle state.
-        tuples_received: Result tuples seen so far (the throughput
-            signal run-time adaptation watches).
+        tuples_received: Result tuples seen so far, all outputs (the
+            throughput signal run-time adaptation watches).
         span: The root-side tracing span covering the channel's
             open-transfer-close lifetime (``None`` outside a traced
             network).
-        callback: Continuation invoked with ``(table, failed_peer)``
-            when the channel completes.
-        progress: Per-chunk consumer (pipelined channels only).
-        chunks: Streamed chunks, buffered as a list and concatenated
-            once at the final packet (linear in total rows).
         received_seqs: Sequence numbers seen (packet dedup).
         final_seq: The seq carried by the stream's final packet, once
             seen — the stream completes when seqs 0..final have ALL
@@ -51,14 +69,11 @@ class Channel:
         "channel_id",
         "root",
         "destination",
-        "plan",
+        "outputs",
         "state",
         "tuples_received",
         "query_id",
         "span",
-        "callback",
-        "progress",
-        "chunks",
         "received_seqs",
         "final_seq",
     )
@@ -68,23 +83,18 @@ class Channel:
         channel_id: str,
         root: str,
         destination: str,
-        plan: Optional[PlanNode],
+        outputs: Sequence[Output],
         query_id: str = "",
         span=None,
-        callback=None,
-        progress=None,
     ):
         self.channel_id = channel_id
         self.root = root
         self.destination = destination
-        self.plan = plan
+        self.outputs = tuple(outputs)
         self.state = ChannelState.OPEN
         self.tuples_received = 0
         self.query_id = query_id
         self.span = span
-        self.callback = callback
-        self.progress = progress
-        self.chunks: list = []
         self.received_seqs: set = set()
         self.final_seq: Optional[int] = None
 

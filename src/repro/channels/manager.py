@@ -8,22 +8,19 @@ failures to the continuation registered when the channel was opened.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Sequence
 
-from ..core.algebra import PlanNode
 from ..errors import ChannelError
 from ..execution.batch import BindingBatch, concat_tables
+from ..execution.encoded import EncodedTable
 from ..net.message import Message
 from ..net.simulator import Network
 from ..rdf.dictionary import TermDictionary
 from ..resilience.retry import RetryPolicy
-from .channel import Channel
+from .channel import Channel, Output
 from .packets import DataPacket, SubPlanPacket, TreePath
 
-#: Continuation invoked with (table, failed_peer) when a channel completes.
-ChannelCallback = Callable[[Optional[BindingBatch], Optional[str]], None]
-#: Per-chunk consumer for pipelined channels.
-ProgressCallback = Callable[[BindingBatch], None]
 #: discarded channel ids remembered for late-packet accounting (per peer)
 DISCARDED_CHANNEL_LIMIT = 1024
 
@@ -70,9 +67,9 @@ class ChannelManager:
         channels cannot starve cheaper concurrent ones."""
         self._scheduler = scheduler
 
-    def _record_discarded(self, count: int) -> None:
-        if count and self._metrics is not None:
-            self._metrics.count("discarded_bindings", count)
+    def _count(self, name: str, n: int = 1) -> None:
+        if n and self._metrics is not None:
+            self._metrics.count(name, n)
 
     def mint_id(self) -> str:
         """The next channel id, unique across this owner's incarnations."""
@@ -86,30 +83,29 @@ class ChannelManager:
         self,
         network: Network,
         destination: str,
-        plan: PlanNode,
-        callback: ChannelCallback,
+        outputs: Sequence[Output],
         sites: Optional[Dict[TreePath, str]] = None,
         query_id: str = "",
-        progress: Optional[ProgressCallback] = None,
         retry: Optional[RetryPolicy] = None,
         trace=None,
     ) -> Channel:
-        """Open a channel: ship ``plan`` to ``destination`` and register
-        the continuation for its results.
+        """Open a channel: ship every output's plan to ``destination``
+        in one packet and register the continuations for its results.
+        ``sites`` is keyed ``(output index, *tree path)``.
 
         ``trace`` optionally carries the opener's span context: the
         channel then gets its own ``channel`` span (open to close/fail)
         and the shipped subplan packet propagates that span's context so
         the destination's execution stitches underneath it.
 
-        With ``progress`` set, the channel runs in *pipelined* mode:
-        every arriving chunk (including the final one) is handed to
-        ``progress`` immediately, no buffering happens, and the
+        An output with ``progress`` set runs in *pipelined* mode: every
+        arriving chunk (including the final one) is handed to
+        ``progress`` immediately, no buffering happens, and its
         completion ``callback`` fires with an empty table — a pure
         done-signal.
 
         With ``retry`` set, the channel is guarded by a deadline: if no
-        packet arrives within the attempt's timeout the subplan is
+        packet arrives within the attempt's timeout the subplans are
         retransmitted (exponential backoff), and when attempts run out
         the channel fails as if the destination had bounced — the
         timeout-based detection a non-omniscient network requires.
@@ -127,16 +123,15 @@ class ChannelManager:
             channel_id,
             self.owner,
             destination,
-            plan,
+            outputs,
             query_id,
             span=span if span else None,
-            callback=callback,
-            progress=progress,
         )
         self._channels[channel_id] = channel
+        self._count("subplans_shipped", len(channel.outputs))
         packet = SubPlanPacket(
             channel_id=channel_id,
-            plan=plan,
+            plans=tuple(output.plan for output in channel.outputs),
             sites=dict(sites or {}),
             root_peer=self.owner,
             query_id=query_id,
@@ -183,53 +178,56 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
-    def on_dictionary(self, packet: DataPacket) -> BindingBatch:
-        """Intern a packet's terms in the owner's dictionary (one
-        ``encode`` per term, not per cell); returns its bindings as an
-        *id table* in the owner's space (idempotent: interning is)."""
-        return packet.table.intern(self.dictionary)
+    def on_dictionary(self, table: EncodedTable) -> BindingBatch:
+        """Intern an arriving table's terms in the owner's dictionary
+        (one ``encode`` per term, not per cell); returns its bindings as
+        an *id table* in the owner's space (idempotent: interning is)."""
+        return table.intern(self.dictionary)
 
     def on_data(self, packet: DataPacket) -> None:
-        """Dispatch a data packet to the channel's continuation."""
+        """Dispatch a data packet's tables to their outputs'
+        continuations."""
         channel = self._channels.get(packet.channel_id)
         if channel is None:
             # never rooted here, already answered, or torn down
             if packet.channel_id in self._discarded:
                 # the replan already tore this channel down: these
                 # bindings were computed for nothing — account them
-                self._record_discarded(packet.rows)
+                self._count("discarded_bindings", packet.rows)
             return
+        outputs = channel.outputs
         seen = channel.received_seqs
-        if packet.seq in seen:
+        if packet.seq in seen or any(i >= len(outputs) for i, _ in packet.tables):
             # duplicated in flight, or replayed after a retransmit the
             # original answer raced: never union the same rows twice
+            # (nor index past what this channel shipped)
             return
         seen.add(packet.seq)
-        table = self.on_dictionary(packet)
-        channel.record_tuples(len(table))
-        if channel.span is not None:
-            channel.span.annotate(
-                f"data seq={packet.seq} rows={len(table)}"
-                + (" final" if packet.final else "")
-            )
         if packet.failed_peer is not None:
             channel.fail()
-            self._finish(channel, None, packet.failed_peer)
+            self._finish(channel, packet.failed_peer)
             return
         if packet.final:
             channel.final_seq = packet.seq
-        if channel.progress is not None:
-            channel.progress(table)
-        else:
-            channel.chunks.append(table)
+        for index, encoded in packet.tables:
+            table = self.on_dictionary(encoded)
+            output = outputs[index]
+            output.rows += len(table)
+            if output.progress is not None:
+                output.progress(table)
+            else:
+                output.chunks.append(table)
+        rows = packet.rows
+        channel.record_tuples(rows)
+        if channel.span is not None:
+            channel.span.annotate(
+                f"data seq={packet.seq} rows={rows}"
+                + (" final" if packet.final else "")
+            )
         if channel.final_seq is None or len(seen) < channel.final_seq + 1:
             return  # chunks still outstanding
         channel.close()
-        if channel.progress is not None:
-            self._finish(channel, BindingBatch(table.columns), None)
-            return
-        chunks, channel.chunks = channel.chunks, []
-        self._finish(channel, concat_tables(chunks), None)
+        self._finish(channel, None)
 
     def on_failure(self, channel_id: str) -> None:
         """Transport-level failure of the channel's destination."""
@@ -237,18 +235,30 @@ class ChannelManager:
         if channel is None:
             return
         channel.fail()
-        self._finish(channel, None, channel.destination)
+        self._finish(channel, channel.destination)
 
-    def _finish(self, channel: Channel, table, failed_peer) -> None:
-        """Drop the record and run its continuation."""
+    def _finish(self, channel: Channel, failed_peer: Optional[str]) -> None:
+        """Drop the record and run every output's continuation: with
+        its complete table (empty for a pipelined output, whose chunks
+        were handed on as they came), or with the failure."""
         if self._channels.pop(channel.channel_id, None) is None:
             return  # discarded from inside its own progress consumer
-        callback = channel.callback
-        if self._scheduler is None:
-            callback(table, failed_peer)
-            return
         key = channel.query_id or channel.channel_id
-        self._scheduler.submit(key, lambda: callback(table, failed_peer))
+        for output in channel.outputs:
+            table = None
+            if failed_peer is None:
+                if not output.rows:
+                    self._count("scans_empty")
+                chunks, output.chunks = output.chunks, []
+                table = (
+                    concat_tables(chunks)
+                    if chunks
+                    else BindingBatch(output.plan.variables())
+                )
+            if self._scheduler is None:
+                output.callback(table, failed_peer)
+            else:
+                self._scheduler.submit(key, partial(output.callback, table, failed_peer))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -264,8 +274,9 @@ class ChannelManager:
         channel = self._channels.pop(channel_id, None)
         if channel is not None:
             channel.close()
-            self._record_discarded(sum(len(chunk) for chunk in channel.chunks))
-            channel.chunks = []
+            for output in channel.outputs:
+                self._count("discarded_bindings", sum(map(len, output.chunks)))
+                output.chunks = []
         self._discarded[channel_id] = None
         while len(self._discarded) > DISCARDED_CHANNEL_LIMIT:
             self._discarded.pop(next(iter(self._discarded)))

@@ -288,21 +288,29 @@ class CostModel:
         ``coordinator`` and every inner operator evaluated there
         (the data-shipping baseline; shipping decisions refine this in
         :mod:`repro.core.shipping`).
+
+        The unit of shipping is the destination: all scans of one
+        remote peer travel in one subplan message and come back in one
+        result stream, so each distinct remote peer costs two messages
+        and one control message's bytes, whatever it scans.
         """
+        rows_at: Dict[str, float] = {}
+        for node in plan.walk():
+            if isinstance(node, Scan):
+                rows = rows_at.get(node.peer_id, 0.0) + self.scan_cardinality(node)
+                rows_at[node.peer_id] = rows
         bytes_shipped = 0.0
         messages = 0
         time = 0.0
-        for node in plan.walk():
-            if not isinstance(node, Scan):
-                continue
-            rows = self.scan_cardinality(node)
+        for peer_id, rows in rows_at.items():
             payload = rows * self.stats.row_bytes
-            link = self.stats.link_cost(node.peer_id, coordinator)
             bytes_shipped += payload
-            messages += 2  # subplan out + results back
+            if peer_id != coordinator:
+                messages += 2  # subplans out + results back
+            link = self.stats.link_cost(peer_id, coordinator)
             transfer = (payload + CONTROL_MESSAGE_BYTES) * link
-            processing = rows * 0.001 * self.stats.load_factor(node.peer_id)
-            time = max(time, transfer + processing)  # scans run in parallel
+            processing = rows * 0.001 * self.stats.load_factor(peer_id)
+            time = max(time, transfer + processing)  # peers run in parallel
         join_rows = self.cardinality(plan)
         time += join_rows * 0.001 * self.stats.load_factor(coordinator)
         return CostEstimate(bytes_shipped, messages, time)

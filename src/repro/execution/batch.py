@@ -91,11 +91,6 @@ class BindingBatch:
         table.rows.extend(zip(*(self.data[c] for c in self.columns)))
         return table
 
-    @classmethod
-    def unit(cls) -> "BindingBatch":
-        """The join identity: zero columns, one row."""
-        return cls((), length=1)
-
     # ------------------------------------------------------------------
     # relational operators
     # ------------------------------------------------------------------

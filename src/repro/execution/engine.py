@@ -2,12 +2,13 @@
 
 A :class:`PlanExecutor` runs one plan subtree *at one peer* (its
 executor site).  One recursive walk does it: a node sited elsewhere is
-shipped over a channel as a
-:class:`~repro.channels.packets.SubPlanPacket` (the destination peer
-spins up its own executor recursively — that is how query shipping
-pushes operators down, Figure 5 right), a scan of the local base is
-evaluated in place, and a ``Join``/``Union`` sited here gets an
-operator fed by its children.
+shipped (the destination peer spins up its own executor recursively —
+that is how query shipping pushes operators down, Figure 5 right), a
+scan of the local base is evaluated in place, and a ``Join``/``Union``
+sited here gets an operator fed by its children.  The unit of shipping
+is the destination, not the subtree: the walk collects every subtree
+bound for one site and opens one channel per site, whose single
+:class:`~repro.channels.packets.SubPlanPacket` carries them all.
 
 Section 2.5's choices are *policies over that one walk*, fixed per
 attempt in an :class:`ExecutionStrategy`: **gather** builds blocking
@@ -27,13 +28,13 @@ semantics, or [Ives02]'s phased salvage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
 
 if TYPE_CHECKING:  # annotation only — imported lazily to avoid a cycle
     # (channels.manager uses execution.batch for stream assembly)
     from ..channels.manager import ChannelManager
 
-from ..channels.channel import ChannelState
+from ..channels.channel import ChannelState, Output
 from ..channels.packets import ChangePlanPacket, TreePath
 from ..core.algebra import Hole, PlanNode, Scan, Union
 from ..errors import PlanningError
@@ -71,8 +72,8 @@ class ExecutionStrategy:
             gathering complete tables.
         scan_cache: Scan results carried across the query's attempts —
             the *phased* policy of [Ives02]: a cached scan is not
-            re-shipped, and scan channels outliving a failed attempt
-            keep filling it.  ``None`` is ubQL discard.
+            re-shipped, and channels with scan outputs outliving a
+            failed attempt keep filling it.  ``None`` is ubQL discard.
         early_stop: Top-k stop (streaming only): called with everything
             emitted so far after each chunk; True completes with that
             and discards the remaining channels.
@@ -111,7 +112,7 @@ class PlanExecutor:
         strategy: How to run it (default: gather, discard, no retry).
 
     The executor opens an ``execute`` span under ``strategy.trace``
-    covering its whole lifetime; every channel it ships stitches under
+    covering its whole lifetime; every channel it opens stitches under
     that span.
     """
 
@@ -142,12 +143,19 @@ class PlanExecutor:
         #: every channel this executor opened (the manager forgets a
         #: channel once answered; releasing needs its final state)
         self._channels: list = []
+        #: what the walk found bound for each remote site: the outputs
+        #: and their placement, keyed ``(output index, *tree path)``
+        self._shipments: Dict[str, Tuple[List[Output], Dict[TreePath, str]]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin execution; completion arrives via ``on_complete``."""
+        """Begin execution; completion arrives via ``on_complete``.
+        The walk reaches every remote subtree before it returns, so
+        each destination gets exactly one channel."""
+        if self._finished:
+            return  # aborted before its scheduled start
         self.span = self.network.tracer.start_span(
             "execute",
             peer=self.host.peer_id,
@@ -156,6 +164,15 @@ class PlanExecutor:
             pipelined=self.strategy.stream,
         )
         self._walk(self.plan, (), self._emit, self._done, self.strategy.needed)
+        retry, trace = self.strategy.retry, self.span.context()
+        for site, (outputs, sites) in self._shipments.items():
+            if self._finished:
+                return  # local rows already answered (top-k stop)
+            self._channels.append(
+                self.host.channels.open(
+                    self.network, site, outputs, sites, self.query_id, retry, trace
+                )
+            )
 
     def _emit(self, chunk: BindingBatch) -> None:
         """The root's output: one table when gathering, a chunk at a
@@ -175,7 +192,8 @@ class PlanExecutor:
                     channels=len(self._channels),
                 )
                 self.span.set(topk_cancelled=True)
-                self._release_channels()
+                # answered: nothing is salvaged, every channel goes
+                self._release_channels(salvage=False)
                 self._finish_ok(merged)
 
     def _done(self) -> None:
@@ -189,18 +207,25 @@ class PlanExecutor:
             self._finish_ok(BindingBatch(self.plan.variables()))
 
     def abort(self) -> None:
-        """Stop without completing.  Under the ubQL discard policy all
-        in-flight channels are dropped; under the phased policy their
-        late results are salvaged into the scan cache."""
-        self._finished = True
-        self.span.finish("aborted")
-        self._release_channels()
+        """Stop without completing (a no-op once finished).  Under the
+        ubQL discard policy all in-flight channels are dropped; under
+        the phased policy their late results are salvaged into the scan
+        cache."""
+        if not self._finished:
+            self._finished = True
+            self.span.finish("aborted")
+            self._release_channels(salvage=True)
 
-    def _release_channels(self) -> None:
+    def _release_channels(self, salvage: bool) -> None:
+        """Tear down what is still open.  ``salvage`` marks an attempt
+        given up (failed or aborted) rather than answered: under the
+        phased policy a channel with scan outputs then stays open and
+        their continuations keep collecting into the cache (a join or
+        union shipped beside them runs on too; its rows are dropped on
+        arrival — the price of one stream per destination)."""
+        salvage = salvage and self.strategy.scan_cache is not None
         for channel in self._channels:
-            if self.strategy.scan_cache is not None and isinstance(channel.plan, Scan):
-                # phased policy: the channel stays open and its
-                # continuation keeps collecting into the cache
+            if salvage and any(isinstance(o.plan, Scan) for o in channel.outputs):
                 continue
             unfinished = channel.state is not ChannelState.CLOSED
             self.host.channels.discard(channel.channel_id)
@@ -228,7 +253,7 @@ class PlanExecutor:
             self._finished = True
             self.span.set(failed_peer=failed_peer)
             self.span.finish("failed")
-            self._release_channels()
+            self._release_channels(salvage=True)
             self.on_complete(None, failed_peer)
 
     # ------------------------------------------------------------------
@@ -322,12 +347,12 @@ class PlanExecutor:
         emit: Emit,
         done: Callable[[], None],
     ) -> None:
-        """Ship a subtree to its execution site over a fresh channel.
+        """Add a subtree to the shipment bound for its execution site.
 
         A scan cached by an earlier phase short-circuits the shipment
         (phased policy); a shipped scan's rows land in that cache when
         its channel completes — also after this executor aborted, which
-        is the salvage.  A streamed channel's completion carries no
+        is the salvage.  A streamed output's completion carries no
         rows, so its chunks are kept for the cache as they pass.
         """
         cache = self.strategy.scan_cache if isinstance(node, Scan) else None
@@ -337,11 +362,6 @@ class PlanExecutor:
             emit(cached)
             done()
             return
-        sub_sites = {
-            p[len(path):]: s
-            for p, s in self.sites.items()
-            if p[: len(path)] == path and p != path
-        }
         kept: List[BindingBatch] = []
 
         def on_progress(chunk: BindingBatch) -> None:
@@ -362,15 +382,11 @@ class PlanExecutor:
                 emit(table)
             done()
 
-        channel = self.host.channels.open(
-            self.network,
-            site,
-            node,
-            on_channel,
-            sites=sub_sites,
-            query_id=self.query_id,
-            progress=on_progress if self.strategy.stream else None,
-            retry=self.strategy.retry,
-            trace=self.span.context(),
+        outputs, sites = self._shipments.setdefault(site, ([], {}))
+        depth = len(path)
+        for p, s in self.sites.items():
+            if p[:depth] == path and p != path:
+                sites[(len(outputs),) + p[depth:]] = s
+        outputs.append(
+            Output(node, on_channel, on_progress if self.strategy.stream else None)
         )
-        self._channels.append(channel)

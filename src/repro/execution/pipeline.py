@@ -106,8 +106,6 @@ class IncrementalHashJoin:
         self._seen = (BindingBatch(self.left_columns), BindingBatch(self.right_columns))
         #: … and join key → their row indices, in arrival order
         self._buckets: Tuple[Dict[object, List[int]], ...] = ({}, {})
-        self._left_done = False
-        self._right_done = False
 
     # ------------------------------------------------------------------
     # feeding
@@ -136,19 +134,6 @@ class IncrementalHashJoin:
         self._emit(
             left.gather(right, self._right_only, self.out_columns, left_idx, right_idx)
         )
-
-    # ------------------------------------------------------------------
-    # termination
-    # ------------------------------------------------------------------
-    def finish_left(self) -> None:
-        self._left_done = True
-
-    def finish_right(self) -> None:
-        self._right_done = True
-
-    @property
-    def done(self) -> bool:
-        return self._left_done and self._right_done
 
 
 class IncrementalUnion:

@@ -36,7 +36,6 @@ class MetricSet:
         self.messages_by_kind: Counter = Counter()
         self.bytes_by_kind: Counter = Counter()
         self.messages_received: Counter = Counter()  # per peer
-        self.messages_sent: Counter = Counter()  # per peer
         self.queries_processed: Counter = Counter()  # per peer
         self.irrelevant_queries: Counter = Counter()  # per peer
         for name in COUNTERS:
@@ -87,7 +86,6 @@ class MetricSet:
         self.bytes_total += size
         self.messages_by_kind[kind] += 1
         self.bytes_by_kind[kind] += size
-        self.messages_sent[src] += 1
         self.messages_received[dst] += 1
         if delay is not None:
             histogram = self.message_delay_by_kind.get(kind)

@@ -32,6 +32,8 @@ COUNTERS: Dict[str, str] = {
     "dropped_messages": "Messages dropped by the fault plan",
     "duplicated_messages": "Messages duplicated by the fault plan",
     # batched shipping (repro.channels)
+    "subplans_shipped": "Subplans shipped (one SubPlanPacket carries a destination's)",
+    "scans_empty": "Shipped subplans that came back with zero rows",
     "batches_sent": "Binding batches (DataPackets) shipped",
     "discarded_bindings": "Bindings thrown away by plan discards",
     # workload engine (repro.workload_engine)

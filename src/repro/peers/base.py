@@ -9,6 +9,7 @@ and message dispatch.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..channels.manager import ChannelManager
@@ -17,7 +18,7 @@ from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
 from ..execution.batch import BindingBatch
-from ..execution.encoded import EncodedBase, EncodedTable, evaluate_scan_encoded
+from ..execution.encoded import EncodedBase, evaluate_scan_encoded
 from ..execution.engine import Completion, ExecutionStrategy, PlanExecutor
 from ..net.message import DeliveryFailure, Message
 from ..net.simulator import Network
@@ -137,10 +138,10 @@ class Peer:
         self._active_streams: set = set()
         #: heartbeat-based failure detector, when resilience is enabled
         self.failure_detector = None
-        #: channels whose subplan is still executing (duplicate packets
+        #: channels whose subplans are still executing (duplicate packets
         #: are ignored; the in-flight run will answer)
         self._executing_subplans: set = set()
-        #: channel id -> the exact reply payloads of a completed subplan,
+        #: channel id -> the exact reply payloads of a completed shipment,
         #: replayed verbatim when a retransmitted SubPlanPacket arrives
         self._subplan_replay: Dict[str, List] = {}
         #: fair per-query work scheduler (repro.workload_engine); None
@@ -255,12 +256,15 @@ class Peer:
         return base.evaluate_scan(scan, self.dictionary)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
-        """Execute a received subplan and stream the result back.
+        """Execute the received subplans — one executor each — and,
+        when all of them have finished, stream the results back as one
+        sequence of packets.
 
         The stream's first packet also reports statistics (this peer's
-        local cardinalities for the subplan's properties) so the
+        local cardinalities for the subplans' properties) so the
         channel root can feed its optimiser — the "statistics useful
-        for query optimization" ubQL packets of Section 2.4.
+        for query optimization" ubQL packets of Section 2.4.  The first
+        failure below fails the whole shipment.
         """
         packet: SubPlanPacket = message.payload
         root = message.src
@@ -269,19 +273,25 @@ class Peer:
             return  # retransmit raced the in-flight execution: it will answer
         replay = self._subplan_replay.get(channel_id)
         if replay is not None:
-            # retransmitted request for a subplan already answered: resend
+            # retransmitted request for subplans already answered: resend
             # the exact same packets (the root deduplicates on seq)
             for payload in replay:
                 self.send(root, payload)
             return
         self._executing_subplans.add(channel_id)
+        tables: List[Optional[BindingBatch]] = [None] * len(packet.plans)
 
-        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
+        def on_complete(output: int, table, failed: Optional[str]) -> None:
+            if channel_id not in self._executing_subplans:
+                return  # the shipment already failed
+            tables[output] = table
+            if failed is None and any(t is None for t in tables):
+                return  # siblings still running
             self._executing_subplans.discard(channel_id)
-            if failed is None and table is not None:
+            if failed is None:
                 packets = DataPacket.stream(
                     channel_id,
-                    table,
+                    tables,
                     self.dictionary,
                     self.config.stream_chunk_rows or self.config.batch_size,
                     self._local_cardinalities(packet),
@@ -289,24 +299,25 @@ class Peer:
                 self._remember_subplan(channel_id, packets)
                 self._stream_packets(root, channel_id, packets)
                 return
+            for executor in executors:
+                executor.abort()
             # failures are not remembered: a retransmit retries execution
-            self.send(
-                root,
-                DataPacket(
-                    channel_id, EncodedTable((), (), (), 0), failed_peer=failed
-                ),
-            )
+            self.send(root, DataPacket(channel_id, failed_peer=failed))
 
-        executor = self.plan_executor(
-            packet.plan,
-            on_complete,
-            sites=packet.sites,
-            query_id=packet.query_id,
-            # stitch this remote execution under the shipped channel
-            # span: the arriving message carries the root's context
-            trace=message.trace,
-        )
-        self.schedule_work(packet.query_id, executor.start)
+        executors = [
+            self.plan_executor(
+                plan,
+                partial(on_complete, output),
+                sites={p[1:]: s for p, s in packet.sites.items() if p[0] == output},
+                query_id=packet.query_id,
+                # stitch this remote execution under the shipped channel
+                # span: the arriving message carries the root's context
+                trace=message.trace,
+            )
+            for output, plan in enumerate(packet.plans)
+        ]
+        for executor in executors:
+            self.schedule_work(packet.query_id, executor.start)
 
     def plan_executor(
         self,
@@ -363,7 +374,9 @@ class Peer:
         table outgrew ``config.batch_size``) sends back-to-back —
         batching changes message count, not timing.  Explicit pipelining
         (``config.stream_chunk_rows``) paces chunks by
-        ``config.stream_interval`` and honours mid-stream discards.
+        ``config.stream_interval`` — one chunk of *every* output per
+        interval, so a shipment delivers each output as fast as a
+        channel of its own would — and honours mid-stream discards.
         """
         if len(packets) == 1:
             self.send(root, packets[0])
@@ -385,10 +398,17 @@ class Peer:
                 if remaining:
                     network.metrics.count("discarded_bindings", remaining)
                 return
-            self.send(root, packets[index])
-            if index + 1 < len(packets):
+            sent: set = set()  # the outputs this interval has served
+            while index < len(packets):
+                outputs = {output for output, _ in packets[index].tables}
+                if sent & outputs:
+                    break  # their next chunks wait for the next interval
+                sent |= outputs
+                self.send(root, packets[index])
+                index += 1
+            if index < len(packets):
                 network.call_later(
-                    self.config.stream_interval, lambda: send_batch(index + 1)
+                    self.config.stream_interval, lambda: send_batch(index)
                 )
             else:
                 self._active_streams.discard(channel_id)
@@ -403,11 +423,11 @@ class Peer:
             self._subplan_replay.pop(next(iter(self._subplan_replay)))
 
     def _local_cardinalities(self, packet: SubPlanPacket) -> Dict[str, int]:
-        """Entailed statement counts for the subplan's properties in the
-        local base (the statistics its result stream carries to the
+        """Entailed statement counts for the subplans' properties in the
+        local base (the statistics their result stream carries to the
         channel root)."""
         counts: Dict[str, int] = {}
-        for pattern in packet.plan.patterns():
+        for pattern in (p for plan in packet.plans for p in plan.patterns()):
             prop = pattern.schema_path.property
             if prop.value in counts:
                 continue

@@ -495,10 +495,12 @@ class QueryCoordinator:
         )
 
     def _monitor_tick(self, pending: PendingQuery, executor) -> None:
-        """Check the attempt's open channels for stalled tuple flow.
+        """Check the attempt's open channels — one per destination —
+        for stalled tuple flow.
 
-        A channel that made no progress across :data:`STALL_CHECKS`
-        consecutive ticks is declared failed; the usual adaptation path
+        A channel none of whose outputs made progress across
+        :data:`STALL_CHECKS` consecutive ticks is declared failed (which
+        reaches every output's continuation); the usual adaptation path
         then replans without its destination ("the root node of each
         channel is responsible for identifying possible problems ...
         and for handling them accordingly").

@@ -1,10 +1,13 @@
 """Binding tables: the tabular result representation.
 
-A :class:`BindingTable` is a bag of rows over named variable columns.
-It is the unit of data exchanged between peers over channels and the
-operand type of the distributed union/join operators, so it provides
-hash-join, union (with column alignment), projection, filtering and a
-wire-size estimate for the network simulator.
+A :class:`BindingTable` is a bag of rows over named variable columns:
+what the centralized evaluator (the term-space oracle) computes with and
+what a client's stored answer is, so it provides hash-join, union (with
+column alignment), projection and filtering.  Inside the engine and on
+the wire a table is a column-major id table
+(:class:`~repro.execution.batch.BindingBatch`) and its packed form
+(:class:`~repro.execution.encoded.EncodedTable`); :func:`table_size_bytes`
+is the one wire-size rule they share with this class.
 """
 
 from __future__ import annotations

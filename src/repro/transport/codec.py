@@ -81,14 +81,22 @@ def _register(cls: Type, encode: Callable[[Any], dict], decode: Callable[[dict],
     _DECODERS[cls.__name__] = decode
 
 
-def _register_dataclass(cls: Type) -> None:
+def _register_dataclass(cls: Type, check: Callable[[Any], None] = None) -> None:
+    """Field-by-field codec for ``cls``; ``check`` raises
+    :class:`CodecError` for a decoded object a handler must not see."""
     names = [f.name for f in dataclasses.fields(cls)]
 
     def encode(obj) -> dict:
         return {name: _encode(getattr(obj, name)) for name in names}
 
     def decode(fields: dict):
-        return cls(**{name: _decode(fields[name]) for name in names if name in fields})
+        obj = cls(**{name: _decode(fields[name]) for name in names if name in fields})
+        if check is not None:
+            try:
+                check(obj)
+            except (TypeError, ValueError) as exc:  # not even the right shape
+                raise CodecError(f"malformed {cls.__name__}: {exc}") from None
+        return obj
 
     _register(cls, encode, decode)
 
@@ -406,6 +414,28 @@ _register(
 )
 
 
+def _check_subplans(packet: SubPlanPacket) -> None:
+    """At least one subplan, and every site keyed ``(output index,
+    *tree path)`` under an output the packet carries."""
+    carried = len(packet.plans)
+    if not carried:
+        raise CodecError("a SubPlanPacket carries at least one subplan")
+    for path in packet.sites:
+        if not path or type(path[0]) is not int or not 0 <= path[0] < carried:
+            raise CodecError(f"site {path!r} is under none of {carried} outputs")
+
+
+def _check_tables(packet: DataPacket) -> None:
+    """Each output at most once per packet, under a non-negative index
+    (a negative one would alias an output from the end; how many
+    outputs the channel has only its root knows, and checks)."""
+    outputs = [output for output, _ in packet.tables]
+    if any(type(output) is not int or output < 0 for output in outputs):
+        raise CodecError(f"{outputs!r} are not output indices")
+    if len(set(outputs)) != len(outputs):
+        raise CodecError(f"an output twice in one packet: {outputs!r}")
+
+
 # ----------------------------------------------------------------------
 # registry: control / resilience payloads
 # ----------------------------------------------------------------------
@@ -437,8 +467,6 @@ for _cls in (
     AdvertisementReply,
     DelegatedResult,
     PartialPlan,
-    SubPlanPacket,
-    DataPacket,
     StatSummary,
     ChangePlanPacket,
     Coverage,
@@ -456,3 +484,5 @@ for _cls in (
 ):
     _register_dataclass(_cls)
 del _cls
+_register_dataclass(SubPlanPacket, _check_subplans)
+_register_dataclass(DataPacket, _check_tables)

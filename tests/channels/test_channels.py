@@ -9,6 +9,7 @@ from repro.channels import (
     ChannelManager,
     ChannelState,
     DataPacket,
+    Output,
     SubPlanPacket,
 )
 from repro.core.algebra import Scan
@@ -18,7 +19,7 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rql.bindings import BindingTable
 from repro.workloads.paper import paper_query_pattern, paper_schema
 
-from ..idtables import decode_cells, encode_cells
+from ..idtables import decode_cells, encode_cells, open_one
 
 
 def data(channel_id, table, sender=None, **fields):
@@ -26,7 +27,7 @@ def data(channel_id, table, sender=None, **fields):
     table ``table``: id columns plus the entries they reference."""
     sender = sender if sender is not None else TermDictionary()
     (packet,) = DataPacket.stream(
-        channel_id, encode_cells(table, sender), sender, max(1, len(table))
+        channel_id, [encode_cells(table, sender)], sender, max(1, len(table))
     )
     return replace(packet, **fields)
 
@@ -63,18 +64,18 @@ def wired():
 
 class TestChannel:
     def test_initial_state_open(self, scan):
-        channel = Channel("P1#1", "P1", "P2", scan)
+        channel = Channel("P1#1", "P1", "P2", [Output(scan)])
         assert channel.is_open
         assert channel.state is ChannelState.OPEN
 
     def test_close_only_from_open(self, scan):
-        channel = Channel("P1#1", "P1", "P2", scan)
+        channel = Channel("P1#1", "P1", "P2", [Output(scan)])
         channel.fail()
         channel.close()
         assert channel.state is ChannelState.FAILED
 
     def test_tuples_accumulate(self, scan):
-        channel = Channel("P1#1", "P1", "P2", scan)
+        channel = Channel("P1#1", "P1", "P2", [Output(scan)])
         channel.record_tuples(3)
         channel.record_tuples(4)
         assert channel.tuples_received == 7
@@ -85,7 +86,7 @@ class TestManager:
         network, root, dest = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         network.run()
         assert channel.channel_id == "P1#1"
         assert len(dest.received) == 1
@@ -96,15 +97,15 @@ class TestManager:
     def test_ids_unique(self, wired, scan):
         network, _, _ = wired
         manager = ChannelManager("P1")
-        c1 = manager.open(network, "P2", scan, lambda t, f: None)
-        c2 = manager.open(network, "P2", scan, lambda t, f: None)
+        c1 = open_one(manager, network, scan, lambda t, f: None)
+        c2 = open_one(manager, network, scan, lambda t, f: None)
         assert c1.channel_id != c2.channel_id
 
     def test_final_data_invokes_callback_and_closes(self, wired, scan):
         network, _, _ = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         table = BindingTable(("X",))
         manager.on_data(data(channel.channel_id, table, final=True))
         ((answered, failed),) = results
@@ -115,7 +116,7 @@ class TestManager:
         network, _, _ = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         manager.on_data(data(channel.channel_id, BindingTable(()), failed_peer="P9"))
         assert results == [(None, "P9")]
         assert channel.state is ChannelState.FAILED
@@ -124,7 +125,7 @@ class TestManager:
         network, _, _ = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         manager.on_failure(channel.channel_id)
         assert results == [(None, "P2")]
 
@@ -132,7 +133,7 @@ class TestManager:
         network, _, _ = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         manager.discard(channel.channel_id)
         manager.on_data(data(channel.channel_id, BindingTable(()), final=True))
         assert results == []
@@ -140,8 +141,8 @@ class TestManager:
     def test_discard_all_counts_open(self, wired, scan):
         network, _, _ = wired
         manager = ChannelManager("P1")
-        manager.open(network, "P2", scan, lambda t, f: None)
-        manager.open(network, "P2", scan, lambda t, f: None)
+        open_one(manager, network, scan, lambda t, f: None)
+        open_one(manager, network, scan, lambda t, f: None)
         assert manager.discard_all() == 2
         assert manager.open_channels() == {}
 
@@ -154,7 +155,7 @@ class TestManager:
             ChannelManager("P1").channel("nope")
 
     def test_packet_sizes_positive(self, scan):
-        assert SubPlanPacket("c", scan).size_bytes() > 0
+        assert SubPlanPacket("c", (scan,)).size_bytes() > 0
         assert data("c", BindingTable(("X",))).size_bytes() > 0
 
     def test_data_packet_pays_for_its_entries(self):
@@ -181,7 +182,7 @@ class TestOutOfOrderReassembly:
         network, _, _ = wired
         manager = ChannelManager("P1")
         results = []
-        channel = manager.open(network, "P2", scan, lambda t, f: results.append((t, f)))
+        channel = open_one(manager, network, scan, lambda t, f: results.append((t, f)))
         return manager, channel, results
 
     def test_final_overtaking_chunks_waits_for_them(self, wired, scan):
@@ -230,7 +231,7 @@ class TestDiscardAccounting:
     def test_discard_counts_buffered_chunks(self, wired, scan):
         network, _, _ = wired
         manager, metrics = self._manager_with_metrics()
-        channel = manager.open(network, "P2", scan, lambda t, f: None)
+        channel = open_one(manager, network, scan, lambda t, f: None)
         manager.on_data(data(channel.channel_id, _rows("a", "b"), seq=0, final=False))
         manager.on_data(data(channel.channel_id, _rows("c"), seq=1, final=False))
         manager.discard(channel.channel_id)
@@ -239,7 +240,7 @@ class TestDiscardAccounting:
     def test_late_packet_after_discard_counted(self, wired, scan):
         network, _, _ = wired
         manager, metrics = self._manager_with_metrics()
-        channel = manager.open(network, "P2", scan, lambda t, f: None)
+        channel = open_one(manager, network, scan, lambda t, f: None)
         manager.discard(channel.channel_id)
         manager.on_data(data(channel.channel_id, _rows("a", "b"), seq=0, final=True))
         assert metrics.discarded_bindings == 2
@@ -247,7 +248,7 @@ class TestDiscardAccounting:
     def test_discard_without_metrics_is_silent(self, wired, scan):
         network, _, _ = wired
         manager = ChannelManager("P1")
-        channel = manager.open(network, "P2", scan, lambda t, f: None)
+        channel = open_one(manager, network, scan, lambda t, f: None)
         manager.on_data(data(channel.channel_id, _rows("a"), seq=0, final=False))
         manager.discard(channel.channel_id)  # no metrics bound: no raise
 

@@ -102,14 +102,19 @@ class TestPlanCost:
         ads = paper_active_schemas(schema)
         plan = build_plan(route_query(pattern, ads.values(), schema))
         estimate = model.plan_cost(plan, "P1")
-        assert estimate.messages == 12  # 6 scans x 2
+        # six scans, but the unit of shipping is the destination: P2,
+        # P3 and P4 each cost a subplan message and a result stream
+        assert estimate.messages == 6
+        # P1's own scans cost no message at all
+        assert model.plan_cost(plan.children()[0], "P1").messages == 4
 
     @pytest.mark.parametrize("case", ["figure-3", "flat-fan-out"])
     def test_estimated_messages_are_the_messages_sent(self, schema, case):
-        """Estimated vs actual: the two messages the model (and
-        ``core.shipping``) charge per shipped scan — subplan out,
-        results back — are what a channel puts on the wire when the
-        reply fits one packet."""
+        """Estimated vs actual: the two messages the model charges per
+        distinct remote destination — subplans out, results back — are
+        what a channel puts on the wire when the reply fits one packet,
+        however many scans the destination runs (Figure 3's P4 answers
+        both path patterns over one channel)."""
         from repro.config import PeerConfig
         from repro.rdf import TYPE, Graph
         from repro.rql import extract_pattern, parse_query
@@ -140,16 +145,46 @@ class TestPlanCost:
         scans = [node for node in plan.walk() if isinstance(node, Scan)]
         remote = [scan for scan in scans if scan.peer_id != "P1"]
         assert (len(scans), len(remote)) == ((6, 4) if case == "figure-3" else (6, 6))
-        model = CostModel()
-        estimated = sum(model.plan_cost(scan, "P1").messages for scan in remote)
-        assert estimated == 2 * len(remote)
+        destinations = {scan.peer_id for scan in remote}
+        assert len(destinations) == (3 if case == "figure-3" else 6)
+        estimated = CostModel().plan_cost(plan, "P1").messages
+        assert estimated == 2 * len(destinations)
         kinds = system.network.metrics.messages_by_kind
         sent = {kind: kinds[kind] - before.get(kind, 0) for kind in kinds}
-        assert sent["SubPlanPacket"] == sent["DataPacket"] == len(remote)
+        assert sent["SubPlanPacket"] == sent["DataPacket"] == len(destinations)
+        assert system.network.metrics.subplans_shipped == len(remote)
         # ... and nothing else crosses a channel: what is left is the
         # client's round trip and the routing round trip
         around = {"QuerySubmit", "QueryResult", "RouteRequest", "RouteReply"}
         assert sum(n for kind, n in sent.items() if kind not in around) == estimated
+
+    def test_plan_cost_messages_are_the_channel_messages_of_a_default_system(
+        self, schema
+    ):
+        """The paper's two-pattern query on a default ``HybridSystem``
+        (optimised plan, default batch size): the messages
+        ``plan_cost`` estimates for the plan the coordinator ran are the
+        ``SubPlanPacket``s and ``DataPacket``s it put on the wire."""
+        from repro.rql import extract_pattern, parse_query
+        from repro.systems import HybridSystem
+        from repro.workloads.paper import PAPER_QUERY, paper_peer_bases
+
+        system = HybridSystem(schema)
+        system.add_super_peer("SP1")
+        for peer_id, graph in paper_peer_bases().items():
+            system.add_peer(peer_id, graph, "SP1")
+        system.network.run()
+        assert len(system.query("P1", PAPER_QUERY)) == 9
+        coordinator = system.peers["P1"]
+        ads = [p.base.active_schema(pid) for pid, p in system.peers.items()]
+        pattern = extract_pattern(parse_query(PAPER_QUERY), schema)
+        plan = coordinator.coordinator.plan_for(route_query(pattern, ads, schema))
+        assert plan.peers() == {"P1", "P2", "P3", "P4"}
+        estimate = CostModel(coordinator.statistics).plan_cost(plan, "P1")
+        kinds = system.network.metrics.messages_by_kind
+        assert estimate.messages == kinds["SubPlanPacket"] + kinds["DataPacket"] == 6
+        remote = [n for n in plan.walk() if isinstance(n, Scan) and n.peer_id != "P1"]
+        assert system.network.metrics.subplans_shipped == len(remote) > 3
 
     def test_intermediate_rows(self, stats, patterns):
         model = CostModel(stats)

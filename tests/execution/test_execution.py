@@ -13,6 +13,7 @@ from repro.execution import (
     vjoin_all_distinct,
     vunion_all_distinct,
 )
+from repro.execution.engine import ExecutionStrategy
 from repro.net import Network
 from repro.peers.base import Peer, PeerBase
 from repro.rdf import InferredView, Literal, Namespace
@@ -244,3 +245,151 @@ class TestPlanExecutor:
         ).start()
         network.run()
         assert len(outcome["table"]) == 4
+
+
+def _spy_subplans(peers):
+    """Record every ``SubPlanPacket`` each of ``peers`` receives."""
+    seen = []
+    for peer in peers:
+
+        def spy(message, handle=peer.handle_SubPlanPacket):
+            seen.append((message.src, message.dst, message.payload))
+            handle(message)
+
+        peer.handle_SubPlanPacket = spy
+    return seen
+
+
+class TestShipmentPerDestination:
+    """The unit of shipping is the destination: an executor opens one
+    channel per site, carrying every subtree bound for it."""
+
+    def paper_plan(self, patterns):
+        return Join([
+            Union([Scan((patterns[0],), p) for p in ("P1", "P2", "P4")]),
+            Union([Scan((patterns[1],), p) for p in ("P1", "P3", "P4")]),
+        ])
+
+    def run(self, schema, plan, strategy=None, sites=None):
+        network, peers, coordinator = _network_with_paper_peers(schema)
+        shipped = _spy_subplans(peers.values())
+        outcome = []
+        PlanExecutor(
+            coordinator,
+            network,
+            plan,
+            sites=sites,
+            on_complete=lambda table, failed: outcome.append((table, failed)),
+            strategy=strategy or ExecutionStrategy(),
+        ).start()
+        network.run()
+        ((table, failed),) = outcome
+        assert failed is None
+        answer = decode_cells(table.project(("X", "Y")).distinct(), coordinator.dictionary)
+        return sorted(answer.rows, key=repr), shipped, network, peers, coordinator
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["gather", "streaming"])
+    def test_one_channel_per_destination(self, schema, patterns, stream):
+        rows, shipped, network, peers, coordinator = self.run(
+            schema, self.paper_plan(patterns), ExecutionStrategy(stream=stream)
+        )
+        assert len(rows) == 9
+        # six scans, four destinations: P1 and P4 each answer both
+        # path patterns over one channel
+        assert sorted((dst, len(p.plans)) for _, dst, p in shipped) == [
+            ("P1", 2), ("P2", 1), ("P3", 1), ("P4", 2)
+        ]
+        metrics = network.metrics
+        assert metrics.messages_by_kind == {"SubPlanPacket": 4, "DataPacket": 4}
+        assert metrics.subplans_shipped == 6 and metrics.scans_empty == 0
+        assert len(coordinator.channels) == 0
+        assert all(peer._executing_subplans == set() for peer in peers.values())
+
+    def test_nested_shipment_coalesces_at_every_hop(self, schema, patterns):
+        """The whole join runs at P2, whose own executor ships P4's two
+        scans in one packet; a site map rides under its output index
+        and reaches the executor it is for."""
+        plan = self.paper_plan(patterns)
+        expected, *_ = self.run(schema, plan)
+        rows, shipped, network, *_ = self.run(schema, plan, sites={(): "P2"})
+        assert rows == expected
+        assert sorted((src, dst, len(p.plans)) for src, dst, p in shipped) == [
+            ("C", "P2", 1), ("P2", "P1", 2), ("P2", "P3", 1), ("P2", "P4", 2)
+        ]
+        assert all(p.sites == {} for *_, p in shipped)
+
+        # the second union runs at P3 *inside* the join shipped to P2,
+        # next to a lone scan for P2: sites are keyed by output index
+        plan = Join([Scan((patterns[0],), "P2"), plan])
+        expected, *_ = self.run(schema, plan)
+        assert len(expected) == 4
+        sites = {(1,): "P2", (1, 1): "P3"}
+        rows, shipped, *_ = self.run(schema, plan, sites=sites)
+        assert rows == expected
+        (first,) = [p for src, _, p in shipped if src == "C"]
+        assert [type(p).__name__ for p in first.plans] == ["Scan", "Join"]
+        assert first.sites == {(1, 1): "P3"}
+        assert sorted((src, dst, len(p.plans)) for src, dst, p in shipped) == [
+            ("C", "P2", 2), ("P2", "P1", 1), ("P2", "P3", 1), ("P2", "P4", 1),
+            ("P3", "P1", 1), ("P3", "P4", 1),
+        ]
+
+    def test_phased_cache_fills_per_output_also_after_an_abort(self, schema, patterns):
+        """An aborted attempt's channels stay open for their scan
+        outputs: each lands in the cache under its own scan, and the
+        next attempt ships nothing."""
+        plan = self.paper_plan(patterns)
+        network, peers, coordinator = _network_with_paper_peers(schema)
+        cache, calls = {}, []
+        strategy = ExecutionStrategy(scan_cache=cache)
+        executor = PlanExecutor(
+            coordinator, network, plan, on_complete=lambda t, f: calls.append(f),
+            strategy=strategy,
+        )
+        executor.start()
+        executor.abort()
+        assert len(coordinator.channels) == 4  # open for salvage
+        network.run()
+        assert calls == [] and len(coordinator.channels) == 0
+        scans = [node for node in plan.walk() if isinstance(node, Scan)]
+        assert set(cache) == set(scans)
+        assert all(tuple(cache[scan].columns) == tuple(scan.variables()) for scan in scans)
+        assert network.metrics.messages_by_kind.get("ChangePlanPacket", 0) == 0
+
+        before = network.metrics.messages_total
+        outcome = []
+        retry = PlanExecutor(
+            coordinator, network, plan,
+            on_complete=lambda t, f: outcome.append((t, f)), strategy=strategy,
+        )
+        retry.start()
+        ((table, failed),) = outcome  # synchronously, from the cache
+        assert failed is None and len(table.project(("X", "Y")).distinct()) == 9
+        assert retry.reused_rows == sum(len(t) for t in cache.values())
+        assert network.metrics.messages_total == before
+
+    def test_phased_salvage_on_a_mixed_shipment(self, schema, patterns):
+        """A scan shipped beside a join for the same site: the aborted
+        attempt keeps the one channel open, the scan lands in the cache
+        and the join — which runs to its end at the destination, no
+        ``ChangePlanPacket`` can stop half a stream — is dropped."""
+        scan = Scan((patterns[0],), "P2")
+        plan = Join([scan, self.paper_plan(patterns)])
+        network, peers, coordinator = _network_with_paper_peers(schema)
+        shipped = _spy_subplans(peers.values())
+        cache, calls = {}, []
+        executor = PlanExecutor(
+            coordinator, network, plan, sites={(1,): "P2"},
+            on_complete=lambda t, f: calls.append(f),
+            strategy=ExecutionStrategy(scan_cache=cache),
+        )
+        executor.start()
+        executor.abort()
+        assert len(coordinator.channels) == 1
+        network.run()
+        (first,) = [p for src, _, p in shipped if src == "C"]
+        assert [type(p).__name__ for p in first.plans] == ["Scan", "Join"]
+        assert calls == [] and len(coordinator.channels) == 0
+        assert set(cache) == {scan} and len(cache[scan]) == 4
+        assert network.metrics.messages_by_kind.get("ChangePlanPacket", 0) == 0
+        assert all(peer._executing_subplans == set() for peer in peers.values())

@@ -77,14 +77,6 @@ class TestIncrementalHashJoin:
         total = sum(len(piece) for piece in out)
         assert total == 2
 
-    def test_done_after_both_finished(self):
-        out, emit = self.collect()
-        join = IncrementalHashJoin(("X",), ("X",), emit)
-        assert not join.done
-        join.finish_left()
-        join.finish_right()
-        assert join.done
-
     def test_empty_chunks_emit_nothing(self):
         out, emit = self.collect()
         join = IncrementalHashJoin(("X", "Y"), ("Y", "Z"), emit)

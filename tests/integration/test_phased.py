@@ -78,3 +78,43 @@ class TestPolicies:
         discard_system.query("P0", text)
         retried = discard_system.network.metrics.messages_by_kind["SubPlanPacket"]
         assert retried > baseline  # the failed attempt's work repeats
+
+    def test_topk_stop_under_phased_releases_every_channel(self):
+        """An *answered* query keeps nothing open: the phased policy
+        holds scan channels for salvage across a failed attempt only.
+        (The top-k stop used to take the abort path's exemption and
+        left every scan channel of the answered query open.)"""
+        synth = generate_schema(chain_length=2, refinement_fraction=0.0, seed=0)
+        peers = [f"P{i}" for i in range(6)]
+        gen = generate_bases(
+            synth, peers, Distribution.HORIZONTAL, statements_per_segment=8, seed=0
+        )
+        system = HybridSystem(
+            synth.schema,
+            config=PeerConfig(
+                failure_policy="phased",
+                topk_cancel=True,
+                stream_chunk_rows=1,
+                stream_interval=1.0,
+            ),
+        )
+        system.add_super_peer("SP1")
+        for peer_id, graph in gen.bases.items():
+            system.add_peer(peer_id, graph, "SP1")
+        system.run()
+        text = chain_query(synth, 0, 2)
+        full = system.query("P0", text)
+        # more than P0's own base joins to: the stop comes mid-stream
+        table = system.query("P0", text, limit=8)
+        assert len(system.peers["P0"].channels) == 0  # as soon as answered
+        system.run()
+        assert len(table) == 8 < len(full)
+        assert all(row in full.rows for row in table.rows)
+        metrics = system.network.metrics
+        assert metrics.topk_cancels == 1
+        assert metrics.messages_by_kind["ChangePlanPacket"] == len(peers) - 1
+        assert metrics.discarded_bindings > 0
+        for peer in system.peers.values():
+            assert len(peer.channels) == 0, peer
+            assert peer._active_streams == set() == peer._cancelled_streams
+        assert system.network.pending_events() == 0

@@ -194,6 +194,8 @@ class TestComposition:
         result = client.result(query_id)
         assert result.error is None
         assert result.table == expected
-        shipped = system.network.metrics.messages_by_kind["SubPlanPacket"]
-        remote_scans = 2 * (len(peers) - 1)  # per path pattern and remote peer
-        assert shipped == remote_scans + (0 if policy == "phased" else remote_scans - 2)
+        metrics = system.network.metrics
+        destinations = len(peers) - 1  # each answers both path patterns
+        retried = 0 if policy == "phased" else destinations - 1
+        assert metrics.messages_by_kind["SubPlanPacket"] == destinations + retried
+        assert metrics.subplans_shipped == 2 * (destinations + retried)

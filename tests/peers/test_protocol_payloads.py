@@ -68,9 +68,9 @@ def all_payloads(schema, pattern):
         DelegatedResult("q1", table, "B"),
         DelegatedResult("q1", None, "B", error="cannot complete plan"),
         Goodbye("B"),
-        SubPlanPacket("A#1", scan),
+        SubPlanPacket("A#1", (scan,)),
         *DataPacket.stream(
-            "A#1", encode_cells(terms, dictionary), dictionary, 256, {"p": 5}
+            "A#1", [encode_cells(terms, dictionary)], dictionary, 256, {"p": 5}
         ),
         ChangePlanPacket("A#1", "replan"),
     ]
@@ -89,12 +89,12 @@ class TestSizes:
         assert payload_size(big) > payload_size(small)
 
     def test_subplan_size_scales_with_scans(self, pattern):
-        one = SubPlanPacket("c", Scan((pattern.root,), "P1"))
+        one = SubPlanPacket("c", (Scan((pattern.root,), "P1"),))
         from repro.core.algebra import Join
 
         two = SubPlanPacket(
             "c",
-            Join([Scan((pattern.root,), "P1"), Scan((pattern.patterns[1],), "P2")]),
+            (Join([Scan((pattern.root,), "P1"), Scan((pattern.patterns[1],), "P2")]),),
         )
         assert payload_size(two) > payload_size(one)
 

@@ -126,7 +126,7 @@ def _data_packet(channel_id, table, final, failed_peer, seq, cardinalities=None)
     sender = TermDictionary()
     (packet,) = DataPacket.stream(
         channel_id,
-        encode_cells(table, sender),
+        [encode_cells(table, sender)],
         sender,
         max(1, len(table)),
         cardinalities,
@@ -260,8 +260,9 @@ def test_every_term_survives_a_binding_batch(term_list):
     packet = _data_packet("ch-1", table, final=False, failed_peer=None, seq=0)
     decoded = decode_payload(json.loads(json.dumps(encode_payload(packet))))
     assert decoded == packet
-    (column,) = decoded.table.ids
-    assert [decoded.table.terms[position] for position in column] == term_list
+    ((_, shipped),) = decoded.tables
+    (column,) = shipped.ids
+    assert [shipped.terms[position] for position in column] == term_list
 
 
 @given(binding_tables(), st.sampled_from(sorted(TABLE_BEARERS)))

@@ -38,7 +38,7 @@ from repro.transport.codec import (
 )
 from repro.workloads.paper import paper_query_pattern, paper_schema
 
-from ..idtables import cells, decode_cells, encode_cells
+from ..idtables import cells, decode_cells, encode_cells, open_one
 
 safe_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16
@@ -96,7 +96,9 @@ def test_dictionary_entries_cover_requested_ids(values):
 
 def _packets(channel_id, table, sender, batch_size):
     """What a peer with dictionary ``sender`` ships for a term table."""
-    return DataPacket.stream(channel_id, encode_cells(table, sender), sender, batch_size)
+    return DataPacket.stream(
+        channel_id, [encode_cells(table, sender)], sender, batch_size
+    )
 
 
 @given(st.lists(terms, max_size=12), st.integers(0, 10**6))
@@ -107,8 +109,8 @@ def test_dictionary_entries_survive_wire_codec(values, channel_seq):
     (packet,) = _packets(f"P1#{channel_seq}", table, TermDictionary(), 64)
     decoded = decode_payload(encode_payload(packet))
     assert decoded == packet
-    assert decoded.table.terms == packet.table.terms
-    assert set(decoded.table.terms) == set(values)
+    ((_, shipped),) = decoded.tables
+    assert set(shipped.terms) == set(values)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
     root = ChannelManager("P1")
     root.dictionary.encode(URI("http://example.org/already-here"))  # skew the spaces
     results = []
-    channel = root.open(network, "P2", _SCAN, lambda t, f: results.append((t, f)))
+    channel = open_one(root, network, _SCAN, lambda t, f: results.append((t, f)))
     packets = _packets(channel.channel_id, table, TermDictionary(), batch_size)
     assert sum(p.rows for p in packets) == len(table.rows)
     assert all(p.rows <= batch_size for p in packets)

@@ -53,7 +53,7 @@ class TestJoinEquivalence:
 
     @given(XY)
     def test_unit_identity(self, a):
-        joined = BindingBatch.unit().hash_join(BindingBatch.from_table(a))
+        joined = BindingBatch((), length=1).hash_join(BindingBatch.from_table(a))
         assert joined.to_table() == a
 
     @given(XY, YX)

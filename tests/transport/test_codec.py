@@ -161,10 +161,18 @@ def test_plan_messages_round_trip(plan, annotated):
     decoded = round_trip(partial)
     assert decoded.plan.render() == plan.render()
     assert decoded.visited == ("P1", "P2")
-    sub = SubPlanPacket("ch-1", plan, {(0, 1): "P2", (): "P1"}, "P1", "q3")
+    sub = SubPlanPacket("ch-1", (plan,), {(0, 0, 1): "P2", (0,): "P1"}, "P1", "q3")
     decoded = round_trip(sub)
-    assert decoded.plan.render() == plan.render()
-    assert decoded.sites == {(0, 1): "P2", (): "P1"}
+    assert [p.render() for p in decoded.plans] == [plan.render()]
+    assert decoded.sites == {(0, 0, 1): "P2", (0,): "P1"}
+    # a shipment: three subplans for one destination, sites under two
+    scans = tuple(node for node in plan.walk() if isinstance(node, Scan))[:2]
+    sites = {(0, 1): "P3", (0, 0, 1): "P2", (2,): "P4"}
+    decoded = round_trip(SubPlanPacket("ch-2", (plan, *scans), sites, "P1", "q3"))
+    assert [p.render() for p in decoded.plans] == [
+        plan.render(), *(scan.render() for scan in scans)
+    ]
+    assert decoded.sites == sites and isinstance(decoded.plans, tuple)
 
 
 def test_algebra_nodes_round_trip(annotated):
@@ -179,19 +187,28 @@ def test_algebra_nodes_round_trip(annotated):
 
 def test_channel_packets_round_trip():
     sender = TermDictionary()
-    (first, last) = DataPacket.stream(
-        "ch-1", encode_cells(sample_table(), sender), sender, 2
-    )
+    ids = encode_cells(sample_table(), sender)
+    (first, last) = DataPacket.stream("ch-1", [ids], sender, 2)
     assert round_trip(first) == first
     assert round_trip(last) == last
     # self-contained: each chunk names exactly the terms it references
-    assert (len(first.table.terms), len(last.table.terms)) == (4, 2)
+    ((_, head),), ((_, tail),) = first.tables, last.tables
+    assert (len(head.terms), len(tail.terms)) == (4, 2)
     assert not first.final and last.final and last.seq == 1
     # the destination's statistics ride on the stream's first packet
-    with_stats = DataPacket("ch-1", first.table, final=False, cardinalities={"p": 5})
+    with_stats = DataPacket("ch-1", first.tables, final=False, cardinalities={"p": 5})
     assert round_trip(with_stats) == with_stats
-    failure = DataPacket("ch-1", first.table, failed_peer="P3", seq=7)
-    assert round_trip(failure) == failure
+    failure = DataPacket("ch-1", failed_peer="P3", seq=7)
+    assert round_trip(failure) == failure and failure.rows == 0
+    # a shipment's reply: whole tables of three outputs in one packet,
+    # the one too large for it split over the next two
+    empty = encode_cells(BindingTable(("X", "Y")), sender)
+    stream = DataPacket.stream("ch-2", [ids.split(1)[0], empty, ids], sender, 2)
+    assert [[(o, t.length) for o, t in p.tables] for p in stream] == [
+        [(0, 1), (1, 0)], [(2, 2)], [(2, 1)]
+    ]
+    for packet in stream:
+        assert round_trip(packet) == packet
     assert round_trip(ChangePlanPacket("ch-1", "peer lost")) == ChangePlanPacket(
         "ch-1", "peer lost"
     )
@@ -259,10 +276,68 @@ def test_malformed_table_is_rejected_where_the_frame_is(damage):
     own terms, is a ``CodecError`` at decode time — not an
     ``IndexError`` (or a silently aliased term) inside the receiving
     peer's ``on_data``, past the handler that drops a corrupt link."""
-    payload = DataPacket("ch-1", EncodedTable.of_terms(sample_table()))
+    payload = DataPacket("ch-1", ((0, EncodedTable.of_terms(sample_table())),))
     body = json.loads(json.dumps(encode_message(Message("P1", "P2", payload))))
     assert decode_message(body).payload == payload
-    MALFORMED_TABLES[damage](body["payload"]["f"]["table"]["f"])
+    (entry,) = body["payload"]["f"]["tables"]["$t"]
+    MALFORMED_TABLES[damage](entry["$t"][1]["f"])
+    with pytest.raises(CodecError):
+        decode_message(body)
+
+
+def _shipment_bodies():
+    """The JSON bodies of a two-subplan ``SubPlanPacket`` (sites under
+    both outputs) and of its two-table ``DataPacket`` reply."""
+    pattern = paper_query_pattern(paper_schema())
+    plans = (
+        Join([Scan((pattern.root,), "P2"), Scan((pattern.patterns[1],), "P3")]),
+        Scan((pattern.root,), "P2"),
+    )
+    sub = SubPlanPacket("ch-1", plans, {(0, 1): "P3", (1,): "P2"}, "P1", "q1")
+    table = EncodedTable.of_terms(sample_table())
+    data = DataPacket("ch-1", ((0, table), (1, table)))
+    bodies = []
+    for payload in (sub, data):
+        body = json.loads(json.dumps(encode_message(Message("P1", "P2", payload))))
+        assert decode_message(body).payload == payload
+        bodies.append(body)
+    return bodies
+
+
+def _site_key(body, index):
+    return body["payload"]["f"]["sites"]["$d"][index][0]["$t"]
+
+
+def _table_entry(body, index):
+    return body["payload"]["f"]["tables"]["$t"][index]["$t"]
+
+
+#: ways a hostile or corrupt frame can break the per-destination packet
+#: shape: (0 = the SubPlanPacket, 1 = the DataPacket, how to damage it)
+MALFORMED_SHIPMENTS = {
+    "no-subplans": (0, lambda b: b["payload"]["f"]["plans"].update({"$t": []})),
+    "site-output-past-the-plans": (0, lambda b: _site_key(b, 0).__setitem__(0, 2)),
+    "site-output-negative": (0, lambda b: _site_key(b, 1).__setitem__(0, -1)),
+    "site-output-fractional": (0, lambda b: _site_key(b, 1).__setitem__(0, 0.5)),
+    "site-without-an-output": (0, lambda b: _site_key(b, 1).clear()),
+    "table-output-negative": (1, lambda b: _table_entry(b, 0).__setitem__(0, -1)),
+    "table-output-textual": (1, lambda b: _table_entry(b, 1).__setitem__(0, "1")),
+    "same-output-twice": (1, lambda b: _table_entry(b, 1).__setitem__(0, 0)),
+    "table-without-an-output": (1, lambda b: _table_entry(b, 1).pop(0)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_SHIPMENTS))
+def test_malformed_shipment_is_rejected_where_the_frame_is(damage):
+    """An output index that names nothing the packet carries — in a
+    site key or on a table — is a ``CodecError`` at decode time, not an
+    ``IndexError`` (or an output aliased from the end) in the handler.
+    How many outputs a *channel* has only its root knows: a table index
+    past them is refused in ``ChannelManager.on_data``
+    (``tests/channels/test_wire_shape.py``)."""
+    which, damage_it = MALFORMED_SHIPMENTS[damage]
+    body = _shipment_bodies()[which]
+    damage_it(body)
     with pytest.raises(CodecError):
         decode_message(body)
 
