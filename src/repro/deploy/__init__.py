@@ -4,18 +4,21 @@
 simulator and runs it as real OS processes on localhost:
 
 * :mod:`workload` — :class:`ClusterSpec`, the seed-deterministic
-  contract every process rebuilds its workload slice from, plus the
-  in-sim twin builder for differential runs.
-* :mod:`node` — one process, one peer: ``python -m repro peer``.
+  contract every process rebuilds its workload slice from (it reaches a
+  child process as one JSON value, ``ClusterSpec.to_json``/``from_json``),
+  plus the in-sim twin builder for differential runs.
+* :mod:`node` — one process, one peer: ``python -m repro peer``, its
+  flags declared beside :func:`run_node`.
 * :mod:`launcher` — :class:`LiveCluster`, the seed process that spawns,
-  drives, kills and reaps a cluster: ``python -m repro launch``.
+  drives, kills and reaps a cluster: ``python -m repro launch``, its
+  flags declared beside :func:`run_launch`.
 * :mod:`supervisor` — :class:`Supervisor`, crash-restart supervision
   with exponential backoff and a restart-storm circuit breaker
   (``--supervise``).
 """
 
 from .launcher import LiveCluster, run_launch
-from .node import run_node, spec_from_args
+from .node import run_node
 from .supervisor import RestartBackoff, Supervisor
 from .workload import ClusterSpec, ClusterWorkload, build_sim_system, build_workload
 
@@ -29,5 +32,4 @@ __all__ = [
     "build_workload",
     "run_launch",
     "run_node",
-    "spec_from_args",
 ]

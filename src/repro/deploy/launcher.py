@@ -23,11 +23,12 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..errors import NetworkError
+from ..livedata import LiveDataDriver, UpdateStream
 from ..net.simulator import Network
 from ..obs import (
     merge_expositions,
@@ -45,7 +46,9 @@ from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
 from ..transport.live import AsyncioTransport
+from ..workload_engine import WorkloadDriver
 from .node import export_artifacts
+from .supervisor import Supervisor
 from .workload import ClusterSpec, ClusterWorkload, build_workload
 
 #: Virtual-time budget for cluster bring-up (membership + settling).
@@ -62,6 +65,8 @@ SETTLE_BACKOFF = 0.25
 #: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
 #: ``await_result`` are not paced.
 QUERY_INTERVAL = 0.9
+#: Fraction of each base the ``launch --updates`` revision mutates.
+UPDATE_RATE = 0.08
 
 
 class _Probe(Peer):
@@ -97,12 +102,11 @@ class LiveCluster:
     """
 
     def __init__(self, spec: ClusterSpec, outdir, host: str = "127.0.0.1",
-                 statedir=None, telemetry: bool = True,
-                 slo_window: float = 120.0, shed_alert: float = 0.25):
+                 statedir=None, slo_window: float = 120.0,
+                 shed_alert: float = 0.25):
         self.spec = spec
         self.outdir = Path(outdir)
         self.host = host
-        self.telemetry = telemetry
         self.slo_window = slo_window
         self.shed_alert = shed_alert
         self.scraper: Optional[ClusterScraper] = None
@@ -154,17 +158,16 @@ class LiveCluster:
         """Bring the cluster up: seed, processes, membership, settling."""
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.transport.start()
-        if self.telemetry:
-            # the scraper's clock reads the transport's virtual units,
-            # so live timelines compare 1:1 with simulated ones
-            self.scraper = ClusterScraper(
-                self.outdir,
-                clock=lambda: self.transport.now,
-                rules=default_slo_rules(
-                    shed_bound=self.shed_alert, window=self.slo_window
-                ),
-                window=self.slo_window,
-            )
+        # the scraper's clock reads the transport's virtual units, so
+        # live timelines compare 1:1 with simulated ones
+        self.scraper = ClusterScraper(
+            self.outdir,
+            clock=lambda: self.transport.now,
+            rules=default_slo_rules(
+                shed_bound=self.shed_alert, window=self.slo_window
+            ),
+            window=self.slo_window,
+        )
         for node_id in self.spec.super_ids() + self.spec.peer_ids():
             self._spawn(node_id)
         expected = set(self.spec.super_ids()) | set(self.spec.peer_ids())
@@ -175,25 +178,28 @@ class LiveCluster:
             raise NetworkError(f"cluster bootstrap timed out; missing {sorted(missing)}")
         self._settle_advertisements(bootstrap_timeout)
 
-    def _spawn(self, node_id: str) -> None:
+    def node_argv(self, node_id: str) -> List[str]:
+        """The command line one node process is started with."""
         argv = [
             sys.executable, "-m", "repro", "peer",
             "--node-id", node_id,
             "--seed", f"{self.host}:{self.transport.port}",
             "--host", self.host,
             "--outdir", str(self.outdir),
-        ] + self.spec.to_args()
+            "--spec", self.spec.to_json(),
+        ]
         if self.statedir is not None:
             argv += ["--statedir", str(self.statedir)]
-        if not self.telemetry:
-            argv += ["--no-telemetry"]
+        return argv
+
+    def _spawn(self, node_id: str) -> None:
         env = dict(os.environ)
         package_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
         self.processes[node_id] = subprocess.Popen(
-            argv, env=env,
+            self.node_argv(node_id), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
 
@@ -237,7 +243,7 @@ class LiveCluster:
     def scrape(self) -> Optional[Dict[str, object]]:
         """One mid-run telemetry round over every peer's endpoints;
         returns the cluster rollup (with alert transitions) or ``None``
-        when telemetry is off."""
+        before :meth:`start`."""
         if self.scraper is None:
             return None
         rollup = self.scraper.scrape_once()
@@ -334,8 +340,6 @@ class LiveCluster:
     def serve(self, spec, settle: float = 200.0, timeout: float = QUERY_TIMEOUT):
         """Drive a :class:`~repro.workload_engine.spec.WorkloadSpec`
         against the live cluster; returns the workload report."""
-        from ..workload_engine import WorkloadDriver
-
         driver = WorkloadDriver(self, spec)
         driver.install()
         self.transport.run_until(
@@ -414,12 +418,7 @@ class LiveCluster:
             )
         )
         summary = {
-            "spec": {
-                "seed": self.spec.seed,
-                "peers": self.spec.peers,
-                "super_peers": self.spec.super_peers,
-                "resilient": self.spec.resilient,
-            },
+            "spec": asdict(self.spec),
             "killed": list(self.killed),
             "restarts": list(self.restarts),
             "joined": list(self.joined),
@@ -437,29 +436,116 @@ class LiveCluster:
         return summary
 
 
+def register(commands) -> None:
+    """Declare ``python -m repro launch``: the deployment (the
+    :class:`ClusterSpec` flags), where it runs and what happens to it
+    mid-run."""
+    launch = commands.add_parser(
+        "launch",
+        help="deploy a live localhost cluster and drive a workload",
+    )
+    launch.add_argument("--workload-seed", type=int, default=0,
+                        help="dataset/network seed (default 0)")
+    launch.add_argument("--peers", type=int, default=3,
+                        help="simple-peer count (default 3)")
+    launch.add_argument("--super-peers", type=int, default=1,
+                        help="super-peer count (default 1)")
+    launch.add_argument("--joiners", type=int, default=0,
+                        help="extra peers with pre-generated bases that "
+                        "join mid-run (default 0)")
+    launch.add_argument("--resilient", action="store_true",
+                        help="enable the resilience layer (required for "
+                        "kill runs)")
+    launch.add_argument("--livedata", action="store_true",
+                        help="enable the live data plane: top-k cancel "
+                        "with paced chunked result streaming")
+    launch.add_argument("--host", default="127.0.0.1",
+                        help="interface the cluster binds to")
+    launch.add_argument("--outdir", default="live-run",
+                        help="directory for per-process and merged artifacts")
+    launch.add_argument("--statedir", default=None, metavar="DIR",
+                        help="durable state root passed to every node "
+                        "(defaults to OUTDIR/state when --supervise or "
+                        "--restart-after is given)")
+    launch.add_argument("--count", type=int, default=6,
+                        help="queries to drive against the cluster")
+    launch.add_argument("--kill", default=None, metavar="PEER",
+                        help="kill this peer halfway through the run "
+                        "(requires --resilient for partial answers)")
+    launch.add_argument("--kill-signal", choices=("term", "kill"),
+                        default="term",
+                        help="signal for --kill: term is graceful, kill is "
+                        "an abrupt crash (no snapshot, no goodbye)")
+    launch.add_argument("--restart-after", type=float, default=None,
+                        metavar="SECONDS",
+                        help="restart the killed peer this many seconds "
+                        "after the kill (the live twin of a CrashEvent "
+                        "with recover_at)")
+    launch.add_argument("--supervise", action="store_true",
+                        help="restart crashed peer processes automatically "
+                        "with exponential backoff and a restart-storm "
+                        "circuit breaker")
+    launch.add_argument("--join", default=None, metavar="PEER",
+                        help="spawn this late joiner three quarters into "
+                        "the run (name it within --joiners)")
+    launch.add_argument("--scrape-every", type=int, default=2,
+                        help="scrape every N driven queries (default 2)")
+    launch.add_argument("--slo-window", type=float, default=120.0,
+                        help="sliding window (virtual units) the SLO "
+                        "rules evaluate over")
+    launch.add_argument("--shed-alert", type=float, default=0.25,
+                        help="shed-rate fraction above which the "
+                        "shed-rate SLO fires")
+    launch.add_argument("--updates", action="store_true",
+                        help="inject a seeded live update stream a third "
+                        "of the way into the run: triple inserts/deletes "
+                        "and view redefinitions applied by the live "
+                        "peers, advertisement deltas flowing to the "
+                        "super-peers over the real transport")
+    launch.add_argument("--topk", type=int, default=None, metavar="K",
+                        help="pose one extra LIMIT-K query near the end "
+                        "of the run with any-k early termination "
+                        "(enables the live data plane on every node)")
+    launch.set_defaults(run=run_launch)
+
+
 def run_launch(args) -> int:
     """Entry point of the ``python -m repro launch`` subcommand."""
-    from .node import spec_from_args
-    from .supervisor import Supervisor
-
-    spec = spec_from_args(args)
     topk = args.topk
-    if topk is not None and not spec.livedata:
-        # top-k cancel needs the nodes' live data plane switched on
-        spec = replace(spec, livedata=True)
+    joiner = args.join
+    try:
+        # checked before anything is spawned: a bad name would otherwise
+        # surface as a KeyError half-way through the run
+        spec = ClusterSpec(
+            seed=args.workload_seed,
+            peers=args.peers,
+            super_peers=args.super_peers,
+            joiners=args.joiners,
+            resilient=args.resilient,
+            # top-k cancel needs the nodes' live data plane switched on
+            livedata=args.livedata or topk is not None,
+        )
+        if args.kill is not None and args.kill not in spec.peer_ids():
+            raise ValueError(f"--kill {args.kill!r} is not a peer of this "
+                             f"cluster ({', '.join(spec.peer_ids())})")
+        if joiner is not None and joiner not in spec.joiner_ids():
+            raise ValueError(
+                f"--join {joiner!r} is not a joiner of this cluster "
+                f"({', '.join(spec.joiner_ids()) or 'raise --joiners'})"
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     kill_signal = args.kill_signal
     restart_after = args.restart_after
     supervise = args.supervise
-    joiner = args.join
     statedir = args.statedir
     if statedir is None and (supervise or restart_after is not None):
         # restarted processes need somewhere to recover from
         statedir = str(Path(args.outdir) / "state")
-    telemetry = not args.no_telemetry
     scrape_every = max(1, args.scrape_every)
     cluster = LiveCluster(
         spec, args.outdir, host=args.host, statedir=statedir,
-        telemetry=telemetry,
         slo_window=args.slo_window,
         shed_alert=args.shed_alert,
     )
@@ -503,8 +589,6 @@ def run_launch(args) -> int:
         update_index = args.count // 3 if args.updates else None
         for index in range(args.count):
             if update_index is not None and index == update_index:
-                from ..livedata import LiveDataDriver, UpdateStream
-
                 # only churn the peers that are actually up: joiners
                 # hold pre-generated bases but no process yet
                 live_bases = {
@@ -516,12 +600,12 @@ def run_launch(args) -> int:
                     live_bases,
                     seed=spec.seed,
                     revisions=1,
-                    rate=args.update_rate,
+                    rate=UPDATE_RATE,
                 )
                 update_driver = LiveDataDriver(cluster, stream)
                 print(f"injecting live update revision "
                       f"({stream.total_records()} records, "
-                      f"rate {args.update_rate})")
+                      f"rate {UPDATE_RATE})")
                 update_driver.inject(0)
                 if not cluster.transport.run_until(
                     lambda: update_driver.acked(1), QUERY_TIMEOUT
@@ -560,7 +644,7 @@ def run_launch(args) -> int:
                 cluster.kill_peer(args.kill, sig=kill_signal)
                 down.add(args.kill)
                 kill_time = time.monotonic()
-                if kill_signal == "kill" and telemetry:
+                if kill_signal == "kill":
                     # the crash black box: the victim's durable flight
                     # record survives the SIGKILL; bundle it now
                     write_diagnostic_bundle(
@@ -579,7 +663,7 @@ def run_launch(args) -> int:
             outcomes.append({"via": via, "status": status, "rows": rows,
                              "error": result.error})
             print(f"  q{index}: via {via} -> {status} ({rows} rows)")
-            if telemetry and index % scrape_every == 0:
+            if index % scrape_every == 0:
                 # mid-run scrape: every peer's /metrics + /healthz into
                 # the rollups, the timeline, and the SLO watchdogs
                 cluster.scrape()

@@ -19,6 +19,7 @@ rides on the transport's dial-give-up bounces, which produce the same
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import sys
@@ -44,52 +45,48 @@ from .workload import ClusterSpec, build_workload
 #: Virtual-time backstop: a node exits on its own after this long even
 #: if the launcher never reaps it (a crashed launcher must not leave
 #: orphan processes behind, e.g. in CI).
-DEFAULT_LIFETIME = 30_000.0
+LIFETIME = 30_000.0
+#: Virtual-time latency above which a query's full trace is dumped to
+#: the slow-query log.
+SLOW_QUERY_THRESHOLD = 500.0
 
 
-def add_spec_arguments(parser) -> None:
-    """The :class:`ClusterSpec` fragment of a node/launch command line."""
-    parser.add_argument("--workload-seed", type=int, default=0,
-                        help="dataset/network seed (default 0)")
-    parser.add_argument("--peers", type=int, default=3,
-                        help="simple-peer count (default 3)")
-    parser.add_argument("--super-peers", type=int, default=1,
-                        help="super-peer count (default 1)")
-    parser.add_argument("--chain-length", type=int, default=4,
-                        help="synthetic schema chain length (default 4)")
-    parser.add_argument("--queries", type=int, default=4,
-                        help="distinct query texts (default 4)")
-    parser.add_argument("--statements", type=int, default=15,
-                        help="statements per schema segment (default 15)")
-    parser.add_argument("--joiners", type=int, default=0,
-                        help="extra peers with pre-generated bases that "
-                             "join mid-run (default 0)")
-    parser.add_argument("--resilient", action="store_true",
-                        help="enable the resilience layer (required for kill runs)")
-    parser.add_argument("--livedata", action="store_true",
-                        help="enable the live data plane: top-k cancel "
-                             "with paced chunked result streaming")
-    parser.add_argument("--time-scale", type=float, default=0.02,
-                        help="real seconds per virtual-time unit (default 0.02)")
-
-
-def spec_from_args(args) -> ClusterSpec:
-    return ClusterSpec(
-        seed=args.workload_seed,
-        peers=args.peers,
-        super_peers=args.super_peers,
-        chain_length=args.chain_length,
-        queries=args.queries,
-        statements_per_segment=args.statements,
-        resilient=args.resilient,
-        time_scale=args.time_scale,
-        joiners=args.joiners,
-        livedata=args.livedata,
+def register(commands) -> None:
+    """Declare ``python -m repro peer``: where this process listens and
+    writes, plus the cluster it belongs to as one ``--spec`` value."""
+    peer = commands.add_parser(
+        "peer",
+        help="one node process of a live deployment (spawned by launch)",
     )
+    peer.add_argument("--node-id", required=True,
+                      help="protocol peer hosted by this process (P1, SP1, ...)")
+    peer.add_argument("--seed", required=True, metavar="HOST:PORT",
+                      help="address of the seed process (the launcher)")
+    peer.add_argument("--spec", required=True, metavar="JSON",
+                      help="the deployment's ClusterSpec as JSON, e.g. "
+                      '\'{"seed": 0, "peers": 3}\' (omitted fields keep '
+                      "their defaults; every process of one cluster must "
+                      "be given the same value)")
+    peer.add_argument("--host", default="127.0.0.1",
+                      help="interface to listen on")
+    peer.add_argument("--port", type=int, default=0,
+                      help="listening port (0 picks a free one)")
+    peer.add_argument("--telemetry-port", type=int, default=0,
+                      help="/metrics /healthz /tracez endpoint port "
+                      "(0 picks a free one)")
+    peer.add_argument("--outdir", required=True,
+                      help="directory for metrics/trace exports")
+    peer.add_argument("--statedir", default=None, metavar="DIR",
+                      help="durable state root (snapshot + membership log "
+                      "under DIR/<node-id>); a restarted process recovers "
+                      "from it")
+    peer.set_defaults(run=run_node)
 
 
 def parse_address(text: str) -> Tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if not port.isdigit():
+        raise ValueError(f"--seed expects HOST:PORT, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
@@ -116,49 +113,54 @@ def _trip_quarantine(quarantine, suspects) -> None:
 
 def run_node(args) -> int:
     """Entry point of the ``python -m repro peer`` subcommand."""
-    spec = spec_from_args(args)
+    node_id = args.node_id
+    try:
+        # everything that arrives on the command line is checked before
+        # a socket is bound or a workload generated
+        spec = ClusterSpec.from_json(args.spec)
+        seed = parse_address(args.seed)
+        if node_id not in spec.super_ids() + spec.all_peer_ids():
+            raise ValueError(
+                f"--node-id {node_id!r} is not a node of the spec "
+                f"({', '.join(spec.super_ids() + spec.all_peer_ids())})"
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = spec.peer_config()
     workload = build_workload(spec)
-    node_id = args.node_id
     role = "super" if node_id in spec.super_ids() else "peer"
 
     transport = AsyncioTransport(
-        host=args.host, port=args.port,
-        seed=parse_address(args.seed),
-        time_scale=spec.time_scale,
+        host=args.host, port=args.port, seed=seed, time_scale=spec.time_scale,
     )
     network = Network(seed=spec.seed, transport=transport)
     if network.tracer.enabled:
         # disambiguate span/trace ids across processes: the launcher
         # stitches every node's export into one trace per query, and
         # two processes' locally-minted ``s<n>`` ids would collide
-        network.tracer.id_suffix = f"@{args.node_id}"
+        network.tracer.id_suffix = f"@{node_id}"
 
     # telemetry (repro.obs.telemetry): durable flight-recorder sink +
     # slow-query log, attached before any event can fire so a crash
     # always leaves its last moments in <node>.events.jsonl
     outdir = Path(args.outdir)
-    telemetry_on = not args.no_telemetry
-    event_sink = None
-    slow_log = None
-    if telemetry_on:
-        outdir.mkdir(parents=True, exist_ok=True)
-        event_sink = JsonlSink(outdir / f"{node_id}.events.jsonl")
-        if network.flight_recorder is not None:
-            network.flight_recorder.sink = event_sink
+    outdir.mkdir(parents=True, exist_ok=True)
+    event_sink = JsonlSink(outdir / f"{node_id}.events.jsonl")
+    if network.flight_recorder is not None:
+        network.flight_recorder.sink = event_sink
 
-        def _dump_slow(entry, _counter=[0]):
-            _counter[0] += 1
-            import json as _json
-            (outdir / f"{node_id}.slow.{_counter[0]}.json").write_text(
-                _json.dumps(entry, indent=2)
-            )
+    def _dump_slow(entry, _counter=[0]):
+        _counter[0] += 1
+        (outdir / f"{node_id}.slow.{_counter[0]}.json").write_text(
+            json.dumps(entry, indent=2)
+        )
 
-        slow_log = SlowQueryLog(
-            threshold=args.slow_query_threshold,
-            collector=network.trace_collector,
-            on_slow=_dump_slow,
-        ).install(network.metrics)
+    SlowQueryLog(
+        threshold=SLOW_QUERY_THRESHOLD,
+        collector=network.trace_collector,
+        on_slow=_dump_slow,
+    ).install(network.metrics)
 
     # durable peer state: snapshot + membership log under the node's
     # own state directory; a restarted process finds it and recovers
@@ -235,44 +237,39 @@ def run_node(args) -> int:
     # telemetry endpoints: /metrics /healthz /tracez on the node's own
     # event loop; the endpoint file makes the address discoverable even
     # after the launcher dies (nodes outlive their parent)
-    server = None
-    if telemetry_on:
-        probe = TelemetryProbe(network, peers=[node], node_id=node_id, role=role)
-        labels = {"peer_id": node_id, "pid": os.getpid(), "transport": transport.kind}
-        import json as _json
-        server = TelemetryServer(
-            {
-                "/metrics": lambda: (
-                    "text/plain; version=0.0.4",
-                    probe.metrics_text(const_labels=labels),
-                ),
-                "/healthz": lambda: (
-                    "application/json", _json.dumps(probe.healthz(), default=str)
-                ),
-                "/tracez": lambda: (
-                    "application/json", _json.dumps(probe.tracez(), default=str)
-                ),
-            },
-            host=args.host,
-            port=args.telemetry_port,
-        )
-        telemetry_host, telemetry_port = server.start(transport.loop)
-        write_endpoint_file(
-            outdir, node_id, telemetry_host, telemetry_port,
-            pid=os.getpid(), role=role, peer_port=port,
-        )
+    probe = TelemetryProbe(network, peers=[node], node_id=node_id, role=role)
+    labels = {"peer_id": node_id, "pid": os.getpid(), "transport": transport.kind}
+    server = TelemetryServer(
+        {
+            "/metrics": lambda: (
+                "text/plain; version=0.0.4",
+                probe.metrics_text(const_labels=labels),
+            ),
+            "/healthz": lambda: (
+                "application/json", json.dumps(probe.healthz(), default=str)
+            ),
+            "/tracez": lambda: (
+                "application/json", json.dumps(probe.tracez(), default=str)
+            ),
+        },
+        host=args.host,
+        port=args.telemetry_port,
+    )
+    telemetry_host, telemetry_port = server.start(transport.loop)
+    write_endpoint_file(
+        outdir, node_id, telemetry_host, telemetry_port,
+        pid=os.getpid(), role=role, peer_port=port,
+    )
 
     print(f"READY {node_id} {host} {port}", flush=True)
-    transport.run_until(lambda: bool(stopping), timeout=args.lifetime)
+    transport.run_until(lambda: bool(stopping), timeout=LIFETIME)
 
     # graceful stop: persist the latest base/views/active-schema so the
     # next incarnation recovers from it (crashes skip this, by nature)
     node.save_durable_snapshot()
     export_artifacts(outdir, node_id, network, transport, node)
-    if server is not None:
-        server.close(transport.loop)
-    if event_sink is not None:
-        event_sink.close()
+    server.close(transport.loop)
+    event_sink.close()
     transport.close()
     print(f"STOPPED {node_id}", flush=True)
     sys.stdout.flush()

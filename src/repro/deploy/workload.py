@@ -3,15 +3,17 @@
 A live deployment has no shared memory: the launcher and each peer
 process must agree on the synthetic schema, the peer bases and the
 query texts from nothing but a seed and the topology numbers.  This
-module is that agreement — the same :class:`ClusterSpec` (serialised
-into child-process command lines) rebuilds bit-identical workloads
+module is that agreement — the same :class:`ClusterSpec` (handed to
+each child process as one JSON value, :meth:`ClusterSpec.to_json` /
+:meth:`ClusterSpec.from_json`) rebuilds bit-identical workloads
 everywhere, and :func:`build_sim_system` deploys the identical workload
 in-sim so differential runs compare like with like.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List
 
 from ..config import DEFAULT_CONFIG, PeerConfig
@@ -28,6 +30,11 @@ DISTRIBUTIONS = (
     Distribution.HORIZONTAL,
     Distribution.MIXED,
 )
+
+
+#: JSON value types accepted per annotated field type (a ``bool`` is
+#: not an ``int`` here, whatever ``isinstance`` says)
+_JSON_TYPES = {"int": (int,), "bool": (bool,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,14 @@ class ClusterSpec:
     joiners: int = 0
     livedata: bool = False
 
+    def __post_init__(self) -> None:
+        # the counts come from ``launch`` flags and ``peer --spec``
+        if self.peers < 1 or self.super_peers < 1 or self.joiners < 0:
+            raise ValueError(
+                f"a cluster needs peers >= 1, super-peers >= 1 and joiners >= 0 "
+                f"(got {self.peers}, {self.super_peers}, {self.joiners})"
+            )
+
     def peer_ids(self) -> List[str]:
         return [f"P{i}" for i in range(1, self.peers + 1)]
 
@@ -99,24 +114,31 @@ class ClusterSpec:
             config = replace(config, topk_cancel=True, stream_chunk_rows=4)
         return config
 
-    def to_args(self) -> List[str]:
-        """The CLI fragment a child process rebuilds the spec from."""
-        args = [
-            "--workload-seed", str(self.seed),
-            "--peers", str(self.peers),
-            "--super-peers", str(self.super_peers),
-            "--chain-length", str(self.chain_length),
-            "--queries", str(self.queries),
-            "--statements", str(self.statements_per_segment),
-            "--time-scale", str(self.time_scale),
-        ]
-        if self.joiners:
-            args.extend(["--joiners", str(self.joiners)])
-        if self.resilient:
-            args.append("--resilient")
-        if self.livedata:
-            args.append("--livedata")
-        return args
+    def to_json(self) -> str:
+        """The spec as the one value a child process is started with
+        (``python -m repro peer --spec``)."""
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str) -> "ClusterSpec":
+        """Inverse of :meth:`to_json`.  The text arrives on a command
+        line, so anything but an object of exactly-typed known fields
+        is a :class:`ValueError` naming what is wrong."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"spec is not JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ValueError("spec must be a JSON object")
+        known = {field.name: _JSON_TYPES[field.type] for field in fields(cls)}
+        for name, value in data.items():
+            if name not in known:
+                raise ValueError(f"spec has no field {name!r}")
+            if type(value) not in known[name]:
+                raise ValueError(f"spec field {name!r} cannot be {value!r}")
+        if "seed" not in data:
+            raise ValueError("spec needs a 'seed'")
+        return cls(**data)
 
 
 @dataclass

@@ -275,3 +275,67 @@ class TestServe:
         err = capsys.readouterr().err
         assert "event budget exhausted" in err
         assert "queries in flight" in err
+
+
+class TestQueryValidation:
+    def test_batch_size_is_checked_before_any_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.nt")
+        assert main(["query", "--schema", missing, "--namespace", N1.uri,
+                     "--via", "P1", "--batch-size", "0", "SELECT X"]) == 2
+        assert "--batch-size must be >= 1" in capsys.readouterr().err
+
+
+class TestPeerValidation:
+    """A node's command line is checked before a socket is bound or a
+    workload generated: one line on stderr, exit 2."""
+
+    def _run(self, capsys, **overrides):
+        flags = {"--node-id": "P1", "--seed": "127.0.0.1:1",
+                 "--spec": '{"seed": 0, "peers": 2, "joiners": 1}',
+                 "--outdir": "unused", **overrides}
+        code = main(["peer", *(token for flag in flags.items() for token in flag)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return code, err
+
+    def test_node_outside_the_spec(self, capsys):
+        code, err = self._run(capsys, **{"--node-id": "P4"})
+        assert code == 2 and "'P4'" in err and "SP1, P1, P2, P3" in err
+
+    def test_seed_is_not_an_address(self, capsys):
+        code, err = self._run(capsys, **{"--seed": "nonsense"})
+        assert code == 2 and "HOST:PORT" in err
+
+    @pytest.mark.parametrize("spec, complaint", [
+        ('{"seed": 0', "not JSON"),
+        ("[0, 3]", "JSON object"),
+        ('{"seed": 0, "peerz": 3}', "no field 'peerz'"),
+        ('{"seed": 0, "peers": "3"}', "'peers' cannot be '3'"),
+        ('{"seed": 0, "resilient": 1}', "'resilient' cannot be 1"),
+        ('{"peers": 3}', "needs a 'seed'"),
+        ('{"seed": 0, "super_peers": 0}', "super-peers >= 1"),
+    ], ids=["invalid-json", "not-an-object", "unknown-key", "wrong-type",
+            "int-for-bool", "no-seed", "out-of-range"])
+    def test_malformed_spec(self, capsys, spec, complaint):
+        code, err = self._run(capsys, **{"--spec": spec})
+        assert code == 2 and complaint in err
+
+
+class TestLaunchValidation:
+    """Node names are checked against the spec before anything is
+    spawned (no outdir appears)."""
+
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--kill", "P9"], "--kill 'P9' is not a peer of this cluster (P1, P2, P3)"),
+        (["--join", "P9", "--joiners", "1"],
+         "--join 'P9' is not a joiner of this cluster (P4)"),
+        (["--join", "P4"], "--join 'P4' is not a joiner of this cluster "
+                           "(raise --joiners)"),
+        (["--peers", "0"], "peers >= 1"),
+    ], ids=["kill-unknown", "join-unknown", "join-without-joiners", "no-peers"])
+    def test_bad_node_name(self, tmp_path, capsys, flags, complaint):
+        outdir = tmp_path / "run"
+        assert main(["launch", "--outdir", str(outdir), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and complaint in err
+        assert err.count("\n") == 1 and not outdir.exists()

@@ -6,10 +6,23 @@ count fails here; one that lowers it should lower the ceiling with it.
 Everything is counted on the syntax tree, never by ``grep``.
 """
 
+import argparse
 import ast
+import re
+import shlex
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+from repro.cli import _build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+#: the documents that spell ``python -m repro ...`` command lines
+DOCUMENTS = [
+    ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / ".github" / "workflows" / "ci.yml",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
 
 #: fields of ``PeerConfig`` — every independently settable peer value
 #: (a nested policy object, ``ResilienceConfig`` / ``AdmissionControl`` /
@@ -20,8 +33,15 @@ MAX_PEER_CONFIG_FIELDS = 18
 MAX_VAR_KEYWORD_PARAMETERS = 0
 #: ``getattr(x, "name", default)`` probes of attributes that may not exist
 MAX_THREE_ARGUMENT_GETATTRS = 6
-#: command-line flags (``cli.py`` 91 + ``deploy/node.py`` 10)
-MAX_ADD_ARGUMENT_CALLS = 101
+#: command-line flags and positionals (101 before every flag nothing
+#: passed was deleted): ``cli/`` 44 over nine commands, ``deploy/node.py``
+#: 8 (``peer``), ``deploy/launcher.py`` 20 (``launch``)
+MAX_ADD_ARGUMENT_CALLS = 72
+#: functions under ``src/`` outside ``deploy/workload.py`` that call
+#: ``ClusterSpec(`` with field keywords — ``run_launch`` turning its own
+#: six flags into a spec.  A spec reaches every other place as one value
+#: (``to_json``/``from_json``), so a new field is a one-file change.
+MAX_CLUSTER_SPEC_BUILD_SITES = 1
 #: places that build a ``PlanExecutor`` (``Peer.plan_executor``, which
 #: is also where an attempt's ``ExecutionStrategy`` is chosen)
 MAX_PLAN_EXECUTOR_CONSTRUCTION_SITES = 1
@@ -112,6 +132,19 @@ def _functions(tree):
     ]
 
 
+def test_cluster_spec_build_sites():
+    found = sorted({
+        f"{path.relative_to(SRC)}:{function.name}"
+        for path, tree in _trees()
+        if path != SRC / "deploy" / "workload.py"
+        for function in _functions(tree)
+        for call in _calls(function)
+        if isinstance(call.func, ast.Name) and call.func.id == "ClusterSpec"
+        and call.keywords
+    })
+    assert len(found) <= MAX_CLUSTER_SPEC_BUILD_SITES, found
+
+
 def test_one_plan_executor_construction_site():
     found = [
         f"{path.relative_to(SRC)}:{call.lineno}"
@@ -173,3 +206,109 @@ def test_binding_table_importers():
         )
     ]
     assert len(found) <= MAX_BINDING_TABLE_IMPORTERS, found
+
+
+# ----------------------------------------------------------------------
+# the command line against what documents, CI and tests spell
+# ----------------------------------------------------------------------
+def _subparsers():
+    (commands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices
+
+
+def _prose_and_blocks(path: Path):
+    """``(prose, blocks)`` of a document, ``\\``-continued lines joined:
+    the text outside Markdown code fences, with inline code spans that
+    wrap over a line break put on one line, and the text inside them."""
+    pieces = re.split(r"(?m)^```.*$", path.read_text().replace("\\\n", " "))
+    prose = re.sub(
+        r"`[^`]+`", lambda span: span.group(0).replace("\n", " "),
+        "\n".join(pieces[0::2]),
+    )
+    return prose, "\n".join(pieces[1::2])
+
+
+def _documented_command_lines():
+    """The argv of every ``python -m repro ...`` a document spells: up
+    to a closing backtick, a pipe, a redirection, ``&`` or a ``#``
+    comment."""
+    for path in DOCUMENTS:
+        text = "\n".join(_prose_and_blocks(path))
+        for match in re.finditer(r"python -m repro[ \t]+([^`|\n]*)", text):
+            argv = []
+            for token in shlex.split(match.group(1), comments=True):
+                if token == "&" or token.startswith(">"):
+                    break
+                argv.append(token)
+            yield argv
+
+
+def test_documented_command_lines_parse():
+    """Deleting (or renaming) a flag a document still names fails here."""
+    parser, commands = _build_parser(), _subparsers()
+    lines = list(_documented_command_lines())
+    assert len(lines) >= 40, "the extraction lost the documents' command lines"
+    for argv in lines:
+        if len(argv) == 1 and argv[0] in commands:
+            # prose naming a command (`python -m repro query`), not a
+            # command line: its required flags are rightly absent
+            continue
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exit:
+            assert exit.code == 0 and "--help" in argv, argv
+
+
+def _string_lists(path: Path):
+    """Every list literal of a Python file as its string constants."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.List):
+            yield [
+                element.value for element in node.elts
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            ]
+
+
+def test_no_orphan_flags():
+    """Every option of every command is passed by something: a test or
+    benchmark argv, a documented command line, a document's prose, or
+    the launcher (the in-tree caller of ``peer``).  A reference counts
+    for the command it names; one that names none (a bare `--flag` in
+    prose, an argv fragment built apart from its command) counts for
+    every command declaring the flag."""
+    commands = _subparsers()
+    tied, untied = set(), set()
+    for argv in _documented_command_lines():
+        tied.update((argv[0], token) for token in argv if token.startswith("--"))
+    for path in DOCUMENTS:
+        for span in re.findall(r"`([^`]+)`", _prose_and_blocks(path)[0]):
+            words = span.replace("/", " ").split()
+            named = [word for word in words if word in commands]
+            flags = [word for word in words if word.startswith("--")]
+            if len(named) == 1:
+                tied.update((named[0], flag) for flag in flags)
+            elif not named:
+                untied.update(flags)
+    for directory in ("tests", "benchmarks"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for strings in _string_lists(path):
+                flags = [string for string in strings if string.startswith("--")]
+                if strings and strings[0] in commands:
+                    tied.update((strings[0], flag) for flag in flags)
+                else:
+                    untied.update(flags)
+    for strings in _string_lists(SRC / "deploy" / "launcher.py"):
+        tied.update(("peer", s) for s in strings if s.startswith("--"))
+    orphans = [
+        f"{name} {option}"
+        for name, command in commands.items()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and (name, option) not in tied and option not in untied
+    ]
+    assert not orphans, orphans
