@@ -79,11 +79,11 @@ def depth_discovery_walkthrough() -> None:
     system.add_peer("provider", provider_base, neighbours=("relay",))
     system.discover_all()
 
-    asker = system.peers["asker"]
+    asker, son = system.peers["asker"], schema.namespace.uri
     print("asker's 1-depth knowledge:",
-          sorted(asker.known_advertisements) or "(nothing relevant)")
+          sorted(asker.sons.members(son)) or "(nothing relevant)")
     table = system.query("asker", PAPER_QUERY)
-    print("after deepening, asker knows:", sorted(asker.known_advertisements))
+    print("after deepening, asker knows:", sorted(asker.sons.members(son)))
     print(f"answer rows: {len(table)}")
     print("messages spent:", system.network.metrics.messages_total)
 

@@ -42,7 +42,6 @@ from .core import (
     assign_sites,
     build_plan,
     optimize,
-    replan,
     route_query,
 )
 from .rdf import Graph, Literal, Namespace, Schema, Triple, URI
@@ -82,7 +81,6 @@ __all__ = [
     "parse_view",
     "pattern_from_text",
     "query",
-    "replan",
     "route_query",
     "__version__",
 ]

@@ -106,11 +106,11 @@ class _Entry:
 class RoutingCache:
     """Signature-keyed cache of routing annotations for one registry.
 
-    One cache instance serves one routing knowledge base — a
-    super-peer's per-SON registry or a simple peer's neighbourhood
-    knowledge — whose every mutation must be reported through
-    :meth:`on_advertise` / :meth:`on_goodbye` (or the lower-level
-    ``invalidate_*`` methods).
+    One cache instance serves one routing knowledge base — the
+    :class:`~repro.core.routing_index.RoutingIndex` of one SON, at a
+    super-peer or a simple peer alike — whose every mutation must be
+    reported through :meth:`on_advertise` / :meth:`on_goodbye` (or the
+    lower-level ``invalidate_*`` methods).
 
     Args:
         schemas: The community schemas whose subsumption closures scope
@@ -136,10 +136,6 @@ class RoutingCache:
         self._by_peer: Dict[str, Set[Tuple]] = {}
         #: (schema uri, query property) -> signature keys
         self._by_property: Dict[Tuple[str, URI], Set[Tuple]] = {}
-
-    def add_schema(self, schema: Schema) -> None:
-        """Register another community schema's closure for scoping."""
-        self._schemas[schema.namespace.uri] = schema
 
     def bind_metrics(self, metrics) -> None:
         """Mirror hit/miss/invalidation counts into a MetricSet."""

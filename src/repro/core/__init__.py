@@ -14,7 +14,7 @@ from .algebra import (
     union_of,
 )
 from .annotations import AnnotatedQueryPattern, PeerAnnotation
-from .adaptivity import ChannelMonitor, ReplanResult, replan
+from .adaptivity import ChannelMonitor
 from .constraints import QueryConstraints, UNCONSTRAINED, apply_peer_bound
 from .cost import CostEstimate, CostModel, Statistics
 from .optimizer import (
@@ -45,7 +45,6 @@ __all__ = [
     "QueryConstraints",
     "UNCONSTRAINED",
     "apply_peer_bound",
-    "ReplanResult",
     "Scan",
     "ShippingPolicy",
     "SiteAssignment",
@@ -62,7 +61,6 @@ __all__ = [
     "merge_same_peer_scans",
     "optimize",
     "plan_is_executable",
-    "replan",
     "route_query",
     "substitute_hole",
     "union_of",

@@ -11,85 +11,7 @@ phased cleanup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set
-
-from ..rdf.schema import Schema
-from ..rql.pattern import QueryPattern
-from ..rvl.active_schema import ActiveSchema
-from .algebra import PlanNode
-from .annotations import AnnotatedQueryPattern
-from .cost import CostModel
-from .optimizer import optimize
-from .planning import build_plan
-from .routing import route_query
-
-
-class ReplanResult:
-    """Outcome of a run-time replan.
-
-    Attributes:
-        plan: The new plan, or ``None`` when no peer can cover some
-            path pattern any more (the query cannot be repaired from
-            local knowledge).
-        annotated: The re-routing output.
-        excluded: The peers that were treated as obsolete.
-        discarded_results: Number of partial result sets thrown away
-            (ubQL discard semantics) — reported for the adaptivity
-            experiment.
-    """
-
-    def __init__(
-        self,
-        plan: Optional[PlanNode],
-        annotated: AnnotatedQueryPattern,
-        excluded: Set[str],
-        discarded_results: int,
-    ):
-        self.plan = plan
-        self.annotated = annotated
-        self.excluded = set(excluded)
-        self.discarded_results = discarded_results
-
-    @property
-    def repaired(self) -> bool:
-        return self.plan is not None and self.plan.is_complete()
-
-    def __repr__(self) -> str:
-        status = "repaired" if self.repaired else "unrepairable"
-        return f"ReplanResult({status}, excluded={sorted(self.excluded)})"
-
-
-def replan(
-    query_pattern: QueryPattern,
-    advertisements: Iterable[ActiveSchema],
-    failed_peers: Iterable[str],
-    schema: Optional[Schema] = None,
-    cost_model: Optional[CostModel] = None,
-    discarded_results: int = 0,
-) -> ReplanResult:
-    """Produce a repaired plan that avoids the failed peers.
-
-    Re-executes the routing algorithm over the advertisements minus
-    those of the failed peers, regenerates and re-optimises the plan
-    ("re-executing the routing and processing algorithm and not taking
-    into consideration those peers that became obsolete").
-
-    Args:
-        query_pattern: The original query's semantic pattern.
-        advertisements: The advertisements known to the replanning peer.
-        failed_peers: Peers observed to have failed.
-        schema: Community schema (defaults to the pattern's).
-        cost_model: Statistics for cost-guided optimisation.
-        discarded_results: How many partial results the caller threw
-            away, recorded in the result for accounting.
-    """
-    excluded = set(failed_peers)
-    surviving = [a for a in advertisements if a.peer_id not in excluded]
-    annotated = route_query(query_pattern, surviving, schema)
-    if not annotated.is_fully_annotated():
-        return ReplanResult(None, annotated, excluded, discarded_results)
-    plan = optimize(build_plan(annotated), cost_model).result
-    return ReplanResult(plan, annotated, excluded, discarded_results)
+from typing import Sequence
 
 
 @dataclass(frozen=True)

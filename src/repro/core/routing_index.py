@@ -13,7 +13,7 @@ keeps it sound).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..rdf.schema import Schema
 from ..rdf.terms import URI
@@ -28,6 +28,9 @@ class RoutingIndex:
 
     Args:
         schema: The community schema (supplies the subsumption closure).
+            ``None`` for a SON whose schema the holder does not have:
+            such an index keeps and lists advertisements but files them
+            under no bucket, so it annotates nothing.
         cache: A :class:`~repro.cache.routing_cache.RoutingCache` to
             layer over the index, or ``None`` to build one (the
             default).  Every registry mutation flows through
@@ -39,7 +42,7 @@ class RoutingIndex:
 
     def __init__(
         self,
-        schema: Schema,
+        schema: Optional[Schema],
         cache=None,
         use_cache: bool = True,
     ):
@@ -57,6 +60,8 @@ class RoutingIndex:
     # ------------------------------------------------------------------
     def _keys_for(self, advertisement: ActiveSchema) -> Set[URI]:
         keys: Set[URI] = set()
+        if self.schema is None:
+            return keys
         for path in advertisement:
             if self.schema.has_property(path.property):
                 keys.update(self.schema.superproperties(path.property))
@@ -64,18 +69,23 @@ class RoutingIndex:
                 keys.add(path.property)
         return keys
 
-    def add(self, advertisement: ActiveSchema) -> None:
-        """File (or refresh) one peer's advertisement."""
+    def add(self, advertisement: ActiveSchema) -> Optional[ActiveSchema]:
+        """File one peer's advertisement in place of the one held (a
+        refresh replaces, Section 2.2: a property that emptied out must
+        stop annotating); returns the one it replaced."""
         peer_id = advertisement.peer_id
         if peer_id is None:
             raise ValueError("advertisement must carry a peer id")
         previous = self._advertisements.get(peer_id)
+        if previous == advertisement:
+            return previous
         self._unfile(peer_id)
         self._advertisements[peer_id] = advertisement
         for key in self._keys_for(advertisement):
             self._buckets.setdefault(key, set()).add(peer_id)
         if self.cache is not None:
             self.cache.on_advertise(advertisement, previous)
+        return previous
 
     def remove(self, peer_id: str) -> None:
         """Drop a departed peer."""
@@ -104,7 +114,12 @@ class RoutingIndex:
         peers = self._buckets.get(prop, set())
         return [self._advertisements[p] for p in sorted(peers)]
 
-    def route(self, pattern: QueryPattern) -> AnnotatedQueryPattern:
+    def route(
+        self,
+        pattern: QueryPattern,
+        beside: Sequence[ActiveSchema] = (),
+        span: Optional[Callable] = None,
+    ) -> AnnotatedQueryPattern:
         """Routing over bucket candidates only; result identical to the
         exhaustive :func:`~repro.core.routing.route_query` scan.
 
@@ -112,21 +127,37 @@ class RoutingIndex:
         answered from the cache; unanswerable patterns — including the
         empty-registry case — are cached negatively and revived by the
         next relevant :meth:`add`.
+
+        ``beside`` are advertisements routed with the filed ones but
+        never filed nor cached: a simple peer's own, which it re-derives
+        from its base for every query because the base can change
+        silently.  ``span(candidates=n)`` opens the span that covers a
+        cold subsumption pass; a cache hit opens none.
         """
-        if self.cache is not None:
-            cached = self.cache.get(pattern)
-            if cached is not None:
-                return cached
-        candidate_peers: Set[str] = set()
-        for path_pattern in pattern:
-            candidate_peers.update(
-                self._buckets.get(path_pattern.schema_path.property, ())
-            )
-        candidates = [self._advertisements[p] for p in sorted(candidate_peers)]
-        annotated = route_query(pattern, candidates, self.schema)
-        if self.cache is not None:
-            self.cache.put(pattern, annotated)
+        annotated = self.cache.get(pattern) if self.cache is not None else None
+        check = None
+        if annotated is None:
+            candidate_peers: Set[str] = set()
+            for path_pattern in pattern:
+                candidate_peers.update(
+                    self._buckets.get(path_pattern.schema_path.property, ())
+                )
+            candidates = [self._advertisements[p] for p in sorted(candidate_peers)]
+            if span is not None:
+                check = span(candidates=len(candidates) + len(beside))
+            annotated = route_query(pattern, candidates, self.schema)
+            if self.cache is not None:
+                self.cache.put(pattern, annotated)
+        if beside:
+            annotated = annotated.merge(route_query(pattern, beside, self.schema))
+        if check is not None:
+            check.set(peers=len(annotated.all_peers()))
+            check.finish()
         return annotated
+
+    def get(self, peer_id: str) -> Optional[ActiveSchema]:
+        """The advertisement filed for ``peer_id``, if any."""
+        return self._advertisements.get(peer_id)
 
     def advertisements(self) -> List[ActiveSchema]:
         """All filed advertisements, sorted by peer id."""

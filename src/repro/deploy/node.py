@@ -104,13 +104,6 @@ def export_artifacts(outdir: Path, node_id: str, network: Network,
         )
 
 
-def _trip_quarantine(quarantine, suspects) -> None:
-    """Re-open the breaker for every recovered quarantine verdict."""
-    for suspect in sorted(suspects):
-        while not quarantine.is_quarantined(suspect):
-            quarantine.record_failure(suspect)
-
-
 def run_node(args) -> int:
     """Entry point of the ``python -m repro peer`` subcommand."""
     node_id = args.node_id
@@ -178,20 +171,8 @@ def run_node(args) -> int:
     if role == "super":
         node = SuperPeer(node_id, schemas=[workload.synthetic.schema], config=config)
         node.join(network)
-        if state_store is not None:
-            node.attach_durability(state_store)
-        if recovered is not None:
-            # rebuild the SON registries (no metrics, no re-logging),
-            # then the quarantine verdicts on top
-            for advertisement in recovered.advertisements.values():
-                node.register_advertisement(advertisement, record=False)
-            _trip_quarantine(node.quarantine, recovered.quarantined)
-            node.channels.epoch = recovered.incarnations + 1
-            network.metrics.count("recoveries")
-            network.emit_event("recovery", peer=node_id, pid=os.getpid())
-        host, port = transport.start()
     else:
-        host, port = transport.start()
+        transport.start()
         # the Advertise pushed by join() needs a routable home: wait
         # until the seed's book broadcast names this peer's super-peer
         home = spec.home_for(node_id)
@@ -208,22 +189,21 @@ def run_node(args) -> int:
             node.rejoining = True  # join() advertises with the rejoin flag
         node.join(network)
         node.rejoining = False
-        if state_store is not None:
-            node.attach_durability(state_store)
-        if recovered is not None:
-            node.known_advertisements = {
-                remote: advertisement
-                for remote, advertisement in recovered.advertisements.items()
-                if remote != node_id
-            }
-            _trip_quarantine(node.quarantine, recovered.quarantined)
-            # survivors may hold replay caches keyed by the previous
-            # incarnation's channel ids: mint ids they cannot have seen
-            node.channels.epoch = recovered.incarnations + 1
-            network.metrics.count("recoveries")
-            network.emit_event("recovery", peer=node_id, pid=os.getpid())
-        elif state_store is not None:
-            node.save_durable_snapshot()
+    if state_store is not None:
+        node.attach_durability(state_store)
+    if recovered is not None:
+        # what the previous incarnation knew of its SONs, neither
+        # logged nor counted again
+        node.sons.restore_from(recovered)
+        # survivors may hold replay caches keyed by the previous
+        # incarnation's channel ids: mint ids they cannot have seen
+        node.channels.epoch = recovered.incarnations + 1
+        network.metrics.count("recoveries")
+        network.emit_event("recovery", peer=node_id, pid=os.getpid())
+    elif state_store is not None:
+        node.save_durable_snapshot()  # (a super-peer has no base to save)
+    # a super-peer starts listening only now, its registry restored
+    host, port = transport.start()
 
     stopping = []
 

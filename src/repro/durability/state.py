@@ -11,7 +11,7 @@ active-schema, remembered advertisements and quarantine set.
 
 Snapshots never truncate the log: the log is an append-only history
 across restarts and is fully replayed on every recovery (events are
-last-writer-wins per peer, so replay is idempotent).
+last-writer-wins per SON and peer, so replay is idempotent).
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ class RecoveredState:
     graph: Optional[Graph] = None
     views: Tuple[ViewDefinition, ...] = ()
     active_schema: Optional[ActiveSchema] = None
-    advertisements: Dict[str, ActiveSchema] = field(default_factory=dict)
+    #: remembered advertisements by ``(schema URI, peer id)`` — the key
+    #: of a :class:`~repro.peers.son.SONRegistry`, which
+    #: ``restore_from`` replays them into
+    advertisements: Dict[Tuple[str, str], ActiveSchema] = field(default_factory=dict)
     quarantined: Set[str] = field(default_factory=set)
     #: completed crash-recoveries before this one (salts channel ids so
     #: a rejoined incarnation can never collide with its predecessor's)
@@ -56,7 +59,7 @@ class RecoveredState:
             self.graph,
             self.views,
             self.active_schema,
-            self.advertisements,
+            self.advertisements.values(),
             self.quarantined,
         )
 
@@ -65,7 +68,7 @@ def peer_state_digest(
     graph: Optional[Graph],
     views: Sequence[ViewDefinition],
     active_schema: Optional[ActiveSchema],
-    advertisements: Dict[str, ActiveSchema],
+    advertisements: Iterable[ActiveSchema],
     quarantined: Iterable[str],
 ) -> str:
     """A canonical digest of one peer's membership-relevant state.
@@ -73,14 +76,21 @@ def peer_state_digest(
     Byte-equality of digests is the crash-recovery acceptance oracle:
     a peer recovered after a kill at any log boundary must digest
     identically to an uncrashed twin that saw the same events.
+    ``advertisements`` are the remote ones held, in any order (a
+    recovered state's values, a live registry's listing); a member of
+    one SON digests as its advertisement, a member of several as the
+    list of them by schema URI.
     """
+    held: Dict[str, list] = {}
+    for advertisement in sorted(advertisements, key=lambda a: a.schema_uri):
+        held.setdefault(advertisement.peer_id, []).append(advertisement.to_dict())
     document = {
         "base": serialize(graph) if graph is not None else None,
         "views": [view.text for view in views],
         "active_schema": active_schema.to_dict() if active_schema else None,
         "advertisements": {
-            peer: advertisement.to_dict()
-            for peer, advertisement in sorted(advertisements.items())
+            peer: of_peer[0] if len(of_peer) == 1 else of_peer
+            for peer, of_peer in held.items()
         },
         "quarantined": sorted(quarantined),
     }
@@ -203,11 +213,14 @@ class PeerStateStore:
             if record.kind == "advertise":
                 advertisement = ActiveSchema.from_dict(record.data)
                 if advertisement.peer_id:
-                    state.advertisements[advertisement.peer_id] = advertisement
+                    key = (advertisement.schema_uri, advertisement.peer_id)
+                    state.advertisements[key] = advertisement
             elif record.kind == "self":
                 state.active_schema = ActiveSchema.from_dict(record.data)
             elif record.kind == "goodbye":
-                state.advertisements.pop(record.data["peer"], None)
+                departed = record.data["peer"]
+                for key in [k for k in state.advertisements if k[1] == departed]:
+                    del state.advertisements[key]
             elif record.kind == "quarantine":
                 state.quarantined.add(record.data["peer"])
             elif record.kind == "rehabilitate":

@@ -28,7 +28,6 @@ from typing import Callable, Dict, Optional
 from ..durability import MemoryStore, PeerStateStore
 from ..peers.base import PeerBase
 from ..peers.protocol import Advertise
-from ..resilience import PeerQuarantine
 from .schedule import ChurnEvent
 
 
@@ -100,18 +99,7 @@ class MembershipManager:
         # a restarted OS process mints from 1 and must salt instead
         if recovered.graph is not None and peer.base is not None:
             peer.base = PeerBase(recovered.graph, peer.base.schema, recovered.views)
-        peer.known_advertisements = {
-            remote: advertisement
-            for remote, advertisement in recovered.advertisements.items()
-            if remote != peer_id
-        }
-        quarantine = PeerQuarantine(peer.quarantine.trip_threshold)
-        for suspect in recovered.quarantined:
-            while not quarantine.is_quarantined(suspect):
-                quarantine.record_failure(suspect)
-        peer.quarantine = quarantine
-        if peer.routing_cache is not None:
-            peer.routing_cache.clear()
+        peer.sons.restore_from(recovered)
         network = self.system.network
         network.recover_peer(peer_id)
         network.metrics.count("recoveries")

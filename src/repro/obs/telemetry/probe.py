@@ -72,8 +72,8 @@ class TelemetryProbe:
             {
                 suspect
                 for peer in self.peers
-                if hasattr(peer, "quarantine")  # a ClientPeer keeps none
-                for suspect in peer.quarantine.peers
+                if hasattr(peer, "sons")  # a ClientPeer keeps no registry
+                for suspect in peer.sons.quarantine.peers
             }
         )
         incarnations = {peer.peer_id: peer.channels.epoch for peer in self.peers}

@@ -1,4 +1,6 @@
-"""Peer roles: client, simple and super peers, plus SON bookkeeping."""
+"""Peer roles: client, simple and super peers, and the one store of
+routing knowledge (:class:`~repro.peers.son.SONRegistry`) the last two
+each hold."""
 
 from .base import Peer, PeerBase
 from .client import ClientPeer

@@ -34,7 +34,6 @@ from ..core.constraints import QueryConstraints, apply_peer_bound
 from ..core.cost import CostModel
 from ..core.optimizer import optimize
 from ..core.planning import build_plan
-from ..core.routing import route_query
 from ..core.shipping import assign_sites
 from ..errors import ParseError, SchemaError
 from ..execution.batch import BindingBatch
@@ -144,9 +143,6 @@ class QueryCoordinator:
         self._admission_queue: Deque[Tuple[QuerySubmit, object]] = deque()
         self._parked_ids: Set[str] = set()
         self._coalescer = QueryCoalescer() if peer.config.cache_enabled else None
-        #: the own-advertisement set the routing cache's entries were
-        #: routed with; silent base drift is detected against it
-        self._cached_own_ads: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # per-query state, for the peer and its architecture subclasses
@@ -318,43 +314,18 @@ class QueryCoordinator:
             self.route(pending)
 
     def route_local(self, pattern: QueryPattern, trace=None) -> AnnotatedQueryPattern:
-        """Route ``pattern`` from the peer's local knowledge, through
-        the routing cache when enabled.
+        """Route ``pattern`` from the peer's local knowledge: the
+        advertisements it holds (cached, and coherent under churn) with
+        its *own* beside them, derived from the base at every call — the
+        base can mutate silently between queries, so nothing about it
+        is remembered that could drift.
 
-        Remote advertisements invalidate eagerly (``handle_Advertise``
-        / ``handle_Goodbye``), but the peer's *own* advertisement is
-        recomputed from the base on every call — the base can mutate
-        silently between queries — so drift against the footprint the
-        cache was filled under is detected here, per query.
-
-        A ``subsumption`` span covers the actual view-subsumption
-        routing pass; routing-cache hits skip it entirely (that is the
-        point of the cache).
+        A ``subsumption`` span under ``trace`` covers the actual
+        view-subsumption routing pass; routing-cache hits skip it
+        entirely (that is the point of the cache).
         """
         peer = self.peer
-        cache = peer.routing_cache
-        own = tuple(peer.own_advertisements())
-        if cache is not None:
-            if self._cached_own_ads is not None and own != self._cached_own_ads:
-                cache.invalidate_peer(peer.peer_id)
-                if peer.plan_cache is not None:
-                    peer.plan_cache.invalidate_peer(peer.peer_id)
-                for advertisement in own:
-                    cache.on_advertise(advertisement)
-            self._cached_own_ads = own
-            cached = cache.get(pattern)
-            if cached is not None:
-                return cached
-        knowledge = list(peer.known_advertisements.values()) + list(own)
-        span = peer._require_network().tracer.start_span(
-            "subsumption", peer=peer.peer_id, parent=trace, candidates=len(knowledge)
-        )
-        annotated = route_query(pattern, knowledge, peer.schema)
-        span.set(peers=len(annotated.all_peers()))
-        span.finish()
-        if cache is not None:
-            cache.put(pattern, annotated)
-        return annotated
+        return peer.sons.route(pattern, peer.own_advertisements(), trace)
 
     # ------------------------------------------------------------------
     # stage 3: compile
@@ -378,7 +349,7 @@ class QueryCoordinator:
         fail during it plus (when enabled) the quarantined ones."""
         excluded = set(pending.excluded)
         if self.peer.config.resilience.quarantine_enabled:
-            excluded |= self.peer.quarantine.peers
+            excluded |= self.peer.sons.quarantine.peers
         return excluded
 
     def plan_for(self, annotated: AnnotatedQueryPattern, trace=None) -> PlanNode:
@@ -472,7 +443,7 @@ class QueryCoordinator:
                 # annotation set loses at least one peer per round, so
                 # this recursion is bounded)
                 pending.excluded.add(failed)
-                peer.suspect_peer(failed)
+                peer.sons.suspect(failed)
                 self.give_up(pending, reason)
 
         pending.attempts += 1
@@ -537,7 +508,7 @@ class QueryCoordinator:
             "replan", peer=peer.peer_id, query_id=pending.query_id,
             failed_peer=failed_peer, attempt=pending.attempts,
         )
-        peer.suspect_peer(failed_peer)
+        peer.sons.suspect(failed_peer)
         # ubQL: discard on-going computation; phased: salvage the old
         # phase's in-flight scan results into the cache
         pending.executor.abort()

@@ -3,8 +3,8 @@
 These ride inside :class:`~repro.net.message.Message` envelopes.
 Channel-level packets (subplans, data) live in
 :mod:`repro.channels.packets`; the payloads here cover query
-submission, routing, advertisement push/pull and ad-hoc partial-plan
-forwarding.
+submission, routing, advertisement push/pull, departure and ad-hoc
+partial-plan forwarding.
 """
 
 from __future__ import annotations
@@ -189,6 +189,23 @@ class AdvertisementReply:
 
     def size_bytes(self) -> int:
         return 32 + sum(s.size_bytes() for s in self.schemas)
+
+
+@dataclass(frozen=True)
+class Goodbye:
+    """Departing peer → advertisement holders: forget me.
+
+    "Each peer base can join and leave the network at will" (Section
+    1): a leaving peer tells the parties holding its advertisement (its
+    super-peer in the hybrid architecture, its neighbours in the ad-hoc
+    one), so routing stops annotating it *before* queries fail over to
+    it.
+    """
+
+    peer_id: str
+
+    def size_bytes(self) -> int:
+        return 48 + len(self.peer_id)
 
 
 @dataclass(frozen=True)

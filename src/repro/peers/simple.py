@@ -1,9 +1,9 @@
 """Simple peers: storage, advertisement and the host of a coordinator.
 
-A simple peer shares its base with the SON, answers subplans, keeps the
-advertisements it has heard (and the routing/plan caches over them)
-honest under churn, liveness events and live updates, and re-evaluates
-standing queries.  When a client submits a query to it, its
+A simple peer shares its base with the SON, answers subplans, files the
+advertisements it hears in its :class:`~repro.peers.son.SONRegistry`,
+keeps the plan cache over them honest under churn and live updates, and
+re-evaluates standing queries.  When a client submits a query to it, its
 :class:`~repro.peers.coordinator.QueryCoordinator` runs the query's
 ``parse → route → compile → execute → finalize`` pipeline, run-time
 adaptation included; this class supplies the two steps that depend on
@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..cache.plan_cache import PlanCache
-from ..cache.routing_cache import RoutingCache
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode
 from ..core.annotations import AnnotatedQueryPattern
@@ -30,24 +29,69 @@ from ..livedata.updates import (
     AdvertiseDelta,
     ContinuousUpdate,
     UpdateAck,
-    apply_advertisement_delta,
 )
 from ..net.message import Message
-from ..rdf.schema import Schema
 from ..rdf.terms import URI
-from ..resilience.detector import PeerQuarantine
 from ..rql.bindings import BindingTable
 from ..rvl.active_schema import ActiveSchema
 from .base import Peer, PeerBase
-from .churn import AdvertisementTracker, Goodbye
 from .coordinator import PendingQuery, QueryCoordinator
 from .protocol import (
     Advertise,
     AdvertisementReply,
     AdvertisementRequest,
+    Goodbye,
     QueryResult,
     QuerySubmit,
 )
+from .son import SONRegistry
+
+
+class AdvertisementTracker:
+    """Tracks a base's intensional footprint across updates: when it
+    changes *intensionally* (a property becomes populated or empties
+    out) a fresh advertisement is due; purely extensional churn stays
+    silent — the economy Section 2.2 claims over full data indices.
+
+    Args:
+        base: The peer's :class:`~repro.peers.base.PeerBase`.
+
+    The tracker remembers the footprint last advertised;
+    :meth:`refresh` returns a new advertisement only when the footprint
+    changed since.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self._advertised: Optional[FrozenSet[URI]] = None
+
+    def _footprint(self) -> FrozenSet[URI]:
+        if self.base.views:
+            merged = None
+            for view in self.base.views:
+                derived = ActiveSchema.from_view(view, self.base.schema, "_")
+                merged = derived if merged is None else merged.merge(derived)
+            return frozenset(p.property for p in (merged or ActiveSchema("_")))
+        return frozenset(
+            prop
+            for prop in self.base.schema.properties
+            if next(self.base.graph.triples(None, prop, None), None) is not None
+        )
+
+    def mark_advertised(self) -> None:
+        """Record the current footprint as the advertised one."""
+        self._advertised = self._footprint()
+
+    def needs_refresh(self) -> bool:
+        """True when the footprint drifted from the advertised one."""
+        return self._footprint() != self._advertised
+
+    def refresh(self, peer_id: str) -> Optional[ActiveSchema]:
+        """A fresh advertisement when needed, else ``None``."""
+        if not self.needs_refresh():
+            return None
+        self.mark_advertised()
+        return self.base.active_schema(peer_id)
 
 
 class SimplePeer(Peer):
@@ -55,8 +99,8 @@ class SimplePeer(Peer):
 
     Per-query work lives in :attr:`coordinator`; this class owns what
     outlives a query.  The base class routes from *local knowledge*
-    (its own base plus advertisements it has received); the hybrid and
-    ad-hoc subclasses override :meth:`_obtain_routing` /
+    (its own base beside the advertisements filed in :attr:`sons`); the
+    hybrid and ad-hoc subclasses override :meth:`_obtain_routing` /
     :meth:`_handle_incomplete` with their architecture's behaviour and
     reach a query's state through the coordinator's public methods.
 
@@ -84,14 +128,14 @@ class SimplePeer(Peer):
         #: first rows
         self.last_first_output_at: Optional[float] = None
         self.statistics = statistics or Statistics()
-        self.known_advertisements: Dict[str, ActiveSchema] = {}
+        #: what this node knows of its SONs: the advertisements it has
+        #: heard (per-SON routing indices and their caches), quarantine
+        #: verdicts, the durable log of both
+        self.sons = SONRegistry(self, [b.schema for b in self.all_bases()])
         self._query_counter = itertools.count(1)
         self._tracker = AdvertisementTracker(base) if base is not None else None
-        #: the repro.cache subsystem (None of each when disabled)
-        schemas = [b.schema for b in self.all_bases()]
-        self.routing_cache = RoutingCache(schemas) if config.cache_enabled else None
+        #: compiled plans by annotation (None when caching is disabled)
         self.plan_cache = PlanCache() if config.cache_enabled else None
-        self.quarantine = PeerQuarantine()
         #: True while this peer is re-entering the overlay after a
         #: crash/departure: the advertisements pushed by ``join`` carry
         #: the rejoin flag so holders rehabilitate instead of merely
@@ -107,67 +151,22 @@ class SimplePeer(Peer):
 
     def join(self, network) -> None:
         super().join(network)
-        if self.routing_cache is not None:
-            self.routing_cache.bind_metrics(network.metrics)
-            self.routing_cache.on_invalidate = lambda count: network.emit_event(
-                "cache_invalidate", peer=self.peer_id, entries=count
-            )
+        self.sons.join(network)
         if self.plan_cache is not None:
             self.plan_cache.bind_metrics(network.metrics)
-        # liveness control events keep the routing cache honest: cached
-        # annotations must never resurrect a peer known to be down
-        network.add_liveness_listener(self._on_liveness)
-
-    # ------------------------------------------------------------------
-    # liveness / suspicion
-    # ------------------------------------------------------------------
-    def _on_liveness(self, peer_id: str, alive: bool) -> None:
-        if peer_id == self.peer_id:
-            return
-        if alive:
-            self.quarantine.restore(peer_id)
-        elif self.routing_cache is not None:
-            self.routing_cache.invalidate_peer(peer_id)
-
-    def suspect_peer(self, peer_id: str) -> None:
-        """An observation (timeout, missed heartbeats, bounced channel)
-        says ``peer_id`` may be dead: invalidate its cached routing and,
-        when quarantine is on, exclude it from future routing."""
-        if peer_id == self.peer_id:
-            return
-        network = self._require_network()
-        network.metrics.count("suspicions")
-        if self.routing_cache is not None:
-            self.routing_cache.invalidate_peer(peer_id)
-        if self.config.resilience.quarantine_enabled:
-            tripped = self.quarantine.record_failure(peer_id)
-            if tripped:
-                network.emit_event("quarantine", peer=self.peer_id, suspect=peer_id)
-                if self.state_store is not None:
-                    self.state_store.log_quarantine(peer_id)
-
-    def restore_peer(self, peer_id: str) -> None:
-        """The peer was heard from again: lift its quarantine and drop
-        routing entries computed while it was excluded."""
-        if self.quarantine.restore(peer_id) and self.routing_cache is not None:
-            self.routing_cache.invalidate_peer(peer_id)
 
     def _rehabilitate(self, peer_id: str) -> None:
         """A rejoin-flagged advertisement announced the peer is back:
-        lift its quarantine, drop routing entries computed while it was
-        excluded, and let every in-flight query replan onto it — a
-        recovery landing within the :class:`~repro.core.adaptivity.
-        ReplanBudget` upgrades a would-be partial to a full answer."""
+        lift its quarantine and let every in-flight query replan onto
+        it — a recovery landing within the :class:`~repro.core.
+        adaptivity.ReplanBudget` upgrades a would-be partial to a full
+        answer."""
         if peer_id == self.peer_id:
             return
-        if self.quarantine.restore(peer_id):
+        if self.sons.restore(peer_id):
             self._require_network().emit_event(
                 "rehabilitate", peer=self.peer_id, suspect=peer_id
             )
-            if self.routing_cache is not None:
-                self.routing_cache.invalidate_peer(peer_id)
-            if self.state_store is not None:
-                self.state_store.log_rehabilitate(peer_id)
         self.coordinator.readmit(peer_id)
 
     # ------------------------------------------------------------------
@@ -194,23 +193,20 @@ class SimplePeer(Peer):
         return out
 
     def remember_advertisement(self, advertisement: ActiveSchema) -> None:
+        """File a remote peer's advertisement (an echo of this peer's
+        own is not knowledge about the SON and is dropped)."""
         if advertisement.peer_id and advertisement.peer_id != self.peer_id:
-            previous = self.known_advertisements.get(advertisement.peer_id)
-            self.known_advertisements[advertisement.peer_id] = advertisement
-            if self.routing_cache is not None:
-                self.routing_cache.on_advertise(advertisement, previous)
-            if (
-                self.plan_cache is not None
-                and previous is not None
-                and previous != advertisement
-            ):
-                # the peer's footprint moved (live updates, view
-                # redefinitions): cached plans naming it may embed
-                # subqueries rewritten against the old advertisement,
-                # and a racing stale annotation would still hit them
-                self.plan_cache.invalidate_peer(advertisement.peer_id)
-            if self.state_store is not None and previous != advertisement:
-                self.state_store.log_advertise(advertisement)
+            previous = self.sons.add(advertisement)
+            if previous is not None and previous != advertisement:
+                self._footprint_moved(advertisement.peer_id)
+
+    def _footprint_moved(self, peer_id: str) -> None:
+        """``peer_id``'s advertisement changed (live updates, view
+        redefinitions) or is gone: cached plans naming it may embed
+        subqueries rewritten against the old one, and a racing stale
+        annotation would still hit them."""
+        if self.plan_cache is not None:
+            self.plan_cache.invalidate_peer(peer_id)
 
     def handle_Advertise(self, message: Message) -> None:
         advertisement = message.payload.active_schema
@@ -279,14 +275,8 @@ class SimplePeer(Peer):
 
     def handle_Goodbye(self, message: Message) -> None:
         departed = message.payload.peer_id
-        if self.known_advertisements.pop(departed, None) is not None:
-            self._require_network().metrics.count("goodbyes")
-            if self.state_store is not None:
-                self.state_store.log_goodbye(departed)
-        if self.routing_cache is not None:
-            self.routing_cache.on_goodbye(departed)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_peer(departed)
+        self.sons.remove_peer(departed)
+        self._footprint_moved(departed)
 
     # ------------------------------------------------------------------
     # live data plane (repro.livedata)
@@ -335,14 +325,11 @@ class SimplePeer(Peer):
                 self.send(target, Advertise(advertisement, stats=stats))
         if self._tracker is not None:
             self._tracker.mark_advertised()
-        if self.routing_cache is not None:
-            self.routing_cache.invalidate_peer(self.peer_id)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_peer(self.peer_id)
+        self._footprint_moved(self.peer_id)
 
     def _push_advertisement_delta(self, delta: AdvertiseDelta) -> None:
         """Ship only the flipped schema fragments to the advertisement
-        holders, and drop this peer's own cached routing and plans (its
+        holders, and drop this peer's cached plans naming itself (their
         annotations were computed under the old footprint)."""
         network = self._require_network()
         delta = replace(delta, stats=self.own_stat_summary())
@@ -352,10 +339,7 @@ class SimplePeer(Peer):
             # the delta already told holders everything a full
             # refresh() would re-push: keep the tracker coherent
             self._tracker.mark_advertised()
-        if self.routing_cache is not None:
-            self.routing_cache.invalidate_peer(self.peer_id)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_peer(self.peer_id)
+        self._footprint_moved(self.peer_id)
         if self.state_store is not None and self._maintainer is not None:
             self.state_store.log_self_advertise(self._maintainer.current)
         network.emit_event(
@@ -374,12 +358,11 @@ class SimplePeer(Peer):
             return
         if delta.stats is not None:
             self.statistics.fold_summary(delta.stats)
-        previous = self.known_advertisements.get(delta.peer_id)
-        if previous is None or previous.schema_uri != delta.schema_uri:
+        if self.sons.patch(delta) is None:
             # no baseline to patch: pull the full advertisement instead
             self.send(message.src, AdvertisementRequest(self.peer_id, 1))
             return
-        self.remember_advertisement(apply_advertisement_delta(previous, delta))
+        self._footprint_moved(delta.peer_id)
 
     # ------------------------------------------------------------------
     # continuous (standing) queries
@@ -466,10 +449,6 @@ class SimplePeer(Peer):
     # query coordination: the entry and the two architecture-specific
     # steps of the coordinator's pipeline
     # ------------------------------------------------------------------
-    @property
-    def schema(self) -> Optional[Schema]:
-        return self.base.schema if self.base is not None else None
-
     def handle_QuerySubmit(self, message: Message) -> None:
         self.coordinator.submit(message.payload, message.trace)
 
@@ -511,7 +490,7 @@ class SimplePeer(Peer):
         return {
             **super().load(),
             "pending_queries": self.coordinator.in_flight(),
-            "quarantined_peers": len(self.quarantine),
-            "known_advertisements": len(self.known_advertisements),
+            "quarantined_peers": len(self.sons.quarantine),
+            "known_advertisements": len(self.sons),
             "queued_queries": self.coordinator.queued(),
         }

@@ -1,27 +1,27 @@
 """Super-peers: routing servers of the hybrid architecture (Section 3.1).
 
 A super-peer collects the active-schemas of the simple peers clustered
-under it (one cluster per community schema / SON), answers
-:class:`~repro.peers.protocol.RouteRequest` messages by running the
-routing algorithm over its registry, and forwards requests for schemas
-it is not responsible for across the super-peer backbone.
+under it (one cluster per community schema / SON) in its
+:class:`~repro.peers.son.SONRegistry`, answers
+:class:`~repro.peers.protocol.RouteRequest` messages by routing over
+it, and forwards requests for schemas it is not responsible for across
+the super-peer backbone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set
+from typing import Deque, Dict, Iterable, List, Optional
 
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.cost import Statistics
-from ..core.routing_index import RoutingIndex
 from ..errors import PeerError
-from ..livedata.updates import AdvertiseDelta, apply_advertisement_delta
+from ..livedata.updates import AdvertiseDelta
 from ..mappings.articulation import Articulation
 from ..net.message import Message
 from ..rdf.schema import Schema
-from ..resilience.detector import FailureDetector, PeerQuarantine
+from ..resilience.detector import FailureDetector
 from ..rvl.active_schema import ActiveSchema
 from .base import Peer
 from .protocol import (
@@ -32,6 +32,7 @@ from .protocol import (
     RouteReply,
     RouteRequest,
 )
+from .son import SONRegistry
 
 #: Guard against route requests circulating the backbone forever.
 MAX_BACKBONE_HOPS = 8
@@ -86,83 +87,27 @@ class SuperPeer(Peer):
         )
         for uri in self.schemas:
             self.backbone_directory[uri] = peer_id
-        self.registry: Dict[str, Dict[str, ActiveSchema]] = {
-            uri: {} for uri in self.schemas
-        }
-        #: per-SON property-bucket indices for O(candidates) routing
-        self.indices: Dict[str, RoutingIndex] = {
-            uri: RoutingIndex(schema, use_cache=config.cache_enabled)
-            for uri, schema in self.schemas.items()
-        }
+        #: what this node knows of its SONs: per-SON routing indices,
+        #: quarantine verdicts, the durable log of both
+        self.sons = SONRegistry(self, self.schemas.values())
         self.articulations: List[Articulation] = []
-        self.quarantine = PeerQuarantine()
         self._route_queue: Deque[Message] = deque()
         self._route_service_busy = False
 
     def join(self, network) -> None:
         super().join(network)
-        for index in self.indices.values():
-            if index.cache is not None:
-                index.cache.bind_metrics(network.metrics)
-                index.cache.on_invalidate = lambda count: network.emit_event(
-                    "cache_invalidate", peer=self.peer_id, entries=count
-                )
-        # liveness control events keep the per-SON routing caches
-        # honest: entries must never resurrect a peer known to be down
-        network.add_liveness_listener(self._on_liveness)
+        self.sons.join(network)
 
     def load(self) -> Dict[str, int]:
         return {
             **super().load(),
-            "quarantined_peers": len(self.quarantine),
+            "quarantined_peers": len(self.sons.quarantine),
             "queued_route_requests": len(self._route_queue),
         }
 
     # ------------------------------------------------------------------
     # liveness / suspicion
     # ------------------------------------------------------------------
-    def _on_liveness(self, peer_id: str, alive: bool) -> None:
-        if peer_id == self.peer_id:
-            return
-        if alive:
-            self.restore_peer(peer_id)
-        else:
-            self._invalidate_routing(peer_id)
-
-    def _invalidate_routing(self, peer_id: str) -> None:
-        for index in self.indices.values():
-            if index.cache is not None:
-                index.cache.invalidate_peer(peer_id)
-
-    def suspect_peer(self, peer_id: str) -> None:
-        """Quarantine a cluster member the failure detector suspects:
-        it disappears from route replies (the advertisement registry is
-        untouched, so a heartbeat restores it without re-advertising)."""
-        if peer_id == self.peer_id:
-            return
-        if self.network is not None:
-            self.network.metrics.count("suspicions")
-        self._invalidate_routing(peer_id)
-        if self.config.resilience.quarantine_enabled:
-            tripped = self.quarantine.record_failure(peer_id)
-            if tripped:
-                if self.network is not None:
-                    self.network.emit_event(
-                        "quarantine", peer=self.peer_id, suspect=peer_id
-                    )
-                if self.state_store is not None:
-                    self.state_store.log_quarantine(peer_id)
-
-    def restore_peer(self, peer_id: str) -> None:
-        """The peer was heard from again (heartbeat, recovery or a
-        fresh advertisement): lift its quarantine and — symmetric with
-        :meth:`suspect_peer` — invalidate its routing-cache scope, so
-        entries computed while it was excluded cannot linger."""
-        if self.quarantine.restore(peer_id):
-            self._invalidate_routing(peer_id)
-            if self.state_store is not None:
-                self.state_store.log_rehabilitate(peer_id)
-
     def watch_cluster(
         self, suspicion_timeout: float = 30.0, interval: float = 10.0
     ) -> FailureDetector:
@@ -178,12 +123,11 @@ class SuperPeer(Peer):
             network,
             suspicion_timeout=suspicion_timeout,
             interval=interval,
-            on_suspect=self.suspect_peer,
-            on_restore=self.restore_peer,
+            on_suspect=self.sons.suspect,
+            on_restore=self.sons.restore,
         )
-        for son in self.registry.values():
-            for peer_id in son:
-                detector.watch(peer_id)
+        for advertisement in self.sons.advertisements():
+            detector.watch(advertisement.peer_id)
         self.failure_detector = detector
         return detector
 
@@ -200,17 +144,7 @@ class SuperPeer(Peer):
             if uri not in self.schemas:
                 self.schemas[uri] = schema
                 self.backbone_directory[uri] = self.peer_id
-                self.registry.setdefault(uri, {})
-                index = RoutingIndex(schema, use_cache=self.config.cache_enabled)
-                if index.cache is not None and self.network is not None:
-                    network = self.network
-                    index.cache.bind_metrics(network.metrics)
-                    index.cache.on_invalidate = (
-                        lambda count: network.emit_event(
-                            "cache_invalidate", peer=self.peer_id, entries=count
-                        )
-                    )
-                self.indices.setdefault(uri, index)
+                self.sons.hold(schema)
         self.articulations.append(articulation)
 
     # ------------------------------------------------------------------
@@ -226,90 +160,55 @@ class SuperPeer(Peer):
         self.register_advertisement(payload.active_schema, rejoin=payload.rejoin)
 
     def register_advertisement(
-        self, advertisement: ActiveSchema, rejoin: bool = False, record: bool = True
+        self, advertisement: ActiveSchema, rejoin: bool = False
     ) -> None:
         """Register (or refresh) one clustered peer's advertisement.
 
         ``rejoin`` marks a peer coming back after a crash/departure: it
         is rehabilitated and the advertisement is rebroadcast to the
         SON's other members so coordinator-local quarantines lift too.
-        ``record=False`` replays recovered registry state without
-        re-logging or re-counting it.
         """
-        if advertisement.peer_id is None:
-            raise PeerError("advertisement without peer id")
-        son = self.registry.setdefault(advertisement.schema_uri, {})
-        previous = son.get(advertisement.peer_id)
-        son[advertisement.peer_id] = advertisement
-        index = self.indices.get(advertisement.schema_uri)
-        if index is not None:
-            index.add(advertisement)
-        if record:
-            if self.network is not None:
-                if rejoin:
-                    self.network.metrics.count("rejoins")
-                    self.network.emit_event(
-                        "rejoin", peer=advertisement.peer_id, via=self.peer_id
-                    )
-                elif previous is None:
-                    self.network.metrics.count("joins")
-                    self.network.emit_event(
-                        "join", peer=advertisement.peer_id, via=self.peer_id
-                    )
-            if self.state_store is not None and previous != advertisement:
-                self.state_store.log_advertise(advertisement)
-        # a fresh advertisement is proof of life
-        self.restore_peer(advertisement.peer_id)
-        if self.failure_detector is not None:
-            self.failure_detector.watch(advertisement.peer_id)
-            self.failure_detector.beat(advertisement.peer_id)
-        if rejoin and record:
-            self._broadcast_rehabilitation(advertisement)
+        peer_id = advertisement.peer_id
+        previous = self.sons.add(advertisement)
+        if self.network is not None and (rejoin or previous is None):
+            self.network.metrics.count("rejoins" if rejoin else "joins")
+            self.network.emit_event(
+                "rejoin" if rejoin else "join", peer=peer_id, via=self.peer_id
+            )
+        self._heard_from(peer_id)
+        if rejoin:
+            # tell the SON's other members their fellow is back.  The
+            # rejoin travels the message plane, so coordinator
+            # quarantines lift identically over the simulated and the
+            # live transport
+            for member in sorted(self.sons.members(advertisement.schema_uri)):
+                if member != peer_id:
+                    self.send(member, Advertise(advertisement, rejoin=True))
 
-    def _broadcast_rehabilitation(self, advertisement: ActiveSchema) -> None:
-        """Tell the SON's other members their fellow is back.  The
-        rejoin travels the message plane, so coordinator quarantines
-        lift identically over the simulated and the live transport."""
-        son = self.registry.get(advertisement.schema_uri, {})
-        for member in sorted(son):
-            if member != advertisement.peer_id:
-                self.send(member, Advertise(advertisement, rejoin=True))
-
-    def deregister(self, peer_id: str, record: bool = True) -> None:
-        """Drop a departed peer's advertisements from every SON."""
-        dropped = False
-        for son in self.registry.values():
-            if son.pop(peer_id, None) is not None:
-                dropped = True
-        for index in self.indices.values():
-            index.remove(peer_id)
+    def _heard_from(self, peer_id: str) -> None:
+        """A fresh advertisement is proof of life."""
+        self.sons.restore(peer_id)
         if self.failure_detector is not None:
-            self.failure_detector.unwatch(peer_id)
-        if dropped and record:
-            if self.network is not None:
-                self.network.metrics.count("goodbyes")
-            if self.state_store is not None:
-                self.state_store.log_goodbye(peer_id)
+            self.failure_detector.watch(peer_id)
+            self.failure_detector.beat(peer_id)
 
     def handle_AdvertiseDelta(self, message: Message) -> None:
         """A clustered peer's active-schema changed *by this much*:
         patch the registered advertisement and refile it.  Refiling
-        through :meth:`register_advertisement` reuses the full-refresh
-        path — :meth:`~repro.core.routing_index.RoutingIndex.add`
-        rebuckets the advertisement and invalidates exactly the
-        affected routing-cache scope — so delta and full refreshes are
+        goes through the full-refresh path —
+        :meth:`~repro.core.routing_index.RoutingIndex.add` rebuckets
+        the advertisement and invalidates exactly the affected
+        routing-cache scope — so delta and full refreshes are
         behaviourally identical, only cheaper on the wire."""
         delta: AdvertiseDelta = message.payload
         if delta.stats is not None and self.statistics is not None:
             self.statistics.fold_summary(delta.stats)
-        previous = self.registry.get(delta.schema_uri, {}).get(delta.peer_id)
-        if previous is None:
-            # no registered baseline to patch (the delta raced ahead of
-            # the initial push, or state was lost): pull the full
+        if self.sons.patch(delta) is None:
+            # no registered baseline to patch: pull the full
             # advertisement instead of guessing
             self.send(delta.peer_id, AdvertisementRequest(self.peer_id, 1))
             return
-        self.register_advertisement(apply_advertisement_delta(previous, delta))
+        self._heard_from(delta.peer_id)
         if self.network is not None:
             self.network.emit_event(
                 "advertise_delta",
@@ -329,7 +228,10 @@ class SuperPeer(Peer):
 
     def handle_Goodbye(self, message: Message) -> None:
         """A clustered peer departs: forget its advertisements."""
-        self.deregister(message.payload.peer_id)
+        departed = message.payload.peer_id
+        self.sons.remove_peer(departed)
+        if self.failure_detector is not None:
+            self.failure_detector.unwatch(departed)
 
     def handle_AdvertisementRequest(self, message: Message) -> None:
         """Pull: reply with every advertisement in the registry.
@@ -338,21 +240,8 @@ class SuperPeer(Peer):
         launchers use it to observe when a live cluster's advertisement
         push has settled."""
         request: AdvertisementRequest = message.payload
-        schemas = tuple(
-            advertisement
-            for son in self.registry.values()
-            for advertisement in sorted(son.values(), key=lambda a: a.peer_id or "")
-        )
+        schemas = tuple(self.sons.advertisements())
         self.send(request.requester, AdvertisementReply(schemas, self.peer_id))
-
-    def advertisements_for(self, schema_uri: str) -> List[ActiveSchema]:
-        return sorted(
-            self.registry.get(schema_uri, {}).values(), key=lambda a: a.peer_id or ""
-        )
-
-    def cluster(self, schema_uri: str) -> Set[str]:
-        """The peers clustered under this super-peer for one SON."""
-        return set(self.registry.get(schema_uri, {}))
 
     # ------------------------------------------------------------------
     # routing service
@@ -426,18 +315,12 @@ class SuperPeer(Peer):
                 "subsumption",
                 peer=self.peer_id,
                 parent=span.context(),
-                registered=len(self.registry.get(schema_uri, {})),
+                registered=len(self.sons.members(schema_uri)),
             )
-            annotated = self.indices[schema_uri].route(request.pattern)
+            annotated = self.sons.route(request.pattern)
             check.set(peers=len(annotated.all_peers()))
             check.finish()
             self._mediate(request, annotated)
-            if self.config.resilience.quarantine_enabled and len(self.quarantine):
-                # filter after the cache layer: entries stay unfiltered
-                # (and restore_peer still invalidates the peer's scope,
-                # symmetric with suspicion, so downstream caches keyed
-                # on the filtered reply cannot linger either)
-                annotated = annotated.without_peers(self.quarantine.peers)
             span.set(peers=len(annotated.all_peers()))
             span.finish()
             self.send(request.requester, RouteReply(request.query_id, annotated))
@@ -497,11 +380,7 @@ class SuperPeer(Peer):
             reformulated = articulation.reformulate(request.pattern)
             if reformulated is None:
                 continue
-            target_uri = articulation.target.namespace.uri
-            index = self.indices.get(target_uri)
-            if index is None:
-                continue
-            target_annotated = index.route(reformulated)
+            target_annotated = self.sons.route(reformulated)
             for original, mapped in zip(
                 request.pattern.patterns, reformulated.patterns
             ):

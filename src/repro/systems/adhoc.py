@@ -216,7 +216,7 @@ class AdhocPeer(SimplePeer):
             )
             for advertisement in advertisements:
                 peer_id = advertisement.peer_id
-                if peer_id != self.peer_id and peer_id not in self.known_advertisements:
+                if peer_id != self.peer_id and not self.sons.sons_of(peer_id):
                     self.remember_advertisement(advertisement)
                     learned = True
         return learned
@@ -322,7 +322,7 @@ class AdhocPeer(SimplePeer):
 
         def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
             if failed is not None:
-                self.suspect_peer(failed)
+                self.sons.suspect(failed)
                 span.finish("failed")
                 self._report(partial, error=f"peer {failed} failed")
             else:

@@ -124,7 +124,7 @@ class HybridPeer(SimplePeer):
                 self._request_route(pending, target)
                 self._arm_routing_timeout(query_id, target, round_no, attempt + 1)
             else:
-                self.suspect_peer(target)
+                self.sons.suspect(target)
                 pending.routing_span.finish("timeout")
                 self.coordinator.give_up(pending, f"routing via {target} timed out")
 

@@ -50,12 +50,12 @@ from ..livedata.updates import (
 )
 from ..net.message import DeliveryFailure, Message
 from ..obs.span import TraceContext
-from ..peers.churn import Goodbye
 from ..peers.protocol import (
     Advertise,
     AdvertisementReply,
     AdvertisementRequest,
     DelegatedResult,
+    Goodbye,
     PartialPlan,
     QueryResult,
     QueryShed,

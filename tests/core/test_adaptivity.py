@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import replan
+from repro.core import build_plan, optimize, route_query
 from repro.core.adaptivity import ChannelMonitor
 from repro.workloads.paper import (
     paper_active_schemas,
@@ -26,38 +26,33 @@ def advertisements(schema):
     return paper_active_schemas(schema)
 
 
+def _replan(pattern, advertisements, failed, schema):
+    """Section 2.5 the way the coordinator composes it: the routing
+    answer minus the obsolete peers, compiled again."""
+    annotated = route_query(pattern, advertisements.values(), schema)
+    annotated = annotated.without_peers(failed)
+    return annotated, optimize(build_plan(annotated)).result
+
+
 class TestReplan:
     def test_excludes_failed_peer(self, schema, pattern, advertisements):
-        result = replan(pattern, advertisements.values(), {"P1"}, schema)
-        assert result.repaired
-        assert "P1" not in result.plan.peers()
+        _, plan = _replan(pattern, advertisements, {"P1"}, schema)
+        assert plan.is_complete()
+        assert "P1" not in plan.peers()
 
     def test_survives_redundant_failures(self, schema, pattern, advertisements):
-        result = replan(pattern, advertisements.values(), {"P2", "P3"}, schema)
-        assert result.repaired  # P1 and P4 still cover both patterns
+        _, plan = _replan(pattern, advertisements, {"P2", "P3"}, schema)
+        assert plan.is_complete()  # P1 and P4 still cover both patterns
 
     def test_unrepairable_when_pattern_uncovered(self, schema, pattern, advertisements):
-        result = replan(pattern, advertisements.values(), {"P1", "P3", "P4"}, schema)
-        assert not result.repaired
-        assert result.plan is None
-        assert result.annotated.unannotated_patterns()
-
-    def test_records_discards(self, schema, pattern, advertisements):
-        result = replan(
-            pattern, advertisements.values(), {"P1"}, schema, discarded_results=3
-        )
-        assert result.discarded_results == 3
+        annotated, plan = _replan(pattern, advertisements, {"P1", "P3", "P4"}, schema)
+        assert not plan.is_complete()
+        assert annotated.unannotated_patterns()
 
     def test_no_failures_is_full_plan(self, schema, pattern, advertisements):
-        result = replan(pattern, advertisements.values(), set(), schema)
-        assert result.repaired
-        assert result.plan.peers() == {"P1", "P2", "P3", "P4"}
-
-    def test_repr_mentions_state(self, schema, pattern, advertisements):
-        good = replan(pattern, advertisements.values(), {"P1"}, schema)
-        bad = replan(pattern, advertisements.values(), {"P1", "P2", "P4"}, schema)
-        assert "repaired" in repr(good)
-        assert "unrepairable" in repr(bad)
+        _, plan = _replan(pattern, advertisements, set(), schema)
+        assert plan.is_complete()
+        assert plan.peers() == {"P1", "P2", "P3", "P4"}
 
 
 class TestChannelMonitor:

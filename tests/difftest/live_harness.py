@@ -137,19 +137,18 @@ def assert_digests_fresh(live, workload: Workload) -> None:
     }
     if live.super_peers:
         for sp in live.super_peers.values():
-            registry = sp.registry.get(schema_uri, {})
-            held = [registry[p] for p in sorted(registry)]
-            derived = [fresh[p] for p in sorted(registry)]
+            held = sp.sons.advertisements(schema_uri)
+            derived = [fresh[a.peer_id] for a in held]
             assert active_schema_digest(held) == active_schema_digest(derived), (
                 f"super-peer {sp.peer_id} registry digest diverged "
                 f"(seed {workload.seed})"
             )
     else:
         for holder_id in workload.peer_ids:
-            known = live.peers[holder_id].known_advertisements.get(schema_uri, {})
-            for src, advertisement in known.items():
-                if src not in fresh:
-                    continue
+            known = live.peers[holder_id].sons.advertisements(schema_uri)
+            assert known, f"{holder_id} holds no advertisement to check"
+            for advertisement in known:
+                src = advertisement.peer_id
                 assert active_schema_digest([advertisement]) == active_schema_digest(
                     [fresh[src]]
                 ), (

@@ -74,22 +74,15 @@ def _fingerprint(system, workload):
         answers.append((error, rows, coverage))
     schema_uri = workload.synthetic.schema.namespace.uri
     if system.super_peers:
-        registry = next(iter(system.super_peers.values())).registry.get(
-            schema_uri, {}
-        )
-        digest = active_schema_digest(registry[p] for p in sorted(registry))
+        held = next(iter(system.super_peers.values())).sons.advertisements(schema_uri)
+        digest = active_schema_digest(held)
     else:
-        digest = tuple(
-            active_schema_digest(
-                ad
-                for _, ad in sorted(
-                    system.peers[holder]
-                    .known_advertisements.get(schema_uri, {})
-                    .items()
-                )
-            )
+        held = [
+            system.peers[holder].sons.advertisements(schema_uri)
             for holder in workload.peer_ids
-        )
+        ]
+        assert all(held), "a holder with no advertisement digests nothing"
+        digest = tuple(active_schema_digest(known) for known in held)
     return answers, digest
 
 

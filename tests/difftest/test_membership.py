@@ -202,7 +202,7 @@ def test_crash_rejoin_twin_equivalence_in_sim(seed):
         return peer_state_digest(
             peer.base.graph, peer.base.views,
             peer.base.active_schema(peer_id),
-            {}, peer.quarantine.peers,
+            (), peer.sons.quarantine.peers,
         )
 
     assert digest(churned, VICTIM) == digest(twin, VICTIM)

@@ -72,7 +72,7 @@ class TestLogReplay:
         store.log_goodbye("P2")
         store.log_rehabilitate("P3")
         recovered = store.recover()
-        assert set(recovered.advertisements) == {"P3"}
+        assert set(recovered.advertisements) == {(schema.namespace.uri, "P3")}
         assert recovered.quarantined == set()
         assert recovered.replayed == 5 and recovered.clean
 

@@ -60,13 +60,13 @@ def system():
 class TestMultiSONMembership:
     def test_advertised_to_both_super_peers(self, system):
         system.run()
-        assert "hybrid" in system.super_peers["SP-N1"].cluster(N1.uri)
-        assert "hybrid" in system.super_peers["SP-MU"].cluster(MU.uri)
+        assert "hybrid" in system.super_peers["SP-N1"].sons.members(N1.uri)
+        assert "hybrid" in system.super_peers["SP-MU"].sons.members(MU.uri)
 
     def test_not_cross_registered(self, system):
         system.run()
-        assert "hybrid" not in system.super_peers["SP-MU"].cluster(N1.uri)
-        assert "hybrid" not in system.super_peers["SP-N1"].cluster(MU.uri)
+        assert "hybrid" not in system.super_peers["SP-MU"].sons.members(N1.uri)
+        assert "hybrid" not in system.super_peers["SP-N1"].sons.members(MU.uri)
 
     def test_answers_primary_schema_query(self, system):
         table = system.query("plain", PAPER_QUERY)
@@ -91,5 +91,5 @@ class TestMultiSONMembership:
         system.run()
         system.peers["hybrid"].leave()
         system.run()
-        assert "hybrid" not in system.super_peers["SP-N1"].cluster(N1.uri)
-        assert "hybrid" not in system.super_peers["SP-MU"].cluster(MU.uri)
+        assert "hybrid" not in system.super_peers["SP-N1"].sons.members(N1.uri)
+        assert "hybrid" not in system.super_peers["SP-MU"].sons.members(MU.uri)

@@ -80,11 +80,11 @@ class TestCrashRejoin:
         spec, workload, system, manager = deployment
         super_peer = system.super_peers["SP1"]
         manager.crash("P2")
-        super_peer.suspect_peer("P2")  # the failure detector's verdict
-        assert super_peer.quarantine.is_quarantined("P2")
+        super_peer.sons.suspect("P2")  # the failure detector's verdict
+        assert super_peer.sons.quarantine.is_quarantined("P2")
         manager.rejoin("P2")
         system.network.run()
-        assert not super_peer.quarantine.is_quarantined("P2")
+        assert not super_peer.sons.quarantine.is_quarantined("P2")
 
     def test_rejoin_lifts_coordinator_quarantine_via_broadcast(self, deployment):
         """The super-peer rebroadcasts a rejoin-flagged advertisement to
@@ -95,10 +95,10 @@ class TestCrashRejoin:
         manager.crash("P2")
         for text in workload.queries:
             _query(system, "P1", text)
-        assert coordinator.quarantine.is_quarantined("P2")
+        assert coordinator.sons.quarantine.is_quarantined("P2")
         manager.rejoin("P2")
         system.network.run()
-        assert not coordinator.quarantine.is_quarantined("P2")
+        assert not coordinator.sons.quarantine.is_quarantined("P2")
 
 
 class TestJoinLeave:
@@ -117,7 +117,7 @@ class TestJoinLeave:
         assert system.network.metrics.goodbyes >= 1
         # the super-peer no longer routes to the departed peer
         super_peer = system.super_peers["SP1"]
-        assert all("P3" not in son for son in super_peer.registry.values())
+        assert super_peer.sons.sons_of("P3") == []
 
     def test_leave_snapshots_before_dark(self, deployment):
         spec, workload, system, manager = deployment

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.peers.base import PeerBase
-from repro.peers.churn import AdvertisementTracker, Goodbye
+from repro.peers.protocol import Goodbye
+from repro.peers.simple import AdvertisementTracker
 from repro.rdf import Graph, TYPE
 from repro.rvl import parse_view
 from repro.workloads.paper import DATA, N1, PAPER_VIEW, paper_schema

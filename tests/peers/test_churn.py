@@ -29,10 +29,10 @@ class TestHybridDeparture:
     def test_goodbye_deregisters_at_super_peer(self, system):
         sp1 = system.super_peers["SP1"]
         uri = system.schema.namespace.uri
-        assert "P2" in sp1.cluster(uri)
+        assert "P2" in sp1.sons.members(uri)
         system.peers["P2"].leave()
         system.run()
-        assert "P2" not in sp1.cluster(uri)
+        assert "P2" not in sp1.sons.members(uri)
 
     def test_queries_skip_departed_peer(self, system):
         system.peers["P2"].leave()
@@ -56,10 +56,11 @@ class TestAdhocDeparture:
     def test_goodbye_clears_neighbour_knowledge(self):
         system = AdhocSystem.from_scenario(adhoc_scenario())
         p1 = system.peers["P1"]
-        assert "P3" in p1.known_advertisements
+        uri = system.schema.namespace.uri
+        assert "P3" in p1.sons.members(uri)
         system.peers["P3"].leave()
         system.run()
-        assert "P3" not in p1.known_advertisements
+        assert "P3" not in p1.sons.members(uri)
 
     def test_departed_peer_not_planned(self):
         system = AdhocSystem.from_scenario(adhoc_scenario())
@@ -113,7 +114,7 @@ class TestAdvertisementRefresh:
         sp1 = system.super_peers["SP1"]
         uri = system.schema.namespace.uri
         advertisement = dict(
-            (a.peer_id, a) for a in sp1.advertisements_for(uri)
+            (a.peer_id, a) for a in sp1.sons.advertisements(uri)
         )["P2"]
         assert advertisement.covers_property(N1.prop2)
 

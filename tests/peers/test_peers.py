@@ -18,6 +18,7 @@ from repro.peers import (
     SimplePeer,
     SuperPeer,
 )
+from repro.peers.protocol import Goodbye
 from repro.rdf import Graph
 from repro.rdf.dictionary import TermDictionary
 from repro.rvl import ActiveSchema, parse_view
@@ -102,7 +103,7 @@ class TestSimplePeerAdvertisements:
             schema.namespace.uri, [SchemaPath(N1.C1, N1.prop1, N1.C2)], peer_id="B"
         )
         peer.receive(Message("B", "A", Advertise(advertisement)), network)
-        assert "B" in peer.known_advertisements
+        assert "B" in peer.sons.members(schema.namespace.uri)
 
     def test_own_advertisement_not_stored(self, network, schema):
         bases = paper_peer_bases()
@@ -110,7 +111,7 @@ class TestSimplePeerAdvertisements:
         peer.join(network)
         own = peer.own_advertisement()
         peer.remember_advertisement(own)
-        assert "P2" not in peer.known_advertisements
+        assert "P2" not in peer.sons.members(schema.namespace.uri)
 
     def test_advertisement_request_answered(self, network, schema):
         bases = paper_peer_bases()
@@ -120,7 +121,7 @@ class TestSimplePeerAdvertisements:
         b.join(network)
         b.send("A", AdvertisementRequest("B"))
         network.run()
-        assert "A" in b.known_advertisements
+        assert "A" in b.sons.members(schema.namespace.uri)
 
     def test_empty_base_advertises_nothing(self, network, schema):
         a = SimplePeer("A", PeerBase(Graph(), schema))
@@ -173,7 +174,7 @@ class TestSuperPeer:
             schema.namespace.uri, [SchemaPath(N1.C1, N1.prop1, N1.C2)], peer_id="A"
         )
         super_peer.receive(Message("A", "SP1", Advertise(advertisement)), network)
-        assert super_peer.cluster(schema.namespace.uri) == {"A"}
+        assert super_peer.sons.members(schema.namespace.uri) == {"A"}
 
     def test_deregister(self, network, schema):
         super_peer = SuperPeer("SP1", schemas=[schema])
@@ -182,8 +183,8 @@ class TestSuperPeer:
             schema.namespace.uri, [SchemaPath(N1.C1, N1.prop1, N1.C2)], peer_id="A"
         )
         super_peer.receive(Message("A", "SP1", Advertise(advertisement)), network)
-        super_peer.deregister("A")
-        assert super_peer.cluster(schema.namespace.uri) == set()
+        super_peer.receive(Message("A", "SP1", Goodbye("A")), network)
+        assert super_peer.sons.members(schema.namespace.uri) == set()
 
     def test_route_request_answered(self, network, schema):
         super_peer = SuperPeer("SP1", schemas=[schema])
@@ -248,16 +249,19 @@ class TestSONRegistry:
         assert registry.sons() == ["http://a#", "http://b#"]
         assert registry.members("http://a#") == {"P1"}
 
-    def test_merges_same_peer(self, schema):
+    def test_refresh_replaces_same_peer(self, schema):
+        """A refresh is the peer's whole footprint (Section 2.2): the
+        property it no longer names must stop annotating."""
         registry = SONRegistry()
         registry.add(
             ActiveSchema("http://a#", [SchemaPath(N1.C1, N1.prop1, N1.C2)], peer_id="P")
         )
-        registry.add(
+        replaced = registry.add(
             ActiveSchema("http://a#", [SchemaPath(N1.C2, N1.prop2, N1.C3)], peer_id="P")
         )
         (advertisement,) = registry.advertisements("http://a#")
-        assert len(advertisement) == 2
+        assert [p.property for p in advertisement] == [N1.prop2]
+        assert [p.property for p in replaced] == [N1.prop1]
 
     def test_remove_peer_prunes_empty_sons(self):
         registry = SONRegistry()

@@ -10,12 +10,12 @@ from repro.channels.packets import (
 from repro.core.algebra import Scan
 from repro.execution.encoded import EncodedTable
 from repro.net.message import Message, payload_kind, payload_size
-from repro.peers.churn import Goodbye
 from repro.peers.protocol import (
     Advertise,
     AdvertisementReply,
     AdvertisementRequest,
     DelegatedResult,
+    Goodbye,
     PartialPlan,
     QueryResult,
     QuerySubmit,

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from repro.net.message import DeliveryFailure, Message
 from repro.obs import TraceContext
-from repro.peers.churn import Goodbye
 from repro.peers.protocol import (
     AdvertisementRequest,
     DelegatedResult,
+    Goodbye,
     QueryResult,
     QueryShed,
     QuerySubmit,

@@ -30,12 +30,12 @@ def test_restore_invalidates_routing_cache_scope(system):
     super_peer = system.super_peers["SP1"]
     system.query("P1", PAPER_QUERY)  # populate the SP's routing cache
     metrics = system.network.metrics
-    super_peer.suspect_peer("P2")
+    super_peer.sons.suspect("P2")
     invalidations_after_suspect = metrics.cache_invalidations
     assert invalidations_after_suspect > 0
     system.query("P1", PAPER_QUERY)  # re-populate during the quarantine
-    super_peer.restore_peer("P2")
-    assert not super_peer.quarantine.is_quarantined("P2")
+    super_peer.sons.restore("P2")
+    assert not super_peer.sons.quarantine.is_quarantined("P2")
     assert metrics.cache_invalidations > invalidations_after_suspect
 
 
@@ -43,7 +43,7 @@ def test_restore_of_unquarantined_peer_is_silent(system):
     super_peer = system.super_peers["SP1"]
     system.query("P1", PAPER_QUERY)
     before = system.network.metrics.cache_invalidations
-    super_peer.restore_peer("P2")  # never suspected
+    super_peer.sons.restore("P2")  # never suspected
     assert system.network.metrics.cache_invalidations == before
 
 
@@ -51,21 +51,21 @@ def test_verdicts_are_logged_durably(system):
     super_peer = system.super_peers["SP1"]
     store = PeerStateStore(MemoryStore(), "SP1")
     super_peer.attach_durability(store)
-    super_peer.suspect_peer("P2")
+    super_peer.sons.suspect("P2")
     assert store.recover().quarantined == {"P2"}
-    super_peer.restore_peer("P2")
+    super_peer.sons.restore("P2")
     assert store.recover().quarantined == set()
 
 
 def test_liveness_recovery_rehabilitates(system):
     """A ``recover_peer`` control event (the sim's out-of-band liveness
-    plane) lifts the quarantine through ``restore_peer``."""
+    plane) lifts the quarantine through ``SONRegistry.restore``."""
     super_peer = system.super_peers["SP1"]
     system.network.fail_peer("P2")
-    super_peer.suspect_peer("P2")
-    assert super_peer.quarantine.is_quarantined("P2")
+    super_peer.sons.suspect("P2")
+    assert super_peer.sons.quarantine.is_quarantined("P2")
     system.network.recover_peer("P2")
-    assert not super_peer.quarantine.is_quarantined("P2")
+    assert not super_peer.sons.quarantine.is_quarantined("P2")
 
 
 def test_rejoin_advertisement_rebroadcasts_to_son_members(system):
@@ -75,16 +75,16 @@ def test_rejoin_advertisement_rebroadcasts_to_son_members(system):
     schema = paper_schema()
     coordinator = system.peers["P1"]
     witness = system.peers["P3"]
-    coordinator.quarantine.record_failure("P2")
-    witness.quarantine.record_failure("P2")
+    coordinator.sons.quarantine.record_failure("P2")
+    witness.sons.quarantine.record_failure("P2")
     advertisement = ActiveSchema.from_base(
         paper_peer_bases()["P2"], schema, "P2"
     )
     rejoiner = system.peers["P2"]
     rejoiner.send("SP1", Advertise(advertisement, rejoin=True))
     system.run()
-    assert not coordinator.quarantine.is_quarantined("P2")
-    assert not witness.quarantine.is_quarantined("P2")
+    assert not coordinator.sons.quarantine.is_quarantined("P2")
+    assert not witness.sons.quarantine.is_quarantined("P2")
 
 
 def test_plain_advertisement_does_not_rebroadcast(system):

@@ -38,9 +38,9 @@ class TestFigure7:
         system = AdhocSystem.from_scenario(adhoc_scenario())
         p1 = system.peers["P1"]
         # P2, P3 (prop1) and P4 (prop3) all advertise something
-        assert set(p1.known_advertisements) == {"P2", "P3", "P4"}
+        assert p1.sons.members(system.schema.namespace.uri) == {"P2", "P3", "P4"}
         p2 = system.peers["P2"]
-        assert "P5" in p2.known_advertisements
+        assert "P5" in p2.sons.members(system.schema.namespace.uri)
 
     def test_results_identical_to_hybrid_semantics(self, system):
         """The ad-hoc answer equals a centralised evaluation."""

@@ -41,7 +41,7 @@ class TestFigure6:
         system.run()
         sp1 = system.super_peers["SP1"]
         # P1 and P4 hold only prop3 data; all five advertise something
-        assert sp1.cluster(system.schema.namespace.uri) == {
+        assert sp1.sons.members(system.schema.namespace.uri) == {
             "P1", "P2", "P3", "P4", "P5",
         }
 

@@ -49,8 +49,9 @@ MAX_PLAN_EXECUTOR_CONSTRUCTION_SITES = 1
 #: one plan walk, one shipper — not one per execution mode
 MAX_ENGINE_WALKERS_AND_SHIPPERS = 1
 #: methods of ``SimplePeer`` (per-query coordination lives in
-#: ``peers/coordinator.py::QueryCoordinator``)
-MAX_SIMPLE_PEER_METHODS = 33
+#: ``peers/coordinator.py::QueryCoordinator``, what it knows of its SONs
+#: in ``peers/son.py::SONRegistry``; 33 before the latter)
+MAX_SIMPLE_PEER_METHODS = 30
 #: methods of ``MetricSet`` (40 when every scalar counter had its own
 #: ``record_*``): a new counter is a row of ``metrics/instruments.py``
 #: written through ``count(name)``, never a new method
@@ -66,6 +67,15 @@ MAX_TABLE_PIVOT_SITES = 2
 #: standing-query diff, ``peers/simple`` + ``peers/protocol`` (a
 #: client's answer) and the two modules that own the pivots
 MAX_BINDING_TABLE_IMPORTERS = 9
+#: places that build a ``PeerQuarantine`` (3 before) or, outside
+#: ``cache/``, a ``RoutingCache`` (2 before): a node's one ``SONRegistry``
+#: and the ``RoutingIndex`` it keeps per SON — no role builds its own
+MAX_QUARANTINE_CONSTRUCTION_SITES = 1
+MAX_ROUTING_CACHE_CONSTRUCTION_SITES = 1
+#: ``route_query(`` calls under ``peers/``, ``systems/``, ``deploy/`` and
+#: ``membership/`` (1 before): the Query-Routing Algorithm is reached
+#: through ``SONRegistry.route`` alone, never over a role's own list
+MAX_ROLE_LEVEL_ROUTE_QUERY_CALLS = 0
 
 
 def _trees(*packages):
@@ -145,14 +155,40 @@ def test_cluster_spec_build_sites():
     assert len(found) <= MAX_CLUSTER_SPEC_BUILD_SITES, found
 
 
-def test_one_plan_executor_construction_site():
-    found = [
+def _call_sites(name, trees):
+    return [
         f"{path.relative_to(SRC)}:{call.lineno}"
-        for path, tree in _trees()
+        for path, tree in trees
         for call in _calls(tree)
-        if isinstance(call.func, ast.Name) and call.func.id == "PlanExecutor"
+        if isinstance(call.func, ast.Name) and call.func.id == name
     ]
+
+
+def test_one_plan_executor_construction_site():
+    found = _call_sites("PlanExecutor", _trees())
     assert len(found) <= MAX_PLAN_EXECUTOR_CONSTRUCTION_SITES, found
+
+
+def test_one_advertisement_store_per_node():
+    found = _call_sites("PeerQuarantine", _trees())
+    assert len(found) <= MAX_QUARANTINE_CONSTRUCTION_SITES, found
+    found = _call_sites(
+        "RoutingCache",
+        [(path, tree) for path, tree in _trees() if SRC / "cache" not in path.parents],
+    )
+    assert len(found) <= MAX_ROUTING_CACHE_CONSTRUCTION_SITES, found
+    roles = list(_trees("peers", "systems", "deploy", "membership"))
+    found = _call_sites("route_query", roles)
+    assert len(found) <= MAX_ROLE_LEVEL_ROUTE_QUERY_CALLS, found
+    # the three stores the registry replaced are not assigned again
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}"
+        for path, tree in roles
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in ("known_advertisements", "registry", "indices")
+    ]
+    assert not found, found
 
 
 def test_one_plan_walk_one_shipper():

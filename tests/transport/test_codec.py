@@ -21,12 +21,12 @@ from repro.errors import CodecError
 from repro.execution.encoded import EncodedTable
 from repro.net.message import DeliveryFailure, Message
 from repro.obs import TraceContext
-from repro.peers.churn import Goodbye
 from repro.peers.protocol import (
     Advertise,
     AdvertisementReply,
     AdvertisementRequest,
     DelegatedResult,
+    Goodbye,
     PartialPlan,
     QueryResult,
     QueryShed,

@@ -20,7 +20,7 @@ import pytest
 from repro.net.message import DeliveryFailure, Message
 from repro.net.simulator import Network
 from repro.peers.base import Peer
-from repro.peers.churn import Goodbye
+from repro.peers.protocol import Goodbye
 from repro.resilience.retry import RetryPolicy
 from repro.transport.live import DEFAULT_TIME_SCALE, AsyncioTransport
 
