@@ -25,15 +25,7 @@ from ..obs import (
     system_gauges,
     validate_trace,
 )
-from ..obs.telemetry import (
-    ClusterSeries,
-    TelemetrySample,
-    discover_endpoints,
-    parse_exposition,
-    sample_from_exposition,
-    scrape,
-    scrape_json,
-)
+from ..obs.telemetry import ClusterScraper, discover_endpoints, scrape
 from ..systems import AdhocSystem, HybridSystem
 from ..workloads.paper import PAPER_QUERY, adhoc_scenario, hybrid_scenario
 
@@ -272,20 +264,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_top(outdir, series) -> int:
+def _render_top(scraper) -> int:
     """One ``repro top`` frame: scrape every endpoint, print the table."""
-    run = Path(outdir)
-    endpoints = discover_endpoints(run)
-    if not endpoints:
-        print(f"error: no *.endpoint.json under {run} "
+    rollup = scraper.scrape_once()
+    series = scraper.series
+    if not series.peers:
+        print(f"error: no *.endpoint.json under {scraper.outdir} "
               "(is this a live run directory?)", file=sys.stderr)
         return 1
-    t = time.time()
-    health: dict = {}
-    for node_id, (host, port) in sorted(endpoints.items()):
-        sample = _scrape_top_sample(node_id, host, port, t, health)
-        series.append(node_id, sample)
-    rollup = series.rollup(TOP_WINDOW)
     print(f"cluster  peers {rollup['peers_up']}/{rollup['peers']} up  "
           f"availability {rollup['availability']:.0%}  "
           f"q/s {rollup['query_rate']:.3g}  "
@@ -295,11 +281,10 @@ def _render_top(outdir, series) -> int:
     header = (f"{'NODE':<8} {'ROLE':<6} {'STATUS':<8} {'INFLIGHT':>8} "
               f"{'FINISHED':>8} {'SHED':>6} {'Q/S':>8} {'P99':>8}  NOTES")
     print(header)
-    for node_id in sorted(endpoints):
-        peer = series.peers[node_id]
-        info = health.get(node_id, {})
-        roll = peer.rollup(TOP_WINDOW)
-        latest = peer.latest()
+    for node_id in sorted(series.peers):
+        info = scraper.health.get(node_id, {})
+        roll = series.rollup(TOP_WINDOW, peers=[node_id])
+        counters = series.peers[node_id].latest().counters
         notes = []
         quarantined = info.get("quarantined") or []
         if quarantined:
@@ -309,8 +294,8 @@ def _render_top(outdir, series) -> int:
             notes.append("down: " + ",".join(sorted(down)))
         if info.get("recoveries"):
             notes.append(f"recoveries: {info['recoveries']}")
-        finished = latest.counters.get("queries_finished", 0) if latest else 0
-        shed = latest.counters.get("queries_shed", 0) if latest else 0
+        finished = counters.get("queries_finished", 0)
+        shed = counters.get("queries_shed", 0)
         print(f"{node_id:<8} {str(info.get('role', '?')):<6} "
               f"{str(info.get('status', 'down')):<8} "
               f"{roll['inflight']:>8.0f} {finished:>8.0f} {shed:>6.0f} "
@@ -323,23 +308,11 @@ def _fmt(value) -> str:
     return "-" if value is None else f"{value:.4g}"
 
 
-def _scrape_top_sample(node_id, host, port, t, health):
-    try:
-        parsed = parse_exposition(scrape(host, port, "/metrics"))
-        info = scrape_json(host, port, "/healthz")
-    except (NetworkError, ValueError):
-        health[node_id] = {"status": "down"}
-        return TelemetrySample(
-            t=t, counters={}, latency_buckets=(), gauges={}, up=False
-        )
-    health[node_id] = info
-    gauges = {"inflight_queries": info.get("inflight_queries", 0)}
-    return sample_from_exposition(parsed, t, gauges)
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
-    series = ClusterSeries()
-    render = lambda: _render_top(args.outdir, series)  # noqa: E731
+    scraper = ClusterScraper(
+        args.outdir, clock=time.time, window=TOP_WINDOW, timeline=None
+    )
+    render = lambda: _render_top(scraper)  # noqa: E731
     if args.watch:
         return _watch_loop(render, TOP_INTERVAL)
     return render()

@@ -206,8 +206,7 @@ def _alerts_demo() -> int:
     )
     driver = WorkloadDriver(system, spec)
     driver.attach_telemetry(
-        rules=default_slo_rules(shed_bound=DEMO_SHED_BOUND, window=DEMO_WINDOW),
-        window=DEMO_WINDOW,
+        rules=default_slo_rules(shed_bound=DEMO_SHED_BOUND), window=DEMO_WINDOW
     )
     driver.install()
     try:

@@ -163,9 +163,7 @@ class LiveCluster:
         self.scraper = ClusterScraper(
             self.outdir,
             clock=lambda: self.transport.now,
-            rules=default_slo_rules(
-                shed_bound=self.shed_alert, window=self.slo_window
-            ),
+            rules=default_slo_rules(shed_bound=self.shed_alert),
             window=self.slo_window,
         )
         for node_id in self.spec.super_ids() + self.spec.peer_ids():

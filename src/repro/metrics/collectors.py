@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.histogram import Histogram
+from .histogram import Histogram
 from .instruments import COUNTERS
 
 #: A point-in-time reading of the cumulative counters: ``messages`` and
@@ -25,7 +25,7 @@ class MetricSet:
     :mod:`repro.metrics.instruments`: each is an attribute of this
     object, zeroed here and moved through :meth:`count`.  Latency is
     kept as **per-attempt observations** feeding a bucketed
-    :class:`~repro.obs.histogram.Histogram` (p50/p90/p99/max), and
+    :class:`~repro.metrics.histogram.Histogram` (p50/p90/p99/max), and
     every finished tracing span folds its duration into the per-stage
     histograms via :meth:`observe_stage`.
     """

@@ -5,8 +5,8 @@ is decided here and nowhere else: ``MetricSet`` zeroes and writes its
 counters from :data:`COUNTERS`, whose names are also ``MetricSnapshot``'s
 fields and ``summary()``'s keys, and the Prometheus exposition and the
 telemetry sampler's family map are views over :data:`INSTRUMENTS`.  The
-module imports nothing from the package — ``repro.metrics`` and
-``repro.obs`` each read it while the other loads.
+module imports nothing; ``repro.obs`` reads it and the rest of
+``repro.metrics``, which import nothing from ``repro.obs``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ Three pieces:
   lightweight spans on simulator virtual time, stitched into one
   causal tree per query by propagating a :class:`TraceContext` inside
   network messages; collected by a bounded :class:`TraceCollector`.
-* **Histograms** (:mod:`histogram`) — HDR-style bucketed percentiles
+* **Histograms** (:mod:`repro.metrics.histogram`, beside the instrument
+  table; read here, never the reverse) — HDR-style bucketed percentiles
   replacing mean-only latency, kept per stage and per message kind.
 * **Surfaces** (:mod:`render`, :mod:`exposition`, :mod:`gauges`) —
   ASCII span trees/timelines, Prometheus-style text exposition, and
@@ -32,14 +33,12 @@ from .collect import (
     validate_trace_dicts,
 )
 from .gauges import peer_gauges, system_gauges
-from .histogram import Histogram
 from .render import render_trace
 from .span import Span, TraceContext
 from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from .exposition import add_const_labels, merge_expositions, render_prometheus
 
 __all__ = [
-    "Histogram",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",

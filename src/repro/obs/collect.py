@@ -175,45 +175,10 @@ def validate_trace(spans: List[Span], cross_clock: bool = False) -> List[str]:
     return problems
 
 
-class _SpanRecord:
-    """A :class:`Span` stand-in built from an exported dict — enough
-    API surface to re-validate *and* re-render a trace that crossed a
-    JSON boundary (a node's export, a merged live-run artifact)."""
-
-    __slots__ = (
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "name",
-        "peer_id",
-        "start",
-        "end",
-        "status",
-        "attributes",
-        "events",
-    )
-
-    def __init__(self, record: dict):
-        self.trace_id = record.get("trace_id", "?")
-        self.span_id = record["span_id"]
-        self.parent_id = record.get("parent_id")
-        self.name = record.get("name", "?")
-        self.peer_id = record.get("peer", "?")
-        self.start = record.get("start", 0.0)
-        self.end = record.get("end")
-        self.status = record.get("status", "ok")
-        self.attributes = dict(record.get("attributes") or {})
-        self.events = [tuple(event) for event in record.get("events") or ()]
-
-    @property
-    def duration(self):
-        return None if self.end is None else self.end - self.start
-
-
-def spans_from_dicts(records: List[dict]) -> List[_SpanRecord]:
-    """Exported span dicts as render/validate-ready span objects,
-    ordered by (start, creation order)."""
-    spans = [_SpanRecord(record) for record in records]
+def spans_from_dicts(records: List[dict]) -> List[Span]:
+    """Exported span dicts as render/validate-ready spans
+    (:meth:`Span.from_dict`), ordered by (start, creation order)."""
+    spans = [Span.from_dict(record) for record in records]
     spans.sort(key=_span_order)
     return spans
 
@@ -231,7 +196,7 @@ def stitch_trace_exports(exports: List[dict]) -> Dict[str, List[dict]]:
         for trace in export.get("traces", ()):
             stitched.setdefault(trace["trace_id"], []).extend(trace["spans"])
     for spans in stitched.values():
-        spans.sort(key=lambda s: _span_order(_SpanRecord(s)))
+        spans.sort(key=lambda s: _span_order(Span.from_dict(s)))
     return stitched
 
 

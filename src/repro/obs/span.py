@@ -156,6 +156,28 @@ class Span:
             "events": [list(event) for event in self.events or ()],
         }
 
+    @classmethod
+    def from_dict(cls, record: Dict[str, Any]) -> "Span":
+        """The inverse of :meth:`to_dict`: a span read back from an
+        export (a node's, or a merged live-run artifact), to re-validate
+        and re-render a trace that crossed a JSON boundary.  It has no
+        tracer, so it records nothing further; a field an export lacks
+        reads as unknown (``"?"``) rather than failing the read."""
+        span = cls(
+            None,
+            record.get("trace_id", "?"),
+            record["span_id"],
+            record.get("parent_id"),
+            record.get("name", "?"),
+            record.get("peer", "?"),
+            record.get("start", 0.0),
+            dict(record.get("attributes") or {}),
+        )
+        span.end = record.get("end")
+        span.status = record.get("status", "ok")
+        span.events = [tuple(event) for event in record.get("events") or ()] or None
+        return span
+
     def __repr__(self) -> str:
         end = f"{self.end:.2f}" if self.end is not None else "…"
         return (

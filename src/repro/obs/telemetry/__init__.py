@@ -1,15 +1,16 @@
-"""Live cluster telemetry: time-series rollups, scrape endpoints, SLO
-watchdogs and the crash flight recorder.
+"""Live cluster telemetry: the telemetry series and its rollup, scrape
+endpoints, SLO watchdogs and the crash flight recorder.
 
 Layered on the PR-3 observability core (:mod:`repro.obs`), this
 package adds the *operational* half of observability:
 
-* :mod:`timeseries` — bounded rings with Prometheus-style reset-aware
-  ``rate()`` / ``increase()`` and windowed percentiles from cumulative
-  histogram-bucket deltas;
 * :mod:`sampler` — one :class:`TelemetrySample` shape whether read
   in-process off a :class:`MetricSet` or parsed from a scraped text
-  exposition, feeding per-peer and cluster rollups;
+  exposition, one bounded ring of them per peer
+  (:class:`ClusterSeries`), and the one rollup the in-sim driver, the
+  launcher's scraper and ``repro top`` read: Prometheus-style
+  reset-aware ``rate()`` / ``increase()`` and windowed percentiles from
+  cumulative histogram-bucket deltas;
 * :mod:`slo` — declarative SLO rules with debounce, firing/resolved
   transition events (``repro.obs/alert-v1``);
 * :mod:`flightrec` — the bounded structured-event black box
@@ -26,13 +27,11 @@ uncharged, so telemetry perturbs no simulated quantity and a
 telemetry-enabled run stays bit-identical to a bare one.
 """
 
-from .flightrec import EVENT_SCHEMA, KNOWN_KINDS, FlightRecorder, JsonlSink, SlowQueryLog
+from .flightrec import FlightRecorder, JsonlSink, SlowQueryLog
 from .http import TelemetryServer, parse_exposition, scrape, scrape_json
-from .probe import HEALTH_SCHEMA, TRACEZ_SCHEMA, TelemetryProbe
+from .probe import TelemetryProbe
 from .sampler import (
-    COUNTER_NAMES,
     ClusterSeries,
-    PeerSeries,
     TelemetrySample,
     sample_from_exposition,
     sample_metricset,
@@ -44,33 +43,22 @@ from .scraper import (
     write_diagnostic_bundle,
     write_endpoint_file,
 )
-from .slo import ALERT_SCHEMA, SLOMonitor, SLORule, default_slo_rules, render_alert
-from .timeseries import TimeSeries, delta_buckets, percentile_from_buckets
+from .slo import SLOMonitor, SLORule, default_slo_rules, render_alert
 
 __all__ = [
-    "ALERT_SCHEMA",
-    "COUNTER_NAMES",
     "ClusterScraper",
     "ClusterSeries",
-    "EVENT_SCHEMA",
     "FlightRecorder",
-    "HEALTH_SCHEMA",
     "JsonlSink",
-    "KNOWN_KINDS",
-    "PeerSeries",
     "SLOMonitor",
     "SLORule",
     "SlowQueryLog",
-    "TRACEZ_SCHEMA",
     "TelemetryProbe",
     "TelemetrySample",
     "TelemetryServer",
-    "TimeSeries",
     "default_slo_rules",
-    "delta_buckets",
     "discover_endpoints",
     "parse_exposition",
-    "percentile_from_buckets",
     "read_timeline",
     "render_alert",
     "sample_from_exposition",

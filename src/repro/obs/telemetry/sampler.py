@@ -1,4 +1,6 @@
-"""Samplers: turn metric sources into rollup-ready telemetry samples.
+"""Samplers and the one telemetry series: metric sources become
+samples, each peer keeps a bounded ring of them, and one rollup reads
+the rings.
 
 A :class:`TelemetrySample` is one scrape of one peer — cumulative
 counters, the latency histogram's cumulative buckets, point-in-time
@@ -10,23 +12,26 @@ gauges, and a liveness verdict — regardless of where it came from:
 * :func:`sample_from_exposition` parses a scraped Prometheus text
   exposition (the live path, sampled on wall time).
 
-Both feed the same :class:`PeerSeries`, whose :meth:`~PeerSeries.rollup`
+Both feed a :class:`ClusterSeries`, whose :meth:`~ClusterSeries.rollup`
 computes the windowed statistics the SLO monitors evaluate — rates,
 ``increase()`` deltas and windowed latency percentiles — so sim and
 live deployments are judged by one set of rules.
+
+Time is whatever clock the caller samples on: virtual time in-sim,
+wall time live.  Nothing here schedules anything — sampling cadence is
+the caller's business, which is what keeps the in-sim path free of
+perturbation (no extra simulator events, ever).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...metrics.instruments import FAMILIES
-from .timeseries import (
-    DEFAULT_CAPACITY,
-    TimeSeries,
-    delta_buckets,
-    percentile_from_buckets,
-)
+
+#: Default ring capacity: enough for ~10 minutes at 1 sample/second.
+DEFAULT_CAPACITY = 600
 
 #: Declared scalar counters a sample keeps — those the SLO rules and
 #: ``repro top`` read; a selection, so a timeline row stays small.
@@ -52,9 +57,6 @@ EXPOSITION_FAMILIES = {
     "queries_finished": FAMILIES["latency_histogram"] + "_count",
     **{name: FAMILIES[name] for name in SAMPLED_COUNTERS},
 }
-
-#: Counters every sample carries (missing sources read as zero).
-COUNTER_NAMES = tuple(EXPOSITION_FAMILIES)
 
 
 class TelemetrySample(NamedTuple):
@@ -123,154 +125,176 @@ def sample_from_exposition(
     )
 
 
-class PeerSeries:
-    """The windowed history of one peer's samples.
+#: A cumulative-bucket snapshot: ``(upper_bound, cumulative_count)``
+#: pairs sorted by bound — exactly the shape of
+#: :meth:`~repro.metrics.histogram.Histogram.cumulative_buckets` and of a
+#: parsed Prometheus ``_bucket`` family.
+BucketSnapshot = Sequence[Tuple[float, int]]
 
-    Appending a sample fans its counters into per-name
-    :class:`TimeSeries` rings and keeps a bounded ring of the full
-    samples (for bucket deltas and gauge reads).
+
+def delta_buckets(
+    earlier: BucketSnapshot, later: BucketSnapshot
+) -> List[Tuple[float, int]]:
+    """Per-bucket growth between two cumulative snapshots.
+
+    Returns non-cumulative ``(upper_bound, count)`` pairs; a later
+    snapshot with *smaller* cumulative counts is a reset and the later
+    snapshot is returned whole (growth since zero).
     """
+    before: Dict[float, int] = {}
+    last = 0
+    for bound, cumulative in earlier:
+        before[bound] = cumulative - last
+        last = cumulative
+    out: List[Tuple[float, int]] = []
+    last = 0
+    reset = False
+    for bound, cumulative in later:
+        in_bucket = cumulative - last
+        last = cumulative
+        grown = in_bucket - before.get(bound, 0)
+        if grown < 0:
+            reset = True
+            break
+        if grown:
+            out.append((bound, grown))
+    if reset:
+        out = []
+        last = 0
+        for bound, cumulative in later:
+            if cumulative - last:
+                out.append((bound, cumulative - last))
+            last = cumulative
+    return out
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = capacity
-        self.series: Dict[str, TimeSeries] = {
-            name: TimeSeries(capacity) for name in COUNTER_NAMES
-        }
-        self._samples: List[TelemetrySample] = []
 
-    def append(self, sample: TelemetrySample) -> None:
-        for name, value in sample.counters.items():
-            series = self.series.get(name)
-            if series is None:
-                series = self.series[name] = TimeSeries(self.capacity)
-            series.append(sample.t, value)
-        self._samples.append(sample)
-        if len(self._samples) > self.capacity:
-            del self._samples[: len(self._samples) - self.capacity]
+def percentile_from_buckets(
+    buckets: BucketSnapshot, p: float, cumulative: bool = False
+) -> Optional[float]:
+    """The quantile ``p`` in [0, 100] from bucket counts.
 
-    def __len__(self) -> int:
-        return len(self._samples)
+    ``buckets`` are ``(upper_bound, count)`` pairs sorted by bound —
+    non-cumulative by default (the :func:`delta_buckets` shape), or
+    cumulative with ``cumulative=True``.  Interpolates linearly inside
+    the winning bucket between the previous bound and its own, which
+    matches :meth:`Histogram.percentile` up to the min/max clamp.
+    """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("percentile must be within [0, 100]")
+    counts: List[Tuple[float, int]] = []
+    last = 0
+    for bound, value in buckets:
+        count = (value - last) if cumulative else value
+        last = value
+        if count:
+            counts.append((bound, count))
+    total = sum(count for _, count in counts)
+    if not total:
+        return None
+    rank = p / 100.0 * total
+    seen = 0
+    lower = 0.0
+    for bound, count in counts:
+        if seen + count >= rank:
+            fraction = (rank - seen) / count
+            return lower + (bound - lower) * min(max(fraction, 0.0), 1.0)
+        seen += count
+        lower = bound
+    return counts[-1][0]
+
+
+def _increase(samples: Sequence[TelemetrySample], name: str) -> float:
+    """Growth of one counter across ``samples`` (oldest first).
+
+    A value smaller than its predecessor means the counter reset
+    (process restart); the growth since the reset is counted from zero,
+    exactly like Prometheus's ``increase()``.
+    """
+    values = [sample.counters.get(name, 0.0) for sample in samples]
+    return sum(
+        (b - a if b >= a else b for a, b in zip(values, values[1:])), 0.0
+    )
+
+
+class SampleRing(deque):
+    """One peer's bounded ring of samples, oldest first."""
 
     def latest(self) -> Optional[TelemetrySample]:
-        return self._samples[-1] if self._samples else None
-
-    def window(self, duration: float) -> List[TelemetrySample]:
-        if not self._samples:
-            return []
-        horizon = self._samples[-1].t - duration
-        return [s for s in self._samples if s.t >= horizon]
-
-    # ------------------------------------------------------------------
-    # rollups
-    # ------------------------------------------------------------------
-    def increase(self, name: str, window: float) -> float:
-        series = self.series.get(name)
-        return series.increase(window) if series is not None else 0.0
-
-    def rate(self, name: str, window: float) -> float:
-        series = self.series.get(name)
-        return series.rate(window) if series is not None else 0.0
-
-    def latency_percentile(self, p: float, window: float) -> Optional[float]:
-        """Windowed latency quantile from bucket deltas between the
-        oldest and newest in-window snapshots."""
-        samples = self.window(window)
-        if not samples:
-            return None
-        if len(samples) == 1:
-            return percentile_from_buckets(
-                samples[0].latency_buckets, p, cumulative=True
-            )
-        grown = delta_buckets(samples[0].latency_buckets, samples[-1].latency_buckets)
-        if not grown:
-            # nothing finished inside the window: fall back to all-time
-            return percentile_from_buckets(
-                samples[-1].latency_buckets, p, cumulative=True
-            )
-        return percentile_from_buckets(grown, p)
-
-    def rollup(self, window: float) -> Dict[str, Any]:
-        """The windowed statistics the SLO rules read.
-
-        ``*_rate`` keys are per-time-unit; ``shed_rate`` and
-        ``partial_rate`` are *fractions* of the window's offered /
-        finished queries.
-        """
-        finished = self.increase("queries_finished", window)
-        shed = self.increase("queries_shed", window)
-        partial = self.increase("partial_results", window)
-        offered = finished + shed
-        latest = self.latest()
-        return {
-            "window": window,
-            "up": bool(latest.up) if latest is not None else False,
-            "queries_finished": finished,
-            "query_rate": self.rate("queries_finished", window),
-            "message_rate": self.rate("messages", window),
-            "byte_rate": self.rate("bytes", window),
-            "shed_rate": (shed / offered) if offered else 0.0,
-            "partial_rate": (partial / finished) if finished else 0.0,
-            "deadline_rate": (
-                self.increase("deadline_expirations", window) / finished
-                if finished
-                else 0.0
-            ),
-            "p50_latency": self.latency_percentile(50, window),
-            "p90_latency": self.latency_percentile(90, window),
-            "p99_latency": self.latency_percentile(99, window),
-            "inflight": (latest.gauges.get("inflight_queries", 0) if latest else 0),
-        }
+        return self[-1] if self else None
 
 
 class ClusterSeries:
-    """Per-peer series plus cluster-wide rollups.
+    """Each peer's bounded ring of samples, and the one windowed rollup.
 
-    The cluster rollup sums counter movement across peers, takes
-    latency percentiles over the *merged* bucket deltas (not an average
-    of percentiles), and reports availability as the alive fraction of
-    the latest scrape round.
+    The rollup sums counter movement across peers, takes latency
+    percentiles over the *merged* bucket deltas (not an average of
+    percentiles), and reports availability as the alive fraction of the
+    latest scrape round.  The in-sim driver keeps a one-peer series, so
+    both runtimes are judged by the same formula.
+
+    Args:
+        capacity: Samples retained per peer; older ones fall off the
+            front.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        if capacity < 2:
+            raise ValueError("a time series needs capacity >= 2")
         self.capacity = capacity
-        self.peers: Dict[str, PeerSeries] = {}
+        self.peers: Dict[str, SampleRing] = {}
 
     def append(self, peer_id: str, sample: TelemetrySample) -> None:
-        series = self.peers.get(peer_id)
-        if series is None:
-            series = self.peers[peer_id] = PeerSeries(self.capacity)
-        series.append(sample)
+        ring = self.peers.get(peer_id)
+        if ring is None:
+            ring = self.peers[peer_id] = SampleRing(maxlen=self.capacity)
+        ring.append(sample)
 
-    def rollup(self, window: float) -> Dict[str, Any]:
+    def rollup(
+        self, window: float, peers: Optional[Iterable[str]] = None
+    ) -> Dict[str, Any]:
+        """The windowed statistics the SLO rules read, over every peer
+        or only ``peers``.
+
+        A peer's window is its samples no older than ``window`` before
+        its newest one.  Counters and latency buckets are read off the
+        window's *up* samples only — a ``down`` sample carries neither —
+        so the oldest up sample is the baseline of both.  When nothing
+        finished since that baseline the percentiles are ``None`` (what
+        Prometheus's ``histogram_quantile`` over an empty ``rate()``
+        gives), never the all-time distribution; only a window holding a
+        single up sample (a scraper's first round), having no baseline,
+        reads that sample's whole histogram.  ``query_rate`` and
+        ``message_rate`` are per time unit; ``shed_rate``,
+        ``partial_rate`` and ``deadline_rate`` are *fractions* of the
+        window's offered / finished queries.
+        """
         finished = shed = partial = deadline = 0.0
         rate = mrate = 0.0
         inflight = 0.0
         merged: Dict[float, int] = {}
         up = total = 0
-        for series in self.peers.values():
-            finished += series.increase("queries_finished", window)
-            shed += series.increase("queries_shed", window)
-            partial += series.increase("partial_results", window)
-            deadline += series.increase("deadline_expirations", window)
-            rate += series.rate("queries_finished", window)
-            mrate += series.rate("messages", window)
-            samples = series.window(window)
-            if len(samples) >= 2:
-                for bound, count in delta_buckets(
-                    samples[0].latency_buckets, samples[-1].latency_buckets
-                ):
+        for peer_id in self.peers if peers is None else peers:
+            ring = self.peers[peer_id]
+            latest = ring[-1]
+            horizon = latest.t - window
+            alive = [s for s in ring if s.up and s.t >= horizon]
+            grown = _increase(alive, "queries_finished")
+            finished += grown
+            shed += _increase(alive, "queries_shed")
+            partial += _increase(alive, "partial_results")
+            deadline += _increase(alive, "deadline_expirations")
+            if len(alive) >= 2 and alive[-1].t > alive[0].t:
+                elapsed = alive[-1].t - alive[0].t
+                rate += grown / elapsed
+                mrate += _increase(alive, "messages") / elapsed
+            if alive:
+                baseline = alive[0].latency_buckets if len(alive) > 1 else ()
+                for bound, count in delta_buckets(baseline, alive[-1].latency_buckets):
                     merged[bound] = merged.get(bound, 0) + count
-            elif samples:
-                last = 0
-                for bound, cumulative in samples[-1].latency_buckets:
-                    merged[bound] = merged.get(bound, 0) + cumulative - last
-                    last = cumulative
-            latest = series.latest()
-            if latest is not None:
-                total += 1
-                if latest.up:
-                    up += 1
-                    inflight += float(latest.gauges.get("inflight_queries", 0) or 0)
+            total += 1
+            if latest.up:
+                up += 1
+                inflight += float(latest.gauges.get("inflight_queries", 0) or 0)
         offered = finished + shed
         buckets = sorted(merged.items())
         return {

@@ -73,7 +73,7 @@ class ClusterScraper:
             scaled-wall-time clock so live timelines read in the same
             units as simulated ones.
         rules: SLO rules for the cluster monitor (stock set if empty).
-        window: Rollup window passed to every evaluation.
+        window: The monitor's rollup window, for every evaluation.
         timeline: Timeline filename (``None`` disables the file).
     """
 
@@ -87,9 +87,8 @@ class ClusterScraper:
     ):
         self.outdir = Path(outdir)
         self.clock = clock
-        self.window = window
         self.series = ClusterSeries()
-        self.monitor = SLOMonitor(rules, scope="cluster")
+        self.monitor = SLOMonitor(rules, scope="cluster", window=window)
         self.health: Dict[str, Dict[str, Any]] = {}
         self.rounds = 0
         self.scrape_failures = 0
@@ -136,7 +135,7 @@ class ClusterScraper:
                     "inflight": sample.gauges.get("inflight_queries", 0),
                 }
             )
-        rollup = self.series.rollup(self.window)
+        rollup = self.series.rollup(self.monitor.window)
         rollup["t"] = t
         self._append_timeline({"kind": "rollup", **rollup})
         alerts = self.monitor.evaluate(t, rollup)
@@ -164,7 +163,9 @@ class ClusterScraper:
         return {
             "rounds": self.rounds,
             "scrape_failures": self.scrape_failures,
-            "rollup": self.series.rollup(self.window) if self.series.peers else None,
+            "rollup": (
+                self.series.rollup(self.monitor.window) if self.series.peers else None
+            ),
             "alerts": list(self.monitor.history),
             "active_alerts": self.monitor.active(),
             "health": dict(self.health),

@@ -1,17 +1,17 @@
 """Declarative SLO monitors over sliding-window rollups.
 
 An :class:`SLORule` names one statistic of a rollup dict (the output of
-:meth:`~repro.obs.telemetry.sampler.PeerSeries.rollup` or
 :meth:`~repro.obs.telemetry.sampler.ClusterSeries.rollup`), a
 comparison and a threshold, plus a debounce: the rule only *fires*
 after the predicate has held for ``for_samples`` consecutive
 evaluations — one slow scrape is noise, three in a row is an incident.
 
-The :class:`SLOMonitor` evaluates every rule per tick and emits
-structured alert events on **transitions** only (``firing`` /
-``resolved``), so a timeline records incidents, not every evaluation.
-Events are plain dicts with a stable schema (``repro.obs/alert-v1``)
-that land in ``timeline.jsonl`` and in a run's ``report.json``.
+The :class:`SLOMonitor` evaluates every rule per tick over rollups of
+its own ``window`` and emits structured alert events on **transitions**
+only (``firing`` / ``resolved``), so a timeline records incidents, not
+every evaluation.  Events are plain dicts with a stable schema
+(``repro.obs/alert-v1``) that land in ``timeline.jsonl`` and in a run's
+``report.json``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class SLORule(NamedTuple):
         op: Comparison that means *violated* (``">"`` fires when the
             observed value exceeds ``threshold``).
         threshold: The objective's bound.
-        window: Sliding-window width (same clock as the samples).
         for_samples: Consecutive violating evaluations before firing.
         description: One line for operators.
     """
@@ -48,7 +47,6 @@ class SLORule(NamedTuple):
     metric: str
     op: str
     threshold: float
-    window: float = 60.0
     for_samples: int = 2
     description: str = ""
 
@@ -66,25 +64,24 @@ def default_slo_rules(
     shed_bound: float = 0.25,
     availability_floor: float = 0.75,
     partial_bound: float = 0.5,
-    window: float = 60.0,
 ) -> Tuple[SLORule, ...]:
     """The stock rule set a launch/serve run monitors."""
     return (
         SLORule(
-            "p99-latency", "p99_latency", ">", p99_bound, window=window,
+            "p99-latency", "p99_latency", ">", p99_bound,
             description=f"windowed p99 query latency above {p99_bound:g}",
         ),
         SLORule(
-            "shed-rate", "shed_rate", ">", shed_bound, window=window,
+            "shed-rate", "shed_rate", ">", shed_bound,
             description=f"more than {shed_bound:.0%} of offered queries shed",
         ),
         SLORule(
             "availability", "availability", "<", availability_floor,
-            window=window, for_samples=1,
+            for_samples=1,
             description=f"fewer than {availability_floor:.0%} of peers up",
         ),
         SLORule(
-            "partial-rate", "partial_rate", ">", partial_bound, window=window,
+            "partial-rate", "partial_rate", ">", partial_bound,
             description=f"more than {partial_bound:.0%} of answers partial",
         ),
     )
@@ -97,11 +94,19 @@ class SLOMonitor:
         rules: The objectives to watch.
         scope: Label for the monitored entity (``"cluster"`` or a peer
             id); lands in every alert event.
+        window: Sliding-window width of the rollups the monitor is fed
+            (same clock as the samples); stamped into every alert event.
     """
 
-    def __init__(self, rules: Tuple[SLORule, ...] = (), scope: str = "cluster"):
+    def __init__(
+        self,
+        rules: Tuple[SLORule, ...] = (),
+        scope: str = "cluster",
+        window: float = 60.0,
+    ):
         self.rules = tuple(rules) or default_slo_rules()
         self.scope = scope
+        self.window = window
         self._violations: Dict[str, int] = {}
         self.firing: Dict[str, Dict[str, Any]] = {}
         #: every transition event ever emitted, in order
@@ -114,46 +119,30 @@ class SLOMonitor:
             violated = rule.violated(rollup)
             if violated is None:
                 continue
-            streak = self._violations.get(rule.name, 0)
-            streak = streak + 1 if violated else 0
+            streak = self._violations.get(rule.name, 0) + 1 if violated else 0
             self._violations[rule.name] = streak
-            value = rollup.get(rule.metric)
-            if streak >= rule.for_samples and rule.name not in self.firing:
-                event = {
-                    "schema": ALERT_SCHEMA,
-                    "kind": "alert",
-                    "state": "firing",
-                    "rule": rule.name,
-                    "scope": self.scope,
-                    "metric": rule.metric,
-                    "op": rule.op,
-                    "threshold": rule.threshold,
-                    "value": value,
-                    "window": rule.window,
-                    "t": t,
-                    "description": rule.description,
-                }
+            fires = streak >= rule.for_samples and rule.name not in self.firing
+            if not fires and (violated or rule.name not in self.firing):
+                continue
+            event = {
+                "schema": ALERT_SCHEMA,
+                "kind": "alert",
+                "state": "firing" if fires else "resolved",
+                "rule": rule.name,
+                "scope": self.scope,
+                "metric": rule.metric,
+                "op": rule.op,
+                "threshold": rule.threshold,
+                "value": rollup.get(rule.metric),
+                "window": self.window,
+                "t": t,
+            }
+            if fires:
                 self.firing[rule.name] = event
-                events.append(event)
-            elif not violated and rule.name in self.firing:
-                fired = self.firing.pop(rule.name)
-                events.append(
-                    {
-                        "schema": ALERT_SCHEMA,
-                        "kind": "alert",
-                        "state": "resolved",
-                        "rule": rule.name,
-                        "scope": self.scope,
-                        "metric": rule.metric,
-                        "op": rule.op,
-                        "threshold": rule.threshold,
-                        "value": value,
-                        "window": rule.window,
-                        "t": t,
-                        "fired_at": fired["t"],
-                        "description": rule.description,
-                    }
-                )
+            else:
+                event["fired_at"] = self.firing.pop(rule.name)["t"]
+            event["description"] = rule.description
+            events.append(event)
         self.history.extend(events)
         return events
 

@@ -57,7 +57,6 @@ class WorkloadDriver:
         self.probe = None
         self.telemetry_series = None
         self.slo_monitor = None
-        self.slo_window = 60.0
         self.slo_events: List[dict] = []
 
     @property
@@ -68,13 +67,15 @@ class WorkloadDriver:
     def attach_telemetry(self, probe=None, rules=(), window: float = 60.0):
         """Sample telemetry on every completed outcome.
 
-        Pull-based and uncharged: each completion reads the metrics
-        into a :class:`~repro.obs.telemetry.sampler.PeerSeries` and
-        evaluates the SLO monitor — no simulator events are scheduled,
+        Pull-based and uncharged: each completion appends the probe's
+        sample to a one-peer
+        :class:`~repro.obs.telemetry.sampler.ClusterSeries` and
+        evaluates the SLO monitor over its rollup, the one a live
+        cluster's scraper evaluates — no simulator events are scheduled,
         so an instrumented run stays bit-identical to a bare one.
         Returns the driver for chaining.
         """
-        from ..obs.telemetry import PeerSeries, SLOMonitor, TelemetryProbe
+        from ..obs.telemetry import ClusterSeries, SLOMonitor, TelemetryProbe
 
         if probe is None:
             probe = TelemetryProbe(
@@ -82,9 +83,8 @@ class WorkloadDriver:
                 peers=[*self.system.peers.values(), *self.system.super_peers.values()],
             )
         self.probe = probe
-        self.telemetry_series = PeerSeries()
-        self.slo_monitor = SLOMonitor(tuple(rules), scope="sim")
-        self.slo_window = window
+        self.telemetry_series = ClusterSeries()
+        self.slo_monitor = SLOMonitor(tuple(rules), scope="sim", window=window)
         return self
 
     # ------------------------------------------------------------------
@@ -193,12 +193,9 @@ class WorkloadDriver:
         self.outcomes.append(outcome)
         if self.probe is not None:
             sample = self.probe.sample()
-            self.telemetry_series.append(sample)
-            self.slo_events.extend(
-                self.slo_monitor.evaluate(
-                    sample.t, self.telemetry_series.rollup(self.slo_window)
-                )
-            )
+            self.telemetry_series.append(self.probe.node_id, sample)
+            rollup = self.telemetry_series.rollup(self.slo_monitor.window)
+            self.slo_events.extend(self.slo_monitor.evaluate(sample.t, rollup))
         if self.spec.mode == "closed":
             index = self._claim_index()
             if index is not None:

@@ -81,10 +81,7 @@ def live_peer(tmp_path):
 class TestScrapeLoop:
     def availability_rule(self):
         return (
-            SLORule(
-                "availability", "availability", "<", 0.75,
-                window=60.0, for_samples=1,
-            ),
+            SLORule("availability", "availability", "<", 0.75, for_samples=1),
         )
 
     def test_scrape_once_writes_samples_rollup_and_alert(self, live_peer):

@@ -1,8 +1,8 @@
-"""Tests for the bucketed histogram (repro.obs.histogram)."""
+"""Tests for the bucketed histogram (repro.metrics.histogram)."""
 
 import pytest
 
-from repro.obs.histogram import FLUSH_THRESHOLD, Histogram
+from repro.metrics.histogram import FLUSH_THRESHOLD, Histogram
 
 
 class TestRecording:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.histogram import DEFAULT_GROWTH, Histogram
+from repro.metrics.histogram import DEFAULT_GROWTH, Histogram
 
 values = st.lists(
     st.floats(min_value=1e-3, max_value=1e4, allow_nan=False,

@@ -4,15 +4,15 @@ import json
 
 from repro.obs.telemetry import (
     ClusterSeries,
-    PeerSeries,
     TelemetryProbe,
     parse_exposition,
     sample_from_exposition,
     sample_metricset,
 )
 from repro.obs.telemetry.probe import HEALTH_SCHEMA, TRACEZ_SCHEMA
-from repro.obs.telemetry.sampler import COUNTER_NAMES, SAMPLED_COUNTERS
+from repro.obs.telemetry.sampler import EXPOSITION_FAMILIES, SAMPLED_COUNTERS
 from repro.systems import HybridSystem
+from repro.workload_engine import WorkloadDriver, WorkloadSpec
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
 
@@ -66,13 +66,13 @@ class TestProbe:
         # every query, end with identical metric snapshots
         bare, watched = paper_system(seed=3), paper_system(seed=3)
         probe = probed(watched)
-        series = PeerSeries()
+        series = ClusterSeries()
         for _ in range(3):
             bare.query("P1", PAPER_QUERY)
             watched.query("P1", PAPER_QUERY)
             probe.healthz()
             probe.tracez()
-            series.append(probe.sample())
+            series.append(probe.node_id, probe.sample())
         assert bare.network.metrics.snapshot() == watched.network.metrics.snapshot()
 
 
@@ -91,8 +91,8 @@ class TestSamplingPipeline:
         scraped = sample_from_exposition(
             parse_exposition(probe.metrics_text()), t=1.0
         )
-        assert tuple(direct.counters) == COUNTER_NAMES
-        assert len(COUNTER_NAMES) == 13  # a sample stays a selection
+        assert tuple(direct.counters) == tuple(EXPOSITION_FAMILIES)
+        assert len(EXPOSITION_FAMILIES) == 13  # a sample stays a selection
         assert all(direct.counters.values())
         assert scraped.counters == direct.counters
         assert scraped.latency_buckets == direct.latency_buckets
@@ -100,10 +100,10 @@ class TestSamplingPipeline:
     def test_rollup_rates_and_percentiles(self):
         system = paper_system()
         probe = probed(system)
-        series = PeerSeries()
+        series = ClusterSeries()
         for round_index in range(3):
             system.query("P1", PAPER_QUERY)
-            series.append(probe.sample())
+            series.append(probe.node_id, probe.sample())
         rollup = series.rollup(window=10_000.0)
         assert rollup["queries_finished"] == 2.0  # deltas span 3 samples
         assert rollup["query_rate"] > 0
@@ -125,3 +125,34 @@ class TestSamplingPipeline:
         assert rollup["peers"] == 2
         assert rollup["peers_up"] == 1
         assert rollup["availability"] == 0.5
+
+    def test_sim_watchdog_rolls_up_like_a_one_peer_cluster(self):
+        # the driver's SLO watchdog and a scraper's series, fed the same
+        # samples, agree on every window — a quiet one included
+        system = paper_system()
+        seen = []
+
+        class Recording(TelemetryProbe):
+            def sample(self, gauges=None):
+                seen.append(super().sample(gauges))
+                return seen[-1]
+
+        spec = WorkloadSpec(queries=(("P1", PAPER_QUERY),), count=4,
+                            mode="closed", clients=1)
+        driver = WorkloadDriver(system, spec).attach_telemetry(
+            probe=Recording(system.network, peers=list(system.peers.values()))
+        )
+        driver.install()
+        system.network.run()
+        assert len(seen) == 4
+        # two later samples with nothing finished in between
+        quiet = [seen[-1]._replace(t=seen[-1].t + dt) for dt in (1_000.0, 1_001.0)]
+        for sample in quiet:
+            driver.telemetry_series.append(driver.probe.node_id, sample)
+        cluster = ClusterSeries()
+        for sample in [*seen, *quiet]:
+            cluster.append("P1", sample)
+        for window in (5.0, 60.0, 10_000.0):
+            assert driver.telemetry_series.rollup(window) == cluster.rollup(window)
+        assert cluster.rollup(60.0)["p99_latency"] is None
+        assert cluster.rollup(10_000.0)["p99_latency"] is not None

@@ -7,7 +7,7 @@ from repro.obs.telemetry.slo import ALERT_SCHEMA
 def rule(**overrides):
     base = dict(
         name="shed-rate", metric="shed_rate", op=">", threshold=0.25,
-        window=60.0, for_samples=2, description="too many sheds",
+        for_samples=2, description="too many sheds",
     )
     base.update(overrides)
     return SLORule(**base)
@@ -79,14 +79,17 @@ class TestDefaults:
         assert availability.for_samples == 1  # a down peer is never noise
 
     def test_bounds_are_tunable(self):
-        rules = default_slo_rules(p99_bound=42.0, shed_bound=0.1, window=5.0)
+        rules = default_slo_rules(p99_bound=42.0, shed_bound=0.1)
         p99 = next(r for r in rules if r.name == "p99-latency")
-        assert p99.threshold == 42.0 and p99.window == 5.0
+        assert p99.threshold == 42.0
         shed = next(r for r in rules if r.name == "shed-rate")
         assert shed.threshold == 0.1
 
     def test_render_alert_is_one_line(self):
-        monitor = SLOMonitor((rule(for_samples=1),))
+        # the window an event names is the monitor's, the one its
+        # rollups were taken over
+        monitor = SLOMonitor((rule(for_samples=1),), window=120.0)
         (event,) = monitor.evaluate(7.0, {"shed_rate": 0.5})
         line = render_alert(event)
         assert "FIRING" in line and "shed-rate" in line and "\n" not in line
+        assert event["window"] == 120.0 and line.endswith("over 120")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs import (
+    Span,
     render_trace,
     spans_from_dicts,
     stitch_trace_exports,
@@ -75,6 +76,16 @@ class TestStitching:
         spans = stitch_trace_exports(exports)["q1"]
         problems = validate_trace_dicts(spans, cross_clock=True)
         assert any("orphan" in p for p in problems)
+
+    def test_span_dicts_round_trip(self):
+        exports = two_process_exports()
+        node_span = exports[1]["traces"][0]["spans"][1]
+        node_span["attributes"] = {"rows": 3, "plan": "Q1@P1", "cached": False}
+        node_span["events"] = [[10.2, "retry 1"], [10.5, "packet seq=0"]]
+        exports[0]["traces"][0]["spans"][0]["end"] = None  # still running
+        for spans in stitch_trace_exports(exports).values():
+            for record in spans:
+                assert Span.from_dict(record).to_dict() == record
 
     def test_stitched_spans_render(self):
         spans = spans_from_dicts(

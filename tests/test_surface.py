@@ -76,6 +76,12 @@ MAX_ROUTING_CACHE_CONSTRUCTION_SITES = 1
 #: ``membership/`` (1 before): the Query-Routing Algorithm is reached
 #: through ``SONRegistry.route`` alone, never over a role's own list
 MAX_ROLE_LEVEL_ROUTE_QUERY_CALLS = 0
+#: import statements under ``metrics/`` that reach ``repro.obs`` (2 while
+#: ``Histogram`` lived there): dependencies run one way, obs reads metrics
+MAX_METRICS_IMPORTS_OF_OBS = 0
+#: ``def rollup`` under ``obs/`` (2 while the in-sim ``PeerSeries`` kept
+#: its own beside ``ClusterSeries``): sim and live share one rollup
+MAX_OBS_ROLLUPS = 1
 
 
 def _trees(*packages):
@@ -228,6 +234,41 @@ def test_table_pivot_sites():
         and call.func.attr in ("from_table", "to_table")
     ]
     assert len(found) <= MAX_TABLE_PIVOT_SITES, found
+
+
+def _imports_reaching(target, path, tree):
+    """Import statements of one module that reach package ``target``
+    (relative imports resolved against the module's own package)."""
+    package = path.relative_to(SRC.parent).parts[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            module = ".".join((*base, *filter(None, [node.module])))
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == target or name.startswith(target + ".") for name in names):
+            yield f"{path.relative_to(SRC)}:{node.lineno}"
+
+
+def test_metrics_imports_nothing_from_obs():
+    found = [
+        site for path, tree in _trees("metrics")
+        for site in _imports_reaching("repro.obs", path, tree)
+    ]
+    assert len(found) <= MAX_METRICS_IMPORTS_OF_OBS, found
+
+
+def test_one_telemetry_rollup():
+    found = [
+        f"{path.relative_to(SRC)}:{function.lineno}"
+        for path, tree in _trees("obs")
+        for function in _functions(tree)
+        if function.name == "rollup"
+    ]
+    assert len(found) <= MAX_OBS_ROLLUPS, found
 
 
 def test_binding_table_importers():
