@@ -1,7 +1,8 @@
 """Relational operators over id tables.
 
 The kernels the execution engine composes above the scans: n-ary union
-and join with eager duplicate elimination and dead-column pruning, and
+and join with eager duplicate elimination and dead-column pruning (the
+join eliminates dead variables before it cascades), and
 the coordinator's final filter/project/pack step.  Operands and
 results are *id tables* — column-major
 :class:`~repro.execution.batch.BindingBatch` values whose cells are
@@ -16,6 +17,7 @@ row-major :meth:`BindingTable.join` / :meth:`BindingTable.union`.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import EvaluationError
@@ -52,39 +54,95 @@ def vunion_all_distinct(
 def vjoin_all_distinct(
     tables: Sequence[BindingBatch], needed: Optional[set] = None
 ) -> BindingBatch:
-    """Hash-join cascade with per-step duplicate elimination and
-    (optionally) dead-column pruning.
-
-    Sound for the same reason as :func:`vunion_all_distinct`: the set
-    of distinct rows of ``distinct(A) ⋈ distinct(B)`` equals that of
-    ``A ⋈ B``, and only the distinct set survives finalisation.
+    """Natural join of ``tables`` as a distinct projection onto
+    ``needed``, by dead-variable elimination, then a hash-join cascade.
 
     With ``needed`` set (the coordinator knows the query's projection
     and condition variables plus every variable the rest of the plan
-    still references), columns outside ``needed`` and outside every
-    yet-unjoined operand are projected away after each step *before*
-    the distinct — chain-interior variables stop keeping rows distinct,
-    which is what collapses the multiplicative intermediate blowup.
+    still references), a column outside it is *dead*.  The kernel
+
+    1. projects every operand onto the columns that are needed or held
+       by another operand, and de-duplicates it;
+    2. while a dead column is held by at least two operands but not by
+       all of those remaining, hash-joins exactly its holders (the
+       column whose holders have the smallest row-count product first,
+       ties in plan order), projects away every column now neither
+       needed nor held by another operand, de-duplicates, and puts the
+       result in the first holder's slot;
+    3. runs the left-deep cascade over what remains, pruning after each
+       step the columns neither needed nor held by a yet-unjoined
+       operand and de-duplicating, and aligns the header to the
+       columns' first appearance across ``tables``, needed ones only.
+
+    Step 2 is what keeps a chain's intermediates bounded: the interior
+    variable of ``(V0,V1) ⋈ (V1,V2) ⋈ (V2,)`` under ``SELECT V0, V1``
+    is gone after one join of its two holders, instead of multiplying
+    the fan-out of ``V1`` into a three-column intermediate first.
+
+    Sound because only the distinct projection survives finalisation:
+    ``π(distinct(A) ⋈ distinct(B))`` and ``π(A ⋈ B)`` have the same
+    distinct rows, the join is associative and commutative over row
+    sets, and a column no other operand holds and nothing above reads
+    can be projected away before the join instead of after it.  Only
+    the order of rows moves; with ``needed=None`` no column is dead and
+    the result is the plain cascade's, row order included.
     """
     if not tables:
         raise EvaluationError("join of zero tables")
-    remaining = [set(t.columns) for t in tables]
-    result = tables[0].distinct()
-    for index, table in enumerate(tables[1:], start=1):
-        result = result.hash_join(table.distinct())
-        if needed is not None:
-            later: set = set()
-            for columns in remaining[index + 1 :]:
-                later |= columns
-            keep = [c for c in result.columns if c in needed or c in later]
-            if len(keep) < len(result.columns):
-                result = result.project(keep)
-        result = result.distinct()
-    if needed is not None and len(tables) == 1:
-        keep = [c for c in result.columns if c in needed]
-        if len(keep) < len(result.columns):
-            result = result.project(keep).distinct()
-    return result
+    operands = [
+        _live_columns(table, needed, tables[:index] + tables[index + 1 :])
+        for index, table in enumerate(tables)
+    ]
+    if needed is not None:
+        operands = _eliminate_dead(operands, needed)
+    result = operands[0]
+    for index, table in enumerate(operands[1:], start=1):
+        result = _live_columns(result.hash_join(table), needed, operands[index + 1 :])
+    order = dict.fromkeys(c for table in tables for c in table.columns)
+    columns = tuple(c for c in order if needed is None or c in needed)
+    return result if result.columns == columns else result.align(columns)
+
+
+def _live_columns(
+    table: BindingBatch, needed: Optional[set], others: Sequence[BindingBatch]
+) -> BindingBatch:
+    """``table`` projected onto the columns that are ``needed`` or held
+    by one of ``others``, de-duplicated."""
+    if needed is not None:
+        keep = [
+            c for c in table.columns
+            if c in needed or any(c in other.data for other in others)
+        ]
+        if len(keep) < len(table.columns):
+            table = table.project(keep)
+    return table.distinct()
+
+
+def _eliminate_dead(
+    operands: List[BindingBatch], needed: set
+) -> List[BindingBatch]:
+    """Step 2 of :func:`vjoin_all_distinct`: join the holders of one
+    dead column at a time, until every dead column left is held by one
+    operand or by all of them."""
+    while True:
+        best = None
+        for column in dict.fromkeys(c for table in operands for c in table.columns):
+            if column in needed:
+                continue
+            holders = [i for i, table in enumerate(operands) if column in table.data]
+            if 1 < len(holders) < len(operands):
+                cost = prod(len(operands[i]) for i in holders)
+                if best is None or cost < best[0]:
+                    best = (cost, holders)
+        if best is None:
+            return operands
+        first, *others = best[1]
+        merged = operands[first]
+        for i in others:
+            merged = merged.hash_join(operands[i])
+        rest = [table for i, table in enumerate(operands) if i not in best[1]]
+        operands[first] = _live_columns(merged, needed, rest)
+        operands = [table for i, table in enumerate(operands) if i not in others]
 
 
 def referenced_columns(condition: Condition) -> set:

@@ -9,8 +9,8 @@ closed — so the walk wires either up the same way:
 
 * **gather** — :class:`BlockingCombine` holds each input's table and
   runs one vectorized kernel (``vjoin_all_distinct`` /
-  ``vunion_all_distinct``, eager de-duplication and dead-column
-  pruning) when its last input closes.
+  ``vunion_all_distinct``, eager de-duplication and dead-variable
+  elimination) when its last input closes.
 * **streaming** — Section 2.5's "ability to evaluate this plan in a
   pipeline way": with peers streaming result chunks
   (``DataPacket(final=False)``), :class:`JoinCascade` (symmetric hash

@@ -352,17 +352,22 @@ class SimplePeer(Peer):
     def handle_AdvertiseDelta(self, message: Message) -> None:
         """A known peer's advertisement changed incrementally:
         reconstruct the full advertisement from the held one plus the
-        delta (ad-hoc neighbours hold advertisements directly)."""
+        delta (ad-hoc neighbours hold advertisements directly).  A
+        delta that changes nothing — a duplicated delivery — leaves the
+        cached plans naming the sender alone."""
         delta: AdvertiseDelta = message.payload
         if delta.peer_id == self.peer_id:
             return
         if delta.stats is not None:
             self.statistics.fold_summary(delta.stats)
-        if self.sons.patch(delta) is None:
+        patched = self.sons.patch(delta)
+        if patched is None:
             # no baseline to patch: pull the full advertisement instead
             self.send(message.src, AdvertisementRequest(self.peer_id, 1))
             return
-        self._footprint_moved(delta.peer_id)
+        previous, advertisement = patched
+        if advertisement != previous:
+            self._footprint_moved(delta.peer_id)
 
     # ------------------------------------------------------------------
     # continuous (standing) queries

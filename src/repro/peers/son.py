@@ -15,7 +15,7 @@ through it; what differs between them stays on the role.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEFAULT_CONFIG
 from ..core.annotations import AnnotatedQueryPattern
@@ -114,18 +114,22 @@ class SONRegistry:
             store.log_advertise(advertisement)
         return previous
 
-    def patch(self, delta: AdvertiseDelta) -> Optional[ActiveSchema]:
+    def patch(
+        self, delta: AdvertiseDelta
+    ) -> Optional[Tuple[ActiveSchema, ActiveSchema]]:
         """Apply an incremental change to the advertisement it names
-        and file the result, which is returned; ``None`` when there is
-        no baseline to patch (the delta raced ahead of the first push,
-        or state was lost) and the caller should pull instead."""
+        and file the result; returns ``(held before, patched)``, equal
+        when the delta changed nothing (a duplicate).  ``None`` when
+        there is no baseline to patch (the delta raced ahead of the
+        first push, or state was lost) and the caller should pull
+        instead."""
         index = self._sons.get(delta.schema_uri)
         previous = index.get(delta.peer_id) if index is not None else None
         if previous is None:
             return None
         advertisement = apply_advertisement_delta(previous, delta)
         self.add(advertisement)
-        return advertisement
+        return previous, advertisement
 
     def remove_peer(self, peer_id: str) -> None:
         """Drop a departed peer from every SON."""

@@ -199,7 +199,9 @@ class SuperPeer(Peer):
         :meth:`~repro.core.routing_index.RoutingIndex.add` rebuckets
         the advertisement and invalidates exactly the affected
         routing-cache scope — so delta and full refreshes are
-        behaviourally identical, only cheaper on the wire."""
+        behaviourally identical, only cheaper on the wire.  A duplicated
+        delta refiles an equal advertisement, which ``add`` ignores: no
+        cache entry drops and nothing is logged."""
         delta: AdvertiseDelta = message.payload
         if delta.stats is not None and self.statistics is not None:
             self.statistics.fold_summary(delta.stats)

@@ -221,6 +221,37 @@ class TestVectorizedOperators:
         pruned = vjoin_all_distinct(batches(tables), {"X"})
         assert pruned.to_table() == folded.project(["X"]).distinct()
 
+    def test_vjoin_keeps_chain_intermediates_within_the_largest_operand(
+        self, monkeypatch
+    ):
+        """The ``sim-join`` shape: ``(V0,V1) ⋈ (V1,V2) ⋈ (V2,)`` under
+        ``SELECT V0, V1`` with a fan-out of 12 on ``V1``.  Joining the
+        first two in plan order multiplies that fan-out into ~12x the
+        largest operand; eliminating the dead ``V2`` first does not."""
+        hubs, fan_out = 40, 12
+        v0v1 = BindingBatch(("V0", "V1"), {
+            "V0": [h * fan_out + k for h in range(hubs) for k in range(fan_out)],
+            "V1": [h for h in range(hubs) for _ in range(fan_out)],
+        })
+        v1v2 = BindingBatch(("V1", "V2"), {
+            "V1": [h for h in range(hubs) for _ in range(fan_out)],
+            "V2": [(h + k) % hubs for h in range(hubs) for k in range(fan_out)],
+        })
+        v2 = BindingBatch(("V2",), {"V2": list(range(0, hubs, 2))})
+        outputs = []
+        hash_join = BindingBatch.hash_join
+
+        def recording(self, other):
+            out = hash_join(self, other)
+            outputs.append(len(out))
+            return out
+
+        monkeypatch.setattr(BindingBatch, "hash_join", recording)
+        result = vjoin_all_distinct([v0v1, v1v2, v2], {"V0", "V1"})
+        assert result.columns == ("V0", "V1")
+        assert len(result) == len(v0v1)  # every hub reaches an even V2
+        assert outputs and max(outputs) <= max(map(len, (v0v1, v1v2, v2)))
+
     def test_vectorized_conditions_match_scalar(self):
         t = table(
             ("X", "Y"),

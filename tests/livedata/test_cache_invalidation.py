@@ -127,3 +127,71 @@ def test_own_view_redefinition_evicts_own_plans_hybrid():
     assert not any(
         "P1" in entry[2] for entry in coordinator.plan_cache._entries.values()
     )
+
+
+def _warm(system, workload, coordinator="P1"):
+    for text in workload.queries:
+        try:
+            system.query(coordinator, text)
+        except Exception:
+            pass
+
+
+def _recording_deltas(monkeypatch, peer):
+    """Every AdvertiseDelta message ``peer`` handles, in arrival order."""
+    seen = []
+    handle = peer.handle_AdvertiseDelta
+
+    def record(message):
+        seen.append(message)
+        handle(message)
+
+    monkeypatch.setattr(peer, "handle_AdvertiseDelta", record)
+    return seen
+
+
+def test_duplicated_delta_keeps_cached_plans_adhoc(monkeypatch):
+    """A second copy of one AdvertiseDelta patches nothing, so the
+    plans naming its sender — recompiled since the first copy — stay."""
+    workload = make_workload(1)
+    system = build_adhoc(workload)
+    coordinator = system.peers["P1"]
+    _warm(system, workload)
+    cache = coordinator.plan_cache
+    planned = {peer for entry in cache._entries.values() for peer in entry[2]}
+    target = next(
+        p for p in sorted(planned)
+        if p != "P1" and len(_populated(workload, p)) >= 2
+    )
+    seen = _recording_deltas(monkeypatch, coordinator)
+    _OneShot(system, _redefinition_batch(workload, target)).fire()
+    system.run()
+    assert [m.payload.peer_id for m in seen] == [target]
+    _warm(system, workload)
+    assert any(target in entry[2] for entry in cache._entries.values()), (
+        "no plan names the sender after re-warming; scenario is vacuous"
+    )
+    entries = list(cache._entries)
+    before = system.network.metrics.cache_invalidations
+    coordinator.receive(seen[0], system.network)
+    assert list(cache._entries) == entries
+    assert system.network.metrics.cache_invalidations == before
+
+
+def test_duplicated_delta_keeps_routing_cache_hybrid(monkeypatch):
+    """The super-peer refiles the equal advertisement a duplicate
+    patches to, which drops no routing-cache entry."""
+    workload = make_workload(1)
+    system = build_hybrid(workload)
+    super_peer = system.super_peers["SP"]
+    seen = _recording_deltas(monkeypatch, super_peer)
+    _OneShot(system, _redefinition_batch(workload, "P2")).fire()
+    system.run()
+    assert [m.payload.peer_id for m in seen] == ["P2"]
+    _warm(system, workload)
+    before = system.network.metrics.cache_invalidations
+    hits = system.network.metrics.cache_hits
+    super_peer.receive(seen[0], system.network)
+    _warm(system, workload)
+    assert system.network.metrics.cache_invalidations == before
+    assert system.network.metrics.cache_hits > hits

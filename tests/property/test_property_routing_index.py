@@ -111,8 +111,11 @@ class TestRegistryEquivalence:
                 delta = AdvertiseDelta(uri, args[0], tuple(args[1]), tuple(args[2]))
                 patched = registry.patch(delta)
                 if args[0] in held:
-                    held[args[0]] = apply_advertisement_delta(held[args[0]], delta)
-                assert patched == held.get(args[0])
+                    before = held[args[0]]
+                    held[args[0]] = apply_advertisement_delta(before, delta)
+                    assert patched == (before, held[args[0]])
+                else:
+                    assert patched is None
             elif kind == "remove":
                 registry.remove_peer(args[0])
                 held.pop(args[0], None)
