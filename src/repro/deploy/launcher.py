@@ -46,7 +46,6 @@ from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
 from ..transport.live import AsyncioTransport
-from ..workload_engine import WorkloadDriver
 from .node import export_artifacts
 from .supervisor import Supervisor
 from .workload import ClusterSpec, ClusterWorkload, build_workload
@@ -334,17 +333,6 @@ class LiveCluster:
         self._next_query = self.transport.now + QUERY_INTERVAL
         client, query_id = self.submit(via, text)
         return self.await_result(client, query_id, timeout)
-
-    def serve(self, spec, settle: float = 200.0, timeout: float = QUERY_TIMEOUT):
-        """Drive a :class:`~repro.workload_engine.spec.WorkloadSpec`
-        against the live cluster; returns the workload report."""
-        driver = WorkloadDriver(self, spec)
-        driver.install()
-        self.transport.run_until(
-            lambda: len(driver.outcomes) >= spec.count, timeout
-        )
-        self.transport.run(until=self.transport.now + settle)
-        return driver.report()
 
     # ------------------------------------------------------------------
     # teardown and artifacts

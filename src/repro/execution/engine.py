@@ -177,11 +177,13 @@ class PlanExecutor:
     def _emit(self, chunk: BindingBatch) -> None:
         """The root's output: one table when gathering, a chunk at a
         time when streaming — where the top-k stop watches it."""
+        if self._finished:
+            return
         if chunk and self.first_output_at is None:
             self.first_output_at = self.network.now
         self._output.append(chunk)
         early_stop = self.strategy.early_stop
-        if early_stop is not None and chunk and not self._finished:
+        if early_stop is not None and chunk:
             merged = concat_tables(self._output)
             if early_stop(merged):
                 self.network.metrics.count("topk_cancels")
@@ -215,6 +217,7 @@ class PlanExecutor:
             self._finished = True
             self.span.finish("aborted")
             self._release_channels(salvage=True)
+            self._settle()
 
     def _release_channels(self, salvage: bool) -> None:
         """Tear down what is still open.  ``salvage`` marks an attempt
@@ -241,12 +244,24 @@ class PlanExecutor:
                     )
                 )
 
+    def _settle(self) -> Completion:
+        """Let go of everything that leads back to this executor — the
+        continuation, and the shipments and channels whose outputs close
+        over it — so a finished query dies by reference counting.  What
+        survives (``strategy``, ``span``, ``plan``, ``first_output_at``,
+        ``reused_rows``) is read by the coordinator after completion.
+        Salvaged phased channels run on: the channel manager holds them.
+        Returns the continuation, for the caller to call once."""
+        on_complete, self.on_complete = self.on_complete, None
+        self._output, self._channels, self._shipments = [], [], {}
+        return on_complete
+
     def _finish_ok(self, table: BindingBatch) -> None:
         if not self._finished:
             self._finished = True
             self.span.set(rows=len(table), reused_rows=self.reused_rows)
             self.span.finish()
-            self.on_complete(table, None)
+            self._settle()(table, None)
 
     def _fail(self, failed_peer: str) -> None:
         if not self._finished:
@@ -254,7 +269,7 @@ class PlanExecutor:
             self.span.set(failed_peer=failed_peer)
             self.span.finish("failed")
             self._release_channels(salvage=True)
-            self.on_complete(None, failed_peer)
+            self._settle()(None, failed_peer)
 
     # ------------------------------------------------------------------
     # the walk
@@ -291,6 +306,8 @@ class PlanExecutor:
     ) -> None:
         """Run ``node``: its output goes to ``emit`` (once or in
         chunks), then ``done`` is called."""
+        if self._finished:
+            return  # answered mid-walk (top-k stop): nothing more to run
         if isinstance(node, Hole):
             raise PlanningError(
                 f"cannot execute a plan with hole {node.render()}; fill it first"

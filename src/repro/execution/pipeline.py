@@ -184,19 +184,14 @@ class JoinCascade:
         self._stages: List[IncrementalHashJoin] = []
         self._inputs_done = [False] * len(input_columns)
         left = tuple(input_columns[0])
-        for index in range(1, len(input_columns)):
-            stage_index = index - 1
-            is_last = index == len(input_columns) - 1
-            stage_emit = emit if is_last else self._feeder(stage_index + 1)
-            stage = IncrementalHashJoin(left, tuple(input_columns[index]), stage_emit)
+        for columns in input_columns[1:]:
+            stage = IncrementalHashJoin(left, tuple(columns), emit)
+            if self._stages:
+                # the previous stage emits straight into this one: a
+                # closure over the cascade would be a reference cycle
+                self._stages[-1]._emit = stage.feed_left
             self._stages.append(stage)
             left = stage.out_columns
-
-    def _feeder(self, next_stage: int) -> Emit:
-        def feed(chunk: BindingBatch) -> None:
-            self._stages[next_stage].feed_left(chunk)
-
-        return feed
 
     @property
     def out_columns(self) -> Tuple[str, ...]:

@@ -28,6 +28,7 @@ from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rvl.active_schema import ActiveSchema
 from ..rvl.view import ViewDefinition
+from .coordinator import shape
 
 if TYPE_CHECKING:
     from .coordinator import PendingQuery
@@ -352,9 +353,12 @@ class Peer:
                 and limit is not None
                 and query.constraints.order_by is None
             ):
+                # closes over the parsed query, not ``query``: the pending
+                # query holds the executor, whose strategy holds ``stop``
+                parsed = query.query
 
                 def stop(merged: BindingBatch) -> bool:
-                    return len(query.shape(merged, self.dictionary)) >= limit
+                    return len(shape(parsed, merged, self.dictionary)) >= limit
 
             stream = config.pipelined_execution or stop is not None
             if config.failure_policy == "phased":
@@ -385,35 +389,39 @@ class Peer:
             for packet in packets:
                 self.send(root, packet)
             return
-        network = self._require_network()
         self._active_streams.add(channel_id)
+        self._send_stream_turn(root, channel_id, packets, 0)
 
-        def send_batch(index: int) -> None:
-            if channel_id in self._cancelled_streams:
-                # the root changed plans: terminate this stream and
-                # account the bindings it will never deliver
-                self._cancelled_streams.discard(channel_id)
-                self._active_streams.discard(channel_id)
-                remaining = sum(p.rows for p in packets[index:])
-                if remaining:
-                    network.metrics.count("discarded_bindings", remaining)
-                return
-            sent: set = set()  # the outputs this interval has served
-            while index < len(packets):
-                outputs = {output for output, _ in packets[index].tables}
-                if sent & outputs:
-                    break  # their next chunks wait for the next interval
-                sent |= outputs
-                self.send(root, packets[index])
-                index += 1
-            if index < len(packets):
-                network.call_later(
-                    self.config.stream_interval, lambda: send_batch(index)
-                )
-            else:
-                self._active_streams.discard(channel_id)
-
-        send_batch(0)
+    def _send_stream_turn(
+        self, root: str, channel_id: str, packets: list, index: int
+    ) -> None:
+        """One interval of a paced stream: from ``packets[index]`` on,
+        the next chunk of every output, then re-arm for the rest."""
+        network = self._require_network()
+        if channel_id in self._cancelled_streams:
+            # the root changed plans: terminate this stream and
+            # account the bindings it will never deliver
+            self._cancelled_streams.discard(channel_id)
+            self._active_streams.discard(channel_id)
+            remaining = sum(p.rows for p in packets[index:])
+            if remaining:
+                network.metrics.count("discarded_bindings", remaining)
+            return
+        sent: set = set()  # the outputs this interval has served
+        while index < len(packets):
+            outputs = {output for output, _ in packets[index].tables}
+            if sent & outputs:
+                break  # their next chunks wait for the next interval
+            sent |= outputs
+            self.send(root, packets[index])
+            index += 1
+        if index < len(packets):
+            network.call_later(
+                self.config.stream_interval,
+                partial(self._send_stream_turn, root, channel_id, packets, index),
+            )
+        else:
+            self._active_streams.discard(channel_id)
 
     def _remember_subplan(self, channel_id: str, payloads: list) -> None:
         """Cache a completed subplan's replies for retransmit replay

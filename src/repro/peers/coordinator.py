@@ -60,6 +60,14 @@ COMPLETED_QUERY_LIMIT = 128
 ResultContinuation = Callable[[QueryResult], None]
 
 
+def shape(query: RQLQuery, table: BindingBatch, dictionary) -> EncodedTable:
+    """Filter/project/de-duplicate a gathered id table into the answer
+    to ``query``, packed for the wire."""
+    return finalize_encoded(
+        table, dictionary, query.effective_projections(), query.conditions
+    )
+
+
 class PendingQuery:
     """Coordinator-side state of one in-flight query; everything here
     dies with the query."""
@@ -113,14 +121,6 @@ class PendingQuery:
         for condition in self.query.conditions:
             keep |= referenced_columns(condition)
         return frozenset(keep)
-
-    def shape(self, table: BindingBatch, dictionary) -> EncodedTable:
-        """Filter/project/de-duplicate a gathered id table into the
-        answer, packed for the wire."""
-        query = self.query
-        return finalize_encoded(
-            table, dictionary, query.effective_projections(), query.conditions
-        )
 
 
 class QueryCoordinator:
@@ -580,7 +580,7 @@ class QueryCoordinator:
         if table is not None:
             if coverage is not None:
                 network.metrics.count("partial_results")
-            table = pending.shape(table, self.peer.dictionary)
+            table = shape(pending.query, table, self.peer.dictionary)
             bounds = pending.constraints
             if bounds.order_by is not None or bounds.max_results is not None:
                 # ordering compares terms: the one case that unpacks here

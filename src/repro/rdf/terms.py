@@ -66,7 +66,8 @@ class URI(Term):
         return isinstance(other, URI) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("URI", self.value))
+        # the string's own (cached) hash: ``__eq__`` tells the kinds apart
+        return hash(self.value)
 
     def __lt__(self, other: "URI"):
         if not isinstance(other, URI):

@@ -13,6 +13,11 @@ class TestURI:
     def test_hashable(self):
         assert len({URI("http://a/x"), URI("http://a/x")}) == 1
 
+    def test_distinct_from_other_kinds_with_the_same_text(self):
+        terms = {URI("x"), Literal("x"), BNode("x"), Variable("x")}
+        assert len(terms) == 4
+        assert URI("x") in terms and "x" not in terms
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             URI("")
