@@ -25,7 +25,6 @@ from ..errors import RoutingError
 from ..rdf.schema import Schema
 from ..rql.pattern import QueryPattern
 from ..rvl.active_schema import ActiveSchema
-from ..subsumption.checker import is_subsumed
 from ..subsumption.rewriter import rewrite_for_peer
 from .annotations import AnnotatedQueryPattern, PeerAnnotation
 
@@ -66,10 +65,7 @@ def route_query(
             if advertisement.schema_uri != schema.namespace.uri:
                 # different SON: irrelevant by construction
                 continue
-            if not any(
-                is_subsumed(path, pattern.schema_path, schema) for path in advertisement
-            ):
-                continue
+            # ``None`` when no advertised path is subsumed by the pattern
             rewritten = rewrite_for_peer(pattern, advertisement, schema)
             if rewritten is None:
                 continue

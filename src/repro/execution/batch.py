@@ -20,6 +20,8 @@ tests pivot to compare the kernels against :meth:`BindingTable.join` /
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
@@ -37,17 +39,24 @@ class BindingBatch:
         length: Row count; required only for zero-column batches (the
             join identity has no columns but one row), inferred from
             ``data`` otherwise.
+        unique: Whether the rows are known to be pairwise distinct.
+            Only a kernel that guarantees it sets it (:meth:`distinct`,
+            :func:`distinct_union`, :meth:`hash_join` of two unique
+            inputs); :meth:`project` clears it unless it keeps every
+            column.  ``False`` claims nothing.
     """
 
-    __slots__ = ("columns", "data", "length")
+    __slots__ = ("columns", "data", "length", "unique")
 
     def __init__(
         self,
         columns: Sequence[str],
         data: Optional[Dict[str, List[Term]]] = None,
         length: Optional[int] = None,
+        unique: bool = False,
     ):
         self.columns: Tuple[str, ...] = tuple(columns)
+        self.unique = unique
         if len(set(self.columns)) != len(self.columns):
             raise EvaluationError(f"duplicate columns in {self.columns}")
         if data is None:
@@ -98,6 +107,10 @@ class BindingBatch:
         """Natural hash join (build on the smaller side, probe with the
         larger), producing ``self.columns`` + other-only columns — the
         same output convention as :meth:`BindingTable.join`.
+
+        The output is unique when both inputs are: an output row holds
+        all of a ``self`` row and the other-only cells of an ``other``
+        row, so two equal output rows come from one pair of rows.
         """
         shared = [c for c in self.columns if c in other.columns]
         other_only = [c for c in other.columns if c not in self.columns]
@@ -110,8 +123,11 @@ class BindingBatch:
         bucket_rows(build.join_keys(shared), buckets)
         probe_idx, build_idx = probe_rows(probe.join_keys(shared), buckets)
         if build_is_self:
-            return self.gather(other, other_only, out_columns, build_idx, probe_idx)
-        return self.gather(other, other_only, out_columns, probe_idx, build_idx)
+            out = self.gather(other, other_only, out_columns, build_idx, probe_idx)
+        else:
+            out = self.gather(other, other_only, out_columns, probe_idx, build_idx)
+        out.unique = self.unique and other.unique
+        return out
 
     def join_keys(self, shared: Sequence[str]) -> Sequence:
         """One hashable join key per row, over the ``shared`` columns."""
@@ -152,23 +168,20 @@ class BindingBatch:
         """
         if not batches:
             raise EvaluationError("concat of zero batches")
+        _check_union_columns(batches)
         first = batches[0]
         columns = first.columns
-        column_set = set(columns)
         data = {c: list(first.data[c]) for c in columns}
         length = first.length
         for batch in batches[1:]:
-            if set(batch.columns) != column_set:
-                raise EvaluationError(
-                    f"union over different columns: {columns} vs {batch.columns}"
-                )
             for column in columns:
                 data[column].extend(batch.data[column])
             length += batch.length
         return cls(columns, data, length=length)
 
     def project(self, columns: Sequence[str]) -> "BindingBatch":
-        """Keep only the named columns (column lists are copied)."""
+        """Keep only the named columns (column lists are copied).  The
+        rows stay unique only if no column is dropped."""
         missing = [c for c in columns if c not in self.data]
         if missing:
             raise EvaluationError(f"no column {missing[0]!r} in {self.columns}")
@@ -176,6 +189,7 @@ class BindingBatch:
             tuple(columns),
             {c: list(self.data[c]) for c in columns},
             length=self.length,
+            unique=self.unique and len(columns) == len(self.columns),
         )
 
     def compress(self, mask: Sequence[bool]) -> "BindingBatch":
@@ -192,17 +206,11 @@ class BindingBatch:
         return BindingBatch(self.columns, data, length=len(keep))
 
     def distinct(self) -> "BindingBatch":
-        """Drop duplicate rows, keeping first occurrences."""
-        if not self.columns:
-            return BindingBatch((), length=min(self.length, 1))
-        seen = set()
-        keep: List[int] = []
-        for index, row in enumerate(zip(*(self.data[c] for c in self.columns))):
-            if row not in seen:
-                seen.add(row)
-                keep.append(index)
-        data = {c: [self.data[c][i] for i in keep] for c in self.columns}
-        return BindingBatch(self.columns, data, length=len(keep))
+        """Drop duplicate rows, keeping first occurrences; a batch
+        already known to be unique is returned as it is."""
+        if self.unique:
+            return self
+        return distinct_union([self])
 
     def align(self, columns: Sequence[str]) -> "BindingBatch":
         """Reorder the header to ``columns`` (same column set)."""
@@ -211,7 +219,10 @@ class BindingBatch:
                 f"cannot align {self.columns} to {tuple(columns)}"
             )
         return BindingBatch(
-            tuple(columns), {c: self.data[c] for c in columns}, length=self.length
+            tuple(columns),
+            {c: self.data[c] for c in columns},
+            length=self.length,
+            unique=self.unique,
         )
 
     # ------------------------------------------------------------------
@@ -282,6 +293,47 @@ def probe_rows(
             build_idx.extend(bucket)
             probe_idx.extend([index] * len(bucket))
     return probe_idx, build_idx
+
+
+def distinct_union(
+    batches: Sequence[BindingBatch], columns: Optional[Sequence[str]] = None
+) -> BindingBatch:
+    """The distinct rows of the bag union of ``batches`` over
+    ``columns`` (default: the first batch's header), first occurrences
+    in order — without building the union: one ``dict.fromkeys`` runs
+    over the operands' chained rows, then the kept rows are transposed
+    back into columns.  Every batch must cover the first one's column
+    set (any permutation), as in :meth:`concat`."""
+    _check_union_columns(batches)
+    columns = batches[0].columns if columns is None else tuple(columns)
+    if not columns:
+        length = min(sum(batch.length for batch in batches), 1)
+        return BindingBatch((), length=length, unique=True)
+    if len(columns) == 1:
+        (column,) = columns
+        values = chain.from_iterable(batch.data[column] for batch in batches)
+        kept = list(dict.fromkeys(values))
+        return BindingBatch(columns, {column: kept}, unique=True)
+    rows = dict.fromkeys(
+        chain.from_iterable(
+            zip(*(batch.data[c] for c in columns)) for batch in batches
+        )
+    )
+    # one ``itemgetter`` pass per column: ``zip(*rows)`` would build an
+    # iterator per row, and feed the cyclic GC one object per row
+    data = {c: list(map(itemgetter(i), rows)) for i, c in enumerate(columns)}
+    return BindingBatch(columns, data, unique=True)
+
+
+def _check_union_columns(batches: Sequence[BindingBatch]) -> None:
+    """A union's operands cover one column set, in any order."""
+    columns = batches[0].columns
+    column_set = set(columns)
+    for batch in batches[1:]:
+        if set(batch.columns) != column_set:
+            raise EvaluationError(
+                f"union over different columns: {columns} vs {batch.columns}"
+            )
 
 
 def concat_tables(tables: Sequence[BindingBatch]) -> BindingBatch:

@@ -33,7 +33,9 @@ base mutations invalidate stale columns.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.algebra import Scan
@@ -71,12 +73,9 @@ class EncodedTable:
     ) -> "EncodedTable":
         """Pack a batch: number its distinct cell values in first-use
         order and let ``resolve`` turn them into terms."""
-        positions: dict = {}
-        position = positions.setdefault
-        ids = tuple(
-            tuple([position(cell, len(positions)) for cell in batch.data[name]])
-            for name in batch.columns
-        )
+        positions = defaultdict(count().__next__)
+        position = positions.__getitem__
+        ids = tuple(tuple(map(position, batch.data[name])) for name in batch.columns)
         return cls(batch.columns, tuple(resolve(positions)), ids, batch.length)
 
     @classmethod
@@ -95,8 +94,9 @@ class EncodedTable:
         return self._batch(self.terms).to_table()
 
     def _batch(self, values: Sequence) -> BindingBatch:
+        value = values.__getitem__
         data = {
-            name: [values[i] for i in column]
+            name: list(map(value, column))
             for name, column in zip(self.columns, self.ids)
         }
         return BindingBatch(self.columns, data, length=self.length)

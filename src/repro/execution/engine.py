@@ -27,6 +27,7 @@ semantics, or [Ives02]'s phased salvage).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
 
@@ -130,6 +131,12 @@ class PlanExecutor:
         self.network = network
         self.plan = plan
         self.sites = dict(sites or {})
+        #: the non-root site entries grouped by their first path element,
+        #: so shipping a subtree reads only its own branch's entries
+        self._branches: Dict[int, List[Tuple[TreePath, str]]] = {}
+        for p, s in self.sites.items():
+            if p:
+                self._branches.setdefault(p[0], []).append((p, s))
         self.query_id = query_id
         self.on_complete = on_complete or (lambda table, failed: None)
         self.strategy = strategy
@@ -328,12 +335,14 @@ class PlanExecutor:
         children = node.children()
         child_needed: List[Optional[set]] = [None] * len(children)
         if needed is not None:
+            # what the rest of the query references: the consumer's
+            # variables plus every sibling's (join keys included) — a
+            # variable some *other* child holds, counted once per child
             child_vars = [set(child.variables()) for child in children]
-            for index in range(len(children)):
-                # what the rest of the query references: the consumer's
-                # variables plus every sibling's (join keys included)
+            holders = Counter(v for variables in child_vars for v in variables)
+            for index, variables in enumerate(child_vars):
                 child_needed[index] = set(needed).union(
-                    *(v for j, v in enumerate(child_vars) if j != index)
+                    v for v, n in holders.items() if n > (v in variables)
                 )
         # the one difference between gathering and streaming
         if self.strategy.stream:
@@ -401,7 +410,8 @@ class PlanExecutor:
 
         outputs, sites = self._shipments.setdefault(site, ([], {}))
         depth = len(path)
-        for p, s in self.sites.items():
+        entries = self._branches.get(path[0], ()) if path else self.sites.items()
+        for p, s in entries:
             if p[:depth] == path and p != path:
                 sites[(len(outputs),) + p[depth:]] = s
         outputs.append(

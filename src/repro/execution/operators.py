@@ -24,14 +24,15 @@ from ..errors import EvaluationError
 from ..rdf.terms import Literal
 from ..rql.ast import Condition
 from ..rql.evaluator import _COMPARATORS
-from .batch import BindingBatch
+from .batch import BindingBatch, distinct_union
 from .encoded import EncodedTable
 
 
 def vunion_all_distinct(
     tables: Sequence[BindingBatch], needed: Optional[set] = None
 ) -> BindingBatch:
-    """Union with duplicate elimination after the concat.
+    """Union with duplicate elimination, in one pass over the operands'
+    rows (the concatenation is never built).
 
     The coordinator's final step is always a distinct projection, so
     dropping duplicates early changes no answer while keeping id-space
@@ -42,13 +43,12 @@ def vunion_all_distinct(
     """
     if not tables:
         raise EvaluationError("union of zero tables")
+    columns = tables[0].columns
     if needed is not None:
-        keep = [c for c in tables[0].columns if c in needed]
-        if len(keep) < len(tables[0].columns):
-            tables = [t.project(keep) for t in tables]
-    if len(tables) == 1:
+        columns = tuple(c for c in columns if c in needed)
+    if len(tables) == 1 and len(columns) == len(tables[0].columns):
         return tables[0].distinct()
-    return BindingBatch.concat(tables).distinct()
+    return distinct_union(tables, columns)
 
 
 def vjoin_all_distinct(

@@ -13,7 +13,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..channels.manager import ChannelManager
-from ..channels.packets import DataPacket, SubPlanPacket
+from ..channels.packets import DataPacket, SubPlanPacket, TreePath
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
@@ -281,12 +281,15 @@ class Peer:
             return
         self._executing_subplans.add(channel_id)
         tables: List[Optional[BindingBatch]] = [None] * len(packet.plans)
+        pending = len(packet.plans)
 
         def on_complete(output: int, table, failed: Optional[str]) -> None:
+            nonlocal pending
             if channel_id not in self._executing_subplans:
                 return  # the shipment already failed
             tables[output] = table
-            if failed is None and any(t is None for t in tables):
+            pending -= 1
+            if failed is None and pending:
                 return  # siblings still running
             self._executing_subplans.discard(channel_id)
             if failed is None:
@@ -305,11 +308,14 @@ class Peer:
             # failures are not remembered: a retransmit retries execution
             self.send(root, DataPacket(channel_id, failed_peer=failed))
 
+        sites: Dict[int, Dict[TreePath, str]] = {}
+        for p, s in packet.sites.items():
+            sites.setdefault(p[0], {})[p[1:]] = s
         executors = [
             self.plan_executor(
                 plan,
                 partial(on_complete, output),
-                sites={p[1:]: s for p, s in packet.sites.items() if p[0] == output},
+                sites=sites.get(output),
                 query_id=packet.query_id,
                 # stitch this remote execution under the shipped channel
                 # span: the arriving message carries the root's context

@@ -12,7 +12,7 @@ the peer — a table crossing a link names its terms itself
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 from .terms import Term
 
@@ -51,8 +51,13 @@ class TermDictionary:
             self._ids[term] = tid
         return tid
 
-    def encode_many(self, terms: Iterable[Term]) -> List[int]:
-        return [self.encode(term) for term in terms]
+    def encode_many(self, terms: Sequence[Term]) -> List[int]:
+        """The terms' ids: one lookup pass, interning term by term only
+        when some term is new."""
+        ids = list(map(self._ids.get, terms))
+        if None in ids:
+            return [self.encode(term) for term in terms]
+        return ids
 
     def decode(self, tid: int) -> Term:
         """The term behind an id; raises ``IndexError`` for unknown ids."""
@@ -61,8 +66,7 @@ class TermDictionary:
         return self._terms[tid]
 
     def decode_many(self, ids: Iterable[int]) -> List[Term]:
-        terms = self._terms
-        return [terms[tid] for tid in ids]
+        return list(map(self._terms.__getitem__, ids))
 
     def lookup(self, term: Term):
         """The term's id if interned, else ``None`` (no interning)."""

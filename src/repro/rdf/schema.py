@@ -16,7 +16,16 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
 from ..errors import SchemaError
 from .graph import Graph
 from .terms import Namespace, URI
-from .vocabulary import CLASS, DOMAIN, PROPERTY, RANGE, SUBCLASSOF, SUBPROPERTYOF, TYPE
+from .vocabulary import (
+    CLASS,
+    DOMAIN,
+    PROPERTY,
+    RANGE,
+    RESOURCE,
+    SUBCLASSOF,
+    SUBPROPERTYOF,
+    TYPE,
+)
 
 
 class PropertyDef:
@@ -232,8 +241,6 @@ class Schema:
 
     def is_subclass(self, child: URI, parent: URI) -> bool:
         """True when ``child`` ⊑ ``parent`` in the class DAG (reflexive)."""
-        from .vocabulary import RESOURCE
-
         if parent == RESOURCE:
             return True
         return parent in self.superclasses(child)

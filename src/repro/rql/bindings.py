@@ -13,6 +13,7 @@ is the one wire-size rule they share with this class.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
@@ -26,7 +27,7 @@ def table_size_bytes(columns: Sequence[str], cells: int, terms: Iterable[Term]) 
     names, an int32 per cell and each *distinct* term's rendering once
     — what :class:`~repro.execution.encoded.EncodedTable` ships."""
     header = 16 + sum(len(c) + 2 for c in columns)
-    return header + 4 * cells + sum(len(term.n3()) for term in terms)
+    return header + 4 * cells + sum(map(len, map(methodcaller("n3"), terms)))
 
 
 class BindingTable:

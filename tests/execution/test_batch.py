@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError
+from repro.execution import batch as batch_module
 from repro.execution.batch import BindingBatch
 from repro.execution.encoded import EncodedTable
 from repro.execution.operators import (
@@ -158,6 +159,21 @@ class TestConcatProjectCompress:
         batch = BindingBatch((), length=5)
         assert len(batch.distinct()) == 1
 
+    def test_distinct_of_a_flagged_batch_is_the_batch(self):
+        t = table(("X", "Y"), [(EX.a, EX.b), (EX.a, EX.b), (EX.c, EX.b)])
+        flagged = BindingBatch.from_table(t).distinct()
+        assert flagged.unique
+        assert flagged.distinct() is flagged
+
+    def test_projection_dropping_a_column_clears_the_flag(self):
+        t = table(("X", "Y"), [(EX.a, EX.b), (EX.c, EX.b)])
+        flagged = BindingBatch.from_table(t).distinct()
+        assert flagged.project(("Y", "X")).unique
+        assert flagged.align(("Y", "X")).unique
+        dropped = flagged.project(("Y",))
+        assert not dropped.unique
+        assert dropped.distinct().to_table().rows == [(EX.b,)]
+
     def test_align_reorders_header(self):
         batch = BindingBatch.from_table(table(("X", "Y"), [(EX.a, EX.b)]))
         aligned = batch.align(("Y", "X"))
@@ -251,6 +267,38 @@ class TestVectorizedOperators:
         assert result.columns == ("V0", "V1")
         assert len(result) == len(v0v1)  # every hub reaches an even V2
         assert outputs and max(outputs) <= max(map(len, (v0v1, v1v2, v2)))
+
+    def test_vjoin_over_union_outputs_skips_their_distinct_pass(
+        self, monkeypatch
+    ):
+        """Union outputs arrive flagged, so the join kernel runs no
+        de-duplication pass over an operand it keeps whole."""
+        left = vunion_all_distinct(batches([
+            table(("X", "Y"), [(EX.a, EX.b), (EX.c, EX.b)]),
+            table(("Y", "X"), [(EX.b, EX.a), (EX.d, EX.e)]),
+        ]))
+        right = vunion_all_distinct(batches([
+            table(("Y", "Z"), [(EX.b, EX.f)]),
+            table(("Y", "Z"), [(EX.e, EX.f), (EX.b, EX.f)]),
+        ]))
+        passes = []
+        distinct_union = batch_module.distinct_union
+
+        def recording(operands, columns=None):
+            passes.append(operands)
+            return distinct_union(operands, columns)
+
+        monkeypatch.setattr(batch_module, "distinct_union", recording)
+        # the dead Z is cut from ``right``, and the join's output is cut
+        # to X: only those two projections need a pass
+        result = vjoin_all_distinct([left, right], {"X"})
+        assert len(passes) == 2
+        assert all(
+            operand is not left and operand is not right
+            for operands in passes
+            for operand in operands
+        )
+        assert result.to_table().rows == [(EX.a,), (EX.c,)]
 
     def test_vectorized_conditions_match_scalar(self):
         t = table(
