@@ -8,6 +8,7 @@ failing under the coordinator, adaptive execution recovers answers
 from __future__ import annotations
 
 from repro.config import PeerConfig
+from repro.core.adaptivity import ReplanBudget
 from repro.errors import PeerError
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
@@ -22,10 +23,12 @@ QUERY = chain_query(SYNTH, 0, 2)
 
 
 def _system(adaptive: bool, seed: int = 0) -> HybridSystem:
+    # without adaptation the first failed attempt is final
+    budget = ReplanBudget() if adaptive else ReplanBudget(max_rounds=0)
     gen = generate_bases(
         SYNTH, PEERS, Distribution.HORIZONTAL, statements_per_segment=8, seed=seed
     )
-    system = HybridSystem(SYNTH.schema, config=PeerConfig(adaptive=adaptive))
+    system = HybridSystem(SYNTH.schema, config=PeerConfig(replan_budget=budget))
     system.add_super_peer("SP1")
     for peer_id, graph in gen.bases.items():
         system.add_peer(peer_id, graph, "SP1")

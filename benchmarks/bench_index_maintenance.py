@@ -8,9 +8,9 @@ update, an active-schema only when the intensional footprint flips.
 
 from __future__ import annotations
 
-from repro.config import reconfigure
 from repro.baselines import run_churn
-from repro.livedata import LiveDataDriver, UpdateStream
+from repro.livedata import LiveDataDriver, UpdateAck, UpdateStream
+from repro.peers.protocol import Advertise
 from repro.rdf import Graph
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
@@ -64,6 +64,36 @@ def _live_deployment(distribution, noise_properties):
     return synth, gen, system
 
 
+def _full_refresh(peer) -> None:
+    """Turn ``peer`` into the re-derive-and-republish baseline: after
+    every applied update batch it re-pushes each own advertisement
+    wholesale instead of a delta (correct, but pays full-advertisement
+    bytes for extensional churn the delta path ships nothing for)."""
+
+    def handle_UpdateBatch(message):
+        batch = message.payload
+        result = peer.live_maintainer().apply(batch)  # every peer has a base
+        peer._require_network().emit_event(
+            "update_batch",
+            peer=peer.peer_id,
+            revision=batch.revision,
+            applied=result.applied,
+        )
+        if result.applied or result.views_changed:
+            stats = peer.own_stat_summary()
+            for advertisement in peer.own_advertisements():
+                for target in peer._advertisement_targets():
+                    peer.send(target, Advertise(advertisement, stats=stats))
+            if peer._tracker is not None:
+                peer._tracker.mark_advertised()
+            peer._footprint_moved(peer.peer_id)
+        peer.send(
+            message.src, UpdateAck(peer.peer_id, batch.revision, result.applied)
+        )
+
+    peer.handle_UpdateBatch = handle_UpdateBatch
+
+
 def _ad_traffic(metrics):
     kinds = metrics.messages_by_kind
     sizes = metrics.bytes_by_kind
@@ -86,8 +116,9 @@ def live_maintenance_costs(
     republish baseline when it is on.  The stream is the same either
     way (same seed), so the runs differ only in maintenance policy."""
     synth, gen, system = _live_deployment(distribution, noise_properties)
-    for peer_id in LIVE_PEERS:
-        reconfigure(system.peers[peer_id], live_full_refresh=full_refresh)
+    if full_refresh:
+        for peer_id in LIVE_PEERS:
+            _full_refresh(system.peers[peer_id])
     before = _ad_traffic(system.network.metrics)
     stream = UpdateStream(
         synth.schema,

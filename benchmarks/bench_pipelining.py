@@ -23,7 +23,7 @@ def _system(pipelined: bool, interval: float) -> HybridSystem:
         paper_schema(),
         config=PeerConfig(
             pipelined_execution=pipelined,
-            stream_chunk_rows=1,
+            batch_size=1,
             stream_interval=interval,
         ),
     )
@@ -87,9 +87,9 @@ def bench_blocking_end_to_end(benchmark):
 
 
 def bench_streamed_chunks_keep_granularity(benchmark):
-    """Explicit pipelining overrides implicit batching: with
-    ``stream_chunk_rows=1`` every shipped batch carries at most one
-    binding even though the engine's ``batch_size`` default is 256."""
+    """Paced streaming keeps the chunk granularity: with
+    ``batch_size=1`` every shipped batch carries at most one binding,
+    however the chunks are spaced."""
     def run():
         system = _system(True, 1.0)
         table = system.query("P1", PAPER_QUERY)

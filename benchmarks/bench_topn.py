@@ -67,7 +67,7 @@ def _cancel_system(cancel: bool) -> HybridSystem:
     system = HybridSystem(
         CANCEL_SYNTH.schema,
         seed=CANCEL_SEED,
-        config=PeerConfig(topk_cancel=cancel, stream_chunk_rows=4),
+        config=PeerConfig(topk_cancel=cancel, batch_size=4, stream_interval=2.0),
     )
     system.add_super_peer("SP")
     for peer_id in CANCEL_PEERS:
@@ -138,7 +138,7 @@ def report() -> str:
         params={
             "seed": CANCEL_SEED,
             "peers": len(CANCEL_PEERS),
-            "stream_chunk_rows": 4,
+            "batch_size": 4,
             "query": CANCEL_QUERY,
         },
     )

@@ -88,13 +88,13 @@ def monitoring_demo() -> None:
     print("\n=== 4. Throughput monitoring (Section 2.5) ===")
     system = HybridSystem(
         paper_schema(),
-        config=PeerConfig(monitor_channels=True, monitor_interval=5.0),
+        config=PeerConfig(monitor_interval=5.0),
     )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
         system.add_peer(peer_id, graph, "SP1")
     # P2 streams one row per aeon: effectively stalled, never down
-    reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
+    reconfigure(system.peers["P2"], batch_size=1, stream_interval=1e6)
     table = system.query("P1", PAPER_QUERY)
     print(f"  stalled P2 detected by tuple-flow watchdog; replan "
           f"answered {len(table)} rows without it")

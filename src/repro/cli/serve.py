@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from ..config import DEFAULT_CONFIG, PeerConfig
+from ..config import DEFAULT_CONFIG, PeerConfig, topk_streaming
 from ..errors import EventBudgetExhausted
 from ..livedata import LiveDataDriver, UpdateStream
 from ..obs.telemetry import default_slo_rules, read_timeline, render_alert
@@ -129,9 +128,7 @@ def _synthetic_deployment(seed: int, distinct: int, count: int,
 def _cmd_serve(args: argparse.Namespace) -> int:
     config = DEFAULT_CONFIG
     if args.topk is not None:
-        # any-k early termination, with paced chunked streaming so the
-        # cancellation has channels left to stop
-        config = replace(config, topk_cancel=True, stream_chunk_rows=4)
+        config = topk_streaming(config)
     distinct = max(4, min(args.count, 12))
     system, bases, queries = _synthetic_deployment(
         args.seed, distinct, args.count, args.arch, config

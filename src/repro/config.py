@@ -34,16 +34,14 @@ class PeerConfig:
             turns it off: the paper's cold per-query routing).  Read
             once, at construction, when the caches are built.
         batch_size: Maximum bindings per shipped ``DataPacket``; larger
-            results fragment back-to-back (``--batch-size``).
+            results fragment into chunks of this many rows
+            (``--batch-size``).
         cost_based: Statistics-driven planning (``--cost-based``): the
             peer advertises a :class:`~repro.core.cost.StatSummary`,
             folds observed link behaviour into the shared statistics,
             lets the optimiser reorder joins by estimated cardinality
-            and the cost model place operators per subplan.
-        adaptive: Replan on channel failures (Section 2.5).
-        optimize_plans: Apply compile-time optimisation.
-        use_shipping: Let the cost model place operators (hybrid
-            shipping); otherwise everything joins at the coordinator.
+            and the cost model place operators per subplan (data,
+            query or hybrid shipping, Section 2.5).
         failure_policy: What happens to partial results on a replan —
             ``"discard"`` (the ubQL policy SQPeer adopts) or
             ``"phased"`` (the [Ives02] alternative: completed
@@ -51,21 +49,17 @@ class PeerConfig:
         pipelined_execution: Stream remote chunks through incremental
             joins/unions at the coordinator (Section 2.5's "pipeline
             way") instead of gathering whole tables.
-        monitor_channels: Watch per-channel tuple flow and replan away
-            from stalled channels (Section 2.5).
-        monitor_interval: Virtual time between two monitoring ticks.
+        monitor_interval: When set, a tuple-flow watchdog ticks every
+            this much virtual time and replans away from stalled
+            channels (Section 2.5); ``None`` watches nothing.
         topk_cancel: Any-k early termination for ``LIMIT`` queries:
             remaining channels are discarded the ubQL way once k rows
             are stable.
-        live_full_refresh: Baseline of the maintenance-cost
-            experiments: re-push the full advertisement after every
-            applied update batch instead of a delta.
-        stream_chunk_rows: When set, subplan results stream back in
-            chunks of this many rows paced by :attr:`stream_interval`
-            (the tuple flow run-time adaptation observes); takes
-            precedence over the implicit :attr:`batch_size`
-            fragmentation.
-        stream_interval: Virtual-time spacing between streamed chunks.
+        stream_interval: When set, a result larger than
+            :attr:`batch_size` streams back paced, one chunk of every
+            output per this much virtual time (the tuple flow run-time
+            adaptation observes); ``None`` sends the chunks
+            back-to-back.
         max_discovery_depth: Ad-hoc only — how far advertisement
             requests may travel when local knowledge leaves holes
             (Section 3.2's 2-depth, 3-depth neighbourhoods).
@@ -80,17 +74,11 @@ class PeerConfig:
     cache_enabled: bool = True
     batch_size: int = 256
     cost_based: bool = False
-    adaptive: bool = True
-    optimize_plans: bool = True
-    use_shipping: bool = False
     failure_policy: str = "discard"
     pipelined_execution: bool = False
-    monitor_channels: bool = False
-    monitor_interval: float = 15.0
+    monitor_interval: Optional[float] = None
     topk_cancel: bool = False
-    live_full_refresh: bool = False
-    stream_chunk_rows: Optional[int] = None
-    stream_interval: float = 2.0
+    stream_interval: Optional[float] = None
     max_discovery_depth: int = 3
     replan_budget: ReplanBudget = ReplanBudget()
     resilience: ResilienceConfig = RESILIENCE_OFF
@@ -99,10 +87,23 @@ class PeerConfig:
     def __post_init__(self):
         if self.failure_policy not in ("discard", "phased"):
             raise ValueError("failure_policy must be 'discard' or 'phased'")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for name in ("monitor_interval", "stream_interval"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0 when set")
 
 
 #: the seed behaviour: what a peer constructed without ``config=`` runs
 DEFAULT_CONFIG = PeerConfig()
+
+
+def topk_streaming(config: PeerConfig) -> PeerConfig:
+    """``config`` with any-k early termination on, and results streamed
+    paced in four-row chunks so the cancellation has channels left to
+    stop — what ``serve --topk`` and a ``livedata`` cluster run."""
+    return replace(config, topk_cancel=True, batch_size=4, stream_interval=2.0)
 
 
 def reconfigure(holder, **changes) -> None:

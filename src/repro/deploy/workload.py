@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List
 
-from ..config import DEFAULT_CONFIG, PeerConfig
+from ..config import DEFAULT_CONFIG, PeerConfig, topk_streaming
 from ..rdf.graph import Graph
 from ..resilience import RESILIENCE_OFF, ResilienceConfig
 from ..workloads.data_gen import Distribution, generate_bases
@@ -108,10 +108,7 @@ class ClusterSpec:
         if self.resilient:
             config = replace(config, resilience=ResilienceConfig.default(self.seed))
         if self.livedata:
-            # LIMIT queries terminate early once k answers are stable,
-            # discarding still-streaming channels the ubQL way; paced
-            # chunked streaming gives the discard something to stop
-            config = replace(config, topk_cancel=True, stream_chunk_rows=4)
+            config = topk_streaming(config)
         return config
 
     def to_json(self) -> str:

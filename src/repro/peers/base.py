@@ -297,7 +297,7 @@ class Peer:
                     channel_id,
                     tables,
                     self.dictionary,
-                    self.config.stream_chunk_rows or self.config.batch_size,
+                    self.config.batch_size,
                     self._local_cardinalities(packet),
                 )
                 self._remember_subplan(channel_id, packets)
@@ -380,18 +380,17 @@ class Peer:
     def _stream_packets(self, root: str, channel_id: str, packets: list) -> None:
         """Ship result packets.
 
-        A single packet goes immediately.  Implicit fragmentation (the
-        table outgrew ``config.batch_size``) sends back-to-back —
-        batching changes message count, not timing.  Explicit pipelining
-        (``config.stream_chunk_rows``) paces chunks by
-        ``config.stream_interval`` — one chunk of *every* output per
-        interval, so a shipment delivers each output as fast as a
-        channel of its own would — and honours mid-stream discards.
+        A single packet goes immediately.  A table that outgrew
+        ``config.batch_size`` fragments; the chunks go back-to-back —
+        batching changes message count, not timing — unless
+        ``config.stream_interval`` paces them: one chunk of *every*
+        output per interval, so a shipment delivers each output as fast
+        as a channel of its own would, honouring mid-stream discards.
         """
         if len(packets) == 1:
             self.send(root, packets[0])
             return
-        if not self.config.stream_chunk_rows:
+        if self.config.stream_interval is None:
             for packet in packets:
                 self.send(root, packet)
             return

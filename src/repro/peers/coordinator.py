@@ -380,31 +380,30 @@ class QueryCoordinator:
                 span.finish()
                 return plan
         plan = build_plan(annotated)
-        if config.optimize_plans:
-            traced = optimize(
-                plan,
-                CostModel(statistics),
-                cost_based=config.cost_based,
-                coordinator=peer.peer_id,
-            )
-            if span:  # skip minting rewrite spans on the no-op path
-                for rule, step in traced.steps[1:]:
-                    # the plan object itself; rendered only at export
-                    tracer.start_span(
-                        f"optimize.{rule}",
-                        peer=peer.peer_id,
-                        parent=span.context(),
-                        plan=step,
-                    ).finish()
-                if traced.cost_decision is not None:
-                    tracer.start_span(
-                        "optimize.cost",
-                        peer=peer.peer_id,
-                        parent=span.context(),
-                        chosen=traced.cost_decision["chosen"],
-                        rejected=traced.cost_decision["rejected"],
-                    ).finish()
-            plan = traced.result
+        traced = optimize(
+            plan,
+            CostModel(statistics),
+            cost_based=config.cost_based,
+            coordinator=peer.peer_id,
+        )
+        if span:  # skip minting rewrite spans on the no-op path
+            for rule, step in traced.steps[1:]:
+                # the plan object itself; rendered only at export
+                tracer.start_span(
+                    f"optimize.{rule}",
+                    peer=peer.peer_id,
+                    parent=span.context(),
+                    plan=step,
+                ).finish()
+            if traced.cost_decision is not None:
+                tracer.start_span(
+                    "optimize.cost",
+                    peer=peer.peer_id,
+                    parent=span.context(),
+                    chosen=traced.cost_decision["chosen"],
+                    rejected=traced.cost_decision["rejected"],
+                ).finish()
+        plan = traced.result
         if peer.plan_cache is not None:
             peer.plan_cache.put(annotated, plan, version)
         span.finish()
@@ -427,7 +426,7 @@ class QueryCoordinator:
         peer = self.peer
         config = peer.config
         sites = None
-        if config.use_shipping or config.cost_based:
+        if config.cost_based:
             # cost-based planning also lets the model choose data/
             # query/hybrid shipping per subplan (Section 2.5)
             sites = assign_sites(plan, peer.peer_id, CostModel(peer.statistics)).sites
@@ -456,7 +455,7 @@ class QueryCoordinator:
             query=pending,
         )
         executor.start()
-        if config.monitor_channels and config.adaptive:
+        if config.monitor_interval is not None:
             self._schedule_monitor_tick(pending, executor)
 
     def _schedule_monitor_tick(self, pending: PendingQuery, executor) -> None:
@@ -513,7 +512,7 @@ class QueryCoordinator:
         # phase's in-flight scan results into the cache
         pending.executor.abort()
         budget = peer.config.replan_budget
-        if not peer.config.adaptive or budget.exhausted(pending.attempts):
+        if budget.exhausted(pending.attempts):
             self.give_up(pending, f"peer {failed_peer} failed")
             return
         if pending.executor.strategy.scan_cache is not None:

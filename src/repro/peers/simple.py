@@ -306,26 +306,11 @@ class SimplePeer(Peer):
             revision=batch.revision,
             applied=result.applied,
         )
-        if self.config.live_full_refresh:
-            if result.applied or result.views_changed:
-                self._push_full_refresh()
-        elif result.delta is not None:
+        if result.delta is not None:
             self._push_advertisement_delta(result.delta)
         self.send(
             message.src, UpdateAck(self.peer_id, batch.revision, result.applied)
         )
-
-    def _push_full_refresh(self) -> None:
-        """The ``config.live_full_refresh`` baseline: re-push every own
-        advertisement wholesale (correct, but pays full-advertisement
-        bytes for extensional churn the delta path ships nothing for)."""
-        stats = self.own_stat_summary()
-        for advertisement in self.own_advertisements():
-            for target in self._advertisement_targets():
-                self.send(target, Advertise(advertisement, stats=stats))
-        if self._tracker is not None:
-            self._tracker.mark_advertised()
-        self._footprint_moved(self.peer_id)
 
     def _push_advertisement_delta(self, delta: AdvertiseDelta) -> None:
         """Ship only the flipped schema fragments to the advertisement

@@ -265,12 +265,12 @@ class TestStreamTeardownDrain:
 
         system = HybridSystem(
             paper_schema(),
-            config=PeerConfig(monitor_channels=True, monitor_interval=5.0),
+            config=PeerConfig(monitor_interval=5.0),
         )
         system.add_super_peer("SP1")
         for peer_id, graph in paper_peer_bases().items():
             system.add_peer(peer_id, graph, "SP1")
-        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=50.0)
+        reconfigure(system.peers["P2"], batch_size=1, stream_interval=50.0)
         return system
 
     def test_network_drains_after_cancelled_stream(self):

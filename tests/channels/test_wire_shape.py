@@ -450,7 +450,7 @@ def _serving(rows=3, **config):
     """``P2`` holding ``rows`` prop1 statements, a bare root ``P1`` that
     records the data packets it gets, and their network."""
     network = Network()
-    serving = Peer("P2", _base(rows), config=PeerConfig(batch_size=BATCH_SIZE, **config))
+    serving = Peer("P2", _base(rows), config=PeerConfig(**{"batch_size": BATCH_SIZE, **config}))
     root = Peer("P1")
     serving.join(network)
     root.join(network)
@@ -483,13 +483,13 @@ def test_destination_answers_a_shipment_with_one_stream(scan):
 
 
 def test_paced_shipment_serves_every_output_once_per_interval(scan):
-    """``stream_chunk_rows`` pacing sends one turn per interval: both
+    """``stream_interval`` pacing sends one turn per interval: both
     outputs of a shipment advance as fast as a channel of their own
     would, and a ``ChangePlanPacket`` between turns stops the rest."""
     from repro.channels.packets import ChangePlanPacket
 
     network, serving, root, packets = _serving(
-        rows=5, stream_chunk_rows=2, stream_interval=10.0
+        rows=5, batch_size=2, stream_interval=10.0
     )
     progress = [[], []]
     channel = root.channels.open(

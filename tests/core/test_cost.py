@@ -109,13 +109,14 @@ class TestPlanCost:
         assert model.plan_cost(plan.children()[0], "P1").messages == 4
 
     @pytest.mark.parametrize("case", ["figure-3", "flat-fan-out"])
-    def test_estimated_messages_are_the_messages_sent(self, schema, case):
+    def test_estimated_messages_are_the_messages_sent(self, schema, case, monkeypatch):
         """Estimated vs actual: the two messages the model charges per
         distinct remote destination — subplans out, results back — are
         what a channel puts on the wire when the reply fits one packet,
         however many scans the destination runs (Figure 3's P4 answers
         both path patterns over one channel)."""
-        from repro.config import PeerConfig
+        from repro.core.optimizer import OptimizationTrace
+        from repro.peers import coordinator
         from repro.rdf import TYPE, Graph
         from repro.rql import extract_pattern, parse_query
         from repro.systems import HybridSystem
@@ -131,7 +132,14 @@ class TestPlanCost:
                 graph.add(subject, TYPE, N1.C1)
                 graph.add(obj, TYPE, N1.C2)
                 graph.add(subject, N1.prop1, obj)
-        system = HybridSystem(schema, config=PeerConfig(optimize_plans=False))
+        # the coordinator runs the plan exactly as ``build_plan`` built it
+        planned = []
+        monkeypatch.setattr(
+            coordinator,
+            "optimize",
+            lambda plan, *args, **kwargs: planned.append(plan) or OptimizationTrace(plan),
+        )
+        system = HybridSystem(schema)
         system.add_super_peer("SP1")
         for peer_id, graph in bases.items():
             system.add_peer(peer_id, graph, "SP1")
@@ -142,6 +150,7 @@ class TestPlanCost:
         ads = [p.base.active_schema(pid) for pid, p in system.peers.items()]
         pattern = extract_pattern(parse_query(text), schema)
         plan = build_plan(route_query(pattern, ads, schema))
+        assert planned == [plan]
         scans = [node for node in plan.walk() if isinstance(node, Scan)]
         remote = [scan for scan in scans if scan.peer_id != "P1"]
         assert (len(scans), len(remote)) == ((6, 4) if case == "figure-3" else (6, 6))

@@ -46,7 +46,9 @@ def test_sim_twin_runs_the_node_processes_config(resilient, livedata, tmp_path):
     config = system.peers["P1"].config
     assert (config == DEFAULT_CONFIG) == (not resilient and not livedata)
     assert config.topk_cancel == livedata
-    assert config.stream_chunk_rows == (4 if livedata else None)
+    assert (config.batch_size, config.stream_interval) == (
+        (4, 2.0) if livedata else (DEFAULT_CONFIG.batch_size, None)
+    )
     assert (config.resilience.channel_retry is not None) == resilient
 
 

@@ -10,9 +10,12 @@ too.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from repro.core.optimizer import OptimizationTrace
+from repro.peers import coordinator
 from repro.resilience import RESILIENCE_OFF
 
 from .harness import (
@@ -25,41 +28,65 @@ from .harness import (
 
 SEEDS = [0, 1, 2, 4]
 
-#: Execution-mode variants that must not change any answer.
+#: Execution-mode variants that must not change any answer; the
+#: ``unoptimized`` ones run the plan exactly as ``build_plan`` built it.
 VARIANTS = [
     ("optimized", {}),
-    ("unoptimized", {"optimize_plans": False}),
-    ("shipping", {"use_shipping": True}),
-    ("unoptimized-shipping", {"optimize_plans": False, "use_shipping": True}),
+    ("unoptimized", {}),
+    ("shipping", {"cost_based": True}),
+    ("unoptimized-shipping", {"cost_based": True}),
     ("batch-1", {"batch_size": 1}),
     ("batch-7", {"batch_size": 7}),
     ("batch-256", {"batch_size": 256}),
-    ("batch-1-unoptimized", {"batch_size": 1, "optimize_plans": False}),
+    ("batch-1-unoptimized", {"batch_size": 1}),
 ]
 
-#: Streaming composed with placement, chunked so operators really see
-#: several chunks per input (also run on the ad-hoc architecture).
+#: Streaming composed with placement, paced in small chunks so operators
+#: really see several chunks per input (also run on the ad-hoc
+#: architecture).
 STREAMING_VARIANTS = [
-    (name, {**options, "stream_chunk_rows": 3})
+    (name, {**options, "batch_size": 3, "stream_interval": 2.0})
     for name, options in (
         ("pipelined", {"pipelined_execution": True}),
-        ("pipelined-shipping", {"pipelined_execution": True, "use_shipping": True}),
-        ("pipelined-cost", {"pipelined_execution": True, "cost_based": True}),
-        ("topk-shipping", {"topk_cancel": True, "use_shipping": True}),
+        ("pipelined-shipping", {"pipelined_execution": True, "cost_based": True}),
+        ("topk-shipping", {"topk_cancel": True, "cost_based": True}),
     )
 ]
 VARIANTS += STREAMING_VARIANTS
 
 
+def _run_variant(monkeypatch, name, build, run):
+    """``run(build())``; an ``unoptimized`` variant swaps ``optimize``
+    for an identity stand-in, so the plan runs exactly as
+    ``build_plan`` built it (and checks that the stand-in was hit)."""
+    planned = []
+
+    def identity(plan, *args, **kwargs):
+        planned.append(plan)
+        return OptimizationTrace(plan)
+
+    with monkeypatch.context() as patch:
+        if "unoptimized" in name:
+            patch.setattr(coordinator, "optimize", identity)
+        result = run(build())
+    if "unoptimized" in name and result is not None:
+        assert planned, f"variant {name} never reached the optimizer"
+    return result
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_variants_agree_hybrid(seed):
+def test_variants_agree_hybrid(seed, monkeypatch):
     workload = make_workload(seed, queries=3)
     via = workload.peer_ids[0]
     for text in workload.queries:
         reference = centralized_answer(workload, text)
         for name, options in VARIANTS:
-            system = build_hybrid(workload, **options)
-            actual = distributed_answer(system, via, text)
+            actual = _run_variant(
+                monkeypatch,
+                name,
+                partial(build_hybrid, workload, **options),
+                partial(distributed_answer, via=via, text=text),
+            )
             if actual is None:
                 assert len(reference) == 0, (
                     f"variant {name} found no peers, reference has rows "
@@ -73,14 +100,18 @@ def test_variants_agree_hybrid(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_variants_agree_adhoc(seed):
+def test_variants_agree_adhoc(seed, monkeypatch):
     workload = make_workload(seed, queries=2)
     via = workload.peer_ids[-1]
     for text in workload.queries:
         reference = centralized_answer(workload, text)
         for name, options in VARIANTS[:6] + STREAMING_VARIANTS:
-            system = build_adhoc(workload, **options)
-            actual = distributed_answer(system, via, text)
+            actual = _run_variant(
+                monkeypatch,
+                name,
+                partial(build_adhoc, workload, **options),
+                partial(distributed_answer, via=via, text=text),
+            )
             if actual is None:
                 assert len(reference) == 0
                 continue

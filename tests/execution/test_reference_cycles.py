@@ -92,10 +92,9 @@ def assert_freed_by_refcount(built, run, warm_up=None) -> None:
 STRATEGIES = {
     "gather": {},
     "pipelined": {"pipelined_execution": True},
-    "chunked-stream": {"stream_chunk_rows": 8},
-    "query-shipping": {"use_shipping": True},
+    "chunked-stream": {"batch_size": 8, "stream_interval": 2.0},
     "cost-based": {"cost_based": True},
-    "monitored": {"monitor_channels": True},
+    "monitored": {"monitor_interval": 15.0},
     "uncached": {"cache_enabled": False},
 }
 

@@ -12,7 +12,7 @@ from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 def build_system(monitoring: bool = True) -> HybridSystem:
     system = HybridSystem(
         paper_schema(),
-        config=PeerConfig(monitor_channels=monitoring, monitor_interval=5.0),
+        config=PeerConfig(monitor_interval=5.0 if monitoring else None),
     )
     system.add_super_peer("SP1")
     for peer_id, graph in paper_peer_bases().items():
@@ -25,7 +25,7 @@ class TestChangePlanPackets:
         """When the watchdog replans away from a stalled streamer, the
         healthy channels of the abandoned attempt get ChangePlanPackets."""
         system = build_system()
-        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
+        reconfigure(system.peers["P2"], batch_size=1, stream_interval=1e6)
         table = system.query("P1", PAPER_QUERY)
         kinds = system.network.metrics.messages_by_kind
         assert kinds.get("ChangePlanPacket", 0) >= 1
@@ -37,7 +37,7 @@ class TestChangePlanPackets:
         system = build_system()
         for peer in system.peers.values():
             # slow enough to be stalled
-            reconfigure(peer, stream_chunk_rows=1, stream_interval=30.0)
+            reconfigure(peer, batch_size=1, stream_interval=30.0)
         system.query("P1", PAPER_QUERY)
         data_packets = system.network.metrics.messages_by_kind["DataPacket"]
 
@@ -57,7 +57,7 @@ class TestChangePlanPackets:
         channels of the failed attempt."""
         system = build_system(monitoring=False)
         for peer in system.peers.values():
-            reconfigure(peer, stream_chunk_rows=1, stream_interval=3.0)
+            reconfigure(peer, batch_size=1, stream_interval=3.0)
         system.run()
         system.network.fail_peer("P2")
         table = system.query("P1", PAPER_QUERY)

@@ -94,7 +94,7 @@ class TestPolicies:
             config=PeerConfig(
                 failure_policy="phased",
                 topk_cancel=True,
-                stream_chunk_rows=1,
+                batch_size=1,
                 stream_interval=1.0,
             ),
         )

@@ -11,13 +11,15 @@ from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
 from repro.workloads.schema_gen import generate_schema
 
+from .test_shipping_execution import channel_roots, costly_coordinator_links
+
 
 def build_system(pipelined: bool, chunk_rows=2, interval=5.0) -> HybridSystem:
     system = HybridSystem(
         paper_schema(),
         config=PeerConfig(
             pipelined_execution=pipelined,
-            stream_chunk_rows=chunk_rows,
+            batch_size=chunk_rows,
             stream_interval=interval,
         ),
     )
@@ -34,7 +36,7 @@ class TestCorrectness:
         assert pipelined == blocking
 
     def test_without_streaming_still_correct(self):
-        system = build_system(True, chunk_rows=None)
+        system = build_system(True, chunk_rows=256, interval=None)
         assert len(system.query("P1", PAPER_QUERY)) == 9
 
     def test_synthetic_workload_equivalence(self):
@@ -46,7 +48,9 @@ class TestCorrectness:
         def run(pipelined):
             system = HybridSystem(
                 synth.schema,
-                config=PeerConfig(pipelined_execution=pipelined, stream_chunk_rows=3),
+                config=PeerConfig(
+                    pipelined_execution=pipelined, batch_size=3, stream_interval=2.0
+                ),
             )
             system.add_super_peer("SP1")
             for peer_id, graph in gen.bases.items():
@@ -113,18 +117,14 @@ class TestComposition:
         """With links that make the coordinator the worst join site, a
         streaming run ships whole joins, not only scans: peers other
         than the coordinator root channels of their own."""
-        from repro.core import Statistics
-
-        stats = Statistics(default_cardinality=1000, join_selectivity=0.0001)
-        for other in ("P2", "P3", "P4"):
-            stats.set_link_cost("P1", other, 50.0)
-        for a, b in (("P2", "P3"), ("P2", "P4"), ("P3", "P4")):
-            stats.set_link_cost(a, b, 0.01)
         system = HybridSystem(
             paper_schema(),
-            statistics=stats,
+            statistics=costly_coordinator_links(),
             config=PeerConfig(
-                pipelined_execution=True, use_shipping=True, stream_chunk_rows=2
+                pipelined_execution=True,
+                cost_based=True,
+                batch_size=2,
+                stream_interval=2.0,
             ),
         )
         system.add_super_peer("SP1")
@@ -133,14 +133,7 @@ class TestComposition:
         assert system.query("P1", PAPER_QUERY) == build_system(False).query(
             "P1", PAPER_QUERY
         )
-        collector = system.network.tracer.collector
-        channel_roots = {
-            span.peer_id
-            for trace_id in collector.trace_ids()
-            for span in collector.spans(trace_id)
-            if span.name == "channel"
-        }
-        assert channel_roots - {"P1"}
+        assert channel_roots(system) - {"P1"}
 
     @pytest.mark.parametrize("policy", ["discard", "phased"])
     def test_peer_failing_mid_stream(self, policy):
@@ -164,9 +157,8 @@ class TestComposition:
             config=PeerConfig(
                 pipelined_execution=True,
                 failure_policy=policy,
-                stream_chunk_rows=1,
+                batch_size=1,
                 stream_interval=0.25,
-                monitor_channels=True,
                 monitor_interval=1.0,
             ),
         )

@@ -37,7 +37,7 @@ def build_system(**peer_options) -> HybridSystem:
 class TestStreaming:
     def test_chunked_results_identical(self):
         plain = build_system().query("P1", PAPER_QUERY)
-        streamed_system = build_system(stream_chunk_rows=2)
+        streamed_system = build_system(batch_size=2, stream_interval=2.0)
         streamed = streamed_system.query("P1", PAPER_QUERY)
         assert streamed == plain
 
@@ -46,13 +46,13 @@ class TestStreaming:
         baseline.query("P1", PAPER_QUERY)
         base_packets = baseline.network.metrics.messages_by_kind["DataPacket"]
 
-        chunked = build_system(stream_chunk_rows=1)
+        chunked = build_system(batch_size=1, stream_interval=2.0)
         chunked.query("P1", PAPER_QUERY)
         chunk_packets = chunked.network.metrics.messages_by_kind["DataPacket"]
         assert chunk_packets > base_packets
 
     def test_single_row_results_not_split(self):
-        system = build_system(stream_chunk_rows=1000)  # larger than any result
+        system = build_system(batch_size=1000, stream_interval=2.0)  # larger than any result
         table = system.query("P1", PAPER_QUERY)
         assert len(table) == 9
 
@@ -65,7 +65,7 @@ class TestThroughputMonitoring:
         from repro.peers.protocol import Advertise
         from repro.rvl import ActiveSchema
 
-        system = build_system(monitor_channels=monitoring, monitor_interval=5.0)
+        system = build_system(monitor_interval=5.0 if monitoring else None)
         silent = SilentPeer("SILENT", None)
         silent.join(system.network)
         # hand-craft an advertisement claiming prop1 coverage
@@ -93,16 +93,16 @@ class TestThroughputMonitoring:
         assert len(table) == 9  # the real peers' answers survive
 
     def test_monitoring_does_not_disturb_healthy_queries(self):
-        system = build_system(monitor_channels=True, monitor_interval=5.0)
+        system = build_system(monitor_interval=5.0)
         table = system.query("P1", PAPER_QUERY)
         assert len(table) == 9
 
     def test_slow_streamer_detected(self):
         """A peer streaming with an enormous inter-chunk delay is
         treated as stalled and replaced."""
-        system = build_system(monitor_channels=True, monitor_interval=5.0)
+        system = build_system(monitor_interval=5.0)
         # effectively never finishes
-        reconfigure(system.peers["P2"], stream_chunk_rows=1, stream_interval=1e6)
+        reconfigure(system.peers["P2"], batch_size=1, stream_interval=1e6)
         table = system.query("P1", PAPER_QUERY)
         # P2's four bridge chains are lost, the others answer
         assert len(table) == 5

@@ -121,7 +121,10 @@ class TestTopKCancelGates:
     def test_no_limit_means_no_cancel(self):
         workload, system = _deployment(0)
         for peer_id in workload.peer_ids:
-            reconfigure(system.peers[peer_id], topk_cancel=True, stream_chunk_rows=2)
+            reconfigure(
+                system.peers[peer_id],
+                topk_cancel=True, batch_size=2, stream_interval=2.0,
+            )
         client = system.add_client("C")
         query_id = client.submit("P1", workload.queries[0])
         system.run()
@@ -133,7 +136,10 @@ class TestTopKCancelGates:
         recorder = FlightRecorder(clock=lambda: system.network.now)
         system.network.flight_recorder = recorder
         for peer_id in workload.peer_ids:
-            reconfigure(system.peers[peer_id], topk_cancel=True, stream_chunk_rows=4)
+            reconfigure(
+                system.peers[peer_id],
+                topk_cancel=True, batch_size=4, stream_interval=2.0,
+            )
         client = system.add_client("C")
         query_id = client.submit("P1", workload.queries[0], limit=5)
         system.run()

@@ -81,7 +81,7 @@ def _channel_keyed_state(holder) -> dict:
 def test_monitored_queries_leave_no_per_channel_state():
     """Stall counters of channels that completed normally used to stay
     on the peer for ever (4 per paper query)."""
-    system = build_system(monitor_channels=True, monitor_interval=1.0)
+    system = build_system(monitor_interval=1.0)
     for _ in range(3):
         assert len(system.query("P1", PAPER_QUERY)) == 9
     peer = system.peers["P1"]

@@ -55,12 +55,15 @@ def centralised(bases):
 
 
 def run_distributed(bases, pipelined: bool, chunk_rows, shipping: bool = False):
+    """``chunk_rows=None`` ships whole results; a count streams them
+    paced in chunks of that many rows."""
+    streaming = {} if chunk_rows is None else {
+        "batch_size": chunk_rows, "stream_interval": 2.0
+    }
     system = HybridSystem(
         SCHEMA,
         config=PeerConfig(
-            pipelined_execution=pipelined,
-            stream_chunk_rows=chunk_rows,
-            use_shipping=shipping,
+            pipelined_execution=pipelined, cost_based=shipping, **streaming
         ),
     )
     system.add_super_peer("SP1")

@@ -60,13 +60,40 @@ class TestPeerConfig:
     def test_reconfigure_replaces_the_value_and_rejects_unknown_fields(self):
         peer = SimplePeer("P")
         before = peer.config
-        reconfigure(peer, monitor_channels=True, monitor_interval=5.0)
-        assert peer.config == PeerConfig(monitor_channels=True, monitor_interval=5.0)
+        reconfigure(peer, monitor_interval=5.0)
+        assert peer.config == PeerConfig(monitor_interval=5.0)
         assert before == PeerConfig()  # the old value is untouched
         with pytest.raises(TypeError):
-            reconfigure(peer, monitor_chanels=True)
+            reconfigure(peer, monitor_intervall=5.0)
         with pytest.raises(ValueError):
             reconfigure(peer, cache_enabled=False)  # the caches are built
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"stream_interval": 0.0},
+            {"stream_interval": -1.0},
+            {"monitor_interval": 0.0},
+            {"monitor_interval": -5.0},
+        ],
+        ids=["batch-0", "batch-negative", "stream-0", "stream-negative",
+             "monitor-0", "monitor-negative"],
+    )
+    @pytest.mark.parametrize("apply", ["construct", "reconfigure"])
+    def test_out_of_range_value_is_a_value_error(self, options, apply):
+        """Refused when the value is built, not mid-query: a zero batch
+        fails inside a hosted subplan, a negative stream interval
+        schedules in the past, and a zero monitor interval declares every
+        channel stalled at one virtual instant (a silently short answer)."""
+        peer = SimplePeer("P")
+        with pytest.raises(ValueError):
+            if apply == "construct":
+                PeerConfig(**options)
+            else:
+                reconfigure(peer, **options)
+        assert peer.config == PeerConfig()
 
 
 def _hybrid(config=PeerConfig()):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import PeerConfig
+from repro.core.adaptivity import ReplanBudget
 from repro.errors import PeerError
 from repro.systems import HybridSystem
 from repro.workloads.paper import DATA, N1, PAPER_QUERY, hybrid_scenario
@@ -98,7 +99,8 @@ class TestAdaptivity:
 
     def test_non_adaptive_mode_fails_fast(self):
         scenario = hybrid_scenario()
-        system = HybridSystem.from_scenario(scenario, config=PeerConfig(adaptive=False))
+        config = PeerConfig(replan_budget=ReplanBudget(max_rounds=0))
+        system = HybridSystem.from_scenario(scenario, config=config)
         system.run()
         system.network.fail_peer("P2")
         with pytest.raises(PeerError):
