@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.resilience import CrashEvent, FaultPlan, ResilienceConfig, run_chaos
+from repro.resilience import FaultPlan, ResilienceConfig, run_chaos
+from repro.scenario import Crash, Restart
 from repro.systems import AdhocSystem, HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -70,11 +71,7 @@ def _adhoc_system(seed: int) -> AdhocSystem:
     return system
 
 
-def _fault_plan(seed: int, loss: float, with_crash: bool = True) -> FaultPlan:
-    # t=6 lands inside the first query's channel deployment (sub-plans
-    # in flight), so the crash is discovered through timeouts and
-    # repaired by replanning — not dodged between queries
-    crashes = (CrashEvent(at=6.0, peer_id=VICTIM, recover_at=600.0),)
+def _fault_plan(seed: int, loss: float) -> FaultPlan:
     return FaultPlan(
         seed=seed,
         drop_rate=loss,
@@ -82,8 +79,13 @@ def _fault_plan(seed: int, loss: float, with_crash: bool = True) -> FaultPlan:
         jitter=0.5,
         spike_rate=0.05,
         spike_latency=8.0,
-        crashes=crashes if with_crash else (),
     )
+
+
+#: t=6 lands inside the first query's channel deployment (sub-plans in
+#: flight), so the crash is discovered through timeouts and repaired by
+#: replanning — not dodged between queries
+CRASH = (Crash(VICTIM, at=6.0), Restart(VICTIM, at=600.0))
 
 
 def run_experiment(
@@ -94,9 +96,9 @@ def run_experiment(
     with_crash: bool = True,
 ):
     system = _hybrid_system(seed) if arch == "hybrid" else _adhoc_system(seed)
-    plan = _fault_plan(seed + 1, loss, with_crash)
+    plan = _fault_plan(seed + 1, loss)
     workload = [("P0", QUERY)] * queries
-    return run_chaos(system, workload, plan)
+    return run_chaos(system, workload, plan, CRASH if with_crash else ())
 
 
 def report() -> str:

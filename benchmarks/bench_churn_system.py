@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import PeerError
+from repro.scenario import Crash, Leave, Query, Scenario, play
 from repro.systems import HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -40,25 +40,20 @@ def _fresh_system() -> HybridSystem:
 def _run_stream(departures: int, graceful: bool, queries: int = 8, seed: int = 0):
     """Interleave queries with departures; report successes/messages."""
     rng = random.Random(seed)
-    system = _fresh_system()
     alive = [p for p in PEERS if p != "P0"]  # P0 coordinates
-    answered = 0
+    events = []
     departed = 0
     for step in range(queries):
         if departed < departures and step % 2 == 1 and alive:
             victim = alive.pop(rng.randrange(len(alive)))
-            if graceful:
-                system.peers[victim].leave()
-                system.run()
-            else:
-                system.network.fail_peer(victim)
+            events.append(Leave(victim) if graceful else Crash(victim))
             departed += 1
-        try:
-            table = system.query("P0", QUERY)
-            if len(table):
-                answered += 1
-        except PeerError:
-            pass
+        events.append(Query("P0", QUERY))
+    system = _fresh_system()
+    answered = sum(
+        1 for outcome in play(Scenario(events), system)
+        if outcome.answered and outcome.rows
+    )
     return answered, queries, system.network.metrics.messages_total
 
 

@@ -24,6 +24,7 @@ phases answer fully and recovery metrics count, for CI.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import tempfile
 import time
@@ -33,20 +34,34 @@ from repro.deploy import ClusterSpec, LiveCluster, build_sim_system, build_workl
 from repro.durability import MemoryStore, PeerStateStore
 from repro.membership import MembershipManager
 from repro.rvl import ActiveSchema
+from repro.scenario import Crash, Join, Query, Restart, Scenario, play
 
 from ._common import banner, format_table, write_report
 
 SEEDS = (0, 1, 2)
 VICTIM = "P2"
 JOINER = "P4"
-#: (phase name, coordinators) — the victim crashes after ``healthy``,
-#: rejoins after ``degraded``, and the joiner arrives after ``healed``.
+#: (phase name, the event that opens it, coordinators) — the victim
+#: crashes after ``healthy``, restarts from its durable state after
+#: ``degraded``, and the joiner arrives after ``healed``.
 PHASES = (
-    ("healthy", ("P1", "P2", "P3", "P1")),
-    ("degraded", ("P1", "P3", "P1")),
-    ("healed", ("P2", "P3")),
-    ("grown", ("P4", "P1", "P2")),
+    ("healthy", None, ("P1", "P2", "P3", "P1")),
+    ("degraded", Crash(VICTIM), ("P1", "P3", "P1")),
+    ("healed", Restart(VICTIM), ("P2", "P3")),
+    ("grown", Join(JOINER), ("P4", "P1", "P2")),
 )
+
+
+def churn_scenario(queries, churn: bool = True) -> Scenario:
+    """The scripted cycle: the ``PHASES``' events and queries in turn,
+    the workload's queries in rotation.  ``churn=False`` keeps only the
+    join."""
+    events, texts = [], itertools.cycle(queries)
+    for _, event, coordinators in PHASES:
+        if isinstance(event, Join) or (event is not None and churn):
+            events.append(event)
+        events += [Query(via, next(texts)) for via in coordinators]
+    return Scenario(events)
 
 
 def run_churn_sim(seed: int, churn: bool = True) -> dict:
@@ -61,47 +76,29 @@ def run_churn_sim(seed: int, churn: bool = True) -> dict:
                       resilient=True, joiners=1)
     workload = build_workload(spec)
     system = build_sim_system(spec, workload)
-    manager = MembershipManager(system)
-    manager.attach_all()
-    for peer in system.peers.values():
-        peer.save_durable_snapshot()
+    MembershipManager(system).attach_all()
 
-    phases = {}
-    outcomes = []
-    index = 0
     started = time.perf_counter()
-    for phase, coordinators in PHASES:
-        if phase == "degraded" and churn:
-            manager.crash(VICTIM)
-            system.network.run()
-        elif phase == "healed" and churn:
-            manager.rejoin(VICTIM)
-            system.network.run()
-        elif phase == "grown":
-            manager.join(JOINER, workload.bases[JOINER], "SP1")
-            system.network.run()
-        full = partial = errors = 0
-        for via in coordinators:
-            client = system.add_client()
-            query_id = client.submit(via, workload.queries[index % len(workload.queries)])
-            system.network.run()
-            result = client.result(query_id)
-            index += 1
-            if result is None or result.error is not None:
-                errors += 1
-                outcomes.append("error")
-            elif result.coverage is not None:
-                partial += 1
-                outcomes.append("partial")
-            else:
-                full += 1
-                outcomes.append("full")
-        phases[phase] = {"full": full, "partial": partial, "errors": errors}
+    outcomes = [
+        outcome.status for outcome in play(
+            churn_scenario(workload.queries, churn), system, bases=workload.bases
+        )
+    ]
+    phases = {}
+    start = 0
+    for phase, _, coordinators in PHASES:
+        statuses = outcomes[start:start + len(coordinators)]
+        start += len(coordinators)
+        full, partial = statuses.count("full"), statuses.count("partial")
+        phases[phase] = {
+            "full": full, "partial": partial, "errors": len(statuses) - full - partial,
+        }
     metrics = system.network.metrics
     return {
         "seed": seed,
         "phases": phases,
-        "outcomes": outcomes,
+        "outcomes": [status if status in ("full", "partial") else "error"
+                     for status in outcomes],
         "duration_s": time.perf_counter() - started,
         "rejoins": metrics.rejoins,
         "recoveries": metrics.recoveries,
@@ -178,7 +175,7 @@ def measure(live: bool = True) -> dict:
 def report() -> str:
     results = measure()
     phase_rows = []
-    for phase, _ in PHASES:
+    for phase, _, _ in PHASES:
         full = sum(run["phases"][phase]["full"] for run in results["churn"])
         partial = sum(run["phases"][phase]["partial"] for run in results["churn"])
         errors = sum(run["phases"][phase]["errors"] for run in results["churn"])
@@ -233,7 +230,7 @@ def bench_log_replay(benchmark):
 # CI smoke mode
 # ----------------------------------------------------------------------
 #: Query index where the rejoin lands (start of the ``healed`` phase).
-HEALED_FROM = len(PHASES[0][1]) + len(PHASES[1][1])
+HEALED_FROM = len(PHASES[0][2]) + len(PHASES[1][2])
 
 
 def smoke() -> int:

@@ -92,7 +92,7 @@ COMMENTARY = {
         "Section 4 — index vs active-schema maintenance",
         "Shape holds and widens with churn: the full data index pays one "
         "message per update while advertisements refresh only on "
-        "intensional changes (12x at 100 updates, >700x at 10k).",
+        "intensional changes (12x at 100 updates, >1600x at 10k).",
     ),
     "live-maint": (
         "Section 4 live plane (extension) — incremental advertisement "

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..rdf.graph import Graph
 from ..rdf.schema import Schema
 from ..rdf.terms import Namespace
+from ..rdf.triple import Triple
 from ..rvl.active_schema import ActiveSchema
 
 
@@ -127,15 +128,19 @@ def run_churn(
     properties = sorted(schema.properties)
     full_index = FullDataIndexMaintainer()
     active = ActiveSchemaMaintainer(graph, schema, peer_id)
+    # the statements removals draw from, in an order no hash seed moves
+    present = sorted(graph, key=repr)
     for step in range(updates):
-        if rng.random() < add_fraction or len(graph) == 0:
+        if rng.random() < add_fraction or not present:
             prop = rng.choice(properties)
             subject = data[f"s{rng.randrange(max(1, updates // 2))}"]
             obj = data[f"o{rng.randrange(max(1, updates // 2))}"]
-            triple = graph.add(subject, prop, obj)
+            triple = Triple(subject, prop, obj)
+            if graph.add_triple(triple):
+                present.append(triple)
             full_index.on_add(triple)
         else:
-            triple = next(iter(graph))
+            triple = present.pop(rng.randrange(len(present)))
             graph.remove_triple(triple)
             full_index.on_remove(triple)
         active.refresh()

@@ -7,8 +7,9 @@ import argparse
 import sys
 
 from ..core import build_plan, optimize, route_query
-from ..resilience import CrashEvent, FaultPlan, ResilienceConfig, run_chaos
+from ..resilience import FaultPlan, ResilienceConfig, run_chaos
 from ..rvl import ActiveSchema
+from ..scenario import Crash, Restart
 from ..systems import HybridSystem
 from ..workloads.paper import (
     PAPER_QUERY,
@@ -102,24 +103,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _parse_crash(spec: str):
-    """``PEER@AT[:RECOVER]`` → :class:`CrashEvent`, or ``None``."""
+    """``PEER@AT[:RECOVER]`` → a :class:`Crash` (and :class:`Restart`)
+    armed at those virtual times."""
     if not spec:
-        return None
+        return ()
     peer, _, times = spec.partition("@")
     if not times:
         raise ValueError(f"--crash expects PEER@AT[:RECOVER], got {spec!r}")
     at, _, recover = times.partition(":")
-    return CrashEvent(
-        at=float(at), peer_id=peer, recover_at=float(recover) if recover else None
-    )
+    crash = Crash(peer, at=float(at))
+    return (crash, Restart(peer, at=float(recover))) if recover else (crash,)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    try:
-        crash = _parse_crash(args.crash)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     system = _paper_system(args.seed)
     system.run()
     system.enable_resilience(ResilienceConfig.default(args.seed))
@@ -130,9 +126,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         jitter=0.5,
         spike_rate=0.05,
         spike_latency=8.0,
-        crashes=(crash,) if crash is not None else (),
     )
-    chaos = run_chaos(system, [("P1", PAPER_QUERY)] * CHAOS_QUERIES, plan)
+    try:
+        # an impossible crash schedule is refused before anything runs
+        chaos = run_chaos(system, [("P1", PAPER_QUERY)] * CHAOS_QUERIES, plan,
+                          _parse_crash(args.crash))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"fault plan : loss={plan.drop_rate:.0%} duplicate={plan.duplicate_rate:.0%} "
           f"crash={args.crash or 'none'} seed={args.seed}")
     for outcome in chaos.outcomes:

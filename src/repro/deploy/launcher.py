@@ -17,6 +17,7 @@ loss, and answers arrive as coverage-annotated partials.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -45,6 +46,7 @@ from ..obs.telemetry import (
 from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
+from ..scenario import Crash, Join, Query, Scenario, Update, play
 from ..transport.live import AsyncioTransport
 from .node import export_artifacts
 from .supervisor import Supervisor
@@ -465,8 +467,8 @@ def register(commands) -> None:
     launch.add_argument("--restart-after", type=float, default=None,
                         metavar="SECONDS",
                         help="restart the killed peer this many seconds "
-                        "after the kill (the live twin of a CrashEvent "
-                        "with recover_at)")
+                        "after the kill (the live twin of a Crash followed "
+                        "by a Restart)")
     launch.add_argument("--supervise", action="store_true",
                         help="restart crashed peer processes automatically "
                         "with exponential backoff and a restart-storm "
@@ -495,10 +497,52 @@ def register(commands) -> None:
     launch.set_defaults(run=run_launch)
 
 
+def _launch_scenario(spec: ClusterSpec, queries: List[str], args) -> Scenario:
+    """The timeline ``launch`` plays: ``--count`` queries rotating over
+    the peers believed up, the ``--updates`` revision a third of the way
+    in, the ``--kill`` overlapping the query halfway, the ``--join``
+    three quarters in, and the ``--topk`` query last.  A killed peer
+    leaves the rotation; a supervised one (no ``--restart-after``) is
+    back in it from the second query after the kill, by when the
+    supervisor has respawned it."""
+    count = args.count
+    events = []
+    rotation = spec.peer_ids()
+    down = set()
+    texts = itertools.cycle(queries)
+    for index in range(count):
+        if args.updates and index == count // 3:
+            events.append(Update(1))
+        if args.join is not None and index == (3 * count) // 4:
+            events.append(Join(args.join))
+            rotation = rotation + [args.join]
+        alive = [p for p in rotation if p not in down]
+        via = alive[index % len(alive)]
+        if args.kill is not None and index == count // 2:
+            # overlap the kill with an in-flight query so the loss
+            # degrades it to a coverage-annotated partial, exactly as a
+            # mid-query chaos crash does in-sim
+            if via == args.kill:
+                via = next(p for p in alive if p != args.kill)
+            events.append(Crash(args.kill, args.kill_signal, mid_query=True))
+            down.add(args.kill)
+        elif args.supervise and args.restart_after is None:
+            down.clear()  # respawned before the next query
+        events.append(Query(via, next(texts)))
+    if args.topk is not None:
+        # one LIMIT-k query over the live cluster: the answering peer
+        # cancels still-streaming channels once k rows are stable, the
+        # ubQL discard working across real sockets
+        alive = [p for p in rotation if p not in down]
+        events.append(Query(alive[0], queries[0], limit=args.topk))
+    return Scenario(events)
+
+
 def run_launch(args) -> int:
-    """Entry point of the ``python -m repro launch`` subcommand."""
-    topk = args.topk
-    joiner = args.join
+    """Entry point of the ``python -m repro launch`` subcommand: parse
+    the flags, build the scenario, play it on a live cluster, write the
+    report.  Supervision, ``--restart-after`` and the mid-run scrape
+    react to what happened between the answers."""
     try:
         # checked before anything is spawned: a bad name would otherwise
         # surface as a KeyError half-way through the run
@@ -509,186 +553,130 @@ def run_launch(args) -> int:
             joiners=args.joiners,
             resilient=args.resilient,
             # top-k cancel needs the nodes' live data plane switched on
-            livedata=args.livedata or topk is not None,
+            livedata=args.livedata or args.topk is not None,
         )
         if args.kill is not None and args.kill not in spec.peer_ids():
             raise ValueError(f"--kill {args.kill!r} is not a peer of this "
                              f"cluster ({', '.join(spec.peer_ids())})")
-        if joiner is not None and joiner not in spec.joiner_ids():
+        if args.join is not None and args.join not in spec.joiner_ids():
             raise ValueError(
-                f"--join {joiner!r} is not a joiner of this cluster "
+                f"--join {args.join!r} is not a joiner of this cluster "
                 f"({', '.join(spec.joiner_ids()) or 'raise --joiners'})"
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kill_signal = args.kill_signal
     restart_after = args.restart_after
-    supervise = args.supervise
     statedir = args.statedir
-    if statedir is None and (supervise or restart_after is not None):
+    if statedir is None and (args.supervise or restart_after is not None):
         # restarted processes need somewhere to recover from
         statedir = str(Path(args.outdir) / "state")
-    scrape_every = max(1, args.scrape_every)
-    cluster = LiveCluster(
-        spec, args.outdir, host=args.host, statedir=statedir,
-        slo_window=args.slo_window,
-        shed_alert=args.shed_alert,
-    )
+    cluster = LiveCluster(spec, args.outdir, host=args.host, statedir=statedir,
+                          slo_window=args.slo_window, shed_alert=args.shed_alert)
+    workload = cluster.workload
+    scenario = _launch_scenario(spec, workload.queries, args)
+    updates = None
+    if args.updates:
+        live_bases = {p: workload.bases[p] for p in spec.peer_ids()}
+        updates = LiveDataDriver(cluster, UpdateStream(
+            workload.synthetic.schema, live_bases, seed=spec.seed,
+            revisions=1, rate=UPDATE_RATE,
+        ))
+
+    def bundle(name: str, reason: str, node_id: str, **details) -> None:
+        write_diagnostic_bundle(cluster.outdir, name, reason=reason,
+                                node_ids=(node_id,), scraper=cluster.scraper,
+                                details=details or None)
+
+    supervisor = Supervisor(
+        cluster.processes, cluster.restart_peer,
+        on_restart=lambda node_id, attempt: bundle(
+            f"restart-{node_id}-{attempt}", "supervised restart", node_id,
+            attempt=attempt),
+        on_trip=lambda node_id, restarts: bundle(
+            f"breaker-{node_id}", "restart-storm circuit breaker tripped",
+            node_id, restarts=restarts),
+    ) if args.supervise else None
+    kill_time = None
+
+    def on_event(event) -> None:
+        nonlocal kill_time
+        if isinstance(event, Crash):
+            print(f"killed {event.peer} mid-query (SIG{event.signal.upper()})")
+            kill_time = time.monotonic()
+            if restart_after is not None and supervisor is not None:
+                supervisor.expect_down(event.peer)
+            if event.signal == "kill":
+                # the crash black box: the victim's durable flight
+                # record survives the SIGKILL; bundle it now
+                bundle(f"crash-{event.peer}", "SIGKILL crash", event.peer)
+        elif isinstance(event, Join):
+            print(f"joined {event.peer} mid-run")
+        else:
+            print(f"injected live update revision ({updates.stream.total_records()}"
+                  f" records, rate {UPDATE_RATE})")
+            if not updates.acked(event.revision):
+                print("warning: update revision not fully acked", file=sys.stderr)
+
+    def down() -> set:
+        """The nodes killed and not restarted since."""
+        return set(cluster.killed) - set(cluster.restarts)
+
+    outcomes = play(scenario, cluster, updates=updates, on_event=on_event)
     print(f"launching {spec.super_peers} super-peer(s) + {spec.peers} peer(s) "
           f"on {args.host} (seed {spec.seed}, "
           f"{'resilient' if spec.resilient else 'baseline'}"
-          f"{', supervised' if supervise else ''})")
-    outcomes = []
-    supervisor = None
-    update_driver = None
-    #: nodes currently believed dead (killed and not yet restarted)
-    down = set()
-    kill_time = None
+          f"{', supervised' if args.supervise else ''})")
+    reported = []
     try:
         cluster.start()
         print(f"cluster up: seed port {cluster.transport.port}, "
               f"book {sorted(cluster.transport.book)}")
-        if supervise:
-            def _on_restart(node_id: str, attempt: int) -> None:
-                write_diagnostic_bundle(
-                    cluster.outdir, f"restart-{node_id}-{attempt}",
-                    reason="supervised restart", node_ids=(node_id,),
-                    scraper=cluster.scraper,
-                    details={"attempt": attempt},
-                )
-
-            def _on_trip(node_id: str, restarts: int) -> None:
-                write_diagnostic_bundle(
-                    cluster.outdir, f"breaker-{node_id}",
-                    reason="restart-storm circuit breaker tripped",
-                    node_ids=(node_id,), scraper=cluster.scraper,
-                    details={"restarts": restarts},
-                )
-
-            supervisor = Supervisor(
-                cluster.processes, cluster.restart_peer,
-                on_restart=_on_restart, on_trip=_on_trip,
-            )
-        kill_index = args.count // 2 if args.kill is not None else None
-        join_index = (3 * args.count) // 4 if joiner is not None else None
-        update_index = args.count // 3 if args.updates else None
-        for index in range(args.count):
-            if update_index is not None and index == update_index:
-                # only churn the peers that are actually up: joiners
-                # hold pre-generated bases but no process yet
-                live_bases = {
-                    p: cluster.workload.bases[p]
-                    for p in spec.peer_ids() if p not in down
-                }
-                stream = UpdateStream(
-                    cluster.workload.synthetic.schema,
-                    live_bases,
-                    seed=spec.seed,
-                    revisions=1,
-                    rate=UPDATE_RATE,
-                )
-                update_driver = LiveDataDriver(cluster, stream)
-                print(f"injecting live update revision "
-                      f"({stream.total_records()} records, "
-                      f"rate {UPDATE_RATE})")
-                update_driver.inject(0)
-                if not cluster.transport.run_until(
-                    lambda: update_driver.acked(1), QUERY_TIMEOUT
-                ):
-                    print("warning: update revision not fully acked",
-                          file=sys.stderr)
-            if supervisor is not None:
-                for node_id in supervisor.tick():
-                    down.discard(node_id)
-                    print(f"supervisor restarted {node_id}")
-            if (kill_time is not None and restart_after is not None
-                    and time.monotonic() - kill_time >= restart_after
-                    and args.kill in down):
-                print(f"restarting {args.kill} ({restart_after}s after kill)")
-                cluster.restart_peer(args.kill)
-                down.discard(args.kill)
-                if supervisor is not None:
-                    supervisor.resume(args.kill)
-            if join_index is not None and index == join_index:
-                print(f"joining {joiner} mid-run")
-                cluster.spawn_peer(joiner)
-            rotation = spec.peer_ids() + cluster.joined
-            alive = [p for p in rotation if p not in down]
-            via = alive[index % len(alive)]
-            text = cluster.workload.queries[index % len(cluster.workload.queries)]
-            if kill_index is not None and index == kill_index:
-                # overlap the kill with an in-flight query so the loss
-                # degrades it to a coverage-annotated partial, exactly
-                # as a mid-query chaos crash does in-sim
-                if via == args.kill:
-                    via = next(p for p in alive if p != args.kill)
-                client, query_id = cluster.submit(via, text)
-                print(f"killing {args.kill} mid-query (SIG{kill_signal.upper()})")
-                if restart_after is not None and supervisor is not None:
-                    supervisor.expect_down(args.kill)
-                cluster.kill_peer(args.kill, sig=kill_signal)
-                down.add(args.kill)
-                kill_time = time.monotonic()
-                if kill_signal == "kill":
-                    # the crash black box: the victim's durable flight
-                    # record survives the SIGKILL; bundle it now
-                    write_diagnostic_bundle(
-                        cluster.outdir, f"crash-{args.kill}",
-                        reason="SIGKILL crash", node_ids=(args.kill,),
-                        scraper=cluster.scraper,
-                    )
-                result = cluster.await_result(client, query_id)
-            else:
-                result = cluster.query(via, text)
-            status = "error" if result.error else (
-                "partial" if result.coverage is not None
-                and not result.coverage.is_complete else "ok"
-            )
-            rows = 0 if result.table is None else len(result.table)
-            outcomes.append({"via": via, "status": status, "rows": rows,
-                             "error": result.error})
-            print(f"  q{index}: via {via} -> {status} ({rows} rows)")
-            if index % scrape_every == 0:
+        queries = [event for event in scenario if isinstance(event, Query)]
+        for index, (query, outcome) in enumerate(zip(queries, outcomes)):
+            status = "ok" if outcome.status == "full" else outcome.status
+            rows = outcome.rows or 0
+            reported.append({"via": query.via, "status": status, "rows": rows,
+                             "error": outcome.error})
+            if query.limit is not None:
+                reported[-1]["limit"] = query.limit
+                print(f"  top-{query.limit}: via {query.via} -> {status} "
+                      f"({rows} rows)")
+                continue
+            print(f"  q{index}: via {query.via} -> {status} ({rows} rows)")
+            if index % max(1, args.scrape_every) == 0:
                 # mid-run scrape: every peer's /metrics + /healthz into
                 # the rollups, the timeline, and the SLO watchdogs
                 cluster.scrape()
-            if supervisor is not None and args.kill in down and restart_after is None:
-                # give the backoff clock a chance between queries, so a
-                # short run still observes the supervised restart
-                time.sleep(supervisor.backoff.base)
-        if topk is not None:
-            # one LIMIT-k query over the live cluster: the answering
-            # peer cancels still-streaming channels once k rows are
-            # stable, the ubQL discard working across real sockets
-            rotation = spec.peer_ids() + cluster.joined
-            alive = [p for p in rotation if p not in down]
-            via = alive[0]
-            text = cluster.workload.queries[0]
-            client = cluster.add_client()
-            query_id = client.submit(via, text, limit=topk)
-            result = cluster.await_result(client, query_id)
-            status = "error" if result.error else "ok"
-            rows = 0 if result.table is None else len(result.table)
-            outcomes.append({"via": via, "status": status, "rows": rows,
-                             "error": result.error, "limit": topk})
-            print(f"  top-{topk}: via {via} -> {status} ({rows} rows)")
+            if supervisor is not None:
+                if down() and restart_after is None:
+                    # give the backoff clock a chance between queries, so
+                    # a short run still observes the supervised restart
+                    time.sleep(supervisor.backoff.base)
+                for node_id in supervisor.tick():
+                    print(f"supervisor restarted {node_id}")
+            if (restart_after is not None and args.kill in down()
+                    and time.monotonic() - kill_time >= restart_after):
+                print(f"restarting {args.kill} ({restart_after}s after kill)")
+                cluster.restart_peer(args.kill)
+                if supervisor is not None:
+                    supervisor.resume(args.kill)
     finally:
         summary = cluster.shutdown()
-    summary["outcomes"] = outcomes
-    if update_driver is not None:
+    summary["outcomes"] = reported
+    if updates is not None:
         summary["updates"] = {
-            "batches_injected": update_driver.injected,
-            "acks": len(update_driver.injector.acks),
-            "records": update_driver.stream.total_records(),
+            "batches_injected": updates.injected,
+            "acks": len(updates.injector.acks),
+            "records": updates.stream.total_records(),
         }
-        print(f"live updates: {update_driver.injected} batch(es), "
-              f"{len(update_driver.injector.acks)} ack(s)")
-    if topk is not None:
-        summary["topk"] = topk
+        print(f"live updates: {updates.injected} batch(es), "
+              f"{len(updates.injector.acks)} ack(s)")
+    if args.topk is not None:
+        summary["topk"] = args.topk
     (cluster.outdir / "report.json").write_text(json.dumps(summary, indent=2))
     print(f"artifacts merged under {cluster.outdir}")
-    statuses = {o["status"] for o in outcomes}
+    statuses = {o["status"] for o in reported}
     if args.kill is not None and "partial" not in statuses:
         print("warning: kill run produced no partial answers")
     return 0

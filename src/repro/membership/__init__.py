@@ -1,25 +1,18 @@
-"""Dynamic membership: churn schedules and the membership manager.
+"""Dynamic membership: the membership manager.
 
-Peers join, leave gracefully, crash and come back.  This package turns
-those lifecycle transitions into first-class, reproducible objects:
+Peers join, leave gracefully, crash and come back.
+:class:`~repro.membership.manager.MembershipManager` applies those
+transitions to a :class:`~repro.systems.hybrid.HybridSystem`: it
+attaches durable state stores, bootstraps joiners, persists snapshots
+on graceful departure, and drives crash recovery — reload the durable
+state, re-derive the active-schema, re-advertise with the ``rejoin``
+flag so quarantines lift everywhere.
 
-- :class:`~repro.membership.schedule.ChurnSchedule` draws a seeded
-  Poisson sequence of :class:`~repro.membership.schedule.ChurnEvent`
-  transitions over a peer population, so a whole churn scenario is one
-  integer seed.
-- :class:`~repro.membership.manager.MembershipManager` applies those
-  events to a :class:`~repro.systems.hybrid.HybridSystem`: it attaches
-  durable state stores, bootstraps joiners, persists snapshots on
-  graceful departure, and drives crash recovery — reload the durable
-  state, re-derive the active-schema, re-advertise with the ``rejoin``
-  flag so quarantines lift everywhere.
-
-The same event vocabulary maps onto the live launcher
-(``--kill``/``--restart-after``/``--join``), which is what the
-sim-vs-live differential tests compare.
+What happens when — a seeded churn draw included — is a
+:class:`~repro.scenario.Scenario`; the same scenario played on a live
+cluster is what the sim-vs-live differential tests compare.
 """
 
 from .manager import MembershipManager
-from .schedule import ChurnEvent, ChurnSchedule
 
-__all__ = ["ChurnEvent", "ChurnSchedule", "MembershipManager"]
+__all__ = ["MembershipManager"]

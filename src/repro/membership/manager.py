@@ -1,13 +1,16 @@
-"""The membership manager: churn events applied to a hybrid system.
+"""The membership manager: lifecycle transitions of a hybrid system.
 
 :class:`MembershipManager` owns the durable stores of a simulated
 deployment and drives every lifecycle transition through the same code
-path the live launcher uses:
+path the live launcher uses (a :class:`~repro.scenario.Scenario`'s
+``Join`` / ``Leave`` / ``Crash`` / ``Restart`` events, played in-sim,
+come here):
 
 - **attach**: every peer (simple and super) gets a
   :class:`~repro.durability.state.PeerStateStore` over a backing store
   from ``store_factory`` (in-memory by default; pass a
-  :class:`~repro.durability.store.FileStore` factory for on-disk).
+  :class:`~repro.durability.store.FileStore` factory for on-disk), and
+  every simple peer writes its first snapshot.
 - **join**: a fresh peer bootstraps from the deployment (its home
   super-peer is the seed), advertises, inherits the system's
   resilience/admission/scheduling config and writes its first snapshot.
@@ -28,7 +31,6 @@ from typing import Callable, Dict, Optional
 from ..durability import MemoryStore, PeerStateStore
 from ..peers.base import PeerBase
 from ..peers.protocol import Advertise
-from .schedule import ChurnEvent
 
 
 class MembershipManager:
@@ -38,8 +40,6 @@ class MembershipManager:
         self.system = system
         self.store_factory = store_factory or (lambda peer_id: MemoryStore())
         self.stores: Dict[str, PeerStateStore] = {}
-        #: remembered bootstrap parameters, so a departed peer can rejoin
-        self._homes: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # attachment
@@ -54,12 +54,14 @@ class MembershipManager:
         return store
 
     def attach_all(self) -> None:
-        """Attach every current simple peer and super-peer."""
+        """Attach every current super-peer and simple peer, and snapshot
+        each simple peer: from here on any of them can crash and
+        recover."""
         for super_peer in self.system.super_peers.values():
             self.attach(super_peer)
         for peer in self.system.peers.values():
             self.attach(peer)
-            self._homes[peer.peer_id] = peer.home_super_peer
+            peer.save_durable_snapshot()
 
     # ------------------------------------------------------------------
     # transitions
@@ -67,7 +69,6 @@ class MembershipManager:
     def join(self, peer_id: str, graph, home_super_peer: str, schema=None):
         """Bootstrap a fresh peer into the running deployment."""
         peer = self.system.add_peer(peer_id, graph, home_super_peer, schema=schema)
-        self._homes[peer_id] = home_super_peer
         self.attach(peer)
         peer.save_durable_snapshot()
         return peer
@@ -91,7 +92,7 @@ class MembershipManager:
         peer re-enters the overlay with a rejoin-flagged advertisement.
         """
         peer = self.system.peers[peer_id]
-        store = self.stores[peer_id]
+        store = peer.state_store
         recovered = store.recover()
         store.log_recover()
         # note: no channel-id epoch bump here — the sim reuses the peer
@@ -114,22 +115,3 @@ class MembershipManager:
         finally:
             peer.rejoining = False
         return recovered
-
-    # ------------------------------------------------------------------
-    # schedule driving
-    # ------------------------------------------------------------------
-    def apply(self, event: ChurnEvent, graph=None, home_super_peer: str = "") -> None:
-        """Apply one churn event.  ``join`` events need the joiner's
-        ``graph`` (and optionally a home super-peer; defaults to the
-        first registered one)."""
-        if event.kind == "join":
-            home = home_super_peer or next(iter(sorted(self.system.super_peers)))
-            self.join(event.peer_id, graph, home)
-        elif event.kind == "leave":
-            self.leave(event.peer_id)
-        elif event.kind == "crash":
-            self.crash(event.peer_id)
-        elif event.kind == "rejoin":
-            self.rejoin(event.peer_id)
-        else:  # pragma: no cover - ChurnEvent validates kinds
-            raise ValueError(f"unknown churn event kind {event.kind!r}")

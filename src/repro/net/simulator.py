@@ -10,7 +10,9 @@ explicit seedable RNG makes every experiment bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set, Tuple,
+)
 
 from ..errors import EventBudgetExhausted, NetworkError
 from ..metrics.collectors import MetricSet
@@ -135,6 +137,10 @@ class Network:
         self._links: Dict[Tuple[str, str], Link] = {}
         self._default_link = Link(default_latency, default_cost_per_byte)
         self._down: Set[str] = set()
+        #: active partitions: messages between the two groups vanish
+        self._cuts: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
+        #: simulator events :meth:`run` has processed so far
+        self.events_processed = 0
         # fault model (repro.resilience): no injector means the friendly
         # seed regime — no loss, and failures bounce omnisciently
         self.faults: Optional[FaultInjector] = None
@@ -222,23 +228,32 @@ class Network:
     # fault injection
     # ------------------------------------------------------------------
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
-        """Arm a fault plan: hook the injector into message delivery and
-        schedule its crash/recover events.  Returns the injector (its
-        counters feed chaos reports)."""
+        """Arm a fault plan: hook the injector into message delivery.
+        Returns the injector (its counters feed chaos reports)."""
         injector = FaultInjector(plan)
         self.faults = injector
         self.omniscient_bounces = plan.omniscient
-        for crash in plan.crashes:
-            self.call_later(
-                max(0.0, crash.at - self.now),
-                lambda p=crash.peer_id: self.fail_peer(p),
-            )
-            if crash.recover_at is not None:
-                self.call_later(
-                    max(0.0, crash.recover_at - self.now),
-                    lambda p=crash.peer_id: self.recover_peer(p),
-                )
         return injector
+
+    def partition(self, left: Iterable[str], right: Iterable[str]) -> None:
+        """Cut every link between two groups of nodes: from now on a
+        message crossing the cut is dropped on delivery, silently (the
+        sender only learns through its own timeouts)."""
+        self._cuts.append((frozenset(left), frozenset(right)))
+
+    def heal(self, left: Iterable[str], right: Iterable[str]) -> None:
+        """Lift the :meth:`partition` between the same two groups."""
+        left, right = frozenset(left), frozenset(right)
+        self._cuts = [
+            cut for cut in self._cuts if cut not in ((left, right), (right, left))
+        ]
+
+    def severed(self, src: str, dst: str) -> bool:
+        """Whether an active partition separates ``src`` and ``dst``."""
+        return any(
+            (src in left and dst in right) or (src in right and dst in left)
+            for left, right in self._cuts
+        )
 
     # ------------------------------------------------------------------
     # messaging
@@ -273,9 +288,7 @@ class Network:
             self.metrics.record_batch(message.payload.rows)
         faults = self.faults
         if faults is not None:
-            if faults.partitioned(message.src, message.dst, self.now) or faults.drops(
-                message
-            ):
+            if faults.drops(message):
                 self.metrics.count("dropped_messages")
                 return
             delay += faults.extra_delay()
@@ -306,6 +319,9 @@ class Network:
                 self._bounce(message)
             else:
                 self.metrics.count("dropped_messages")
+            return
+        if self._cuts and self.severed(message.src, message.dst):
+            self.metrics.count("dropped_messages")
             return
         self._nodes[message.dst].receive(message, self)
 
@@ -354,7 +370,9 @@ class Network:
                 pending event, the active transport — so a livelocked
                 workload is debuggable instead of a bare budget number.
         """
-        return self.transport.run(max_events, until)
+        processed = self.transport.run(max_events, until)
+        self.events_processed += processed
+        return processed
 
     def pending_events(self) -> int:
         return self.transport.pending_events()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .detector import FailureDetector, Heartbeat, HeartbeatEmitter, PeerQuarantine
-from .faults import CrashEvent, FaultInjector, FaultPlan, LinkPartition
+from .faults import FaultInjector, FaultPlan
 from .harness import ChaosReport, QueryOutcome, heartbeat_round, run_chaos
 from .partial import Coverage, full_coverage, restrict_to_answerable
 from .retry import RetryPolicy, stable_seed
@@ -82,14 +82,12 @@ RESILIENCE_OFF = ResilienceConfig(quarantine_enabled=False, partial_results=Fals
 
 __all__ = [
     "ChaosReport",
-    "CrashEvent",
     "Coverage",
     "FailureDetector",
     "FaultInjector",
     "FaultPlan",
     "Heartbeat",
     "HeartbeatEmitter",
-    "LinkPartition",
     "PeerQuarantine",
     "QueryOutcome",
     "RESILIENCE_OFF",

@@ -2,55 +2,18 @@
 
 The seed simulator knows exactly one fault — a binary ``fail_peer``
 flag whose delivery failures bounce back to the sender omnisciently.
-Real deployments lose, duplicate and delay messages, partition links
-and crash (then restart) whole peers.  A :class:`FaultPlan` describes
-such a regime declaratively; a :class:`FaultInjector` draws every
-decision from its own seeded RNG, so a chaos experiment replays
-bit-for-bit under the same seed.
+Real deployments lose, duplicate and delay messages.  A
+:class:`FaultPlan` describes such a regime declaratively; a
+:class:`FaultInjector` draws every decision from its own seeded RNG, so
+a chaos experiment replays bit-for-bit under the same seed.  (What
+happens to whole peers and links — crashes, restarts, partitions — is a
+:class:`~repro.scenario.Scenario`'s business.)
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """One scheduled peer crash (and optional recovery).
-
-    Attributes:
-        at: Virtual time the peer goes dark.
-        peer_id: The crashing peer.
-        recover_at: Virtual time the peer comes back, or ``None`` for a
-            permanent crash.
-    """
-
-    at: float
-    peer_id: str
-    recover_at: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class LinkPartition:
-    """A symmetric partition between two peer groups for a time window.
-
-    While active, messages between the groups vanish (no bounce — the
-    sender only learns through its own timeouts).
-    """
-
-    left: FrozenSet[str]
-    right: FrozenSet[str]
-    start: float = 0.0
-    end: float = float("inf")
-
-    def cuts(self, src: str, dst: str, now: float) -> bool:
-        if not (self.start <= now < self.end):
-            return False
-        return (src in self.left and dst in self.right) or (
-            src in self.right and dst in self.left
-        )
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,8 +28,6 @@ class FaultPlan:
             message (reorders messages of similar latency).
         spike_rate: Probability of a latency spike.
         spike_latency: Extra latency charged on a spike.
-        crashes: Scheduled :class:`CrashEvent` entries.
-        partitions: Scheduled :class:`LinkPartition` windows.
         omniscient: Keep the seed simulator's legacy behaviour —
             messages to down peers bounce back as ``DeliveryFailure``
             and ``fail_peer`` broadcasts liveness to every peer.  The
@@ -80,8 +41,6 @@ class FaultPlan:
     jitter: float = 0.0
     spike_rate: float = 0.0
     spike_latency: float = 0.0
-    crashes: Tuple[CrashEvent, ...] = ()
-    partitions: Tuple[LinkPartition, ...] = field(default=())
     omniscient: bool = False
 
     def validate(self) -> None:
@@ -110,10 +69,6 @@ class FaultInjector:
         self.dropped = 0
         self.duplicated = 0
         self.delayed = 0
-
-    def partitioned(self, src: str, dst: str, now: float) -> bool:
-        """True when an active partition separates ``src`` and ``dst``."""
-        return any(p.cuts(src, dst, now) for p in self.plan.partitions)
 
     def drops(self, message) -> bool:
         """Decide whether this message vanishes in flight."""

@@ -1,12 +1,14 @@
 """Chaos harness: drive a deployed system through a faulty network.
 
-:func:`run_chaos` submits a query workload against a
+:func:`run_chaos` plays a query workload as a
+:class:`~repro.scenario.Scenario` against a
 :class:`~repro.systems.hybrid.HybridSystem` or
 :class:`~repro.systems.adhoc.AdhocSystem` whose network runs under a
-:class:`~repro.resilience.faults.FaultPlan`, interleaving heartbeat /
-failure-detector rounds with the queries, and classifies every answer
-(full, coverage-annotated partial, error, no reply).  The resulting
-:class:`ChaosReport` carries the metric snapshot and a :meth:`digest
+:class:`~repro.resilience.faults.FaultPlan`, with two heartbeat /
+failure-detector rounds before each query and crash or recovery events
+armed on the clock, and classifies every answer (full,
+coverage-annotated partial, error, no reply) with :func:`classify`.
+The resulting :class:`ChaosReport` carries the metric snapshot and a :meth:`digest
 <ChaosReport.digest>` — two runs with the same seeds must produce
 bit-identical digests, which is the replay invariant the chaos-smoke
 CI job asserts.
@@ -14,8 +16,8 @@ CI job asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .faults import FaultPlan
 
@@ -33,6 +35,8 @@ class QueryOutcome:
     rows: Optional[int] = None
     error: Optional[str] = None
     coverage: Optional[str] = None
+    #: the client-side QueryResult classified (None: no reply)
+    result: Optional[object] = field(default=None, compare=False, repr=False)
 
     @property
     def answered(self) -> bool:
@@ -97,53 +101,50 @@ def classify(result, via_peer: str, query_id: str) -> QueryOutcome:
     if result is None:
         return QueryOutcome(query_id, via_peer, "no-reply")
     if result.error is not None:
-        return QueryOutcome(query_id, via_peer, "error", error=result.error)
-    coverage = result.coverage
-    if coverage is not None and not coverage.is_complete:
         return QueryOutcome(
-            query_id,
-            via_peer,
-            "partial",
-            rows=len(result.table),
-            coverage=coverage.describe(),
+            query_id, via_peer, "error", error=result.error, result=result
         )
-    return QueryOutcome(query_id, via_peer, "full", rows=len(result.table))
+    partial = result.is_partial
+    return QueryOutcome(
+        query_id,
+        via_peer,
+        "partial" if partial else "full",
+        rows=len(result.table),
+        coverage=result.coverage.describe() if partial else None,
+        result=result,
+    )
 
 
 def run_chaos(
     system,
     workload: Workload,
     plan: Optional[FaultPlan] = None,
-    heartbeats_per_query: int = 2,
-    max_events: int = 1_000_000,
+    events: Iterable = (),
 ) -> ChaosReport:
     """Run ``workload`` under ``plan`` and classify every answer.
 
     The caller configures resilience first (``system.enable_resilience``)
-    — the harness only installs the fault plan, drives the event loop
-    and liveness rounds, and reads the client's results back.  Queries
-    are submitted sequentially (each runs to quiescence before the
-    next), so crash/recovery schedules in the plan interleave with the
-    stream at their virtual times.
+    — the harness installs the fault plan and plays one scenario: the
+    extra ``events`` (crashes and restarts armed ``at`` virtual times),
+    then per query two liveness rounds and the query, run to quiescence
+    before the next, and two more rounds to settle stragglers (late
+    retransmits, recovery events).  A scenario that cannot happen
+    raises :class:`ValueError` before anything runs.
     """
+    # late import: the scenario module imports this one
+    from ..scenario import Heartbeat, Query, Scenario, play
+
+    rounds = (Heartbeat(), Heartbeat())
+    steps = [*events]
+    for via_peer, text in workload:
+        steps += [*rounds, Query(via_peer, text)]
+    client = system.add_client("chaos-client")
+    playing = play(Scenario((*steps, *rounds)), system, client=client)
     network = system.network
     if plan is not None:
         network.install_faults(plan)
-    client = system.add_client("chaos-client")
-    events = 0
-    submitted: List[Tuple[str, str]] = []
-    for via_peer, text in workload:
-        for _ in range(heartbeats_per_query):
-            heartbeat_round(system)
-        query_id = client.submit(via_peer, text)
-        submitted.append((query_id, via_peer))
-        events += network.run(max_events=max_events)
-    # settle stragglers (late retransmits, recovery events)
-    for _ in range(heartbeats_per_query):
-        heartbeat_round(system)
-    events += network.run(max_events=max_events)
-    outcomes = [
-        classify(client.result(query_id), via_peer, query_id)
-        for query_id, via_peer in submitted
-    ]
-    return ChaosReport(outcomes, system.network.metrics.snapshot(), events)
+    before = network.events_processed
+    outcomes = list(playing)
+    return ChaosReport(
+        outcomes, network.metrics.snapshot(), network.events_processed - before
+    )

@@ -6,16 +6,18 @@ must produce exactly the same answers, the same coverage annotations
 and the same membership accounting whether it runs in-sim on the
 virtual clock or as real OS processes over localhost TCP.
 
-Five dataset seeds cycle the distribution spectrum; each cluster
-serves twelve sequential queries through a scripted churn schedule
+Five dataset seeds cycle the distribution spectrum; each seed's
+scenario — twelve sequential queries through a scripted churn schedule
 (healthy → crash → degraded → supervised-style restart → healed →
-mid-run join → grown), giving 60 seeded churn queries compared
-pairwise (>= the 50 the acceptance bar asks for).  A sim-only sweep
+mid-run join → grown) — is played on both targets, giving 60 seeded
+churn queries compared pairwise (>= the 50 the acceptance bar asks
+for).  A sim-only sweep
 then runs a crash/rejoin cycle across many more seeds and checks the
 rejoined peer's durable state digests byte-equal against a
 never-crashed twin.
 """
 
+import itertools
 import json
 
 import pytest
@@ -24,25 +26,26 @@ from repro.deploy import ClusterSpec, LiveCluster, build_sim_system, build_workl
 from repro.durability import peer_state_digest
 from repro.errors import PeerError
 from repro.membership import MembershipManager
+from repro.scenario import Crash, Join, Query, Restart, Scenario, play
 
 #: Seeds 0..4 cover VERTICAL, HORIZONTAL, MIXED, VERTICAL, HORIZONTAL.
 SEEDS = (0, 1, 2, 3, 4)
 VICTIM = "P2"
 JOINER = "P4"
 
-#: The scripted 12-query churn scenario: (phase boundary events are
-#: applied *before* the query at the given index).
+#: The scripted 12-query churn scenario: a peer id is a query through
+#: it, the workload's queries in rotation.
 #:   q0-3  healthy 3-peer cluster
 #:   q4-6  degraded: the victim crashed abruptly after q3
 #:   q7-8  healed: the victim recovered from durable state after q6
 #:   q9-11 grown: a fresh joiner entered after q8
-VIA_PLAN = ("P1", "P2", "P3", "P1",   # healthy
-            "P1", "P3", "P1",          # victim down
-            "P2", "P3",                # victim back (and coordinating)
-            "P4", "P1", "P2")          # joiner in rotation
-CRASH_BEFORE = 4
-REJOIN_BEFORE = 7
-JOIN_BEFORE = 9
+SCRIPT = ("P1", "P2", "P3", "P1",   # healthy
+          Crash(VICTIM),
+          "P1", "P3", "P1",          # victim down
+          Restart(VICTIM),
+          "P2", "P3",                # victim back (and coordinating)
+          Join(JOINER),
+          "P4", "P1", "P2")          # joiner in rotation
 
 
 def _spec(seed):
@@ -50,11 +53,12 @@ def _spec(seed):
                        resilient=True, joiners=1)
 
 
-def _sequence(workload):
-    return [
-        (via, workload.queries[i % len(workload.queries)])
-        for i, via in enumerate(VIA_PLAN)
-    ]
+def _scenario(workload):
+    texts = itertools.cycle(workload.queries)
+    return Scenario(
+        Query(step, next(texts)) if isinstance(step, str) else step
+        for step in SCRIPT
+    )
 
 
 def _describe(result):
@@ -62,30 +66,16 @@ def _describe(result):
     return (result.error, rows, result.coverage)
 
 
-def _sim_answers(spec, workload):
-    """The in-sim twin: same churn script over MembershipManager."""
+def _sim_answers(spec, workload, scenario):
+    """The in-sim twin: the same scenario over a durable deployment."""
     system = build_sim_system(spec, workload)
-    manager = MembershipManager(system)
-    manager.attach_all()
-    for peer in system.peers.values():
-        peer.save_durable_snapshot()
+    MembershipManager(system).attach_all()
     answers = []
-    for index, (via, text) in enumerate(_sequence(workload)):
-        if index == CRASH_BEFORE:
-            manager.crash(VICTIM)
-            system.network.run()
-        if index == REJOIN_BEFORE:
-            manager.rejoin(VICTIM)
-            system.network.run()
-        if index == JOIN_BEFORE:
-            manager.join(JOINER, workload.bases[JOINER], "SP1")
-            system.network.run()
-        client = system.add_client()
-        query_id = client.submit(via, text)
-        system.network.run()
-        result = client.result(query_id)
-        assert result is not None, f"sim query {query_id} never answered"
-        answers.append(result)
+    for outcome in play(scenario, system, bases=workload.bases):
+        assert outcome.result is not None, (
+            f"sim query {outcome.query_id} never answered"
+        )
+        answers.append(outcome.result)
     return answers
 
 
@@ -93,22 +83,15 @@ def _sim_answers(spec, workload):
 def test_live_churn_matches_sim_exactly(seed, tmp_path):
     spec = _spec(seed)
     workload = build_workload(spec)
-    expected = _sim_answers(spec, workload)
+    scenario = _scenario(workload)
+    expected = _sim_answers(spec, workload, scenario)
 
     cluster = LiveCluster(spec, tmp_path / f"churn-{seed}",
                           statedir=tmp_path / f"churn-{seed}" / "state")
-    actual = []
+    playing = play(scenario, cluster)
     try:
         cluster.start()
-        for index, (via, text) in enumerate(_sequence(workload)):
-            if index == CRASH_BEFORE:
-                cluster.kill_peer(VICTIM, sig="kill")
-                cluster.processes[VICTIM].wait(timeout=30)
-            if index == REJOIN_BEFORE:
-                cluster.restart_peer(VICTIM)
-            if index == JOIN_BEFORE:
-                cluster.spawn_peer(JOINER)
-            actual.append(cluster.query(via, text))
+        actual = [outcome.result for outcome in playing]
     finally:
         summary = cluster.shutdown()
 
@@ -170,16 +153,10 @@ def test_crash_rejoin_twin_equivalence_in_sim(seed):
     workload = build_workload(spec)
 
     churned = build_sim_system(spec, workload)
-    manager = MembershipManager(churned)
-    manager.attach_all()
-    for peer in churned.peers.values():
-        peer.save_durable_snapshot()
+    MembershipManager(churned).attach_all()
     twin = build_sim_system(spec, workload)
 
-    manager.crash(VICTIM)
-    churned.network.run()
-    manager.rejoin(VICTIM)
-    churned.network.run()
+    list(play(Scenario((Crash(VICTIM), Restart(VICTIM))), churned))
 
     def outcome(system, via, text):
         # some seeded queries are unanswerable by construction; that

@@ -5,13 +5,12 @@ deliveries, lost submits, graceful degradation and seeded replay."""
 import pytest
 
 from repro.resilience import (
-    CrashEvent,
     FaultPlan,
-    LinkPartition,
     ResilienceConfig,
     RetryPolicy,
     run_chaos,
 )
+from repro.scenario import Crash, Heal, Partition, Query, Restart, Scenario, play
 from repro.systems import AdhocSystem, HybridSystem
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import chain_query
@@ -138,15 +137,14 @@ class TestLostMessages:
         client's resubmit after the window heals the query."""
         system = hybrid_system()
         client = system.add_client("C1")
-        plan = FaultPlan(
-            partitions=(
-                LinkPartition(frozenset({"C1"}), frozenset({"P0"}), 0.0, 40.0),
-            )
-        )
-        system.network.install_faults(plan)
-        query_id = client.submit("P0", QUERY)
-        system.run()
-        result = client.result(query_id)
+        system.network.install_faults(FaultPlan())
+        scenario = Scenario((
+            Partition({"C1"}, {"P0"}),
+            Heal({"C1"}, {"P0"}, at=40.0),
+            Query("P0", QUERY),
+        ))
+        (outcome,) = play(scenario, system, client=client)
+        result = outcome.result
         assert result is not None and result.error is None
         assert len(result.table) > 0
         assert system.network.metrics.retries > 0
@@ -220,9 +218,9 @@ class TestSeededReplay:
                 drop_rate=0.12,
                 duplicate_rate=0.06,
                 jitter=0.5,
-                crashes=(CrashEvent(at=5.0, peer_id="P2", recover_at=300.0),),
             )
-            return run_chaos(system, [("P0", QUERY)] * 4, plan)
+            crash = (Crash("P2", at=5.0), Restart("P2", at=300.0))
+            return run_chaos(system, [("P0", QUERY)] * 4, plan, crash)
 
         for arch in ("h", "a"):
             first, second = run(arch), run(arch)
@@ -236,7 +234,7 @@ class TestSeededReplay:
             drop_rate=0.10,
             duplicate_rate=0.05,
             jitter=0.5,
-            crashes=(CrashEvent(at=5.0, peer_id="P2", recover_at=400.0),),
         )
-        chaos = run_chaos(system, [("P0", QUERY)] * 5, plan)
+        crash = (Crash("P2", at=5.0), Restart("P2", at=400.0))
+        chaos = run_chaos(system, [("P0", QUERY)] * 5, plan, crash)
         assert chaos.answer_ratio >= 0.9

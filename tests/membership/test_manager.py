@@ -4,7 +4,8 @@ import pytest
 
 from repro.deploy import ClusterSpec, build_sim_system, build_workload
 from repro.durability import FileStore
-from repro.membership import ChurnEvent, ChurnSchedule, MembershipManager
+from repro.membership import MembershipManager
+from repro.scenario import Crash, Join, Leave, Restart, Scenario, play
 
 
 @pytest.fixture
@@ -14,8 +15,6 @@ def deployment():
     system = build_sim_system(spec, workload)
     manager = MembershipManager(system)
     manager.attach_all()
-    for peer in system.peers.values():
-        peer.save_durable_snapshot()
     return spec, workload, system, manager
 
 
@@ -128,14 +127,8 @@ class TestJoinLeave:
 class TestScheduleDriving:
     def test_apply_dispatches_all_kinds(self, deployment):
         spec, workload, system, manager = deployment
-        manager.apply(ChurnEvent(1.0, "crash", "P2"))
-        system.network.run()
-        manager.apply(ChurnEvent(2.0, "rejoin", "P2"))
-        system.network.run()
-        manager.apply(ChurnEvent(3.0, "join", "P4"), graph=workload.bases["P4"])
-        system.network.run()
-        manager.apply(ChurnEvent(4.0, "leave", "P3"))
-        system.network.run()
+        scenario = Scenario((Crash("P2"), Restart("P2"), Join("P4"), Leave("P3")))
+        assert list(play(scenario, system, bases=workload.bases)) == []
         metrics = system.network.metrics
         assert metrics.recoveries == 1 and metrics.goodbyes >= 1
         result = _query(system, "P1", workload.queries[0])
@@ -143,19 +136,18 @@ class TestScheduleDriving:
 
     def test_generated_schedule_replays_end_to_end(self, deployment):
         spec, workload, system, manager = deployment
-        schedule = ChurnSchedule.generate(
+        scenario = Scenario.generate(
             4, spec.peer_ids(), joiners=spec.joiner_ids(), horizon=3000,
             leave_rate=0.0005, crash_rate=0.002, join_rate=0.002,
         )
-        assert len(schedule)
+        assert len(scenario)
+        list(play(scenario, system, bases=workload.bases))
         active = set(spec.peer_ids())
-        for event in schedule:
-            manager.apply(event, graph=workload.bases.get(event.peer_id))
-            system.network.run()
-            if event.kind in ("join", "rejoin"):
-                active.add(event.peer_id)
+        for event in scenario:
+            if isinstance(event, (Join, Restart)):
+                active.add(event.peer)
             else:
-                active.discard(event.peer_id)
+                active.discard(event.peer)
         result = _query(system, sorted(active)[0], workload.queries[0])
         assert result.error is None
 
@@ -168,8 +160,6 @@ class TestFileBackedStores:
             system, store_factory=lambda peer_id: FileStore(tmp_path / peer_id)
         )
         manager.attach_all()
-        for peer in system.peers.values():
-            peer.save_durable_snapshot()
         manager.crash("P2")
         system.network.run()
         recovered = manager.rejoin("P2")

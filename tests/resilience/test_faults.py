@@ -4,7 +4,10 @@ integration with the network simulator."""
 import pytest
 
 from repro.net import Message, Network
-from repro.resilience import CrashEvent, FaultInjector, FaultPlan, LinkPartition
+from repro.resilience import FaultInjector, FaultPlan
+from repro.scenario import Crash, Restart, Scenario, play
+from repro.systems import HybridSystem
+from repro.workloads.paper import paper_peer_bases, paper_schema
 
 
 class Echo:
@@ -50,14 +53,21 @@ class TestFaultPlan:
         assert first.dropped > 0 and first.duplicated > 0
 
     def test_partition_window(self):
-        partition = LinkPartition(
-            frozenset({"A"}), frozenset({"B"}), start=10.0, end=20.0
-        )
-        assert not partition.cuts("A", "B", 5.0)
-        assert partition.cuts("A", "B", 10.0)
-        assert partition.cuts("B", "A", 15.0)  # symmetric
-        assert not partition.cuts("A", "B", 20.0)
-        assert not partition.cuts("A", "C", 15.0)
+        network, _, _ = pair()
+        network.call_later(10.0, lambda: network.partition({"A"}, {"B"}))
+        network.call_later(20.0, lambda: network.heal({"A"}, {"B"}))
+        cuts = {}
+        for when in (5.0, 10.0, 15.0, 20.0):
+            network.call_later(when, lambda when=when: cuts.update({when: (
+                network.severed("A", "B"), network.severed("B", "A"),
+                network.severed("A", "C"),
+            )}))
+        network.run()
+        assert not cuts[5.0][0]
+        assert cuts[10.0][0]
+        assert cuts[15.0][1]  # symmetric
+        assert not cuts[20.0][0]
+        assert not cuts[15.0][2]
 
 
 class TestNetworkFaults:
@@ -83,12 +93,9 @@ class TestNetworkFaults:
         assert 1.0 <= when <= 6.0
 
     def test_partition_silently_cuts_link(self):
-        plan = FaultPlan(
-            partitions=(
-                LinkPartition(frozenset({"A"}), frozenset({"B"}), 0.0, 10.0),
-            )
-        )
-        network, a, b = pair(plan)
+        network, a, b = pair(FaultPlan())
+        network.partition({"A"}, {"B"})
+        network.call_later(10.0, lambda: network.heal({"A"}, {"B"}))
         network.send(Message("A", "B", "x"))
         network.run()
         assert b.received == []
@@ -101,15 +108,19 @@ class TestNetworkFaults:
         assert len(b.received) == 1
 
     def test_crash_schedule_fires(self):
-        plan = FaultPlan(crashes=(CrashEvent(at=5.0, peer_id="B", recover_at=9.0),))
-        network, _, b = pair(plan)
+        system = HybridSystem(paper_schema())
+        system.add_super_peer("SP1")
+        for peer_id, graph in paper_peer_bases().items():
+            system.add_peer(peer_id, graph, "SP1")
+        network = system.network
         transitions = []
         network.add_liveness_listener(
             lambda peer_id, alive: transitions.append((network.now, peer_id, alive))
         )
-        network.run()
-        assert transitions == [(5.0, "B", False), (9.0, "B", True)]
-        assert not network.is_down("B")
+        scenario = Scenario((Crash("P2", at=5.0), Restart("P2", at=9.0)))
+        assert list(play(scenario, system)) == []
+        assert transitions == [(5.0, "P2", False), (9.0, "P2", True)]
+        assert not network.is_down("P2")
 
     def test_down_peer_drops_silently_without_omniscience(self):
         network, a, b = pair(FaultPlan())

@@ -321,6 +321,24 @@ class TestPeerValidation:
         assert code == 2 and complaint in err
 
 
+class TestChaosValidation:
+    """A crash schedule that cannot happen is refused before anything
+    runs: one error line, nothing on stdout."""
+
+    @pytest.mark.parametrize("crash, complaint", [
+        ("P9@6:600", "Crash names unknown peer 'P9'"),
+        ("P2@50:10", "P2 recovers at 10.0, at or before its crash at 50.0"),
+        ("P2@50:50", "P2 recovers at 50.0, at or before its crash at 50.0"),
+        ("P2", "--crash expects PEER@AT[:RECOVER], got 'P2'"),
+    ], ids=["unknown-peer", "recovery-before-crash", "recovery-at-crash",
+            "no-time"])
+    def test_impossible_crash(self, capsys, crash, complaint):
+        assert main(["chaos", "--crash", crash]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and complaint in err
+        assert err.count("\n") == 1 and out == ""
+
+
 class TestLaunchValidation:
     """Node names are checked against the spec before anything is
     spawned (no outdir appears)."""

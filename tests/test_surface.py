@@ -84,6 +84,11 @@ MAX_METRICS_IMPORTS_OF_OBS = 0
 #: ``def rollup`` under ``obs/`` (2 while the in-sim ``PeerSeries`` kept
 #: its own beside ``ClusterSeries``): sim and live share one rollup
 MAX_OBS_ROLLUPS = 1
+#: non-exception classes named ``*Event`` / ``*Schedule`` outside
+#: ``scenario.py`` (3 before: ``CrashEvent``, ``ChurnEvent``,
+#: ``ChurnSchedule``): what happens to a deployment, in-sim or live, is
+#: one vocabulary of ``Scenario`` events
+MAX_EVENT_AND_SCHEDULE_CLASSES = 0
 
 
 def _trees(*packages):
@@ -271,6 +276,22 @@ def test_one_telemetry_rollup():
         if function.name == "rollup"
     ]
     assert len(found) <= MAX_OBS_ROLLUPS, found
+
+
+def test_one_event_vocabulary():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path, tree in _trees()
+        if path != SRC / "scenario.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and node.name.endswith(("Event", "Schedule"))
+        and not any(
+            isinstance(base, ast.Name) and base.id.endswith(("Error", "Exception"))
+            for base in node.bases
+        )
+    ]
+    assert len(found) <= MAX_EVENT_AND_SCHEDULE_CLASSES, found
 
 
 def test_binding_table_importers():
