@@ -229,7 +229,7 @@ COMMENTARY = {
         "local work unit per virtual time unit of peer CPU). "
         "Concurrency pays — ≥8 queries in flight complete ~3x more "
         "queries per virtual time than the seed's one-at-a-time regime "
-        "— but unbounded overload balloons the tail (p99 ~10x "
+        "— but unbounded overload balloons the tail (p99 ~9x "
         "sequential). Admission control (2 active + 2 queued per "
         "coordinator) sheds the excess with a retry-after and keeps "
         "the served p99 well under the unbounded tail. Every answered "
