@@ -15,7 +15,7 @@ answers).  Invariants asserted:
 * no duplicate result rows under message duplication (exactly-once
   channel delivery via sequence-number dedup);
 * bit-identical replay: two runs under the same seeds produce the same
-  :meth:`~repro.resilience.harness.ChaosReport.digest`.
+  :meth:`~repro.resilience.harness.PlayReport.digest`.
 
 ``python -m benchmarks.bench_chaos --smoke`` prints the two digests
 for the CI chaos-smoke job to diff across runs.

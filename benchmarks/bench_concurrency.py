@@ -9,10 +9,12 @@ nothing about serving capacity.
 This experiment drives one hybrid deployment (synthetic 4-peer dataset,
 8 distinct chain queries, cold caches so every submission is real work,
 fair per-query scheduling so peers model finite CPU) through rising
-offered load with the ``repro.workload_engine`` open-loop driver, and
-compares completed-queries-per-virtual-time and latency percentiles
+offered load — open-loop arrivals played as one
+:class:`~repro.scenario.Scenario` (:meth:`~repro.scenario.Scenario.
+arrivals`) — and compares completed-queries-per-virtual-time and latency percentiles
 against the sequential baseline (the seed's regime: each query runs to
-quiescence before the next is posed).
+quiescence before the next is posed: the same queries played in
+sequence).
 
 Expected shape:
 
@@ -34,10 +36,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.config import PeerConfig
-from repro.errors import PeerError
+from repro.config import AdmissionControl, PeerConfig
+from repro.resilience.harness import PlayReport, percentile
+from repro.scenario import Query, Scenario, play
 from repro.systems import HybridSystem
-from repro.workload_engine import AdmissionControl, WorkloadSpec
 from repro.workloads.data_gen import Distribution, generate_bases
 from repro.workloads.query_gen import random_queries
 from repro.workloads.schema_gen import generate_schema
@@ -83,34 +85,24 @@ def _deployment():
 
 def _catalog(peer_ids, texts):
     return tuple(
-        (peer_ids[i % len(peer_ids)], texts[i % len(texts)])
+        Query(peer_ids[i % len(peer_ids)], texts[i % len(texts)])
         for i in range(COUNT)
     )
 
 
-def _percentile(values, fraction):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
-
 def sequential_baseline() -> dict:
-    """The seed regime: one query at a time, each to quiescence."""
+    """The seed regime: one query at a time, each to quiescence — its
+    latency runs until the network is quiet again, when the next query
+    can be posed.  An unanswerable query ("no relevant peers") still
+    consumes virtual time."""
     system, peer_ids = _deployment()
     _, _, _, texts = _dataset()
     network = system.network
     started = network.now
-    latencies = []
-    completed = 0
-    for via, text in _catalog(peer_ids, texts):
-        t0 = network.now
-        try:
-            system.query(via, text)
-            completed += 1
-        except PeerError:
-            pass  # "no relevant peers" still consumes virtual time
-        latencies.append(network.now - t0)
+    latencies, completed = [], 0
+    for outcome in play(Scenario(_catalog(peer_ids, texts)), system):
+        completed += outcome.answered
+        latencies.append(network.now - outcome.submitted_at)
     duration = network.now - started
     return {
         "completed": completed,
@@ -118,8 +110,8 @@ def sequential_baseline() -> dict:
         "max_inflight": 1,
         "duration": duration,
         "throughput": completed / duration if duration else 0.0,
-        "latency_p50": _percentile(latencies, 0.50),
-        "latency_p99": _percentile(latencies, 0.99),
+        "latency_p50": percentile(sorted(latencies), 0.50),
+        "latency_p99": percentile(sorted(latencies), 0.99),
         "silent": 0,
     }
 
@@ -130,17 +122,20 @@ def concurrent_run(arrival_rate: float, burst_size: int,
     _, _, _, texts = _dataset()
     if admission is not None:
         system.enable_admission(admission)
-    spec = WorkloadSpec(
-        queries=_catalog(peer_ids, texts),
-        count=COUNT,
-        mode="open",
-        arrival_rate=arrival_rate,
-        burst_size=burst_size,
-        clients=4,
-        seed=SEED,
-        resubmit_sheds=False,
-    )
-    return system.serve(spec).summary()
+    load = Scenario.arrivals(_catalog(peer_ids, texts), COUNT, arrival_rate,
+                             SEED, burst=burst_size, start=system.network.now)
+    report = PlayReport.collect(play(load, system), system.network)
+    latency = report.latency_percentiles()
+    return {
+        "completed": report.answered,
+        "shed": report.count("shed"),
+        "max_inflight": report.max_inflight,
+        "duration": report.duration,
+        "throughput": report.throughput(),
+        "latency_p50": latency["p50"],
+        "latency_p99": latency["p99"],
+        "silent": report.count("no-reply"),
+    }
 
 
 #: (row label, callable) — regenerated in order for the report table

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.deploy import ClusterSpec, LiveCluster, build_sim_system, build_workload
+from repro.resilience.harness import percentile
 
 from ._common import banner, format_table, write_report
 
@@ -51,13 +52,6 @@ def _sequence(spec, workload):
         (peer_ids[i % len(peer_ids)], workload.queries[i % len(workload.queries)])
         for i in range(QUERIES)
     ]
-
-
-def _percentile(values, fraction):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 def _outcome(result):
@@ -84,8 +78,8 @@ def run_sim(spec, workload) -> dict:
         "bring_up_s": bring_up,
         "duration_s": duration,
         "throughput_qps": QUERIES / duration if duration else 0.0,
-        "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
-        "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
+        "latency_p50_ms": percentile(sorted(latencies), 0.50) * 1e3,
+        "latency_p99_ms": percentile(sorted(latencies), 0.99) * 1e3,
         "outcomes": outcomes,
     }
 
@@ -115,8 +109,8 @@ def run_live(spec, workload) -> dict:
         "bring_up_s": bring_up,
         "duration_s": duration,
         "throughput_qps": QUERIES / duration if duration else 0.0,
-        "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
-        "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
+        "latency_p50_ms": percentile(sorted(latencies), 0.50) * 1e3,
+        "latency_p99_ms": percentile(sorted(latencies), 0.99) * 1e3,
         "outcomes": outcomes,
     }
 

@@ -222,9 +222,9 @@ COMMENTARY = {
         "regressions are visible in isolation.",
     ),
     "concurrency": (
-        "repro.workload_engine (extension) — concurrent serving",
+        "repro.scenario open-loop arrivals (extension) — concurrent serving",
         "Not a paper figure: the middleware serves, it doesn't just "
-        "answer. An open-loop driver offers rising load to one cold-"
+        "answer. Open-loop arrivals offer rising load to one cold-"
         "cache hybrid deployment with fair per-query scheduling (one "
         "local work unit per virtual time unit of peer CPU). "
         "Concurrency pays — ≥8 queries in flight complete ~3x more "

@@ -3,8 +3,8 @@
 The command line is a view over the values the system already has — a
 :class:`~repro.config.PeerConfig`, a
 :class:`~repro.deploy.workload.ClusterSpec`, a
-:class:`~repro.workload_engine.WorkloadSpec` — and not a configuration
-mechanism of its own.  Each command is declared by the module that runs
+:class:`~repro.scenario.Scenario` — and not a configuration mechanism of
+its own.  Each command is declared by the module that runs
 it: a ``register(commands)`` adds the sub-parser, its flags and its
 ``run`` function, and :func:`main` is parse-then-``args.run(args)``.
 The commands (``python -m repro --help``)::

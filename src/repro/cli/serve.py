@@ -5,19 +5,30 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from ..config import DEFAULT_CONFIG, PeerConfig, topk_streaming
+from ..config import DEFAULT_CONFIG, AdmissionControl, PeerConfig, topk_streaming
 from ..errors import EventBudgetExhausted
 from ..livedata import LiveDataDriver, UpdateStream
-from ..obs.telemetry import default_slo_rules, read_timeline, render_alert
+from ..obs.telemetry import (
+    ClusterSeries,
+    SLOMonitor,
+    TelemetryProbe,
+    default_slo_rules,
+    read_timeline,
+    render_alert,
+)
+from ..resilience.harness import PlayReport
+from ..scenario import Query, Scenario, Update, play
 from ..systems import AdhocSystem, HybridSystem
-from ..workload_engine import AdmissionControl, WorkloadDriver, WorkloadSpec
 from ..workloads.data_gen import Distribution, generate_bases
 from ..workloads.query_gen import random_queries
 from ..workloads.schema_gen import generate_schema
 
 PEER_IDS = ("P1", "P2", "P3")
+#: ``serve``: how often a shed query is re-offered after its back-off
+SHED_RETRIES = 3
 #: ``alerts --demo``: the shed-rate fraction that trips the shed-rate
 #: rule, and the sliding window the rules evaluate over
 DEMO_SHED_BOUND = 0.05
@@ -27,20 +38,15 @@ DEMO_WINDOW = 120.0
 def register(commands) -> None:
     serve = commands.add_parser(
         "serve",
-        help="drive a concurrent query workload against a synthetic "
-        "deployment and print the serving report",
+        help="offer open-loop query load to a synthetic deployment and "
+        "print the serving report",
     )
     serve.add_argument("--arch", choices=("hybrid", "adhoc"), default="hybrid",
                        help="deployment architecture")
-    serve.add_argument("--mode", choices=("open", "closed"), default="open",
-                       help="open-loop Poisson arrivals or closed-loop "
-                       "think-time clients")
     serve.add_argument("--count", type=int, default=24,
-                       help="logical queries to offer")
+                       help="queries to offer")
     serve.add_argument("--arrival-rate", type=float, default=0.2,
-                       help="open loop: mean arrivals per unit of virtual time")
-    serve.add_argument("--clients", type=int, default=4,
-                       help="driver-owned client peers")
+                       help="mean Poisson arrivals per unit of virtual time")
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for the deployment and the arrival process")
     serve.add_argument("--max-concurrent", type=int, default=None,
@@ -119,10 +125,28 @@ def _synthetic_deployment(seed: int, distinct: int, count: int,
             system.add_peer(peer_id, bases[peer_id], "SP")
         system.run()  # settle the advertisement push
     queries = tuple(
-        (PEER_IDS[i % len(PEER_IDS)], texts[i % len(texts)])
+        Query(PEER_IDS[i % len(PEER_IDS)], texts[i % len(texts)])
         for i in range(count)
     )
     return system, bases, queries
+
+
+def _serving_scenario(system, bases, queries, args):
+    """The load ``serve`` offers — ``queries`` arriving open-loop from
+    now on — and, with ``--updates``, the live update revisions
+    spread over it with the driver they go through."""
+    start = system.network.now
+    load = Scenario.arrivals(queries, args.count, args.arrival_rate, args.seed,
+                             start=start)
+    if not args.updates:
+        return load, None
+    stream = UpdateStream(
+        system.schema, bases, seed=args.seed,
+        revisions=args.update_revisions, rate=args.update_rate,
+    )
+    revisions = [Update(i + 1, at=start + (100.0 + 400.0 * i))
+                 for i in range(len(stream.revisions))]
+    return Scenario((*revisions, *load)), LiveDataDriver(system, stream)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -139,31 +163,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ))
     if args.fair_quantum is not None:
         system.enable_fair_scheduling(args.fair_quantum)
-    driver = None
-    if args.updates:
-        stream = UpdateStream(
-            system.schema, bases, seed=args.seed,
-            revisions=args.update_revisions, rate=args.update_rate,
-        )
-        driver = LiveDataDriver(system, stream)
-        driver.schedule()
-    spec = WorkloadSpec(
-        queries=queries,
-        count=args.count,
-        mode=args.mode,
-        arrival_rate=args.arrival_rate,
-        clients=args.clients,
-        seed=args.seed,
-        limit=args.topk,
-    )
+    if args.topk is not None:
+        queries = [replace(query, limit=args.topk) for query in queries]
+    scenario, driver = _serving_scenario(system, bases, queries, args)
     try:
-        report = system.serve(spec, max_events=args.max_events)
+        report = PlayReport.collect(
+            play(scenario, system, updates=driver, shed_retries=SHED_RETRIES,
+                 max_events=args.max_events),
+            system.network,
+        )
     except EventBudgetExhausted as exc:
         print(f"serve failed: {exc}", file=sys.stderr)
         return 1
-    print(f"deployment : {args.arch} ({len(PEER_IDS)} peers, "
-          f"{min(args.clients, args.count)} clients, seed {args.seed})")
-    print(f"load       : {args.mode} loop, {args.count} queries over "
+    print(f"deployment : {args.arch} ({len(PEER_IDS)} peers, seed {args.seed})")
+    print(f"load       : open loop, {args.count} queries over "
           f"{distinct} distinct texts")
     print(report.render())
     metrics = system.network.metrics
@@ -177,7 +190,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"top-k      : LIMIT {args.topk} on every query, "
               f"{metrics.topk_cancels} early cancels, "
               f"{metrics.discarded_bindings} bindings discarded")
-    silent = report.by_status().get("silent", 0)
+    silent = report.count("no-reply")
     if silent:
         print(f"WARNING: {silent} queries never got a reply", file=sys.stderr)
         return 1
@@ -192,38 +205,46 @@ def _alerts_demo() -> int:
     system, _, queries = _synthetic_deployment(seed=0, distinct=6, count=count)
     # starve admission so the burst has to shed
     system.enable_admission(AdmissionControl(max_concurrent=1, max_queued=1))
-    spec = WorkloadSpec(
-        queries=queries,
-        count=count,
-        mode="open",
-        arrival_rate=4.0,
-        burst_size=4,
-        clients=4,
-        resubmit_sheds=False,
+    # the watchdog samples on every answer: pull-based and uncharged, it
+    # reads metrics and schedules nothing, so the run is the bare one
+    probe = TelemetryProbe(
+        system.network,
+        peers=[*system.peers.values(), *system.super_peers.values()],
     )
-    driver = WorkloadDriver(system, spec)
-    driver.attach_telemetry(
-        rules=default_slo_rules(shed_bound=DEMO_SHED_BOUND), window=DEMO_WINDOW
-    )
-    driver.install()
+    series = ClusterSeries()
+    monitor = SLOMonitor(default_slo_rules(shed_bound=DEMO_SHED_BOUND),
+                         scope="sim", window=DEMO_WINDOW)
+    alerts = []
+
+    def watch(client, result) -> None:
+        sample = probe.sample()
+        series.append(probe.node_id, sample)
+        alerts.extend(monitor.evaluate(sample.t, series.rollup(monitor.window)))
+
+    client = system.add_client()
+    client.result_listeners.append(watch)
+    load = Scenario.arrivals(queries, count, rate=4.0, seed=0, burst=4,
+                             start=system.network.now)
     try:
-        system.network.run(max_events=2_000_000)
+        report = PlayReport.collect(
+            play(load, system, client=client, max_events=2_000_000),
+            system.network,
+        )
     except EventBudgetExhausted as exc:
         print(f"demo failed: {exc}", file=sys.stderr)
         return 1
-    by_status = driver.report().by_status()
     print(f"overload   : {count} queries burst at an admission gate of "
           f"1 running + 1 queued per peer")
     print("outcomes   : " + " ".join(
-        f"{status}={n}" for status, n in sorted(by_status.items())
+        f"{status}={n}" for status, n in sorted(report.by_status().items())
     ))
-    if not driver.slo_events:
+    if not alerts:
         print("no alerts fired (overload insufficient?)", file=sys.stderr)
         return 1
     print("alerts     :")
-    for event in driver.slo_events:
+    for event in alerts:
         print("  " + render_alert(event))
-    fired = {e["rule"] for e in driver.slo_events if e["state"] == "firing"}
+    fired = {e["rule"] for e in alerts if e["state"] == "firing"}
     print(f"fired rules: {', '.join(sorted(fired))}")
     return 0
 

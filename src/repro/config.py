@@ -21,7 +21,53 @@ from typing import Optional
 
 from .core.adaptivity import ReplanBudget
 from .resilience import RESILIENCE_OFF, ResilienceConfig
-from .workload_engine.admission import AdmissionControl
+
+
+@dataclass(frozen=True)
+class AdmissionControl:
+    """Per-peer admission policy: bounded queues, shedding, deadlines.
+
+    Under sustained load unbounded acceptance degrades *every* in-flight
+    query at once.  A coordinator runs at most ``max_concurrent``
+    coordinations, parks up to ``max_queued`` more in a FIFO, sheds the
+    rest with a retry-after hint, and (when ``deadline`` is set) cancels
+    stragglers through the ubQL discard path so a stuck query releases
+    its channels and its slot.  A super-peer paces its routing service
+    by the same policy: route requests beyond the queue bound are
+    answered with :class:`~repro.peers.protocol.RouteBusy`, queued ones
+    are served one per ``service_time``.
+
+    Args:
+        max_concurrent: Coordinations (or routing computations) allowed
+            to run at once; arrivals beyond it queue.
+        max_queued: Bound on the pending-query FIFO; arrivals beyond it
+            are shed with a retry-after reply.
+        retry_after: Virtual-time back-off hint carried by shed replies.
+        deadline: Per-query virtual time budget measured from
+            admission; ``None`` disables deadlines.  An expired query is
+            cancelled via the ubQL discard path and answered with an
+            explicit deadline error — never silence.
+        service_time: Virtual time a super-peer spends serving one
+            queued route request (models routing CPU).
+    """
+
+    max_concurrent: int = 8
+    max_queued: int = 16
+    retry_after: float = 25.0
+    deadline: Optional[float] = None
+    service_time: float = 1.0
+
+    def __post_init__(self):
+        if self.max_concurrent < 1:
+            raise ValueError("max_concurrent must be >= 1")
+        if self.max_queued < 0:
+            raise ValueError("max_queued must be >= 0")
+        if self.retry_after <= 0:
+            raise ValueError("retry_after must be positive")
+        if self.deadline is not None and self.deadline <= 0:
+            raise ValueError("deadline must be positive when set")
+        if self.service_time < 0:
+            raise ValueError("service_time must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -221,12 +221,3 @@ class LiveDataDriver:
         queries to re-evaluate and push deltas for ``revision``."""
         for peer_id in peer_ids:
             self.injector.send(peer_id, RefreshStanding(revision))
-
-    def schedule(self, start: float = 100.0, spacing: float = 400.0) -> None:
-        """Schedule every revision on the network's virtual clock (the
-        mid-run injection mode ``repro serve --updates`` uses)."""
-        for index in range(len(self.stream.revisions)):
-            self.system.network.call_later(
-                start + index * spacing,
-                lambda i=index: self.inject(i),
-            )

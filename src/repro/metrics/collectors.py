@@ -58,8 +58,8 @@ class MetricSet:
         self.link_bytes: Dict[Tuple[str, str], Histogram] = {}
         #: how full each shipped binding batch was (repro.channels)
         self.bindings_per_batch = Histogram()
-        # workload engine (repro.workload_engine): how many coordinations
-        # are in flight at once (a gauge with a high-watermark, not a
+        # concurrent serving (admission control, repro.config): how many
+        # coordinations are in flight at once (a gauge with a high-watermark, not a
         # counter) and how deep admission queues were at enqueue time
         self.inflight_queries = 0
         self.max_inflight_queries = 0

@@ -36,7 +36,7 @@ COUNTERS: Dict[str, str] = {
     "scans_empty": "Shipped subplans that came back with zero rows",
     "batches_sent": "Binding batches (DataPackets) shipped",
     "discarded_bindings": "Bindings thrown away by plan discards",
-    # workload engine (repro.workload_engine)
+    # admission control (repro.config.AdmissionControl)
     "queries_shed": "Queries refused by admission control",
     "deadline_expirations": "Per-query deadlines that fired",
     # membership + durability (repro.membership / repro.durability)

@@ -145,7 +145,7 @@ class Peer:
         #: channel id -> the exact reply payloads of a completed shipment,
         #: replayed verbatim when a retransmitted SubPlanPacket arrives
         self._subplan_replay: Dict[str, List] = {}
-        #: fair per-query work scheduler (repro.workload_engine); None
+        #: fair per-query work scheduler (peers/scheduler.py); None
         #: keeps the seed's run-to-completion message handling
         self.scheduler = None
         #: durable state handle (repro.durability); None keeps the

@@ -55,11 +55,11 @@ class ClientPeer(Peer):
         #: open root spans per in-flight query (repro.obs)
         self._spans: Dict[str, object] = {}
         #: retry-after hints of queries shed by admission control,
-        #: keyed by query id (the workload driver resubmits from these)
+        #: keyed by query id (``repro.scenario.play`` re-offers from these)
         self.sheds: Dict[str, float] = {}
         #: called with ``(client, result)`` whenever a query terminates
-        #: — answer, error or shed (repro.workload_engine drivers hook
-        #: closed-loop submission and shed resubmission here)
+        #: — answer, error or shed (``repro.scenario.play`` collects
+        #: open-loop answers and re-offers sheds here)
         self.result_listeners: List[Callable[["ClientPeer", QueryResult], None]] = []
         #: continuous subscriptions (repro.livedata): the folded
         #: current answer and the raw pushed deltas, per query id

@@ -138,7 +138,7 @@ class QueryCoordinator:
         #: answered queries remembered (bounded FIFO) so duplicate
         #: QuerySubmits are served idempotently
         self._completed: Dict[str, QueryResult] = {}
-        #: admission control (repro.workload_engine): queries parked
+        #: admission control (repro.config.AdmissionControl): queries parked
         #: beyond ``config.admission``'s concurrency bound
         self._admission_queue: Deque[Tuple[QuerySubmit, object]] = deque()
         self._parked_ids: Set[str] = set()

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .detector import FailureDetector, Heartbeat, HeartbeatEmitter, PeerQuarantine
 from .faults import FaultInjector, FaultPlan
-from .harness import ChaosReport, QueryOutcome, heartbeat_round, run_chaos
+from .harness import PlayReport, QueryOutcome, heartbeat_round, run_chaos
 from .partial import Coverage, full_coverage, restrict_to_answerable
 from .retry import RetryPolicy, stable_seed
 
@@ -81,7 +81,6 @@ RESILIENCE_OFF = ResilienceConfig(quarantine_enabled=False, partial_results=Fals
 
 
 __all__ = [
-    "ChaosReport",
     "Coverage",
     "FailureDetector",
     "FaultInjector",
@@ -89,6 +88,7 @@ __all__ = [
     "Heartbeat",
     "HeartbeatEmitter",
     "PeerQuarantine",
+    "PlayReport",
     "QueryOutcome",
     "RESILIENCE_OFF",
     "ResilienceConfig",

@@ -11,16 +11,20 @@ Events apply in sequence, and a :class:`Query` is closed-loop: ``play``
 waits for its answer and yields its
 :class:`~repro.resilience.harness.QueryOutcome`.  An event given ``at=``
 is armed on the simulator's virtual clock instead (a crash inside the
-first query, a recovery long after it); one given ``mid_query=True`` is
-applied just after the next query is submitted, before its answer is
-awaited (a kill overlapping an in-flight query).
+first query, a recovery long after it); an armed query is submitted then
+without waiting for anything — open-loop load, as
+:meth:`Scenario.arrivals` draws it — and its answer collected when it
+comes.  Either way outcomes are yielded in scenario order.  An event
+given ``mid_query=True`` is applied just after the next query is
+submitted, before its answer is awaited (a kill overlapping an
+in-flight query).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .membership import MembershipManager
 from .resilience.harness import QueryOutcome, classify, heartbeat_round
@@ -33,11 +37,13 @@ UPDATE_ACK_TIMEOUT = 4_000.0
 @dataclass(frozen=True)
 class Query:
     """Pose ``text`` through the simple peer ``via`` (``limit``: keep the
-    first rows, with any-k early stop) and await the answer."""
+    first rows, with any-k early stop) and await the answer — or, armed
+    ``at`` a virtual time, submit it then and await nothing."""
 
     via: str
     text: str
     limit: Optional[int] = None
+    at: Optional[float] = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class Heartbeat(_Happening):
 
 
 def _armed(event) -> bool:
-    return isinstance(event, _Happening) and event.at is not None
+    return event.at is not None
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class Scenario:
         for event in self.events:
             if not isinstance(event, (Query, _Happening)):
                 raise ValueError(f"not a scenario event: {event!r}")
-            if _armed(event) and event.mid_query:
+            if _armed(event) and not isinstance(event, Query) and event.mid_query:
                 raise ValueError(f"{event}: armed at a time or mid-query, not both")
         sequence = [e for e in self.events if not _armed(e)]
         if sequence and not isinstance(sequence[-1], Query) and sequence[-1].mid_query:
@@ -197,6 +203,40 @@ class Scenario:
         order = (Join, Leave, Crash, Restart)  # at one instant
         return cls(sorted(events, key=lambda e: (e.at, e.peer, order.index(type(e)))))
 
+    @classmethod
+    def arrivals(
+        cls,
+        queries: Sequence[Query],
+        count: int,
+        rate: float,
+        seed: int,
+        burst: int = 1,
+        start: float = 0.0,
+    ) -> "Scenario":
+        """Seeded open-loop load: ``count`` queries cycling over
+        ``queries``, each armed at its arrival instant.  Instants follow
+        ``start`` by exponential gaps (``rate`` arrivals per unit of
+        virtual time), ``burst`` queries per instant; they never depend
+        on how fast earlier queries are answered, which is what makes
+        the loop open."""
+        if not queries:
+            raise ValueError("arrivals need at least one query")
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if rate <= 0:
+            raise ValueError("rate must be positive")
+        if burst < 1:
+            raise ValueError("burst must be >= 1")
+        rng = random.Random(seed)
+        events: List[Query] = []
+        at = 0.0
+        while len(events) < count:
+            at += rng.expovariate(rate)
+            for _ in range(min(burst, count - len(events))):
+                events.append(replace(queries[len(events) % len(queries)],
+                                      at=start + at))
+        return cls(events)
+
 
 def _check_restarts(lane) -> None:
     down = set()
@@ -226,11 +266,27 @@ def _named(event) -> Tuple[str, ...]:
 # targets: what each event does there (``actions``), who it may name
 # (``known``), how to wait for it (``settle``) and how a query runs
 # ----------------------------------------------------------------------
-class _Sim:
-    """A sim :class:`~repro.systems.deployment.Deployment`."""
+@dataclass
+class _Asked:
+    """A query submitted in-sim: its first submission time, the shed
+    re-offers it has left, and its outcome once final."""
 
-    def __init__(self, system, client, bases, updates):
+    query: Query
+    retries: int
+    query_id: Optional[str] = None
+    submitted_at: Optional[float] = None
+    outcome: Optional[QueryOutcome] = None
+
+
+class _Sim:
+    """A sim :class:`~repro.systems.deployment.Deployment`: every answer
+    is collected by a result listener on the client."""
+
+    def __init__(self, system, client, bases, updates, shed_retries, max_events):
         self.system, self.network, self.client = system, system.network, client
+        self.retries, self.max_events = shed_retries, max_events
+        #: query id -> the query awaiting that submission's reply
+        self._open: Dict[str, _Asked] = {}
         self.bases = dict(bases or {})
         membership = MembershipManager(system)
         network = self.network
@@ -274,19 +330,53 @@ class _Sim:
         # deliver what the event sent; a crash, a cut or a heartbeat
         # round's beats ride with the next query's traffic instead
         if isinstance(event, (Restart, Join, Leave, Update)):
-            self.network.run()
+            self.network.run(self.max_events)
 
-    def submit(self, query: Query, overlapped: bool):
+    def submit(self, query: Query, overlapped: bool) -> _Asked:
+        asked = _Asked(query, self.retries)
+        if _armed(query):
+            self.arm(query, lambda _: self._send(asked))
+        else:
+            self._send(asked)
+        return asked
+
+    def _send(self, asked: _Asked) -> None:
         if self.client is None:
             self.client = self.system.add_client()
-        return self.client.submit(query.via, query.text, limit=query.limit)
+        if self._on_result not in self.client.result_listeners:
+            self.client.result_listeners.append(self._on_result)
+        if asked.submitted_at is None:
+            asked.submitted_at = self.network.now
+        query = asked.query
+        asked.query_id = self.client.submit(query.via, query.text, limit=query.limit)
+        self._open[asked.query_id] = asked
 
-    def answer(self, query: Query, query_id: str) -> QueryOutcome:
-        self.network.run()
-        return classify(self.client.result(query_id), query.via, query_id)
+    def _on_result(self, client, result) -> None:
+        asked = self._open.pop(result.query_id, None)
+        if asked is None:
+            return  # a query somebody else submitted through this client
+        retry_after = client.sheds.pop(result.query_id, None)
+        if retry_after is not None and asked.retries > 0:
+            # re-offered after its back-off, under a fresh query id
+            asked.retries -= 1
+            self.network.call_later(retry_after, lambda: self._send(asked))
+            return
+        asked.outcome = classify(
+            result, asked.query.via, result.query_id, shed=retry_after is not None,
+            submitted_at=asked.submitted_at, finished_at=self.network.now,
+        )
+
+    def answer(self, query: Query, asked: _Asked) -> QueryOutcome:
+        if asked.outcome is None:
+            self.network.run(self.max_events)
+        return asked.outcome or classify(
+            None, query.via, asked.query_id, submitted_at=asked.submitted_at
+        )
 
     def finish(self) -> None:
-        self.network.run()
+        self.network.run(self.max_events)
+        if self.client is not None and self._on_result in self.client.result_listeners:
+            self.client.result_listeners.remove(self._on_result)
 
 
 class _Live:
@@ -348,6 +438,8 @@ def play(
     bases: Optional[Mapping] = None,
     updates=None,
     on_event: Optional[Callable[[object], None]] = None,
+    shed_retries: int = 0,
+    max_events: int = 1_000_000,
 ) -> Iterator[QueryOutcome]:
     """Play ``scenario`` on ``target``, yielding one
     :class:`~repro.resilience.harness.QueryOutcome` per :class:`Query`.
@@ -368,9 +460,15 @@ def play(
             :class:`Update` events inject through.
         on_event: Called with each event other than a query once it has
             been applied.
+        shed_retries: In-sim, how often a query shed by admission
+            control is re-offered after its retry-after back-off (0: a
+            shed is final); latency counts from the first submission.
+        max_events: In-sim, the event budget of each run of the
+            simulator (:class:`~repro.errors.EventBudgetExhausted`
+            names what was still in flight).
     """
     if isinstance(target, Deployment):
-        stage = _Sim(target, client, bases, updates)
+        stage = _Sim(target, client, bases, updates, shed_retries, max_events)
     else:
         stage = _Live(target, updates)
     kind = type(target).__name__
@@ -396,16 +494,21 @@ def _perform(scenario: Scenario, stage, on_event) -> Iterator[QueryOutcome]:
         if on_event is not None:
             on_event(event)
 
-    for event in filter(_armed, scenario):
-        stage.arm(event, apply)
+    tickets = {}  # scenario index -> a query's submission
+    for index, event in enumerate(scenario):
+        if _armed(event) and isinstance(event, Query):
+            tickets[index] = stage.submit(event, False)
+        elif _armed(event):
+            stage.arm(event, apply)
     overlapping = []
-    for event in scenario:
+    for index, event in enumerate(scenario):
         if isinstance(event, Query):
-            ticket = stage.submit(event, bool(overlapping))
-            for late in overlapping:
-                apply(late)
-            overlapping = []
-            yield stage.answer(event, ticket)
+            if index not in tickets:
+                tickets[index] = stage.submit(event, bool(overlapping))
+                for late in overlapping:
+                    apply(late)
+                overlapping = []
+            yield stage.answer(event, tickets.pop(index))
         elif event.mid_query:
             overlapping.append(event)
         elif not _armed(event):

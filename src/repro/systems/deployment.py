@@ -12,17 +12,16 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from ..config import DEFAULT_CONFIG, PeerConfig, reconfigure
+from ..config import DEFAULT_CONFIG, AdmissionControl, PeerConfig, reconfigure
 from ..core.cost import Statistics
 from ..errors import PeerError
 from ..net.simulator import Network
 from ..peers.client import ClientPeer
+from ..peers.scheduler import FairScheduler
 from ..peers.simple import SimplePeer
 from ..peers.super import SuperPeer
 from ..rdf.schema import Schema
 from ..resilience import HeartbeatEmitter, ResilienceConfig
-from ..workload_engine import AdmissionControl, FairScheduler, WorkloadReport, WorkloadSpec
-from ..workload_engine import serve as _serve_workload
 
 
 class Deployment:
@@ -117,7 +116,7 @@ class Deployment:
         super-peers pace their routing service and answer saturation
         with RouteBusy, and per-query deadlines (when set) cancel
         stragglers."""
-        control = control or AdmissionControl.default()
+        control = control or AdmissionControl()
         for holder in (self, *self.nodes()):
             reconfigure(holder, admission=control)
         return control
@@ -131,13 +130,6 @@ class Deployment:
         for peer in self.peers.values():
             if peer.scheduler is None:
                 peer.install_scheduler(FairScheduler(self.network, quantum))
-
-    def serve(self, spec: WorkloadSpec, max_events: int = 2_000_000) -> WorkloadReport:
-        """Drive a workload against this deployment: many queries in
-        flight concurrently on the virtual clock, injected mid-run by
-        the driver.  Returns the workload report (outcomes, throughput,
-        latency percentiles)."""
-        return _serve_workload(self, spec, max_events=max_events)
 
     # ------------------------------------------------------------------
     # construction

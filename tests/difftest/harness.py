@@ -138,7 +138,7 @@ def build_adhoc(workload: Workload, statistics=None, **options) -> AdhocSystem:
 
 
 def concurrent_answers(system, workload: Workload, count: int,
-                       arrival_rate: float = 0.8, clients: int = 4):
+                       arrival_rate: float = 0.8):
     """Serve ``count`` interleaved queries open-loop and capture every
     final answer.
 
@@ -146,38 +146,23 @@ def concurrent_answers(system, workload: Workload, count: int,
     coordinating peer, so several coordinations (often of the *same*
     text via different peers) overlap in flight.  Returns ``(report,
     answers)`` where ``answers[index]`` is the
-    :class:`~repro.peers.client.QueryResult` the driver's client
-    received for logical query ``index``.
+    :class:`~repro.peers.client.QueryResult` the client received for
+    logical query ``index`` (``None``: no reply).
     """
-    from repro.workload_engine import WorkloadDriver, WorkloadSpec
+    from repro.resilience.harness import PlayReport
+    from repro.scenario import Query, Scenario, play
 
-    spec = WorkloadSpec(
-        queries=tuple(
-            (
-                workload.peer_ids[i % len(workload.peer_ids)],
-                workload.queries[i % len(workload.queries)],
-            )
-            for i in range(count)
-        ),
-        count=count,
-        mode="open",
-        arrival_rate=arrival_rate,
-        clients=clients,
-        seed=workload.seed,
+    queries = [
+        Query(workload.peer_ids[i % len(workload.peer_ids)],
+              workload.queries[i % len(workload.queries)])
+        for i in range(count)
+    ]
+    load = Scenario.arrivals(queries, count, arrival_rate, workload.seed,
+                             start=system.network.now)
+    report = PlayReport.collect(
+        play(load, system, shed_retries=3, max_events=2_000_000), system.network
     )
-    driver = WorkloadDriver(system, spec)
-    driver.install()
-    captured = {}
-
-    def capture(client, result):
-        captured[result.query_id] = result
-
-    for client in driver.clients:
-        client.result_listeners.append(capture)
-    system.network.run(max_events=2_000_000)
-    report = driver.report()
-    answers = {o.index: captured.get(o.query_id) for o in report.outcomes}
-    return report, answers
+    return report, [outcome.result for outcome in report.outcomes]
 
 
 def sequential_twin_answers(builder, workload: Workload, count: int, **options):

@@ -12,8 +12,8 @@ import pytest
 from repro.config import PeerConfig
 from repro.errors import EventBudgetExhausted, NetworkError
 from repro.net.simulator import Network
+from repro.scenario import Query, Scenario, play
 from repro.systems import HybridSystem
-from repro.workload_engine import WorkloadSpec
 from repro.workloads.paper import PAPER_QUERY, hybrid_scenario
 
 
@@ -49,12 +49,10 @@ class TestBudgetExhaustion:
             hybrid_scenario(), config=PeerConfig(cache_enabled=False)
         )
         system.run()  # settle advertisements within their own budget
-        spec = WorkloadSpec(
-            queries=(("P1", PAPER_QUERY),), count=8, mode="open",
-            arrival_rate=5.0, burst_size=8, clients=2,
-        )
+        load = Scenario.arrivals([Query("P1", PAPER_QUERY)], 8, rate=5.0,
+                                 seed=0, burst=8, start=system.network.now)
         with pytest.raises(EventBudgetExhausted) as excinfo:
-            system.serve(spec, max_events=30)
+            list(play(load, system, max_events=30))
         diagnostics = excinfo.value.diagnostics
         assert diagnostics["pending_events"] > 0
         assert diagnostics["oldest_pending_event_at"] is not None

@@ -11,8 +11,8 @@ from repro.obs.telemetry import (
 )
 from repro.obs.telemetry.probe import HEALTH_SCHEMA, TRACEZ_SCHEMA
 from repro.obs.telemetry.sampler import EXPOSITION_FAMILIES, SAMPLED_COUNTERS
+from repro.scenario import Query, Scenario, play
 from repro.systems import HybridSystem
-from repro.workload_engine import WorkloadDriver, WorkloadSpec
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
 
@@ -127,8 +127,9 @@ class TestSamplingPipeline:
         assert rollup["availability"] == 0.5
 
     def test_sim_watchdog_rolls_up_like_a_one_peer_cluster(self):
-        # the driver's SLO watchdog and a scraper's series, fed the same
-        # samples, agree on every window — a quiet one included
+        # an in-sim watchdog (the one `repro alerts --demo` runs: the
+        # probe sampled on every answer) and a scraper's series, fed the
+        # same samples, agree on every window — a quiet one included
         system = paper_system()
         seen = []
 
@@ -137,22 +138,22 @@ class TestSamplingPipeline:
                 seen.append(super().sample(gauges))
                 return seen[-1]
 
-        spec = WorkloadSpec(queries=(("P1", PAPER_QUERY),), count=4,
-                            mode="closed", clients=1)
-        driver = WorkloadDriver(system, spec).attach_telemetry(
-            probe=Recording(system.network, peers=list(system.peers.values()))
+        probe = Recording(system.network, peers=list(system.peers.values()))
+        watchdog = ClusterSeries()
+        client = system.add_client()
+        client.result_listeners.append(
+            lambda client, result: watchdog.append(probe.node_id, probe.sample())
         )
-        driver.install()
-        system.network.run()
+        list(play(Scenario([Query("P1", PAPER_QUERY)] * 4), system, client=client))
         assert len(seen) == 4
         # two later samples with nothing finished in between
         quiet = [seen[-1]._replace(t=seen[-1].t + dt) for dt in (1_000.0, 1_001.0)]
         for sample in quiet:
-            driver.telemetry_series.append(driver.probe.node_id, sample)
+            watchdog.append(probe.node_id, sample)
         cluster = ClusterSeries()
         for sample in [*seen, *quiet]:
             cluster.append("P1", sample)
         for window in (5.0, 60.0, 10_000.0):
-            assert driver.telemetry_series.rollup(window) == cluster.rollup(window)
+            assert watchdog.rollup(window) == cluster.rollup(window)
         assert cluster.rollup(60.0)["p99_latency"] is None
         assert cluster.rollup(10_000.0)["p99_latency"] is not None

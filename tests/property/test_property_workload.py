@@ -1,13 +1,14 @@
 """Serving-layer properties: liveness and determinism.
 
-Two guarantees the workload engine makes, checked over randomly drawn
-serving regimes:
+Two guarantees serving makes, checked over randomly drawn regimes of
+queries played as a :class:`~repro.scenario.Scenario`:
 
-* **Every admitted query terminates.**  Whatever the arrival process,
-  client pool, admission knobs (including zero-length queues and
-  harsh deadlines) or shed-resubmission policy, every offered query
-  ends as ``ok``, ``partial``, ``error`` or ``shed`` — never silence —
-  and the in-flight gauge drains back to zero.
+* **Every admitted query terminates.**  Whatever the arrival process
+  (open-loop arrivals, or queries in sequence), admission knobs
+  (including zero-length queues and harsh deadlines) or shed re-offer
+  count, every offered query ends as ``full``, ``partial``, ``error``
+  or ``shed`` — never silence — and the in-flight gauge drains back to
+  zero.
 
 * **Same seed, same everything.**  Serving is a deterministic function
   of (dataset seed, workload seed): two runs produce bit-identical
@@ -19,24 +20,31 @@ serving regimes:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resilience import FaultPlan, ResilienceConfig
-from repro.workload_engine import AdmissionControl, WorkloadSpec, serve
+from repro.config import AdmissionControl
+from repro.resilience import FaultPlan, PlayReport, ResilienceConfig
+from repro.scenario import Query, Scenario, play
 from tests.difftest.harness import build_hybrid, make_workload
 
-STATUSES_THAT_TERMINATE = {"ok", "partial", "error", "shed"}
+STATUSES_THAT_TERMINATE = {"full", "partial", "error", "shed"}
 
 
-def _spec_for(workload, count, **overrides):
-    queries = tuple(
-        (
-            workload.peer_ids[i % len(workload.peer_ids)],
-            workload.queries[i % len(workload.queries)],
-        )
+def _serve(system, workload, count, open_loop=True, shed_retries=3, **arrivals):
+    """Play ``count`` workload queries on ``system``: open-loop arrivals
+    (``rate``, ``seed``, ``burst``) or, closed-loop, in sequence."""
+    queries = [
+        Query(workload.peer_ids[i % len(workload.peer_ids)],
+              workload.queries[i % len(workload.queries)])
         for i in range(count)
+    ]
+    if open_loop:
+        scenario = Scenario.arrivals(queries, count, start=system.network.now,
+                                     **arrivals)
+    else:
+        scenario = Scenario(queries)
+    return PlayReport.collect(
+        play(scenario, system, shed_retries=shed_retries, max_events=2_000_000),
+        system.network,
     )
-    options = dict(count=count, mode="open", arrival_rate=1.0, clients=3)
-    options.update(overrides)
-    return WorkloadSpec(queries=queries, **options)
 
 
 def _watch_messages(network):
@@ -68,18 +76,19 @@ admission_controls = st.one_of(
 
 @st.composite
 def serving_regimes(draw):
-    mode = draw(st.sampled_from(("open", "closed")))
-    return dict(
+    regime = dict(
         count=draw(st.integers(min_value=4, max_value=14)),
-        mode=mode,
-        arrival_rate=draw(st.sampled_from((0.1, 0.5, 2.0))),
-        burst_size=draw(st.integers(min_value=1, max_value=3)),
-        clients=draw(st.integers(min_value=1, max_value=4)),
-        think_time=draw(st.sampled_from((0.0, 2.0))),
-        seed=draw(st.integers(min_value=0, max_value=999)),
-        resubmit_sheds=draw(st.booleans()),
-        max_shed_retries=draw(st.integers(min_value=0, max_value=2)),
+        shed_retries=draw(st.integers(min_value=0, max_value=2)),
     )
+    if draw(st.booleans()):
+        regime.update(
+            rate=draw(st.sampled_from((0.1, 0.5, 2.0))),
+            burst=draw(st.integers(min_value=1, max_value=3)),
+            seed=draw(st.integers(min_value=0, max_value=999)),
+        )
+    else:
+        regime.update(open_loop=False)
+    return regime
 
 
 @given(
@@ -96,8 +105,7 @@ def test_every_admitted_query_terminates(data_seed, regime, admission, fair):
         system.enable_admission(admission)
     if fair:
         system.enable_fair_scheduling(quantum=0.25)
-    spec = _spec_for(workload, **regime)
-    report = serve(system, spec)
+    report = _serve(system, workload, **regime)
     assert len(report.outcomes) == regime["count"]
     statuses = {outcome.status for outcome in report.outcomes}
     assert statuses <= STATUSES_THAT_TERMINATE, (
@@ -111,7 +119,8 @@ def test_every_admitted_query_terminates(data_seed, regime, admission, fair):
 
 def _fingerprint(data_seed, spec_seed, chaos):
     """One full serving run, reduced to comparable pure data: the
-    ordered message log, the outcome records and the metric summary."""
+    ordered message log and the report (outcome records, metric
+    snapshot, events processed, in-flight high-water mark)."""
     workload = make_workload(data_seed, queries=4)
     system = build_hybrid(workload)
     if chaos:
@@ -125,16 +134,8 @@ def _fingerprint(data_seed, spec_seed, chaos):
     ))
     system.enable_fair_scheduling(quantum=0.25)
     log = _watch_messages(system.network)
-    spec = _spec_for(
-        workload, count=24, seed=spec_seed, arrival_rate=2.0, burst_size=8
-    )
-    report = serve(system, spec)
-    outcomes = tuple(
-        (o.index, o.via, o.client_id, o.status, o.rows, o.error,
-         o.submitted_at, o.finished_at, o.shed_retries)
-        for o in report.outcomes
-    )
-    return tuple(log), outcomes, report.summary(), dict(report.metrics)
+    report = _serve(system, workload, 24, seed=spec_seed, rate=2.0, burst=8)
+    return tuple(log), report
 
 
 @given(
@@ -163,7 +164,7 @@ def test_determinism_holds_with_many_in_flight():
     """The acceptance bar: the bit-identical property is not an
     artefact of low concurrency — the burst regime holds at least 8
     coordinations in flight at once."""
-    log, outcomes, summary, _ = _fingerprint(4, 7, chaos=False)
-    assert summary["max_inflight"] >= 8
-    assert summary["silent"] == 0
-    assert len(log) > 0 and len(outcomes) == 24
+    log, report = _fingerprint(4, 7, chaos=False)
+    assert report.max_inflight >= 8
+    assert report.count("no-reply") == 0
+    assert len(log) > 0 and len(report.outcomes) == 24

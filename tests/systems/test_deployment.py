@@ -5,13 +5,12 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.config import PeerConfig, reconfigure
+from repro.config import AdmissionControl, PeerConfig, reconfigure
 from repro.core.adaptivity import ReplanBudget
 from repro.errors import PeerError
 from repro.peers.simple import SimplePeer
 from repro.systems import AdhocPeer, AdhocSystem, HybridPeer, HybridSystem
 from repro.systems.deployment import Deployment
-from repro.workload_engine import AdmissionControl
 from repro.workloads.paper import (
     PAPER_QUERY,
     hybrid_scenario,
@@ -20,7 +19,7 @@ from repro.workloads.paper import (
 )
 
 HARNESS = ("enable_resilience", "enable_admission", "enable_fair_scheduling",
-           "serve", "add_client", "submit", "run", "query")
+           "add_client", "submit", "run", "query")
 
 
 @pytest.mark.parametrize("name", HARNESS)

@@ -1,11 +1,13 @@
-"""Tests for concurrent serving: admission control, deadlines, fair
-scheduling and the workload driver, on both architectures."""
+"""Tests for concurrent serving — open-loop arrivals played as a
+:class:`~repro.scenario.Scenario`, admission control, deadlines and
+fair scheduling — on both architectures."""
 
 import pytest
 
-from repro.config import PeerConfig
+from repro.config import AdmissionControl, PeerConfig
+from repro.resilience.harness import PlayReport
+from repro.scenario import Query, Scenario, play
 from repro.systems import AdhocSystem, HybridSystem
-from repro.workload_engine import AdmissionControl, WorkloadSpec
 from repro.workloads.paper import PAPER_QUERY, adhoc_scenario, hybrid_scenario
 
 
@@ -14,47 +16,45 @@ def system():
     return HybridSystem.from_scenario(hybrid_scenario())
 
 
-def _spec(count, **overrides):
-    options = dict(
-        queries=(("P1", PAPER_QUERY),),
-        count=count,
-        mode="open",
-        arrival_rate=1.0,
-        clients=2,
-    )
-    options.update(overrides)
-    return WorkloadSpec(**options)
+def _serve(system, count, rate=1.0, burst=1, shed_retries=3):
+    """Offer ``count`` paper queries open-loop from now on."""
+    load = Scenario.arrivals([Query("P1", PAPER_QUERY)], count, rate, seed=0,
+                             burst=burst, start=system.network.now)
+    return PlayReport.collect(play(load, system, shed_retries=shed_retries),
+                              system.network)
 
 
 class TestServe:
     def test_open_loop_answers_everything(self, system):
-        report = system.serve(_spec(6))
-        summary = report.summary()
-        assert summary["offered"] == 6
-        assert summary["completed"] == 6
-        assert summary["silent"] == 0
+        report = _serve(system, 6)
+        assert len(report.outcomes) == 6
+        assert report.answered == 6
+        assert report.count("no-reply") == 0
         assert all(o.rows == 6 for o in report.outcomes)
 
     def test_closed_loop_answers_everything(self, system):
-        report = system.serve(_spec(6, mode="closed", clients=3, think_time=2.0))
-        assert report.summary()["completed"] == 6
+        # the closed loop is the in-sequence play: each query waits for
+        # the previous answer
+        report = PlayReport.collect(
+            play(Scenario([Query("P1", PAPER_QUERY)] * 6), system), system.network
+        )
+        assert report.answered == 6
 
     def test_adhoc_serves_too(self):
         system = AdhocSystem.from_scenario(adhoc_scenario())
         system.discover_all()
-        report = system.serve(_spec(4))
-        assert report.summary()["completed"] == 4
+        assert _serve(system, 4).answered == 4
 
     def test_burst_interleaves_queries(self, system):
-        report = system.serve(_spec(8, burst_size=8))
-        assert report.summary()["max_inflight"] >= 8
-        assert report.summary()["completed"] == 8
+        report = _serve(system, 8, burst=8)
+        assert report.max_inflight >= 8
+        assert report.answered == 8
 
     def test_driver_injects_mid_run(self, system):
         """Open-loop arrivals land while earlier queries are still in
         flight: submissions are spread over virtual time, not batched
         up front."""
-        report = system.serve(_spec(6, arrival_rate=0.5))
+        report = _serve(system, 6, rate=0.5)
         submitted = {o.submitted_at for o in report.outcomes}
         assert len(submitted) > 1
 
@@ -64,9 +64,9 @@ class TestAdmissionControl:
         system.enable_admission(
             AdmissionControl(max_concurrent=1, max_queued=32, retry_after=5.0)
         )
-        report = system.serve(_spec(6, burst_size=6))
-        assert report.summary()["completed"] == 6
-        assert report.summary()["shed"] == 0
+        report = _serve(system, 6, burst=6)
+        assert report.answered == 6
+        assert report.count("shed") == 0
         # the coordinator's queue was actually exercised
         assert system.network.metrics.queue_depth_histogram.count > 0
 
@@ -78,10 +78,9 @@ class TestAdmissionControl:
         system.enable_admission(
             AdmissionControl(max_concurrent=1, max_queued=1, retry_after=7.0)
         )
-        report = system.serve(_spec(8, burst_size=8, resubmit_sheds=False))
-        summary = report.summary()
-        assert summary["shed"] > 0
-        assert summary["silent"] == 0
+        report = _serve(system, 8, burst=8, shed_retries=0)
+        assert report.count("shed") > 0
+        assert report.count("no-reply") == 0
         assert system.network.metrics.queries_shed > 0
         shed = [o for o in report.outcomes if o.status == "shed"]
         assert all("retry after" in o.error for o in shed)
@@ -93,10 +92,10 @@ class TestAdmissionControl:
         system.enable_admission(
             AdmissionControl(max_concurrent=1, max_queued=1, retry_after=7.0)
         )
-        report = system.serve(_spec(8, burst_size=8, max_shed_retries=5))
-        summary = report.summary()
-        assert summary["completed"] == 8
-        assert any(o.shed_retries > 0 for o in report.outcomes)
+        report = _serve(system, 8, burst=8, shed_retries=5)
+        # queries were shed, and every one was answered after re-offers
+        assert report.answered == 8
+        assert system.network.metrics.queries_shed > 0
 
     def test_deadline_cancels_stragglers(self):
         system = HybridSystem.from_scenario(
@@ -105,17 +104,17 @@ class TestAdmissionControl:
         system.enable_admission(
             AdmissionControl(max_concurrent=8, max_queued=8, deadline=2.0)
         )
-        report = system.serve(_spec(4, burst_size=4, resubmit_sheds=False))
+        report = _serve(system, 4, burst=4, shed_retries=0)
         errors = [o for o in report.outcomes if o.status == "error"]
         assert errors, "no query hit the deadline"
         assert all("deadline exceeded" in o.error for o in errors)
         assert system.network.metrics.deadline_expirations > 0
-        assert report.summary()["silent"] == 0
+        assert report.count("no-reply") == 0
 
     def test_fair_scheduling_preserves_answers(self, system):
         system.enable_fair_scheduling(quantum=0.25)
-        report = system.serve(_spec(6, burst_size=6))
-        assert report.summary()["completed"] == 6
+        report = _serve(system, 6, burst=6)
+        assert report.answered == 6
         assert all(o.rows == 6 for o in report.outcomes)
         assert any(
             p.scheduler is not None and p.scheduler.executed > 0
@@ -168,8 +167,8 @@ class TestPerQueryIsolation:
         gap-free span tree; no span leaks into another query's trace."""
         from repro.obs import validate_trace
 
-        report = system.serve(_spec(6, burst_size=6))
-        assert report.summary()["completed"] == 6
+        report = _serve(system, 6, burst=6)
+        assert report.answered == 6
         collector = system.network.trace_collector
         trace_ids = collector.trace_ids()
         assert len(trace_ids) >= 6
@@ -179,10 +178,10 @@ class TestPerQueryIsolation:
             assert {s.trace_id for s in spans} == {trace_id}
 
     def test_concurrent_outcomes_map_to_distinct_queries(self, system):
-        report = system.serve(_spec(8, burst_size=8))
+        report = _serve(system, 8, burst=8)
         query_ids = [o.query_id for o in report.outcomes]
+        assert len(query_ids) == 8
         assert len(set(query_ids)) == len(query_ids)
-        assert {o.index for o in report.outcomes} == set(range(8))
 
 
 class TestRouteBusy:
@@ -198,6 +197,6 @@ class TestRouteBusy:
                 service_time=2.0,
             )
         )
-        report = system.serve(_spec(6, burst_size=6))
-        assert report.summary()["completed"] == 6
+        report = _serve(system, 6, burst=6)
+        assert report.answered == 6
         assert system.network.metrics.messages_by_kind["RouteBusy"] > 0

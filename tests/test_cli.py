@@ -248,19 +248,18 @@ class TestAlerts:
 
 class TestServe:
     def test_serve_answers_everything(self, capsys):
-        assert main(["serve", "--count", "8", "--clients", "2",
-                     "--arrival-rate", "1.0"]) == 0
+        assert main(["serve", "--count", "8", "--arrival-rate", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "deployment : hybrid" in out
         assert "8 queries (8 answered" in out
         assert "throughput" in out
 
-    def test_serve_adhoc_closed_loop(self, capsys):
-        assert main(["serve", "--arch", "adhoc", "--mode", "closed",
-                     "--count", "6", "--clients", "3", "--seed", "3"]) == 0
+    def test_serve_adhoc(self, capsys):
+        assert main(["serve", "--arch", "adhoc", "--count", "6",
+                     "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "deployment : adhoc" in out
-        assert "0 silent" in out
+        assert "0 no-reply" in out
 
     def test_serve_with_admission_and_fairness(self, capsys):
         assert main(["serve", "--count", "10", "--max-concurrent", "2",

@@ -2,6 +2,8 @@
 anything runs, on either kind of target, and one that can is played in
 the order it says."""
 
+import random
+
 import pytest
 
 from repro.deploy import ClusterSpec, LiveCluster
@@ -55,6 +57,33 @@ def test_impossible_timeline_refused_at_construction(events, complaint):
 def test_restart_after_leave_or_crash_is_accepted():
     Scenario((Leave("P3"), Crash("P2"), Restart("P2"), Restart("P3")))
     Scenario((Crash("P2", at=5.0), Restart("P2", at=9.0)))
+
+
+@pytest.mark.parametrize("options, complaint", [
+    (dict(count=0, rate=1.0), "count must be >= 1"),
+    (dict(count=3, rate=0.0), "rate must be positive"),
+    (dict(count=3, rate=-1.0), "rate must be positive"),
+    (dict(count=3, rate=1.0, burst=0), "burst must be >= 1"),
+], ids=["no-queries", "zero-rate", "negative-rate", "empty-burst"])
+def test_arrivals_refuse_degenerate_load(options, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        Scenario.arrivals([Query("P1", "q")], seed=0, **options)
+
+
+def test_arrivals_are_seeded_poisson_bursts():
+    catalog = [Query("P1", "a"), Query("P2", "b", limit=3)]
+    load = Scenario.arrivals(catalog, 5, rate=0.5, seed=7, burst=2, start=10.0)
+    rng = random.Random(7)
+    first = rng.expovariate(0.5)
+    second = first + rng.expovariate(0.5)
+    third = second + rng.expovariate(0.5)
+    assert [query.at for query in load] == [
+        10.0 + first, 10.0 + first, 10.0 + second, 10.0 + second, 10.0 + third,
+    ]
+    assert [(q.via, q.text, q.limit) for q in load] == [
+        ("P1", "a", None), ("P2", "b", 3), ("P1", "a", None), ("P2", "b", 3),
+        ("P1", "a", None),
+    ]
 
 
 class TestSimTarget:
@@ -111,6 +140,23 @@ class TestSimTarget:
         assert not system.network.severed("P1", "P4")
         assert outcome.status == "full"
 
+    def test_armed_and_in_sequence_queries_yield_in_scenario_order(self):
+        system = _paper_system()
+        now = system.network.now
+        scenario = Scenario((
+            Query("P1", PAPER_QUERY, at=now + 50.0),
+            Query("P2", PAPER_QUERY),
+            Query("P3", PAPER_QUERY, at=now + 1.0),
+        ))
+        outcomes = list(play(scenario, system))
+        assert [o.via_peer for o in outcomes] == ["P1", "P2", "P3"]
+        late, in_sequence, early = outcomes
+        # armed ones were submitted on the clock without waiting; the
+        # in-sequence one after both had been answered
+        assert (early.submitted_at, late.submitted_at) == (now + 1.0, now + 50.0)
+        assert in_sequence.submitted_at >= late.finished_at > early.finished_at
+        assert all(o.answered and o.latency > 0 for o in outcomes)
+
     def test_update_through_the_driver(self):
         system = _paper_system()
         stream = UpdateStream(paper_schema(), paper_peer_bases(), seed=1,
@@ -127,12 +173,14 @@ class TestLiveTarget:
         ((Leave("P2"),), "LiveCluster cannot perform Leave"),
         ((Heartbeat(),), "LiveCluster cannot perform Heartbeat"),
         ((Crash("P2", at=6.0),), "plays events in sequence"),
+        ((Query("P1", "q", at=6.0),), "plays events in sequence"),
         ((Crash("P9"),), "Crash names unknown peer 'P9'"),
         ((Join("P2"),), "Join names unknown peer 'P2'"),
         ((Query("P9", "q"),), "Query names unknown peer 'P9'"),
         ((Update(1),), "cannot perform Update"),
-    ], ids=["partition", "heal", "leave", "heartbeat", "armed", "crash-unknown",
-            "join-a-member", "query-unknown", "update-without-driver"])
+    ], ids=["partition", "heal", "leave", "heartbeat", "armed", "armed-query",
+            "crash-unknown", "join-a-member", "query-unknown",
+            "update-without-driver"])
     def test_refused_before_any_process_is_spawned(self, tmp_path, events, complaint):
         spec = ClusterSpec(seed=0, peers=3, super_peers=1, joiners=1)
         cluster = LiveCluster(spec, tmp_path / "run")

@@ -35,9 +35,10 @@ MAX_VAR_KEYWORD_PARAMETERS = 0
 #: ``getattr(x, "name", default)`` probes of attributes that may not exist
 MAX_THREE_ARGUMENT_GETATTRS = 6
 #: command-line flags and positionals (101 before every flag nothing
-#: passed was deleted): ``cli/`` 44 over nine commands, ``deploy/node.py``
+#: passed was deleted, 72 while ``serve`` had ``--mode`` and
+#: ``--clients``): ``cli/`` 42 over nine commands, ``deploy/node.py``
 #: 8 (``peer``), ``deploy/launcher.py`` 20 (``launch``)
-MAX_ADD_ARGUMENT_CALLS = 72
+MAX_ADD_ARGUMENT_CALLS = 70
 #: functions under ``src/`` outside ``deploy/workload.py`` that call
 #: ``ClusterSpec(`` with field keywords — ``run_launch`` turning its own
 #: six flags into a spec.  A spec reaches every other place as one value
@@ -89,6 +90,15 @@ MAX_OBS_ROLLUPS = 1
 #: ``ChurnSchedule``): what happens to a deployment, in-sim or live, is
 #: one vocabulary of ``Scenario`` events
 MAX_EVENT_AND_SCHEDULE_CLASSES = 0
+#: classes named ``QueryOutcome`` (2 while the workload driver kept its
+#: own beside ``resilience/harness.py``'s): one record of a query's fate
+MAX_QUERY_OUTCOME_CLASSES = 1
+#: ``*Driver`` / ``*Spec`` / ``*Report`` classes outside ``scenario.py``
+#: and ``resilience/harness.py`` that put queries on a deployment —
+#: submit them, record their outcomes or carry a catalog of them (3
+#: before: ``WorkloadDriver``, ``WorkloadSpec``, ``WorkloadReport``).
+#: Load is a ``Scenario`` played by ``play``, reported by ``PlayReport``
+MAX_QUERY_LOAD_CLASSES = 0
 
 
 def _trees(*packages):
@@ -292,6 +302,45 @@ def test_one_event_vocabulary():
         )
     ]
     assert len(found) <= MAX_EVENT_AND_SCHEDULE_CLASSES, found
+
+
+def test_one_query_outcome():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "QueryOutcome"
+    ]
+    assert len(found) <= MAX_QUERY_OUTCOME_CLASSES, found
+
+
+def _puts_queries(cls: ast.ClassDef) -> bool:
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    fields = {
+        statement.target.id: ast.unparse(statement.annotation)
+        for statement in cls.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+    }
+    # ``ClusterSpec.queries`` is a count of texts to generate, not a catalog
+    return bool(names & {"submit", "QueryOutcome"}) or fields.get("queries", "int") != "int"
+
+
+def test_one_way_to_put_load_on_a_deployment():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path, tree in _trees()
+        if path not in (SRC / "scenario.py", SRC / "resilience" / "harness.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and node.name.endswith(("Driver", "Spec", "Report"))
+        and _puts_queries(node)
+    ]
+    assert len(found) <= MAX_QUERY_LOAD_CLASSES, found
 
 
 def test_binding_table_importers():

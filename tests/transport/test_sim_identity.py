@@ -10,34 +10,28 @@ import pytest
 
 from repro.errors import EventBudgetExhausted
 from repro.transport import SimTransport
-from repro.workload_engine import WorkloadSpec
+from repro.resilience.harness import PlayReport
+from repro.scenario import Query, Scenario, play
 
 from tests.difftest.harness import build_hybrid, make_workload
 
 
 def _serve(workload, count=8, **system_options):
     system = build_hybrid(workload, **system_options)
-    spec = WorkloadSpec(
-        queries=tuple(
-            (
-                workload.peer_ids[i % len(workload.peer_ids)],
-                workload.queries[i % len(workload.queries)],
-            )
-            for i in range(count)
-        ),
-        count=count,
-        mode="open",
-        arrival_rate=0.5,
-        clients=3,
-        seed=workload.seed,
-    )
-    report = system.serve(spec)
+    queries = [
+        Query(workload.peer_ids[i % len(workload.peer_ids)],
+              workload.queries[i % len(workload.queries)])
+        for i in range(count)
+    ]
+    load = Scenario.arrivals(queries, count, rate=0.5, seed=workload.seed,
+                             start=system.network.now)
+    report = PlayReport.collect(play(load, system, shed_retries=3), system.network)
     return system, report
 
 
 def _fingerprint(system, report):
     return (
-        tuple((o.index, o.status, o.rows, o.error) for o in report.outcomes),
+        tuple((o.status, o.rows, o.error) for o in report.outcomes),
         system.network.metrics.summary(),
         system.network.now,
     )
