@@ -71,7 +71,7 @@ def register(commands) -> None:
                        "mutated per revision")
     serve.add_argument("--update-revisions", type=int, default=3,
                        help="with --updates: how many revisions are "
-                       "spread over the run")
+                       "spread over the arrival window")
     serve.add_argument("--topk", type=int, default=None, metavar="K",
                        help="pose every query as top-K (LIMIT K) with "
                        "any-k early termination: once K answers are "
@@ -133,8 +133,8 @@ def _synthetic_deployment(seed: int, distinct: int, count: int,
 
 def _serving_scenario(system, bases, queries, args):
     """The load ``serve`` offers — ``queries`` arriving open-loop from
-    now on — and, with ``--updates``, the live update revisions
-    spread over it with the driver they go through."""
+    now on — and, with ``--updates``, the live update revisions spread
+    over its arrival window, with the driver they go through."""
     start = system.network.now
     load = Scenario.arrivals(queries, args.count, args.arrival_rate, args.seed,
                              start=start)
@@ -144,7 +144,11 @@ def _serving_scenario(system, bases, queries, args):
         system.schema, bases, seed=args.seed,
         revisions=args.update_revisions, rate=args.update_rate,
     )
-    revisions = [Update(i + 1, at=start + (100.0 + 400.0 * i))
+    # evenly inside the arrival window, so every revision overlaps
+    # queries still being submitted and answered
+    first, last = load.events[0].at, load.events[-1].at
+    spacing = (last - first) / (len(stream.revisions) + 1)
+    revisions = [Update(i + 1, at=first + spacing * (i + 1))
                  for i in range(len(stream.revisions))]
     return Scenario((*revisions, *load)), LiveDataDriver(system, stream)
 

@@ -268,6 +268,32 @@ class TestServe:
         out = capsys.readouterr().out
         assert "10 queries (10 answered" in out
 
+    def test_serve_updates_land_while_queries_are_in_flight(self):
+        from repro.cli import _build_parser
+        from repro.cli.serve import _serving_scenario, _synthetic_deployment
+        from repro.resilience.harness import PlayReport
+        from repro.scenario import play
+
+        args = _build_parser().parse_args(
+            ["serve", "--count", "12", "--updates", "--update-revisions", "3"]
+        )
+        system, bases, queries = _synthetic_deployment(args.seed, 12, args.count)
+        scenario, driver = _serving_scenario(system, bases, queries, args)
+        acked = []
+        handle = driver.injector.handle_UpdateAck
+
+        def record(message):
+            acked.append(system.network.now)
+            handle(message)
+
+        driver.injector.handle_UpdateAck = record
+        report = PlayReport.collect(play(scenario, system, updates=driver),
+                                    system.network)
+        first = min(o.submitted_at for o in report.outcomes)
+        last = max(o.finished_at for o in report.outcomes)
+        assert acked and all(driver.acked(r) for r in (1, 2, 3))
+        assert any(first < t < last for t in acked), (first, last, acked)
+
     def test_serve_exhausted_budget_fails_with_diagnostics(self, capsys):
         assert main(["serve", "--count", "8", "--arrival-rate", "5.0",
                      "--max-events", "30"]) == 1
