@@ -135,9 +135,8 @@ def _serving_scenario(system, bases, queries, args):
     """The load ``serve`` offers — ``queries`` arriving open-loop from
     now on — and, with ``--updates``, the live update revisions spread
     over its arrival window, with the driver they go through."""
-    start = system.network.now
     load = Scenario.arrivals(queries, args.count, args.arrival_rate, args.seed,
-                             start=start)
+                             start=system.network.now)
     if not args.updates:
         return load, None
     stream = UpdateStream(

@@ -76,7 +76,7 @@ class PlayReport:
     outcomes: List[QueryOutcome]
     snapshot: tuple  # MetricSnapshot at the end of the run
     events: int  # simulator events processed
-    max_inflight: int = 0  # most queries a coordinator held at once
+    max_inflight: int = 0  # most queries in flight at once
 
     @classmethod
     def collect(cls, outcomes: Iterable[QueryOutcome], network) -> "PlayReport":
@@ -106,8 +106,10 @@ class PlayReport:
     def duration(self) -> float:
         """From the first submission to the last reply (disarmed timers
         that quiesce later do not count)."""
-        submitted = [o.submitted_at for o in self.outcomes if o.submitted_at is not None]
-        finished = [o.finished_at for o in self.outcomes if o.finished_at is not None]
+        submitted = [o.submitted_at for o in self.outcomes
+                     if o.submitted_at is not None]
+        finished = [o.finished_at for o in self.outcomes
+                    if o.finished_at is not None]
         return max(max(finished) - min(submitted), 0.0) if finished else 0.0
 
     def throughput(self) -> float:
@@ -115,12 +117,11 @@ class PlayReport:
         return self.answered / self.duration if self.duration > 0 else 0.0
 
     def latency_percentiles(self) -> Dict[str, float]:
-        """p50/p90/p99/max over the answered queries' latency."""
+        """p50/p99/max over the answered queries' latency."""
         observed = sorted(o.latency for o in self.outcomes
                           if o.answered and o.latency is not None)
         return {
             "p50": percentile(observed, 0.50),
-            "p90": percentile(observed, 0.90),
             "p99": percentile(observed, 0.99),
             "max": observed[-1] if observed else 0.0,
         }

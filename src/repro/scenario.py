@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .membership import MembershipManager
 from .resilience.harness import QueryOutcome, classify, heartbeat_round

@@ -327,7 +327,8 @@ def _puts_queries(cls: ast.ClassDef) -> bool:
         and isinstance(statement.target, ast.Name)
     }
     # ``ClusterSpec.queries`` is a count of texts to generate, not a catalog
-    return bool(names & {"submit", "QueryOutcome"}) or fields.get("queries", "int") != "int"
+    catalog = fields.get("queries", "int") != "int"
+    return catalog or bool(names & {"submit", "QueryOutcome"})
 
 
 def test_one_way_to_put_load_on_a_deployment():
