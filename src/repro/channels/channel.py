@@ -29,16 +29,22 @@ class Output:
         callback: Continuation invoked with ``(table, failed_peer)``
             when the channel completes.
         progress: Per-chunk consumer (pipelined outputs only).
+        columns: The header the root reads — what the destination is
+            asked to return, distinct rows only (``None``: the plan's
+            raw width).
         chunks: Streamed chunks, concatenated once at completion.
         rows: Result tuples seen so far for this output.
     """
 
-    __slots__ = ("plan", "callback", "progress", "chunks", "rows")
+    __slots__ = ("plan", "callback", "progress", "columns", "chunks", "rows")
 
-    def __init__(self, plan: Optional[PlanNode], callback=None, progress=None):
+    def __init__(
+        self, plan: Optional[PlanNode], callback=None, progress=None, columns=None
+    ):
         self.plan = plan
         self.callback = callback
         self.progress = progress
+        self.columns = columns
         self.chunks: list = []
         self.rows = 0
 

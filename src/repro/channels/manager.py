@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence
 
 from ..errors import ChannelError
 from ..execution.batch import BindingBatch, concat_tables
-from ..execution.encoded import EncodedTable
 from ..net.message import Message
 from ..net.simulator import Network
 from ..rdf.dictionary import TermDictionary
@@ -129,12 +128,14 @@ class ChannelManager:
         )
         self._channels[channel_id] = channel
         self._count("subplans_shipped", len(channel.outputs))
+        columns = tuple(output.columns for output in channel.outputs)
         packet = SubPlanPacket(
             channel_id=channel_id,
             plans=tuple(output.plan for output in channel.outputs),
             sites=dict(sites or {}),
             root_peer=self.owner,
             query_id=query_id,
+            columns=columns if any(c is not None for c in columns) else (),
         )
         network.send(Message(self.owner, destination, packet, trace=span.context()))
         if retry is not None:
@@ -178,12 +179,6 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
-    def on_dictionary(self, table: EncodedTable) -> BindingBatch:
-        """Intern an arriving table's terms in the owner's dictionary
-        (one ``encode`` per term, not per cell); returns its bindings as
-        an *id table* in the owner's space (idempotent: interning is)."""
-        return table.intern(self.dictionary)
-
     def on_data(self, packet: DataPacket) -> None:
         """Dispatch a data packet's tables to their outputs'
         continuations."""
@@ -209,8 +204,11 @@ class ChannelManager:
             return
         if packet.final:
             channel.final_seq = packet.seq
+        # the packet's terms interned in the owner's dictionary once
+        # (one ``encode`` per term, not per cell): id tables in its space
+        values = self.dictionary.encode_many(packet.terms)
         for index, encoded in packet.tables:
-            table = self.on_dictionary(encoded)
+            table = encoded.over(values)
             output = outputs[index]
             output.rows += len(table)
             if output.progress is not None:
@@ -250,10 +248,13 @@ class ChannelManager:
                 if not output.rows:
                     self._count("scans_empty")
                 chunks, output.chunks = output.chunks, []
+                header = output.columns
                 table = (
                     concat_tables(chunks)
                     if chunks
-                    else BindingBatch(output.plan.variables())
+                    else BindingBatch(
+                        output.plan.variables() if header is None else header
+                    )
                 )
             if self._scheduler is None:
                 output.callback(table, failed_peer)

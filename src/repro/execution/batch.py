@@ -213,8 +213,10 @@ class BindingBatch:
         return distinct_union([self])
 
     def align(self, columns: Sequence[str]) -> "BindingBatch":
-        """Reorder the header to ``columns`` (same column set)."""
-        if set(columns) != set(self.columns):
+        """Reorder the header to ``columns`` (same column set), or cut
+        it down to them: the column lists are shared, not copied, and
+        the rows stay unique only if no column is dropped."""
+        if any(c not in self.data for c in columns):
             raise EvaluationError(
                 f"cannot align {self.columns} to {tuple(columns)}"
             )
@@ -222,7 +224,7 @@ class BindingBatch:
             tuple(columns),
             {c: self.data[c] for c in columns},
             length=self.length,
-            unique=self.unique,
+            unique=self.unique and len(columns) == len(self.columns),
         )
 
     # ------------------------------------------------------------------
@@ -302,10 +304,11 @@ def distinct_union(
     ``columns`` (default: the first batch's header), first occurrences
     in order — without building the union: one ``dict.fromkeys`` runs
     over the operands' chained rows, then the kept rows are transposed
-    back into columns.  Every batch must cover the first one's column
-    set (any permutation), as in :meth:`concat`."""
-    _check_union_columns(batches)
+    back into columns.  Every batch must hold every one of ``columns``
+    (in any order); a wider one — a local scan beside operands shipped
+    narrowed — is cut down to them (:meth:`BindingBatch.align`)."""
     columns = batches[0].columns if columns is None else tuple(columns)
+    batches = [b if b.columns == columns else b.align(columns) for b in batches]
     if not columns:
         length = min(sum(batch.length for batch in batches), 1)
         return BindingBatch((), length=length, unique=True)

@@ -54,12 +54,13 @@ from .batch import BindingBatch
 class EncodedTable:
     """A binding table in the one form that crosses a link.
 
-    ``terms`` holds each distinct term of *this* table once, in
-    first-use order; ``ids`` holds the cells column-major as positions
-    into ``terms``.  A table is therefore self-contained: whoever
-    receives it can :meth:`intern` it into its own id space (or read it
-    back :meth:`to_terms`) knowing nothing about the sender's
-    dictionary or about any other table of the same stream.
+    ``terms`` holds each distinct term of *this* table (or of the
+    packet it rides in, :meth:`of_batches`) once, in first-use order;
+    ``ids`` holds the cells column-major as positions into ``terms``.
+    A table is therefore self-contained: whoever receives it can
+    :meth:`intern` it into its own id space (or read it back
+    :meth:`to_terms`) knowing nothing about the sender's dictionary or
+    about any other packet of the same stream.
     """
 
     columns: Tuple[str, ...]
@@ -73,10 +74,25 @@ class EncodedTable:
     ) -> "EncodedTable":
         """Pack a batch: number its distinct cell values in first-use
         order and let ``resolve`` turn them into terms."""
+        return cls.of_batches((batch,), resolve)[0]
+
+    @classmethod
+    def of_batches(
+        cls, batches: Sequence[BindingBatch], resolve: Callable
+    ) -> Tuple["EncodedTable", ...]:
+        """Pack batches over one numbering of their distinct cell values:
+        the tables share one ``terms`` tuple, each term resolved once."""
         positions = defaultdict(count().__next__)
         position = positions.__getitem__
-        ids = tuple(tuple(map(position, batch.data[name])) for name in batch.columns)
-        return cls(batch.columns, tuple(resolve(positions)), ids, batch.length)
+        ids = [
+            tuple(tuple(map(position, batch.data[c])) for c in batch.columns)
+            for batch in batches
+        ]
+        terms = tuple(resolve(positions))
+        return tuple(
+            cls(batch.columns, terms, cells, batch.length)
+            for batch, cells in zip(batches, ids)
+        )
 
     @classmethod
     def of_terms(cls, table: BindingTable) -> "EncodedTable":
@@ -87,13 +103,15 @@ class EncodedTable:
         """The table as an id table in ``dictionary``'s space: one
         ``encode`` per term, then a list index per cell (idempotent:
         interning is)."""
-        return self._batch(dictionary.encode_many(self.terms))
+        return self.over(dictionary.encode_many(self.terms))
 
     def to_terms(self) -> BindingTable:
         """The table with its cells materialised as terms."""
-        return self._batch(self.terms).to_table()
+        return self.over(self.terms).to_table()
 
-    def _batch(self, values: Sequence) -> BindingBatch:
+    def over(self, values: Sequence) -> BindingBatch:
+        """The cells as a batch of ``values[position]`` — ``values``
+        being ``terms`` already mapped (interned, say) in order."""
         value = values.__getitem__
         data = {
             name: list(map(value, column))

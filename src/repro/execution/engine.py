@@ -16,8 +16,9 @@ combines and opens channels that deliver one complete table;
 **streaming** ("the pipeline way") builds the incremental operators of
 :mod:`repro.execution.pipeline` and opens channels that hand every
 arriving chunk on.  Placement (``sites``), the phased policy's scan
-cache and dead-column pruning are properties of the walk, so they hold
-in both.
+cache and dead-column pruning — down to the columns each shipped
+subtree is asked for — are properties of the walk, so they hold in
+both.
 
 Execution is event-driven and continuation-based.  A peer failure
 anywhere below aborts the executor once, reporting the failed peer so
@@ -83,9 +84,11 @@ class ExecutionStrategy:
         needed: The variables the plan's *consumer* references;
             operators prune every other column as soon as no later join
             needs it, which keeps chain-join intermediates from
-            exploding.  Only a coordinator owning the whole query sets
-            it — a shipped subplan's raw width is its contract with
-            the channel root.
+            exploding, and every subtree shipped elsewhere is asked for
+            only the columns its consumer here reads.  A coordinator
+            derives it from the query; a hosted subplan runs with the
+            columns its channel root asked for.  ``None`` keeps every
+            column.
         trace: Parent :class:`~repro.obs.span.TraceContext` of the
             ``execute`` span.
     """
@@ -213,7 +216,8 @@ class PlanExecutor:
             # linear in total rows, not quadratic per-chunk unions
             self._finish_ok(concat_tables(self._output))
         else:
-            self._finish_ok(BindingBatch(self.plan.variables()))
+            header = self._emits(self.plan, (), self.strategy.needed)
+            self._finish_ok(BindingBatch(header))
 
     def abort(self) -> None:
         """Stop without completing (a no-op once finished).  Under the
@@ -290,16 +294,29 @@ class PlanExecutor:
             return node.peer_id if site in (None, "?", here) else site
         return here if site in (None, "?") else site
 
+    def _requested(self, node: PlanNode, needed: Optional[set]) -> Optional[tuple]:
+        """The header a subtree shipped elsewhere is asked for: its
+        variables in ``needed`` — ``None`` (raw width) for all of them,
+        or for a scan filling the phased cache, which may serve more."""
+        if needed is None or (
+            isinstance(node, Scan) and self.strategy.scan_cache is not None
+        ):
+            return None
+        columns = node.variables()
+        header = tuple(c for c in columns if c in needed)
+        return None if len(header) == len(columns) else header
+
     def _emits(self, node: PlanNode, path: TreePath, needed: Optional[set]) -> tuple:
         """The columns the walk at ``node`` emits: an operator built
-        here prunes to ``needed``; scans and shipped subtrees arrive at
-        their raw width."""
+        here prunes to ``needed``, a shipped subtree arrives with the
+        header it was asked for, a local scan at its raw width."""
         columns = tuple(node.variables())
-        if (
-            needed is None
-            or isinstance(node, (Scan, Hole))
-            or self._site_of(node, path) != self.host.peer_id
-        ):
+        if needed is None or isinstance(node, Hole):
+            return columns
+        if self._site_of(node, path) != self.host.peer_id:
+            header = self._requested(node, needed)
+            return columns if header is None else header
+        if isinstance(node, Scan):
             return columns
         return tuple(c for c in columns if c in needed)
 
@@ -321,7 +338,7 @@ class PlanExecutor:
             )
         site = self._site_of(node, path)
         if site != self.host.peer_id:
-            self._ship(node, path, site, emit, done)
+            self._ship(node, path, site, emit, done, needed)
             return
         if isinstance(node, Scan):
 
@@ -333,11 +350,13 @@ class PlanExecutor:
             self.host.schedule_work(self.query_id, run_scan)
             return
         children = node.children()
-        child_needed: List[Optional[set]] = [None] * len(children)
-        if needed is not None:
-            # what the rest of the query references: the consumer's
-            # variables plus every sibling's (join keys included) — a
-            # variable some *other* child holds, counted once per child
+        # a union's children need only what the union's consumer reads
+        child_needed: List[Optional[set]] = [needed] * len(children)
+        if needed is not None and not isinstance(node, Union):
+            # a join's: what the rest of the query references — the
+            # consumer's variables plus every sibling's (join keys
+            # included), a variable some *other* child holds, counted
+            # once per child
             child_vars = [set(child.variables()) for child in children]
             holders = Counter(v for variables in child_vars for v in variables)
             for index, variables in enumerate(child_vars):
@@ -372,8 +391,10 @@ class PlanExecutor:
         site: str,
         emit: Emit,
         done: Callable[[], None],
+        needed: Optional[set],
     ) -> None:
-        """Add a subtree to the shipment bound for its execution site.
+        """Add a subtree to the shipment bound for its execution site,
+        asking for the columns of it ``needed`` holds.
 
         A scan cached by an earlier phase short-circuits the shipment
         (phased policy); a shipped scan's rows land in that cache when
@@ -414,6 +435,6 @@ class PlanExecutor:
         for p, s in entries:
             if p[:depth] == path and p != path:
                 sites[(len(outputs),) + p[depth:]] = s
-        outputs.append(
-            Output(node, on_channel, on_progress if self.strategy.stream else None)
-        )
+        progress = on_progress if self.strategy.stream else None
+        header = self._requested(node, needed)
+        outputs.append(Output(node, on_channel, progress, header))

@@ -137,7 +137,9 @@ class IncrementalHashJoin:
 
 
 class IncrementalUnion:
-    """Re-emits chunks from several inputs, aligned to fixed columns."""
+    """Re-emits chunks from several inputs, aligned to fixed columns —
+    and cut down to them: a local scan's chunk may arrive wider than
+    operands shipped narrowed, but never without one of the columns."""
 
     def __init__(self, columns: Sequence[str], inputs: int, emit: Emit):
         if inputs < 1:
@@ -147,14 +149,11 @@ class IncrementalUnion:
         self._remaining = inputs
 
     def feed(self, chunk: BindingBatch) -> None:
-        if set(chunk.columns) != set(self.columns):
-            raise EvaluationError(
-                f"union chunk columns {chunk.columns} != {self.columns}"
-            )
+        # a header reorder or cut at most, no per-row work
+        if chunk.columns != self.columns:
+            chunk = chunk.align(self.columns)
         if chunk:
-            # a header reorder at most, no per-row work
-            same = chunk.columns == self.columns
-            self._emit(chunk if same else chunk.align(self.columns))
+            self._emit(chunk)
 
     def finish_one(self) -> None:
         self._remaining -= 1
@@ -236,9 +235,7 @@ def streaming_operator(
     down to the ``needed`` columns on the way out."""
     if union or len(input_columns) == 1:
         # a single-input join passes its input through, as a union does
-        columns = tuple(input_columns[0])
-        return IncrementalUnion(
-            columns, len(input_columns), _pruned(emit, columns, needed)
-        )
+        columns = [c for c in input_columns[0] if needed is None or c in needed]
+        return IncrementalUnion(columns, len(input_columns), emit)
     columns = tuple(dict.fromkeys(c for cols in input_columns for c in cols))
     return JoinCascade(input_columns, _pruned(emit, columns, needed))

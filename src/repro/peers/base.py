@@ -257,9 +257,9 @@ class Peer:
         return base.evaluate_scan(scan, self.dictionary)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
-        """Execute the received subplans — one executor each — and,
-        when all of them have finished, stream the results back as one
-        sequence of packets.
+        """Execute the received subplans — one executor each, narrowed
+        to the columns the root asked for — and, when all of them have
+        finished, stream the results back as one sequence of packets.
 
         The stream's first packet also reports statistics (this peer's
         local cardinalities for the subplans' properties) so the
@@ -299,6 +299,7 @@ class Peer:
                     self.dictionary,
                     self.config.batch_size,
                     self._local_cardinalities(packet),
+                    packet.columns,
                 )
                 self._remember_subplan(channel_id, packets)
                 self._stream_packets(root, channel_id, packets)
@@ -320,6 +321,7 @@ class Peer:
                 # stitch this remote execution under the shipped channel
                 # span: the arriving message carries the root's context
                 trace=message.trace,
+                columns=packet.columns[output] if packet.columns else None,
             )
             for output, plan in enumerate(packet.plans)
         ]
@@ -334,14 +336,16 @@ class Peer:
         query_id: str = "",
         trace=None,
         query: Optional["PendingQuery"] = None,
+        columns: Optional[tuple] = None,
     ) -> PlanExecutor:
         """An executor for ``plan`` at this peer, not yet started — the
         one place an executor is built, and where an attempt's
         :class:`ExecutionStrategy` is decided.
 
-        A hosted subplan or delegated plan gathers, discards on failure
-        and keeps its raw width (its table is a contract with the
-        channel root).  A coordinator passes the ``query`` it runs the
+        A hosted subplan or delegated plan gathers and discards on
+        failure; a hosted one prunes to the ``columns`` its channel
+        root asked for (``None`` keeps its raw width), and so do the
+        subtrees it ships on.  A coordinator passes the ``query`` it runs the
         plan for, and the configuration applies: ``pipelined_execution``
         streams, ``failure_policy="phased"`` carries the query's scan
         cache across attempts, and ``topk_cancel`` stops a ``LIMIT k``
@@ -351,7 +355,8 @@ class Peer:
         completion order, while ranked top-k needs every candidate.
         """
         config = self.config
-        stream, cache, stop, needed = False, None, None, None
+        stream, cache, stop = False, None, None
+        needed = None if columns is None else frozenset(columns)
         if query is not None:
             limit = query.constraints.max_results
             if (

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from array import array
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..channels.packets import ChangePlanPacket, DataPacket, SubPlanPacket
 from ..core.algebra import Hole, Join, Scan, Union
@@ -347,18 +347,21 @@ _register(
 )
 
 
-def _decode_table(fields: dict) -> EncodedTable:
-    """Rebuild an :class:`EncodedTable`, refusing one that is not
-    rectangular or whose cells do not name its own terms.
+def _decode_table(fields: dict, terms: Optional[tuple] = None) -> EncodedTable:
+    """Rebuild an :class:`EncodedTable` — over ``terms`` when it rode
+    in a packet that names them, over its own otherwise — refusing one
+    that is not rectangular or whose cells do not name those terms.
 
     Checked here, where the frame is: the receiver indexes ``terms`` by
     these ids inside a message handler, past the ``except CodecError``
     that drops a corrupt connection — and a negative id would not even
     fail there, it would silently alias a term from the end.
     """
+    if terms is None:
+        terms = tuple(_decode(term) for term in fields["terms"])
     table = EncodedTable(
         tuple(fields["columns"]),
-        tuple(_decode(term) for term in fields["terms"]),
+        terms,
         tuple(tuple(column) for column in fields["ids"]),
         fields["length"],
     )
@@ -380,16 +383,20 @@ def _decode_table(fields: dict) -> EncodedTable:
     return table
 
 
+def _table_cells(table: EncodedTable) -> dict:
+    return {
+        "columns": list(table.columns),
+        "ids": [list(column) for column in table.ids],
+        "length": table.length,
+    }
+
+
 # the one wire shape of a binding table: each distinct term once, the
-# cells as plain integer positions into that list
+# cells as plain integer positions into that list — the term list of a
+# table riding in a DataPacket is the packet's (``_encode_data``)
 _register(
     EncodedTable,
-    lambda t: {
-        "columns": list(t.columns),
-        "terms": [_encode(term) for term in t.terms],
-        "ids": [list(column) for column in t.ids],
-        "length": t.length,
-    },
+    lambda t: {**_table_cells(t), "terms": [_encode(term) for term in t.terms]},
     _decode_table,
 )
 _register(
@@ -415,14 +422,25 @@ _register(
 
 
 def _check_subplans(packet: SubPlanPacket) -> None:
-    """At least one subplan, and every site keyed ``(output index,
-    *tree path)`` under an output the packet carries."""
+    """At least one subplan, every site keyed ``(output index, *tree
+    path)`` under an output the packet carries, and no header or one per
+    subplan, naming distinct columns that subplan binds."""
     carried = len(packet.plans)
     if not carried:
         raise CodecError("a SubPlanPacket carries at least one subplan")
     for path in packet.sites:
         if not path or type(path[0]) is not int or not 0 <= path[0] < carried:
             raise CodecError(f"site {path!r} is under none of {carried} outputs")
+    if len(packet.columns) not in (0, carried):
+        raise CodecError(f"{len(packet.columns)} headers for {carried} subplans")
+    for plan, header in zip(packet.plans, packet.columns):
+        if header is None:
+            continue
+        if type(header) is not tuple or any(type(c) is not str for c in header):
+            raise CodecError(f"{header!r} is not a tuple of column names")
+        bound = plan.variables()
+        if len(set(header)) != len(header) or any(c not in bound for c in header):
+            raise CodecError(f"{header!r} asks for columns {bound!r} does not bind")
 
 
 def _check_tables(packet: DataPacket) -> None:
@@ -485,4 +503,36 @@ for _cls in (
     _register_dataclass(_cls)
 del _cls
 _register_dataclass(SubPlanPacket, _check_subplans)
-_register_dataclass(DataPacket, _check_tables)
+
+
+def _encode_data(packet: DataPacket) -> dict:
+    """A data packet with its tables' one term list written once, as
+    ``terms``, and each table as its header and cells only."""
+    fields = {name: _encode(getattr(packet, name)) for name in _DATA_FIELDS}
+    fields["terms"] = [_encode(term) for term in packet.terms]
+    tables = [[output, {"$k": "EncodedTable", "f": _table_cells(table)}]
+              for output, table in packet.tables]
+    fields["tables"] = {"$t": [{"$t": entry} for entry in tables]}
+    return fields
+
+
+def _decode_data(fields: dict) -> DataPacket:
+    """Rebuild a data packet, every table over the packet's terms."""
+    terms = tuple(_decode(term) for term in fields.get("terms", ()))
+    try:
+        tables = tuple(
+            (output, _decode_table(table["f"], terms))
+            for output, table in (entry["$t"] for entry in fields["tables"]["$t"])
+        )
+    except (KeyError, TypeError, ValueError):
+        raise CodecError("a DataPacket's tables are (output, table) pairs") from None
+    packet = DataPacket(
+        tables=tables,
+        **{name: _decode(fields[name]) for name in _DATA_FIELDS if name in fields},
+    )
+    _check_tables(packet)
+    return packet
+
+
+_DATA_FIELDS = ("channel_id", "final", "failed_peer", "seq", "cardinalities")
+_register(DataPacket, _encode_data, _decode_data)

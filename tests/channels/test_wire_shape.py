@@ -12,7 +12,7 @@ from repro.peers.base import Peer, PeerBase
 from repro.peers.simple import SimplePeer
 from repro.rdf import TYPE, Graph, Namespace
 from repro.rdf.dictionary import TermDictionary
-from repro.rql.bindings import BindingTable
+from repro.rql.bindings import BindingTable, table_size_bytes
 from repro.workloads.paper import N1, paper_query_pattern, paper_schema
 
 from ..idtables import decode_cells, encode_cells, open_one
@@ -360,9 +360,22 @@ def test_stream_packs_whole_tables_and_splits_only_the_oversized(scan):
     assert [p.seq for p in packets] == list(range(7))
     assert [p.final for p in packets] == [False] * 6 + [True]
     assert all(p.rows <= 3 for p in packets)
-    assert sum(p.size_bytes() for p in packets) == 7 * 64 + sum(
-        table.size_bytes() for p in packets for _, table in p.tables
-    )
+    for packet in packets:
+        # one term list per packet: every term its tables reference, once
+        used = [
+            packet.terms[i] for _, t in packet.tables for column in t.ids for i in column
+        ]
+        assert packet.terms == tuple(dict.fromkeys(used))
+        assert all(t.terms is packet.terms for _, t in packet.tables)
+        cells = sum(
+            table_size_bytes(t.columns, len(t.columns) * t.length, ())
+            for _, t in packet.tables
+        )
+        terms = sum(len(term.n3()) for term in packet.terms)
+        assert packet.size_bytes() == 64 + cells + terms
+    # the first packet's outputs 0 and 2 share a subject, named once
+    (_, first), _, (_, third) = packets[0].tables
+    assert set(first.terms[i] for i in first.ids[0]) & set(third.terms[i] for i in third.ids[0])
 
 
 def test_three_output_stream_in_any_order_equals_in_order_delivery(scan):

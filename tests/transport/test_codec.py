@@ -287,15 +287,20 @@ def test_malformed_table_is_rejected_where_the_frame_is(damage):
 
 def _shipment_bodies():
     """The JSON bodies of a two-subplan ``SubPlanPacket`` (sites under
-    both outputs) and of its two-table ``DataPacket`` reply."""
+    both outputs, a narrowed header for each) and of its two-table
+    ``DataPacket`` reply, whose tables share some of their terms."""
     pattern = paper_query_pattern(paper_schema())
     plans = (
         Join([Scan((pattern.root,), "P2"), Scan((pattern.patterns[1],), "P3")]),
         Scan((pattern.root,), "P2"),
     )
-    sub = SubPlanPacket("ch-1", plans, {(0, 1): "P3", (1,): "P2"}, "P1", "q1")
+    sites = {(0, 1): "P3", (1,): "P2"}
+    sub = SubPlanPacket("ch-1", plans, sites, "P1", "q1", (("X", "Z"), ("Y",)))
     table = EncodedTable.of_terms(sample_table())
-    data = DataPacket("ch-1", ((0, table), (1, table)))
+    other = EncodedTable.of_terms(BindingTable(("Y",), [(Literal("x"),), (Literal(9),)]))
+    data = DataPacket("ch-1", ((0, table), (1, other)))
+    # one term list: the shared literal is named once
+    assert len(data.terms) == 7 and all(t.terms is data.terms for _, t in data.tables)
     bodies = []
     for payload in (sub, data):
         body = json.loads(json.dumps(encode_message(Message("P1", "P2", payload))))
@@ -312,6 +317,18 @@ def _table_entry(body, index):
     return body["payload"]["f"]["tables"]["$t"][index]["$t"]
 
 
+def _header(body, index):
+    return body["payload"]["f"]["columns"]["$t"][index]["$t"]
+
+
+def _packet_id(body, table, column, row, value):
+    """Overwrite one cell of a packet's table (``value`` may read the
+    packet's term count)."""
+    terms = len(body["payload"]["f"]["terms"])
+    ids = _table_entry(body, table)[1]["f"]["ids"]
+    ids[column][row] = value(terms)
+
+
 #: ways a hostile or corrupt frame can break the per-destination packet
 #: shape: (0 = the SubPlanPacket, 1 = the DataPacket, how to damage it)
 MALFORMED_SHIPMENTS = {
@@ -324,6 +341,20 @@ MALFORMED_SHIPMENTS = {
     "table-output-textual": (1, lambda b: _table_entry(b, 1).__setitem__(0, "1")),
     "same-output-twice": (1, lambda b: _table_entry(b, 1).__setitem__(0, 0)),
     "table-without-an-output": (1, lambda b: _table_entry(b, 1).pop(0)),
+    "header-column-the-subplan-does-not-bind": (
+        0, lambda b: _header(b, 1).__setitem__(0, "Z")
+    ),
+    "header-column-twice": (0, lambda b: _header(b, 0).__setitem__(1, "X")),
+    "header-column-not-a-string": (0, lambda b: _header(b, 0).__setitem__(1, 7)),
+    "header-not-a-tuple": (
+        0, lambda b: b["payload"]["f"]["columns"]["$t"].__setitem__(0, ["X"])
+    ),
+    "more-headers-than-subplans": (
+        0, lambda b: b["payload"]["f"]["columns"]["$t"].append({"$t": ["X"]})
+    ),
+    "id-past-the-packet-terms": (1, lambda b: _packet_id(b, 1, 0, 1, lambda n: n)),
+    "id-negative": (1, lambda b: _packet_id(b, 0, 1, 2, lambda n: -1)),
+    "table-not-an-object": (1, lambda b: _table_entry(b, 0).__setitem__(1, [])),
 }
 
 
