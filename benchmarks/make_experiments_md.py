@@ -175,13 +175,16 @@ COMMENTARY = {
         "every row of the batch-size x cost_based sweep returning the "
         "centralized answer. There is one engine (dictionary-encoded "
         "columnar) and one wire table (each distinct term once per "
-        "message, cells as positions into that list), and a channel "
+        "packet, cells as positions into that list), and a channel "
         "answers with one stream (its statistics ride on the first data "
         "packet), so against earlier revisions of this file the message, "
         "byte and virtual-time cells of every experiment moved (PR 14: "
         "bytes; PR 17: one message less per channel and fewer bytes; "
         "PR 21: one channel per destination instead of one per subplan, "
-        "so a peer answering several path patterns costs two messages). "
+        "so a peer answering several path patterns costs two messages; "
+        "then each shipped subplan returning only the columns its "
+        "channel root reads, distinct rows only, its packet's tables "
+        "sharing one term list: fewer rows, packets and bytes). "
         "History: when the "
         "scalar binding-at-a-time engine still existed, this sweep "
         "measured the encoded engine under the cost-based planner at "
