@@ -179,6 +179,14 @@ class ChannelManager:
 
         network.call_later(retry.timeout(attempt), check)
 
+    def on_dictionary(self, packet: DataPacket) -> list:
+        """Intern an arriving packet's one term list in the owner's
+        dictionary (one ``encode`` per term, not per cell); returns its
+        ``(output index, table)`` pairs as *id tables* in the owner's
+        space (idempotent: interning is)."""
+        values = self.dictionary.encode_many(packet.terms)
+        return [(output, table.over(values)) for output, table in packet.tables]
+
     def on_data(self, packet: DataPacket) -> None:
         """Dispatch a data packet's tables to their outputs'
         continuations."""
@@ -204,11 +212,7 @@ class ChannelManager:
             return
         if packet.final:
             channel.final_seq = packet.seq
-        # the packet's terms interned in the owner's dictionary once
-        # (one ``encode`` per term, not per cell): id tables in its space
-        values = self.dictionary.encode_many(packet.terms)
-        for index, encoded in packet.tables:
-            table = encoded.over(values)
+        for index, table in self.on_dictionary(packet):
             output = outputs[index]
             output.rows += len(table)
             if output.progress is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algebra import PlanNode, count_scans
@@ -177,7 +178,7 @@ class DataPacket:
             table_size_bytes(t.columns, len(t.columns) * t.length, ())
             for _, t in self.tables
         )
-        terms = sum(len(term.n3()) for term in self.terms)
+        terms = sum(map(len, map(methodcaller("n3"), self.terms)))
         return 64 + tables + terms + 16 * len(self.cardinalities)
 
 

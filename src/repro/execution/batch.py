@@ -306,9 +306,10 @@ def distinct_union(
     over the operands' chained rows, then the kept rows are transposed
     back into columns.  Every batch must hold every one of ``columns``
     (in any order); a wider one — a local scan beside operands shipped
-    narrowed — is cut down to them (:meth:`BindingBatch.align`)."""
+    narrowed — is projected down in the same pass."""
     columns = batches[0].columns if columns is None else tuple(columns)
-    batches = [b if b.columns == columns else b.align(columns) for b in batches]
+    if any(c not in batch.data for batch in batches for c in columns):
+        raise EvaluationError(f"union over different columns: {columns}")
     if not columns:
         length = min(sum(batch.length for batch in batches), 1)
         return BindingBatch((), length=length, unique=True)
