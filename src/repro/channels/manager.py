@@ -252,13 +252,10 @@ class ChannelManager:
                 if not output.rows:
                     self._count("scans_empty")
                 chunks, output.chunks = output.chunks, []
-                header = output.columns
                 table = (
                     concat_tables(chunks)
                     if chunks
-                    else BindingBatch(
-                        output.plan.variables() if header is None else header
-                    )
+                    else BindingBatch(output.columns or output.plan.variables())
                 )
             if self._scheduler is None:
                 output.callback(table, failed_peer)

@@ -296,15 +296,16 @@ class PlanExecutor:
 
     def _requested(self, node: PlanNode, needed: Optional[set]) -> Optional[tuple]:
         """The header a subtree shipped elsewhere is asked for: its
-        variables in ``needed`` — ``None`` (raw width) for all of them,
-        or for a scan filling the phased cache, which may serve more."""
+        variables in ``needed`` — ``None`` (raw width) for all or none
+        of them, or for a scan filling the phased cache, which may
+        serve more."""
         if needed is None or (
             isinstance(node, Scan) and self.strategy.scan_cache is not None
         ):
             return None
         columns = node.variables()
         header = tuple(c for c in columns if c in needed)
-        return None if len(header) == len(columns) else header
+        return header if 0 < len(header) < len(columns) else None
 
     def _emits(self, node: PlanNode, path: TreePath, needed: Optional[set]) -> tuple:
         """The columns the walk at ``node`` emits: an operator built
@@ -314,8 +315,7 @@ class PlanExecutor:
         if needed is None or isinstance(node, Hole):
             return columns
         if self._site_of(node, path) != self.host.peer_id:
-            header = self._requested(node, needed)
-            return columns if header is None else header
+            return self._requested(node, needed) or columns
         if isinstance(node, Scan):
             return columns
         return tuple(c for c in columns if c in needed)

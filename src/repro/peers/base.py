@@ -345,14 +345,15 @@ class Peer:
         A hosted subplan or delegated plan gathers and discards on
         failure; a hosted one prunes to the ``columns`` its channel
         root asked for (``None`` keeps its raw width), and so do the
-        subtrees it ships on.  A coordinator passes the ``query`` it runs the
-        plan for, and the configuration applies: ``pipelined_execution``
-        streams, ``failure_policy="phased"`` carries the query's scan
-        cache across attempts, and ``topk_cancel`` stops a ``LIMIT k``
-        query once k answer rows exist — which needs streaming to see
-        rows early, and no ``ORDER BY``: every operator is monotone, so
-        the first k distinct finalised rows are stable under any
-        completion order, while ranked top-k needs every candidate.
+        subtrees it ships on.  A coordinator passes the ``query`` it
+        runs the plan for, and the configuration applies:
+        ``pipelined_execution`` streams, ``failure_policy="phased"``
+        carries the query's scan cache across attempts, and
+        ``topk_cancel`` stops a ``LIMIT k`` query once k answer rows
+        exist — which needs streaming to see rows early, and no
+        ``ORDER BY``: every operator is monotone, so the first k
+        distinct finalised rows are stable under any completion order,
+        while ranked top-k needs every candidate.
         """
         config = self.config
         stream, cache, stop = False, None, None
