@@ -29,7 +29,7 @@ bound, which is read and never written:
 
 Run it from the repo root::
 
-    python -m benchmarks.pairs --pr 32 --base HEAD~1 --pairs 5
+    python -m benchmarks.pairs --pr N --base <parent commit> --pairs 5
     python -m benchmarks.pairs --base HEAD --pairs 1 --seconds 2 \\
         --workload sim-join --out pair-smoke.json   # a null pair
 """
@@ -198,10 +198,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:12} {key:22} {row['parent']['median']:>12.4g} -> "
                   f"{row['change']['median']:<12.4g} won {row['pairs_won']}/"
                   f"{entry['pairs']}  {row['verdict']}")
-    regressed = any(row["verdict"] == "regressed"
-                    for entry in result["workloads"].values()
-                    for row in entry["metrics"].values())
-    return 1 if regressed or not all(e["correct"] for e in result["workloads"].values()) else 0
+    # a wrong answer or a regressed metric fails the run
+    bad = any(
+        not entry["correct"] or row["verdict"] == "regressed"
+        for entry in result["workloads"].values()
+        for row in entry["metrics"].values()
+    )
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -518,14 +518,15 @@ def _encode_data(packet: DataPacket) -> dict:
 
 def _decode_data(fields: dict) -> DataPacket:
     """Rebuild a data packet, every table over the packet's terms."""
-    terms = tuple(_decode(term) for term in fields.get("terms", ()))
     try:
+        terms = tuple(_decode(term) for term in fields.get("terms", ()))
         tables = tuple(
             (output, _decode_table(table["f"], terms))
             for output, table in (entry["$t"] for entry in fields["tables"]["$t"])
         )
     except (KeyError, TypeError, ValueError):
-        raise CodecError("a DataPacket's tables are (output, table) pairs") from None
+        raise CodecError("a DataPacket's terms are a list and its tables "
+                         "(output, table) pairs") from None
     packet = DataPacket(
         tables=tables,
         **{name: _decode(fields[name]) for name in _DATA_FIELDS if name in fields},

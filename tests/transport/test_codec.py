@@ -355,14 +355,17 @@ MALFORMED_SHIPMENTS = {
     "id-past-the-packet-terms": (1, lambda b: _packet_id(b, 1, 0, 1, lambda n: n)),
     "id-negative": (1, lambda b: _packet_id(b, 0, 1, 2, lambda n: -1)),
     "table-not-an-object": (1, lambda b: _table_entry(b, 0).__setitem__(1, [])),
+    "terms-not-a-list": (1, lambda b: b["payload"]["f"].__setitem__("terms", 7)),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(MALFORMED_SHIPMENTS))
 def test_malformed_shipment_is_rejected_where_the_frame_is(damage):
     """An output index that names nothing the packet carries — in a
-    site key or on a table — is a ``CodecError`` at decode time, not an
-    ``IndexError`` (or an output aliased from the end) in the handler.
+    site key or on a table —, a header the subplan cannot answer, or a
+    cell naming no term of its packet is a ``CodecError`` at decode
+    time, not an ``IndexError`` (or an output aliased from the end) in
+    the handler.
     How many outputs a *channel* has only its root knows: a table index
     past them is refused in ``ChannelManager.on_data``
     (``tests/channels/test_wire_shape.py``)."""
