@@ -37,7 +37,7 @@ def _deploy_channels(plan):
     for peer_id, graph in paper_peer_bases().items():
         peers[peer_id] = Peer(peer_id, PeerBase(graph, SCHEMA))
         peers[peer_id].join(network)
-    PlanExecutor(peers["P1"], network, plan).start()
+    PlanExecutor(peers["P1"], network, (plan,)).start()
     channels = peers["P1"].channels.open_channels().values()
     deployed = sorted((c.destination, len(c.outputs)) for c in channels)
     network.run()

@@ -3,10 +3,11 @@
 Plan compilation (Section 2.4's recursion plus Figure 4's algebraic
 rewrites) is deterministic in three inputs: the query pattern, its
 routing annotation, and the optimiser's statistics.  The cache keys on
-exactly those — ``(annotation fingerprint, statistics version)``,
-where the fingerprint already embeds the pattern signature — so a
-cached plan is only ever served when a fresh compile would reproduce
-it bit for bit.
+exactly those — the annotation fingerprint, which already embeds the
+pattern signature, under one statistics version — so a cached plan is
+only ever served when a fresh compile would reproduce it bit for bit.
+A lookup only ever asks under the current version, so the cache holds
+that one: a plan compiled under another drops every older entry.
 
 Unlike routing annotations, a compiled plan embeds the query's actual
 labels and variables (its scans become wire subqueries), so reuse
@@ -38,7 +39,8 @@ from .signature import annotation_fingerprint
 
 
 class PlanCache:
-    """LRU cache of compiled plans keyed by routing + statistics state.
+    """LRU cache of compiled plans keyed by routing state, all under
+    one statistics version (:attr:`version`).
 
     Args:
         max_entries: LRU bound; plan reuse is an optimisation, eviction
@@ -49,7 +51,9 @@ class PlanCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self.metrics = None  # optionally a MetricSet, via bind_metrics()
-        #: key → (pattern, plan, peers the plan names)
+        #: the statistics version every entry was compiled under
+        self.version = 0
+        #: fingerprint → (pattern, plan, peers the plan names)
         self._entries: "OrderedDict[Tuple, Tuple[QueryPattern, PlanNode, frozenset]]" = (
             OrderedDict()
         )
@@ -57,15 +61,12 @@ class PlanCache:
     def bind_metrics(self, metrics) -> None:
         self.metrics = metrics
 
-    def _key(self, annotated: AnnotatedQueryPattern, version: int) -> Tuple:
-        return (annotation_fingerprint(annotated), version)
-
     def get(
         self, annotated: AnnotatedQueryPattern, version: int = 0
     ) -> Optional[PlanNode]:
         """A plan a fresh compile would reproduce, or ``None``."""
-        key = self._key(annotated, version)
-        entry = self._entries.get(key)
+        key = annotation_fingerprint(annotated)
+        entry = self._entries.get(key) if version == self.version else None
         if entry is not None and entry[0] == annotated.query_pattern:
             self._entries.move_to_end(key)
             self.stats.hits += 1
@@ -80,7 +81,11 @@ class PlanCache:
     def put(
         self, annotated: AnnotatedQueryPattern, plan: PlanNode, version: int = 0
     ) -> None:
-        key = self._key(annotated, version)
+        if version != self.version:
+            # the statistics moved on: no lookup asks for the old plans
+            self._entries.clear()
+            self.version = version
+        key = annotation_fingerprint(annotated)
         self._entries[key] = (
             annotated.query_pattern,
             plan,

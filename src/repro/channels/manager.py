@@ -107,7 +107,8 @@ class ChannelManager:
         packet arrives within the attempt's timeout the subplans are
         retransmitted (exponential backoff), and when attempts run out
         the channel fails as if the destination had bounced — the
-        timeout-based detection a non-omniscient network requires.
+        timeout-based detection a non-omniscient network requires; only
+        then is the packet flagged ``retransmits`` (kept for replay).
         """
         channel_id = self.mint_id()
         span = network.tracer.start_span(
@@ -136,6 +137,7 @@ class ChannelManager:
             root_peer=self.owner,
             query_id=query_id,
             columns=columns if any(c is not None for c in columns) else (),
+            retransmits=retry is not None,
         )
         network.send(Message(self.owner, destination, packet, trace=span.context()))
         if retry is not None:

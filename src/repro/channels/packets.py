@@ -48,6 +48,8 @@ class SubPlanPacket:
         columns: Empty, or the header the root reads of each output, by
             output index: the destination returns those columns only,
             without duplicate rows (``None`` keeps the raw width).
+        retransmits: The root retransmits on silence (a retry policy):
+            only then does the destination keep its answer to replay.
     """
 
     channel_id: str
@@ -56,6 +58,7 @@ class SubPlanPacket:
     root_peer: str = ""
     query_id: str = ""
     columns: Tuple[Optional[Tuple[str, ...]], ...] = ()
+    retransmits: bool = False
 
     def size_bytes(self) -> int:
         scans = sum(count_scans(plan) for plan in self.plans)

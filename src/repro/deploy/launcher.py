@@ -319,8 +319,10 @@ class LiveCluster:
         return self._query_client, self._query_client.submit(via, text)
 
     def await_result(self, client, query_id: str, timeout: float = QUERY_TIMEOUT):
+        """Wait for the answer and take it out of ``client``, so a long
+        run's client holds no answered query."""
         self.transport.run_until(lambda: query_id in client.results, timeout)
-        result = client.result(query_id)
+        result = client.results.pop(query_id, None)
         if result is None:
             raise NetworkError(f"query {query_id} timed out live")
         return result

@@ -1,7 +1,9 @@
 """Distributed plan execution over channels.
 
-A :class:`PlanExecutor` runs one plan subtree *at one peer* (its
-executor site).  One recursive walk does it: a node sited elsewhere is
+A :class:`PlanExecutor` runs plan subtrees *at one peer* (its executor
+site) — a coordinator's one plan, or every subplan of one shipment the
+peer hosts, each its own *root*.  One recursive walk does it: a node
+sited elsewhere is
 shipped (the destination peer spins up its own executor recursively —
 that is how query shipping pushes operators down, Figure 5 right), a
 scan of the local base is evaluated in place, and a ``Join``/``Union``
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
 
 if TYPE_CHECKING:  # annotation only — imported lazily to avoid a cycle
@@ -46,8 +49,8 @@ from ..obs.tracer import NULL_SPAN
 from .batch import BindingBatch, concat_tables
 from .pipeline import BlockingCombine, Emit, streaming_operator
 
-#: Completion continuation: (result id table or None, failed peer or None).
-Completion = Callable[[Optional[BindingBatch], Optional[str]], None]
+#: Completion continuation: (a result id table per plan or None, failed peer or None).
+Completion = Callable[[Optional[List[BindingBatch]], Optional[str]], None]
 
 
 class ExecutorHost(Protocol):
@@ -81,14 +84,14 @@ class ExecutionStrategy:
             and discards the remaining channels.
         retry: Ack/retransmit policy of every channel opened (``None``
             keeps fire-and-forget channels).
-        needed: The variables the plan's *consumer* references;
+        needed: Per plan, the variables its *consumer* references;
             operators prune every other column as soon as no later join
             needs it, which keeps chain-join intermediates from
             exploding, and every subtree shipped elsewhere is asked for
             only the columns its consumer here reads.  A coordinator
             derives it from the query; a hosted subplan runs with the
             columns its channel root asked for.  ``None`` keeps every
-            column.
+            column of that plan, ``()`` of every plan.
         trace: Parent :class:`~repro.obs.span.TraceContext` of the
             ``execute`` span.
     """
@@ -97,22 +100,25 @@ class ExecutionStrategy:
     scan_cache: Optional[Dict[Scan, BindingBatch]] = None
     early_stop: Optional[Callable[[BindingBatch], bool]] = None
     retry: object = None
-    needed: Optional[frozenset] = None
+    needed: Tuple[Optional[frozenset], ...] = ()
     trace: object = None
 
 
 class PlanExecutor:
-    """Executes one plan subtree at one peer.
+    """Executes plan subtrees at one peer, completing once all have.
 
     Args:
         host: The hosting peer.
         network: The network for shipping remote subtrees.
-        plan: The subtree to execute.
-        sites: Execution sites keyed by tree path relative to ``plan``
+        plans: The subtrees to execute (a coordinator's one plan, or a
+            hosted shipment's subplans in output order).
+        sites: Execution sites keyed by ``(plan index, *tree path
+            relative to that plan)`` — a ``SubPlanPacket``'s keys
             (missing inner paths default to this peer; missing scan
             paths default to the scan's own peer).
         query_id: The query this execution belongs to (tracing).
-        on_complete: Called exactly once with the result or a failure.
+        on_complete: Called exactly once with every plan's result, in
+            order, or a failure.
         strategy: How to run it (default: gather, discard, no retry).
 
     The executor opens an ``execute`` span under ``strategy.trace``
@@ -124,7 +130,7 @@ class PlanExecutor:
         self,
         host: ExecutorHost,
         network: Network,
-        plan: PlanNode,
+        plans: Tuple[PlanNode, ...],
         sites: Optional[Dict[TreePath, str]] = None,
         query_id: str = "",
         on_complete: Optional[Completion] = None,
@@ -132,14 +138,15 @@ class PlanExecutor:
     ):
         self.host = host
         self.network = network
-        self.plan = plan
+        self.plans = plans
         self.sites = dict(sites or {})
-        #: the non-root site entries grouped by their first path element,
-        #: so shipping a subtree reads only its own branch's entries
-        self._branches: Dict[int, List[Tuple[TreePath, str]]] = {}
+        #: the site entries below a root grouped by their first two path
+        #: elements, so shipping a subtree reads only its own branch's
+        self._branches: Dict[TreePath, List[Tuple[TreePath, str]]] = {}
         for p, s in self.sites.items():
-            if p:
-                self._branches.setdefault(p[0], []).append((p, s))
+            if len(p) > 1:
+                self._branches.setdefault(p[:2], []).append((p, s))
+        self._needed = strategy.needed or (None,) * len(self.plans)
         self.query_id = query_id
         self.on_complete = on_complete or (lambda table, failed: None)
         self.strategy = strategy
@@ -148,8 +155,10 @@ class PlanExecutor:
         self.first_output_at: Optional[float] = None
         self.reused_rows = 0
         self._finished = False
-        #: what the root of the walk emitted so far
-        self._output: List[BindingBatch] = []
+        #: what each root of the walk emitted so far, and how many roots
+        #: are still running
+        self._output: List[List[BindingBatch]] = [[] for _ in self.plans]
+        self._running = len(self.plans)
         #: every channel this executor opened (the manager forgets a
         #: channel once answered; releasing needs its final state)
         self._channels: list = []
@@ -173,7 +182,9 @@ class PlanExecutor:
             query=self.query_id,
             pipelined=self.strategy.stream,
         )
-        self._walk(self.plan, (), self._emit, self._done, self.strategy.needed)
+        for output, plan in enumerate(self.plans):
+            emit = partial(self._emit, output)
+            self._walk(plan, (output,), emit, self._done, self._needed[output])
         retry, trace = self.strategy.retry, self.span.context()
         for site, (outputs, sites) in self._shipments.items():
             if self._finished:
@@ -184,17 +195,18 @@ class PlanExecutor:
                 )
             )
 
-    def _emit(self, chunk: BindingBatch) -> None:
-        """The root's output: one table when gathering, a chunk at a
+    def _emit(self, output: int, chunk: BindingBatch) -> None:
+        """A root's output: one table when gathering, a chunk at a
         time when streaming — where the top-k stop watches it."""
         if self._finished:
             return
         if chunk and self.first_output_at is None:
             self.first_output_at = self.network.now
-        self._output.append(chunk)
+        chunks = self._output[output]
+        chunks.append(chunk)
         early_stop = self.strategy.early_stop
         if early_stop is not None and chunk:
-            merged = concat_tables(self._output)
+            merged = concat_tables(chunks)
             if early_stop(merged):
                 self.network.metrics.count("topk_cancels")
                 self.network.emit_event(
@@ -206,18 +218,14 @@ class PlanExecutor:
                 self.span.set(topk_cancelled=True)
                 # answered: nothing is salvaged, every channel goes
                 self._release_channels(salvage=False)
-                self._finish_ok(merged)
+                self._output[output] = [merged]
+                self._finish_ok()
 
     def _done(self) -> None:
-        if self._finished:
-            return
-        if self._output:
-            # one column-aligned concatenation over all chunks —
-            # linear in total rows, not quadratic per-chunk unions
-            self._finish_ok(concat_tables(self._output))
-        else:
-            header = self._emits(self.plan, (), self.strategy.needed)
-            self._finish_ok(BindingBatch(header))
+        """One root finished; the last one completes the executor."""
+        self._running -= 1
+        if not self._running:
+            self._finish_ok()
 
     def abort(self) -> None:
         """Stop without completing (a no-op once finished).  Under the
@@ -259,7 +267,7 @@ class PlanExecutor:
         """Let go of everything that leads back to this executor — the
         continuation, and the shipments and channels whose outputs close
         over it — so a finished query dies by reference counting.  What
-        survives (``strategy``, ``span``, ``plan``, ``first_output_at``,
+        survives (``strategy``, ``span``, ``plans``, ``first_output_at``,
         ``reused_rows``) is read by the coordinator after completion.
         Salvaged phased channels run on: the channel manager holds them.
         Returns the continuation, for the caller to call once."""
@@ -267,12 +275,21 @@ class PlanExecutor:
         self._output, self._channels, self._shipments = [], [], {}
         return on_complete
 
-    def _finish_ok(self, table: BindingBatch) -> None:
-        if not self._finished:
-            self._finished = True
-            self.span.set(rows=len(table), reused_rows=self.reused_rows)
-            self.span.finish()
-            self._settle()(table, None)
+    def _finish_ok(self) -> None:
+        if self._finished:
+            return
+        self._finished = True
+        # per root, one column-aligned concatenation over all chunks —
+        # linear in total rows, not quadratic per-chunk unions
+        tables = [
+            concat_tables(chunks)
+            if chunks
+            else BindingBatch(self._emits(plan, (output,), self._needed[output]))
+            for output, (plan, chunks) in enumerate(zip(self.plans, self._output))
+        ]
+        self.span.set(rows=sum(map(len, tables)), reused_rows=self.reused_rows)
+        self.span.finish()
+        self._settle()(tables, None)
 
     def _fail(self, failed_peer: str) -> None:
         if not self._finished:
@@ -431,7 +448,7 @@ class PlanExecutor:
 
         outputs, sites = self._shipments.setdefault(site, ([], {}))
         depth = len(path)
-        entries = self._branches.get(path[0], ()) if path else self.sites.items()
+        entries = self._branches.get(path[:2], ()) if depth > 1 else self.sites.items()
         for p, s in entries:
             if p[:depth] == path and p != path:
                 sites[(len(outputs),) + p[depth:]] = s

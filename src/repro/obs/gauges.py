@@ -22,6 +22,11 @@ IDLE = {
     "queued_queries": 0,
     "queued_route_requests": 0,
     "scheduler_backlog": 0,
+    # what finished queries leave behind
+    "replay_entries": 0,
+    "completed_queries": 0,
+    "plan_cache_entries": 0,
+    "dictionary_terms": 0,
 }
 
 

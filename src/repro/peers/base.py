@@ -10,10 +10,10 @@ and message dispatch.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..channels.manager import ChannelManager
-from ..channels.packets import DataPacket, SubPlanPacket, TreePath
+from ..channels.packets import DataPacket, SubPlanPacket
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.algebra import PlanNode, Scan
 from ..errors import PeerError
@@ -142,8 +142,8 @@ class Peer:
         #: channels whose subplans are still executing (duplicate packets
         #: are ignored; the in-flight run will answer)
         self._executing_subplans: set = set()
-        #: channel id -> the exact reply payloads of a completed shipment,
-        #: replayed verbatim when a retransmitted SubPlanPacket arrives
+        #: channel id -> the exact reply payloads of an answered shipment
+        #: whose root retransmits, replayed verbatim to the retransmit
         self._subplan_replay: Dict[str, List] = {}
         #: fair per-query work scheduler (peers/scheduler.py); None
         #: keeps the seed's run-to-completion message handling
@@ -193,6 +193,8 @@ class Peer:
             "scheduler_backlog": (
                 self.scheduler.pending() if self.scheduler is not None else 0
             ),
+            "replay_entries": len(self._subplan_replay),
+            "dictionary_terms": len(self.dictionary),
         }
 
     def all_bases(self) -> tuple:
@@ -257,9 +259,9 @@ class Peer:
         return base.evaluate_scan(scan, self.dictionary)
 
     def handle_SubPlanPacket(self, message: Message) -> None:
-        """Execute the received subplans — one executor each, narrowed
-        to the columns the root asked for — and, when all of them have
-        finished, stream the results back as one sequence of packets.
+        """Execute the received subplans — one executor, each narrowed to
+        the columns the root asked for — and stream the results back as
+        one sequence of packets, kept for replay if the root retransmits.
 
         The stream's first packet also reports statistics (this peer's
         local cardinalities for the subplans' properties) so the
@@ -280,72 +282,48 @@ class Peer:
                 self.send(root, payload)
             return
         self._executing_subplans.add(channel_id)
-        tables: List[Optional[BindingBatch]] = [None] * len(packet.plans)
-        pending = len(packet.plans)
 
-        def on_complete(output: int, table, failed: Optional[str]) -> None:
-            nonlocal pending
-            if channel_id not in self._executing_subplans:
-                return  # the shipment already failed
-            tables[output] = table
-            pending -= 1
-            if failed is None and pending:
-                return  # siblings still running
+        def on_complete(tables, failed: Optional[str]) -> None:
             self._executing_subplans.discard(channel_id)
-            if failed is None:
-                packets = DataPacket.stream(
-                    channel_id,
-                    tables,
-                    self.dictionary,
-                    self.config.batch_size,
-                    self._local_cardinalities(packet),
-                    packet.columns,
-                )
-                self._remember_subplan(channel_id, packets)
-                self._stream_packets(root, channel_id, packets)
+            if failed is not None:
+                # failures are not remembered: a retransmit retries execution
+                self.send(root, DataPacket(channel_id, failed_peer=failed))
                 return
-            for executor in executors:
-                executor.abort()
-            # failures are not remembered: a retransmit retries execution
-            self.send(root, DataPacket(channel_id, failed_peer=failed))
-
-        sites: Dict[int, Dict[TreePath, str]] = {}
-        for p, s in packet.sites.items():
-            sites.setdefault(p[0], {})[p[1:]] = s
-        executors = [
-            self.plan_executor(
-                plan,
-                partial(on_complete, output),
-                sites=sites.get(output),
-                query_id=packet.query_id,
-                # stitch this remote execution under the shipped channel
-                # span: the arriving message carries the root's context
-                trace=message.trace,
-                columns=packet.columns[output] if packet.columns else None,
+            packets = DataPacket.stream(
+                channel_id, tables, self.dictionary, self.config.batch_size,
+                self._local_cardinalities(packet), packet.columns,
             )
-            for output, plan in enumerate(packet.plans)
-        ]
-        for executor in executors:
-            self.schedule_work(packet.query_id, executor.start)
+            if packet.retransmits:
+                self._remember_subplan(channel_id, packets)
+            self._stream_packets(root, channel_id, packets)
+
+        # stitch this remote execution under the shipped channel span:
+        # the arriving message carries the root's context
+        executor = self.plan_executor(
+            packet.plans, on_complete, sites=packet.sites, query_id=packet.query_id,
+            trace=message.trace, columns=packet.columns,
+        )
+        self.schedule_work(packet.query_id, executor.start)
 
     def plan_executor(
         self,
-        plan: PlanNode,
+        plans: Tuple[PlanNode, ...],
         on_complete: Completion,
         sites=None,
         query_id: str = "",
         trace=None,
         query: Optional["PendingQuery"] = None,
-        columns: Optional[tuple] = None,
+        columns: Tuple[Optional[tuple], ...] = (),
     ) -> PlanExecutor:
-        """An executor for ``plan`` at this peer, not yet started — the
+        """An executor for ``plans`` at this peer, not yet started — the
         one place an executor is built, and where an attempt's
         :class:`ExecutionStrategy` is decided.
 
-        A hosted subplan or delegated plan gathers and discards on
-        failure; a hosted one prunes to the ``columns`` its channel
-        root asked for (``None`` keeps its raw width), and so do the
-        subtrees it ships on.  A coordinator passes the ``query`` it
+        A hosted shipment or delegated plan gathers and discards on
+        failure; a hosted one prunes each plan to the ``columns`` its
+        channel root asked for (``None``, or no ``columns``, keeps the
+        raw width), and so do the subtrees it ships on.  A coordinator
+        passes the one-plan tuple and the ``query`` it
         runs the plan for, and the configuration applies:
         ``pipelined_execution`` streams, ``failure_policy="phased"``
         carries the query's scan cache across attempts, and
@@ -357,7 +335,7 @@ class Peer:
         """
         config = self.config
         stream, cache, stop = False, None, None
-        needed = None if columns is None else frozenset(columns)
+        needed = tuple(None if c is None else frozenset(c) for c in columns)
         if query is not None:
             limit = query.constraints.max_results
             if (
@@ -375,12 +353,12 @@ class Peer:
             stream = config.pipelined_execution or stop is not None
             if config.failure_policy == "phased":
                 cache = query.scan_cache
-            needed = query.needed()
+            needed = (query.needed(),)
         strategy = ExecutionStrategy(
             stream, cache, stop, config.resilience.channel_retry, needed, trace
         )
         return PlanExecutor(
-            self, self._require_network(), plan, sites, query_id, on_complete, strategy
+            self, self._require_network(), plans, sites, query_id, on_complete, strategy
         )
 
     def _stream_packets(self, root: str, channel_id: str, packets: list) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..livedata.continuous import fold_delta
@@ -54,6 +54,9 @@ class ClientPeer(Peer):
         self._unsynced = 0
         #: open root spans per in-flight query (repro.obs)
         self._spans: Dict[str, object] = {}
+        #: queries with a resubmit armed and no outcome yet (a caller
+        #: may take an answer out of :attr:`results`)
+        self._awaiting: Set[str] = set()
         #: retry-after hints of queries shed by admission control,
         #: keyed by query id (``repro.scenario.play`` re-offers from these)
         self.sheds: Dict[str, float] = {}
@@ -91,8 +94,10 @@ class ClientPeer(Peer):
         network = self._require_network()
         self._pace(network)
         query_id = f"{self.peer_id}-q{next(self._counter)}"
+        retry = self.config.resilience.client_retry
         submit = QuerySubmit(
-            query_id, text, self.peer_id, max_peers, limit, order_by, descending
+            query_id, text, self.peer_id, max_peers, limit, order_by, descending,
+            resubmits=retry is not None,
         )
         # root span of the whole distributed trace; the query id doubles
         # as the trace id so exports are deterministic across runs
@@ -105,7 +110,8 @@ class ClientPeer(Peer):
         # resubmit when no result arrives (no policy: wait forever, the
         # seed behaviour); coordinators answer duplicate submits
         # idempotently, so resubmission is always safe
-        if self.config.resilience.client_retry is not None:
+        if retry is not None:
+            self._awaiting.add(query_id)
             self._arm_resubmit(via_peer, submit, 1)
         return query_id
 
@@ -130,7 +136,7 @@ class ClientPeer(Peer):
         retry = self.config.resilience.client_retry
 
         def check() -> None:
-            if submit.query_id in self.results:
+            if submit.query_id not in self._awaiting:
                 return
             span = self._spans.get(submit.query_id)
             if retry.attempts_left(attempt + 1):
@@ -220,6 +226,7 @@ class ClientPeer(Peer):
         )
 
     def _notify(self, result: QueryResult) -> None:
+        self._awaiting.discard(result.query_id)  # answered, shed or timed out
         for listener in list(self.result_listeners):
             listener(self, result)
 

@@ -52,8 +52,8 @@ PHASE_SETTLE_TIME = 10.0
 #: consecutive monitoring ticks without tuple flow before a channel is
 #: declared stalled
 STALL_CHECKS = 2
-#: answered queries remembered per coordinator, so duplicate
-#: QuerySubmits are served idempotently instead of re-coordinated
+#: answered queries of resubmitting clients remembered per coordinator,
+#: so their duplicate QuerySubmits are served instead of re-coordinated
 COMPLETED_QUERY_LIMIT = 128
 
 #: Continuation taking a finished query's result instead of a message.
@@ -80,6 +80,8 @@ class PendingQuery:
     ):
         self.query_id = submit.query_id
         self.reply_to = submit.reply_to
+        #: only a resubmitting client's answer is remembered
+        self.resubmits = submit.resubmits
         #: takes the result instead of a reply message (standing-query
         #: re-evaluations)
         self.on_result = on_result
@@ -135,8 +137,8 @@ class QueryCoordinator:
     def __init__(self, peer):
         self.peer = peer
         self._pending: Dict[str, PendingQuery] = {}
-        #: answered queries remembered (bounded FIFO) so duplicate
-        #: QuerySubmits are served idempotently
+        #: answered queries of resubmitting clients remembered (bounded
+        #: FIFO) so their duplicate QuerySubmits are served idempotently
         self._completed: Dict[str, QueryResult] = {}
         #: admission control (repro.config.AdmissionControl): queries parked
         #: beyond ``config.admission``'s concurrency bound
@@ -156,6 +158,9 @@ class QueryCoordinator:
 
     def queued(self) -> int:
         return len(self._admission_queue)
+
+    def remembered(self) -> int:
+        return len(self._completed)
 
     def readmit(self, peer_id: str) -> None:
         """``peer_id`` is back: let every in-flight query replan onto it."""
@@ -428,13 +433,15 @@ class QueryCoordinator:
         sites = None
         if config.cost_based:
             # cost-based planning also lets the model choose data/
-            # query/hybrid shipping per subplan (Section 2.5)
-            sites = assign_sites(plan, peer.peer_id, CostModel(peer.statistics)).sites
+            # query/hybrid shipping per subplan (Section 2.5); the plan
+            # is the executor's only one, output 0
+            placed = assign_sites(plan, peer.peer_id, CostModel(peer.statistics))
+            sites = {(0,) + path: site for path, site in placed.sites.items()}
 
-        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
+        def on_complete(tables, failed: Optional[str]) -> None:
             peer.last_first_output_at = executor.first_output_at
             if failed is None:
-                self.finalize(pending, table, coverage=coverage)
+                self.finalize(pending, tables[0], coverage=coverage)
             elif coverage is None:
                 self._on_execution_failure(pending, failed)
             else:
@@ -447,7 +454,7 @@ class QueryCoordinator:
 
         pending.attempts += 1
         pending.executor = executor = peer.plan_executor(
-            plan,
+            (plan,),
             on_complete,
             sites=sites,
             query_id=pending.query_id,
@@ -598,7 +605,8 @@ class QueryCoordinator:
             answered += self._coalescer.complete(pending.query_id)
         for query in answered:  # the leader, then its coalesced followers
             result = QueryResult(query.query_id, table, error, coverage)
-            self._remember_completed(result)
+            if query.resubmits:
+                self._remember_completed(result)
             network.metrics.query_finished(query.query_id, network.now)
             self._answer(result, query.reply_to, query.on_result)
         # the finished coordination freed a slot: admit parked queries

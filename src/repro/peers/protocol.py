@@ -27,6 +27,8 @@ class QuerySubmit:
 
     ``max_peers`` / ``limit`` carry the completeness/load trade-off of
     Section 5: bound the per-pattern broadcast and the answer size.
+    ``resubmits``: the client resubmits on silence, so the coordinator
+    keeps the answer to serve the duplicate (and only then).
     """
 
     query_id: str
@@ -36,6 +38,7 @@ class QuerySubmit:
     limit: Optional[int] = None
     order_by: Optional[str] = None
     descending: bool = False
+    resubmits: bool = False
 
     def size_bytes(self) -> int:
         return 64 + len(self.text)

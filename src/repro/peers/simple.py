@@ -483,4 +483,6 @@ class SimplePeer(Peer):
             "quarantined_peers": len(self.sons.quarantine),
             "known_advertisements": len(self.sons),
             "queued_queries": self.coordinator.queued(),
+            "completed_queries": self.coordinator.remembered(),
+            "plan_cache_entries": len(self.plan_cache or ()),
         }

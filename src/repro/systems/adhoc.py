@@ -21,7 +21,6 @@ from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.algebra import PlanNode, Scan
 from ..core.cost import Statistics
-from ..execution.batch import BindingBatch
 from ..execution.encoded import EncodedTable
 from ..net.message import Message
 from ..net.simulator import Network
@@ -320,12 +319,13 @@ class AdhocPeer(SimplePeer):
         the root ("the first peer that is able to fill all the holes...
         holds also the responsibility of executing it")."""
 
-        def on_complete(table: Optional[BindingBatch], failed: Optional[str]) -> None:
+        def on_complete(tables, failed: Optional[str]) -> None:
             if failed is not None:
                 self.sons.suspect(failed)
                 span.finish("failed")
                 self._report(partial, error=f"peer {failed} failed")
             else:
+                (table,) = tables
                 span.set(rows=len(table))
                 span.finish()
                 self._report(
@@ -333,7 +333,7 @@ class AdhocPeer(SimplePeer):
                 )
 
         self.plan_executor(
-            plan, on_complete, query_id=partial.query_id, trace=span.context()
+            (plan,), on_complete, query_id=partial.query_id, trace=span.context()
         ).start()
 
     def _report(self, partial: PartialPlan, table=None, error=None) -> None:

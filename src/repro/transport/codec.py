@@ -421,13 +421,20 @@ _register(
 )
 
 
+def _check_flag(name: str, value) -> None:
+    if type(value) is not bool:
+        raise CodecError(f"{name} is {value!r}, not a bool")
+
+
 def _check_subplans(packet: SubPlanPacket) -> None:
     """At least one subplan, every site keyed ``(output index, *tree
-    path)`` under an output the packet carries, and no header or one per
-    subplan, naming distinct columns that subplan binds."""
+    path)`` under an output the packet carries, no header or one per
+    subplan, naming distinct columns that subplan binds, and a boolean
+    retransmit flag."""
     carried = len(packet.plans)
     if not carried:
         raise CodecError("a SubPlanPacket carries at least one subplan")
+    _check_flag("retransmits", packet.retransmits)
     for path in packet.sites:
         if not path or type(path[0]) is not int or not 0 <= path[0] < carried:
             raise CodecError(f"site {path!r} is under none of {carried} outputs")
@@ -474,7 +481,6 @@ _register(
 )
 
 for _cls in (
-    QuerySubmit,
     QueryResult,
     QueryShed,
     RouteBusy,
@@ -503,6 +509,7 @@ for _cls in (
     _register_dataclass(_cls)
 del _cls
 _register_dataclass(SubPlanPacket, _check_subplans)
+_register_dataclass(QuerySubmit, lambda s: _check_flag("resubmits", s.resubmits))
 
 
 def _encode_data(packet: DataPacket) -> dict:

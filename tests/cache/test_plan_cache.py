@@ -73,6 +73,19 @@ class TestPlanCache:
         narrowed = annotated.without_peers({"P2"})
         assert cache.get(narrowed) is None
 
+    def test_a_newer_statistics_version_drops_the_older_plans(self):
+        cache = PlanCache()
+        annotated = _annotated()
+        narrowed = annotated.without_peers({"P2"})
+        cache.put(annotated, _compile(annotated), version=3)
+        cache.put(narrowed, _compile(narrowed), version=3)
+        assert len(cache) == 2 and cache.version == 3
+        cache.put(narrowed, _compile(narrowed), version=4)
+        assert len(cache) == 1 and cache.version == 4
+        assert cache.get(annotated, version=3) is None
+        assert cache.get(annotated, version=4) is None
+        assert cache.get(narrowed, version=4) is not None
+
     def test_lru_eviction(self):
         cache = PlanCache(max_entries=1)
         annotated = _annotated()

@@ -527,30 +527,32 @@ def test_paced_shipment_serves_every_output_once_per_interval(scan):
     assert serving._active_streams == set() and serving._cancelled_streams == set()
 
 
+class _Deferred:
+    """A scheduler that holds every unit until told to run."""
+
+    def __init__(self):
+        self.units = []
+
+    def submit(self, key, unit):
+        self.units.append(unit)
+
+    def pending(self):
+        return len(self.units)
+
+
 def test_retransmitted_shipment_is_replayed_verbatim_and_ignored_while_executing(scan):
     from repro.channels.packets import SubPlanPacket
     from repro.transport.codec import encode_message
 
-    class Deferred:
-        """A scheduler that holds every unit until told to run."""
-
-        def __init__(self):
-            self.units = []
-
-        def submit(self, key, unit):
-            self.units.append(unit)
-
-        def pending(self):
-            return len(self.units)
-
     network, serving, root, packets = _serving(rows=5)
-    scheduler = Deferred()
+    scheduler = _Deferred()
     serving.install_scheduler(scheduler)
-    shipment = SubPlanPacket("P1#7", (scan, scan), {}, "P1", "q1")
+    shipment = SubPlanPacket("P1#7", (scan, scan), {}, "P1", "q1", retransmits=True)
     serving.receive(Message("P1", "P2", shipment), network)
-    assert serving._executing_subplans == {"P1#7"} and len(scheduler.units) == 2
+    # one executor for the whole shipment: one scheduled start
+    assert serving._executing_subplans == {"P1#7"} and len(scheduler.units) == 1
     serving.receive(Message("P1", "P2", shipment), network)  # retransmit raced
-    assert len(scheduler.units) == 2  # ... the in-flight run: ignored
+    assert len(scheduler.units) == 1  # ... the in-flight run: ignored
     while scheduler.units:
         scheduler.units.pop(0)()
     network.run()
@@ -564,6 +566,26 @@ def test_retransmitted_shipment_is_replayed_verbatim_and_ignored_while_executing
     assert scheduler.units == [] and serving._executing_subplans == set()
     network.run()
     assert [encode_message(Message("P2", "P1", p)) for p in packets] == first
+
+
+def test_fire_and_forget_shipment_leaves_nothing_to_replay(scan):
+    """A root without a retry policy never retransmits: the answered
+    shipment is streamed once and nothing of it stays behind."""
+    network, serving, root, packets = _serving(rows=5)
+    shipped = []
+    handle = serving.handle_SubPlanPacket
+    serving.handle_SubPlanPacket = lambda m: (shipped.append(m.payload), handle(m))
+    results = [[], []]
+    root.channels.open(
+        network,
+        "P2",
+        [Output(scan, lambda t, f, mine=mine: mine.append((len(t), f))) for mine in results],
+    )
+    network.run()
+    assert results == [[(5, None)], [(5, None)]]
+    assert [p.retransmits for p in shipped] == [False]
+    assert serving._subplan_replay == {} and serving._executing_subplans == set()
+    assert serving.load()["replay_entries"] == 0
 
 
 def test_nested_failure_fails_the_whole_shipment_once(scan):

@@ -33,3 +33,26 @@ def test_queries_leave_no_per_query_state_and_are_paced(tmp_path):
         cluster.shutdown()
     assert sizes[0] == sizes[-1], f"grew from {sizes[0]} to {sizes[-1]}"
     assert len(cluster.clients) == 1
+
+
+def test_played_queries_leave_no_answer_in_the_launcher_client(tmp_path):
+    """Every answer is taken out of the one query client as it is
+    awaited, so a long ``launch``/``serve`` run does not grow it."""
+    from repro.scenario import Query, Scenario, play
+
+    spec = ClusterSpec(seed=1, peers=2, super_peers=1)
+    cluster = LiveCluster(spec, tmp_path / "run")
+    texts = cluster.workload.queries
+    scenario = Scenario(tuple(
+        Query(spec.peer_ids()[index % 2], texts[index % len(texts)])
+        for index in range(12)
+    ))
+    try:
+        cluster.start()
+        outcomes = list(play(scenario, cluster))
+        assert len(outcomes) == 12 and all(o.answered for o in outcomes)
+        assert cluster.clients and all(
+            client.results == {} for client in cluster.clients.values()
+        )
+    finally:
+        cluster.shutdown()

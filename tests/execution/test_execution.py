@@ -160,11 +160,11 @@ class TestPlanExecutor:
         network, peers, coordinator = _network_with_paper_peers(schema)
         outcome = {}
 
-        def on_complete(table, failed):
-            outcome["table"] = table
+        def on_complete(tables, failed):
+            outcome["table"] = tables and tables[0]
             outcome["failed"] = failed
 
-        PlanExecutor(coordinator, network, plan, on_complete=on_complete).start()
+        PlanExecutor(coordinator, network, (plan,), on_complete=on_complete).start()
         network.run()
         return outcome, network
 
@@ -196,7 +196,7 @@ class TestPlanExecutor:
 
     def test_hole_raises(self, schema, patterns):
         network, peers, coordinator = _network_with_paper_peers(schema)
-        executor = PlanExecutor(coordinator, network, Hole(patterns[0]))
+        executor = PlanExecutor(coordinator, network, (Hole(patterns[0]),))
         with pytest.raises(PlanningError):
             executor.start()
 
@@ -205,11 +205,11 @@ class TestPlanExecutor:
         network.fail_peer("P2")
         outcome = {}
 
-        def on_complete(table, failed):
+        def on_complete(tables, failed):
             outcome["failed"] = failed
 
         plan = Join([Scan((patterns[0],), "P2"), Scan((patterns[1],), "P3")])
-        PlanExecutor(coordinator, network, plan, on_complete=on_complete).start()
+        PlanExecutor(coordinator, network, (plan,), on_complete=on_complete).start()
         network.run()
         assert outcome["failed"] == "P2"
 
@@ -219,7 +219,7 @@ class TestPlanExecutor:
         executor = PlanExecutor(
             coordinator,
             network,
-            Scan((patterns[0],), "P2"),
+            (Scan((patterns[0],), "P2"),),
             on_complete=lambda t, f: calls.append(1),
         )
         executor.start()
@@ -233,14 +233,14 @@ class TestPlanExecutor:
         network, peers, coordinator = _network_with_paper_peers(schema)
         outcome = {}
 
-        def on_complete(table, failed):
-            outcome["table"] = table
+        def on_complete(tables, failed):
+            (outcome["table"],) = tables
 
         PlanExecutor(
             coordinator,
             network,
-            plan,
-            sites={(): "P2"},
+            (plan,),
+            sites={(0,): "P2"},
             on_complete=on_complete,
         ).start()
         network.run()
@@ -277,9 +277,9 @@ class TestShipmentPerDestination:
         PlanExecutor(
             coordinator,
             network,
-            plan,
+            (plan,),
             sites=sites,
-            on_complete=lambda table, failed: outcome.append((table, failed)),
+            on_complete=lambda tables, failed: outcome.append((tables[0], failed)),
             strategy=strategy or ExecutionStrategy(),
         ).start()
         network.run()
@@ -311,7 +311,7 @@ class TestShipmentPerDestination:
         and reaches the executor it is for."""
         plan = self.paper_plan(patterns)
         expected, *_ = self.run(schema, plan)
-        rows, shipped, network, *_ = self.run(schema, plan, sites={(): "P2"})
+        rows, shipped, network, *_ = self.run(schema, plan, sites={(0,): "P2"})
         assert rows == expected
         assert sorted((src, dst, len(p.plans)) for src, dst, p in shipped) == [
             ("C", "P2", 1), ("P2", "P1", 2), ("P2", "P3", 1), ("P2", "P4", 2)
@@ -323,7 +323,7 @@ class TestShipmentPerDestination:
         plan = Join([Scan((patterns[0],), "P2"), plan])
         expected, *_ = self.run(schema, plan)
         assert len(expected) == 4
-        sites = {(1,): "P2", (1, 1): "P3"}
+        sites = {(0, 1): "P2", (0, 1, 1): "P3"}
         rows, shipped, *_ = self.run(schema, plan, sites=sites)
         assert rows == expected
         (first,) = [p for src, _, p in shipped if src == "C"]
@@ -343,7 +343,7 @@ class TestShipmentPerDestination:
         cache, calls = {}, []
         strategy = ExecutionStrategy(scan_cache=cache)
         executor = PlanExecutor(
-            coordinator, network, plan, on_complete=lambda t, f: calls.append(f),
+            coordinator, network, (plan,), on_complete=lambda t, f: calls.append(f),
             strategy=strategy,
         )
         executor.start()
@@ -359,8 +359,8 @@ class TestShipmentPerDestination:
         before = network.metrics.messages_total
         outcome = []
         retry = PlanExecutor(
-            coordinator, network, plan,
-            on_complete=lambda t, f: outcome.append((t, f)), strategy=strategy,
+            coordinator, network, (plan,),
+            on_complete=lambda t, f: outcome.append((t[0], f)), strategy=strategy,
         )
         retry.start()
         ((table, failed),) = outcome  # synchronously, from the cache
@@ -379,7 +379,7 @@ class TestShipmentPerDestination:
         shipped = _spy_subplans(peers.values())
         cache, calls = {}, []
         executor = PlanExecutor(
-            coordinator, network, plan, sites={(1,): "P2"},
+            coordinator, network, (plan,), sites={(0, 1): "P2"},
             on_complete=lambda t, f: calls.append(f),
             strategy=ExecutionStrategy(scan_cache=cache),
         )

@@ -38,10 +38,10 @@ def _asked(plan, needed, sites=None):
     executor = PlanExecutor(
         peers["P1"],
         network,
-        plan,
+        (plan,),
         sites,
-        on_complete=lambda table, failed: outcome.append((table, failed)),
-        strategy=ExecutionStrategy(needed=frozenset(needed)),
+        on_complete=lambda tables, failed: outcome.append((tables[0], failed)),
+        strategy=ExecutionStrategy(needed=(frozenset(needed),)),
     )
     executor.start()
     asked = {
@@ -94,9 +94,9 @@ def test_a_shipped_join_asks_its_own_children_narrowed_too(monkeypatch):
     monkeypatch.setattr(Peer, "handle_SubPlanPacket", spy)
     outcome = []
     PlanExecutor(
-        peers["P1"], network, join, {(): "P2"},
-        on_complete=lambda table, failed: outcome.append(table),
-        strategy=ExecutionStrategy(needed=frozenset({"X"})),
+        peers["P1"], network, (join,), {(0,): "P2"},
+        on_complete=lambda tables, failed: outcome.extend(tables),
+        strategy=ExecutionStrategy(needed=(frozenset({"X"}),)),
     ).start()
     network.run()
     assert shipped == [("P2", (("X",),)), ("P3", (("Y",),))]
@@ -107,7 +107,7 @@ def test_a_shipped_join_asks_its_own_children_narrowed_too(monkeypatch):
 def test_without_needed_every_shipment_keeps_its_raw_width():
     network, peers = _deployment()
     plan = Union([Scan((Q1,), "P2"), Scan((Q1,), "P3")])
-    PlanExecutor(peers["P1"], network, plan).start()
+    PlanExecutor(peers["P1"], network, (plan,)).start()
     channels = peers["P1"].channels.open_channels().values()
     assert [o.columns for c in channels for o in c.outputs] == [None, None]
     network.run()

@@ -12,6 +12,8 @@ from collections import deque
 from repro.config import PeerConfig
 from repro.net import Message
 from repro.peers import QuerySubmit
+from repro.resilience import ResilienceConfig
+from repro.resilience.retry import RetryPolicy
 from repro.systems import HybridSystem
 from repro.workloads.paper import PAPER_QUERY, paper_peer_bases, paper_schema
 
@@ -29,7 +31,9 @@ def build_system(**options) -> HybridSystem:
 
 class TestParseFailure:
     def test_client_gets_the_error_and_a_resubmit_replays_it(self):
-        system = build_system()
+        # a resubmitting client: only its answers are kept for duplicates
+        retry = RetryPolicy(max_attempts=2, base_timeout=1_000.0)
+        system = build_system(resilience=ResilienceConfig(client_retry=retry))
         client = system.add_client("C")
         query_id = client.submit("P1", GARBAGE)
         system.run()

@@ -62,7 +62,7 @@ def plans(draw):
         for index, child in enumerate(node.children()):
             place(child, path + (index,))
 
-    place(plan, ())
+    place(plan, (0,))  # keyed under the executor's one plan
     return plan, sites
 
 
@@ -91,11 +91,11 @@ def run(bases, plan, sites, needed, mode, narrower):
             stream=mode in ("pipelined", "top-k"),
             scan_cache=cache,
             early_stop=stop,
-            needed=frozenset(attempt_needed),
+            needed=(frozenset(attempt_needed),),
         )
         PlanExecutor(
-            peers["A"], network, plan, sites,
-            on_complete=lambda table, failed: outcome.append((table, failed)),
+            peers["A"], network, (plan,), sites,
+            on_complete=lambda tables, failed: outcome.append((tables[0], failed)),
             strategy=strategy,
         ).start()
         network.run()

@@ -113,8 +113,18 @@ def test_terms_round_trip():
 
 def test_query_submit_round_trip():
     payload = QuerySubmit("q1", "SELECT X FROM ...", "client1",
-                          max_peers=2, limit=10, order_by="X", descending=True)
+                          max_peers=2, limit=10, order_by="X", descending=True,
+                          resubmits=True)
     assert round_trip(payload) == payload
+
+
+@pytest.mark.parametrize("flag", [1, 0, "true", None, []])
+def test_a_resubmit_flag_that_is_not_a_bool_is_rejected(flag):
+    body = encode_message(Message("C", "P1", QuerySubmit("q1", "SELECT ...", "C")))
+    body = json.loads(json.dumps(body))
+    body["payload"]["f"]["resubmits"] = flag
+    with pytest.raises(CodecError):
+        decode_message(body)
 
 
 def test_query_result_with_coverage_round_trip(annotated):
@@ -295,7 +305,9 @@ def _shipment_bodies():
         Scan((pattern.root,), "P2"),
     )
     sites = {(0, 1): "P3", (1,): "P2"}
-    sub = SubPlanPacket("ch-1", plans, sites, "P1", "q1", (("X", "Z"), ("Y",)))
+    sub = SubPlanPacket(
+        "ch-1", plans, sites, "P1", "q1", (("X", "Z"), ("Y",)), retransmits=True
+    )
     table = EncodedTable.of_terms(sample_table())
     other = EncodedTable.of_terms(BindingTable(("Y",), [(Literal("x"),), (Literal(9),)]))
     data = DataPacket("ch-1", ((0, table), (1, other)))
@@ -356,14 +368,24 @@ MALFORMED_SHIPMENTS = {
     "id-negative": (1, lambda b: _packet_id(b, 0, 1, 2, lambda n: -1)),
     "table-not-an-object": (1, lambda b: _table_entry(b, 0).__setitem__(1, [])),
     "terms-not-a-list": (1, lambda b: b["payload"]["f"].__setitem__("terms", 7)),
+    "retransmit-flag-an-integer": (
+        0, lambda b: b["payload"]["f"].__setitem__("retransmits", 1)
+    ),
+    "retransmit-flag-textual": (
+        0, lambda b: b["payload"]["f"].__setitem__("retransmits", "false")
+    ),
+    "retransmit-flag-null": (
+        0, lambda b: b["payload"]["f"].__setitem__("retransmits", None)
+    ),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(MALFORMED_SHIPMENTS))
 def test_malformed_shipment_is_rejected_where_the_frame_is(damage):
     """An output index that names nothing the packet carries — in a
-    site key or on a table —, a header the subplan cannot answer, or a
-    cell naming no term of its packet is a ``CodecError`` at decode
+    site key or on a table —, a header the subplan cannot answer, a
+    cell naming no term of its packet, or a retransmit flag that is not
+    a bool is a ``CodecError`` at decode
     time, not an ``IndexError`` (or an output aliased from the end) in
     the handler.
     How many outputs a *channel* has only its root knows: a table index
