@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algebra import PlanNode, count_scans
@@ -25,7 +24,7 @@ from ..execution.batch import BindingBatch, distinct_union
 from ..execution.encoded import EncodedTable
 from ..rdf.dictionary import TermDictionary
 from ..rdf.terms import Term
-from ..rql.bindings import table_size_bytes
+from ..rql.bindings import table_size_bytes, terms_size_bytes
 
 #: Relative tree path inside a shipped subplan.
 TreePath = Tuple[int, ...]
@@ -176,13 +175,12 @@ class DataPacket:
 
     def size_bytes(self) -> int:
         # each table's header and cells (its output index rides in the
-        # header), then every term of the packet once
+        # header), then the packet's one term list
         tables = sum(
             table_size_bytes(t.columns, len(t.columns) * t.length, ())
             for _, t in self.tables
         )
-        terms = sum(map(len, map(methodcaller("n3"), self.terms)))
-        return 64 + tables + terms + 16 * len(self.cardinalities)
+        return 64 + tables + terms_size_bytes(self.terms) + 16 * len(self.cardinalities)
 
 
 @dataclass(frozen=True)

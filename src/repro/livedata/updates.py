@@ -33,17 +33,11 @@ from typing import Iterable, Optional, Tuple, Union
 
 from ..errors import SchemaError
 from ..execution.encoded import EncodedTable
-from ..rdf.terms import URI
+from ..rdf.terms import URI, Term
 from ..rdf.triple import Triple
+from ..rql.bindings import terms_size_bytes
 from ..rql.pattern import SchemaPath
 from ..rvl.active_schema import ActiveSchema
-
-#: flat per-term estimate used when sizing triples on the wire
-_TRIPLE_BYTES = 24
-
-
-def _triple_bytes(triple: Triple) -> int:
-    return _TRIPLE_BYTES + sum(len(str(t)) for t in triple)
 
 
 @dataclass(frozen=True)
@@ -52,18 +46,12 @@ class InsertTriple:
 
     triple: Triple
 
-    def size_bytes(self) -> int:
-        return _triple_bytes(self.triple)
-
 
 @dataclass(frozen=True)
 class DeleteTriple:
     """Retract one statement from the target peer's base."""
 
     triple: Triple
-
-    def size_bytes(self) -> int:
-        return _triple_bytes(self.triple)
 
 
 @dataclass(frozen=True)
@@ -102,8 +90,18 @@ class UpdateBatch:
     revision: int
     updates: Tuple[UpdateRecord, ...]
 
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """The batch's one term list: each term of its triple records
+        once, in first-use order."""
+        triples = [u.triple for u in self.updates if not isinstance(u, RedefineViews)]
+        return tuple(dict.fromkeys(term for triple in triples for term in triple))
+
     def size_bytes(self) -> int:
-        return 48 + sum(u.size_bytes() for u in self.updates)
+        # a triple record is 16 B: its kind and three positions into ``terms``
+        views = [u for u in self.updates if isinstance(u, RedefineViews)]
+        records = 16 * (len(self.updates) - len(views))
+        return 48 + records + sum(v.size_bytes() for v in views) + terms_size_bytes(self.terms)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ class URI(Term):
         value: The URI string, e.g. ``"http://example.org/ns#C1"``.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "split")
 
     def __init__(self, value: str):
         if not value:
@@ -45,13 +45,17 @@ class URI(Term):
                 return self.value.rsplit(sep, 1)[1]
         return self.value
 
-    @property
-    def namespace(self) -> str:
-        """Everything up to and including the last ``#`` or ``/``."""
-        for sep in ("#", "/"):
-            if sep in self.value:
-                return self.value.rsplit(sep, 1)[0] + sep
-        return ""
+    def __getattr__(self, name: str):
+        # ``split``: ``(namespace, local part)``, cut after the last ``#``
+        # or else ``/`` (``("", value)`` with neither), as a term list
+        # ships it — a slot filled on first read, then a plain load
+        if name != "split":
+            raise AttributeError(name)
+        value = self.value
+        cut = value.rfind("#") if "#" in value else value.rfind("/")
+        parts = (value[: cut + 1], value[cut + 1:])
+        object.__setattr__(self, "split", parts)
+        return parts
 
     def n3(self) -> str:
         return f"<{self.value}>"

@@ -13,21 +13,38 @@ is the one wire-size rule they share with this class.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import methodcaller
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
-from ..rdf.terms import Term
+from ..rdf.terms import URI, Term
 
 Row = Tuple[Term, ...]
 
 
+def terms_size_bytes(terms: Iterable[Term]) -> int:
+    """The one wire-size rule of a term list: each distinct URI
+    namespace once, each URI as its local part plus a 2-byte namespace
+    index, any other term (and a URI with no ``#`` or ``/``) as its
+    rendering — never more than the renderings alone."""
+    size, namespaces = 0, set()
+    named = namespaces.add
+    for term in terms:
+        if type(term) is URI:
+            namespace, local = term.split
+            if namespace:
+                named(namespace)
+                size += len(local) + 2
+                continue
+        size += len(term.n3())
+    return size + sum(map(len, namespaces))
+
+
 def table_size_bytes(columns: Sequence[str], cells: int, terms: Iterable[Term]) -> int:
     """The one wire-size rule of a binding table: a header, the column
-    names, an int32 per cell and each *distinct* term's rendering once
+    names, an int32 per cell and its *distinct* terms as one term list
     — what :class:`~repro.execution.encoded.EncodedTable` ships."""
     header = 16 + sum(len(c) + 2 for c in columns)
-    return header + 4 * cells + sum(map(len, map(methodcaller("n3"), terms)))
+    return header + 4 * cells + terms_size_bytes(terms)
 
 
 class BindingTable:

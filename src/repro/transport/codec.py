@@ -65,7 +65,7 @@ from ..peers.protocol import (
     RouteRequest,
 )
 from ..rdf.schema import Schema
-from ..rdf.terms import BNode, Literal, Namespace, URI, Variable
+from ..rdf.terms import BNode, Literal, Namespace, Term, URI, Variable
 from ..rdf.triple import Triple
 from ..resilience.detector import Heartbeat
 from ..resilience.partial import Coverage
@@ -204,15 +204,6 @@ _register(URI, lambda u: {"value": u.value}, lambda f: URI(f["value"]))
 _register(BNode, lambda b: {"id": b.id}, lambda f: BNode(f["id"]))
 _register(Variable, lambda v: {"name": v.name}, lambda f: Variable(f["name"]))
 _register(
-    Triple,
-    lambda t: {
-        "subject": _encode(t.subject),
-        "predicate": _encode(t.predicate),
-        "object": _encode(t.object),
-    },
-    lambda f: Triple(_decode(f["subject"]), _decode(f["predicate"]), _decode(f["object"])),
-)
-_register(
     Literal,
     lambda l: {
         "lexical": l.lexical,
@@ -347,6 +338,49 @@ _register(
 )
 
 
+def _encode_terms(terms) -> dict:
+    """The one wire shape of a term list: each distinct URI namespace
+    once, in ``ns``; in ``t`` each URI as ``[namespace index, local part]``,
+    any other term (a URI with no ``#`` or ``/`` too) tagged."""
+    namespaces: Dict[str, int] = {}
+    entries = []
+    for term in terms:
+        if type(term) is URI:
+            namespace, local = term.split
+            if namespace:
+                index = namespaces.setdefault(namespace, len(namespaces))
+                entries.append([index, local])
+                continue
+        entries.append(_encode(term))
+    return {"ns": list(namespaces), "t": entries}
+
+
+def _decode_terms(value) -> tuple:
+    """Rebuild a term list, refusing any namespace or local part that
+    is not a string, an index naming no namespace and an empty URI."""
+    try:
+        namespaces, terms = value["ns"], []
+        if type(namespaces) is not list or any(type(n) is not str for n in namespaces):
+            raise ValueError(f"{namespaces!r} is not a list of namespaces")
+        for entry in value["t"]:
+            if type(entry) is list:  # [namespace index, local part]
+                index, local = entry
+                term = URI(namespaces[index] + local) if _is_index(index, len(namespaces)) else None
+            else:
+                term = _decode(entry)
+            if not isinstance(term, Term):
+                raise ValueError(f"{entry!r} is not a term")
+            terms.append(term)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed term list: {exc}") from None
+    return tuple(terms)
+
+
+def _is_index(value, size: int) -> bool:
+    """``value`` is a position into ``size`` items (a bool is not)."""
+    return type(value) is int and 0 <= value < size
+
+
 def _decode_table(fields: dict, terms: Optional[tuple] = None) -> EncodedTable:
     """Rebuild an :class:`EncodedTable` — over ``terms`` when it rode
     in a packet that names them, over its own otherwise — refusing one
@@ -358,7 +392,7 @@ def _decode_table(fields: dict, terms: Optional[tuple] = None) -> EncodedTable:
     fail there, it would silently alias a term from the end.
     """
     if terms is None:
-        terms = tuple(_decode(term) for term in fields["terms"])
+        terms = _decode_terms(fields["terms"])
     table = EncodedTable(
         tuple(fields["columns"]),
         terms,
@@ -391,12 +425,12 @@ def _table_cells(table: EncodedTable) -> dict:
     }
 
 
-# the one wire shape of a binding table: each distinct term once, the
-# cells as plain integer positions into that list — the term list of a
-# table riding in a DataPacket is the packet's (``_encode_data``)
+# the one wire shape of a binding table: its term list, the cells as
+# plain integer positions into it — the term list of a table riding in
+# a DataPacket is the packet's (``_encode_data``)
 _register(
     EncodedTable,
-    lambda t: {**_table_cells(t), "terms": [_encode(term) for term in t.terms]},
+    lambda t: {**_table_cells(t), "terms": _encode_terms(t.terms)},
     _decode_table,
 )
 _register(
@@ -436,7 +470,7 @@ def _check_subplans(packet: SubPlanPacket) -> None:
         raise CodecError("a SubPlanPacket carries at least one subplan")
     _check_flag("retransmits", packet.retransmits)
     for path in packet.sites:
-        if not path or type(path[0]) is not int or not 0 <= path[0] < carried:
+        if not path or not _is_index(path[0], carried):
             raise CodecError(f"site {path!r} is under none of {carried} outputs")
     if len(packet.columns) not in (0, carried):
         raise CodecError(f"{len(packet.columns)} headers for {carried} subplans")
@@ -495,10 +529,7 @@ for _cls in (
     ChangePlanPacket,
     Coverage,
     Goodbye,
-    InsertTriple,
-    DeleteTriple,
     RedefineViews,
-    UpdateBatch,
     UpdateAck,
     AdvertiseDelta,
     ContinuousSubscribe,
@@ -516,7 +547,7 @@ def _encode_data(packet: DataPacket) -> dict:
     """A data packet with its tables' one term list written once, as
     ``terms``, and each table as its header and cells only."""
     fields = {name: _encode(getattr(packet, name)) for name in _DATA_FIELDS}
-    fields["terms"] = [_encode(term) for term in packet.terms]
+    fields["terms"] = _encode_terms(packet.terms)
     tables = [[output, {"$k": "EncodedTable", "f": _table_cells(table)}]
               for output, table in packet.tables]
     fields["tables"] = {"$t": [{"$t": entry} for entry in tables]}
@@ -526,7 +557,7 @@ def _encode_data(packet: DataPacket) -> dict:
 def _decode_data(fields: dict) -> DataPacket:
     """Rebuild a data packet, every table over the packet's terms."""
     try:
-        terms = tuple(_decode(term) for term in fields.get("terms", ()))
+        terms = _decode_terms(fields["terms"]) if "terms" in fields else ()
         tables = tuple(
             (output, _decode_table(table["f"], terms))
             for output, table in (entry["$t"] for entry in fields["tables"]["$t"])
@@ -544,3 +575,42 @@ def _decode_data(fields: dict) -> DataPacket:
 
 _DATA_FIELDS = ("channel_id", "final", "failed_peer", "seq", "cardinalities")
 _register(DataPacket, _encode_data, _decode_data)
+
+
+def _encode_batch(batch: UpdateBatch) -> dict:
+    """An update batch with its triples' one term list written once, as
+    ``terms``, and each triple record as ``[kind, s, p, o]`` — ``"+"``
+    or ``"-"``, then positions into that list."""
+    terms = batch.terms
+    position = {term: index for index, term in enumerate(terms)}.__getitem__
+    updates = [
+        _encode(r) if type(r) is RedefineViews
+        else ["+" if type(r) is InsertTriple else "-", *map(position, r.triple)]
+        for r in batch.updates
+    ]
+    return {"target": batch.target, "revision": batch.revision,
+            "terms": _encode_terms(terms), "updates": updates}
+
+
+def _decode_batch(fields: dict) -> UpdateBatch:
+    """Rebuild an update batch, every triple record over its terms."""
+    kinds = {"+": InsertTriple, "-": DeleteTriple}
+
+    def record(entry):
+        if type(entry) is not list:
+            if type(views := _decode(entry)) is RedefineViews:
+                return views
+        elif (len(entry) == 4 and entry[0] in kinds
+              and all(_is_index(i, len(terms)) for i in entry[1:])):
+            return kinds[entry[0]](Triple(*(terms[i] for i in entry[1:])))
+        raise CodecError(f"{entry!r} is no update record over {len(terms)} terms")
+
+    try:
+        terms = _decode_terms(fields["terms"])
+        updates = tuple(map(record, fields["updates"]))
+        return UpdateBatch(fields["target"], fields["revision"], updates)
+    except (KeyError, TypeError) as exc:
+        raise CodecError(f"malformed UpdateBatch: {exc}") from None
+
+
+_register(UpdateBatch, _encode_batch, _decode_batch)

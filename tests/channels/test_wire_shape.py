@@ -12,7 +12,7 @@ from repro.peers.base import Peer, PeerBase
 from repro.peers.simple import SimplePeer
 from repro.rdf import TYPE, Graph, Namespace
 from repro.rdf.dictionary import TermDictionary
-from repro.rql.bindings import BindingTable, table_size_bytes
+from repro.rql.bindings import BindingTable, table_size_bytes, terms_size_bytes
 from repro.workloads.paper import N1, paper_query_pattern, paper_schema
 
 from ..idtables import decode_cells, encode_cells, open_one
@@ -240,7 +240,11 @@ def test_stream_packs_each_row_slice_over_its_own_terms(scan):
         ["s0", "o9"],
     ]
     assert [table.ids for table in tables] == [((0, 1, 2), (3, 4, 5))] * 3 + [((0,), (1,))]
-    assert [p.size_bytes() for p in packets] == [222, 206, 206, 126]
+    # the term list: "http://wire/" once, then each local part and its
+    # namespace index; the rest is headers, cardinalities and cells
+    terms = [terms_size_bytes(p.terms) for p in packets]
+    assert terms == [12 + 6 * 4, 12 + 6 * 4, 12 + 6 * 4, 12 + 2 * 4]
+    assert [p.size_bytes() - t for p, t in zip(packets, terms)] == [126, 110, 110, 94]
 
 
 def test_statistics_fold_once_whatever_the_arrival_order(scan):
@@ -371,8 +375,7 @@ def test_stream_packs_whole_tables_and_splits_only_the_oversized(scan):
             table_size_bytes(t.columns, len(t.columns) * t.length, ())
             for _, t in packet.tables
         )
-        terms = sum(len(term.n3()) for term in packet.terms)
-        assert packet.size_bytes() == 64 + cells + terms
+        assert packet.size_bytes() == 64 + cells + terms_size_bytes(packet.terms)
     # the first packet's outputs 0 and 2 share a subject, named once
     (_, first), _, (_, third) = packets[0].tables
     assert set(first.terms[i] for i in first.ids[0]) & set(third.terms[i] for i in third.ids[0])

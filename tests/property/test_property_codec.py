@@ -36,7 +36,7 @@ from repro.livedata.updates import ContinuousUpdate
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.resilience.partial import Coverage
-from repro.rql.bindings import BindingTable
+from repro.rql.bindings import BindingTable, terms_size_bytes
 from repro.transport.codec import (
     decode_frame,
     decode_message,
@@ -263,6 +263,51 @@ def test_every_term_survives_a_binding_batch(term_list):
     ((_, shipped),) = decoded.tables
     (column,) = shipped.ids
     assert [shipped.terms[position] for position in column] == term_list
+
+
+#: terms as a term list meets them: URIs over several namespaces (an
+#: empty local part, a ``#`` inside a path), URIs with no ``#`` or
+#: ``/``, literals with a datatype or a language tag, blank nodes
+namespaced_uris = st.tuples(
+    st.sampled_from([
+        "http://example.org/a#", "http://example.org/b/", "http://x.org/p#q/",
+        "urn:x:y/", "#",
+    ]),
+    st.from_regex(r"[A-Za-z0-9_.:-]{0,6}", fullmatch=True),
+).map(lambda pair: URI("".join(pair)))
+wire_terms = st.one_of(
+    namespaced_uris,
+    st.from_regex(r"[a-z]{1,6}:[a-z0-9:]{1,6}", fullmatch=True).map(URI),
+    st.tuples(safe_text, namespaced_uris).map(
+        lambda pair: Literal(pair[0], datatype=pair[1])
+    ),
+    st.tuples(safe_text, st.sampled_from(["en", "el", "fr"])).map(
+        lambda pair: Literal(pair[0], language=pair[1])
+    ),
+    st.integers(-10**6, 10**6).map(Literal),
+    st.from_regex(r"[a-z0-9]{1,8}", fullmatch=True).map(BNode),
+)
+
+
+@given(st.lists(wire_terms, max_size=16), st.sampled_from(sorted(TABLE_BEARERS)))
+@settings(max_examples=200, deadline=None)
+def test_term_lists_round_trip_and_never_cost_more_than_their_renderings(
+    term_list, bearer
+):
+    """A term list crosses as a namespace table plus local names and
+    comes back exactly, in order, in every table-bearing payload; and
+    its modelled size never exceeds each distinct term's full
+    rendering."""
+    table = BindingTable(("V0",), [(term,) for term in term_list])
+    build, table_of = TABLE_BEARERS[bearer]
+    payload = build(EncodedTable.of_terms(table))
+    frame = encode_frame("msg", encode_message(Message("P1", "P2", payload)))
+    shipped = table_of(decode_message(decode_frame(frame)[1]).payload)
+    sent = table_of(payload)
+    assert shipped.terms == sent.terms == tuple(dict.fromkeys(term_list))
+    assert [type(t) for t in shipped.terms] == [type(t) for t in sent.terms]
+    assert shipped.to_terms() == table
+    assert terms_size_bytes(sent.terms) <= sum(len(t.n3()) for t in sent.terms)
 
 
 @given(binding_tables(), st.sampled_from(sorted(TABLE_BEARERS)))

@@ -108,7 +108,6 @@ def binding_tables(draw):
 
 
 livedata_payloads = st.one_of(
-    update_records,
     st.builds(
         UpdateBatch,
         peer_ids,

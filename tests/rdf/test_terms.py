@@ -29,7 +29,10 @@ class TestURI:
         assert URI("http://a/ns/C1").local_name == "C1"
 
     def test_namespace_part(self):
-        assert URI("http://a/ns#C1").namespace == "http://a/ns#"
+        assert URI("http://a/ns#C1").split == ("http://a/ns#", "C1")
+        assert URI("http://a/ns/C1").split == ("http://a/ns/", "C1")
+        assert URI("http://a/b#c/d").split == ("http://a/b#", "c/d")
+        assert URI("urn:isbn:1").split == ("", "urn:isbn:1")
 
     def test_n3(self):
         assert URI("http://a/x").n3() == "<http://a/x>"

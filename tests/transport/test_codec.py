@@ -19,6 +19,7 @@ from repro.channels.packets import (
 )
 from repro.errors import CodecError
 from repro.execution.encoded import EncodedTable
+from repro.livedata.updates import DeleteTriple, InsertTriple, RedefineViews, UpdateBatch
 from repro.net.message import DeliveryFailure, Message
 from repro.obs import TraceContext
 from repro.peers.protocol import (
@@ -37,6 +38,7 @@ from repro.peers.protocol import (
 )
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
+from repro.rdf.triple import Triple
 from repro.resilience.partial import Coverage
 from repro.rql.bindings import BindingTable
 from repro.rvl import ActiveSchema
@@ -329,6 +331,16 @@ def _table_entry(body, index):
     return body["payload"]["f"]["tables"]["$t"][index]["$t"]
 
 
+def _terms(body):
+    return body["payload"]["f"]["terms"]
+
+
+def _uri_entry(body):
+    """The first URI of a packet's term list: ``[namespace index, local
+    part]``."""
+    return next(entry for entry in _terms(body)["t"] if type(entry) is list)
+
+
 def _header(body, index):
     return body["payload"]["f"]["columns"]["$t"][index]["$t"]
 
@@ -336,7 +348,7 @@ def _header(body, index):
 def _packet_id(body, table, column, row, value):
     """Overwrite one cell of a packet's table (``value`` may read the
     packet's term count)."""
-    terms = len(body["payload"]["f"]["terms"])
+    terms = len(_terms(body)["t"])
     ids = _table_entry(body, table)[1]["f"]["ids"]
     ids[column][row] = value(terms)
 
@@ -368,6 +380,20 @@ MALFORMED_SHIPMENTS = {
     "id-negative": (1, lambda b: _packet_id(b, 0, 1, 2, lambda n: -1)),
     "table-not-an-object": (1, lambda b: _table_entry(b, 0).__setitem__(1, [])),
     "terms-not-a-list": (1, lambda b: b["payload"]["f"].__setitem__("terms", 7)),
+    "terms-without-namespaces": (1, lambda b: _terms(b).pop("ns")),
+    "namespace-index-past-the-table": (1, lambda b: _uri_entry(b).__setitem__(0, 1)),
+    "namespace-index-negative": (1, lambda b: _uri_entry(b).__setitem__(0, -1)),
+    "namespace-index-a-bool": (1, lambda b: _uri_entry(b).__setitem__(0, False)),
+    "namespace-index-textual": (1, lambda b: _uri_entry(b).__setitem__(0, "0")),
+    "namespace-index-fractional": (1, lambda b: _uri_entry(b).__setitem__(0, 0.0)),
+    "local-part-not-a-string": (1, lambda b: _uri_entry(b).__setitem__(1, 7)),
+    "uri-entry-too-long": (1, lambda b: _uri_entry(b).append("x")),
+    "namespaces-not-a-list": (1, lambda b: _terms(b).__setitem__("ns", "http://")),
+    "namespace-not-a-string": (1, lambda b: _terms(b)["ns"].__setitem__(0, 7)),
+    "entry-rebuilds-an-empty-uri": (
+        1, lambda b: (_terms(b)["ns"].__setitem__(0, ""), _uri_entry(b).__setitem__(1, ""))
+    ),
+    "entry-not-a-term": (1, lambda b: _terms(b)["t"].__setitem__(0, 7)),
     "retransmit-flag-an-integer": (
         0, lambda b: b["payload"]["f"].__setitem__("retransmits", 1)
     ),
@@ -394,6 +420,57 @@ def test_malformed_shipment_is_rejected_where_the_frame_is(damage):
     which, damage_it = MALFORMED_SHIPMENTS[damage]
     body = _shipment_bodies()[which]
     damage_it(body)
+    with pytest.raises(CodecError):
+        decode_message(body)
+
+
+def _batch_body():
+    """The JSON body of an ``UpdateBatch``: an insert and a delete that
+    share a subject, and a view redefinition."""
+    s, p, o = (URI(f"http://example.org/d#{name}") for name in ("s", "p", "o"))
+    batch = UpdateBatch("P2", 4, (
+        InsertTriple(Triple(s, p, o)),
+        DeleteTriple(Triple(s, p, Literal("x", language="en"))),
+        RedefineViews(()),
+    ))
+    body = json.loads(json.dumps(encode_message(Message("I", "P2", batch))))
+    assert decode_message(body).payload == batch
+    fields = body["payload"]["f"]
+    # one term list: the shared subject and predicate are named once
+    assert fields["terms"]["ns"] == ["http://example.org/d#"]
+    assert fields["updates"][:2] == [["+", 0, 1, 2], ["-", 0, 1, 3]]
+    return body
+
+
+def _record(body, index):
+    return body["payload"]["f"]["updates"][index]
+
+
+#: ways a hostile or corrupt frame can break an ``UpdateBatch``
+MALFORMED_BATCHES = {
+    "unknown-record-kind": lambda b: _record(b, 0).__setitem__(0, "*"),
+    "record-kind-not-a-string": lambda b: _record(b, 0).__setitem__(0, ["+"]),
+    "empty-record": lambda b: _record(b, 0).clear(),
+    "record-too-short": lambda b: _record(b, 1).pop(),
+    "id-past-the-batch-terms": lambda b: _record(b, 0).__setitem__(3, 4),
+    "id-negative": lambda b: _record(b, 1).__setitem__(1, -1),
+    "id-a-bool": lambda b: _record(b, 1).__setitem__(1, True),
+    "predicate-not-a-uri": lambda b: _record(b, 0).__setitem__(2, 3),
+    "record-another-payload": lambda b: b["payload"]["f"]["updates"].__setitem__(
+        2, encode_payload(Goodbye("P2"))
+    ),
+    "terms-not-a-term-list": lambda b: b["payload"]["f"].__setitem__("terms", []),
+    "updates-missing": lambda b: b["payload"]["f"].pop("updates"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_BATCHES))
+def test_malformed_update_batch_is_rejected_where_the_frame_is(damage):
+    """A triple record that names no term of its batch, is of no known
+    kind or has a non-URI predicate is a ``CodecError`` at decode time,
+    not an ``IndexError`` inside the peer applying the batch."""
+    body = _batch_body()
+    MALFORMED_BATCHES[damage](body)
     with pytest.raises(CodecError):
         decode_message(body)
 

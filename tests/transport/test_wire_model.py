@@ -3,10 +3,11 @@
 ``size_bytes()`` is what the simulator's links, the cost model's
 shipping decisions and the benchmark's ``wire_bytes_per_query`` count;
 the JSON frame is what a live link carries.  For a binding table the
-two must tell the same story: each distinct term once, and a small
-constant per cell.
+two must tell the same story: one term list — each distinct namespace
+once, each term's local part once — and a small constant per cell.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from repro.net.message import Message
 from repro.peers.protocol import QueryResult, RouteReply, RouteRequest
 from repro.rdf import Namespace
 from repro.rdf.dictionary import TermDictionary
-from repro.rql.bindings import BindingTable
+from repro.rql.bindings import BindingTable, terms_size_bytes
 from repro.transport.codec import encode_frame, encode_message
 from repro.workloads.paper import (
     paper_active_schemas,
@@ -34,6 +35,14 @@ MAX_FRAME_RATIO = 1.6
 
 def frame_of(payload) -> bytes:
     return encode_frame("msg", encode_message(Message("P2", "P1", payload)))
+
+
+def assert_names_each_once(frame: bytes, terms) -> None:
+    """The frame spells each namespace and each local part of ``terms``
+    (URIs all) once."""
+    for namespace, local in {term.split for term in terms}:
+        assert frame.count(json.dumps(namespace).encode()) == 1, namespace
+        assert frame.count(json.dumps(local).encode()) == 1, local
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +66,10 @@ def join_answer():
 def test_table_frame_names_each_term_once_and_stays_near_the_model(build, join_answer):
     payload = build(join_answer)
     frame = frame_of(payload)
-    for term in join_answer.terms:
-        assert frame.count(term.value.encode()) == 1, term
-    # measured: 8.3 KB of JSON against 7.0 KB modelled (1.18x); with a
-    # term rendered per cell it was 1.67x / 1.72x *and* 12 copies each
+    assert_names_each_once(frame, join_answer.terms)
+    # measured: 4.0 KB of JSON against 4.5 KB modelled (0.89x / 0.88x); with
+    # each term rendered whole it was 8.3 KB against 7.0 KB (1.18x), and
+    # with a term rendered per cell 1.67x / 1.72x *and* 12 copies each
     assert len(frame) <= MAX_FRAME_RATIO * payload.size_bytes()
 
 
@@ -96,12 +105,11 @@ def test_two_output_packet_names_the_terms_they_share_once(join_answer):
     narrow = both.align(("Y",))
     (packet,) = DataPacket.stream("P1#1", [both, narrow], sender, 1000)
     frame = frame_of(packet)
-    for term in join_answer.terms:
-        assert frame.count(term.value.encode()) == 1, term
+    assert_names_each_once(frame, join_answer.terms)
     assert len(frame) <= MAX_FRAME_RATIO * packet.size_bytes()
     apart = [DataPacket.stream("P1#1", [t], sender, 1000)[0] for t in (both, narrow)]
     modelled = sum(p.size_bytes() for p in apart) - packet.size_bytes()
-    assert modelled == 64 + sum(len(t.n3()) for t in apart[1].terms)
+    assert modelled == 64 + terms_size_bytes(apart[1].terms)
     assert sum(len(frame_of(p)) for p in apart) - len(frame) >= modelled
 
 
