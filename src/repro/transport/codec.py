@@ -357,7 +357,8 @@ def _encode_terms(terms) -> dict:
 
 def _decode_terms(value) -> tuple:
     """Rebuild a term list, refusing any namespace or local part that
-    is not a string, an index naming no namespace and an empty URI."""
+    is not a string, an index naming no namespace, an empty URI and an
+    entry that is no term."""
     try:
         namespaces, terms = value["ns"], []
         if type(namespaces) is not list or any(type(n) is not str for n in namespaces):
