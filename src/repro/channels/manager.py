@@ -16,6 +16,7 @@ from ..execution.batch import BindingBatch, concat_tables
 from ..net.message import Message
 from ..net.simulator import Network
 from ..rdf.dictionary import TermDictionary
+from ..rdf.schema import Schema
 from ..resilience.retry import RetryPolicy
 from .channel import Channel, Output
 from .packets import DataPacket, SubPlanPacket, TreePath
@@ -87,6 +88,7 @@ class ChannelManager:
         query_id: str = "",
         retry: Optional[RetryPolicy] = None,
         trace=None,
+        schema: Optional[Schema] = None,
     ) -> Channel:
         """Open a channel: ship every output's plan to ``destination``
         in one packet and register the continuations for its results.
@@ -109,6 +111,9 @@ class ChannelManager:
         the channel fails as if the destination had bounced — the
         timeout-based detection a non-omniscient network requires; only
         then is the packet flagged ``retransmits`` (kept for replay).
+
+        ``schema`` is the community schema of the plans' path patterns,
+        named by the packet.
         """
         channel_id = self.mint_id()
         span = network.tracer.start_span(
@@ -138,6 +143,7 @@ class ChannelManager:
             query_id=query_id,
             columns=columns if any(c is not None for c in columns) else (),
             retransmits=retry is not None,
+            schema=schema,
         )
         network.send(Message(self.owner, destination, packet, trace=span.context()))
         if retry is not None:

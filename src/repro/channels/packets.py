@@ -23,6 +23,7 @@ from ..core.algebra import PlanNode, count_scans
 from ..execution.batch import BindingBatch, distinct_union
 from ..execution.encoded import EncodedTable
 from ..rdf.dictionary import TermDictionary
+from ..rdf.schema import Schema
 from ..rdf.terms import Term
 from ..rql.bindings import table_size_bytes, terms_size_bytes
 
@@ -49,6 +50,9 @@ class SubPlanPacket:
             without duplicate rows (``None`` keeps the raw width).
         retransmits: The root retransmits on silence (a retry policy):
             only then does the destination keep its answer to replay.
+        schema: The community schema the subplans' path patterns are
+            in, which a live link names by fingerprint (``None``: the
+            patterns cross with their URIs written whole).
     """
 
     channel_id: str
@@ -58,6 +62,7 @@ class SubPlanPacket:
     query_id: str = ""
     columns: Tuple[Optional[Tuple[str, ...]], ...] = ()
     retransmits: bool = False
+    schema: Optional[Schema] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self) -> int:
         scans = sum(count_scans(plan) for plan in self.plans)

@@ -46,6 +46,7 @@ from ..errors import PlanningError
 from ..net.message import Message
 from ..net.simulator import Network
 from ..obs.tracer import NULL_SPAN
+from ..rdf.schema import Schema
 from .batch import BindingBatch, concat_tables
 from .pipeline import BlockingCombine, Emit, streaming_operator
 
@@ -94,6 +95,8 @@ class ExecutionStrategy:
             column of that plan, ``()`` of every plan.
         trace: Parent :class:`~repro.obs.span.TraceContext` of the
             ``execute`` span.
+        schema: The community schema of the plans' path patterns,
+            named by every channel's ``SubPlanPacket``.
     """
 
     stream: bool = False
@@ -102,6 +105,7 @@ class ExecutionStrategy:
     retry: object = None
     needed: Tuple[Optional[frozenset], ...] = ()
     trace: object = None
+    schema: Optional[Schema] = None
 
 
 class PlanExecutor:
@@ -191,7 +195,8 @@ class PlanExecutor:
                 return  # local rows already answered (top-k stop)
             self._channels.append(
                 self.host.channels.open(
-                    self.network, site, outputs, sites, self.query_id, retry, trace
+                    self.network, site, outputs, sites, self.query_id, retry, trace,
+                    self.strategy.schema,
                 )
             )
 

@@ -31,6 +31,8 @@ COUNTERS: Dict[str, str] = {
     "partial_results": "Coverage-annotated partial answers",
     "dropped_messages": "Messages dropped by the fault plan",
     "duplicated_messages": "Messages duplicated by the fault plan",
+    # live transport (repro.transport.live)
+    "malformed_frames": "Connections dropped on a frame that did not decode",
     # batched shipping (repro.channels)
     "subplans_shipped": "Subplans shipped (one SubPlanPacket carries a destination's)",
     "scans_empty": "Shipped subplans that came back with zero rows",

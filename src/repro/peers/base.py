@@ -108,6 +108,10 @@ class Peer:
     received subplans and roots channels for the plans it launches.
     """
 
+    #: what the node knows of its SONs (a ``SONRegistry``); a role that
+    #: belongs to none (a client, a probe) has none
+    sons = None
+
     def __init__(
         self,
         peer_id: str,
@@ -301,7 +305,7 @@ class Peer:
         # the arriving message carries the root's context
         executor = self.plan_executor(
             packet.plans, on_complete, sites=packet.sites, query_id=packet.query_id,
-            trace=message.trace, columns=packet.columns,
+            trace=message.trace, columns=packet.columns, schema=packet.schema,
         )
         self.schedule_work(packet.query_id, executor.start)
 
@@ -314,6 +318,7 @@ class Peer:
         trace=None,
         query: Optional["PendingQuery"] = None,
         columns: Tuple[Optional[tuple], ...] = (),
+        schema: Optional[Schema] = None,
     ) -> PlanExecutor:
         """An executor for ``plans`` at this peer, not yet started — the
         one place an executor is built, and where an attempt's
@@ -331,7 +336,9 @@ class Peer:
         exist — which needs streaming to see rows early, and no
         ``ORDER BY``: every operator is monotone, so the first k
         distinct finalised rows are stable under any completion order,
-        while ranked top-k needs every candidate.
+        while ranked top-k needs every candidate.  ``schema`` is the
+        community schema of the plans' path patterns, which every
+        shipment they send on names.
         """
         config = self.config
         stream, cache, stop = False, None, None
@@ -355,7 +362,7 @@ class Peer:
                 cache = query.scan_cache
             needed = (query.needed(),)
         strategy = ExecutionStrategy(
-            stream, cache, stop, config.resilience.channel_retry, needed, trace
+            stream, cache, stop, config.resilience.channel_retry, needed, trace, schema
         )
         return PlanExecutor(
             self, self._require_network(), plans, sites, query_id, on_complete, strategy

@@ -460,6 +460,7 @@ class QueryCoordinator:
             query_id=pending.query_id,
             trace=pending.span.context(),
             query=pending,
+            schema=pending.pattern.schema,
         )
         executor.start()
         if config.monitor_interval is not None:

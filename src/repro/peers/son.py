@@ -88,6 +88,10 @@ class SONRegistry:
             for advertisement in kept.advertisements() if kept is not None else ():
                 index.add(advertisement)
 
+    def schemas(self) -> List[Schema]:
+        """The community schemas the node holds."""
+        return [index.schema for index in self._sons.values() if index.schema is not None]
+
     def join(self, network) -> None:
         """The holder joined ``network``: caches count into its metrics,
         and its liveness control events keep them honest — a cached
@@ -150,8 +154,7 @@ class SONRegistry:
         :class:`~repro.durability.state.RecoveredState`: the
         advertisements and quarantine verdicts it replayed replace what
         is held, without being logged or counted again."""
-        held = [index.schema for index in self._sons.values()]
-        self._reset(schema for schema in held if schema is not None)
+        self._reset(self.schemas())
         for advertisement in recovered.advertisements.values():
             self.add(advertisement, record=False)
         for suspect in sorted(recovered.quarantined):

@@ -11,7 +11,11 @@ algorithm's ``isSubsumed`` check is built on (paper Section 2.3).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
+import base64
+import hashlib
+import json
+import weakref
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ..errors import SchemaError
 from .graph import Graph
@@ -19,6 +23,7 @@ from .terms import Namespace, URI
 from .vocabulary import (
     CLASS,
     DOMAIN,
+    LITERAL_CLASS,
     PROPERTY,
     RANGE,
     RESOURCE,
@@ -26,6 +31,16 @@ from .vocabulary import (
     SUBPROPERTYOF,
     TYPE,
 )
+
+#: every schema whose fingerprint this process computed, by fingerprint
+_FINGERPRINTED: "weakref.WeakValueDictionary[str, Schema]" = weakref.WeakValueDictionary()
+
+
+def fingerprinted(fingerprint: str) -> Optional["Schema"]:
+    """A schema of this process with that :attr:`Schema.fingerprint`
+    (one computed it), or ``None``."""
+    schema = _FINGERPRINTED.get(fingerprint)
+    return schema if schema is not None and schema.fingerprint == fingerprint else None
 
 
 class PropertyDef:
@@ -90,6 +105,8 @@ class Schema:
         self._super_properties: Dict[URI, Set[URI]] = {}
         self._class_ancestors: Dict[URI, FrozenSet[URI]] = {}
         self._property_ancestors: Dict[URI, FrozenSet[URI]] = {}
+        self._fingerprint: Optional[str] = None
+        self._vocab: Optional[Tuple[Tuple[URI, ...], Dict[URI, int]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -127,8 +144,6 @@ class Schema:
         ``range_`` may be ``rdfs:Literal`` (for attribute-like properties)
         or any declared class.
         """
-        from .vocabulary import LITERAL_CLASS
-
         if domain not in self._classes:
             raise SchemaError(f"undeclared domain class {domain}")
         if range_ != LITERAL_CLASS and range_ not in self._classes:
@@ -167,6 +182,7 @@ class Schema:
     def _invalidate_caches(self) -> None:
         self._class_ancestors.clear()
         self._property_ancestors.clear()
+        self._fingerprint = self._vocab = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -180,6 +196,61 @@ class Schema:
     def properties(self) -> FrozenSet[URI]:
         """The declared property URIs."""
         return frozenset(self._properties)
+
+    def canonical(self) -> dict:
+        """The schema as sorted JSON-ready lists: equal for equal
+        schemas, whatever order they were built in."""
+        return {
+            "uri": self.namespace.uri,
+            "name": self.name,
+            "classes": sorted(c.value for c in self._classes),
+            "properties": sorted(
+                [p.uri.value, p.domain.value, p.range.value] for p in self
+            ),
+            "subclass": sorted(
+                [child.value, parent.value]
+                for child, parents in self._super_classes.items()
+                for parent in parents
+            ),
+            "subproperty": sorted(
+                [child.value, parent.value]
+                for child, parents in self._super_properties.items()
+                for parent in parents
+            ),
+        }
+
+    @property
+    def fingerprint(self) -> str:
+        """sha256 of :meth:`canonical` (unpadded url-safe base64, 43
+        characters): the same for every copy of this schema in every
+        process, so a message can name the schema by it.  Computed once
+        (again after the schema changes)."""
+        if self._fingerprint is None:
+            text = json.dumps(self.canonical(), separators=(",", ":"))
+            digest = hashlib.sha256(text.encode()).digest()
+            self._fingerprint = base64.urlsafe_b64encode(digest).rstrip(b"=").decode()
+            _FINGERPRINTED[self._fingerprint] = self
+        return self._fingerprint
+
+    def _vocabulary(self) -> Tuple[Tuple[URI, ...], Dict[URI, int]]:
+        if self._vocab is None:
+            terms = tuple(dict.fromkeys(
+                [*sorted(self._classes), LITERAL_CLASS, *sorted(self._properties)]
+            ))
+            self._vocab = (terms, {term: index for index, term in enumerate(terms)})
+        return self._vocab
+
+    @property
+    def terms(self) -> Tuple[URI, ...]:
+        """The vocabulary in canonical order — the classes, then
+        ``rdfs:Literal``, then the properties, each sorted — so that a
+        position names the same term in every copy of the schema."""
+        return self._vocabulary()[0]
+
+    @property
+    def term_ids(self) -> Dict[URI, int]:
+        """Each term of :attr:`terms` to its position."""
+        return self._vocabulary()[1]
 
     def property_def(self, prop: URI) -> PropertyDef:
         """The :class:`PropertyDef` for ``prop`` (raises if undeclared)."""

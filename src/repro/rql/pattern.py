@@ -27,12 +27,14 @@ from .parser import parse_query
 class SchemaPath:
     """One schema-level hop: ``domain --property--> range``."""
 
-    __slots__ = ("domain", "property", "range")
+    __slots__ = ("domain", "property", "range", "_hash")
 
     def __init__(self, domain: URI, property_: URI, range_: URI):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "property", property_)
         object.__setattr__(self, "range", range_)
+        # hashed on every dict lookup of a pattern: once, here
+        object.__setattr__(self, "_hash", hash((domain, property_, range_)))
 
     def __setattr__(self, name, val):
         raise AttributeError("SchemaPath is immutable")
@@ -55,7 +57,7 @@ class SchemaPath:
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.property, self.range))
+        return self._hash
 
 
 class PathPattern:
@@ -71,7 +73,7 @@ class PathPattern:
             (marked ``*`` in the paper's pattern drawings).
     """
 
-    __slots__ = ("label", "schema_path", "subject_var", "object_var", "projected")
+    __slots__ = ("label", "schema_path", "subject_var", "object_var", "projected", "_hash")
 
     def __init__(
         self,
@@ -86,6 +88,9 @@ class PathPattern:
         object.__setattr__(self, "subject_var", subject_var)
         object.__setattr__(self, "object_var", object_var)
         object.__setattr__(self, "projected", tuple(projected))
+        object.__setattr__(self, "_hash", hash(
+            (label, schema_path, subject_var, object_var, self.projected)
+        ))
 
     def __setattr__(self, name, val):
         raise AttributeError("PathPattern is immutable")
@@ -125,9 +130,7 @@ class PathPattern:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.label, self.schema_path, self.subject_var, self.object_var, self.projected)
-        )
+        return self._hash
 
 
 class QueryPattern:

@@ -333,7 +333,8 @@ class AdhocPeer(SimplePeer):
                 )
 
         self.plan_executor(
-            (plan,), on_complete, query_id=partial.query_id, trace=span.context()
+            (plan,), on_complete, query_id=partial.query_id, trace=span.context(),
+            schema=partial.pattern.schema,
         ).start()
 
     def _report(self, partial: PartialPlan, table=None, error=None) -> None:

@@ -20,7 +20,9 @@ The wire codec (:mod:`repro.transport.codec`) round-trips every
 :class:`~repro.net.message.Message` payload kind — routing, channel
 packets with binding batches, trace contexts, failure bounces — through
 tagged JSON, ignoring unknown fields on decode so old peers interop
-with newer ones.
+with newer ones.  Query patterns travel by reference: a schema
+fingerprint the receiver resolves against the schemas its nodes hold,
+and path patterns as records of the schema's term ids.
 """
 
 from __future__ import annotations

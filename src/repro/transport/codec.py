@@ -17,6 +17,19 @@ that added fields.  An unknown ``"$k"`` class tag, by contrast, is a
 hard :class:`~repro.errors.CodecError` — there is no safe way to invent
 a payload type.
 
+The control plane travels by reference to the community schema (every
+peer of a SON holds it, Section 2.2): a query pattern crosses as its
+schema's :attr:`~repro.rdf.schema.Schema.fingerprint` plus path
+patterns, and a path pattern as a flat record whose schema terms are
+positions in that schema's :attr:`~repro.rdf.schema.Schema.terms`.  The
+receiver resolves the fingerprint against the schemas it is given
+(:func:`decode_message`'s ``schemas``; a live transport passes those its
+nodes hold in their SON registries); an unknown one is a
+:class:`~repro.errors.CodecError`.
+
+Any decoding failure is a :class:`~repro.errors.CodecError` — the one
+exception a live reader catches to drop a corrupt connection.
+
 Message envelopes encode ``src``/``dst``/``size``/``trace``/``payload``
 but deliberately *not* the local monotonic ``id`` — like trace metadata
 it is process-local bookkeeping, and dropping it makes the encoding
@@ -28,14 +41,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from array import array
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type
 
 from ..channels.packets import ChangePlanPacket, DataPacket, SubPlanPacket
-from ..core.algebra import Hole, Join, Scan, Union
+from ..core.algebra import Hole, Join, PlanNode, Scan, Union
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.cost import StatSummary
 from ..execution.encoded import EncodedTable
-from ..errors import CodecError
+from ..errors import CodecError, SQPeerError
 from ..livedata.updates import (
     AdvertiseDelta,
     ContinuousCancel,
@@ -64,19 +77,23 @@ from ..peers.protocol import (
     RouteReply,
     RouteRequest,
 )
-from ..rdf.schema import Schema
-from ..rdf.terms import BNode, Literal, Namespace, Term, URI, Variable
+from ..rdf.schema import Schema, fingerprinted
+from ..rdf.terms import BNode, Literal, Term, URI, Variable
 from ..rdf.triple import Triple
 from ..resilience.detector import Heartbeat
 from ..resilience.partial import Coverage
 from ..rql.pattern import PathPattern, QueryPattern, SchemaPath
 from ..rvl.active_schema import ActiveSchema
 
-_ENCODERS: Dict[Type, Tuple[str, Callable[[Any], dict]]] = {}
-_DECODERS: Dict[str, Callable[[dict], Any]] = {}
+#: ``fingerprint -> Schema or None``: what a decoder resolves a
+#: pattern's schema against
+Resolve = Callable[[str], Optional[Schema]]
+
+_ENCODERS: Dict[Type, Tuple[str, Callable[[Any], Any]]] = {}
+_DECODERS: Dict[str, Callable[[Any, Resolve], Any]] = {}
 
 
-def _register(cls: Type, encode: Callable[[Any], dict], decode: Callable[[dict], Any]):
+def _register(cls: Type, encode: Callable[[Any], Any], decode: Callable[[Any, Resolve], Any]):
     _ENCODERS[cls] = (cls.__name__, encode)
     _DECODERS[cls.__name__] = decode
 
@@ -89,13 +106,10 @@ def _register_dataclass(cls: Type, check: Callable[[Any], None] = None) -> None:
     def encode(obj) -> dict:
         return {name: _encode(getattr(obj, name)) for name in names}
 
-    def decode(fields: dict):
-        obj = cls(**{name: _decode(fields[name]) for name in names if name in fields})
+    def decode(fields: dict, resolve: Resolve):
+        obj = cls(**{name: _decode(fields[name], resolve) for name in names if name in fields})
         if check is not None:
-            try:
-                check(obj)
-            except (TypeError, ValueError) as exc:  # not even the right shape
-                raise CodecError(f"malformed {cls.__name__}: {exc}") from None
+            check(obj)
         return obj
 
     _register(cls, encode, decode)
@@ -122,21 +136,49 @@ def _encode(value: Any) -> Any:
     raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
-def _decode(value: Any) -> Any:
+def _decode(value: Any, resolve: Resolve) -> Any:
     if isinstance(value, dict):
         if "$k" in value:
             decoder = _DECODERS.get(value["$k"])
             if decoder is None:
                 raise CodecError(f"unknown payload class {value['$k']!r}")
-            return decoder(value.get("f", {}))
+            return decoder(value.get("f", {}), resolve)
         if "$t" in value:
-            return tuple(_decode(v) for v in value["$t"])
+            return tuple(_decode(v, resolve) for v in value["$t"])
         if "$d" in value:
-            return {_decode(k): _decode(v) for k, v in value["$d"]}
-        return {k: _decode(v) for k, v in value.items()}
+            return {_decode(k, resolve): _decode(v, resolve) for k, v in value["$d"]}
+        return {k: _decode(v, resolve) for k, v in value.items()}
     if isinstance(value, list):
-        return [_decode(v) for v in value]
+        return [_decode(v, resolve) for v in value]
     return value
+
+
+def _resolver(schemas: Optional[Iterable[Schema]]) -> Resolve:
+    """Resolve fingerprints against ``schemas`` (read on the first
+    lookup), or, with ``None``, against every schema this process
+    fingerprinted — what one process that encoded a message holds."""
+    if schemas is None:
+        return fingerprinted
+    known: Optional[Dict[str, Schema]] = None
+
+    def resolve(fingerprint: str) -> Optional[Schema]:
+        nonlocal known
+        if known is None:
+            known = {schema.fingerprint: schema for schema in schemas}
+        return known.get(fingerprint)
+
+    return resolve
+
+
+def _decoding(decode: Callable[[], Any]) -> Any:
+    """Run ``decode``, turning whatever a hostile value breaks in it
+    into the :class:`CodecError` a live reader drops the link on."""
+    try:
+        return decode()
+    except CodecError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, SQPeerError) as exc:
+        raise CodecError(f"malformed payload: {type(exc).__name__}: {exc}") from None
 
 
 def encode_payload(payload: Any) -> dict:
@@ -147,9 +189,11 @@ def encode_payload(payload: Any) -> dict:
     return encoded
 
 
-def decode_payload(value: dict) -> Any:
-    """Rebuild a payload object from :func:`encode_payload` output."""
-    return _decode(value)
+def decode_payload(value: dict, schemas: Optional[Iterable[Schema]] = None) -> Any:
+    """Rebuild a payload object from :func:`encode_payload` output; a
+    pattern's schema fingerprint resolves against ``schemas`` (see
+    :func:`decode_message`)."""
+    return _decoding(lambda: _decode(value, _resolver(schemas)))
 
 
 # ----------------------------------------------------------------------
@@ -170,14 +214,24 @@ def encode_message(message: Message) -> dict:
     }
 
 
-def decode_message(fields: dict) -> Message:
-    """Rebuild a :class:`Message` (unknown envelope keys are ignored)."""
+def decode_message(fields: dict, schemas: Optional[Iterable[Schema]] = None) -> Message:
+    """Rebuild a :class:`Message` (unknown envelope keys are ignored).
+
+    A query pattern names its schema by fingerprint; it resolves to the
+    one of ``schemas`` with that fingerprint — the receiver's own object
+    — and to no schema at all is a :class:`CodecError`.  ``None``
+    resolves against the schemas this process fingerprinted.
+    """
+    return _decoding(lambda: _decode_message(fields, _resolver(schemas)))
+
+
+def _decode_message(fields: dict, resolve: Resolve) -> Message:
     return Message(
         fields["src"],
         fields["dst"],
-        decode_payload(fields["payload"]),
+        _decode(fields["payload"], resolve),
         size=fields.get("size"),
-        trace=_decode(fields.get("trace")),
+        trace=_decode(fields.get("trace"), resolve),
     )
 
 
@@ -200,9 +254,9 @@ def decode_frame(data: bytes) -> Tuple[str, dict]:
 # ----------------------------------------------------------------------
 # registry: RDF terms
 # ----------------------------------------------------------------------
-_register(URI, lambda u: {"value": u.value}, lambda f: URI(f["value"]))
-_register(BNode, lambda b: {"id": b.id}, lambda f: BNode(f["id"]))
-_register(Variable, lambda v: {"name": v.name}, lambda f: Variable(f["name"]))
+_register(URI, lambda u: {"value": u.value}, lambda f, _: URI(f["value"]))
+_register(BNode, lambda b: {"id": b.id}, lambda f, _: BNode(f["id"]))
+_register(Variable, lambda v: {"name": v.name}, lambda f, _: Variable(f["name"]))
 _register(
     Literal,
     lambda l: {
@@ -210,131 +264,162 @@ _register(
         "datatype": _encode(l.datatype),
         "language": l.language,
     },
-    lambda f: Literal(
+    lambda f, resolve: Literal(
         f["lexical"],
-        datatype=_decode(f.get("datatype")),
+        datatype=_decode(f.get("datatype"), resolve),
         language=f.get("language"),
     ),
 )
 
 
 # ----------------------------------------------------------------------
-# registry: schema and query patterns
+# registry: query patterns, by reference to their schema
 # ----------------------------------------------------------------------
-def _encode_schema(schema: Schema) -> dict:
-    return {
-        "uri": schema.namespace.uri,
-        "name": schema.name,
-        "classes": sorted(c.value for c in schema.classes),
-        "properties": sorted(
-            [p.uri.value, p.domain.value, p.range.value] for p in schema
-        ),
-        "subclass": sorted(
-            [child.value, parent.value]
-            for child in schema.classes
-            for parent in schema._super_classes.get(child, ())
-        ),
-        "subproperty": sorted(
-            [child.value, parent.value]
-            for child in schema.properties
-            for parent in schema._super_properties.get(child, ())
-        ),
-    }
+def _path_record(pattern: PathPattern, ids: Dict[URI, int]) -> list:
+    """A path pattern as ``[label, domain, property, range, subject
+    variable, object variable, [projected variable, ...]]``, each schema
+    term its position in ``ids`` (a schema's ``term_ids``) — or, outside
+    them, its URI string."""
+    path = pattern.schema_path
+    return [
+        pattern.label,
+        ids.get(path.domain, path.domain.value),
+        ids.get(path.property, path.property.value),
+        ids.get(path.range, path.range.value),
+        pattern.subject_var,
+        pattern.object_var,
+        list(pattern.projected),
+    ]
 
 
-def _decode_schema(fields: dict) -> Schema:
-    schema = Schema(Namespace(fields["uri"]), fields.get("name", ""))
-    for cls in fields.get("classes", []):
-        schema.add_class(URI(cls))
-    for prop, domain, range_ in fields.get("properties", []):
-        schema.add_property(URI(prop), URI(domain), URI(range_))
-    for child, parent in fields.get("subclass", []):
-        schema.add_subclass(URI(child), URI(parent))
-    for child, parent in fields.get("subproperty", []):
-        schema.add_subproperty(URI(child), URI(parent))
+def _schema_term(value, terms: Tuple[URI, ...]) -> URI:
+    if type(value) is str:
+        return URI(value)
+    if not _is_index(value, len(terms)):
+        raise CodecError(f"{value!r} names none of the schema's {len(terms)} terms")
+    return terms[value]
+
+
+def _is_name(value, optional: bool = False) -> bool:
+    return type(value) is str or (optional and value is None)
+
+
+def _path_pattern(record, terms: Tuple[URI, ...]) -> PathPattern:
+    """Rebuild a :func:`_path_record` over ``terms`` (a schema's)."""
+    if type(record) is not list or len(record) != 7:
+        raise CodecError(f"{record!r} is no path pattern record")
+    label, domain, property_, range_, subject, object_, projected = record
+    if not (
+        _is_name(label)
+        and _is_name(subject, True)
+        and _is_name(object_, True)
+        and type(projected) is list
+        and all(map(_is_name, projected))
+    ):
+        raise CodecError(f"{record!r} names a label or variable by a non-string")
+    path = _schema_path((domain, property_, range_), terms)
+    return PathPattern(label, path, subject, object_, tuple(projected))
+
+
+def _schema_path(values, terms: Tuple[URI, ...]) -> SchemaPath:
+    """Rebuild a schema hop from its domain, property and range, each
+    as :func:`_schema_term` reads it."""
+    if type(values) not in (list, tuple) or len(values) != 3:
+        raise CodecError(f"{values!r} is no domain, property and range")
+    return SchemaPath(*(_schema_term(value, terms) for value in values))
+
+
+def _schema(fingerprint, resolve: Resolve) -> Schema:
+    schema = resolve(fingerprint) if type(fingerprint) is str else None
+    if schema is None:
+        raise CodecError(f"no schema known by the fingerprint {fingerprint!r}")
     return schema
 
 
-_register(Schema, _encode_schema, _decode_schema)
+def _encode_query(pattern: QueryPattern) -> list:
+    """``[schema fingerprint, [path pattern record, ...], [projected
+    variable, ...]]``, the records over that schema's terms."""
+    schema = pattern.schema
+    ids = schema.term_ids
+    return [
+        schema.fingerprint,
+        [_path_record(p, ids) for p in pattern.patterns],
+        list(pattern.projections),
+    ]
+
+
+def _decode_query(record, resolve: Resolve) -> QueryPattern:
+    if type(record) is not list or len(record) != 3:
+        raise CodecError(f"{record!r} is no query pattern record")
+    fingerprint, patterns, projections = record
+    schema = _schema(fingerprint, resolve)
+    if type(projections) is not list or not all(map(_is_name, projections)):
+        raise CodecError(f"{projections!r} is not a list of variables")
+    terms = schema.terms
+    return QueryPattern(
+        [_path_pattern(p, terms) for p in patterns], tuple(projections), schema
+    )
+
+
+_register(QueryPattern, _encode_query, _decode_query)
+# outside a packet naming a schema, a pattern's terms are written whole
+_register(PathPattern, lambda p: _path_record(p, {}), lambda f, _: _path_pattern(f, ()))
 _register(
     SchemaPath,
-    lambda p: {
-        "domain": _encode(p.domain),
-        "property": _encode(p.property),
-        "range": _encode(p.range),
-    },
-    lambda f: SchemaPath(_decode(f["domain"]), _decode(f["property"]), _decode(f["range"])),
-)
-_register(
-    PathPattern,
-    lambda p: {
-        "label": p.label,
-        "schema_path": _encode(p.schema_path),
-        "subject_var": p.subject_var,
-        "object_var": p.object_var,
-        "projected": _encode(p.projected),
-    },
-    lambda f: PathPattern(
-        f["label"],
-        _decode(f["schema_path"]),
-        f.get("subject_var"),
-        f.get("object_var"),
-        _decode(f.get("projected", {"$t": []})),
-    ),
-)
-_register(
-    QueryPattern,
-    lambda q: {
-        "patterns": [_encode(p) for p in q.patterns],
-        "projections": _encode(q.projections),
-        "schema": _encode(q.schema),
-    },
-    lambda f: QueryPattern(
-        [_decode(p) for p in f["patterns"]],
-        _decode(f["projections"]),
-        _decode(f["schema"]),
-    ),
+    lambda p: [p.domain.value, p.property.value, p.range.value],
+    lambda f, _: _schema_path(f, ()),
 )
 
 
-# ----------------------------------------------------------------------
-# registry: annotations, advertisements, plans, bindings
-# ----------------------------------------------------------------------
-_register(
-    PeerAnnotation,
-    lambda a: {
-        "peer_id": a.peer_id,
-        "rewritten": _encode(a.rewritten),
-        "exact": a.exact,
-    },
-    lambda f: PeerAnnotation(f["peer_id"], _decode(f["rewritten"]), f["exact"]),
-)
-
-
-def _encode_annotated(annotated: AnnotatedQueryPattern) -> dict:
+def _encode_annotated(annotated: AnnotatedQueryPattern) -> list:
+    """``[query pattern record, [[index, [[peer, exact], ...]], ...]]``
+    per annotated pattern — an annotation whose rewritten pattern is not
+    the query's own adds it, as a record over the same schema."""
+    query = annotated.query_pattern
+    ids = query.schema.term_ids
     entries = []
-    for index, pattern in enumerate(annotated.query_pattern.patterns):
+    for index, pattern in enumerate(query.patterns):
         annotations = annotated.annotations(pattern)
         if annotations:
-            entries.append([index, [_encode(a) for a in annotations]])
-    return {"query_pattern": _encode(annotated.query_pattern), "annotated": entries}
+            entries.append([index, [
+                [a.peer_id, a.exact] if a.rewritten == pattern
+                else [a.peer_id, a.exact, _path_record(a.rewritten, ids)]
+                for a in annotations
+            ]])
+    return [_encode_query(query), entries]
 
 
-def _decode_annotated(fields: dict) -> AnnotatedQueryPattern:
-    pattern = _decode(fields["query_pattern"])
-    annotated = AnnotatedQueryPattern(pattern)
-    for index, annotations in fields.get("annotated", []):
-        annotated.extend_trusted(
-            pattern.patterns[index], [_decode(a) for a in annotations]
-        )
+def _decode_annotated(record, resolve: Resolve) -> AnnotatedQueryPattern:
+    if type(record) is not list or len(record) != 2:
+        raise CodecError(f"{record!r} is no annotated query pattern record")
+    query = _decode_query(record[0], resolve)
+    terms, patterns = query.schema.terms, query.patterns
+    annotated = AnnotatedQueryPattern(query)
+    for index, annotations in record[1]:
+        if not _is_index(index, len(patterns)):
+            raise CodecError(f"annotation index {index!r} names none of {len(patterns)} patterns")
+        pattern = patterns[index]
+        annotated.extend_trusted(pattern, [
+            _annotation(entry, pattern, terms) for entry in annotations
+        ])
     return annotated
+
+
+def _annotation(entry, pattern: PathPattern, terms: Tuple[URI, ...]) -> PeerAnnotation:
+    if type(entry) is not list or len(entry) not in (2, 3):
+        raise CodecError(f"{entry!r} is no annotation record")
+    peer_id, exact = entry[:2]
+    if not _is_name(peer_id) or type(exact) is not bool:
+        raise CodecError(f"{entry!r} is no peer id and exact flag")
+    rewritten = _path_pattern(entry[2], terms) if len(entry) == 3 else pattern
+    return PeerAnnotation(peer_id, rewritten, exact)
 
 
 _register(AnnotatedQueryPattern, _encode_annotated, _decode_annotated)
 _register(
     ActiveSchema,
     lambda s: s.to_dict(),
-    lambda f: ActiveSchema.from_dict(f),
+    lambda f, _: ActiveSchema.from_dict(f),
 )
 
 
@@ -368,13 +453,17 @@ def _decode_terms(value) -> tuple:
                 index, local = entry
                 term = URI(namespaces[index] + local) if _is_index(index, len(namespaces)) else None
             else:
-                term = _decode(entry)
+                term = _decode(entry, _no_schema)
             if not isinstance(term, Term):
                 raise ValueError(f"{entry!r} is not a term")
             terms.append(term)
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed term list: {exc}") from None
     return tuple(terms)
+
+
+def _no_schema(fingerprint: str) -> None:
+    """A term list names no schema."""
 
 
 def _is_index(value, size: int) -> bool:
@@ -432,28 +521,54 @@ def _table_cells(table: EncodedTable) -> dict:
 _register(
     EncodedTable,
     lambda t: {**_table_cells(t), "terms": _encode_terms(t.terms)},
-    _decode_table,
+    lambda f, _: _decode_table(f),
 )
-_register(
-    Scan,
-    lambda s: {"patterns": [_encode(p) for p in s.patterns()], "peer_id": s.peer_id},
-    lambda f: Scan([_decode(p) for p in f["patterns"]], f["peer_id"]),
-)
-_register(
-    Hole,
-    lambda h: {"pattern": _encode(h.pattern)},
-    lambda f: Hole(_decode(f["pattern"])),
-)
-_register(
-    Union,
-    lambda u: {"children": [_encode(c) for c in u.children()]},
-    lambda f: Union([_decode(c) for c in f["children"]]),
-)
-_register(
-    Join,
-    lambda j: {"children": [_encode(c) for c in j.children()]},
-    lambda f: Join([_decode(c) for c in f["children"]]),
-)
+
+
+# ----------------------------------------------------------------------
+# registry: plan trees, their path patterns over one schema's terms
+# ----------------------------------------------------------------------
+def _plan_fields(node: PlanNode, ids: Dict[URI, int]) -> list:
+    """A scan as ``[peer, [path pattern record, ...]]``, a hole as its
+    record, a join or union as its children."""
+    kind = type(node)
+    if kind is Scan:
+        return [node.peer_id, [_path_record(p, ids) for p in node.patterns()]]
+    if kind is Hole:
+        return _path_record(node.pattern, ids)
+    return [_encode_plan(c, ids) for c in node.children()]
+
+
+def _encode_plan(node: PlanNode, ids: Dict[URI, int]) -> dict:
+    return {"$k": type(node).__name__, "f": _plan_fields(node, ids)}
+
+
+def _plan(kind: str, fields, terms: Tuple[URI, ...]) -> PlanNode:
+    """Rebuild a plan node of class ``kind`` over ``terms``."""
+    if kind == "Hole":
+        return Hole(_path_pattern(fields, terms))
+    if type(fields) is not list:
+        raise CodecError(f"{fields!r} is no {kind} record")
+    if kind == "Scan":
+        peer_id, patterns = fields
+        if not _is_name(peer_id):
+            raise CodecError(f"scan site {peer_id!r} is not a peer id")
+        return Scan([_path_pattern(p, terms) for p in patterns], peer_id)
+    if kind in ("Join", "Union"):
+        children = [_plan(c["$k"], c["f"], terms) for c in fields]
+        return (Join if kind == "Join" else Union)(children)
+    raise CodecError(f"{kind!r} is no plan node")
+
+
+def _register_plan_node(cls: Type) -> None:
+    """Outside a shipment naming its schema, a plan node's patterns are
+    written whole."""
+    _register(cls, lambda node: _plan_fields(node, {}),
+              lambda fields, _: _plan(cls.__name__, fields, ()))
+
+
+for _cls in (Scan, Hole, Union, Join):
+    _register_plan_node(_cls)
 
 
 def _check_flag(name: str, value) -> None:
@@ -502,17 +617,17 @@ def _check_tables(packet: DataPacket) -> None:
 _register(
     TraceContext,
     lambda t: {"trace_id": t.trace_id, "span_id": t.span_id},
-    lambda f: TraceContext(f["trace_id"], f["span_id"]),
+    lambda f, _: TraceContext(f["trace_id"], f["span_id"]),
 )
 _register(
     Heartbeat,
     lambda h: {"sender": h.sender},
-    lambda f: Heartbeat(f["sender"]),
+    lambda f, _: Heartbeat(f["sender"]),
 )
 _register(
     DeliveryFailure,
     lambda d: {"original": encode_message(d.original)},
-    lambda f: DeliveryFailure(decode_message(f["original"])),
+    lambda f, resolve: DeliveryFailure(_decode_message(f["original"], resolve)),
 )
 
 for _cls in (
@@ -540,8 +655,38 @@ for _cls in (
 ):
     _register_dataclass(_cls)
 del _cls
-_register_dataclass(SubPlanPacket, _check_subplans)
 _register_dataclass(QuerySubmit, lambda s: _check_flag("resubmits", s.resubmits))
+
+
+def _encode_subplans(packet: SubPlanPacket) -> dict:
+    """A shipment naming the schema of its subplans' path patterns once,
+    by fingerprint, as ``schema``, each pattern a record over that
+    schema's terms (with no schema, a record of URIs)."""
+    schema = packet.schema
+    fields = {name: _encode(getattr(packet, name)) for name in _SUBPLAN_FIELDS}
+    ids = {} if schema is None else schema.term_ids
+    fields["plans"] = {"$t": [_encode_plan(plan, ids) for plan in packet.plans]}
+    if schema is not None:
+        fields["schema"] = schema.fingerprint
+    return fields
+
+
+def _decode_subplans(fields: dict, resolve: Resolve) -> SubPlanPacket:
+    schema = _schema(fields["schema"], resolve) if "schema" in fields else None
+    terms = () if schema is None else schema.terms
+    packet = SubPlanPacket(
+        plans=tuple(_plan(p["$k"], p["f"], terms) for p in fields["plans"]["$t"]),
+        schema=schema,
+        **{name: _decode(fields[name], resolve) for name in _SUBPLAN_FIELDS if name in fields},
+    )
+    _check_subplans(packet)
+    return packet
+
+
+_SUBPLAN_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SubPlanPacket) if f.name not in ("plans", "schema")
+)
+_register(SubPlanPacket, _encode_subplans, _decode_subplans)
 
 
 def _encode_data(packet: DataPacket) -> dict:
@@ -555,7 +700,7 @@ def _encode_data(packet: DataPacket) -> dict:
     return fields
 
 
-def _decode_data(fields: dict) -> DataPacket:
+def _decode_data(fields: dict, resolve: Resolve) -> DataPacket:
     """Rebuild a data packet, every table over the packet's terms."""
     try:
         terms = _decode_terms(fields["terms"]) if "terms" in fields else ()
@@ -568,7 +713,7 @@ def _decode_data(fields: dict) -> DataPacket:
                          "(output, table) pairs") from None
     packet = DataPacket(
         tables=tables,
-        **{name: _decode(fields[name]) for name in _DATA_FIELDS if name in fields},
+        **{name: _decode(fields[name], resolve) for name in _DATA_FIELDS if name in fields},
     )
     _check_tables(packet)
     return packet
@@ -593,13 +738,13 @@ def _encode_batch(batch: UpdateBatch) -> dict:
             "terms": _encode_terms(terms), "updates": updates}
 
 
-def _decode_batch(fields: dict) -> UpdateBatch:
+def _decode_batch(fields: dict, resolve: Resolve) -> UpdateBatch:
     """Rebuild an update batch, every triple record over its terms."""
     kinds = {"+": InsertTriple, "-": DeleteTriple}
 
     def record(entry):
         if type(entry) is not list:
-            if type(views := _decode(entry)) is RedefineViews:
+            if type(views := _decode(entry, resolve)) is RedefineViews:
                 return views
         elif (len(entry) == 4 and entry[0] in kinds
               and all(_is_index(i, len(terms)) for i in entry[1:])):

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CodecError, NetworkError
+from ..rdf.schema import Schema
 from ..resilience.retry import RetryPolicy
 from .base import Transport
 from .codec import decode_frame, decode_message, encode_frame, encode_message
@@ -387,13 +388,16 @@ class AsyncioTransport(Transport):
                 for frame in frames.feed(chunk):
                     self._dispatch(*decode_frame(frame), writer=writer)
             except CodecError:
-                return  # a corrupt stream is unrecoverable: drop the conn
+                # a corrupt stream is unrecoverable: drop the conn
+                if self.network is not None:
+                    self.network.metrics.count("malformed_frames")
+                return
 
     def _dispatch(self, kind: str, body: dict, writer: asyncio.StreamWriter) -> None:
         self._wake.set()  # as in _fire: the waiter runs after this returns
         if kind == "msg":
             if self.network is not None:
-                self.network.deliver_remote(decode_message(body))
+                self.network.deliver_remote(decode_message(body, self._held_schemas()))
         elif kind == "hello":
             addr = tuple(body.get("addr", ()))
             if len(addr) == 2:
@@ -413,6 +417,14 @@ class AsyncioTransport(Transport):
             if self.seed is None:
                 self._broadcast_book()
         # unknown frame kinds are ignored: newer peers may send more
+
+    def _held_schemas(self) -> Iterator[Schema]:
+        """The community schemas this process's nodes hold in their SON
+        registries: the ones a pattern arriving here may name."""
+        for node_id in self._local_nodes:
+            sons = self.network.node(node_id).sons
+            if sons is not None:
+                yield from sons.schemas()
 
     def _broadcast_book(self) -> None:
         frame = pack_frame(

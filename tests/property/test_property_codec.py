@@ -10,6 +10,11 @@ canonical form the sim-vs-live differential validation compares).
 Forward compatibility: a decoder must *ignore* fields it does not know,
 at every level (message envelope, dataclass payloads, frames), so a
 newer peer can talk to an older one.
+
+By reference: a query pattern, an annotated one and a shipment of scans
+name their schema by fingerprint and come back over the *receiver's*
+own copy of it; and whatever a hostile frame changes in them, decoding
+either succeeds or raises ``CodecError``.
 """
 
 import json
@@ -28,15 +33,20 @@ from repro.peers.protocol import (
     QueryShed,
     QuerySubmit,
     RouteBusy,
+    RouteReply,
     RouteRequest,
 )
-from repro.channels.packets import ChangePlanPacket, DataPacket
+from repro.channels.packets import ChangePlanPacket, DataPacket, SubPlanPacket
+from repro.core.algebra import Join, Scan, Union
+from repro.core.annotations import AnnotatedQueryPattern, PeerAnnotation
+from repro.errors import CodecError
 from repro.execution.encoded import EncodedTable
 from repro.livedata.updates import ContinuousUpdate
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, Literal, URI, Variable
 from repro.resilience.partial import Coverage
 from repro.rql.bindings import BindingTable, terms_size_bytes
+from repro.rql.pattern import PathPattern, QueryPattern, SchemaPath
 from repro.transport.codec import (
     decode_frame,
     decode_message,
@@ -45,6 +55,8 @@ from repro.transport.codec import (
     encode_message,
     encode_payload,
 )
+
+from repro.workloads.paper import paper_schema
 
 from ..idtables import TABLE_BEARERS, encode_cells
 
@@ -352,3 +364,127 @@ def test_frames_round_trip_and_tolerate_extras(kind, body):
     extended["future_header"] = 7
     decoded_kind, decoded_body = decode_frame(json.dumps(extended).encode())
     assert (decoded_kind, decoded_body) == (kind, body)
+
+
+# ----------------------------------------------------------------------
+# patterns by reference to their schema
+# ----------------------------------------------------------------------
+#: the sender's schema, and the receiver's own copy of it
+SENDER, RECEIVER = paper_schema(), paper_schema()
+#: any term of the schema, or a URI it does not declare (written whole)
+schema_terms = st.one_of(
+    st.sampled_from(SENDER.terms), uris, st.just(URI("http://example.org/n1#C9"))
+)
+variables = st.sampled_from(["X", "Y", "Z", "W"])
+
+
+@st.composite
+def path_patterns(draw, label):
+    subject = draw(st.one_of(st.none(), variables))
+    object_ = draw(st.one_of(st.none(), variables))
+    bound = sorted({v for v in (subject, object_) if v})
+    projected = draw(st.lists(st.sampled_from(bound), unique=True)) if bound else []
+    path = SchemaPath(draw(schema_terms), draw(schema_terms), draw(schema_terms))
+    return PathPattern(label, path, subject, object_, tuple(projected))
+
+
+@st.composite
+def query_patterns(draw):
+    count = draw(st.integers(1, 4))
+    patterns = [draw(path_patterns(f"Q{i}")) for i in range(1, count + 1)]
+    projections = draw(st.lists(variables, unique=True, max_size=3))
+    return QueryPattern(patterns, tuple(projections), SENDER)
+
+
+@st.composite
+def annotated_patterns(draw):
+    """Each pattern annotated by up to four peers, each exactly (the
+    query's own pattern) or with a rewritten one."""
+    query = draw(query_patterns())
+    annotated = AnnotatedQueryPattern(query)
+    for pattern in query:
+        for peer in draw(st.lists(peer_ids, unique=True, max_size=4)):
+            rewritten = pattern if draw(st.booleans()) else draw(path_patterns(pattern.label))
+            annotated.annotate(pattern, PeerAnnotation(peer, rewritten, draw(st.booleans())))
+    return annotated
+
+
+@st.composite
+def plans(draw, depth=2):
+    query = draw(query_patterns())
+    if depth == 0 or draw(st.booleans()):
+        patterns = draw(st.lists(st.sampled_from(query.patterns), min_size=1, max_size=3))
+        return Scan(patterns, draw(peer_ids))
+    children = draw(st.lists(plans(depth - 1), min_size=2, max_size=3))
+    return draw(st.sampled_from([Join, Union]))(children)
+
+
+shipments = st.builds(
+    lambda plans_, retransmits: SubPlanPacket(
+        "P1#4", tuple(plans_), {}, "P1", "q1", retransmits=retransmits, schema=SENDER
+    ),
+    st.lists(plans(), min_size=1, max_size=3),
+    st.booleans(),
+)
+by_reference = st.one_of(
+    st.builds(RouteRequest, query_ids, query_patterns(), peer_ids, hops=st.integers(0, 3)),
+    st.builds(RouteReply, query_ids, annotated_patterns()),
+    shipments,
+)
+
+
+def schema_of(payload):
+    if isinstance(payload, RouteRequest):
+        return payload.pattern.schema
+    if isinstance(payload, RouteReply):
+        return payload.annotated.query_pattern.schema
+    return payload.schema
+
+
+@given(by_reference)
+@settings(max_examples=200, deadline=None)
+def test_patterns_round_trip_over_the_receivers_schema(payload):
+    """``decode(encode(x)) == x`` for query patterns, annotated ones —
+    exact and rewritten annotations — and shipments of scan plans, the
+    decoded pattern over the receiver's own schema object, and the
+    re-encoding canonical."""
+    fields = json.loads(json.dumps(encode_message(Message("P1", "SP1", payload))))
+    decoded = decode_message(fields, [RECEIVER]).payload
+    assert schema_of(decoded) is RECEIVER
+    if isinstance(payload, RouteReply):
+        assert decoded.annotated.same_annotations(payload.annotated)
+        assert decoded.query_id == payload.query_id
+    else:
+        assert decoded == payload
+    assert encode_message(Message("P1", "SP1", decoded)) == fields
+
+
+def _leaves(value):
+    """Every position of a JSON value: ``(container, key)`` pairs."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _leaves(child)
+
+
+hostile_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(allow_nan=False),
+    safe_text, st.lists(st.integers(-1, 3), max_size=3), st.just({}), st.just({"$t": 1}),
+)
+
+
+@given(by_reference, st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_damaged_pattern_decodes_or_raises_codec_error(payload, data):
+    """Overwrite any one position of the encoded payload with any JSON
+    value: the decoder returns a payload or raises ``CodecError`` —
+    never another exception that would kill a live reader task."""
+    fields = json.loads(json.dumps(encode_message(Message("P1", "SP1", payload))))
+    positions = list(_leaves(fields["payload"]))
+    container, key = data.draw(st.sampled_from(positions))
+    container[key] = data.draw(hostile_values)
+    try:
+        decode_message(fields, [RECEIVER])
+    except CodecError:
+        pass

@@ -301,14 +301,16 @@ def _shipment_bodies():
     """The JSON bodies of a two-subplan ``SubPlanPacket`` (sites under
     both outputs, a narrowed header for each) and of its two-table
     ``DataPacket`` reply, whose tables share some of their terms."""
-    pattern = paper_query_pattern(paper_schema())
+    schema = paper_schema()
+    pattern = paper_query_pattern(schema)
     plans = (
         Join([Scan((pattern.root,), "P2"), Scan((pattern.patterns[1],), "P3")]),
         Scan((pattern.root,), "P2"),
     )
     sites = {(0, 1): "P3", (1,): "P2"}
     sub = SubPlanPacket(
-        "ch-1", plans, sites, "P1", "q1", (("X", "Z"), ("Y",)), retransmits=True
+        "ch-1", plans, sites, "P1", "q1", (("X", "Z"), ("Y",)), retransmits=True,
+        schema=schema,
     )
     table = EncodedTable.of_terms(sample_table())
     other = EncodedTable.of_terms(BindingTable(("Y",), [(Literal("x"),), (Literal(9),)]))
@@ -422,6 +424,150 @@ def test_malformed_shipment_is_rejected_where_the_frame_is(damage):
     damage_it(body)
     with pytest.raises(CodecError):
         decode_message(body)
+
+
+def _routing_bodies():
+    """The JSON bodies of the paper query's ``RouteRequest``, of its
+    ``RouteReply`` (P4 annotates Q1 with a rewritten pattern, every
+    other annotation is the query's own) and of a one-scan
+    ``SubPlanPacket``, each naming the schema by fingerprint."""
+    schema = paper_schema()
+    pattern = paper_query_pattern(schema)
+    annotated = route_query(pattern, paper_active_schemas(schema).values(), schema)
+    payloads = (
+        RouteRequest("q1", pattern, "P1"),
+        RouteReply("q1", annotated),
+        SubPlanPacket("ch-1", (Scan(pattern.patterns[:2], "P2"),), schema=schema),
+    )
+    bodies = []
+    for payload in payloads:
+        body = json.loads(json.dumps(encode_message(Message("P1", "SP1", payload))))
+        decoded = decode_message(body, [paper_schema()]).payload
+        assert encode_payload(decoded) == body["payload"]
+        bodies.append(body)
+    return bodies
+
+
+def _query(body):
+    """A request's pattern record: ``[fingerprint, [record, ...],
+    projections]``."""
+    return body["payload"]["f"]["pattern"]["f"]
+
+
+def _path(body, index=0):
+    """The ``index``-th path pattern record of a request: ``[label,
+    domain, property, range, subject, object, projected]``."""
+    return _query(body)[1][index]
+
+
+def _annotated(body):
+    """A reply's ``[[index, [[peer, exact(, record)], ...]], ...]``."""
+    return body["payload"]["f"]["annotated"]["f"][1]
+
+
+def _scan(body):
+    """A shipment's first scan: ``[peer, [record, ...]]``."""
+    return body["payload"]["f"]["plans"]["$t"][0]["f"]
+
+
+#: ways a hostile or corrupt frame can break a pattern sent by reference
+#: to its schema: (0 = the RouteRequest, 1 = the RouteReply, 2 = the
+#: SubPlanPacket, how to damage it)
+MALFORMED_PATTERNS = {
+    "unknown-fingerprint": (0, lambda b: _query(b).__setitem__(0, "A" * 43)),
+    "fingerprint-not-a-string": (0, lambda b: _query(b).__setitem__(0, 7)),
+    "unknown-fingerprint-of-a-reply": (
+        1, lambda b: b["payload"]["f"]["annotated"]["f"][0].__setitem__(0, "B" * 43)
+    ),
+    "unknown-fingerprint-of-a-shipment": (
+        2, lambda b: b["payload"]["f"].__setitem__("schema", "C" * 43)
+    ),
+    "term-id-past-the-schema": (0, lambda b: _path(b).__setitem__(2, 10**6)),
+    "term-id-negative": (0, lambda b: _path(b).__setitem__(1, -1)),
+    "term-id-a-bool": (0, lambda b: _path(b).__setitem__(3, True)),
+    "term-id-fractional": (0, lambda b: _path(b).__setitem__(1, 1.0)),
+    "term-id-a-list": (0, lambda b: _path(b).__setitem__(2, [1])),
+    "term-id-null": (0, lambda b: _path(b).__setitem__(2, None)),
+    "term-empty-uri": (0, lambda b: _path(b).__setitem__(2, "")),
+    "scan-term-id-past-the-schema": (2, lambda b: _scan(b)[1][1].__setitem__(2, 99)),
+    "scan-term-id-negative": (2, lambda b: _scan(b)[1][0].__setitem__(3, -2)),
+    "rewritten-term-id-negative": (
+        1, lambda b: _annotated(b)[0][1][2][2].__setitem__(1, -1)
+    ),
+    "record-too-short": (0, lambda b: _path(b).pop()),
+    "record-too-long": (0, lambda b: _path(b).append([])),
+    "record-not-a-list": (0, lambda b: _query(b)[1].__setitem__(0, "Q1")),
+    "scan-record-too-short": (2, lambda b: _scan(b)[1][0].pop(0)),
+    "rewritten-record-too-long": (1, lambda b: _annotated(b)[0][1][2][2].append(0)),
+    "query-record-too-short": (0, lambda b: _query(b).pop()),
+    "query-without-patterns": (0, lambda b: _query(b).__setitem__(1, [])),
+    "label-not-a-string": (0, lambda b: _path(b).__setitem__(0, 1)),
+    "subject-variable-not-a-string": (0, lambda b: _path(b).__setitem__(4, 3)),
+    "object-variable-not-a-string": (2, lambda b: _scan(b)[1][0].__setitem__(5, ["Y"])),
+    "projected-not-a-list": (0, lambda b: _path(b).__setitem__(6, "X")),
+    "projected-variable-not-a-string": (0, lambda b: _path(b)[6].__setitem__(0, None)),
+    "projections-not-strings": (0, lambda b: _query(b).__setitem__(2, [1])),
+    "scan-site-not-a-string": (2, lambda b: _scan(b).__setitem__(0, 5)),
+    "scan-not-a-record": (2, lambda b: b["payload"]["f"]["plans"]["$t"][0].__setitem__("f", 5)),
+    "plan-node-of-no-known-kind": (
+        2, lambda b: b["payload"]["f"]["plans"]["$t"][0].__setitem__("$k", "Project")
+    ),
+    "annotation-index-past-the-patterns": (1, lambda b: _annotated(b)[0].__setitem__(0, 2)),
+    "annotation-index-negative": (1, lambda b: _annotated(b)[1].__setitem__(0, -1)),
+    "annotation-index-a-bool": (1, lambda b: _annotated(b)[1].__setitem__(0, True)),
+    "annotation-index-textual": (1, lambda b: _annotated(b)[0].__setitem__(0, "0")),
+    "annotation-entry-too-short": (1, lambda b: _annotated(b)[0].pop()),
+    "annotation-record-too-short": (1, lambda b: _annotated(b)[0][1][0].pop()),
+    "annotation-peer-not-a-string": (1, lambda b: _annotated(b)[0][1][0].__setitem__(0, 4)),
+    "annotation-exact-not-a-bool": (1, lambda b: _annotated(b)[0][1][0].__setitem__(1, 1)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_PATTERNS))
+def test_malformed_pattern_is_rejected_where_the_frame_is(damage):
+    """A schema fingerprint the receiver does not hold, a term id that
+    names no term of the schema, a record of the wrong arity, a label
+    or variable that is not a string or an annotation index naming no
+    pattern is a ``CodecError`` — the one exception the live reader
+    catches — never a ``TypeError`` or ``IndexError`` that would kill
+    the reader task."""
+    which, damage_it = MALFORMED_PATTERNS[damage]
+    body = _routing_bodies()[which]
+    damage_it(body)
+    with pytest.raises(CodecError):
+        decode_message(body, [paper_schema()])
+
+
+def test_patterns_resolve_to_the_receivers_own_schema():
+    """The decoded pattern is over the schema the receiver holds — its
+    own object, found by fingerprint — and the frame names the schema
+    once, whatever its size, and each elided annotation by its peer."""
+    sender, receiver = paper_schema(), paper_schema()
+    assert sender is not receiver and sender.fingerprint == receiver.fingerprint
+    request, reply, shipment = _routing_bodies()
+    decoded = [decode_message(body, [receiver]).payload for body in (request, reply, shipment)]
+    assert decoded[0].pattern.schema is receiver
+    assert decoded[1].annotated.query_pattern.schema is receiver
+    assert decoded[2].schema is receiver
+    annotations = _annotated(reply)
+    assert [len(entry) for _, entries in annotations for entry in entries] == [2, 2, 3, 2, 2, 2]
+    # a receiver holding only another schema knows none of them
+    other = paper_schema()
+    other.add_class(URI("http://example.org/another#C"))
+    for body in (request, reply, shipment):
+        with pytest.raises(CodecError):
+            decode_message(body, [other])
+
+
+def test_a_shipment_without_a_schema_writes_its_patterns_whole(plan):
+    """A ``SubPlanPacket`` built without its schema still crosses: each
+    path pattern record carries its URIs, and no fingerprint is
+    needed to read it."""
+    sub = SubPlanPacket("ch-1", (plan,), {}, "P1", "q3")
+    body = json.loads(json.dumps(encode_message(Message("P1", "P2", sub))))
+    assert "schema" not in body["payload"]["f"]
+    decoded = decode_message(body, []).payload
+    assert decoded == sub and decoded.schema is None
 
 
 def _batch_body():

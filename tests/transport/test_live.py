@@ -291,3 +291,47 @@ def test_signal_handler_wake_ends_a_lifetime_wait(waiter):
         timer.cancel()
         seed_t.loop.remove_signal_handler(signal.SIGUSR1)
     assert elapsed < OLD_QUANTUM / 2
+
+
+# ----------------------------------------------------------------------
+# a frame that does not decode drops its connection, not the node
+# ----------------------------------------------------------------------
+def test_a_frame_naming_an_unknown_schema_is_counted_and_the_node_answers_on(tmp_path):
+    """A ``RouteRequest`` whose pattern names a schema fingerprint no
+    node of the super-peer's process holds is a ``CodecError``: the
+    super-peer drops that connection, counts ``malformed_frames``, and
+    routes the next query as before."""
+    import json
+    import re
+
+    from repro.deploy import ClusterSpec, LiveCluster
+    from repro.peers.protocol import RouteRequest
+    from repro.rql.pattern import pattern_from_text
+    from repro.transport.codec import encode_frame, encode_message
+    from repro.transport.framing import pack_frame
+
+    spec = ClusterSpec(seed=1, peers=2, super_peers=1)
+    (super_peer,) = spec.super_ids()
+    cluster = LiveCluster(spec, tmp_path / "run")
+    text = cluster.workload.queries[0]
+    pattern = pattern_from_text(text, cluster.workload.synthetic.schema)
+    body = json.loads(json.dumps(encode_message(
+        Message("P1", super_peer, RouteRequest("hostile", pattern, "P1"))
+    )))
+    body["payload"]["f"]["pattern"]["f"][0] = "A" * 43  # no such schema
+    try:
+        cluster.start()
+        healthy = cluster.query("P1", text)
+        with socket.create_connection(cluster.transport.book[super_peer]) as sock:
+            sock.sendall(pack_frame(encode_frame("msg", body)))
+            sock.settimeout(10.0)
+            assert sock.recv(1) == b""  # the super-peer hung up on it
+        after = cluster.query("P1", text)
+    finally:
+        summary = cluster.shutdown()
+    assert healthy.error is None and after.error is None
+    assert after.table == healthy.table and len(after.table) > 0
+    assert all(code == 0 for code in summary["exit_codes"].values()), summary
+    exposition = (tmp_path / "run" / f"{super_peer}.metrics.prom").read_text()
+    (count,) = re.findall(r"^repro_malformed_frames_total\{.*\} (\S+)$", exposition, re.M)
+    assert float(count) == 1

@@ -5,6 +5,9 @@ shipping decisions and the benchmark's ``wire_bytes_per_query`` count;
 the JSON frame is what a live link carries.  For a binding table the
 two must tell the same story: one term list — each distinct namespace
 once, each term's local part once — and a small constant per cell.
+For the control plane too: a query pattern names its schema by
+fingerprint and its path patterns by term id, so a routing round trip
+or a shipment of scans stays near its modelled size.
 """
 
 import json
@@ -21,12 +24,17 @@ from repro.peers.protocol import QueryResult, RouteReply, RouteRequest
 from repro.rdf import Namespace
 from repro.rdf.dictionary import TermDictionary
 from repro.rql.bindings import BindingTable, terms_size_bytes
+from repro.rql.pattern import pattern_from_text
+from repro.rvl.active_schema import ActiveSchema
 from repro.transport.codec import encode_frame, encode_message
+from repro.workloads.data_gen import generate_bases
 from repro.workloads.paper import (
     paper_active_schemas,
     paper_query_pattern,
     paper_schema,
 )
+from repro.workloads.query_gen import chain_query
+from repro.workloads.schema_gen import generate_schema
 
 DATA = Namespace("http://ics.forth.gr/sqpeer/data#")
 #: real frame bytes a modelled byte may stand for
@@ -114,12 +122,16 @@ def test_two_output_packet_names_the_terms_they_share_once(join_answer):
 
 
 def _shipment():
-    """One subplan per packet, and the same three in one."""
-    pattern = paper_query_pattern(paper_schema())
+    """One subplan per packet, and the same three in one, each naming
+    the schema of its scans as a root's shipment does."""
+    schema = paper_schema()
+    pattern = paper_query_pattern(schema)
     q1, q2 = pattern.patterns[:2]
     plans = (Scan((q1,), "P2"), Scan((q2,), "P2"), Scan((q1, q2), "P2"))
-    one_each = [SubPlanPacket("P1#1", (plan,), {}, "P1", "C-q1") for plan in plans]
-    return one_each, SubPlanPacket("P1#1", plans, {}, "P1", "C-q1")
+    one_each = [
+        SubPlanPacket("P1#1", (plan,), {}, "P1", "C-q1", schema=schema) for plan in plans
+    ]
+    return one_each, SubPlanPacket("P1#1", plans, {}, "P1", "C-q1", schema=schema)
 
 
 def test_three_subplan_packet_saves_at_least_the_modelled_headers():
@@ -135,7 +147,7 @@ def test_three_subplan_packet_saves_at_least_the_modelled_headers():
 def test_requested_headers_keep_the_subplan_frame_near_its_model():
     """A header asked of each output is charged as a table header: the
     shipment grows in model and frame, and its frame-to-model ratio
-    (the strict xfail below records it) gets no worse."""
+    gets no worse."""
     _, shipment = _shipment()
     narrowed = replace(shipment, columns=(("X",), ("Y",), ("X", "Z")))
     assert narrowed.size_bytes() > shipment.size_bytes()
@@ -143,28 +155,16 @@ def test_requested_headers_keep_the_subplan_frame_near_its_model():
     assert len(frame_of(narrowed)) <= ratio * narrowed.size_bytes()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="finding, older than the per-destination packet and not fixed by it: "
-    "a Scan is modelled at 96 B but each of its path patterns is ~370 B of "
-    "JSON (three full URIs under nested class tags), so a one-scan "
-    "SubPlanPacket frame is 600 B against 224 B modelled (2.7x) and the "
-    "three-subplan shipment 1771 B against 416 B (4.3x); raising the model "
-    "would move wire_bytes_per_query, compacting the pattern encoding is "
-    "ROADMAP direction 4",
-)
 def test_three_subplan_packet_stays_near_the_model():
-    _, shipment = _shipment()
-    assert len(frame_of(shipment)) <= MAX_FRAME_RATIO * shipment.size_bytes()
+    """The shipment names its schema once and each scan's path pattern
+    as a record of term ids: 483 B against 416 B modelled (1.16x, and
+    1.54x for its first scan alone); with each pattern three full URIs
+    under nested class tags it was 1771 B (4.3x) and 600 B (2.7x)."""
+    one_each, shipment = _shipment()
+    for packet in (shipment, one_each[0]):
+        assert len(frame_of(packet)) <= MAX_FRAME_RATIO * packet.size_bytes()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="finding for the data-plane list, not fixed here: the codec "
-    "serialises the whole community Schema inside every QueryPattern, so the "
-    "paper query's RouteRequest is 1958 B of JSON against 192 B modelled "
-    "(10.2x) and its RouteReply 4586 B against 288 B (15.9x)",
-)
 @pytest.mark.parametrize("kind", ["RouteRequest", "RouteReply"])
 def test_routing_frames_stay_near_the_model(kind):
     schema = paper_schema()
@@ -174,4 +174,28 @@ def test_routing_frames_stay_near_the_model(kind):
     else:
         annotated = route_query(pattern, paper_active_schemas(schema).values(), schema)
         payload = RouteReply("q1", annotated)
+    # 303 B against 192 B (1.58x) and 406 B against 288 B (1.41x); with
+    # the whole schema inside the pattern 1958 B (10.2x) and 4586 B (15.9x)
+    assert len(frame_of(payload)) <= MAX_FRAME_RATIO * payload.size_bytes()
+    assert frame_of(payload).count(schema.fingerprint.encode()) == 1
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_fanout_route_reply_stays_near_the_model(length):
+    """The sim-fanout shape: 32 peers over an 8-segment chain schema,
+    so a chain query's reply annotates 20 and more peers.  A peer whose
+    rewritten pattern is the query's own costs its id and exact flag."""
+    synthetic = generate_schema(chain_length=8, noise_properties=1)
+    peers = [f"P{i}" for i in range(1, 33)]
+    bases = generate_bases(
+        synthetic, peers, statements_per_segment=6, shared_pool=6, seed=11
+    ).bases
+    schema = synthetic.schema
+    advertised = [ActiveSchema.from_base(bases[p], schema, p) for p in peers]
+    pattern = pattern_from_text(chain_query(synthetic, 0, length), schema)
+    annotated = route_query(pattern, advertised, schema)
+    assert len(annotated.all_peers()) >= 20
+    payload = RouteReply("C-q17", annotated)
+    # 585 / 853 / 1114 B against 864 / 1440 / 2016 B modelled: ~0.6x,
+    # where with the schema inside the pattern it was 18 KB against 1.2 KB
     assert len(frame_of(payload)) <= MAX_FRAME_RATIO * payload.size_bytes()
