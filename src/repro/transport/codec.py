@@ -444,21 +444,18 @@ def _decode_terms(value) -> tuple:
     """Rebuild a term list, refusing any namespace or local part that
     is not a string, an index naming no namespace, an empty URI and an
     entry that is no term."""
-    try:
-        namespaces, terms = value["ns"], []
-        if type(namespaces) is not list or any(type(n) is not str for n in namespaces):
-            raise ValueError(f"{namespaces!r} is not a list of namespaces")
-        for entry in value["t"]:
-            if type(entry) is list:  # [namespace index, local part]
-                index, local = entry
-                term = URI(namespaces[index] + local) if _is_index(index, len(namespaces)) else None
-            else:
-                term = _decode(entry, _no_schema)
-            if not isinstance(term, Term):
-                raise ValueError(f"{entry!r} is not a term")
-            terms.append(term)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed term list: {exc}") from None
+    namespaces, terms = value["ns"], []
+    if type(namespaces) is not list or any(type(n) is not str for n in namespaces):
+        raise CodecError(f"{namespaces!r} is not a list of namespaces")
+    for entry in value["t"]:
+        if type(entry) is list:  # [namespace index, local part]
+            index, local = entry
+            term = URI(namespaces[index] + local) if _is_index(index, len(namespaces)) else None
+        else:
+            term = _decode(entry, _no_schema)
+        if not isinstance(term, Term):
+            raise CodecError(f"{entry!r} is not a term")
+        terms.append(term)
     return tuple(terms)
 
 
@@ -702,15 +699,11 @@ def _encode_data(packet: DataPacket) -> dict:
 
 def _decode_data(fields: dict, resolve: Resolve) -> DataPacket:
     """Rebuild a data packet, every table over the packet's terms."""
-    try:
-        terms = _decode_terms(fields["terms"]) if "terms" in fields else ()
-        tables = tuple(
-            (output, _decode_table(table["f"], terms))
-            for output, table in (entry["$t"] for entry in fields["tables"]["$t"])
-        )
-    except (KeyError, TypeError, ValueError):
-        raise CodecError("a DataPacket's terms are a list and its tables "
-                         "(output, table) pairs") from None
+    terms = _decode_terms(fields["terms"]) if "terms" in fields else ()
+    tables = tuple(
+        (output, _decode_table(table["f"], terms))
+        for output, table in (entry["$t"] for entry in fields["tables"]["$t"])
+    )
     packet = DataPacket(
         tables=tables,
         **{name: _decode(fields[name], resolve) for name in _DATA_FIELDS if name in fields},
@@ -751,12 +744,8 @@ def _decode_batch(fields: dict, resolve: Resolve) -> UpdateBatch:
             return kinds[entry[0]](Triple(*(terms[i] for i in entry[1:])))
         raise CodecError(f"{entry!r} is no update record over {len(terms)} terms")
 
-    try:
-        terms = _decode_terms(fields["terms"])
-        updates = tuple(map(record, fields["updates"]))
-        return UpdateBatch(fields["target"], fields["revision"], updates)
-    except (KeyError, TypeError) as exc:
-        raise CodecError(f"malformed UpdateBatch: {exc}") from None
+    terms = _decode_terms(fields["terms"])
+    return UpdateBatch(fields["target"], fields["revision"], tuple(map(record, fields["updates"])))
 
 
 _register(UpdateBatch, _encode_batch, _decode_batch)

@@ -14,7 +14,7 @@ newer peer can talk to an older one.
 By reference: a query pattern, an annotated one and a shipment of scans
 name their schema by fingerprint and come back over the *receiver's*
 own copy of it; and whatever a hostile frame changes in them, decoding
-either succeeds or raises ``CodecError``.
+either succeeds or raises ``CodecError`` (for every other payload too).
 """
 
 import json
@@ -474,12 +474,13 @@ hostile_values = st.one_of(
 )
 
 
-@given(by_reference, st.data())
-@settings(max_examples=300, deadline=None)
-def test_a_damaged_pattern_decodes_or_raises_codec_error(payload, data):
-    """Overwrite any one position of the encoded payload with any JSON
-    value: the decoder returns a payload or raises ``CodecError`` —
-    never another exception that would kill a live reader task."""
+@given(st.one_of(by_reference, payloads), st.data())
+@settings(max_examples=400, deadline=None)
+def test_a_damaged_payload_decodes_or_raises_codec_error(payload, data):
+    """Overwrite any one position of an encoded payload — a pattern sent
+    by reference, a table, a packet — with any JSON value: the decoder
+    returns a payload or raises ``CodecError``, never another exception
+    that would kill a live reader task."""
     fields = json.loads(json.dumps(encode_message(Message("P1", "SP1", payload))))
     positions = list(_leaves(fields["payload"]))
     container, key = data.draw(st.sampled_from(positions))
