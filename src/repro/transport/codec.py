@@ -235,9 +235,14 @@ def _decode_message(fields: dict, resolve: Resolve) -> Message:
     )
 
 
+#: the one frame encoder: ``json.dumps`` with these options would build
+#: a new encoder per frame; a frame has no cycles to check for
+_FRAME_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def encode_frame(kind: str, body: dict) -> bytes:
     """Serialise one wire frame body (sans length prefix) as JSON."""
-    return json.dumps({"kind": kind, "body": body}, separators=(",", ":")).encode()
+    return _FRAME_ENCODER.encode({"kind": kind, "body": body}).encode()
 
 
 def decode_frame(data: bytes) -> Tuple[str, dict]:
@@ -248,7 +253,10 @@ def decode_frame(data: bytes) -> Tuple[str, dict]:
         raise CodecError(f"malformed frame: {exc}") from None
     if not isinstance(parsed, dict) or "kind" not in parsed:
         raise CodecError("frame missing 'kind'")
-    return parsed["kind"], parsed.get("body", {})
+    body = parsed.get("body", {})
+    if not isinstance(body, dict):
+        raise CodecError("frame body is not an object")
+    return parsed["kind"], body
 
 
 # ----------------------------------------------------------------------

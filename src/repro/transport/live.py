@@ -13,15 +13,19 @@ startup, announces its local nodes with a ``hello`` frame, and receives
 ``book`` broadcasts as the membership changes.  Data connections are
 then opened peer-process to peer-process on demand.
 
+Each socket runs an :class:`asyncio.Protocol` that dispatches frames
+as ``data_received`` completes them; outgoing frames are written
+straight to the socket.
+
 Time: protocol code above the seam thinks in virtual-time units
 (latencies around tens of units).  The live transport maps one unit to
 ``time_scale`` real seconds, so *timers* — retry policies, heartbeat
 intervals, deadlines written for the simulator — behave proportionally
 on the wire.  *Waiting* is not scaled: :meth:`AsyncioTransport.run_until`
-sleeps on one wake event that every dispatched frame, every fired
-``schedule()`` action and :meth:`AsyncioTransport.wake` set, so a waiter
-resumes when the thing it awaits happens and ``time_scale`` only decides
-when it gives up.
+waits on one future, resolved by the dispatched frames, fired
+``schedule()`` action or :meth:`AsyncioTransport.wake` that make its
+predicate true, so a waiter resumes when the thing it awaits happens
+and ``time_scale`` only decides when it gives up.
 
 Failure semantics mirror the simulator's omniscient bounces: when a
 destination process is unreachable (connect retries exhausted, governed
@@ -61,81 +65,110 @@ DEFAULT_DIAL_POLICY = RetryPolicy(
 DRAIN_TIMEOUT = 0.25
 
 
-class _Conn:
-    """One outbound connection to a process address, with reconnect."""
+class _Link(asyncio.Protocol):
+    """The protocol on a socket to another process: each frame a
+    ``data_received`` chunk completes is dispatched there and then.
 
-    def __init__(self, transport: "AsyncioTransport", addr: Address):
-        self.transport = transport
+    An accepted link lives as long as its socket.  A dialled one
+    (``addr`` set) serves every socket it dials: its outbox holds frames
+    only while dialling or paused, and survives a redial.
+    """
+
+    def __init__(self, owner: "AsyncioTransport", addr: Optional[Address] = None):
+        self.owner = owner
         self.addr = addr
         self.outbox: Deque[Tuple[bytes, Optional[object]]] = deque()
-        self.kick = asyncio.Event()
-        #: set while the pump has nothing it can still write: the outbox
-        #: went through ``writer.drain()``, or the connection is lost
-        self.idle = asyncio.Event()
-        self.idle.set()
-        self.closed = False
-        self.connected = False
-        self.task = transport.loop.create_task(self._pump())
+        self.socket: Optional[asyncio.Transport] = None
+        self.frames = FrameReader()
+        self.paused = self.closed = False
+        self.task = owner.loop.create_task(self._dial()) if addr else None
+
+    def connection_made(self, socket: asyncio.Transport) -> None:
+        self.socket, self.frames, self.paused = socket, FrameReader(), False
+        if self.addr is None:
+            self.owner._inbound.append(socket)
+        else:
+            socket.write(pack_frame(self.owner._hello_frame()))
+            self.flush()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.frames.feed(data):
+                self.owner._dispatch(*decode_frame(frame))
+        except CodecError as exc:
+            self._drop(str(exc))  # a corrupt stream is unrecoverable
+        finally:
+            self.owner._check()
+
+    def eof_received(self) -> None:
+        if self.frames.pending_bytes():
+            self._drop("connection ended inside a frame")
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # a reset mid-frame; a hang-up of our own passes ``exc=None``
+        if isinstance(exc, OSError) and self.frames.pending_bytes():
+            self._drop("connection ended inside a frame")
+        if self.addr is None:
+            self.owner._inbound.remove(self.socket)
+        elif not self.closed:
+            self.task = self.owner.loop.create_task(self._dial())
+        self.socket = None
+        self.owner._check()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+        self.owner._check()  # a close() may be waiting for the outbox
 
     def enqueue(self, frame: bytes, message=None) -> None:
         self.outbox.append((frame, message))
-        self.idle.clear()
-        self.kick.set()
+        self.flush()
+
+    def flush(self) -> None:
+        socket = self.socket
+        while self.outbox and socket is not None and not self.paused:
+            if socket.is_closing():
+                return  # connection_lost follows, then the redial
+            socket.write(pack_frame(self.outbox.popleft()[0]))
 
     def close(self) -> None:
         self.closed = True
-        self.kick.set()
         self.task.cancel()
+        if self.socket is not None:
+            self.socket.close()
 
-    async def _pump(self) -> None:
-        policy = self.transport.dial_policy.for_peer(f"{self.addr[0]}:{self.addr[1]}")
-        attempt = 0
-        while not self.closed:
-            attempt += 1
+    def _drop(self, reason: str) -> None:
+        """Count the unreadable frame once and hang up on its sender."""
+        self.frames = FrameReader()
+        network = self.owner.network
+        if network is not None:
+            network.metrics.count("malformed_frames")
+            network.emit_event("malformed_frame", reason=reason)
+        self.socket.close()
+
+    async def _dial(self) -> None:
+        owner = self.owner
+        policy = owner.dial_policy.for_peer(f"{self.addr[0]}:{self.addr[1]}")
+        attempt = 1
+        while True:
             try:
-                reader, writer = await asyncio.open_connection(*self.addr)
+                await owner.loop.create_connection(lambda: self, *self.addr)
+                return
             except OSError:
                 if not policy.attempts_left(attempt + 1):
-                    self._give_up()
-                    return
-                await asyncio.sleep(policy.timeout(attempt) * self.transport.time_scale)
-                continue
-            attempt = 0
-            self.connected = True
-            writer.write(pack_frame(self.transport._hello_frame()))
-            reader_task = self.transport.loop.create_task(
-                self.transport._read_frames(reader, writer)
-            )
-            reader_task.add_done_callback(lambda _: self.kick.set())
-            try:
-                while not self.closed and not reader_task.done():
-                    while self.outbox:
-                        frame, _ = self.outbox[0]
-                        writer.write(pack_frame(frame))
-                        await writer.drain()
-                        self.outbox.popleft()
-                    self.idle.set()
-                    self.kick.clear()
-                    if self.outbox or reader_task.done():
-                        continue
-                    await self.kick.wait()
-            except (ConnectionError, OSError):
-                pass  # reconnect with the partially drained outbox
-            finally:
-                self.connected = False
-                self.idle.set()
-                reader_task.cancel()
-                writer.close()
-
-    def _give_up(self) -> None:
-        """Dial budget exhausted: bounce queued messages, forget the conn."""
-        self.connected = False
-        network = self.transport.network
+                    break
+                await asyncio.sleep(policy.timeout(attempt) * owner.time_scale)
+                attempt += 1
+        # dial budget exhausted: bounce queued messages, forget the link
         while self.outbox:
             _, message = self.outbox.popleft()
-            if message is not None and network is not None:
-                network.bounce_remote(message)
-        self.transport._drop_conn(self)
+            if message is not None and owner.network is not None:
+                owner.network.bounce_remote(message)
+        if owner._conns.get(self.addr) is self:
+            del owner._conns[self.addr]
 
 
 class AsyncioTransport(Transport):
@@ -176,15 +209,15 @@ class AsyncioTransport(Transport):
         self._epoch = self.loop.time()
         self.network = None
         self.book: Dict[str, Address] = {}
-        self._conns: Dict[Address, _Conn] = {}
-        self._inbound: List[asyncio.StreamWriter] = []
+        self._conns: Dict[Address, _Link] = {}
+        self._inbound: List[asyncio.Transport] = []
         self._held: Dict[str, List[object]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._local_nodes: List[str] = []
         self._started = False
-        #: the one wake primitive: set whenever something happened that
-        #: can change what a :meth:`run_until` waiter is looking at
-        self._wake = asyncio.Event()
+        #: ``(predicate, future)`` of the wait in progress: whatever can
+        #: make the predicate true calls :meth:`_check` after it runs
+        self._waiter: Optional[Tuple[Callable[[], bool], asyncio.Future]] = None
 
     # ------------------------------------------------------------------
     # Transport surface
@@ -197,10 +230,10 @@ class AsyncioTransport(Transport):
         self.loop.call_later(max(0.0, delay) * self.time_scale, self._fire, action)
 
     def _fire(self, action: Callable[[], None]) -> None:
-        # a waiter resumes only after this callback returns, so waking
-        # first is equivalent and holds even when the action raises
-        self._wake.set()
-        action()
+        try:
+            action()
+        finally:
+            self._check()
 
     def wake(self) -> None:
         """Make a :meth:`run_until` waiter re-check its predicate now.
@@ -209,7 +242,7 @@ class AsyncioTransport(Transport):
         timers — a signal handler, a callback of another server on this
         loop.  Call it on the loop's thread.
         """
-        self._wake.set()
+        self._check()
 
     def routes(self, dst: str) -> bool:
         return True  # optimistic: unknown nodes get the hold-then-bounce path
@@ -244,48 +277,52 @@ class AsyncioTransport(Transport):
         self.start()
         remaining = (until - self.now) * self.time_scale
         if remaining > 0:
-            self.loop.run_until_complete(asyncio.sleep(remaining))
+            self._wait(lambda: False, remaining)
         return 0
 
     def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
         """Run until ``predicate()`` holds or ``timeout`` virtual units pass.
 
-        Event-driven: the loop sleeps on the wake event and the predicate
-        is re-checked after every wake, so the call returns as soon as
-        the frame, timer or :meth:`wake` that makes it true has run.
-        Returns ``False`` only at the ``timeout`` deadline.
+        Event-driven: the predicate is re-checked after every dispatched
+        chunk of frames, fired timer and :meth:`wake`, so the call
+        returns as soon as the one that makes it true has run.  Returns
+        ``False`` only at the ``timeout`` deadline.
         """
+        return self._wait(predicate, timeout * self.time_scale)
+
+    def _wait(self, predicate: Callable[[], bool], seconds: float) -> bool:
         self.start()
-        return self.loop.run_until_complete(
-            self._wait(predicate, self.loop.time() + timeout * self.time_scale)
-        )
-
-    async def _wait(self, predicate: Callable[[], bool], deadline: float) -> bool:
-        expired = False
-
-        def expire() -> None:
-            nonlocal expired
-            expired = True
-            self._wake.set()
-
-        timer = self.loop.call_at(deadline, expire)
-        try:
-            while not predicate():
-                if expired:
-                    return False
-                self._wake.clear()
-                await self._wake.wait()
+        if predicate():
             return True
+        done = self.loop.create_future()
+        self._waiter = (predicate, done)
+        deadline = self.loop.call_later(
+            seconds, lambda: done.done() or done.set_result(False)
+        )
+        try:
+            return self.loop.run_until_complete(done)
         finally:
-            timer.cancel()
+            deadline.cancel()
+            self._waiter = None
+
+    def _check(self) -> None:
+        """Resolve the wait in progress once its predicate holds."""
+        if self._waiter is None or self._waiter[1].done():
+            return
+        predicate, done = self._waiter
+        try:
+            if predicate():
+                done.set_result(True)
+        except Exception as exc:  # raised out of run_until, as before
+            done.set_exception(exc)
 
     def pending_events(self) -> int:
         queued = sum(len(c.outbox) for c in self._conns.values())
         return queued + sum(len(held) for held in self._held.values())
 
     def diagnostics_extra(self) -> dict:
-        open_sockets = sum(1 for c in self._conns.values() if c.connected)
-        open_sockets += sum(1 for w in self._inbound if not w.is_closing())
+        open_sockets = sum(1 for c in self._conns.values() if c.socket)
+        open_sockets += sum(1 for s in self._inbound if not s.is_closing())
         return {"open_sockets": open_sockets, "address_book_size": len(self.book)}
 
     # ------------------------------------------------------------------
@@ -304,8 +341,8 @@ class AsyncioTransport(Transport):
         return self.address
 
     async def _start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port
+        self._server = await self.loop.create_server(
+            lambda: _Link(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         for node_id in self._local_nodes:
@@ -316,29 +353,25 @@ class AsyncioTransport(Transport):
 
     def close(self) -> None:
         """Graceful leave: say bye, flush, tear everything down."""
-        if not self._started:
-            self.loop.close()
-            return
-        self.loop.run_until_complete(self._shutdown())
-        self._started = False
+        if self._started:
+            bye = encode_frame("bye", {"nodes": list(self._local_nodes)})
+            connected = [conn for conn in self._conns.values() if conn.socket]
+            for conn in connected:
+                conn.enqueue(bye)
+            # a wedged peer misses the bye; its dial give-up covers it
+            self._wait(
+                lambda: all(not c.outbox or not c.socket for c in connected),
+                DRAIN_TIMEOUT,
+            )
+            self.loop.run_until_complete(self._shutdown())
+            self._started = False
         self.loop.close()
 
     async def _shutdown(self) -> None:
-        bye = encode_frame("bye", {"nodes": list(self._local_nodes)})
-        connected = [conn for conn in self._conns.values() if conn.connected]
-        for conn in connected:
-            conn.enqueue(bye)
-        try:
-            await asyncio.wait_for(
-                asyncio.gather(*(conn.idle.wait() for conn in connected)),
-                DRAIN_TIMEOUT,
-            )
-        except asyncio.TimeoutError:
-            pass  # a wedged peer misses the bye; its dial give-up covers it
         for conn in list(self._conns.values()):
             conn.close()
-        for writer in self._inbound:
-            writer.close()
+        for socket in self._inbound:
+            socket.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -347,54 +380,20 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     # connections and frames
     # ------------------------------------------------------------------
-    def _conn_for(self, addr: Address) -> _Conn:
+    def _conn_for(self, addr: Address) -> _Link:
         addr = tuple(addr)
         conn = self._conns.get(addr)
         if conn is None:
-            conn = _Conn(self, addr)
+            conn = _Link(self, addr)
             self._conns[addr] = conn
         return conn
-
-    def _drop_conn(self, conn: _Conn) -> None:
-        if self._conns.get(conn.addr) is conn:
-            del self._conns[conn.addr]
 
     def _hello_frame(self) -> bytes:
         return encode_frame(
             "hello", {"nodes": list(self._local_nodes), "addr": list(self.address)}
         )
 
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._inbound.append(writer)
-        try:
-            await self._read_frames(reader, writer)
-        finally:
-            if writer in self._inbound:
-                self._inbound.remove(writer)
-            writer.close()
-
-    async def _read_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = FrameReader()
-        while True:
-            try:
-                chunk = await reader.read(64 * 1024)
-            except (ConnectionError, OSError):
-                return
-            if not chunk:
-                return
-            try:
-                for frame in frames.feed(chunk):
-                    self._dispatch(*decode_frame(frame), writer=writer)
-            except CodecError:
-                # a corrupt stream is unrecoverable: drop the conn
-                if self.network is not None:
-                    self.network.metrics.count("malformed_frames")
-                return
-
-    def _dispatch(self, kind: str, body: dict, writer: asyncio.StreamWriter) -> None:
-        self._wake.set()  # as in _fire: the waiter runs after this returns
+    def _dispatch(self, kind: str, body: dict) -> None:
         if kind == "msg":
             if self.network is not None:
                 self.network.deliver_remote(decode_message(body, self._held_schemas()))
@@ -430,9 +429,9 @@ class AsyncioTransport(Transport):
         frame = pack_frame(
             encode_frame("book", {"book": {n: list(a) for n, a in self.book.items()}})
         )
-        for writer in self._inbound:
-            if not writer.is_closing():
-                writer.write(frame)
+        for socket in self._inbound:
+            if not socket.is_closing():
+                socket.write(frame)
 
     # ------------------------------------------------------------------
     # unroutable handling

@@ -12,6 +12,7 @@ first one can wait for real.  (Full multi-process coverage lives in
 import os
 import signal
 import socket
+import struct
 import threading
 import time
 
@@ -22,6 +23,8 @@ from repro.net.simulator import Network
 from repro.peers.base import Peer
 from repro.peers.protocol import Goodbye
 from repro.resilience.retry import RetryPolicy
+from repro.transport.codec import encode_frame, encode_message
+from repro.transport.framing import MAX_FRAME_BYTES, pack_frame
 from repro.transport.live import DEFAULT_TIME_SCALE, AsyncioTransport
 
 #: Aggressive clock for tests: 200 virtual units per real second.
@@ -336,3 +339,93 @@ def test_a_frame_naming_an_unknown_schema_is_counted_and_the_node_answers_on(tmp
     exposition = (tmp_path / "run" / f"{super_peer}.metrics.prom").read_text()
     (count,) = re.findall(r"^repro_malformed_frames_total\{.*\} (\S+)$", exposition, re.M)
     assert float(count) == 1
+
+
+# ----------------------------------------------------------------------
+# the hostile-frame wall: raw sockets against one live super-peer
+# ----------------------------------------------------------------------
+def _route_request(cluster, super_peer, text):
+    """A well-formed ``RouteRequest`` frame, as P1 would send it."""
+    from repro.peers.protocol import RouteRequest
+    from repro.rql.pattern import pattern_from_text
+
+    pattern = pattern_from_text(text, cluster.workload.synthetic.schema)
+    message = Message("P1", super_peer, RouteRequest("hostile", pattern, "P1"))
+    return pack_frame(encode_frame("msg", encode_message(message)))
+
+
+#: case -> (the bytes sent, given a valid RouteRequest frame; how many
+#: malformed frames they hold; whether they go one byte per send)
+HOSTILE = {
+    "length-over-max": (
+        lambda valid: struct.pack(">I", MAX_FRAME_BYTES + 1) + b"{}", 1, False),
+    "cut-off-by-eof": (lambda valid: valid[:-7], 1, False),
+    "invalid-utf8": (lambda valid: pack_frame(b'{"kind":"\xff\xfe"}'), 1, False),
+    "invalid-json": (lambda valid: pack_frame(b'{"kind":"msg",'), 1, False),
+    "not-an-object": (lambda valid: pack_frame(b'["msg",{}]'), 1, False),
+    "no-kind": (lambda valid: pack_frame(b'{"body":{}}'), 1, False),
+    "body-not-an-object": (
+        lambda valid: pack_frame(b'{"kind":"hello","body":[]}'), 1, False),
+    "unknown-kind": (
+        lambda valid: pack_frame(b'{"kind":"gossip","body":{"x":1}}'), 0, False),
+    "route-request-byte-by-byte": (lambda valid: valid, 0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_a_hostile_frame_drops_only_its_connection(tmp_path, case):
+    """Every malformed stream costs its sender the connection, adds one
+    to ``malformed_frames`` and leaves a ``malformed_frame`` event in
+    the node's flight recorder; a frame of an unknown kind is ignored
+    and a valid one dribbled in a byte at a time is routed.  Either
+    way the super-peer routes the next query as before."""
+    import json
+    import re
+
+    from repro.deploy import ClusterSpec, LiveCluster
+
+    build, malformed, byte_by_byte = HOSTILE[case]
+    spec = ClusterSpec(seed=1, peers=2, super_peers=1)
+    (super_peer,) = spec.super_ids()
+    cluster = LiveCluster(spec, tmp_path / "run")
+    text = cluster.workload.queries[0]
+    data = build(_route_request(cluster, super_peer, text))
+    try:
+        cluster.start()
+        healthy = cluster.query("P1", text)
+        with socket.create_connection(cluster.transport.book[super_peer]) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for piece in ([data[i:i + 1] for i in range(len(data))]
+                          if byte_by_byte else [data]):
+                sock.sendall(piece)
+            if not malformed:
+                sock.settimeout(0.3)  # the node keeps this connection open
+                with pytest.raises(socket.timeout):
+                    sock.recv(1)
+            if case == "cut-off-by-eof" or not malformed:
+                sock.shutdown(socket.SHUT_WR)
+            sock.settimeout(10.0)
+            try:
+                while sock.recv(4096):  # until the super-peer hangs up
+                    pass
+            except ConnectionResetError:
+                pass  # it hung up on bytes it had not read
+        after = cluster.query("P1", text)
+    finally:
+        summary = cluster.shutdown()
+    assert healthy.error is None and after.error is None
+    assert after.table == healthy.table and len(after.table) > 0
+    assert all(code == 0 for code in summary["exit_codes"].values()), summary
+    run = tmp_path / "run"
+    exposition = (run / f"{super_peer}.metrics.prom").read_text()
+    (count,) = re.findall(r"^repro_malformed_frames_total\{.*\} (\S+)$", exposition, re.M)
+    assert float(count) == malformed
+    events = [json.loads(line)
+              for line in (run / f"{super_peer}.events.jsonl").read_text().splitlines()]
+    dropped = [e for e in events if e["kind"] == "malformed_frame"]
+    assert len(dropped) == malformed and all(e["reason"] for e in dropped)
+    (replies,) = re.findall(
+        r'^repro_messages_by_kind_total\{kind="RouteReply",.*\} (\S+)$', exposition, re.M
+    )
+    # the two queries' replies, plus one to the dribbled RouteRequest
+    assert float(replies) == 2 + (case == "route-request-byte-by-byte")
