@@ -65,7 +65,8 @@ class FrameReader:
         while end <= len(data):
             frames.append(data[start + _HEADER.size : end])
             start, end = end, _frame_end(data, end)
-        buffer += data[start:]
+        if start < len(data):
+            buffer += data[start:]
         return frames
 
     def pending_bytes(self) -> int:
