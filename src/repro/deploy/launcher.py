@@ -63,9 +63,8 @@ SETTLE_BACKOFF = 0.25
 #: Virtual-time units between the starts of consecutive
 #: :meth:`LiveCluster.query` calls (18 ms at the default time scale): the
 #: closed loop is paced, so its rate is this interval's and not whatever
-#: the host's CPU makes of the ~5-17 ms an answer takes.  The pacing is
-#: a transport timer armed for the submit, so a paced query enters the
-#: event loop once.  ``submit`` and ``await_result`` are not paced.
+#: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
+#: ``await_result`` are not paced.
 QUERY_INTERVAL = 0.9
 #: Fraction of each base the ``launch --updates`` revision mutates.
 UPDATE_RATE = 0.08
@@ -323,39 +322,21 @@ class LiveCluster:
         """Wait for the answer and take it out of ``client``, so a long
         run's client holds no answered query."""
         self.transport.run_until(lambda: query_id in client.results, timeout)
-        return self._take_result(client, query_id)
+        result = client.results.pop(query_id, None)
+        if result is None:
+            raise NetworkError(f"query {query_id} timed out live")
+        return result
 
     def query(self, via: str, text: str, timeout: float = QUERY_TIMEOUT):
         """One query to completion; returns the
         :class:`~repro.peers.client.QueryResult` (table, error or
         coverage-annotated partial).  Consecutive calls start at least
-        :data:`QUERY_INTERVAL` apart: the submit is a transport timer at
-        the pacing instant, and one event-driven wait covers it and the
-        answer, up to ``timeout`` past that instant."""
-        delay = max(0.0, self._next_query - self.transport.now)
-        submitted: list = []
-
-        def start() -> None:
-            self._next_query = self.transport.now + QUERY_INTERVAL
-            try:
-                submitted.append(self.submit(via, text))
-            except Exception as exc:  # raised out of run_until by answered()
-                submitted.append(exc)
-
-        def answered() -> bool:
-            if submitted and isinstance(submitted[0], Exception):
-                raise submitted[0]
-            return bool(submitted) and submitted[0][1] in submitted[0][0].results
-
-        self.transport.schedule(delay, start)
-        self.transport.run_until(answered, delay + timeout)
-        return self._take_result(*submitted[0])
-
-    def _take_result(self, client, query_id: str):
-        result = client.results.pop(query_id, None)
-        if result is None:
-            raise NetworkError(f"query {query_id} timed out live")
-        return result
+        :data:`QUERY_INTERVAL` apart; the wait for the answer itself is
+        event-driven."""
+        self.transport.run(until=self._next_query)  # returns at once when past
+        self._next_query = self.transport.now + QUERY_INTERVAL
+        client, query_id = self.submit(via, text)
+        return self.await_result(client, query_id, timeout)
 
     # ------------------------------------------------------------------
     # teardown and artifacts

@@ -28,18 +28,6 @@ def pack_frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload)) + payload
 
 
-def _frame_end(data: bytes, start: int) -> int:
-    """Offset one past the frame at ``start`` (past ``data`` while its
-    header is incomplete); an oversize length is refused from the
-    header alone, before its body is buffered."""
-    if len(data) - start < _HEADER.size:
-        return len(data) + 1
-    (length,) = _HEADER.unpack_from(data, start)
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    return start + _HEADER.size + length
-
-
 class FrameReader:
     """Incremental decoder for length-prefixed frames."""
 
@@ -47,26 +35,20 @@ class FrameReader:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[bytes]:
-        """Absorb ``data``; return every frame completed by it.
-
-        Frames are cut out of the chunk by offset and only its
-        incomplete tail is buffered; a buffered frame is copied out
-        once, when its last byte arrives.
-        """
-        buffer = self._buffer
-        if buffer:
-            buffer += data
-            if len(buffer) < _frame_end(buffer, 0):
-                return []
-            data = bytes(buffer)
-            buffer.clear()
+        """Absorb ``data``; return every frame completed by it."""
+        self._buffer.extend(data)
         frames: List[bytes] = []
-        start, end = 0, _frame_end(data, 0)
-        while end <= len(data):
-            frames.append(data[start + _HEADER.size : end])
-            start, end = end, _frame_end(data, end)
-        if start < len(data):
-            buffer += data[start:]
+        while True:
+            if len(self._buffer) < _HEADER.size:
+                break
+            (length,) = _HEADER.unpack_from(self._buffer)
+            if length > MAX_FRAME_BYTES:
+                raise CodecError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+            end = _HEADER.size + length
+            if len(self._buffer) < end:
+                break
+            frames.append(bytes(self._buffer[_HEADER.size : end]))
+            del self._buffer[:end]
         return frames
 
     def pending_bytes(self) -> int:

@@ -65,6 +65,20 @@ DEFAULT_DIAL_POLICY = RetryPolicy(
 DRAIN_TIMEOUT = 0.25
 
 
+def _address(value) -> Address:
+    """A control frame's ``[host, port]``; any other shape is a :class:`CodecError`."""
+    if isinstance(value, list) and [type(v) for v in value] == [str, int]:
+        return tuple(value)
+    raise CodecError(f"malformed address {value!r:.60}")
+
+
+def _node_ids(value) -> List[str]:
+    """A control frame's node ids; any other shape is a :class:`CodecError`."""
+    if isinstance(value, list) and all(type(n) is str for n in value):
+        return value
+    raise CodecError(f"malformed node ids {value!r:.60}")
+
+
 class _Link(asyncio.Protocol):
     """The protocol on a socket to another process: each frame a
     ``data_received`` chunk completes is dispatched there and then.
@@ -345,10 +359,9 @@ class AsyncioTransport(Transport):
             lambda: _Link(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        for node_id in self._local_nodes:
-            if self.seed is None:
-                self.book[node_id] = self.address
-        if self.seed is not None:
+        if self.seed is None:
+            self.book.update(dict.fromkeys(self._local_nodes, self.address))
+        else:
             self._conn_for(self.seed).enqueue(self._hello_frame())
 
     def close(self) -> None:
@@ -398,20 +411,22 @@ class AsyncioTransport(Transport):
             if self.network is not None:
                 self.network.deliver_remote(decode_message(body, self._held_schemas()))
         elif kind == "hello":
-            addr = tuple(body.get("addr", ()))
-            if len(addr) == 2:
-                for node_id in body.get("nodes", []):
-                    self.book[node_id] = addr
+            addr = _address(body.get("addr"))
+            for node_id in _node_ids(body.get("nodes", [])):
+                self.book[node_id] = addr
             self._flush_held()
             if self.seed is None:
                 self._broadcast_book()
         elif kind == "book":
-            for node_id, addr in body.get("book", {}).items():
+            book = body.get("book", {})
+            if not isinstance(book, dict):
+                raise CodecError(f"malformed address book {book!r:.60}")
+            for node_id, addr in [(n, _address(a)) for n, a in book.items()]:
                 if node_id not in self._local_nodes:
-                    self.book[node_id] = tuple(addr)
+                    self.book[node_id] = addr
             self._flush_held()
         elif kind == "bye":
-            for node_id in body.get("nodes", []):
+            for node_id in _node_ids(body.get("nodes", [])):
                 self.book.pop(node_id, None)
             if self.seed is None:
                 self._broadcast_book()

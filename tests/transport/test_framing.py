@@ -55,32 +55,3 @@ def test_oversize_header_raises_on_feed():
     bogus = struct.pack(">I", MAX_FRAME_BYTES + 1)
     with pytest.raises(CodecError):
         reader.feed(bogus + b"x")
-
-
-def test_a_thousand_frames_in_one_chunk():
-    reader = FrameReader()
-    payloads = [str(i).encode() * (i % 7) for i in range(1_000)]
-    assert reader.feed(b"".join(pack_frame(p) for p in payloads)) == payloads
-    assert reader.pending_bytes() == 0
-
-
-def test_one_frame_split_at_every_byte_offset():
-    payload = b'{"kind":"msg","body":{"x":[1,2,3]}}'
-    packed = pack_frame(payload) + pack_frame(b"next")
-    for cut in range(len(packed) + 1):
-        reader = FrameReader()
-        frames = reader.feed(packed[:cut])
-        assert reader.pending_bytes() == cut - sum(4 + len(f) for f in frames)
-        frames += reader.feed(packed[cut:])
-        assert frames == [payload, b"next"], cut
-        assert reader.pending_bytes() == 0
-
-
-def test_oversize_length_is_refused_before_its_body_is_buffered():
-    reader = FrameReader()
-    bogus = struct.pack(">I", MAX_FRAME_BYTES + 1)
-    assert reader.feed(bogus[:3]) == []  # no header yet, nothing to judge
-    with pytest.raises(CodecError):
-        reader.feed(bogus[3:])  # the header alone, not one body byte
-    with pytest.raises(CodecError):
-        FrameReader().feed(pack_frame(b"ok") + bogus)  # behind a good frame

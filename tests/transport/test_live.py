@@ -366,6 +366,16 @@ HOSTILE = {
     "no-kind": (lambda valid: pack_frame(b'{"body":{}}'), 1, False),
     "body-not-an-object": (
         lambda valid: pack_frame(b'{"kind":"hello","body":[]}'), 1, False),
+    "hello-junk-address": (lambda valid: pack_frame(
+        b'{"kind":"hello","body":{"nodes":["P9"],"addr":[1,2]}}'), 1, False),
+    "hello-nodes-not-a-list": (lambda valid: pack_frame(
+        b'{"kind":"hello","body":{"nodes":5,"addr":["127.0.0.1",9]}}'), 1, False),
+    "book-not-an-object": (
+        lambda valid: pack_frame(b'{"kind":"book","body":{"book":[]}}'), 1, False),
+    "book-junk-address": (lambda valid: pack_frame(
+        b'{"kind":"book","body":{"book":{"P9":"nowhere"}}}'), 1, False),
+    "bye-nodes-not-a-list": (
+        lambda valid: pack_frame(b'{"kind":"bye","body":{"nodes":5}}'), 1, False),
     "unknown-kind": (
         lambda valid: pack_frame(b'{"kind":"gossip","body":{"x":1}}'), 0, False),
     "route-request-byte-by-byte": (lambda valid: valid, 0, True),
