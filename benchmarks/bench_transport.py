@@ -95,10 +95,7 @@ def run_live(spec, workload) -> dict:
             started = time.perf_counter()
             for via, text in _sequence(spec, workload):
                 q0 = time.perf_counter()
-                # the unpaced primitives: what the transport costs, not
-                # the interval query() spaces a closed loop at
-                client, query_id = cluster.submit(via, text)
-                result = cluster.await_result(client, query_id)
+                result = cluster.query(via, text)
                 latencies.append(time.perf_counter() - q0)
                 outcomes.append(_outcome(result))
             duration = time.perf_counter() - started

@@ -99,6 +99,11 @@ MAX_QUERY_OUTCOME_CLASSES = 1
 #: before: ``WorkloadDriver``, ``WorkloadSpec``, ``WorkloadReport``).
 #: Load is a ``Scenario`` played by ``play``, reported by ``PlayReport``
 MAX_QUERY_LOAD_CLASSES = 0
+#: ``time.sleep(`` calls under ``src/`` (3 while a sim client held every
+#: third submission until the wall clock caught up): ``run_launch``'s
+#: supervised back-off and ``observe --watch``'s interval.  A closed
+#: loop of queries runs at the program's own speed
+MAX_WALL_CLOCK_SLEEPS = 2
 
 
 def _trees(*packages):
@@ -286,6 +291,17 @@ def test_one_telemetry_rollup():
         if function.name == "rollup"
     ]
     assert len(found) <= MAX_OBS_ROLLUPS, found
+
+
+def test_wall_clock_sleeps():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "sleep"
+        and isinstance(call.func.value, ast.Name) and call.func.value.id == "time"
+    ]
+    assert len(found) <= MAX_WALL_CLOCK_SLEEPS, found
 
 
 def test_one_event_vocabulary():
