@@ -95,7 +95,10 @@ def run_live(spec, workload) -> dict:
             started = time.perf_counter()
             for via, text in _sequence(spec, workload):
                 q0 = time.perf_counter()
-                result = cluster.query(via, text)
+                # the unpaced primitives: what the transport costs, not
+                # the interval query() spaces a closed loop at
+                client, query_id = cluster.submit(via, text)
+                result = cluster.await_result(client, query_id)
                 latencies.append(time.perf_counter() - q0)
                 outcomes.append(_outcome(result))
             duration = time.perf_counter() - started

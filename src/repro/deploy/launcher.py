@@ -60,6 +60,12 @@ QUERY_TIMEOUT = 4_000.0
 #: to land; doubles per round.  A reply that shows them landed ends the
 #: wait at once, the back-off only paces the asking.
 SETTLE_BACKOFF = 0.25
+#: Virtual-time units between the starts of consecutive
+#: :meth:`LiveCluster.query` calls (18 ms at the default time scale): the
+#: closed loop is paced, so its rate is this interval's and not whatever
+#: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
+#: ``await_result`` are not paced.
+QUERY_INTERVAL = 0.9
 #: Fraction of each base the ``launch --updates`` revision mutates.
 UPDATE_RATE = 0.08
 
@@ -129,6 +135,8 @@ class LiveCluster:
         #: submission on; results are keyed by query id, so every query
         #: can share it
         self.clients: Dict[str, ClientPeer] = {}
+        #: virtual time before which :meth:`query` does not submit again
+        self._next_query = 0.0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -309,10 +317,13 @@ class LiveCluster:
         return result
 
     def query(self, via: str, text: str, timeout: float = QUERY_TIMEOUT):
-        """One query to completion (:meth:`submit` then
-        :meth:`await_result`); returns the
+        """One query to completion; returns the
         :class:`~repro.peers.client.QueryResult` (table, error or
-        coverage-annotated partial)."""
+        coverage-annotated partial).  Consecutive calls start at least
+        :data:`QUERY_INTERVAL` apart; the wait for the answer itself is
+        event-driven."""
+        self.transport.run(until=self._next_query)  # returns at once when past
+        self._next_query = self.transport.now + QUERY_INTERVAL
         client, query_id = self.submit(via, text)
         return self.await_result(client, query_id, timeout)
 
@@ -479,8 +490,7 @@ def register(commands) -> None:
 
 def _launch_scenario(spec: ClusterSpec, queries: List[str], args) -> Scenario:
     """The timeline ``launch`` plays: ``--count`` queries rotating over
-    the peers believed up, each submitted as soon as the one before it
-    is answered, the ``--updates`` revision a third of the way
+    the peers believed up, the ``--updates`` revision a third of the way
     in, the ``--kill`` overlapping the query halfway, the ``--join``
     three quarters in, and the ``--topk`` query last.  A killed peer
     leaves the rotation; a supervised one (no ``--restart-after``) is
@@ -521,11 +531,9 @@ def _launch_scenario(spec: ClusterSpec, queries: List[str], args) -> Scenario:
 
 def run_launch(args) -> int:
     """Entry point of the ``python -m repro launch`` subcommand: parse
-    the flags, build the scenario, play it on a live cluster as one
-    closed loop at the cluster's own speed, write the report.
-    Supervision, ``--restart-after`` and the mid-run scrape react to
-    what happened between the answers; only a supervised restart's
-    back-off waits on the wall clock."""
+    the flags, build the scenario, play it on a live cluster, write the
+    report.  Supervision, ``--restart-after`` and the mid-run scrape
+    react to what happened between the answers."""
     try:
         # checked before anything is spawned: a bad name would otherwise
         # surface as a KeyError half-way through the run

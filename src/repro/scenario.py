@@ -334,7 +334,7 @@ class _Sim:
         if isinstance(event, (Restart, Join, Leave, Update)):
             self.network.run(self.max_events)
 
-    def submit(self, query: Query) -> _Asked:
+    def submit(self, query: Query, overlapped: bool) -> _Asked:
         asked = _Asked(query, self.retries)
         if _armed(query):
             self.arm(query, lambda _: self._send(asked))
@@ -414,11 +414,16 @@ class _Live:
                 lambda: self.updates.acked(event.revision), UPDATE_ACK_TIMEOUT
             )
 
-    def submit(self, query: Query):
-        return self.cluster.submit(query.via, query.text, limit=query.limit)
+    def submit(self, query: Query, overlapped: bool):
+        if overlapped or query.limit is not None:
+            return self.cluster.submit(query.via, query.text, limit=query.limit)
+        return None  # unless a kill must overlap it, the paced LiveCluster.query asks
 
     def answer(self, query: Query, ticket) -> QueryOutcome:
-        result = self.cluster.await_result(*ticket)
+        if ticket is None:
+            result = self.cluster.query(query.via, query.text)
+        else:
+            result = self.cluster.await_result(*ticket)
         return classify(result, query.via, result.query_id)
 
     def finish(self) -> None:
@@ -492,14 +497,14 @@ def _perform(scenario: Scenario, stage, on_event) -> Iterator[QueryOutcome]:
     tickets = {}  # scenario index -> a query's submission
     for index, event in enumerate(scenario):
         if _armed(event) and isinstance(event, Query):
-            tickets[index] = stage.submit(event)
+            tickets[index] = stage.submit(event, False)
         elif _armed(event):
             stage.arm(event, apply)
     overlapping = []
     for index, event in enumerate(scenario):
         if isinstance(event, Query):
             if index not in tickets:
-                tickets[index] = stage.submit(event)
+                tickets[index] = stage.submit(event, bool(overlapping))
                 for late in overlapping:
                     apply(late)
                 overlapping = []

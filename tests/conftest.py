@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.peers.client
 from repro.rdf import Graph, Namespace, Schema
 from repro.workloads.paper import (
     N1,
@@ -15,6 +16,11 @@ from repro.workloads.paper import (
     paper_query_pattern,
     paper_schema,
 )
+
+# The suite asks ~11 000 queries back to back; a client's wall-clock
+# pacing would add about a minute of sleeping and check nothing
+# (tests/peers/test_peers.py::TestClientPacing turns it back on).
+repro.peers.client.SUBMIT_TIME_SCALE = 0.0
 
 
 @pytest.fixture

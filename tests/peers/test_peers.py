@@ -278,3 +278,74 @@ class TestSONRegistry:
     def test_anonymous_rejected(self):
         with pytest.raises(ValueError):
             SONRegistry().add(ActiveSchema("http://a#"))
+
+
+class TestClientPacing:
+    """``ClientPeer.submit`` lets wall-clock time catch up with network
+    time at every third submission (the suite's conftest switches that
+    off; these tests switch it on over a fake wall clock)."""
+
+    class Clock:
+        def __init__(self):
+            self.now = 1_000.0
+            self.slept = []
+
+        def perf_counter(self):
+            return self.now
+
+        def sleep(self, seconds):
+            self.slept.append(seconds)
+            self.now += seconds
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import repro.peers.client as client_module
+
+        clock = self.Clock()
+        monkeypatch.setattr(client_module, "time", clock)
+        monkeypatch.setattr(client_module, "SUBMIT_TIME_SCALE", 0.002)
+        return clock
+
+    @staticmethod
+    def closed_loop(count):
+        from repro import HybridSystem
+        from repro.workloads import hybrid_scenario
+
+        system = HybridSystem.from_scenario(hybrid_scenario())
+        client = system.add_client()
+        submitted_at = []
+        for _ in range(count):
+            submitted_at.append(system.network.now)
+            query_id = client.submit("P1", PAPER_QUERY)
+            system.run()
+            assert client.result(query_id).error is None
+        return system, client, submitted_at
+
+    def test_every_third_submission_waits_for_the_network_time_passed(self, clock):
+        _, _, submitted_at = self.closed_loop(9)
+        # 1, 2: not compared; 3: starts the schedule; 6 and 9 wait
+        assert len(clock.slept) == 2
+        assert clock.slept[0] == pytest.approx(0.002 * (submitted_at[5] - submitted_at[2]))
+        assert clock.slept[1] == pytest.approx(0.002 * (submitted_at[8] - submitted_at[5]))
+        assert submitted_at[5] > submitted_at[2]
+
+    def test_wall_time_already_passed_is_not_waited_again(self, clock):
+        system, client, submitted_at = self.closed_loop(5)
+        clock.now += 0.001  # the host took 1 ms to compute the answers
+        client.submit("P1", PAPER_QUERY)
+        owed = 0.002 * (system.network.now - submitted_at[2])
+        assert clock.slept == [pytest.approx(owed - 0.001)]
+
+    def test_late_client_starts_a_new_schedule(self, clock):
+        system, client, _ = self.closed_loop(5)
+        clock.now += 60.0  # idle
+        client.submit("P1", PAPER_QUERY)
+        system.run()
+        assert clock.slept == []
+
+    def test_scale_zero_never_waits(self, clock, monkeypatch):
+        import repro.peers.client as client_module
+
+        monkeypatch.setattr(client_module, "SUBMIT_TIME_SCALE", 0.0)
+        self.closed_loop(9)
+        assert clock.slept == []

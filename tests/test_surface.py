@@ -99,11 +99,11 @@ MAX_QUERY_OUTCOME_CLASSES = 1
 #: before: ``WorkloadDriver``, ``WorkloadSpec``, ``WorkloadReport``).
 #: Load is a ``Scenario`` played by ``play``, reported by ``PlayReport``
 MAX_QUERY_LOAD_CLASSES = 0
-#: ``time.sleep(`` calls under ``src/`` (3 while a sim client held every
-#: third submission until the wall clock caught up): ``run_launch``'s
-#: supervised back-off and ``observe --watch``'s interval.  A closed
-#: loop of queries runs at the program's own speed
-MAX_WALL_CLOCK_SLEEPS = 2
+#: ``time.sleep(`` calls under ``src/``: a sim client's submission
+#: pacing (``ClientPeer._pace``), ``run_launch``'s supervised back-off
+#: and ``observe --watch``'s interval.  A new wall-clock wait, a query
+#: throttle above all, has to raise this on purpose
+MAX_WALL_CLOCK_SLEEPS = 3
 
 
 def _trees(*packages):
