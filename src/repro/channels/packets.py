@@ -70,6 +70,26 @@ class SubPlanPacket:
         asked = sum(table_size_bytes(h, 0, ()) for h in self.columns if h is not None)
         return 128 + 96 * scans + 16 * len(self.sites) + asked
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless a root could have sent this: at
+        least one subplan, every site keyed under an output the packet
+        carries, and no header or one per subplan, naming distinct
+        columns that subplan binds (the codec runs it on every packet
+        it decodes)."""
+        carried = len(self.plans)
+        if not carried:
+            raise ValueError("a SubPlanPacket carries at least one subplan")
+        for path in self.sites:
+            if not path or not 0 <= path[0] < carried:
+                raise ValueError(f"site {path!r} is under none of {carried} outputs")
+        if len(self.columns) not in (0, carried):
+            raise ValueError(f"{len(self.columns)} headers for {carried} subplans")
+        for plan, header in zip(self.plans, self.columns):
+            if header is not None:
+                bound = plan.variables()
+                if len(set(header)) != len(header) or any(c not in bound for c in header):
+                    raise ValueError(f"{header!r} asks for columns {bound!r} does not bind")
+
 
 @dataclass(frozen=True)
 class DataPacket:
@@ -186,6 +206,16 @@ class DataPacket:
             for _, t in self.tables
         )
         return 64 + tables + terms_size_bytes(self.terms) + 16 * len(self.cardinalities)
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless each output index is non-negative
+        (a negative one would alias an output from the end) and appears
+        at most once; how many outputs the channel has only its root
+        knows, and checks (the codec runs it on every packet it
+        decodes)."""
+        outputs = [output for output, _ in self.tables]
+        if any(output < 0 for output in outputs) or len(set(outputs)) != len(outputs):
+            raise ValueError(f"{outputs!r} are not distinct output indices")
 
 
 @dataclass(frozen=True)

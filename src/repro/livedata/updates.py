@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
+from ..core.cost import StatSummary
 from ..errors import SchemaError
 from ..execution.encoded import EncodedTable
 from ..rdf.terms import URI, Term
@@ -134,7 +135,7 @@ class AdvertiseDelta:
     removed_paths: Tuple[SchemaPath, ...] = ()
     added_classes: Tuple[URI, ...] = ()
     removed_classes: Tuple[URI, ...] = ()
-    stats: Optional[object] = None
+    stats: Optional[StatSummary] = None
 
     def is_empty(self) -> bool:
         return not (

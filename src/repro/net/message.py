@@ -8,6 +8,7 @@ wire-size estimate the simulator charges against link bandwidth.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Fallback wire size for control payloads without a size method.
@@ -72,6 +73,7 @@ class Message:
         return f"Message#{self.id}({self.src} -> {self.dst}: {self.kind}, {self.size}B)"
 
 
+@dataclass(frozen=True)
 class DeliveryFailure:
     """Transport-level failure notification, delivered to the sender
     when the destination peer is down or unreachable.
@@ -81,10 +83,7 @@ class DeliveryFailure:
     adaptivity logic react without modelling timeouts.
     """
 
-    __slots__ = ("original",)
-
-    def __init__(self, original: Message):
-        self.original = original
+    original: Message
 
     def size_bytes(self) -> int:
         return 64

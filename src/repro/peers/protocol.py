@@ -16,6 +16,7 @@ from ..core.algebra import PlanNode, count_scans
 from ..core.annotations import AnnotatedQueryPattern
 from ..core.cost import StatSummary
 from ..execution.encoded import EncodedTable
+from ..resilience.partial import Coverage
 from ..rql.bindings import BindingTable
 from ..rql.pattern import QueryPattern
 from ..rvl.active_schema import ActiveSchema
@@ -62,7 +63,7 @@ class QueryResult:
     query_id: str
     table: Union[EncodedTable, BindingTable, None]
     error: Optional[str] = None
-    coverage: Optional[object] = None
+    coverage: Optional[Coverage] = None
 
     @property
     def is_partial(self) -> bool:

@@ -12,16 +12,15 @@ they are heard from again.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set
 
 
+@dataclass(frozen=True)
 class Heartbeat:
     """Liveness beacon payload (peer → its advertisement holders)."""
 
-    __slots__ = ("sender",)
-
-    def __init__(self, sender: str):
-        self.sender = sender
+    sender: str
 
     def size_bytes(self) -> int:
         return 32

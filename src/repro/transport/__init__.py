@@ -16,11 +16,12 @@ the exact same protocol code runs over either
   :class:`~repro.resilience.retry.RetryPolicy`, and graceful
   join/leave.
 
-The wire codec (:mod:`repro.transport.codec`) round-trips every
+The wire codec (:mod:`repro.transport.codec`) writes every
 :class:`~repro.net.message.Message` payload kind — routing, channel
-packets with binding batches, trace contexts, failure bounces — through
-tagged JSON, ignoring unknown fields on decode so old peers interop
-with newer ones.  Query patterns travel by reference: a schema
+packets with binding batches, failure bounces — as a positional JSON
+record derived from its dataclass's annotations, checking each field's
+type on decode and ignoring positions past the last field so old peers
+interop with newer ones.  Query patterns travel by reference: a schema
 fingerprint the receiver resolves against the schemas its nodes hold,
 and path patterns as records of the schema's term ids.
 """

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
 
 from ..errors import CodecError, NetworkError
 from ..rdf.schema import Schema
 from ..resilience.retry import RetryPolicy
 from .base import Transport
-from .codec import decode_frame, decode_message, encode_frame, encode_message
+from .codec import decode_as, decode_frame, decode_message, encode_frame, encode_message
 from .framing import FrameReader, pack_frame
 
 Address = Tuple[str, int]
@@ -63,20 +63,6 @@ DEFAULT_DIAL_POLICY = RetryPolicy(
 #: Real seconds :meth:`AsyncioTransport.close` gives connected peers'
 #: outboxes to drain the byes (a wedged peer must not hold up an exit).
 DRAIN_TIMEOUT = 0.25
-
-
-def _address(value) -> Address:
-    """A control frame's ``[host, port]``; any other shape is a :class:`CodecError`."""
-    if isinstance(value, list) and [type(v) for v in value] == [str, int]:
-        return tuple(value)
-    raise CodecError(f"malformed address {value!r:.60}")
-
-
-def _node_ids(value) -> List[str]:
-    """A control frame's node ids; any other shape is a :class:`CodecError`."""
-    if isinstance(value, list) and all(type(n) is str for n in value):
-        return value
-    raise CodecError(f"malformed node ids {value!r:.60}")
 
 
 class _Link(asyncio.Protocol):
@@ -411,22 +397,19 @@ class AsyncioTransport(Transport):
             if self.network is not None:
                 self.network.deliver_remote(decode_message(body, self._held_schemas()))
         elif kind == "hello":
-            addr = _address(body.get("addr"))
-            for node_id in _node_ids(body.get("nodes", [])):
+            addr = decode_as(Address, body.get("addr"))
+            for node_id in decode_as(Tuple[str, ...], body.get("nodes", [])):
                 self.book[node_id] = addr
             self._flush_held()
             if self.seed is None:
                 self._broadcast_book()
         elif kind == "book":
-            book = body.get("book", {})
-            if not isinstance(book, dict):
-                raise CodecError(f"malformed address book {book!r:.60}")
-            for node_id, addr in [(n, _address(a)) for n, a in book.items()]:
+            for node_id, addr in decode_as(Dict[str, Address], body.get("book", {})).items():
                 if node_id not in self._local_nodes:
                     self.book[node_id] = addr
             self._flush_held()
         elif kind == "bye":
-            for node_id in _node_ids(body.get("nodes", [])):
+            for node_id in decode_as(Tuple[str, ...], body.get("nodes", [])):
                 self.book.pop(node_id, None)
             if self.seed is None:
                 self._broadcast_book()

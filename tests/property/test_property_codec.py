@@ -17,8 +17,10 @@ own copy of it; and whatever a hostile frame changes in them, decoding
 either succeeds or raises ``CodecError`` (for every other payload too).
 """
 
+import dataclasses
 import json
 from dataclasses import replace
+from typing import Optional, get_type_hints
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,7 @@ from repro.transport.codec import (
 from repro.workloads.paper import paper_schema
 
 from ..idtables import TABLE_BEARERS, encode_cells
+from ..records import written_out
 
 # ----------------------------------------------------------------------
 # term and table strategies
@@ -167,7 +170,7 @@ simple_payloads = st.one_of(
         packed_tables,
         peer_ids,
         st.one_of(st.none(), safe_text),
-        token=st.integers(0, 9),
+        token=st.integers(0, 9).map(lambda i: f"P2:{i}"),
     ),
     st.builds(
         ContinuousUpdate, query_ids, packed_tables, packed_tables, st.integers(0, 99)
@@ -252,13 +255,11 @@ def test_fault_plan_tagged_duplicates_round_trip(message, depth):
 @given(messages(), st.from_regex(r"[a-z_]{1,12}", fullmatch=True))
 @settings(max_examples=100, deadline=None)
 def test_unknown_fields_are_ignored_everywhere(message, field_name):
-    """A decoder must skip fields added by future versions: on the
-    envelope, and inside any dataclass payload."""
+    """A decoder must skip fields added by future versions: keys on the
+    envelope, and positions past every field of today's payload kind."""
     fields, _ = wire_round_trip(message)
     fields[f"future_{field_name}"] = {"anything": [1, "x"]}
-    payload = fields["payload"]
-    if isinstance(payload, dict) and "f" in payload:
-        payload["f"][f"future_{field_name}"] = 123
+    written_out(fields["payload"]).append({f"future_{field_name}": 123})
     decoded = decode_message(fields)
     assert type(decoded.payload) is type(message.payload)
 
@@ -470,7 +471,7 @@ def _leaves(value):
 
 hostile_values = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(allow_nan=False),
-    safe_text, st.lists(st.integers(-1, 3), max_size=3), st.just({}), st.just({"$t": 1}),
+    safe_text, st.lists(st.integers(-1, 3), max_size=3), st.just({}), st.just({"ns": [], "t": 1}),
 )
 
 
@@ -480,12 +481,25 @@ def test_a_damaged_payload_decodes_or_raises_codec_error(payload, data):
     """Overwrite any one position of an encoded payload — a pattern sent
     by reference, a table, a packet — with any JSON value: the decoder
     returns a payload or raises ``CodecError``, never another exception
-    that would kill a live reader task."""
+    that would kill a live reader task; and a payload it returns has
+    every scalar field of its annotated type."""
     fields = json.loads(json.dumps(encode_message(Message("P1", "SP1", payload))))
     positions = list(_leaves(fields["payload"]))
     container, key = data.draw(st.sampled_from(positions))
     container[key] = data.draw(hostile_values)
     try:
-        decode_message(fields, [RECEIVER])
+        decoded = decode_message(fields, [RECEIVER]).payload
     except CodecError:
-        pass
+        return
+    hints = get_type_hints(type(decoded))
+    for field in dataclasses.fields(decoded):
+        allowed = SCALARS.get(hints[field.name])
+        value = getattr(decoded, field.name)
+        assert allowed is None or type(value) in allowed, (field.name, value)
+
+
+#: scalar annotation -> the types a decoded value of it may have
+SCALARS = {
+    **{kind: (kind,) for kind in (str, int, float, bool)},
+    **{Optional[kind]: (kind, type(None)) for kind in (str, int, float, bool)},
+}

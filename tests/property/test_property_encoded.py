@@ -29,9 +29,11 @@ from repro.rql.ast import Condition
 from repro.rql.bindings import BindingTable
 from repro.rql.evaluator import _condition_predicate
 from repro.transport.codec import (
+    decode_as,
     decode_frame,
     decode_message,
     decode_payload,
+    encode_as,
     encode_frame,
     encode_message,
     encode_payload,
@@ -171,7 +173,7 @@ def test_encode_split_decode_cycle_is_lossless(table, batch_size, rng):
 def test_encoded_table_survives_wire_codec(table):
     d = TermDictionary()
     encoded = EncodedTable.of_batch(encode_cells(table, d), d.decode_many)
-    decoded = decode_payload(encode_payload(encoded))
+    decoded = decode_as(EncodedTable, encode_as(EncodedTable, encoded))
     assert isinstance(decoded, EncodedTable)
     assert decoded == encoded
 

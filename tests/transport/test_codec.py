@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core import build_plan, optimize, route_query
-from repro.core.algebra import Hole, Join, Scan, Union
+from repro.core.algebra import Hole, Join, PlanNode, Scan, Union
 from repro.channels.packets import (
     ChangePlanPacket,
     DataPacket,
@@ -43,8 +43,10 @@ from repro.resilience.partial import Coverage
 from repro.rql.bindings import BindingTable
 from repro.rvl import ActiveSchema
 from repro.transport.codec import (
+    decode_as,
     decode_frame,
     decode_message,
+    encode_as,
     encode_frame,
     encode_message,
     encode_payload,
@@ -58,6 +60,7 @@ from repro.workloads.paper import (
 )
 
 from ..idtables import TABLE_BEARERS, decode_cells, encode_cells
+from ..records import field, position, set_field
 
 
 def round_trip(payload, src="P1", dst="P2"):
@@ -110,7 +113,9 @@ def test_terms_round_trip():
         Literal(1.5),
         Literal(True),
     ):
-        assert decode_payload(json.loads(json.dumps(encode_payload(term)))) == term
+        table = EncodedTable.of_terms(BindingTable(("X",), [(term,)]))
+        wire = json.loads(json.dumps(encode_as(EncodedTable, table)))
+        assert decode_as(EncodedTable, wire).terms == (term,)
 
 
 def test_query_submit_round_trip():
@@ -122,17 +127,33 @@ def test_query_submit_round_trip():
 
 @pytest.mark.parametrize("flag", [1, 0, "true", None, []])
 def test_a_resubmit_flag_that_is_not_a_bool_is_rejected(flag):
-    body = encode_message(Message("C", "P1", QuerySubmit("q1", "SELECT ...", "C")))
-    body = json.loads(json.dumps(body))
-    body["payload"]["f"]["resubmits"] = flag
+    submit = QuerySubmit("q1", "SELECT ...", "C", resubmits=True)
+    body = json.loads(json.dumps(encode_message(Message("C", "P1", submit))))
+    set_field(body, "resubmits", flag)
+    with pytest.raises(CodecError):
+        decode_message(body)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("text", 5), ("limit", "ten"), ("query_id", [1, 2]), ("max_peers", True),
+    ("order_by", 1.5), ("descending", "false"),
+])
+def test_a_field_of_another_type_than_its_annotation_is_rejected(name, value):
+    """Every field is checked against its annotation where the frame is,
+    not left to raise ``TypeError`` inside the handler (a bool is not
+    an int)."""
+    submit = QuerySubmit("q1", "SELECT ...", "C", 2, 10, "X", True, True)
+    body = json.loads(json.dumps(encode_message(Message("C", "P1", submit))))
+    assert decode_message(body).payload == submit
+    set_field(body, name, value)
     with pytest.raises(CodecError):
         decode_message(body)
 
 
 def test_query_result_with_coverage_round_trip(annotated):
     coverage = Coverage(
-        answered=(annotated.query_pattern.patterns[0],),
-        unanswered=tuple(annotated.query_pattern.patterns[1:]),
+        answered=(annotated.query_pattern.patterns[0].label,),
+        unanswered=tuple(p.label for p in annotated.query_pattern.patterns[1:]),
         excluded_peers=("P2",),
         attempts=3,
     )
@@ -169,7 +190,7 @@ def test_advertisements_round_trip(schema):
 
 def test_plan_messages_round_trip(plan, annotated):
     partial = PartialPlan("q3", plan, annotated.query_pattern, "P1", "client1",
-                          visited=("P1", "P2"), conditions_text="X > 3", token=4)
+                          visited=("P1", "P2"), conditions_text="X > 3", token="P1:4")
     decoded = round_trip(partial)
     assert decoded.plan.render() == plan.render()
     assert decoded.visited == ("P1", "P2")
@@ -193,7 +214,7 @@ def test_algebra_nodes_round_trip(annotated):
         Join([Scan([pattern], "P1"), Hole(pattern)]),
         Scan([pattern], "P2"),
     ])
-    decoded = decode_payload(json.loads(json.dumps(encode_payload(tree))))
+    decoded = decode_as(PlanNode, json.loads(json.dumps(encode_as(PlanNode, tree))))
     assert decoded.render() == tree.render()
 
 
@@ -231,7 +252,7 @@ def test_misc_payloads_round_trip():
     assert round_trip(RouteBusy("q1", 10.0, "SP1")) == RouteBusy("q1", 10.0, "SP1")
     assert round_trip(Goodbye("P2")) == Goodbye("P2")
     delegated = DelegatedResult(
-        "q4", EncodedTable.of_terms(sample_table()), "P2", None, token=2
+        "q4", EncodedTable.of_terms(sample_table()), "P2", None, token="P2:2"
     )
     assert round_trip(delegated).table == delegated.table
 
@@ -267,18 +288,21 @@ def test_packed_table_crosses_the_frame_in_every_payload(bearer, table):
     assert decode_cells(interned, receiver) == terms
 
 
+#: a table record's positions: ``[columns, ids, length]``
+COLUMNS, IDS, LENGTH = 0, 1, 2
+
 #: ways a hostile or corrupt frame can break an ``EncodedTable`` (3 rows,
 #: 2 columns, 6 terms) that still parses as JSON
 MALFORMED_TABLES = {
-    "ragged-columns": lambda f: f["ids"][1].pop(),
-    "missing-column": lambda f: f["ids"].pop(),
-    "extra-column": lambda f: f["ids"].append([0, 0, 0]),
-    "length-disagrees": lambda f: f.update(length=2),
-    "negative-length": lambda f: f.update(columns=[], ids=[], length=-1),
-    "id-past-the-terms": lambda f: f["ids"][0].__setitem__(1, 6),
-    "negative-id": lambda f: f["ids"][1].__setitem__(2, -1),
-    "fractional-id": lambda f: f["ids"][0].__setitem__(0, 1.5),
-    "textual-id": lambda f: f["ids"][0].__setitem__(0, "0"),
+    "ragged-columns": lambda f: f[IDS][1].pop(),
+    "missing-column": lambda f: f[IDS].pop(),
+    "extra-column": lambda f: f[IDS].append([0, 0, 0]),
+    "length-disagrees": lambda f: f.__setitem__(LENGTH, 2),
+    "negative-length": lambda f: f.__setitem__(slice(COLUMNS, LENGTH + 1), [[], [], -1]),
+    "id-past-the-terms": lambda f: f[IDS][0].__setitem__(1, 6),
+    "negative-id": lambda f: f[IDS][1].__setitem__(2, -1),
+    "fractional-id": lambda f: f[IDS][0].__setitem__(0, 1.5),
+    "textual-id": lambda f: f[IDS][0].__setitem__(0, "0"),
 }
 
 
@@ -291,8 +315,8 @@ def test_malformed_table_is_rejected_where_the_frame_is(damage):
     payload = DataPacket("ch-1", ((0, EncodedTable.of_terms(sample_table())),))
     body = json.loads(json.dumps(encode_message(Message("P1", "P2", payload))))
     assert decode_message(body).payload == payload
-    (entry,) = body["payload"]["f"]["tables"]["$t"]
-    MALFORMED_TABLES[damage](entry["$t"][1]["f"])
+    (entry,) = field(body, "tables")
+    MALFORMED_TABLES[damage](entry[1])
     with pytest.raises(CodecError):
         decode_message(body)
 
@@ -326,39 +350,40 @@ def _shipment_bodies():
 
 
 def _site_key(body, index):
-    return body["payload"]["f"]["sites"]["$d"][index][0]["$t"]
+    return field(body, "sites")[index][0]
 
 
 def _table_entry(body, index):
-    return body["payload"]["f"]["tables"]["$t"][index]["$t"]
+    return field(body, "tables")[index]
 
 
 def _terms(body):
-    return body["payload"]["f"]["terms"]
+    """A packet's term list, right after its kind name."""
+    return body["payload"][1]
 
 
 def _uri_entry(body):
     """The first URI of a packet's term list: ``[namespace index, local
     part]``."""
-    return next(entry for entry in _terms(body)["t"] if type(entry) is list)
+    return next(entry for entry in _terms(body)["t"] if type(entry[0]) is int)
 
 
 def _header(body, index):
-    return body["payload"]["f"]["columns"]["$t"][index]["$t"]
+    return field(body, "columns")[index]
 
 
 def _packet_id(body, table, column, row, value):
     """Overwrite one cell of a packet's table (``value`` may read the
     packet's term count)."""
     terms = len(_terms(body)["t"])
-    ids = _table_entry(body, table)[1]["f"]["ids"]
+    ids = _table_entry(body, table)[1][IDS]
     ids[column][row] = value(terms)
 
 
 #: ways a hostile or corrupt frame can break the per-destination packet
 #: shape: (0 = the SubPlanPacket, 1 = the DataPacket, how to damage it)
 MALFORMED_SHIPMENTS = {
-    "no-subplans": (0, lambda b: b["payload"]["f"]["plans"].update({"$t": []})),
+    "no-subplans": (0, lambda b: field(b, "plans").clear()),
     "site-output-past-the-plans": (0, lambda b: _site_key(b, 0).__setitem__(0, 2)),
     "site-output-negative": (0, lambda b: _site_key(b, 1).__setitem__(0, -1)),
     "site-output-fractional": (0, lambda b: _site_key(b, 1).__setitem__(0, 0.5)),
@@ -372,16 +397,12 @@ MALFORMED_SHIPMENTS = {
     ),
     "header-column-twice": (0, lambda b: _header(b, 0).__setitem__(1, "X")),
     "header-column-not-a-string": (0, lambda b: _header(b, 0).__setitem__(1, 7)),
-    "header-not-a-tuple": (
-        0, lambda b: b["payload"]["f"]["columns"]["$t"].__setitem__(0, ["X"])
-    ),
-    "more-headers-than-subplans": (
-        0, lambda b: b["payload"]["f"]["columns"]["$t"].append({"$t": ["X"]})
-    ),
+    "header-not-a-tuple": (0, lambda b: field(b, "columns").__setitem__(0, "X")),
+    "more-headers-than-subplans": (0, lambda b: field(b, "columns").append(["X"])),
     "id-past-the-packet-terms": (1, lambda b: _packet_id(b, 1, 0, 1, lambda n: n)),
     "id-negative": (1, lambda b: _packet_id(b, 0, 1, 2, lambda n: -1)),
     "table-not-an-object": (1, lambda b: _table_entry(b, 0).__setitem__(1, [])),
-    "terms-not-a-list": (1, lambda b: b["payload"]["f"].__setitem__("terms", 7)),
+    "terms-not-a-list": (1, lambda b: b["payload"].__setitem__(1, 7)),
     "terms-without-namespaces": (1, lambda b: _terms(b).pop("ns")),
     "namespace-index-past-the-table": (1, lambda b: _uri_entry(b).__setitem__(0, 1)),
     "namespace-index-negative": (1, lambda b: _uri_entry(b).__setitem__(0, -1)),
@@ -396,15 +417,9 @@ MALFORMED_SHIPMENTS = {
         1, lambda b: (_terms(b)["ns"].__setitem__(0, ""), _uri_entry(b).__setitem__(1, ""))
     ),
     "entry-not-a-term": (1, lambda b: _terms(b)["t"].__setitem__(0, 7)),
-    "retransmit-flag-an-integer": (
-        0, lambda b: b["payload"]["f"].__setitem__("retransmits", 1)
-    ),
-    "retransmit-flag-textual": (
-        0, lambda b: b["payload"]["f"].__setitem__("retransmits", "false")
-    ),
-    "retransmit-flag-null": (
-        0, lambda b: b["payload"]["f"].__setitem__("retransmits", None)
-    ),
+    "retransmit-flag-an-integer": (0, lambda b: set_field(b, "retransmits", 1)),
+    "retransmit-flag-textual": (0, lambda b: set_field(b, "retransmits", "false")),
+    "retransmit-flag-null": (0, lambda b: set_field(b, "retransmits", None)),
 }
 
 
@@ -451,7 +466,7 @@ def _routing_bodies():
 def _query(body):
     """A request's pattern record: ``[fingerprint, [record, ...],
     projections]``."""
-    return body["payload"]["f"]["pattern"]["f"]
+    return field(body, "pattern")
 
 
 def _path(body, index=0):
@@ -462,12 +477,12 @@ def _path(body, index=0):
 
 def _annotated(body):
     """A reply's ``[[index, [[peer, exact(, record)], ...]], ...]``."""
-    return body["payload"]["f"]["annotated"]["f"][1]
+    return field(body, "annotated")[1]
 
 
 def _scan(body):
     """A shipment's first scan: ``[peer, [record, ...]]``."""
-    return body["payload"]["f"]["plans"]["$t"][0]["f"]
+    return field(body, "plans")[0][1]
 
 
 #: ways a hostile or corrupt frame can break a pattern sent by reference
@@ -477,11 +492,9 @@ MALFORMED_PATTERNS = {
     "unknown-fingerprint": (0, lambda b: _query(b).__setitem__(0, "A" * 43)),
     "fingerprint-not-a-string": (0, lambda b: _query(b).__setitem__(0, 7)),
     "unknown-fingerprint-of-a-reply": (
-        1, lambda b: b["payload"]["f"]["annotated"]["f"][0].__setitem__(0, "B" * 43)
+        1, lambda b: field(b, "annotated")[0].__setitem__(0, "B" * 43)
     ),
-    "unknown-fingerprint-of-a-shipment": (
-        2, lambda b: b["payload"]["f"].__setitem__("schema", "C" * 43)
-    ),
+    "unknown-fingerprint-of-a-shipment": (2, lambda b: set_field(b, "schema", "C" * 43)),
     "term-id-past-the-schema": (0, lambda b: _path(b).__setitem__(2, 10**6)),
     "term-id-negative": (0, lambda b: _path(b).__setitem__(1, -1)),
     "term-id-a-bool": (0, lambda b: _path(b).__setitem__(3, True)),
@@ -508,9 +521,9 @@ MALFORMED_PATTERNS = {
     "projected-variable-not-a-string": (0, lambda b: _path(b)[6].__setitem__(0, None)),
     "projections-not-strings": (0, lambda b: _query(b).__setitem__(2, [1])),
     "scan-site-not-a-string": (2, lambda b: _scan(b).__setitem__(0, 5)),
-    "scan-not-a-record": (2, lambda b: b["payload"]["f"]["plans"]["$t"][0].__setitem__("f", 5)),
+    "scan-not-a-record": (2, lambda b: field(b, "plans")[0].__setitem__(1, 5)),
     "plan-node-of-no-known-kind": (
-        2, lambda b: b["payload"]["f"]["plans"]["$t"][0].__setitem__("$k", "Project")
+        2, lambda b: field(b, "plans")[0].__setitem__(0, "Project")
     ),
     "annotation-index-past-the-patterns": (1, lambda b: _annotated(b)[0].__setitem__(0, 2)),
     "annotation-index-negative": (1, lambda b: _annotated(b)[1].__setitem__(0, -1)),
@@ -565,7 +578,7 @@ def test_a_shipment_without_a_schema_writes_its_patterns_whole(plan):
     needed to read it."""
     sub = SubPlanPacket("ch-1", (plan,), {}, "P1", "q3")
     body = json.loads(json.dumps(encode_message(Message("P1", "P2", sub))))
-    assert "schema" not in body["payload"]["f"]
+    assert len(body["payload"]) <= position(SubPlanPacket, "schema")
     decoded = decode_message(body, []).payload
     assert decoded == sub and decoded.schema is None
 
@@ -581,15 +594,14 @@ def _batch_body():
     ))
     body = json.loads(json.dumps(encode_message(Message("I", "P2", batch))))
     assert decode_message(body).payload == batch
-    fields = body["payload"]["f"]
     # one term list: the shared subject and predicate are named once
-    assert fields["terms"]["ns"] == ["http://example.org/d#"]
-    assert fields["updates"][:2] == [["+", 0, 1, 2], ["-", 0, 1, 3]]
+    assert body["payload"][1]["ns"] == ["http://example.org/d#"]
+    assert field(body, "updates")[:2] == [["+", 0, 1, 2], ["-", 0, 1, 3]]
     return body
 
 
 def _record(body, index):
-    return body["payload"]["f"]["updates"][index]
+    return field(body, "updates")[index]
 
 
 #: ways a hostile or corrupt frame can break an ``UpdateBatch``
@@ -602,11 +614,11 @@ MALFORMED_BATCHES = {
     "id-negative": lambda b: _record(b, 1).__setitem__(1, -1),
     "id-a-bool": lambda b: _record(b, 1).__setitem__(1, True),
     "predicate-not-a-uri": lambda b: _record(b, 0).__setitem__(2, 3),
-    "record-another-payload": lambda b: b["payload"]["f"]["updates"].__setitem__(
+    "record-another-payload": lambda b: field(b, "updates").__setitem__(
         2, encode_payload(Goodbye("P2"))
     ),
-    "terms-not-a-term-list": lambda b: b["payload"]["f"].__setitem__("terms", []),
-    "updates-missing": lambda b: b["payload"]["f"].pop("updates"),
+    "terms-not-a-term-list": lambda b: b["payload"].__setitem__(1, []),
+    "updates-missing": lambda b: b["payload"].pop(position(UpdateBatch, "updates")),
 }
 
 
@@ -645,7 +657,7 @@ def test_decoded_message_draws_fresh_local_id():
 
 def test_unknown_dataclass_fields_are_ignored():
     fields = encode_payload(Goodbye("P2"))
-    fields["f"]["introduced_in_a_future_version"] = {"nested": [1, 2]}
+    fields.append({"introduced_in_a_future_version": [1, 2]})
     assert decode_payload(fields) == Goodbye("P2")
 
 
@@ -657,7 +669,7 @@ def test_unknown_message_envelope_keys_are_ignored():
 
 def test_unknown_kind_raises():
     with pytest.raises(CodecError):
-        decode_payload({"$k": "NotARegisteredPayload", "f": {}})
+        decode_payload(["NotARegisteredPayload"])
 
 
 def test_unencodable_object_raises():
@@ -666,6 +678,20 @@ def test_unencodable_object_raises():
 
     with pytest.raises(CodecError):
         encode_payload(Mystery())
+
+
+def test_nesting_past_the_stack_is_a_codec_error():
+    """A frame of nested brackets, or a plan of nested joins, deeper
+    than the interpreter's stack is refused like any other hostile
+    frame, not with a ``RecursionError`` the live reader does not
+    catch."""
+    with pytest.raises(CodecError):
+        decode_frame(b'{"kind":"msg","body":' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+    plan = ["Scan", ["P2", []]]
+    for _ in range(5_000):
+        plan = ["Join", [plan]]
+    with pytest.raises(CodecError):
+        decode_as(PlanNode, plan)
 
 
 def test_frame_envelope():

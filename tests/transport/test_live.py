@@ -23,9 +23,11 @@ from repro.net.simulator import Network
 from repro.peers.base import Peer
 from repro.peers.protocol import Goodbye
 from repro.resilience.retry import RetryPolicy
-from repro.transport.codec import encode_frame, encode_message
+from repro.transport.codec import decode_frame, encode_frame, encode_message
 from repro.transport.framing import MAX_FRAME_BYTES, pack_frame
 from repro.transport.live import DEFAULT_TIME_SCALE, AsyncioTransport
+
+from ..records import field, set_field, written_out
 
 #: Aggressive clock for tests: 200 virtual units per real second.
 TIME_SCALE = 0.005
@@ -321,7 +323,7 @@ def test_a_frame_naming_an_unknown_schema_is_counted_and_the_node_answers_on(tmp
     body = json.loads(json.dumps(encode_message(
         Message("P1", super_peer, RouteRequest("hostile", pattern, "P1"))
     )))
-    body["payload"]["f"]["pattern"]["f"][0] = "A" * 43  # no such schema
+    field(body, "pattern")[0] = "A" * 43  # no such schema
     try:
         cluster.start()
         healthy = cluster.query("P1", text)
@@ -354,6 +356,15 @@ def _route_request(cluster, super_peer, text):
     return pack_frame(encode_frame("msg", encode_message(message)))
 
 
+def _with_field(valid, name, value):
+    """The valid ``RouteRequest`` frame with its field ``name`` (every
+    field written out) overwritten by ``value``."""
+    kind, body = decode_frame(valid[4:])  # past the length prefix
+    written_out(body["payload"])
+    set_field(body, name, value)
+    return pack_frame(encode_frame(kind, body))
+
+
 #: case -> (the bytes sent, given a valid RouteRequest frame; how many
 #: malformed frames they hold; whether they go one byte per send)
 HOSTILE = {
@@ -379,6 +390,10 @@ HOSTILE = {
     "unknown-kind": (
         lambda valid: pack_frame(b'{"kind":"gossip","body":{"x":1}}'), 0, False),
     "route-request-byte-by-byte": (lambda valid: valid, 0, True),
+    "route-request-id-not-a-string": (
+        lambda valid: _with_field(valid, "query_id", [1]), 1, False),
+    "route-request-hops-not-an-int": (
+        lambda valid: _with_field(valid, "hops", "3"), 1, False),
 }
 
 
