@@ -243,7 +243,7 @@ COMMENTARY = {
         "repro.transport (extension) — live TCP deployment vs simulator",
         "Not a paper figure: the credibility check for everything above. "
         "The protocol stack runs unchanged over a pluggable transport; "
-        "`python -m repro launch` deploys the cluster as real OS "
+        "`python -m repro run --live` deploys the cluster as real OS "
         "processes exchanging length-prefixed JSON frames over localhost "
         "TCP, bootstrapped from a seed node. Every answer the live "
         "cluster returns — rows, error strings and coverage annotations "
@@ -261,7 +261,7 @@ COMMENTARY = {
         "Not a paper figure: dynamic membership on top of the live "
         "transport. A peer SIGKILLed mid-workload leaves honest "
         "coverage-annotated partials behind; restarted (supervised "
-        "exponential-backoff respawn in `launch --supervise`), it "
+        "exponential-backoff respawn in `run --live --supervise`), it "
         "recovers its base, views and remembered advertisements from "
         "its durable snapshot + checksummed membership log, "
         "re-advertises with a rejoin flag that lifts quarantines "

@@ -4,7 +4,9 @@ The command line is a view over the values the system already has — a
 :class:`~repro.config.PeerConfig`, a
 :class:`~repro.deploy.workload.ClusterSpec`, a
 :class:`~repro.scenario.Scenario` — and not a configuration mechanism of
-its own.  Each command is declared by the module that runs
+its own: ``run`` turns its flags into one ``ClusterSpec`` and one
+``Scenario`` and plays it in the simulator, or with ``--live`` on OS
+processes.  Each command is declared by the module that runs
 it: a ``register(commands)`` adds the sub-parser, its flags and its
 ``run`` function, and :func:`main` is parse-then-``args.run(args)``.
 The commands (``python -m repro --help``)::
@@ -17,8 +19,8 @@ import argparse
 import textwrap
 from typing import List, Optional
 
-from ..deploy import launcher, node
-from . import observe, paper, query, serve
+from ..deploy import node
+from . import observe, paper, query, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="SQPeer: semantic query routing and processing for P2P RDF/S bases",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for module in (paper, query, observe, serve, node, launcher):
+    for module in (paper, query, observe, run, node):
         module.register(commands)
     return parser
 

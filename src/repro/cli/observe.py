@@ -1,10 +1,11 @@
-"""``trace``, ``metrics`` and ``top``: what a deployment did, read off
-its spans and instruments.
+"""``trace``, ``metrics``, ``top`` and ``alerts``: what a deployment
+did, read off its spans, instruments and SLO timeline.
 
 ``trace`` and ``metrics`` run the paper's query over the Figure 6
 (hybrid) or Figure 7 (ad-hoc) deployment, or read a live run's exported
 artifacts; ``metrics --scrape`` and ``top`` poll a live run's telemetry
-endpoints and share one watch loop.
+endpoints and share one watch loop; ``alerts`` replays a live run's
+alert transitions.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from ..obs import (
     system_gauges,
     validate_trace,
 )
-from ..obs.telemetry import ClusterScraper, discover_endpoints, scrape
+from ..obs.telemetry import (
+    ClusterScraper,
+    discover_endpoints,
+    read_timeline,
+    render_alert,
+    scrape,
+)
 from ..systems import AdhocSystem, HybridSystem
 from ..workloads.paper import PAPER_QUERY, adhoc_scenario, hybrid_scenario
 
@@ -99,6 +106,17 @@ def register(commands) -> None:
                      help=f"keep re-rendering every {TOP_INTERVAL:g} s "
                      "instead of scraping once")
     top.set_defaults(run=_cmd_top)
+
+    alerts = commands.add_parser(
+        "alerts",
+        help="replay a live run's SLO alert timeline",
+    )
+    alerts.add_argument("outdir",
+                        help="run directory with a timeline.jsonl to replay")
+    alerts.add_argument("--fail-on-active", action="store_true",
+                        help="exit non-zero if any alert is still firing "
+                        "at the end")
+    alerts.set_defaults(run=_cmd_alerts)
 
 
 def _build_paper_system(arch: str):
@@ -316,3 +334,30 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.watch:
         return _watch_loop(render, TOP_INTERVAL)
     return render()
+
+
+def _cmd_alerts(args: argparse.Namespace) -> int:
+    run = Path(args.outdir)
+    records = read_timeline(run / "timeline.jsonl")
+    if not records:
+        print(f"error: no timeline.jsonl under {run}", file=sys.stderr)
+        return 1
+    rounds = sum(1 for r in records if r.get("kind") == "rollup")
+    alerts = [r for r in records if r.get("kind") == "alert"]
+    active: dict = {}
+    for event in alerts:
+        key = (event.get("scope"), event.get("rule"))
+        if event.get("state") == "firing":
+            active[key] = event
+        else:
+            active.pop(key, None)
+        print(render_alert(event))
+    if not alerts:
+        print("no alert transitions recorded")
+    print(f"# {rounds} scrape rounds, {len(alerts)} transitions, "
+          f"{len(active)} still firing", file=sys.stderr)
+    for (scope, rule), event in sorted(active.items()):
+        print(f"#   still firing: {rule} ({scope})", file=sys.stderr)
+    if args.fail_on_active and active:
+        return 1
+    return 0

@@ -148,7 +148,7 @@ DEFAULT_CONFIG = PeerConfig()
 def topk_streaming(config: PeerConfig) -> PeerConfig:
     """``config`` with any-k early termination on, and results streamed
     paced in four-row chunks so the cancellation has channels left to
-    stop — what ``serve --topk`` and a ``livedata`` cluster run."""
+    stop — what ``run --topk`` (a ``livedata`` cluster) runs."""
     return replace(config, topk_cancel=True, batch_size=4, stream_interval=2.0)
 
 

@@ -10,14 +10,14 @@ simulator and runs it as real OS processes on localhost:
 * :mod:`node` — one process, one peer: ``python -m repro peer``, its
   flags declared beside :func:`run_node`.
 * :mod:`launcher` — :class:`LiveCluster`, the seed process that spawns,
-  drives, kills and reaps a cluster: ``python -m repro launch``, its
-  flags declared beside :func:`run_launch`.
+  drives, kills and reaps a cluster; ``python -m repro run --live``
+  plays a scenario on one.
 * :mod:`supervisor` — :class:`Supervisor`, crash-restart supervision
   with exponential backoff and a restart-storm circuit breaker
   (``--supervise``).
 """
 
-from .launcher import LiveCluster, run_launch
+from .launcher import LiveCluster
 from .node import run_node
 from .supervisor import RestartBackoff, Supervisor
 from .workload import ClusterSpec, ClusterWorkload, build_sim_system, build_workload
@@ -30,6 +30,5 @@ __all__ = [
     "Supervisor",
     "build_sim_system",
     "build_workload",
-    "run_launch",
     "run_node",
 ]

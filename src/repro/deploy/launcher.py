@@ -1,4 +1,4 @@
-"""The deployment launcher: ``python -m repro launch``.
+"""The deployment launcher behind ``python -m repro run --live``.
 
 :class:`LiveCluster` turns one :class:`~repro.deploy.workload.
 ClusterSpec` into a running multi-process deployment on localhost: it
@@ -17,7 +17,6 @@ loss, and answers arrive as coverage-annotated partials.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import signal
@@ -29,7 +28,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..errors import NetworkError
-from ..livedata import LiveDataDriver, UpdateStream
 from ..net.simulator import Network
 from ..obs import (
     merge_expositions,
@@ -41,15 +39,12 @@ from ..obs.telemetry import (
     ClusterScraper,
     default_slo_rules,
     render_alert,
-    write_diagnostic_bundle,
 )
 from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
-from ..scenario import Crash, Join, Query, Scenario, Update, play
 from ..transport.live import AsyncioTransport
 from .node import export_artifacts
-from .supervisor import Supervisor
 from .workload import ClusterSpec, ClusterWorkload, build_workload
 
 #: Virtual-time budget for cluster bring-up (membership + settling).
@@ -66,8 +61,8 @@ SETTLE_BACKOFF = 0.25
 #: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
 #: ``await_result`` are not paced.
 QUERY_INTERVAL = 0.9
-#: Fraction of each base the ``launch --updates`` revision mutates.
-UPDATE_RATE = 0.08
+#: Sliding window (virtual units) the SLO rules evaluate over.
+SLO_WINDOW = 120.0
 
 
 class _Probe(Peer):
@@ -103,13 +98,13 @@ class LiveCluster:
     """
 
     def __init__(self, spec: ClusterSpec, outdir, host: str = "127.0.0.1",
-                 statedir=None, slo_window: float = 120.0,
-                 shed_alert: float = 0.25):
+                 statedir=None):
+        if spec.super_peers < 1:
+            raise ValueError("a live cluster needs super-peers >= 1 "
+                             "(the ad-hoc architecture runs in the sim only)")
         self.spec = spec
         self.outdir = Path(outdir)
         self.host = host
-        self.slo_window = slo_window
-        self.shed_alert = shed_alert
         self.scraper: Optional[ClusterScraper] = None
         #: per-node durable state root; None keeps peers ephemeral
         self.statedir = Path(statedir) if statedir is not None else None
@@ -150,8 +145,8 @@ class LiveCluster:
         self.scraper = ClusterScraper(
             self.outdir,
             clock=lambda: self.transport.now,
-            rules=default_slo_rules(shed_bound=self.shed_alert),
-            window=self.slo_window,
+            rules=default_slo_rules(),
+            window=SLO_WINDOW,
         )
         for node_id in self.spec.super_ids() + self.spec.peer_ids():
             self._spawn(node_id)
@@ -273,7 +268,7 @@ class LiveCluster:
         self.restarts.append(node_id)
 
     def spawn_peer(self, node_id: str, timeout: float = BOOTSTRAP_TIMEOUT) -> None:
-        """Bring a late joiner into the running cluster (``--join``):
+        """Bring a late joiner into the running cluster:
         spawn its process, wait for membership, wait until its
         advertisement lands at its home super-peer."""
         self._spawn(node_id)
@@ -385,17 +380,12 @@ class LiveCluster:
             )
             if problems
         }
-        (self.outdir / "merged.traces.json").write_text(
-            json.dumps(
-                {
-                    "schema": "repro.obs/trace-merge-v1",
-                    "nodes": traces,
-                    "stitched_traces": len(stitched),
-                    "validation": validation,
-                },
-                indent=2,
-            )
-        )
+        (self.outdir / "merged.traces.json").write_text(json.dumps({
+            "schema": "repro.obs/trace-merge-v1",
+            "nodes": traces,
+            "stitched_traces": len(stitched),
+            "validation": validation,
+        }))
         summary = {
             "spec": asdict(self.spec),
             "killed": list(self.killed),
@@ -413,261 +403,3 @@ class LiveCluster:
         }
         (self.outdir / "report.json").write_text(json.dumps(summary, indent=2))
         return summary
-
-
-def register(commands) -> None:
-    """Declare ``python -m repro launch``: the deployment (the
-    :class:`ClusterSpec` flags), where it runs and what happens to it
-    mid-run."""
-    launch = commands.add_parser(
-        "launch",
-        help="deploy a live localhost cluster and drive a workload",
-    )
-    launch.add_argument("--workload-seed", type=int, default=0,
-                        help="dataset/network seed (default 0)")
-    launch.add_argument("--peers", type=int, default=3,
-                        help="simple-peer count (default 3)")
-    launch.add_argument("--super-peers", type=int, default=1,
-                        help="super-peer count (default 1)")
-    launch.add_argument("--joiners", type=int, default=0,
-                        help="extra peers with pre-generated bases that "
-                        "join mid-run (default 0)")
-    launch.add_argument("--resilient", action="store_true",
-                        help="enable the resilience layer (required for "
-                        "kill runs)")
-    launch.add_argument("--livedata", action="store_true",
-                        help="enable the live data plane: top-k cancel "
-                        "with paced chunked result streaming")
-    launch.add_argument("--host", default="127.0.0.1",
-                        help="interface the cluster binds to")
-    launch.add_argument("--outdir", default="live-run",
-                        help="directory for per-process and merged artifacts")
-    launch.add_argument("--statedir", default=None, metavar="DIR",
-                        help="durable state root passed to every node "
-                        "(defaults to OUTDIR/state when --supervise or "
-                        "--restart-after is given)")
-    launch.add_argument("--count", type=int, default=6,
-                        help="queries to drive against the cluster")
-    launch.add_argument("--kill", default=None, metavar="PEER",
-                        help="kill this peer halfway through the run "
-                        "(requires --resilient for partial answers)")
-    launch.add_argument("--kill-signal", choices=("term", "kill"),
-                        default="term",
-                        help="signal for --kill: term is graceful, kill is "
-                        "an abrupt crash (no snapshot, no goodbye)")
-    launch.add_argument("--restart-after", type=float, default=None,
-                        metavar="SECONDS",
-                        help="restart the killed peer this many seconds "
-                        "after the kill (the live twin of a Crash followed "
-                        "by a Restart)")
-    launch.add_argument("--supervise", action="store_true",
-                        help="restart crashed peer processes automatically "
-                        "with exponential backoff and a restart-storm "
-                        "circuit breaker")
-    launch.add_argument("--join", default=None, metavar="PEER",
-                        help="spawn this late joiner three quarters into "
-                        "the run (name it within --joiners)")
-    launch.add_argument("--scrape-every", type=int, default=2,
-                        help="scrape every N driven queries (default 2)")
-    launch.add_argument("--slo-window", type=float, default=120.0,
-                        help="sliding window (virtual units) the SLO "
-                        "rules evaluate over")
-    launch.add_argument("--shed-alert", type=float, default=0.25,
-                        help="shed-rate fraction above which the "
-                        "shed-rate SLO fires")
-    launch.add_argument("--updates", action="store_true",
-                        help="inject a seeded live update stream a third "
-                        "of the way into the run: triple inserts/deletes "
-                        "and view redefinitions applied by the live "
-                        "peers, advertisement deltas flowing to the "
-                        "super-peers over the real transport")
-    launch.add_argument("--topk", type=int, default=None, metavar="K",
-                        help="pose one extra LIMIT-K query near the end "
-                        "of the run with any-k early termination "
-                        "(enables the live data plane on every node)")
-    launch.set_defaults(run=run_launch)
-
-
-def _launch_scenario(spec: ClusterSpec, queries: List[str], args) -> Scenario:
-    """The timeline ``launch`` plays: ``--count`` queries rotating over
-    the peers believed up, the ``--updates`` revision a third of the way
-    in, the ``--kill`` overlapping the query halfway, the ``--join``
-    three quarters in, and the ``--topk`` query last.  A killed peer
-    leaves the rotation; a supervised one (no ``--restart-after``) is
-    back in it from the second query after the kill, by when the
-    supervisor has respawned it."""
-    count = args.count
-    events = []
-    rotation = spec.peer_ids()
-    down = set()
-    texts = itertools.cycle(queries)
-    for index in range(count):
-        if args.updates and index == count // 3:
-            events.append(Update(1))
-        if args.join is not None and index == (3 * count) // 4:
-            events.append(Join(args.join))
-            rotation = rotation + [args.join]
-        alive = [p for p in rotation if p not in down]
-        via = alive[index % len(alive)]
-        if args.kill is not None and index == count // 2:
-            # overlap the kill with an in-flight query so the loss
-            # degrades it to a coverage-annotated partial, exactly as a
-            # mid-query chaos crash does in-sim
-            if via == args.kill:
-                via = next(p for p in alive if p != args.kill)
-            events.append(Crash(args.kill, args.kill_signal, mid_query=True))
-            down.add(args.kill)
-        elif args.supervise and args.restart_after is None:
-            down.clear()  # respawned before the next query
-        events.append(Query(via, next(texts)))
-    if args.topk is not None:
-        # one LIMIT-k query over the live cluster: the answering peer
-        # cancels still-streaming channels once k rows are stable, the
-        # ubQL discard working across real sockets
-        alive = [p for p in rotation if p not in down]
-        events.append(Query(alive[0], queries[0], limit=args.topk))
-    return Scenario(events)
-
-
-def run_launch(args) -> int:
-    """Entry point of the ``python -m repro launch`` subcommand: parse
-    the flags, build the scenario, play it on a live cluster, write the
-    report.  Supervision, ``--restart-after`` and the mid-run scrape
-    react to what happened between the answers."""
-    try:
-        # checked before anything is spawned: a bad name would otherwise
-        # surface as a KeyError half-way through the run
-        spec = ClusterSpec(
-            seed=args.workload_seed,
-            peers=args.peers,
-            super_peers=args.super_peers,
-            joiners=args.joiners,
-            resilient=args.resilient,
-            # top-k cancel needs the nodes' live data plane switched on
-            livedata=args.livedata or args.topk is not None,
-        )
-        if args.kill is not None and args.kill not in spec.peer_ids():
-            raise ValueError(f"--kill {args.kill!r} is not a peer of this "
-                             f"cluster ({', '.join(spec.peer_ids())})")
-        if args.join is not None and args.join not in spec.joiner_ids():
-            raise ValueError(
-                f"--join {args.join!r} is not a joiner of this cluster "
-                f"({', '.join(spec.joiner_ids()) or 'raise --joiners'})"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    restart_after = args.restart_after
-    statedir = args.statedir
-    if statedir is None and (args.supervise or restart_after is not None):
-        # restarted processes need somewhere to recover from
-        statedir = str(Path(args.outdir) / "state")
-    cluster = LiveCluster(spec, args.outdir, host=args.host, statedir=statedir,
-                          slo_window=args.slo_window, shed_alert=args.shed_alert)
-    workload = cluster.workload
-    scenario = _launch_scenario(spec, workload.queries, args)
-    updates = None
-    if args.updates:
-        live_bases = {p: workload.bases[p] for p in spec.peer_ids()}
-        updates = LiveDataDriver(cluster, UpdateStream(
-            workload.synthetic.schema, live_bases, seed=spec.seed,
-            revisions=1, rate=UPDATE_RATE,
-        ))
-
-    def bundle(name: str, reason: str, node_id: str, **details) -> None:
-        write_diagnostic_bundle(cluster.outdir, name, reason=reason,
-                                node_ids=(node_id,), scraper=cluster.scraper,
-                                details=details or None)
-
-    supervisor = Supervisor(
-        cluster.processes, cluster.restart_peer,
-        on_restart=lambda node_id, attempt: bundle(
-            f"restart-{node_id}-{attempt}", "supervised restart", node_id,
-            attempt=attempt),
-        on_trip=lambda node_id, restarts: bundle(
-            f"breaker-{node_id}", "restart-storm circuit breaker tripped",
-            node_id, restarts=restarts),
-    ) if args.supervise else None
-    kill_time = None
-
-    def on_event(event) -> None:
-        nonlocal kill_time
-        if isinstance(event, Crash):
-            print(f"killed {event.peer} mid-query (SIG{event.signal.upper()})")
-            kill_time = time.monotonic()
-            if restart_after is not None and supervisor is not None:
-                supervisor.expect_down(event.peer)
-            if event.signal == "kill":
-                # the crash black box: the victim's durable flight
-                # record survives the SIGKILL; bundle it now
-                bundle(f"crash-{event.peer}", "SIGKILL crash", event.peer)
-        elif isinstance(event, Join):
-            print(f"joined {event.peer} mid-run")
-        else:
-            print(f"injected live update revision ({updates.stream.total_records()}"
-                  f" records, rate {UPDATE_RATE})")
-            if not updates.acked(event.revision):
-                print("warning: update revision not fully acked", file=sys.stderr)
-
-    def down() -> set:
-        """The nodes killed and not restarted since."""
-        return set(cluster.killed) - set(cluster.restarts)
-
-    outcomes = play(scenario, cluster, updates=updates, on_event=on_event)
-    print(f"launching {spec.super_peers} super-peer(s) + {spec.peers} peer(s) "
-          f"on {args.host} (seed {spec.seed}, "
-          f"{'resilient' if spec.resilient else 'baseline'}"
-          f"{', supervised' if args.supervise else ''})")
-    reported = []
-    try:
-        cluster.start()
-        print(f"cluster up: seed port {cluster.transport.port}, "
-              f"book {sorted(cluster.transport.book)}")
-        queries = [event for event in scenario if isinstance(event, Query)]
-        for index, (query, outcome) in enumerate(zip(queries, outcomes)):
-            status = "ok" if outcome.status == "full" else outcome.status
-            rows = outcome.rows or 0
-            reported.append({"via": query.via, "status": status, "rows": rows,
-                             "error": outcome.error})
-            if query.limit is not None:
-                reported[-1]["limit"] = query.limit
-                print(f"  top-{query.limit}: via {query.via} -> {status} "
-                      f"({rows} rows)")
-                continue
-            print(f"  q{index}: via {query.via} -> {status} ({rows} rows)")
-            if index % max(1, args.scrape_every) == 0:
-                # mid-run scrape: every peer's /metrics + /healthz into
-                # the rollups, the timeline, and the SLO watchdogs
-                cluster.scrape()
-            if supervisor is not None:
-                if down() and restart_after is None:
-                    # give the backoff clock a chance between queries, so
-                    # a short run still observes the supervised restart
-                    time.sleep(supervisor.backoff.base)
-                for node_id in supervisor.tick():
-                    print(f"supervisor restarted {node_id}")
-            if (restart_after is not None and args.kill in down()
-                    and time.monotonic() - kill_time >= restart_after):
-                print(f"restarting {args.kill} ({restart_after}s after kill)")
-                cluster.restart_peer(args.kill)
-                if supervisor is not None:
-                    supervisor.resume(args.kill)
-    finally:
-        summary = cluster.shutdown()
-    summary["outcomes"] = reported
-    if updates is not None:
-        summary["updates"] = {
-            "batches_injected": updates.injected,
-            "acks": len(updates.injector.acks),
-            "records": updates.stream.total_records(),
-        }
-        print(f"live updates: {updates.injected} batch(es), "
-              f"{len(updates.injector.acks)} ack(s)")
-    if args.topk is not None:
-        summary["topk"] = args.topk
-    (cluster.outdir / "report.json").write_text(json.dumps(summary, indent=2))
-    print(f"artifacts merged under {cluster.outdir}")
-    statuses = {o["status"] for o in reported}
-    if args.kill is not None and "partial" not in statuses:
-        print("warning: kill run produced no partial answers")
-    return 0

@@ -56,7 +56,7 @@ def register(commands) -> None:
     writes, plus the cluster it belongs to as one ``--spec`` value."""
     peer = commands.add_parser(
         "peer",
-        help="one node process of a live deployment (spawned by launch)",
+        help="one node process of a live deployment (spawned by run --live)",
     )
     peer.add_argument("--node-id", required=True,
                       help="protocol peer hosted by this process (P1, SP1, ...)")
@@ -111,6 +111,9 @@ def run_node(args) -> int:
         # everything that arrives on the command line is checked before
         # a socket is bound or a workload generated
         spec = ClusterSpec.from_json(args.spec)
+        if spec.super_peers < 1:
+            raise ValueError("a live node needs super-peers >= 1 (the ad-hoc "
+                             "architecture runs in the sim only)")
         seed = parse_address(args.seed)
         if node_id not in spec.super_ids() + spec.all_peer_ids():
             raise ValueError(

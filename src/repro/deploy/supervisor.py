@@ -1,6 +1,6 @@
 """Supervised crash recovery for live deployments.
 
-``python -m repro launch --supervise`` arms a :class:`Supervisor` over
+``python -m repro run --live --supervise`` arms a :class:`Supervisor` over
 the cluster's child processes: whenever one is found dead that was not
 *expected* to be down (graceful shutdown, an operator-ordered kill with
 a scheduled manual restart), it is respawned through the launcher's

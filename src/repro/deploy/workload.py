@@ -45,7 +45,8 @@ class ClusterSpec:
         seed: Dataset/network seed.
         peers: Simple-peer count (``P1`` ... ``Pn``).
         super_peers: Super-peer count (``SP1`` ... ``SPk``); peers
-            cluster round-robin.
+            cluster round-robin.  0 is the ad-hoc architecture, every
+            peer the neighbour of every other (in-sim only).
         chain_length: Synthetic schema chain length.
         queries: Distinct query texts to generate.
         statements_per_segment: Base size knob.
@@ -53,8 +54,8 @@ class ClusterSpec:
             quarantine, partial results) — required for kill runs.
         time_scale: Real seconds per virtual-time unit (live only).
         joiners: Extra peers (``P{peers+1}`` ...) that are *not* started
-            with the cluster but hold pre-generated bases, so a mid-run
-            ``--join`` spawns them with data every process agrees on.
+            with the cluster but hold pre-generated bases, so a peer
+            joining mid-run brings data every process agrees on.
         livedata: Enable the live data plane on every node: peers serve
             :class:`~repro.livedata.updates.UpdateBatch` streams (they
             always do) *and* opt into top-k cancel with paced chunked
@@ -74,12 +75,15 @@ class ClusterSpec:
     livedata: bool = False
 
     def __post_init__(self) -> None:
-        # the counts come from ``launch`` flags and ``peer --spec``
-        if self.peers < 1 or self.super_peers < 1 or self.joiners < 0:
+        # the counts come from ``run`` flags and ``peer --spec``
+        if self.peers < 1 or self.super_peers < 0 or self.joiners < 0:
             raise ValueError(
-                f"a cluster needs peers >= 1, super-peers >= 1 and joiners >= 0 "
+                f"a cluster needs peers >= 1, super-peers >= 0 and joiners >= 0 "
                 f"(got {self.peers}, {self.super_peers}, {self.joiners})"
             )
+        if self.joiners and not self.super_peers:
+            raise ValueError("an ad-hoc cluster (super-peers 0) has no "
+                             "super-peer for joiners to join through")
 
     def peer_ids(self) -> List[str]:
         return [f"P{i}" for i in range(1, self.peers + 1)]
@@ -180,21 +184,31 @@ def build_sim_system(spec: ClusterSpec, workload: ClusterWorkload = None):
     same :meth:`ClusterSpec.peer_config`, on
     :class:`~repro.transport.SimTransport`.  (Heartbeat emitters and
     per-super-peer failure detectors are the sim-only difference: live
-    failure detection rides on the transport's dial-give-up bounces.)"""
-    from ..systems import HybridSystem
+    failure detection rides on the transport's dial-give-up bounces.)
+    With ``super_peers=0`` it is an ad-hoc deployment over a full
+    neighbour mesh, its neighbourhoods discovered."""
+    from ..systems import AdhocSystem, HybridSystem
 
     workload = workload or build_workload(spec)
     config = spec.peer_config()
-    system = HybridSystem(
+    architecture = HybridSystem if spec.super_peers else AdhocSystem
+    system = architecture(
         workload.synthetic.schema,
         seed=spec.seed,
         config=replace(config, resilience=RESILIENCE_OFF),
     )
-    for super_id in spec.super_ids():
-        system.add_super_peer(super_id)
-    for peer_id in spec.peer_ids():
-        system.add_peer(peer_id, workload.bases[peer_id], spec.home_for(peer_id))
-    system.run()  # settle the advertisement push
+    peers = spec.peer_ids()
+    if spec.super_peers:
+        for super_id in spec.super_ids():
+            system.add_super_peer(super_id)
+        for peer_id in peers:
+            system.add_peer(peer_id, workload.bases[peer_id], spec.home_for(peer_id))
+        system.run()  # settle the advertisement push
+    else:
+        for peer_id in peers:
+            system.add_peer(peer_id, workload.bases[peer_id],
+                            [p for p in peers if p != peer_id])
+        system.discover_all()
     if spec.resilient:
         # only now: the failure detectors count from a settled cluster
         system.enable_resilience(config.resilience)

@@ -109,11 +109,12 @@ class TraceCollector:
             ],
         }
 
-    def export_json(self, trace_id: Optional[str] = None, indent: int = 2) -> str:
+    def export_json(self, trace_id: Optional[str] = None) -> str:
         # strict: Span.to_dict guarantees JSON scalars, so any
         # non-serialisable value here is a bug worth crashing on —
-        # no ``default=str`` escape hatch
-        return json.dumps(self.export(trace_id), indent=indent)
+        # no ``default=str`` escape hatch.  Compact, so the C encoder
+        # writes it (``indent`` selects the pure-Python one)
+        return json.dumps(self.export(trace_id))
 
 
 def span_tree(spans: List[Span]) -> Dict[Optional[str], List[Span]]:

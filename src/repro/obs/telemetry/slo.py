@@ -65,7 +65,7 @@ def default_slo_rules(
     availability_floor: float = 0.75,
     partial_bound: float = 0.5,
 ) -> Tuple[SLORule, ...]:
-    """The stock rule set a launch/serve run monitors."""
+    """The stock rule set every ``run``, in-sim or live, monitors."""
     return (
         SLORule(
             "p99-latency", "p99_latency", ">", p99_bound,

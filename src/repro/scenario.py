@@ -4,8 +4,9 @@ A :class:`Scenario` is a frozen tuple of events, and :func:`play` applies
 it to a target: an in-sim :class:`~repro.systems.deployment.Deployment`
 on the virtual clock, or a live :class:`~repro.deploy.launcher.
 LiveCluster` of OS processes.  One scenario played on both targets is
-the sim-vs-live differential test; a chaos run, a churn benchmark and
-``repro launch`` are each one scenario played on one target.
+the sim-vs-live differential test; a chaos run and a churn benchmark
+are each one scenario played on one target, and ``repro run`` builds
+one scenario from its flags for either target.
 
 Events apply in sequence, and a :class:`Query` is closed-loop: ``play``
 waits for its answer and yields its

@@ -64,7 +64,7 @@ def test_played_limit_queries_share_the_launcher_client(tmp_path):
 
 def test_played_queries_leave_no_answer_in_the_launcher_client(tmp_path):
     """Every answer is taken out of the one query client as it is
-    awaited, so a long ``launch``/``serve`` run does not grow it."""
+    awaited, so a long ``run --live`` does not grow it."""
     spec = ClusterSpec(seed=1, peers=2, super_peers=1)
     cluster = LiveCluster(spec, tmp_path / "run")
     texts = cluster.workload.queries

@@ -127,7 +127,7 @@ class TestSamplingPipeline:
         assert rollup["availability"] == 0.5
 
     def test_sim_watchdog_rolls_up_like_a_one_peer_cluster(self):
-        # an in-sim watchdog (the one `repro alerts --demo` runs: the
+        # an in-sim watchdog (the one an in-sim `repro run` runs: the
         # probe sampled on every answer) and a scraper's series, fed the
         # same samples, agree on every window — a quiet one included
         system = paper_system()

@@ -212,14 +212,19 @@ class TestTop:
 
 class TestAlerts:
     def test_demo_fires_the_shed_rate_alert(self, capsys):
-        assert main(["alerts", "--demo"]) == 0
+        """The overload demo is an ordinary in-sim run: admission starved
+        to 1 running + 1 queued, the watchdog on every answer."""
+        assert main(["run", "--count", "32", "--arrival-rate", "4",
+                     "--max-concurrent", "1", "--max-queued", "1"]) == 0
         out = capsys.readouterr().out
         assert "FIRING" in out and "shed-rate" in out
-        assert "fired rules:" in out
+        assert "0 no-reply" in out
 
-    def test_no_directory_and_no_demo_is_usage_error(self, capsys):
-        assert main(["alerts"]) == 2
-        assert "--demo" in capsys.readouterr().err
+    def test_no_directory_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["alerts"])
+        assert exit.value.code == 2
+        assert "outdir" in capsys.readouterr().err
 
     def test_replay_reports_transitions_and_active(self, tmp_path, capsys):
         import json
@@ -247,38 +252,47 @@ class TestAlerts:
 
 
 class TestServe:
+    """``run`` in the sim: open-loop load on the spec's in-sim twin.  At
+    seed 0 one of the four generated texts finds no relevant peer and is
+    answered with an error, so these assert that every query got a
+    reply."""
+
     def test_serve_answers_everything(self, capsys):
-        assert main(["serve", "--count", "8", "--arrival-rate", "1.0"]) == 0
+        assert main(["run", "--count", "8", "--arrival-rate", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "deployment : hybrid" in out
-        assert "8 queries (8 answered" in out
+        assert "8 queries (" in out and "0 no-reply" in out
         assert "throughput" in out
 
     def test_serve_adhoc(self, capsys):
-        assert main(["serve", "--arch", "adhoc", "--count", "6",
+        assert main(["run", "--super-peers", "0", "--count", "6",
                      "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "deployment : adhoc" in out
         assert "0 no-reply" in out
 
     def test_serve_with_admission_and_fairness(self, capsys):
-        assert main(["serve", "--count", "10", "--max-concurrent", "2",
+        assert main(["run", "--count", "10", "--max-concurrent", "2",
                      "--max-queued", "8", "--fair-quantum", "0.5",
                      "--arrival-rate", "2.0"]) == 0
         out = capsys.readouterr().out
-        assert "10 queries (10 answered" in out
+        assert "10 queries (" in out and "0 no-reply" in out
 
     def test_serve_updates_land_while_queries_are_in_flight(self):
         from repro.cli import _build_parser
-        from repro.cli.serve import _serving_scenario, _synthetic_deployment
+        from repro.cli.run import SHED_RETRIES, _update_stream, build_scenario
+        from repro.deploy import ClusterSpec, build_sim_system, build_workload
+        from repro.livedata import LiveDataDriver
         from repro.resilience.harness import PlayReport
         from repro.scenario import play
 
-        args = _build_parser().parse_args(
-            ["serve", "--count", "12", "--updates", "--update-revisions", "3"]
-        )
-        system, bases, queries = _synthetic_deployment(args.seed, 12, args.count)
-        scenario, driver = _serving_scenario(system, bases, queries, args)
+        args = _build_parser().parse_args(["run", "--count", "12", "--updates", "3"])
+        spec = ClusterSpec(seed=args.seed)
+        workload = build_workload(spec)
+        system = build_sim_system(spec, workload)
+        driver = LiveDataDriver(system, _update_stream(spec, workload, 3))
+        scenario = build_scenario(args, spec, workload.queries,
+                                  start=system.network.now)
         acked = []
         handle = driver.injector.handle_UpdateAck
 
@@ -287,19 +301,67 @@ class TestServe:
             handle(message)
 
         driver.injector.handle_UpdateAck = record
-        report = PlayReport.collect(play(scenario, system, updates=driver),
-                                    system.network)
+        report = PlayReport.collect(
+            play(scenario, system, updates=driver, shed_retries=SHED_RETRIES),
+            system.network,
+        )
         first = min(o.submitted_at for o in report.outcomes)
         last = max(o.finished_at for o in report.outcomes)
+        assert report.count("no-reply") == 0
         assert acked and all(driver.acked(r) for r in (1, 2, 3))
         assert any(first < t < last for t in acked), (first, last, acked)
 
-    def test_serve_exhausted_budget_fails_with_diagnostics(self, capsys):
-        assert main(["serve", "--count", "8", "--arrival-rate", "5.0",
-                     "--max-events", "30"]) == 1
+    def test_serve_exhausted_budget_fails_with_diagnostics(self, capsys, monkeypatch):
+        from repro.cli import run
+
+        monkeypatch.setattr(run, "MAX_EVENTS", 30)
+        assert main(["run", "--count", "8", "--arrival-rate", "5.0"]) == 1
         err = capsys.readouterr().err
         assert "event budget exhausted" in err
         assert "queries in flight" in err
+
+
+class TestRun:
+    """One scenario builder, two targets."""
+
+    FLAGS = ["--joiners", "1", "--kill", "P2", "--kill-signal", "kill",
+             "--resilient", "--topk", "3", "--updates", "2"]
+
+    def test_sim_and_live_scenarios_carry_the_same_events(self):
+        from repro.cli import _build_parser
+        from repro.cli.run import build_scenario
+        from repro.deploy import ClusterSpec, build_workload
+        from repro.scenario import Crash, Join, Query, Update
+
+        args = _build_parser().parse_args(["run", *self.FLAGS])
+        spec = ClusterSpec(seed=0, joiners=1, resilient=True, livedata=True)
+        texts = build_workload(spec).queries
+
+        def shape(scenario):
+            return [
+                (type(e).__name__, getattr(e, "via", getattr(e, "peer", None)),
+                 getattr(e, "text", None), getattr(e, "limit", None))
+                for e in scenario
+            ]
+
+        live = build_scenario(args, spec, texts)
+        sim = build_scenario(args, spec, texts, start=5.0)
+        assert shape(sim) == shape(live)
+        kinds = [type(e) for e in live]
+        assert kinds.count(Query) == args.count
+        assert (kinds.count(Update), kinds.count(Crash), kinds.count(Join)) == (2, 1, 1)
+        assert all(e.at is None for e in live)
+        assert all(e.limit == 3 for e in live if isinstance(e, Query))
+        # the sim arms every event at its query's open-loop arrival
+        instants = [e.at for e in sim]
+        assert instants == sorted(instants) and instants[0] > 5.0
+        assert not any(e.mid_query for e in sim if not isinstance(e, Query))
+
+    def test_sim_plays_churn_to_a_reply_for_every_query(self, capsys):
+        assert main(["run", *self.FLAGS]) == 0
+        out = capsys.readouterr().out
+        assert "killed P2" in out and "joined P4" in out
+        assert "partial" in out and "0 no-reply" in out
 
 
 class TestQueryValidation:
@@ -365,20 +427,34 @@ class TestChaosValidation:
 
 
 class TestLaunchValidation:
-    """Node names are checked against the spec before anything is
-    spawned (no outdir appears)."""
+    """``run`` checks its flags before anything is built or spawned: one
+    error line, exit 2, no outdir."""
 
     @pytest.mark.parametrize("flags, complaint", [
-        (["--kill", "P9"], "--kill 'P9' is not a peer of this cluster (P1, P2, P3)"),
-        (["--join", "P9", "--joiners", "1"],
-         "--join 'P9' is not a joiner of this cluster (P4)"),
-        (["--join", "P4"], "--join 'P4' is not a joiner of this cluster "
-                           "(raise --joiners)"),
-        (["--peers", "0"], "peers >= 1"),
-    ], ids=["kill-unknown", "join-unknown", "join-without-joiners", "no-peers"])
-    def test_bad_node_name(self, tmp_path, capsys, flags, complaint):
+        (["--live", "--kill", "P9"],
+         "--kill 'P9' is not a peer of this cluster (P1, P2, P3)"),
+        (["--live", "--peers", "0"], "peers >= 1"),
+        (["--live", "--peers", "1", "--resilient", "--kill", "P1"],
+         "--kill P1 leaves no peer to pose queries through"),
+        (["--live", "--super-peers", "0"], "super-peers >= 1"),
+        (["--super-peers", "0", "--joiners", "1"], "no super-peer for joiners"),
+        (["--count", "0"], "--count must be >= 1"),
+        (["--arrival-rate", "0"], "--arrival-rate must be positive"),
+        (["--topk", "0"], "--topk must be >= 1"),
+        (["--max-concurrent", "0"], "--max-concurrent must be >= 1"),
+        (["--live", "--max-queued", "4"], "--max-queued: sim-only, drop --live"),
+        (["--supervise", "--scrape-every", "1"],
+         "--supervise, --scrape-every: live-only, add --live"),
+    ], ids=["kill-unknown", "no-peers", "kill-no-survivor", "adhoc-live",
+            "adhoc-joiners", "no-queries", "no-arrivals", "no-topk",
+            "no-admission", "sim-flag-live", "live-flag-sim"])
+    def test_bad_node_name(self, tmp_path, capsys, monkeypatch, flags, complaint):
+        monkeypatch.chdir(tmp_path)  # where the default outdir would appear
         outdir = tmp_path / "run"
-        assert main(["launch", "--outdir", str(outdir), *flags]) == 2
-        err = capsys.readouterr().err
+        if "--live" in flags:
+            flags = [*flags, "--outdir", str(outdir)]
+        assert main(["run", *flags]) == 2
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and complaint in err
-        assert err.count("\n") == 1 and not outdir.exists()
+        assert err.count("\n") == 1 and out == ""
+        assert not outdir.exists() and not any(tmp_path.iterdir())

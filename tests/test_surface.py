@@ -36,12 +36,13 @@ MAX_VAR_KEYWORD_PARAMETERS = 0
 MAX_THREE_ARGUMENT_GETATTRS = 6
 #: command-line flags and positionals (101 before every flag nothing
 #: passed was deleted, 72 while ``serve`` had ``--mode`` and
-#: ``--clients``): ``cli/`` 42 over nine commands, ``deploy/node.py``
-#: 8 (``peer``), ``deploy/launcher.py`` 20 (``launch``)
-MAX_ADD_ARGUMENT_CALLS = 70
+#: ``--clients``, 70 while ``serve``, ``launch`` and ``alerts --demo``
+#: each built a deployment and a load): ``cli/`` 48 over nine commands
+#: (``run`` 19), ``deploy/node.py`` 8 (``peer``)
+MAX_ADD_ARGUMENT_CALLS = 56
 #: functions under ``src/`` outside ``deploy/workload.py`` that call
-#: ``ClusterSpec(`` with field keywords — ``run_launch`` turning its own
-#: six flags into a spec.  A spec reaches every other place as one value
+#: ``ClusterSpec(`` with field keywords — ``run`` turning its own five
+#: flags into a spec.  A spec reaches every other place as one value
 #: (``to_json``/``from_json``), so a new field is a one-file change.
 MAX_CLUSTER_SPEC_BUILD_SITES = 1
 #: places that build a ``PlanExecutor`` (``Peer.plan_executor``, which
@@ -100,7 +101,7 @@ MAX_QUERY_OUTCOME_CLASSES = 1
 #: Load is a ``Scenario`` played by ``play``, reported by ``PlayReport``
 MAX_QUERY_LOAD_CLASSES = 0
 #: ``time.sleep(`` calls under ``src/``: a sim client's submission
-#: pacing (``ClientPeer._pace``), ``run_launch``'s supervised back-off
+#: pacing (``ClientPeer._pace``), ``run --live``'s supervised back-off
 #: and ``observe --watch``'s interval.  A new wall-clock wait, a query
 #: throttle above all, has to raise this on purpose
 MAX_WALL_CLOCK_SLEEPS = 3
