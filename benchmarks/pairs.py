@@ -10,7 +10,10 @@ in the parent's tree and in this one, and its last output line — one
 JSON object with ``correct``, ``failed`` and the end-to-end metrics —
 is all this script reads.  The parent is checked out with ``git
 worktree add`` (local, no network) unless ``--parent`` names an
-existing checkout.  Pairs alternate which side runs first: odd pairs
+existing checkout.  Before the first pair both trees are byte-compiled
+(``python -m compileall -q src benchmarks``), so neither side's runs pay
+for compiling the package — a fresh checkout otherwise recompiles it in
+every process.  Pairs alternate which side runs first: odd pairs
 (the first, the third, ...) run the parent first.
 
 Per workload and end-to-end metric the file holds each side's runs,
@@ -124,12 +127,23 @@ def fold(pairs: Dict[str, List[Tuple[Run, Run]]], spec: dict) -> dict:
     return workloads
 
 
+def environment() -> Dict[str, str]:
+    """What every process run in a tree inherits: ours, minus
+    ``PYTHONPATH`` (each tree imports its own package)."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+def compile_tree(tree: Path) -> None:
+    """Byte-compile ``tree``'s package and benchmarks in place."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
+                   cwd=tree, env=environment(), capture_output=True, check=True)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Run:
     """One unmodified benchmark run in ``tree``; its last line."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     command = [sys.executable, str(RUNNER), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
+    done = subprocess.run(command, cwd=tree, env=environment(), capture_output=True,
                           text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -137,6 +151,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Run:
 def measure(parent: Path, workloads: Sequence[str], count: int, seed: int,
             seconds: float) -> Dict[str, List[Tuple[Run, Run]]]:
     pairs: Dict[str, List[Tuple[Run, Run]]] = {}
+    for tree in (parent, ROOT):
+        compile_tree(tree)
     for workload in workloads:
         for index in range(count):
             parent_first = index % 2 == 0  # the first, third, ... pair

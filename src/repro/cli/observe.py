@@ -1,11 +1,12 @@
 """``trace``, ``metrics``, ``top`` and ``alerts``: what a deployment
 did, read off its spans, instruments and SLO timeline.
 
-``trace`` and ``metrics`` run the paper's query over the Figure 6
-(hybrid) or Figure 7 (ad-hoc) deployment, or read a live run's exported
-artifacts; ``metrics --scrape`` and ``top`` poll a live run's telemetry
-endpoints and share one watch loop; ``alerts`` replays a live run's
-alert transitions.
+None of them runs anything: each reads the run directory a ``run
+--outdir DIR`` leaves, in the sim or ``--live`` alike.  ``trace`` renders
+one query's span tree out of a trace export, ``metrics`` merges the
+per-process metric dumps, ``alerts`` replays the timeline's alert
+transitions; ``metrics --scrape`` and ``top`` poll a live run's
+telemetry endpoints and share one watch loop.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import sys
 import time
 from pathlib import Path
 
+from ..deploy.node import process_dumps
 from ..errors import NetworkError
 from ..obs import (
     merge_expositions,
-    render_prometheus,
     render_trace,
     spans_from_dicts,
     stitch_trace_exports,
-    system_gauges,
     validate_trace,
 )
 from ..obs.telemetry import (
@@ -33,8 +33,6 @@ from ..obs.telemetry import (
     render_alert,
     scrape,
 )
-from ..systems import AdhocSystem, HybridSystem
-from ..workloads.paper import PAPER_QUERY, adhoc_scenario, hybrid_scenario
 
 #: seconds between ``top --watch`` frames
 TOP_INTERVAL = 2.0
@@ -45,22 +43,14 @@ TOP_WINDOW = 60.0
 def register(commands) -> None:
     trace = commands.add_parser(
         "trace",
-        help="run a traced query and render its distributed span tree",
+        help="render one query's distributed span tree from a trace export",
     )
-    trace.add_argument("text", nargs="?", default=None,
-                       help="RQL query text (default: the paper's query)")
-    trace.add_argument("--arch", choices=("hybrid", "adhoc"), default="hybrid",
-                       help="deployment to trace (Figure 6 or Figure 7)")
-    trace.add_argument("--json", default=None, metavar="FILE",
-                       help="also write the trace export as JSON")
+    trace.add_argument("path",
+                       help="a run's merged.traces.json or one process's "
+                       "trace.json")
     trace.add_argument("--query", default=None, metavar="ID", dest="query_id",
                        help="render the trace of this query id instead of "
-                       "the latest one (with --from: pick it out of the "
-                       "export)")
-    trace.add_argument("--from", default=None, metavar="FILE", dest="from_file",
-                       help="render a trace from an exported JSON file "
-                       "(a node's traces.json or a live run's "
-                       "merged.traces.json) instead of running a query")
+                       "the latest one")
     trace.add_argument("--no-events", action="store_true",
                        help="hide span events (retries, packets)")
     trace.add_argument(
@@ -73,23 +63,17 @@ def register(commands) -> None:
 
     metrics = commands.add_parser(
         "metrics",
-        help="run a workload and print Prometheus-style metrics",
+        help="print a run's Prometheus-style metrics, every process's "
+        "dump merged",
     )
-    metrics.add_argument("--arch", choices=("hybrid", "adhoc"), default="hybrid",
-                         help="deployment to run")
-    metrics.add_argument("--queries", type=int, default=5,
-                         help="how many times the paper's query is posed")
-    metrics.add_argument("--merge", default=None, metavar="DIR",
-                         help="instead of running a workload, merge the "
-                         "per-process *.metrics.prom dumps under DIR into "
-                         "one exposition on stdout")
-    metrics.add_argument("--scrape", default=None, metavar="DIR",
-                         help="instead of running a workload, scrape the "
-                         "live telemetry endpoints discovered under DIR "
-                         "and print the merged exposition")
+    metrics.add_argument("outdir",
+                         help="run directory: merge its per-process "
+                         "*.metrics.prom dumps into one exposition")
+    metrics.add_argument("--scrape", action="store_true",
+                         help="scrape the live telemetry endpoints "
+                         "discovered under the directory instead")
     metrics.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                         help="with --scrape or --merge: re-render every "
-                         "SECONDS until interrupted")
+                         help="re-render every SECONDS until interrupted")
     metrics.add_argument("--peer-filter", default=None, metavar="NODE",
                          help="with --scrape: only this peer's endpoint")
     metrics.set_defaults(run=_cmd_metrics)
@@ -109,7 +93,7 @@ def register(commands) -> None:
 
     alerts = commands.add_parser(
         "alerts",
-        help="replay a live run's SLO alert timeline",
+        help="replay a run's SLO alert timeline",
     )
     alerts.add_argument("outdir",
                         help="run directory with a timeline.jsonl to replay")
@@ -119,82 +103,38 @@ def register(commands) -> None:
     alerts.set_defaults(run=_cmd_alerts)
 
 
-def _build_paper_system(arch: str):
-    """The Figure 6 (hybrid) or Figure 7 (ad-hoc) deployment."""
-    if arch == "adhoc":
-        return AdhocSystem.from_scenario(adhoc_scenario())
-    return HybridSystem.from_scenario(hybrid_scenario())
-
-
 def _load_trace_export(path: str):
-    """``trace_id -> span dicts`` from any of the trace export schemas
-    (a node's ``trace-v1`` export or a launcher's ``trace-merge-v1``)."""
+    """``(trace_id -> span dicts, processes)`` from either trace export
+    schema: one process's ``trace-v1`` export, or a run's
+    ``trace-merge-v1`` holding every process's."""
     with open(path) as handle:
         export = json.load(handle)
     if export.get("schema") == "repro.obs/trace-merge-v1":
-        return stitch_trace_exports(list(export.get("nodes", {}).values()))
-    return stitch_trace_exports([export])
+        nodes = list(export.get("nodes", {}).values())
+        return stitch_trace_exports(nodes), len(nodes)
+    return stitch_trace_exports([export]), 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    cross_clock = False
-    if args.from_file is not None:
-        # operator path: follow one query out of an exported run artifact
-        try:
-            stitched = _load_trace_export(args.from_file)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.from_file}: {exc}", file=sys.stderr)
-            return 2
-        if not stitched:
-            print("no traces in the export", file=sys.stderr)
-            return 1
-        trace_id = args.query_id or next(reversed(stitched))
-        if trace_id not in stitched:
-            print(f"no trace for query {trace_id!r}; export holds: "
-                  + ", ".join(sorted(stitched)), file=sys.stderr)
-            return 1
-        spans = spans_from_dicts(stitched[trace_id])
-        # merged live-run spans carry per-process clock epochs
-        cross_clock = len({s.peer_id for s in spans}) > 1
-    else:
-        system = _build_paper_system(args.arch)
-        try:
-            system.query("P1", args.text or PAPER_QUERY)
-        except Exception as exc:
-            # the trace of a failed query is still worth rendering
-            print(f"query failed: {exc}", file=sys.stderr)
-        collector = system.network.trace_collector
-        trace_id = args.query_id or collector.latest_trace_id()
-        if trace_id is None:
-            print("no trace was recorded", file=sys.stderr)
-            return 1
-        if trace_id not in collector.trace_ids():
-            print(f"no trace for query {trace_id!r}; collected: "
-                  + ", ".join(collector.trace_ids()), file=sys.stderr)
-            return 1
-        spans = collector.spans(trace_id)
+    try:
+        stitched, processes = _load_trace_export(args.path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
+        return 2
+    if not stitched:
+        print("no traces in the export", file=sys.stderr)
+        return 1
+    trace_id = args.query_id or next(reversed(stitched))
+    if trace_id not in stitched:
+        print(f"no trace for query {trace_id!r}; export holds: "
+              + ", ".join(sorted(stitched)), file=sys.stderr)
+        return 1
+    spans = spans_from_dicts(stitched[trace_id])
     print(render_trace(spans, show_events=not args.no_events))
-    if args.json:
-        with open(args.json, "w") as handle:
-            if args.from_file is not None:
-                json.dump(
-                    {
-                        "schema": "repro.obs/trace-v1",
-                        "traces": [
-                            {
-                                "trace_id": trace_id,
-                                "spans": stitched[trace_id],
-                            }
-                        ],
-                    },
-                    handle,
-                    indent=2,
-                )
-            else:
-                handle.write(collector.export_json(trace_id))
-        print(f"trace written to {args.json}", file=sys.stderr)
     if args.check:
-        problems = validate_trace(spans, cross_clock=cross_clock)
+        # spans exported by different processes carry different clock
+        # epochs; one process's spans are held to one clock
+        problems = validate_trace(spans, cross_clock=processes > 1)
         if problems:
             for problem in problems:
                 print(f"INVALID: {problem}", file=sys.stderr)
@@ -221,7 +161,7 @@ def _watch_loop(render, interval: float) -> int:
 
 
 def _render_merged_dumps(directory: str) -> int:
-    dumps = sorted(Path(directory).glob("*.metrics.prom"))
+    dumps = process_dumps(directory, ".metrics.prom")
     if not dumps:
         print(f"error: no *.metrics.prom files under {directory}",
               file=sys.stderr)
@@ -258,28 +198,13 @@ def _render_scraped(directory: str, peer_filter) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    if args.scrape is not None:
-        render = lambda: _render_scraped(args.scrape, args.peer_filter)  # noqa: E731
-    elif args.merge is not None:
-        render = lambda: _render_merged_dumps(args.merge)  # noqa: E731
+    if args.scrape:
+        render = lambda: _render_scraped(args.outdir, args.peer_filter)  # noqa: E731
     else:
-        render = None
-    if render is not None:
-        if args.watch is not None:
-            return _watch_loop(render, args.watch)
-        return render()
+        render = lambda: _render_merged_dumps(args.outdir)  # noqa: E731
     if args.watch is not None:
-        print("error: --watch needs --scrape DIR or --merge DIR "
-              "(nothing moves in a finished in-sim run)", file=sys.stderr)
-        return 2
-    system = _build_paper_system(args.arch)
-    for _ in range(args.queries):
-        try:
-            system.query("P1", PAPER_QUERY)
-        except Exception as exc:
-            print(f"query failed: {exc}", file=sys.stderr)
-    print(render_prometheus(system.network.metrics, system_gauges(system)), end="")
-    return 0
+        return _watch_loop(render, args.watch)
+    return render()
 
 
 def _render_top(scraper) -> int:

@@ -9,6 +9,9 @@ played on the spec's in-sim twin
 (:func:`~repro.deploy.workload.build_sim_system`), or with ``--live`` on
 a :class:`~repro.deploy.launcher.LiveCluster` of OS processes over
 localhost TCP.  A flag only one target reads is refused on the other.
+With ``--outdir`` both leave one run directory — per-process metric and
+trace dumps, their merge, and the SLO ``timeline.jsonl`` — that
+``trace``, ``metrics`` and ``alerts`` read.
 """
 
 from __future__ import annotations
@@ -23,20 +26,25 @@ from typing import Optional, Sequence
 
 from ..config import AdmissionControl
 from ..deploy.launcher import SLO_WINDOW, LiveCluster
+from ..deploy.node import export_artifacts, merge_artifacts
 from ..deploy.supervisor import Supervisor
 from ..deploy.workload import ClusterSpec, ClusterWorkload, build_sim_system, build_workload
 from ..errors import EventBudgetExhausted
 from ..livedata import LiveDataDriver, UpdateStream
+from ..obs import system_gauges
 from ..obs.telemetry import (
     ClusterSeries,
+    JsonlSink,
     SLOMonitor,
     TelemetryProbe,
     default_slo_rules,
+    record_round,
     render_alert,
     write_diagnostic_bundle,
 )
+from ..resilience import FaultPlan
 from ..resilience.harness import PlayReport
-from ..scenario import Crash, Join, Query, Scenario, Update, play
+from ..scenario import Crash, Heartbeat, Join, Query, Restart, Scenario, Update, play
 
 #: Fraction of each base one update revision mutates.
 UPDATE_RATE = 0.08
@@ -47,8 +55,8 @@ SHED_RETRIES = 3
 #: In-sim: the event budget of each run of the simulator.
 MAX_EVENTS = 2_000_000
 #: The flags each target alone reads (``None`` when not given).
-SIM_ONLY = ("arrival_rate", "max_concurrent", "max_queued", "fair_quantum")
-LIVE_ONLY = ("host", "outdir", "supervise", "scrape_every")
+SIM_ONLY = ("arrival_rate", "max_concurrent", "max_queued", "fair_quantum", "loss")
+LIVE_ONLY = ("host", "scrape_every")
 
 
 def register(commands) -> None:
@@ -103,16 +111,24 @@ def register(commands) -> None:
     run.add_argument("--fair-quantum", type=float, default=None, metavar="Q",
                      help="sim: fair per-query scheduling with this "
                      "round-robin quantum")
+    run.add_argument("--loss", type=float, default=None, metavar="P",
+                     help="sim, with --resilient: once the cluster has "
+                     "settled, drop each message with probability P, "
+                     "duplicate, delay and jitter some, and let peers "
+                     "learn failures only by observation")
     run.add_argument("--host", default=None,
                      help="live: interface the cluster binds to "
                      "(default 127.0.0.1)")
     run.add_argument("--outdir", default=None,
-                     help="live: directory for per-process and merged "
-                     "artifacts (default live-run)")
-    run.add_argument("--supervise", action="store_true", default=None,
-                     help="live: restart crashed peer processes with "
-                     "exponential backoff and a restart-storm circuit "
-                     "breaker, from durable state under OUTDIR/state")
+                     help="directory for per-process and merged artifacts "
+                     "and the SLO timeline (live default live-run; the "
+                     "sim writes nothing without it)")
+    run.add_argument("--supervise", action="store_true",
+                     help="bring a --kill victim back: live, restart crashed "
+                     "peer processes with exponential backoff and a "
+                     "restart-storm circuit breaker, from durable state "
+                     "under OUTDIR/state; in-sim, restart it at the next "
+                     "query's arrival")
     run.add_argument("--scrape-every", type=int, default=None,
                      help="live: scrape every N answered queries (default 2)")
     run.set_defaults(run=_cmd_run)
@@ -137,6 +153,12 @@ def _check(args, spec: ClusterSpec) -> None:
                         ("--fair-quantum", args.fair_quantum)):
         if value is not None and value <= 0:
             raise ValueError(f"{flag} must be positive")
+    if args.loss is not None:
+        if not spec.resilient:
+            raise ValueError("--loss needs --resilient (nothing else "
+                             "retransmits what it drops)")
+        if not 0.0 <= args.loss <= 1.0:
+            raise ValueError("--loss must be a probability in [0, 1]")
     if args.kill is not None:
         if args.kill not in spec.peer_ids():
             raise ValueError(f"--kill {args.kill!r} is not a peer of this "
@@ -159,7 +181,8 @@ def build_scenario(args, spec: ClusterSpec, texts: Sequence[str],
     kill overlapping the query after it.  With ``start`` (the sim),
     queries arrive open loop at ``--arrival-rate`` from ``start``, and
     every other event falls at the arrival instant of the query it
-    precedes."""
+    precedes: a supervised victim's :class:`Restart`, and with
+    ``--resilient`` two liveness rounds before every query."""
     count, revisions = args.count, args.updates
     steps = []  # (the events before a query, the query)
     rotation, down = spec.peer_ids(), set()
@@ -176,8 +199,12 @@ def build_scenario(args, spec: ClusterSpec, texts: Sequence[str],
                 via = next(p for p in alive if p != args.kill)
             before.append(Crash(args.kill, args.kill_signal, mid_query=start is None))
             down.add(args.kill)
-        elif args.supervise:
+        elif args.supervise and down:
+            if start is not None:  # in-sim; live, the supervisor respawns it
+                before.append(Restart(args.kill))
             down.clear()
+        if spec.resilient and start is not None:
+            before += [Heartbeat(), Heartbeat()]
         steps.append((before, Query(via, texts[index % len(texts)], limit=args.topk)))
     if start is None:
         return Scenario(e for before, query in steps for e in (*before, query))
@@ -200,11 +227,15 @@ def _update_stream(spec: ClusterSpec, workload: ClusterWorkload,
     )
 
 
-def _describe(event, updates) -> str:
+def _describe(event, updates) -> Optional[str]:
+    if isinstance(event, Heartbeat):
+        return None
     if isinstance(event, Crash) and event.mid_query:
         return f"killed {event.peer} mid-query (SIG{event.signal.upper()})"
     if isinstance(event, Crash):
         return f"killed {event.peer}"
+    if isinstance(event, Restart):
+        return f"restarted {event.peer}"
     if isinstance(event, Join):
         return f"joined {event.peer} mid-run"
     records = sum(len(b.updates) for b in updates.stream.revisions[event.revision - 1])
@@ -234,9 +265,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_sim(args, spec: ClusterSpec) -> int:
     """Play the scenario on the in-sim twin, an uncharged SLO watchdog
-    sampling on every answer; print the serving report and any alert."""
+    sampling on every answer; print the serving report and any alert.
+    With ``--outdir`` leave the run directory a live run leaves."""
     workload = build_workload(spec)
     system = build_sim_system(spec, workload)
+    if args.loss is not None:
+        # once settled: adverse from the first query on, and realistic
+        # (no omniscient bounces), so peers learn failures by observation
+        system.network.install_faults(FaultPlan(
+            seed=spec.seed + 1, drop_rate=args.loss, duplicate_rate=0.05,
+            jitter=0.5, spike_rate=0.05, spike_latency=8.0,
+        ))
     if args.max_concurrent is not None or args.max_queued is not None:
         system.enable_admission(AdmissionControl(**{
             name: getattr(args, name) for name in ("max_concurrent", "max_queued")
@@ -258,8 +297,8 @@ def _run_sim(args, spec: ClusterSpec) -> int:
 
     def watch(client, result) -> None:
         sample = probe.sample()
-        series.append(probe.node_id, sample)
-        alerts.extend(monitor.evaluate(sample.t, series.rollup(monitor.window)))
+        alerts.extend(record_round(series, monitor, sample.t,
+                                   {probe.node_id: sample}, timeline)["alerts"])
 
     client = system.add_client()
     client.result_listeners.append(watch)
@@ -267,17 +306,30 @@ def _run_sim(args, spec: ClusterSpec) -> int:
     architecture = "hybrid" if spec.super_peers else "adhoc"
     print(f"deployment : {architecture}, {spec.super_peers} super-peer(s) + "
           f"{spec.peers} peer(s), seed {spec.seed}, in-sim")
+
     def on_event(event) -> None:
-        print(f"[{system.network.now:.1f}] {_describe(event, updates)}")
+        line = _describe(event, updates)
+        if line is not None:
+            print(f"[{system.network.now:.1f}] {line}")
 
     outcomes = play(scenario, system, client=client, bases=workload.bases,
                     updates=updates, on_event=on_event,
                     shed_retries=SHED_RETRIES, max_events=MAX_EVENTS)
+    timeline = outdir = None
+    if args.outdir is not None:
+        outdir = Path(args.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        timeline = JsonlSink(outdir / "timeline.jsonl")
     try:
         report = PlayReport.collect(outcomes, system.network)
     except EventBudgetExhausted as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if outdir is not None:
+            timeline.close()
+            export_artifacts(outdir, "sim", system.network, system_gauges(system))
+            merge_artifacts(outdir)
     print(report.render())
     metrics = system.network.metrics
     if updates is not None:
@@ -290,8 +342,16 @@ def _run_sim(args, spec: ClusterSpec) -> int:
         print(f"top-k      : LIMIT {args.topk} on every query, "
               f"{metrics.topk_cancels} early cancels, "
               f"{metrics.discarded_bindings} bindings discarded")
+    if args.loss is not None:
+        print(f"resilience : loss={args.loss:.0%} retries={metrics.retries} "
+              f"retransmits={metrics.retransmits} "
+              f"suspicions={metrics.suspicions} "
+              f"dropped={metrics.dropped_messages} "
+              f"duplicated={metrics.duplicated_messages}")
     for event in alerts:
         print(f"alert      : {render_alert(event)}")
+    if outdir is not None:
+        print(f"artifacts  : {outdir}")
     silent = report.count("no-reply")
     if silent:
         print(f"WARNING: {silent} queries never got a reply", file=sys.stderr)

@@ -29,12 +29,6 @@ from typing import Dict, List, Optional
 
 from ..errors import NetworkError
 from ..net.simulator import Network
-from ..obs import (
-    merge_expositions,
-    render_prometheus,
-    stitch_trace_exports,
-    validate_trace_dicts,
-)
 from ..obs.telemetry import (
     ClusterScraper,
     default_slo_rules,
@@ -44,7 +38,7 @@ from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
 from ..transport.live import AsyncioTransport
-from .node import export_artifacts
+from .node import export_artifacts, merge_artifacts
 from .workload import ClusterSpec, ClusterWorkload, build_workload
 
 #: Virtual-time budget for cluster bring-up (membership + settling).
@@ -347,11 +341,10 @@ class LiveCluster:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-        export_artifacts(
-            self.outdir, "launcher", self.network, self.transport
-        )
+        export_artifacts(self.outdir, "launcher", self.network)
         self.transport.close()
-        summary = self._merge_artifacts()
+        merge_artifacts(self.outdir)
+        summary = self._summary()
         if self.scraper is not None:
             summary["telemetry"] = self.scraper.summary()
             self.scraper.close()
@@ -360,32 +353,7 @@ class LiveCluster:
             )
         return summary
 
-    def _merge_artifacts(self) -> Dict[str, object]:
-        expositions = sorted(self.outdir.glob("*.metrics.prom"))
-        merged = merge_expositions([p.read_text() for p in expositions])
-        (self.outdir / "merged.metrics.prom").write_text(merged)
-        traces = {}
-        for path in sorted(self.outdir.glob("*.trace.json")):
-            traces[path.name[: -len(".trace.json")]] = json.loads(path.read_text())
-        # cross-process stitching: each node exports only its local
-        # fragment of a distributed trace; reassemble per trace id and
-        # validate the whole causal tree.  The dump is strict JSON —
-        # Span.to_dict guarantees scalars, so no default= escape hatch.
-        stitched = stitch_trace_exports(list(traces.values()))
-        validation = {
-            trace_id: problems
-            for trace_id, problems in (
-                (trace_id, validate_trace_dicts(spans, cross_clock=True))
-                for trace_id, spans in sorted(stitched.items())
-            )
-            if problems
-        }
-        (self.outdir / "merged.traces.json").write_text(json.dumps({
-            "schema": "repro.obs/trace-merge-v1",
-            "nodes": traces,
-            "stitched_traces": len(stitched),
-            "validation": validation,
-        }))
+    def _summary(self) -> Dict[str, object]:
         summary = {
             "spec": asdict(self.spec),
             "killed": list(self.killed),

@@ -24,11 +24,17 @@ import os
 import signal
 import sys
 from pathlib import Path
-from typing import Tuple
+from typing import List, Tuple
 
 from ..durability import FileStore, PeerStateStore
 from ..net.simulator import Network
-from ..obs import peer_gauges, render_prometheus
+from ..obs import (
+    merge_expositions,
+    peer_gauges,
+    render_prometheus,
+    stitch_trace_exports,
+    validate_trace_dicts,
+)
 from ..obs.telemetry import (
     JsonlSink,
     SlowQueryLog,
@@ -91,17 +97,56 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 
 def export_artifacts(outdir: Path, node_id: str, network: Network,
-                     transport, node=None) -> None:
-    """Dump this process's metrics and traces for the launcher to merge."""
+                     gauges=None) -> None:
+    """Dump this process's metrics (with ``gauges``) and traces as
+    ``<node_id>.metrics.prom`` and ``<node_id>.trace.json``, for
+    :func:`merge_artifacts`."""
     outdir.mkdir(parents=True, exist_ok=True)
-    labels = {"peer_id": node_id, "pid": os.getpid(), "transport": transport.kind}
-    gauges = peer_gauges([node]) if node is not None else None
+    labels = {"peer_id": node_id, "pid": os.getpid(),
+              "transport": network.transport.kind}
     text = render_prometheus(network.metrics, gauges, const_labels=labels)
     (outdir / f"{node_id}.metrics.prom").write_text(text)
     if network.trace_collector is not None:
         (outdir / f"{node_id}.trace.json").write_text(
             network.trace_collector.export_json()
         )
+
+
+def process_dumps(outdir: Path, suffix: str) -> List[Path]:
+    """The per-process ``*<suffix>`` dumps under ``outdir``, sorted: a
+    ``merged.*`` file is a merge's output, never one of its inputs."""
+    return [path for path in sorted(Path(outdir).glob(f"*{suffix}"))
+            if not path.name.startswith("merged.")]
+
+
+def merge_artifacts(outdir: Path) -> None:
+    """Merge a run directory's process dumps into ``merged.metrics.prom``
+    and ``merged.traces.json``: each node exports only its local
+    fragment of a distributed trace, so the fragments are stitched per
+    trace id and every causal tree validated (across clocks when more
+    than one process exported)."""
+    dumps = process_dumps(outdir, ".metrics.prom")
+    (outdir / "merged.metrics.prom").write_text(
+        merge_expositions([p.read_text() for p in dumps])
+    )
+    traces = {path.name[: -len(".trace.json")]: json.loads(path.read_text())
+              for path in process_dumps(outdir, ".trace.json")}
+    stitched = stitch_trace_exports(list(traces.values()))
+    validation = {
+        trace_id: problems
+        for trace_id, problems in (
+            (trace_id, validate_trace_dicts(spans, cross_clock=len(traces) > 1))
+            for trace_id, spans in sorted(stitched.items())
+        )
+        if problems
+    }
+    # strict JSON: Span.to_dict guarantees scalars, so no default=
+    (outdir / "merged.traces.json").write_text(json.dumps({
+        "schema": "repro.obs/trace-merge-v1",
+        "nodes": traces,
+        "stitched_traces": len(stitched),
+        "validation": validation,
+    }))
 
 
 def run_node(args) -> int:
@@ -250,7 +295,7 @@ def run_node(args) -> int:
     # graceful stop: persist the latest base/views/active-schema so the
     # next incarnation recovers from it (crashes skip this, by nature)
     node.save_durable_snapshot()
-    export_artifacts(outdir, node_id, network, transport, node)
+    export_artifacts(outdir, node_id, network, peer_gauges([node]))
     server.close(transport.loop)
     event_sink.close()
     transport.close()

@@ -262,6 +262,8 @@ class Network:
         """Schedule delivery of a message (or of its failure bounce)."""
         if message.src not in self._nodes:
             raise NetworkError(f"unknown sender {message.src}")
+        if message.src in self._down:
+            return  # a dead process sends, and meters, nothing
         if message.dst not in self._nodes:
             if not self.transport.routes(message.dst):
                 raise NetworkError(f"unknown destination {message.dst}")

@@ -40,6 +40,7 @@ from .scraper import (
     ClusterScraper,
     discover_endpoints,
     read_timeline,
+    record_round,
     write_diagnostic_bundle,
     write_endpoint_file,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "discover_endpoints",
     "parse_exposition",
     "read_timeline",
+    "record_round",
     "render_alert",
     "sample_from_exposition",
     "sample_metricset",

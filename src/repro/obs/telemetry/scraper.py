@@ -7,7 +7,8 @@ files each node writes next to its artifacts, polls every peer's
 :class:`~repro.obs.telemetry.sampler.ClusterSeries`, and evaluates the
 SLO monitor per round.  Every round is appended — flushed per line —
 to ``timeline.jsonl``, so a SIGKILLed launcher still leaves the
-cluster's history on disk up to its last heartbeat.
+cluster's history on disk up to its last heartbeat.  An in-sim ``run
+--outdir`` writes the same records through :func:`record_round`.
 
 Timeline record kinds (one JSON object per line):
 
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...errors import NetworkError
+from .flightrec import JsonlSink
 from .http import parse_exposition, scrape, scrape_json
 from .sampler import ClusterSeries, TelemetrySample, sample_from_exposition
 from .slo import SLOMonitor, SLORule
@@ -92,10 +94,10 @@ class ClusterScraper:
         self.health: Dict[str, Dict[str, Any]] = {}
         self.rounds = 0
         self.scrape_failures = 0
-        self._timeline = None
+        self.timeline: Optional[JsonlSink] = None
         if timeline is not None:
             self.outdir.mkdir(parents=True, exist_ok=True)
-            self._timeline = open(self.outdir / timeline, "a", buffering=1)
+            self.timeline = JsonlSink(self.outdir / timeline)
 
     # ------------------------------------------------------------------
     # the scrape loop
@@ -121,39 +123,17 @@ class ClusterScraper:
         the SLO evaluation; all appended to the timeline.  Returns the
         cluster rollup (with any alert transitions under ``"alerts"``)."""
         t = self.clock()
-        endpoints = discover_endpoints(self.outdir)
-        for node_id, (host, port) in sorted(endpoints.items()):
-            sample = self.scrape_peer(node_id, host, port, t)
-            self.series.append(node_id, sample)
-            self._append_timeline(
-                {
-                    "kind": "sample",
-                    "t": t,
-                    "peer": node_id,
-                    "up": sample.up,
-                    "counters": sample.counters,
-                    "inflight": sample.gauges.get("inflight_queries", 0),
-                }
-            )
-        rollup = self.series.rollup(self.monitor.window)
-        rollup["t"] = t
-        self._append_timeline({"kind": "rollup", **rollup})
-        alerts = self.monitor.evaluate(t, rollup)
-        for event in alerts:
-            self._append_timeline(event)
-        rollup["alerts"] = alerts
+        samples = {
+            node_id: self.scrape_peer(node_id, host, port, t)
+            for node_id, (host, port) in sorted(discover_endpoints(self.outdir).items())
+        }
         self.rounds += 1
-        return rollup
-
-    def _append_timeline(self, record: Dict[str, Any]) -> None:
-        if self._timeline is not None:
-            self._timeline.write(json.dumps(record, default=str) + "\n")
-            self._timeline.flush()
+        return record_round(self.series, self.monitor, t, samples, self.timeline)
 
     def close(self) -> None:
-        if self._timeline is not None:
-            self._timeline.close()
-            self._timeline = None
+        if self.timeline is not None:
+            self.timeline.close()
+            self.timeline = None
 
     # ------------------------------------------------------------------
     # reporting
@@ -170,6 +150,40 @@ class ClusterScraper:
             "active_alerts": self.monitor.active(),
             "health": dict(self.health),
         }
+
+
+def record_round(
+    series: ClusterSeries,
+    monitor: SLOMonitor,
+    t: float,
+    samples: Dict[str, TelemetrySample],
+    timeline: Optional[Callable[[Dict[str, Any]], None]] = None,
+) -> Dict[str, Any]:
+    """Fold one round of per-peer ``samples`` taken at ``t`` into
+    ``series``, roll the cluster up and evaluate ``monitor``; append a
+    ``sample`` record per peer, the ``rollup`` and any alert transitions
+    to ``timeline``.  Returns the rollup, its transitions under
+    ``"alerts"``."""
+    records = []
+    for node_id, sample in samples.items():
+        series.append(node_id, sample)
+        records.append({
+            "kind": "sample",
+            "t": t,
+            "peer": node_id,
+            "up": sample.up,
+            "counters": sample.counters,
+            "inflight": sample.gauges.get("inflight_queries", 0),
+        })
+    rollup = series.rollup(monitor.window)
+    rollup["t"] = t
+    records.append({"kind": "rollup", **rollup})
+    alerts = monitor.evaluate(t, rollup)
+    if timeline is not None:
+        for record in (*records, *alerts):
+            timeline(record)
+    rollup["alerts"] = alerts
+    return rollup
 
 
 def read_timeline(path: Path) -> List[Dict[str, Any]]:

@@ -156,7 +156,7 @@ class TestTimelineDurability:
     def test_append_survives_reopening(self, tmp_path):
         for round_no in range(2):
             scraper = ClusterScraper(tmp_path, clock=lambda: float(round_no))
-            scraper._append_timeline({"kind": "rollup", "t": float(round_no)})
+            scraper.timeline({"kind": "rollup", "t": float(round_no)})
             scraper.close()
         assert len(read_timeline(tmp_path / "timeline.jsonl")) == 2
 

@@ -141,6 +141,20 @@ class TestFailures:
         network.run()
         assert len(b.received) == 1
 
+    def test_a_down_peer_sends_and_meters_nothing(self, network):
+        a, b = Echo("A"), Echo("B")
+        network.register(a)
+        network.register(b)
+        network.fail_peer("A")
+        # a timer the dead peer armed before its crash still fires
+        network.call_later(1.0, lambda: network.send(Message("A", "B", "late")))
+        network.run()
+        assert b.received == [] and network.metrics.messages_total == 0
+        network.recover_peer("A")
+        network.send(Message("A", "B", "back"))
+        network.run()
+        assert len(b.received) == 1 and network.metrics.messages_total == 1
+
     def test_is_down(self, network):
         network.register(Echo("A"))
         network.fail_peer("A")

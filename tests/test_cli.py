@@ -88,103 +88,191 @@ class TestQuery:
         assert "query failed" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The run directory an in-sim ``run --count 4 --outdir`` leaves, per
+    architecture: super-peers (``--super-peers 1``) and ad-hoc (``0``)."""
+    dirs = {}
+    for arch, super_peers in (("hybrid", "1"), ("adhoc", "0")):
+        dirs[arch] = tmp_path_factory.mktemp(arch)
+        assert main(["run", "--count", "4", "--super-peers", super_peers,
+                     "--outdir", str(dirs[arch])]) == 0
+    return dirs
+
+
+def _first_trace_id(run):
+    import json
+
+    export = json.loads((run / "sim.trace.json").read_text())
+    return export["traces"][0]["trace_id"]
+
+
+class TestRunDirectory:
+    """A sim run leaves what a live run leaves, and every reader reads it."""
+
+    @pytest.mark.parametrize("arch", ["hybrid", "adhoc"])
+    def test_the_readers_read_a_sim_run(self, runs, arch, capsys):
+        names = {path.name for path in runs[arch].iterdir()}
+        assert names == {"sim.metrics.prom", "sim.trace.json", "timeline.jsonl",
+                         "merged.metrics.prom", "merged.traces.json"}
+        assert main(["trace", str(runs[arch] / "merged.traces.json"), "--check"]) == 0
+        assert main(["metrics", str(runs[arch])]) == 0
+        assert main(["alerts", str(runs[arch])]) == 0
+        err = capsys.readouterr().err
+        assert "trace OK" in err and "# merged 1 process dumps" in err
+        assert "# 4 scrape rounds" in err
+
+    def test_timeline_records_match_the_scraper(self, runs):
+        from repro.obs.telemetry import read_timeline
+
+        records = read_timeline(runs["hybrid"] / "timeline.jsonl")
+        kinds = [r["kind"] for r in records if r["kind"] != "alert"]
+        assert kinds == ["sample", "rollup"] * 4
+        sample = records[0]
+        assert set(sample) == {"kind", "t", "peer", "up", "counters", "inflight"}
+        assert sample["up"] and sample["counters"]["queries_finished"] == 1
+
+    def test_a_sim_run_without_outdir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--count", "2"]) == 0
+        assert not any(tmp_path.iterdir())
+
+
 class TestTrace:
-    def test_trace_check_hybrid(self, capsys):
-        assert main(["trace", "--check"]) == 0
+    def test_trace_check_hybrid(self, runs, capsys):
+        assert main(["trace", str(runs["hybrid"] / "merged.traces.json"),
+                     "--check"]) == 0
         captured = capsys.readouterr()
         assert "query @client1" in captured.out
         assert "route @SP1" in captured.out
         assert "trace OK" in captured.err
         assert "no gaps" in captured.err
 
-    def test_trace_check_adhoc(self, capsys):
-        assert main(["trace", "--check", "--arch", "adhoc"]) == 0
+    def test_trace_check_adhoc(self, runs, capsys):
+        assert main(["trace", str(runs["adhoc"] / "merged.traces.json"),
+                     "--check"]) == 0
         captured = capsys.readouterr()
-        assert "delegate @" in captured.out
+        assert "coordinate @P" in captured.out and "@SP" not in captured.out
         assert "trace OK" in captured.err
 
-    def test_trace_json_export(self, tmp_path, capsys):
+    def test_trace_json_export(self, runs):
         import json
 
-        path = tmp_path / "trace.json"
-        assert main(["trace", "--json", str(path)]) == 0
-        export = json.loads(path.read_text())
+        export = json.loads((runs["hybrid"] / "sim.trace.json").read_text())
         assert export["schema"] == "repro.obs/trace-v1"
         assert export["traces"][0]["spans"]
+        merged = json.loads((runs["hybrid"] / "merged.traces.json").read_text())
+        assert merged["schema"] == "repro.obs/trace-merge-v1"
+        assert list(merged["nodes"]) == ["sim"]
+        assert merged["stitched_traces"] == 4 and merged["validation"] == {}
 
-    def test_trace_no_events_hides_annotations(self, capsys):
-        assert main(["trace", "--arch", "adhoc", "--no-events"]) == 0
+    def test_trace_no_events_hides_annotations(self, runs, capsys):
+        path = str(runs["adhoc"] / "merged.traces.json")
+        assert main(["trace", path, "--no-events"]) == 0
         with_flag = capsys.readouterr().out
-        assert main(["trace", "--arch", "adhoc"]) == 0
+        assert main(["trace", path]) == 0
         without_flag = capsys.readouterr().out
-        # the delegation rounds annotate events; --no-events drops them
+        # each channel's data packets annotate events; --no-events drops them
         assert "· " not in with_flag
         assert "· " in without_flag
 
+    @pytest.mark.parametrize("nodes, cross_clock", [(1, False), (2, True)])
+    def test_check_crosses_clocks_only_across_processes(
+        self, runs, tmp_path, monkeypatch, nodes, cross_clock
+    ):
+        """One process's spans share one clock, however many peers they
+        name; a merge of several processes' exports is checked across
+        clock epochs."""
+        import json
+
+        from repro.cli import observe
+
+        export = json.loads((runs["hybrid"] / "sim.trace.json").read_text())
+        path = tmp_path / "merged.traces.json"
+        empty = {"schema": "repro.obs/trace-v1", "traces": []}
+        path.write_text(json.dumps({
+            "schema": "repro.obs/trace-merge-v1",
+            "nodes": {"sim": export, **{f"n{i}": empty for i in range(1, nodes)}},
+        }))
+        seen = []
+        monkeypatch.setattr(observe, "validate_trace", lambda spans, cross_clock: (
+            seen.append(cross_clock) or []))
+        assert main(["trace", str(path), "--check"]) == 0
+        assert seen == [cross_clock]
+
 
 class TestTraceFollow:
-    def test_query_filter_hits(self, tmp_path, capsys):
-        import json
+    def test_query_filter_hits(self, runs, capsys):
+        trace_id = _first_trace_id(runs["hybrid"])
+        assert main(["trace", str(runs["hybrid"] / "merged.traces.json"),
+                     "--query", trace_id, "--check"]) == 0
+        captured = capsys.readouterr()
+        assert f"trace {trace_id} " in captured.out
+        assert "trace OK" in captured.err
 
-        path = tmp_path / "trace.json"
-        assert main(["trace", "--json", str(path)]) == 0
-        trace_id = json.loads(path.read_text())["traces"][0]["trace_id"]
-        capsys.readouterr()
-        assert main(["trace", "--query", trace_id, "--check"]) == 0
-        assert "trace OK" in capsys.readouterr().err
-
-    def test_query_filter_miss_lists_available(self, capsys):
-        assert main(["trace", "--query", "nope-q9"]) == 1
+    def test_query_filter_miss_lists_available(self, runs, capsys):
+        assert main(["trace", str(runs["hybrid"] / "merged.traces.json"),
+                     "--query", "nope-q9"]) == 1
         err = capsys.readouterr().err
         assert "no trace for query 'nope-q9'" in err
-        assert "collected:" in err
+        assert "export holds: client1-q1" in err
 
-    def test_from_export_file(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "trace.json"
-        assert main(["trace", "--json", str(path)]) == 0
-        trace_id = json.loads(path.read_text())["traces"][0]["trace_id"]
-        capsys.readouterr()
-        assert main(["trace", "--from", str(path), "--query", trace_id,
-                     "--check"]) == 0
+    def test_from_export_file(self, runs, capsys):
+        trace_id = _first_trace_id(runs["hybrid"])
+        assert main(["trace", str(runs["hybrid"] / "sim.trace.json"),
+                     "--query", trace_id, "--check"]) == 0
         captured = capsys.readouterr()
         assert "query @client1" in captured.out
         assert "trace OK" in captured.err
 
-    def test_from_export_miss(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
-        assert main(["trace", "--json", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["trace", "--from", str(path), "--query", "absent"]) == 1
+    def test_from_export_miss(self, runs, capsys):
+        assert main(["trace", str(runs["hybrid"] / "sim.trace.json"),
+                     "--query", "absent"]) == 1
         assert "export holds:" in capsys.readouterr().err
 
     def test_from_unreadable_file(self, tmp_path, capsys):
-        assert main(["trace", "--from", str(tmp_path / "missing.json")]) == 2
+        assert main(["trace", str(tmp_path / "missing.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
 
 class TestMetrics:
-    def test_metrics_exposition(self, capsys):
-        assert main(["metrics", "--queries", "2"]) == 0
+    def test_metrics_exposition(self, runs, capsys):
+        assert main(["metrics", str(runs["hybrid"])]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_messages_total counter" in out
-        assert 'repro_query_latency_quantile{quantile="p50"}' in out
+        assert 'repro_query_latency_quantile{quantile="p50",peer_id="sim"' in out
         assert 'repro_stage_duration_bucket{stage="execute"' in out
         assert "# TYPE repro_peer_gauge gauge" in out
 
-    def test_metrics_adhoc(self, capsys):
-        assert main(["metrics", "--arch", "adhoc", "--queries", "1"]) == 0
+    def test_metrics_adhoc(self, runs, capsys):
+        assert main(["metrics", str(runs["adhoc"])]) == 0
         assert "repro_messages_total" in capsys.readouterr().out
+
+    def test_a_merged_dump_is_never_merged_again(self, tmp_path, capsys):
+        """Reading a finished run, or merging into a reused directory,
+        counts every process once."""
+        from repro.deploy.node import merge_artifacts
+
+        dump = '# TYPE repro_x counter\nrepro_x{peer_id="P1"} 3\n'
+        (tmp_path / "P1.metrics.prom").write_text(dump)
+        for _ in range(2):  # the second merge finds the first one's output
+            merge_artifacts(tmp_path)
+        assert (tmp_path / "merged.metrics.prom").read_text().count("repro_x{") == 1
+        assert main(["metrics", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count('repro_x{peer_id="P1"} 3') == 1
+        assert "# merged 1 process dumps" in captured.err
 
 
 class TestMetricsWatch:
     def test_watch_without_a_source_is_an_error(self, capsys):
-        assert main(["metrics", "--watch", "1"]) == 2
-        assert "--watch needs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit:
+            main(["metrics", "--watch", "1"])
+        assert exit.value.code == 2
+        assert "outdir" in capsys.readouterr().err
 
     def test_scrape_empty_dir(self, tmp_path, capsys):
-        assert main(["metrics", "--scrape", str(tmp_path)]) == 1
+        assert main(["metrics", str(tmp_path), "--scrape"]) == 1
         assert "*.endpoint.json" in capsys.readouterr().err
 
 
@@ -321,6 +409,10 @@ class TestServe:
         assert "queries in flight" in err
 
 
+def kinds_of(scenario):
+    return [type(e) for e in scenario]
+
+
 class TestRun:
     """One scenario builder, two targets."""
 
@@ -331,7 +423,7 @@ class TestRun:
         from repro.cli import _build_parser
         from repro.cli.run import build_scenario
         from repro.deploy import ClusterSpec, build_workload
-        from repro.scenario import Crash, Join, Query, Update
+        from repro.scenario import Crash, Heartbeat, Join, Query, Update
 
         args = _build_parser().parse_args(["run", *self.FLAGS])
         spec = ClusterSpec(seed=0, joiners=1, resilient=True, livedata=True)
@@ -346,8 +438,11 @@ class TestRun:
 
         live = build_scenario(args, spec, texts)
         sim = build_scenario(args, spec, texts, start=5.0)
-        assert shape(sim) == shape(live)
-        kinds = [type(e) for e in live]
+        # a resilient sim run also carries two liveness rounds per query
+        assert shape(e for e in sim if not isinstance(e, Heartbeat)) == shape(live)
+        assert shape(sim)[:3] == [("Heartbeat", None, None, None)] * 2 + shape(live)[:1]
+        assert kinds_of(sim).count(Heartbeat) == 2 * args.count
+        kinds = kinds_of(live)
         assert kinds.count(Query) == args.count
         assert (kinds.count(Update), kinds.count(Crash), kinds.count(Join)) == (2, 1, 1)
         assert all(e.at is None for e in live)
@@ -356,6 +451,65 @@ class TestRun:
         instants = [e.at for e in sim]
         assert instants == sorted(instants) and instants[0] > 5.0
         assert not any(e.mid_query for e in sim if not isinstance(e, Query))
+
+    def test_a_supervised_victim_restarts_at_the_next_arrival_in_sim(self):
+        from repro.cli import _build_parser
+        from repro.cli.run import build_scenario
+        from repro.deploy import ClusterSpec, build_workload
+        from repro.scenario import Crash, Query, Restart
+
+        args = _build_parser().parse_args(["run", "--kill", "P2", "--supervise"])
+        spec = ClusterSpec(seed=0)
+        texts = build_workload(spec).queries
+        sim = build_scenario(args, spec, texts, start=5.0).events
+        crash = kinds_of(sim).index(Crash)
+        restart = kinds_of(sim).index(Restart)
+        # armed at the arrival of the query after the one the crash precedes
+        assert kinds_of(sim[crash:restart + 2]) == [Crash, Query, Restart, Query]
+        assert sim[restart].peer == "P2"
+        assert sim[restart].at == sim[restart + 1].at > sim[crash].at
+        # live, the supervisor restarts the process: no Restart event
+        assert not any(isinstance(e, Restart) for e in build_scenario(args, spec, texts))
+
+    def test_loss_kill_supervise_replays_identically(self, capsys):
+        """Loss, a crash and its recovery on a resilient run: same
+        seed, same report."""
+        flags = ["run", "--resilient", "--loss", "0.1", "--kill", "P2",
+                 "--supervise", "--count", "8"]
+        assert main(flags) == 0
+        first = capsys.readouterr().out
+        assert main(flags) == 0
+        assert capsys.readouterr().out == first
+        assert "killed P2" in first and "restarted P2" in first
+        assert "resilience : loss=10%" in first
+        partial = int(first.split(" partial,")[0].rsplit(", ", 1)[1])
+        assert partial >= 1
+
+    def test_a_crashed_sim_peer_sends_nothing(self, capsys, monkeypatch):
+        """At seed 0 the kill lands while P2 coordinates a query.  Its
+        timers keep firing after the crash, but nothing it would send is
+        metered: only the network's bounces of messages to it carry its
+        id as their source."""
+        from repro.metrics import MetricSet
+        from repro.net.simulator import Network
+
+        log = []
+        record, fail = MetricSet.record_message, Network.fail_peer
+
+        def metered(self, kind, src, *args, **kwargs):
+            log.append((kind, src))
+            return record(self, kind, src, *args, **kwargs)
+
+        def crashed(self, peer_id):
+            log.append(("crash", peer_id))
+            return fail(self, peer_id)
+
+        monkeypatch.setattr(MetricSet, "record_message", metered)
+        monkeypatch.setattr(Network, "fail_peer", crashed)
+        assert main(["run", "--kill", "P2", "--resilient", "--count", "6"]) == 0
+        after = log[log.index(("crash", "P2")) + 1:]
+        assert {kind for kind, src in after if src == "P2"} == {"DeliveryFailure"}
+        assert "1 errors" in capsys.readouterr().out
 
     def test_sim_plays_churn_to_a_reply_for_every_query(self, capsys):
         assert main(["run", *self.FLAGS]) == 0
@@ -409,18 +563,18 @@ class TestPeerValidation:
 
 
 class TestChaosValidation:
-    """A crash schedule that cannot happen is refused before anything
-    runs: one error line, nothing on stdout."""
+    """A crash or fault plan ``run`` cannot play is refused before
+    anything runs: one error line, nothing on stdout."""
 
-    @pytest.mark.parametrize("crash, complaint", [
-        ("P9@6:600", "Crash names unknown peer 'P9'"),
-        ("P2@50:10", "P2 recovers at 10.0, at or before its crash at 50.0"),
-        ("P2@50:50", "P2 recovers at 50.0, at or before its crash at 50.0"),
-        ("P2", "--crash expects PEER@AT[:RECOVER], got 'P2'"),
-    ], ids=["unknown-peer", "recovery-before-crash", "recovery-at-crash",
-            "no-time"])
-    def test_impossible_crash(self, capsys, crash, complaint):
-        assert main(["chaos", "--crash", crash]) == 2
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--kill", "P9"], "--kill 'P9' is not a peer of this cluster"),
+        (["--loss", "0.1"], "--loss needs --resilient"),
+        (["--resilient", "--loss", "1.5"], "--loss must be a probability in [0, 1]"),
+        (["--live", "--resilient", "--loss", "0.1"], "--loss: sim-only, drop --live"),
+    ], ids=["unknown-peer", "loss-without-resilience", "loss-not-a-probability",
+            "loss-live"])
+    def test_impossible_crash(self, capsys, flags, complaint):
+        assert main(["run", *flags]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and complaint in err
         assert err.count("\n") == 1 and out == ""
@@ -443,8 +597,8 @@ class TestLaunchValidation:
         (["--topk", "0"], "--topk must be >= 1"),
         (["--max-concurrent", "0"], "--max-concurrent must be >= 1"),
         (["--live", "--max-queued", "4"], "--max-queued: sim-only, drop --live"),
-        (["--supervise", "--scrape-every", "1"],
-         "--supervise, --scrape-every: live-only, add --live"),
+        (["--host", "0.0.0.0", "--scrape-every", "1"],
+         "--host, --scrape-every: live-only, add --live"),
     ], ids=["kill-unknown", "no-peers", "kill-no-survivor", "adhoc-live",
             "adhoc-joiners", "no-queries", "no-arrivals", "no-topk",
             "no-admission", "sim-flag-live", "live-flag-sim"])

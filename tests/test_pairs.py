@@ -90,6 +90,28 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
         return run(1.0)
 
     monkeypatch.setattr(pairs, "run_once", fake)
+    monkeypatch.setattr(pairs, "compile_tree", lambda tree: None)
     measured = pairs.measure(pairs.ROOT.parent, ["sim-join"], 3, 3, 1.0)
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
     assert len(measured["sim-join"]) == 3
+
+
+def test_both_trees_are_compiled_before_any_run(monkeypatch):
+    calls = []
+
+    def fake_subprocess_run(command, cwd, env, **kwargs):
+        assert command[1:] == ["-m", "compileall", "-q", "src", "benchmarks"]
+        assert env == pairs.environment() and "PYTHONPATH" not in env
+        calls.append(("compile", cwd))
+
+    def fake_run_once(tree, workload, seed, seconds):
+        calls.append(("run", tree))
+        return run(1.0)
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(pairs, "run_once", fake_run_once)
+    parent = pairs.ROOT.parent
+    pairs.measure(parent, ["sim-join", "sim-fanout"], 2, 3, 1.0)
+    assert calls[:2] == [("compile", parent), ("compile", pairs.ROOT)]
+    assert all(kind == "run" for kind, _ in calls[2:]) and len(calls) == 2 + 8

@@ -155,7 +155,7 @@ def test_metrics_meter_on_the_sending_process(cluster):
     seed_net.send(Message("A", "B", Goodbye("A")))
     assert pump([seed_t, peer_t], lambda: peer_probe.received)
     # each process meters what it sends; a cluster-wide view comes from
-    # merging the per-process expositions (python -m repro metrics --merge)
+    # merging the per-process expositions (python -m repro metrics DIR)
     assert seed_net.metrics.messages_total == before + 1
     assert seed_net.metrics.messages_by_kind.get("Goodbye")
 
