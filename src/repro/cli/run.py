@@ -319,6 +319,9 @@ def _run_sim(args, spec: ClusterSpec) -> int:
     if args.outdir is not None:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        # a run's timeline is its own: a reused --outdir must not replay
+        # the previous run's rounds and alerts as this one's
+        (outdir / "timeline.jsonl").unlink(missing_ok=True)
         timeline = JsonlSink(outdir / "timeline.jsonl")
     try:
         report = PlayReport.collect(outcomes, system.network)

@@ -12,6 +12,9 @@ simulator and runs it as real OS processes on localhost:
 * :mod:`launcher` — :class:`LiveCluster`, the seed process that spawns,
   drives, kills and reaps a cluster; ``python -m repro run --live``
   plays a scenario on one.
+* :mod:`template` — the warm template process a launcher forks its
+  nodes from, and :class:`~repro.deploy.template.NodeProcess`, the
+  ``Popen``-like handle it keeps per node.
 * :mod:`supervisor` — :class:`Supervisor`, crash-restart supervision
   with exponential backoff and a restart-storm circuit breaker
   (``--supervise``).

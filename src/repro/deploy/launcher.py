@@ -2,8 +2,9 @@
 
 :class:`LiveCluster` turns one :class:`~repro.deploy.workload.
 ClusterSpec` into a running multi-process deployment on localhost: it
-becomes the seed of the address book, spawns one OS process per
-super-peer and per simple peer (each a ``python -m repro peer``),
+becomes the seed of the address book, starts one OS process per
+super-peer and per simple peer (each runs ``python -m repro peer``'s
+argv, forked from one warm template process: :mod:`.template`),
 waits for membership and advertisement settling, drives the cluster's
 query workload through client peers living in the launcher process,
 and tears everything down — collecting each process's metrics/trace
@@ -39,6 +40,7 @@ from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
 from ..transport.live import AsyncioTransport
 from .node import export_artifacts, merge_artifacts
+from .template import NodeProcess, fork_node
 from .workload import ClusterSpec, ClusterWorkload, build_workload
 
 #: Virtual-time budget for cluster bring-up (membership + settling).
@@ -112,7 +114,7 @@ class LiveCluster:
             self.network.tracer.id_suffix = "@launcher"
         self.probe = _Probe()
         self.probe.join(self.network)
-        self.processes: Dict[str, subprocess.Popen] = {}
+        self.processes: Dict[str, NodeProcess] = {}
         self.killed: List[str] = []
         self.restarts: List[str] = []
         self.joined: List[str] = []
@@ -133,6 +135,8 @@ class LiveCluster:
     def start(self, bootstrap_timeout: float = BOOTSTRAP_TIMEOUT) -> None:
         """Bring the cluster up: seed, processes, membership, settling."""
         self.outdir.mkdir(parents=True, exist_ok=True)
+        # a fresh timeline per run (the scraper appends to what it finds)
+        (self.outdir / "timeline.jsonl").unlink(missing_ok=True)
         self.transport.start()
         # the scraper's clock reads the transport's virtual units, so
         # live timelines compare 1:1 with simulated ones
@@ -153,7 +157,8 @@ class LiveCluster:
         self._settle_advertisements(bootstrap_timeout)
 
     def node_argv(self, node_id: str) -> List[str]:
-        """The command line one node process is started with."""
+        """The command line one node process is started with (a forked
+        node runs it from ``argv[3:]``; by hand it is a whole command)."""
         argv = [
             sys.executable, "-m", "repro", "peer",
             "--node-id", node_id,
@@ -172,10 +177,7 @@ class LiveCluster:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
-        self.processes[node_id] = subprocess.Popen(
-            self.node_argv(node_id), env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        self.processes[node_id] = fork_node(self.node_argv(node_id), env)
 
     def _settle_advertisements(self, timeout: float) -> None:
         """Wait until each clustered peer's advertisement has landed at

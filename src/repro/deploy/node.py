@@ -1,5 +1,9 @@
 """One OS process of a live deployment: ``python -m repro peer``.
 
+A launched node runs this command's argv in a process forked from the
+launcher's warm template (:mod:`repro.deploy.template`); a hand-built
+cluster starts each node as a whole ``python -m repro peer`` command.
+
 A node process hosts exactly one protocol peer (a super-peer or a
 simple peer) on its own :class:`~repro.transport.AsyncioTransport`,
 rebuilds its slice of the cluster workload from the shared
@@ -49,8 +53,9 @@ from ..transport.live import AsyncioTransport
 from .workload import ClusterSpec, build_workload
 
 #: Virtual-time backstop: a node exits on its own after this long even
-#: if the launcher never reaps it (a crashed launcher must not leave
-#: orphan processes behind, e.g. in CI).
+#: if nothing ever stops it.  A launched node is stopped by the template
+#: it was forked from (``deploy/template.py``) when the launcher exits or
+#: crashes; this bound is what remains for a hand-started node.
 LIFETIME = 30_000.0
 #: Virtual-time latency above which a query's full trace is dumped to
 #: the slow-query log.
@@ -263,8 +268,8 @@ def run_node(args) -> int:
         transport.loop.add_signal_handler(signum, _stop)
 
     # telemetry endpoints: /metrics /healthz /tracez on the node's own
-    # event loop; the endpoint file makes the address discoverable even
-    # after the launcher dies (nodes outlive their parent)
+    # event loop; the endpoint file makes the address discoverable to
+    # any reader of the run directory (``top``, ``metrics --scrape``)
     probe = TelemetryProbe(network, peers=[node], node_id=node_id, role=role)
     labels = {"peer_id": node_id, "pid": os.getpid(), "transport": transport.kind}
     server = TelemetryServer(

@@ -132,6 +132,13 @@ class TestRunDirectory:
         assert set(sample) == {"kind", "t", "peer", "up", "counters", "inflight"}
         assert sample["up"] and sample["counters"]["queries_finished"] == 1
 
+    def test_a_reused_outdir_starts_a_fresh_timeline(self, tmp_path, capsys):
+        for _ in range(2):
+            assert main(["run", "--count", "4", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["alerts", str(tmp_path)]) == 0
+        assert "# 4 scrape rounds" in capsys.readouterr().err
+
     def test_a_sim_run_without_outdir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--count", "2"]) == 0

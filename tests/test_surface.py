@@ -102,6 +102,12 @@ MAX_QUERY_OUTCOME_CLASSES = 1
 #: before: ``WorkloadDriver``, ``WorkloadSpec``, ``WorkloadReport``).
 #: Load is a ``Scenario`` played by ``play``, reported by ``PlayReport``
 MAX_QUERY_LOAD_CLASSES = 0
+#: places under ``src/`` that start a node process: an ``os.fork()``, or
+#: a ``subprocess`` call whose command is a node's argv (``node_argv``,
+#: or a literal naming the ``peer`` command).  Launched nodes are forked
+#: from one warm template (``deploy/template.py``); a second spawn path
+#: would bring back a cold interpreter per node
+MAX_NODE_SPAWN_SITES = 1
 #: ``time.sleep(`` calls under ``src/``: a sim client's submission
 #: pacing (``ClientPeer._pace``), ``run --live``'s supervised back-off
 #: and ``observe --watch``'s interval.  A new wall-clock wait, a query
@@ -305,6 +311,31 @@ def test_wall_clock_sleeps():
         and isinstance(call.func.value, ast.Name) and call.func.value.id == "time"
     ]
     assert len(found) <= MAX_WALL_CLOCK_SLEEPS, found
+
+
+def _names_a_node(command) -> bool:
+    return any(
+        (isinstance(node, ast.Name) and node.id == "node_argv")
+        or (isinstance(node, ast.Attribute) and node.attr == "node_argv")
+        or (isinstance(node, ast.Constant) and node.value == "peer")
+        for node in ast.walk(command)
+    )
+
+
+def test_one_node_spawn_site():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and (
+            (call.func.value.id == "os" and call.func.attr.startswith("fork"))
+            or (call.func.value.id == "subprocess" and call.args
+                and _names_a_node(call.args[0]))
+        )
+    ]
+    assert len(found) <= MAX_NODE_SPAWN_SITES, found
 
 
 def test_one_event_vocabulary():
