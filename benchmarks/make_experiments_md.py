@@ -260,9 +260,9 @@ COMMENTARY = {
         "repro.membership (extension) — churn with durable recovery",
         "Not a paper figure: dynamic membership on top of the live "
         "transport. A peer SIGKILLed mid-workload leaves honest "
-        "coverage-annotated partials behind; restarted (supervised "
-        "exponential-backoff respawn in `run --live --supervise`), it "
-        "recovers its base, views and remembered advertisements from "
+        "coverage-annotated partials behind; restarted before the next "
+        "query (the scenario's Restart in `run --live --supervise`, as "
+        "in-sim), it recovers its base, views and remembered advertisements from "
         "its durable snapshot + checksummed membership log, "
         "re-advertises with a rejoin flag that lifts quarantines "
         "SON-wide, and the very next answers are full again — "

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +26,6 @@ from typing import Optional, Sequence
 from ..config import AdmissionControl
 from ..deploy.launcher import SLO_WINDOW, LiveCluster
 from ..deploy.node import export_artifacts, merge_artifacts
-from ..deploy.supervisor import Supervisor
 from ..deploy.workload import ClusterSpec, ClusterWorkload, build_sim_system, build_workload
 from ..errors import EventBudgetExhausted
 from ..livedata import LiveDataDriver, UpdateStream
@@ -56,7 +54,7 @@ SHED_RETRIES = 3
 MAX_EVENTS = 2_000_000
 #: The flags each target alone reads (``None`` when not given).
 SIM_ONLY = ("arrival_rate", "max_concurrent", "max_queued", "fair_quantum", "loss")
-LIVE_ONLY = ("host", "scrape_every")
+LIVE_ONLY = ("host",)
 
 
 def register(commands) -> None:
@@ -124,13 +122,9 @@ def register(commands) -> None:
                      "and the SLO timeline (live default live-run; the "
                      "sim writes nothing without it)")
     run.add_argument("--supervise", action="store_true",
-                     help="bring a --kill victim back: live, restart crashed "
-                     "peer processes with exponential backoff and a "
-                     "restart-storm circuit breaker, from durable state "
-                     "under OUTDIR/state; in-sim, restart it at the next "
-                     "query's arrival")
-    run.add_argument("--scrape-every", type=int, default=None,
-                     help="live: scrape every N answered queries (default 2)")
+                     help="restart the --kill victim before the next query "
+                     "(live, a new process recovering from durable state "
+                     "under OUTDIR/state)")
     run.set_defaults(run=_cmd_run)
 
 
@@ -145,7 +139,7 @@ def _check(args, spec: ClusterSpec) -> None:
     for flag, value, low in (
         ("--count", args.count, 1), ("--updates", args.updates, 0),
         ("--topk", args.topk, 1), ("--max-concurrent", args.max_concurrent, 1),
-        ("--max-queued", args.max_queued, 0), ("--scrape-every", args.scrape_every, 1),
+        ("--max-queued", args.max_queued, 0),
     ):
         if value is not None and value < low:
             raise ValueError(f"{flag} must be >= {low}")
@@ -159,6 +153,9 @@ def _check(args, spec: ClusterSpec) -> None:
                              "retransmits what it drops)")
         if not 0.0 <= args.loss <= 1.0:
             raise ValueError("--loss must be a probability in [0, 1]")
+    if args.supervise and args.kill is None:
+        raise ValueError("--supervise restarts the --kill victim; "
+                         "without --kill nothing goes down")
     if args.kill is not None:
         if args.kill not in spec.peer_ids():
             raise ValueError(f"--kill {args.kill!r} is not a peer of this "
@@ -174,15 +171,16 @@ def build_scenario(args, spec: ClusterSpec, texts: Sequence[str],
     believed up and cycling over ``texts`` (each ``LIMIT --topk`` when
     given), the ``--updates`` revisions evenly between them, the
     ``--kill`` halfway and the ``--joiners`` three quarters in.  A killed
-    peer leaves the rotation; a supervised one is back in it from the
-    next query on, by when the supervisor has respawned it.
+    peer leaves the rotation; with ``--supervise`` its :class:`Restart`
+    comes before the next query, and it is back in the rotation from the
+    query after that.
 
     Without ``start`` (the live target) events play in sequence, the
     kill overlapping the query after it.  With ``start`` (the sim),
     queries arrive open loop at ``--arrival-rate`` from ``start``, and
     every other event falls at the arrival instant of the query it
-    precedes: a supervised victim's :class:`Restart`, and with
-    ``--resilient`` two liveness rounds before every query."""
+    precedes, and with ``--resilient`` two liveness rounds come before
+    every query."""
     count, revisions = args.count, args.updates
     steps = []  # (the events before a query, the query)
     rotation, down = spec.peer_ids(), set()
@@ -200,8 +198,7 @@ def build_scenario(args, spec: ClusterSpec, texts: Sequence[str],
             before.append(Crash(args.kill, args.kill_signal, mid_query=start is None))
             down.add(args.kill)
         elif args.supervise and down:
-            if start is not None:  # in-sim; live, the supervisor respawns it
-                before.append(Restart(args.kill))
+            before.append(Restart(args.kill))
             down.clear()
         if spec.resilient and start is not None:
             before += [Heartbeat(), Heartbeat()]
@@ -363,36 +360,23 @@ def _run_sim(args, spec: ClusterSpec) -> int:
 
 
 def _run_live(args, cluster: LiveCluster) -> int:
-    """Play the scenario on the live cluster and write ``report.json``.
-    Supervision and the mid-run scrape react to what happened between
-    the answers."""
+    """Play the scenario on the live cluster, scraping one telemetry
+    round after every answer as the sim's watchdog samples one, and
+    write ``report.json``."""
     spec, workload = cluster.spec, cluster.workload
     scenario = build_scenario(args, spec, workload.queries)
     updates = None
     if args.updates:
         updates = LiveDataDriver(cluster, _update_stream(spec, workload, args.updates))
 
-    def bundle(name: str, reason: str, node_id: str, **details) -> None:
-        write_diagnostic_bundle(cluster.outdir, name, reason=reason,
-                                node_ids=(node_id,), scraper=cluster.scraper,
-                                details=details or None)
-
-    supervisor = Supervisor(
-        cluster.processes, cluster.restart_peer,
-        on_restart=lambda node_id, attempt: bundle(
-            f"restart-{node_id}-{attempt}", "supervised restart", node_id,
-            attempt=attempt),
-        on_trip=lambda node_id, restarts: bundle(
-            f"breaker-{node_id}", "restart-storm circuit breaker tripped",
-            node_id, restarts=restarts),
-    ) if args.supervise else None
-
     def on_event(event) -> None:
         print(_describe(event, updates))
         if isinstance(event, Crash) and event.signal == "kill":
             # the crash black box: the victim's durable flight record
             # survives the SIGKILL; bundle it now
-            bundle(f"crash-{event.peer}", "SIGKILL crash", event.peer)
+            write_diagnostic_bundle(cluster.outdir, f"crash-{event.peer}",
+                                    reason="SIGKILL crash", node_ids=(event.peer,),
+                                    scraper=cluster.scraper)
         if isinstance(event, Update) and not updates.acked(event.revision):
             print("warning: update revision not fully acked", file=sys.stderr)
 
@@ -400,7 +384,7 @@ def _run_live(args, cluster: LiveCluster) -> int:
     print(f"launching {spec.super_peers} super-peer(s) + {spec.peers} peer(s) "
           f"on {cluster.host} (seed {spec.seed}, "
           f"{'resilient' if spec.resilient else 'baseline'}"
-          f"{', supervised' if supervisor else ''})")
+          f"{', supervised' if args.supervise else ''})")
     reported = []
     try:
         cluster.start()
@@ -417,17 +401,9 @@ def _run_live(args, cluster: LiveCluster) -> int:
                 reported[-1]["limit"] = query.limit
                 limit = f" top-{query.limit}"
             print(f"  q{index}{limit}: via {query.via} -> {status} ({rows} rows)")
-            if index % (args.scrape_every or 2) == 0:
-                # mid-run scrape: every peer's /metrics + /healthz into
-                # the rollups, the timeline, and the SLO watchdogs
-                cluster.scrape()
-            if supervisor is not None:
-                if set(cluster.killed) - set(cluster.restarts):
-                    # give the backoff clock a chance between queries, so
-                    # a short run still observes the supervised restart
-                    time.sleep(supervisor.backoff.base)
-                for node_id in supervisor.tick():
-                    print(f"supervisor restarted {node_id}")
+            # every peer's /metrics + /healthz into the rollups, the
+            # timeline and the SLO watchdogs
+            cluster.scrape()
     finally:
         summary = cluster.shutdown()
     summary["outcomes"] = reported

@@ -14,7 +14,6 @@ from .algebra import (
     union_of,
 )
 from .annotations import AnnotatedQueryPattern, PeerAnnotation
-from .adaptivity import ChannelMonitor
 from .constraints import QueryConstraints, UNCONSTRAINED, apply_peer_bound
 from .cost import CostEstimate, CostModel, Statistics
 from .optimizer import (
@@ -34,7 +33,6 @@ from .shipping import (
 
 __all__ = [
     "AnnotatedQueryPattern",
-    "ChannelMonitor",
     "CostEstimate",
     "CostModel",
     "Hole",

@@ -11,7 +11,6 @@ phased cleanup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -50,43 +49,3 @@ class ReplanBudget:
             self.base_delay * (self.backoff ** max(0, attempts - 1)), self.max_delay
         )
 
-
-class ChannelMonitor:
-    """Throughput watchdog for a running channel (Section 2.5).
-
-    The optimiser "may alter a running query plan by observing the
-    throughput of a certain channel", measured in tuples.  The monitor
-    tracks per-channel tuple counts against expectations and flags
-    channels whose observed throughput falls below a fraction of the
-    expected rate.
-    """
-
-    def __init__(self, minimum_ratio: float = 0.1):
-        if not 0.0 < minimum_ratio <= 1.0:
-            raise ValueError("minimum_ratio must be in (0, 1]")
-        self.minimum_ratio = minimum_ratio
-        self._expected: dict = {}
-        self._observed: dict = {}
-
-    def expect(self, channel_id: str, tuples: float) -> None:
-        """Record the expected tuple volume of a channel."""
-        self._expected[channel_id] = max(tuples, 1.0)
-        self._observed.setdefault(channel_id, 0.0)
-
-    def observe(self, channel_id: str, tuples: int) -> None:
-        """Record tuples received over a channel."""
-        self._observed[channel_id] = self._observed.get(channel_id, 0.0) + tuples
-
-    def throughput_ratio(self, channel_id: str) -> float:
-        expected = self._expected.get(channel_id)
-        if not expected:
-            return 1.0
-        return self._observed.get(channel_id, 0.0) / expected
-
-    def underperforming(self) -> Sequence[str]:
-        """Channels whose observed/expected ratio is below threshold."""
-        return sorted(
-            cid
-            for cid in self._expected
-            if self.throughput_ratio(cid) < self.minimum_ratio
-        )

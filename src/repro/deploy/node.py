@@ -60,6 +60,10 @@ LIFETIME = 30_000.0
 #: Virtual-time latency above which a query's full trace is dumped to
 #: the slow-query log.
 SLOW_QUERY_THRESHOLD = 500.0
+#: The signals that stop a node on its graceful path.  A forked node
+#: starts with them blocked (``deploy/template.py``); :func:`run_node`
+#: unblocks them once its event loop handles them.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 def register(commands) -> None:
@@ -173,13 +177,26 @@ def run_node(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = spec.peer_config()
-    workload = build_workload(spec)
-    role = "super" if node_id in spec.super_ids() else "peer"
-
+    # a stop is the loop's from here on: one that arrives while the node
+    # is still coming up ends it as soon as it serves, on the graceful
+    # path (snapshot, export, exit 0)
     transport = AsyncioTransport(
         host=args.host, port=args.port, seed=seed, time_scale=spec.time_scale,
     )
+    stopping = []
+
+    def _stop() -> None:
+        stopping.append(True)
+        transport.wake()  # leave a run_until now, not at a timer
+
+    for signum in STOP_SIGNALS:
+        transport.loop.add_signal_handler(signum, _stop)
+    # a stop sent to a forked node since its fork is delivered now
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+
+    config = spec.peer_config()
+    workload = build_workload(spec)
+    role = "super" if node_id in spec.super_ids() else "peer"
     network = Network(seed=spec.seed, transport=transport)
     if network.tracer.enabled:
         # disambiguate span/trace ids across processes: the launcher
@@ -229,7 +246,8 @@ def run_node(args) -> int:
         # the Advertise pushed by join() needs a routable home: wait
         # until the seed's book broadcast names this peer's super-peer
         home = spec.home_for(node_id)
-        transport.run_until(lambda: home in transport.book, timeout=2_000.0)
+        transport.run_until(lambda: home in transport.book or bool(stopping),
+                            timeout=2_000.0)
         if recovered is not None and recovered.graph is not None:
             # crash recovery: resume from the durable base and views,
             # re-deriving the active-schema from them
@@ -257,15 +275,6 @@ def run_node(args) -> int:
         node.save_durable_snapshot()  # (a super-peer has no base to save)
     # a super-peer starts listening only now, its registry restored
     host, port = transport.start()
-
-    stopping = []
-
-    def _stop() -> None:
-        stopping.append(True)
-        transport.wake()  # leave run_until(stopping) now, not at a timer
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        transport.loop.add_signal_handler(signum, _stop)
 
     # telemetry endpoints: /metrics /healthz /tracez on the node's own
     # event loop; the endpoint file makes the address discoverable to

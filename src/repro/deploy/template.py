@@ -13,7 +13,10 @@ those objects, and then serves fork requests:
   minus its first three words);
 * the template ``fork()``s a child that runs ``repro.cli.main(argv)``
   with its stdio on ``/dev/null`` — the same parser and ``run_node``
-  as a hand-started node — and answers ``{"spawned": pid}``;
+  as a hand-started node — and answers ``{"spawned": pid}``; the child
+  starts with SIGTERM and SIGINT blocked, and ``run_node`` unblocks
+  them once its event loop handles them, so a node stopped while it is
+  still coming up stops gracefully once it serves;
 * it reaps children in its ``select`` loop (``SIGCHLD`` only wakes it,
   through :func:`signal.set_wakeup_fd`) and reports ``{"pid": pid,
   "exited": code}``, ``code`` being ``-N`` for signal ``N`` as
@@ -27,8 +30,8 @@ has the template's ``PYTHONHASHSEED`` and ``sys.path``: a template is
 kept per set of ``PYTHON*`` variables (what the interpreter reads as it
 starts), and each request carries the node's whole environment.
 :class:`NodeProcess` is the handle the launcher keeps per node, with
-the part of ``Popen``'s surface the launcher, the supervisor and
-scenario playback use.
+the part of ``Popen``'s surface the launcher and scenario playback
+use.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
+from .node import STOP_SIGNALS
 
 #: Seconds a stopping template gives its nodes to exit after SIGTERM
 #: before it SIGKILLs them.
@@ -232,6 +236,8 @@ def _run_node(request: Dict[str, object], wakeup: Tuple[int, int]) -> None:
             os.close(fd)
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        # not the template's handlers; the stop signals stay blocked
+        # until run_node's event loop handles them
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.default_int_handler)
         null = os.open(os.devnull, os.O_RDWR)
@@ -281,9 +287,13 @@ def serve() -> None:
             *lines, pending = (pending + chunk).split(b"\n")
             for line in lines if running else ():
                 request = json.loads(line)
+                # a stop sent to the child before its event loop handles
+                # it stays pending, rather than run the template's no-op
+                signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
                 pid = os.fork()
                 if pid == 0:
                     _run_node(request, wakeup)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
                 children.add(pid)
                 _report({"spawned": pid})
     for pid in children:

@@ -6,7 +6,7 @@ cache invalidation, shed, replan and deadline expiration lands here as
 a structured record (``repro.obs/event-v1``) in a bounded ring.  Live
 nodes additionally stream each record to a durable per-node
 ``*.events.jsonl`` (append + flush per write), so a SIGKILLed process
-still leaves its last moments on disk for the supervisor's diagnostic
+still leaves its last moments on disk for the launcher's crash
 bundle.
 
 Recording is uncharged: events never touch simulated quantities, so a

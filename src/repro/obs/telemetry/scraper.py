@@ -18,8 +18,8 @@ Timeline record kinds (one JSON object per line):
 * ``{"kind": "alert", "state": "firing"|"resolved", ...}`` — SLO
   transitions (schema ``repro.obs/alert-v1``).
 
-:func:`write_diagnostic_bundle` assembles the black box after a crash
-or breaker trip: the dead node's durable ``*.events.jsonl`` flight
+:func:`write_diagnostic_bundle` assembles the black box after a
+crash: the dead node's durable ``*.events.jsonl`` flight
 record, its slow-query dumps, the last scraped health, and the active
 alerts — everything an operator needs, in one directory.
 """
@@ -212,7 +212,7 @@ def write_diagnostic_bundle(
     scraper: Optional[ClusterScraper] = None,
     details: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Assemble a crash/breaker diagnostic bundle directory.
+    """Assemble a crash diagnostic bundle directory.
 
     Collects, per involved node: its durable flight-recorder
     ``<node>.events.jsonl``, any ``<node>.slow.*.json`` slow-query

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import build_plan, optimize, route_query
-from repro.core.adaptivity import ChannelMonitor
 from repro.workloads.paper import (
     paper_active_schemas,
     paper_query_pattern,
@@ -54,38 +53,3 @@ class TestReplan:
         assert plan.is_complete()
         assert plan.peers() == {"P1", "P2", "P3", "P4"}
 
-
-class TestChannelMonitor:
-    def test_healthy_channel_not_flagged(self):
-        monitor = ChannelMonitor(minimum_ratio=0.5)
-        monitor.expect("c1", 100)
-        monitor.observe("c1", 80)
-        assert monitor.underperforming() == []
-
-    def test_starved_channel_flagged(self):
-        monitor = ChannelMonitor(minimum_ratio=0.5)
-        monitor.expect("c1", 100)
-        monitor.observe("c1", 10)
-        assert monitor.underperforming() == ["c1"]
-
-    def test_ratio_computation(self):
-        monitor = ChannelMonitor()
-        monitor.expect("c1", 200)
-        monitor.observe("c1", 50)
-        assert monitor.throughput_ratio("c1") == 0.25
-
-    def test_unknown_channel_ratio_is_one(self):
-        assert ChannelMonitor().throughput_ratio("nope") == 1.0
-
-    def test_observations_accumulate(self):
-        monitor = ChannelMonitor(minimum_ratio=0.5)
-        monitor.expect("c1", 100)
-        monitor.observe("c1", 30)
-        monitor.observe("c1", 30)
-        assert monitor.underperforming() == []
-
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelMonitor(minimum_ratio=0.0)
-        with pytest.raises(ValueError):
-            ChannelMonitor(minimum_ratio=1.5)

@@ -76,6 +76,19 @@ def test_a_node_refusing_its_command_line_exits_2(tmp_path):
         cluster.transport.close()
 
 
+def test_a_node_stopped_during_its_bring_up_exits_gracefully(tmp_path):
+    """A SIGTERM that lands while a node is still coming up (just forked,
+    or not yet serving) is kept until the node serves, which then stops
+    on its graceful path: snapshot, export, exit 0."""
+    for attempt in range(10):
+        outdir = tmp_path / f"run-{attempt}"
+        cluster = LiveCluster(SPEC, outdir)
+        cluster._spawn("SP1")
+        summary = cluster.shutdown()
+        assert summary["exit_codes"] == {"SP1": 0}, (attempt, summary)
+        assert (outdir / "SP1.metrics.prom").exists(), attempt
+
+
 def test_a_second_cluster_reuses_the_template_and_its_timeline_is_fresh(tmp_path):
     """Later clusters fork from the template the first one started, and
     a cluster started in a used run directory starts its own

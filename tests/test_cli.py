@@ -460,6 +460,8 @@ class TestRun:
         assert not any(e.mid_query for e in sim if not isinstance(e, Query))
 
     def test_a_supervised_victim_restarts_at_the_next_arrival_in_sim(self):
+        """Both targets restart the victim before the query after the
+        crash: the same events in the same order, armed in the sim only."""
         from repro.cli import _build_parser
         from repro.cli.run import build_scenario
         from repro.deploy import ClusterSpec, build_workload
@@ -475,8 +477,31 @@ class TestRun:
         assert kinds_of(sim[crash:restart + 2]) == [Crash, Query, Restart, Query]
         assert sim[restart].peer == "P2"
         assert sim[restart].at == sim[restart + 1].at > sim[crash].at
-        # live, the supervisor restarts the process: no Restart event
-        assert not any(isinstance(e, Restart) for e in build_scenario(args, spec, texts))
+        assert all(e.at is not None for e in sim)
+        live = build_scenario(args, spec, texts).events
+        assert kinds_of(live) == kinds_of(sim)
+        assert [e.peer for e in live if isinstance(e, Restart)] == ["P2"]
+        assert all(e.at is None for e in live)
+
+    def test_a_supervised_live_victim_restarts_before_the_next_query(
+            self, tmp_path, capsys):
+        """Live, the SIGKILLed victim comes back as a new process before
+        the query after the crash, as the sim's ``Restart`` does."""
+        import json
+
+        outdir = tmp_path / "run"
+        assert main(["run", "--live", "--resilient", "--kill", "P2",
+                     "--kill-signal", "kill", "--supervise", "--count", "6",
+                     "--outdir", str(outdir)]) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["killed"] == report["restarts"] == ["P2"]
+        assert report["first_exit_codes"]["P2"] == -9
+        assert set(report["exit_codes"].values()) == {0}, report["exit_codes"]
+        lines = capsys.readouterr().out.splitlines()
+        crash = lines.index("killed P2 mid-query (SIGKILL)")
+        assert lines[crash + 1].startswith("  q3: ")  # the query it overlaps
+        assert lines[crash + 2] == "restarted P2"
+        assert lines[crash + 3].startswith("  q4: ")
 
     def test_loss_kill_supervise_replays_identically(self, capsys):
         """Loss, a crash and its recovery on a resilient run: same
@@ -604,11 +629,12 @@ class TestLaunchValidation:
         (["--topk", "0"], "--topk must be >= 1"),
         (["--max-concurrent", "0"], "--max-concurrent must be >= 1"),
         (["--live", "--max-queued", "4"], "--max-queued: sim-only, drop --live"),
-        (["--host", "0.0.0.0", "--scrape-every", "1"],
-         "--host, --scrape-every: live-only, add --live"),
+        (["--host", "0.0.0.0"], "--host: live-only, add --live"),
+        (["--live", "--supervise"],
+         "--supervise restarts the --kill victim; without --kill nothing goes down"),
     ], ids=["kill-unknown", "no-peers", "kill-no-survivor", "adhoc-live",
             "adhoc-joiners", "no-queries", "no-arrivals", "no-topk",
-            "no-admission", "sim-flag-live", "live-flag-sim"])
+            "no-admission", "sim-flag-live", "live-flag-sim", "supervise-no-kill"])
     def test_bad_node_name(self, tmp_path, capsys, monkeypatch, flags, complaint):
         monkeypatch.chdir(tmp_path)  # where the default outdir would appear
         outdir = tmp_path / "run"
