@@ -265,7 +265,10 @@ COMMENTARY = {
         "in-sim), it recovers its base, views and remembered advertisements from "
         "its durable snapshot + checksummed membership log, "
         "re-advertises with a rejoin flag that lifts quarantines "
-        "SON-wide, and the very next answers are full again — "
+        "SON-wide. The restart returns once its home super-peer has "
+        "the advertisement, before the rejoin reaches the SON, so the "
+        "query right after it can still be partial (at seed 0 on both "
+        "targets); the answers after it are full again — answers "
         "byte-identical to the in-sim twin across 60 seeded churn "
         "queries (tests/difftest/test_membership.py). Log replay "
         "stays linear in committed records.",

@@ -17,26 +17,21 @@ trace dumps, their merge, and the SLO ``timeline.jsonl`` — that
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ..config import AdmissionControl
-from ..deploy.launcher import SLO_WINDOW, LiveCluster
+from ..deploy.launcher import LiveCluster
 from ..deploy.node import export_artifacts, merge_artifacts
 from ..deploy.workload import ClusterSpec, ClusterWorkload, build_sim_system, build_workload
-from ..errors import EventBudgetExhausted
+from ..errors import NetworkError
 from ..livedata import LiveDataDriver, UpdateStream
 from ..obs import system_gauges
 from ..obs.telemetry import (
-    ClusterSeries,
-    JsonlSink,
-    SLOMonitor,
+    ClusterScraper,
     TelemetryProbe,
-    default_slo_rules,
-    record_round,
     render_alert,
     write_diagnostic_bundle,
 )
@@ -241,6 +236,27 @@ def _describe(event, updates) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Build the target, play the scenario on it with the SLO watchdog
+    taking one round per answer, print the serving report and leave the
+    run directory.  Only building the target and tearing it down depend
+    on which one it is."""
+    outdir = Path(args.outdir) if args.outdir is not None else None
+
+    def on_event(event) -> None:
+        line = _describe(event, updates)
+        if line is not None:
+            print(f"[{target.network.now:.1f}] {line}")
+        if event.at is not None:
+            return  # armed on the sim's clock: nothing was waited for
+        if isinstance(event, Crash) and event.signal == "kill":
+            # the crash black box: the victim's durable flight record
+            # survives the SIGKILL; bundle it now
+            write_diagnostic_bundle(outdir, f"crash-{event.peer}",
+                                    reason="SIGKILL crash", node_ids=(event.peer,),
+                                    scraper=scraper)
+        if isinstance(event, Update) and not updates.acked(event.revision):
+            print("warning: update revision not fully acked", file=sys.stderr)
+
     try:
         spec = ClusterSpec(
             seed=args.seed, peers=args.peers, super_peers=args.super_peers,
@@ -250,147 +266,48 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         _check(args, spec)
         if args.live:
-            outdir = Path(args.outdir or "live-run")
+            outdir = outdir or Path("live-run")
             # a supervised restart recovers from somewhere
-            cluster = LiveCluster(spec, outdir, host=args.host or "127.0.0.1",
-                                  statedir=outdir / "state" if args.supervise else None)
+            target = LiveCluster(spec, outdir, host=args.host or "127.0.0.1",
+                                 statedir=outdir / "state" if args.supervise else None)
+            workload, client = target.workload, target.client
+            start, where = None, f"live on {target.host}"
+        else:
+            workload = build_workload(spec)
+            target = build_sim_system(spec, workload)
+            if args.loss is not None:
+                # once settled: adverse from the first query on, and
+                # realistic (no omniscient bounces), so peers learn
+                # failures by observation
+                target.network.install_faults(FaultPlan(
+                    seed=spec.seed + 1, drop_rate=args.loss, duplicate_rate=0.05,
+                    jitter=0.5, spike_rate=0.05, spike_latency=8.0,
+                ))
+            if args.max_concurrent is not None or args.max_queued is not None:
+                target.enable_admission(AdmissionControl(**{
+                    name: getattr(args, name) for name in ("max_concurrent", "max_queued")
+                    if getattr(args, name) is not None
+                }))
+            if args.fair_quantum is not None:
+                target.enable_fair_scheduling(args.fair_quantum)
+            client = target.add_client()
+            start, where = target.network.now, "in-sim"
+        updates = None
+        if args.updates:
+            updates = LiveDataDriver(target, _update_stream(spec, workload, args.updates))
+        scenario = build_scenario(args, spec, workload.queries, start=start)
+        # checks the scenario against the target before any process starts
+        outcomes = play(scenario, target, client=client, bases=workload.bases,
+                        updates=updates, on_event=on_event,
+                        shed_retries=SHED_RETRIES, max_events=MAX_EVENTS)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _run_live(args, cluster) if args.live else _run_sim(args, spec)
 
-
-def _run_sim(args, spec: ClusterSpec) -> int:
-    """Play the scenario on the in-sim twin, an uncharged SLO watchdog
-    sampling on every answer; print the serving report and any alert.
-    With ``--outdir`` leave the run directory a live run leaves."""
-    workload = build_workload(spec)
-    system = build_sim_system(spec, workload)
-    if args.loss is not None:
-        # once settled: adverse from the first query on, and realistic
-        # (no omniscient bounces), so peers learn failures by observation
-        system.network.install_faults(FaultPlan(
-            seed=spec.seed + 1, drop_rate=args.loss, duplicate_rate=0.05,
-            jitter=0.5, spike_rate=0.05, spike_latency=8.0,
-        ))
-    if args.max_concurrent is not None or args.max_queued is not None:
-        system.enable_admission(AdmissionControl(**{
-            name: getattr(args, name) for name in ("max_concurrent", "max_queued")
-            if getattr(args, name) is not None
-        }))
-    if args.fair_quantum is not None:
-        system.enable_fair_scheduling(args.fair_quantum)
-    updates = None
-    if args.updates:
-        updates = LiveDataDriver(system, _update_stream(spec, workload, args.updates))
-    # the watchdog is pull-based: it reads metrics and schedules nothing,
-    # so the run is the bare one
-    probe = TelemetryProbe(
-        system.network, peers=[*system.peers.values(), *system.super_peers.values()],
-    )
-    series = ClusterSeries()
-    monitor = SLOMonitor(default_slo_rules(), scope="sim", window=SLO_WINDOW)
-    alerts = []
-
-    def watch(client, result) -> None:
-        sample = probe.sample()
-        alerts.extend(record_round(series, monitor, sample.t,
-                                   {probe.node_id: sample}, timeline)["alerts"])
-
-    client = system.add_client()
-    client.result_listeners.append(watch)
-    scenario = build_scenario(args, spec, workload.queries, start=system.network.now)
-    architecture = "hybrid" if spec.super_peers else "adhoc"
-    print(f"deployment : {architecture}, {spec.super_peers} super-peer(s) + "
-          f"{spec.peers} peer(s), seed {spec.seed}, in-sim")
-
-    def on_event(event) -> None:
-        line = _describe(event, updates)
-        if line is not None:
-            print(f"[{system.network.now:.1f}] {line}")
-
-    outcomes = play(scenario, system, client=client, bases=workload.bases,
-                    updates=updates, on_event=on_event,
-                    shed_retries=SHED_RETRIES, max_events=MAX_EVENTS)
-    timeline = outdir = None
-    if args.outdir is not None:
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        # a run's timeline is its own: a reused --outdir must not replay
-        # the previous run's rounds and alerts as this one's
-        (outdir / "timeline.jsonl").unlink(missing_ok=True)
-        timeline = JsonlSink(outdir / "timeline.jsonl")
-    try:
-        report = PlayReport.collect(outcomes, system.network)
-    except EventBudgetExhausted as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if outdir is not None:
-            timeline.close()
-            export_artifacts(outdir, "sim", system.network, system_gauges(system))
-            merge_artifacts(outdir)
-    print(report.render())
-    metrics = system.network.metrics
-    if updates is not None:
-        applied = sum(a.applied for a in updates.injector.acks)
-        print(f"updates    : {updates.injected} batches injected "
-              f"({applied} statements applied, "
-              f"{metrics.messages_by_kind['AdvertiseDelta']} "
-              f"advertisement deltas)")
-    if args.topk is not None:
-        print(f"top-k      : LIMIT {args.topk} on every query, "
-              f"{metrics.topk_cancels} early cancels, "
-              f"{metrics.discarded_bindings} bindings discarded")
-    if args.loss is not None:
-        print(f"resilience : loss={args.loss:.0%} retries={metrics.retries} "
-              f"retransmits={metrics.retransmits} "
-              f"suspicions={metrics.suspicions} "
-              f"dropped={metrics.dropped_messages} "
-              f"duplicated={metrics.duplicated_messages}")
-    for event in alerts:
-        print(f"alert      : {render_alert(event)}")
-    if outdir is not None:
-        print(f"artifacts  : {outdir}")
-    silent = report.count("no-reply")
-    if silent:
-        print(f"WARNING: {silent} queries never got a reply", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_live(args, cluster: LiveCluster) -> int:
-    """Play the scenario on the live cluster, scraping one telemetry
-    round after every answer as the sim's watchdog samples one, and
-    write ``report.json``."""
-    spec, workload = cluster.spec, cluster.workload
-    scenario = build_scenario(args, spec, workload.queries)
-    updates = None
-    if args.updates:
-        updates = LiveDataDriver(cluster, _update_stream(spec, workload, args.updates))
-
-    def on_event(event) -> None:
-        print(_describe(event, updates))
-        if isinstance(event, Crash) and event.signal == "kill":
-            # the crash black box: the victim's durable flight record
-            # survives the SIGKILL; bundle it now
-            write_diagnostic_bundle(cluster.outdir, f"crash-{event.peer}",
-                                    reason="SIGKILL crash", node_ids=(event.peer,),
-                                    scraper=cluster.scraper)
-        if isinstance(event, Update) and not updates.acked(event.revision):
-            print("warning: update revision not fully acked", file=sys.stderr)
-
-    outcomes = play(scenario, cluster, updates=updates, on_event=on_event)
-    print(f"launching {spec.super_peers} super-peer(s) + {spec.peers} peer(s) "
-          f"on {cluster.host} (seed {spec.seed}, "
-          f"{'resilient' if spec.resilient else 'baseline'}"
-          f"{', supervised' if args.supervise else ''})")
+    queries = [event for event in scenario if isinstance(event, Query)]
     reported = []
-    try:
-        cluster.start()
-        print(f"cluster up: seed port {cluster.transport.port}, "
-              f"book {sorted(cluster.transport.book)}")
-        queries = [event for event in scenario if isinstance(event, Query)]
+
+    def echo(outcomes):
         for index, (query, outcome) in enumerate(zip(queries, outcomes)):
             status = "ok" if outcome.status == "full" else outcome.status
             rows = outcome.rows or 0
@@ -401,24 +318,82 @@ def _run_live(args, cluster: LiveCluster) -> int:
                 reported[-1]["limit"] = query.limit
                 limit = f" top-{query.limit}"
             print(f"  q{index}{limit}: via {query.via} -> {status} ({rows} rows)")
-            # every peer's /metrics + /healthz into the rollups, the
-            # timeline and the SLO watchdogs
-            cluster.scrape()
+            yield outcome
+
+    architecture = "hybrid" if spec.super_peers else "adhoc"
+    print(f"deployment : {architecture}, {spec.super_peers} super-peer(s) + "
+          f"{spec.peers} peer(s), seed {spec.seed}, {where}")
+    report = scraper = None
+    try:
+        if args.live:
+            target.start()
+            scraper = target.scraper
+        else:
+            # pull-based: it reads metrics and schedules nothing, so the
+            # run is the bare one
+            scraper = ClusterScraper(outdir, probe=TelemetryProbe(
+                target.network,
+                peers=[*target.peers.values(), *target.super_peers.values()],
+            ))
+        # a round at each answer's own instant, not when play yields it
+        client.result_listeners.append(lambda client, result: scraper.scrape_once())
+        report = PlayReport.collect(echo(outcomes), target.network)
+    except NetworkError as exc:  # an exhausted event budget, a live wait timed out
+        print(f"run failed: {exc}", file=sys.stderr)
     finally:
-        summary = cluster.shutdown()
-    summary["outcomes"] = reported
+        if args.live:
+            target.shutdown(report=_report_fields(args, updates, reported))
+        else:
+            if scraper is not None:
+                scraper.close()
+            if outdir is not None:
+                export_artifacts(outdir, "sim", target.network, system_gauges(target))
+                merge_artifacts(outdir)
+    if report is None:
+        return 1
+    print(report.render())
+    # the coordinators' counters: live, they are metered in the node
+    # processes, not by the launcher, so none of them is printed
+    metrics = None if args.live else target.network.metrics
     if updates is not None:
-        summary["updates"] = {
+        applied = sum(a.applied for a in updates.injector.acks)
+        deltas = ("" if metrics is None else
+                  f", {metrics.messages_by_kind['AdvertiseDelta']} "
+                  f"advertisement deltas")
+        print(f"updates    : {updates.injected} batches injected, "
+              f"{len(updates.injector.acks)} acked "
+              f"({applied} statements applied{deltas})")
+    if args.topk is not None:
+        cancels = ("" if metrics is None else
+                   f", {metrics.topk_cancels} early cancels, "
+                   f"{metrics.discarded_bindings} bindings discarded")
+        print(f"top-k      : LIMIT {args.topk} on every query{cancels}")
+    if args.loss is not None:
+        print(f"resilience : loss={args.loss:.0%} retries={metrics.retries} "
+              f"retransmits={metrics.retransmits} "
+              f"suspicions={metrics.suspicions} "
+              f"dropped={metrics.dropped_messages} "
+              f"duplicated={metrics.duplicated_messages}")
+    for event in scraper.monitor.history:
+        print(f"alert      : {render_alert(event)}")
+    if outdir is not None:
+        print(f"artifacts  : {outdir}")
+    silent = report.count("no-reply")
+    if silent:
+        print(f"WARNING: {silent} queries never got a reply", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _report_fields(args, updates, reported) -> dict:
+    """What ``run`` adds to a live ``report.json``."""
+    fields = {"outcomes": reported}
+    if updates is not None:
+        fields["updates"] = {
             "batches_injected": updates.injected,
             "acks": len(updates.injector.acks),
             "records": updates.stream.total_records(),
         }
-        print(f"live updates: {updates.injected} batch(es), "
-              f"{len(updates.injector.acks)} ack(s)")
     if args.topk is not None:
-        summary["topk"] = args.topk
-    (cluster.outdir / "report.json").write_text(json.dumps(summary, indent=2))
-    print(f"artifacts merged under {cluster.outdir}")
-    if args.kill is not None and "partial" not in {o["status"] for o in reported}:
-        print("warning: kill run produced no partial answers")
-    return 0
+        fields["topk"] = args.topk
+    return fields

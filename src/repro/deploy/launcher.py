@@ -6,7 +6,7 @@ becomes the seed of the address book, starts one OS process per
 super-peer and per simple peer (each runs ``python -m repro peer``'s
 argv, forked from one warm template process: :mod:`.template`),
 waits for membership and advertisement settling, drives the cluster's
-query workload through client peers living in the launcher process,
+query workload through one client peer living in the launcher process,
 and tears everything down — collecting each process's metrics/trace
 exports and merging them into cluster-wide artifacts.
 
@@ -30,11 +30,7 @@ from typing import Dict, List, Optional
 
 from ..errors import NetworkError
 from ..net.simulator import Network
-from ..obs.telemetry import (
-    ClusterScraper,
-    default_slo_rules,
-    render_alert,
-)
+from ..obs.telemetry import ClusterScraper
 from ..peers.base import Peer
 from ..peers.client import ClientPeer
 from ..peers.protocol import AdvertisementReply, AdvertisementRequest
@@ -51,14 +47,13 @@ QUERY_TIMEOUT = 4_000.0
 #: to land; doubles per round.  A reply that shows them landed ends the
 #: wait at once, the back-off only paces the asking.
 SETTLE_BACKOFF = 0.25
-#: Virtual-time units between the starts of consecutive
-#: :meth:`LiveCluster.query` calls (18 ms at the default time scale): the
-#: closed loop is paced, so its rate is this interval's and not whatever
-#: the host's CPU makes of the ~5-17 ms an answer takes.  ``submit`` and
-#: ``await_result`` are not paced.
+#: Virtual-time units between the starts of consecutive paced
+#: submissions — every :meth:`LiveCluster.query` call, and a
+#: :meth:`LiveCluster.submit` given ``paced=True`` (18 ms at the default
+#: time scale): the closed loop is paced, so its rate is this interval's
+#: and not whatever the host's CPU makes of the ~5-17 ms an answer
+#: takes.  ``submit`` and ``await_result`` are not paced by default.
 QUERY_INTERVAL = 0.9
-#: Sliding window (virtual units) the SLO rules evaluate over.
-SLO_WINDOW = 120.0
 
 
 class _Probe(Peer):
@@ -122,10 +117,10 @@ class LiveCluster:
         #: SIGKILL victim keeps its -9 here while ``exit_codes`` shows
         #: the final process's status)
         self.first_exit_codes: Dict[str, int] = {}
-        #: the one client behind query()/submit(), from the first
-        #: submission on; results are keyed by query id, so every query
-        #: can share it
-        self.clients: Dict[str, ClientPeer] = {}
+        #: the one client behind query()/submit(); results are keyed by
+        #: query id, so every query can share it
+        self.client = ClientPeer("client1", config=spec.peer_config())
+        self.client.join(self.network)
         #: virtual time before which :meth:`query` does not submit again
         self._next_query = 0.0
 
@@ -134,18 +129,10 @@ class LiveCluster:
     # ------------------------------------------------------------------
     def start(self, bootstrap_timeout: float = BOOTSTRAP_TIMEOUT) -> None:
         """Bring the cluster up: seed, processes, membership, settling."""
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        # a fresh timeline per run (the scraper appends to what it finds)
-        (self.outdir / "timeline.jsonl").unlink(missing_ok=True)
         self.transport.start()
         # the scraper's clock reads the transport's virtual units, so
         # live timelines compare 1:1 with simulated ones
-        self.scraper = ClusterScraper(
-            self.outdir,
-            clock=lambda: self.transport.now,
-            rules=default_slo_rules(),
-            window=SLO_WINDOW,
-        )
+        self.scraper = ClusterScraper(self.outdir, clock=lambda: self.transport.now)
         for node_id in self.spec.super_ids() + self.spec.peer_ids():
             self._spawn(node_id)
         expected = set(self.spec.super_ids()) | set(self.spec.peer_ids())
@@ -222,10 +209,7 @@ class LiveCluster:
         before :meth:`start`."""
         if self.scraper is None:
             return None
-        rollup = self.scraper.scrape_once()
-        for event in rollup.get("alerts", ()):
-            print(f"  ALERT {render_alert(event)}")
-        return rollup
+        return self.scraper.scrape_once()
 
     def kill_peer(self, node_id: str, sig: str = "term") -> None:
         """Kill one process mid-run (the live analogue of a chaos
@@ -287,16 +271,17 @@ class LiveCluster:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def submit(self, via: str, text: str, limit: Optional[int] = None):
-        """Fire a query without waiting; returns ``(client, query_id)``
-        for :meth:`await_result`.  ``limit`` asks for a top-``limit``
-        answer.  Every query goes through the one launcher client."""
-        client = self.clients.get("client1")
-        if client is None:
-            client = ClientPeer("client1", config=self.spec.peer_config())
-            client.join(self.network)
-            self.clients[client.peer_id] = client
-        return client, client.submit(via, text, limit=limit)
+    def submit(self, via: str, text: str, limit: Optional[int] = None,
+               paced: bool = False):
+        """Fire a query through the one launcher client without waiting;
+        returns ``(client, query_id)`` for :meth:`await_result`.
+        ``limit`` asks for a top-``limit`` answer; ``paced`` first waits
+        until :data:`QUERY_INTERVAL` has passed since the previous paced
+        submission."""
+        if paced:
+            self.transport.run(until=self._next_query)  # returns at once when past
+            self._next_query = self.transport.now + QUERY_INTERVAL
+        return self.client, self.client.submit(via, text, limit=limit)
 
     def await_result(self, client, query_id: str, timeout: float = QUERY_TIMEOUT):
         """Wait for the answer and take it out of ``client``, so a long
@@ -313,18 +298,16 @@ class LiveCluster:
         coverage-annotated partial).  Consecutive calls start at least
         :data:`QUERY_INTERVAL` apart; the wait for the answer itself is
         event-driven."""
-        self.transport.run(until=self._next_query)  # returns at once when past
-        self._next_query = self.transport.now + QUERY_INTERVAL
-        client, query_id = self.submit(via, text)
-        return self.await_result(client, query_id, timeout)
+        return self.await_result(*self.submit(via, text, paced=True), timeout)
 
     # ------------------------------------------------------------------
     # teardown and artifacts
     # ------------------------------------------------------------------
-    def shutdown(self, grace: float = 10.0) -> Dict[str, object]:
-        """Stop every process, export and merge artifacts.
-
-        Returns the run summary written to ``report.json``.
+    def shutdown(self, grace: float = 10.0,
+                 report: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+        """Stop every process, export and merge artifacts, and write the
+        run summary to ``report.json`` (with the caller's ``report``
+        fields added).  Returns the summary.
         """
         # one last scrape while the endpoints are still alive, so the
         # timeline's final round reflects the cluster at teardown
@@ -346,16 +329,6 @@ class LiveCluster:
         export_artifacts(self.outdir, "launcher", self.network)
         self.transport.close()
         merge_artifacts(self.outdir)
-        summary = self._summary()
-        if self.scraper is not None:
-            summary["telemetry"] = self.scraper.summary()
-            self.scraper.close()
-            (self.outdir / "report.json").write_text(
-                json.dumps(summary, indent=2, default=str)
-            )
-        return summary
-
-    def _summary(self) -> Dict[str, object]:
         summary = {
             "spec": asdict(self.spec),
             "killed": list(self.killed),
@@ -371,5 +344,11 @@ class LiveCluster:
             },
             "artifacts": sorted(p.name for p in self.outdir.iterdir()),
         }
-        (self.outdir / "report.json").write_text(json.dumps(summary, indent=2))
+        if self.scraper is not None:
+            summary["telemetry"] = self.scraper.summary()
+            self.scraper.close()
+        summary.update(report or {})
+        (self.outdir / "report.json").write_text(
+            json.dumps(summary, indent=2, default=str)
+        )
         return summary

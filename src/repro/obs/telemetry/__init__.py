@@ -7,8 +7,8 @@ package adds the *operational* half of observability:
 * :mod:`sampler` — one :class:`TelemetrySample` shape whether read
   in-process off a :class:`MetricSet` or parsed from a scraped text
   exposition, one bounded ring of them per peer
-  (:class:`ClusterSeries`), and the one rollup the in-sim driver, the
-  launcher's scraper and ``repro top`` read: Prometheus-style
+  (:class:`ClusterSeries`), and the one rollup a run's scraper (sim
+  or live) and ``repro top`` read: Prometheus-style
   reset-aware ``rate()`` / ``increase()`` and windowed percentiles from
   cumulative histogram-bucket deltas;
 * :mod:`slo` — declarative SLO rules with debounce, firing/resolved
@@ -19,8 +19,8 @@ package adds the *operational* half of observability:
 * :mod:`http` — the per-peer ``/metrics`` / ``/healthz`` / ``/tracez``
   server on the node's event loop, plus the scrape client and
   exposition parser;
-* :mod:`scraper` — the launcher-side scrape loop, durable
-  ``timeline.jsonl`` and crash diagnostic bundles.
+* :mod:`scraper` — the SLO watchdog of a run (endpoints live, a probe
+  in-sim), durable ``timeline.jsonl`` and crash diagnostic bundles.
 
 The PR-3 invariants carry over: everything here is pull-based and
 uncharged, so telemetry perturbs no simulated quantity and a
@@ -40,7 +40,6 @@ from .scraper import (
     ClusterScraper,
     discover_endpoints,
     read_timeline,
-    record_round,
     write_diagnostic_bundle,
     write_endpoint_file,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "discover_endpoints",
     "parse_exposition",
     "read_timeline",
-    "record_round",
     "render_alert",
     "sample_from_exposition",
     "sample_metricset",

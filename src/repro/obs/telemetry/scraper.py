@@ -1,14 +1,16 @@
 """The launcher-side scrape loop: cluster rollups, a durable timeline,
 and crash diagnostic bundles.
 
-A :class:`ClusterScraper` discovers peers from the ``*.endpoint.json``
-files each node writes next to its artifacts, polls every peer's
-``/metrics`` + ``/healthz`` mid-run, feeds one shared
-:class:`~repro.obs.telemetry.sampler.ClusterSeries`, and evaluates the
-SLO monitor per round.  Every round is appended — flushed per line —
-to ``timeline.jsonl``, so a SIGKILLed launcher still leaves the
-cluster's history on disk up to its last heartbeat.  An in-sim ``run
---outdir`` writes the same records through :func:`record_round`.
+A :class:`ClusterScraper` is the one SLO watchdog of a run.  Live, it
+discovers peers from the ``*.endpoint.json`` files each node writes
+next to its artifacts and polls every peer's ``/metrics`` +
+``/healthz``; in-sim, it reads one in-process
+:class:`~repro.obs.telemetry.probe.TelemetryProbe` sample of the whole
+system instead.  Either way a round feeds one shared
+:class:`~repro.obs.telemetry.sampler.ClusterSeries` and evaluates the
+SLO monitor.  Every round is appended — flushed per line — to a
+``timeline.jsonl`` the scraper starts afresh, so a SIGKILLed launcher
+still leaves the cluster's history on disk up to its last heartbeat.
 
 Timeline record kinds (one JSON object per line):
 
@@ -34,11 +36,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ...errors import NetworkError
 from .flightrec import JsonlSink
 from .http import parse_exposition, scrape, scrape_json
+from .probe import TelemetryProbe
 from .sampler import ClusterSeries, TelemetrySample, sample_from_exposition
 from .slo import SLOMonitor, SLORule
 
 #: filename each node writes once its telemetry server is bound
 ENDPOINT_SUFFIX = ".endpoint.json"
+#: Sliding window (virtual units) the SLO rules evaluate over.
+SLO_WINDOW = 120.0
 
 
 def write_endpoint_file(
@@ -67,36 +72,46 @@ def discover_endpoints(outdir: Path) -> Dict[str, Tuple[str, int]]:
 
 
 class ClusterScraper:
-    """Polls every peer's telemetry endpoints and keeps cluster rollups.
+    """Samples every peer, keeps cluster rollups and watches the SLOs.
 
     Args:
-        outdir: The run directory (endpoint discovery + timeline home).
+        outdir: The run directory (endpoint discovery + timeline home);
+            ``None`` keeps no timeline.
         clock: Returns the scrape timestamp; the launcher passes a
             scaled-wall-time clock so live timelines read in the same
-            units as simulated ones.
+            units as simulated ones.  Default: the probe's network clock.
         rules: SLO rules for the cluster monitor (stock set if empty).
         window: The monitor's rollup window, for every evaluation.
         timeline: Timeline filename (``None`` disables the file).
+        probe: In-sim, the :class:`~repro.obs.telemetry.probe.
+            TelemetryProbe` a round samples instead of endpoints (the
+            alerts' scope is then ``sim``).
     """
 
     def __init__(
         self,
-        outdir: Path,
-        clock: Callable[[], float],
+        outdir: Optional[Path],
+        clock: Optional[Callable[[], float]] = None,
         rules: Tuple[SLORule, ...] = (),
-        window: float = 60.0,
+        window: float = SLO_WINDOW,
         timeline: Optional[str] = "timeline.jsonl",
+        probe: Optional[TelemetryProbe] = None,
     ):
-        self.outdir = Path(outdir)
-        self.clock = clock
+        self.outdir = Path(outdir) if outdir is not None else None
+        self.probe = probe
+        self.clock = clock or (lambda: probe.network.now)
         self.series = ClusterSeries()
-        self.monitor = SLOMonitor(rules, scope="cluster", window=window)
+        self.monitor = SLOMonitor(rules, scope="cluster" if probe is None else "sim",
+                                  window=window)
         self.health: Dict[str, Dict[str, Any]] = {}
         self.rounds = 0
         self.scrape_failures = 0
         self.timeline: Optional[JsonlSink] = None
-        if timeline is not None:
+        if timeline is not None and self.outdir is not None:
             self.outdir.mkdir(parents=True, exist_ok=True)
+            # a run's timeline is its own: a reused run directory must
+            # not replay the previous run's rounds and alerts as this one's
+            (self.outdir / timeline).unlink(missing_ok=True)
             self.timeline = JsonlSink(self.outdir / timeline)
 
     # ------------------------------------------------------------------
@@ -119,16 +134,40 @@ class ClusterScraper:
         return sample_from_exposition(parsed, t, gauges)
 
     def scrape_once(self) -> Dict[str, Any]:
-        """One full round: every discovered peer, the cluster rollup,
-        the SLO evaluation; all appended to the timeline.  Returns the
-        cluster rollup (with any alert transitions under ``"alerts"``)."""
+        """One full round: every peer's sample, the cluster rollup and
+        the SLO evaluation, each appended to the timeline (a ``sample``
+        record per peer, the ``rollup``, any alert transitions).
+        Returns the rollup, its transitions under ``"alerts"``."""
         t = self.clock()
-        samples = {
-            node_id: self.scrape_peer(node_id, host, port, t)
-            for node_id, (host, port) in sorted(discover_endpoints(self.outdir).items())
-        }
+        if self.probe is not None:
+            samples = {self.probe.node_id: self.probe.sample()}
+        else:
+            samples = {
+                node_id: self.scrape_peer(node_id, host, port, t)
+                for node_id, (host, port)
+                in sorted(discover_endpoints(self.outdir).items())
+            }
         self.rounds += 1
-        return record_round(self.series, self.monitor, t, samples, self.timeline)
+        records = []
+        for node_id, sample in samples.items():
+            self.series.append(node_id, sample)
+            records.append({
+                "kind": "sample",
+                "t": t,
+                "peer": node_id,
+                "up": sample.up,
+                "counters": sample.counters,
+                "inflight": sample.gauges.get("inflight_queries", 0),
+            })
+        rollup = self.series.rollup(self.monitor.window)
+        rollup["t"] = t
+        records.append({"kind": "rollup", **rollup})
+        alerts = self.monitor.evaluate(t, rollup)
+        if self.timeline is not None:
+            for record in (*records, *alerts):
+                self.timeline(record)
+        rollup["alerts"] = alerts
+        return rollup
 
     def close(self) -> None:
         if self.timeline is not None:
@@ -150,40 +189,6 @@ class ClusterScraper:
             "active_alerts": self.monitor.active(),
             "health": dict(self.health),
         }
-
-
-def record_round(
-    series: ClusterSeries,
-    monitor: SLOMonitor,
-    t: float,
-    samples: Dict[str, TelemetrySample],
-    timeline: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> Dict[str, Any]:
-    """Fold one round of per-peer ``samples`` taken at ``t`` into
-    ``series``, roll the cluster up and evaluate ``monitor``; append a
-    ``sample`` record per peer, the ``rollup`` and any alert transitions
-    to ``timeline``.  Returns the rollup, its transitions under
-    ``"alerts"``."""
-    records = []
-    for node_id, sample in samples.items():
-        series.append(node_id, sample)
-        records.append({
-            "kind": "sample",
-            "t": t,
-            "peer": node_id,
-            "up": sample.up,
-            "counters": sample.counters,
-            "inflight": sample.gauges.get("inflight_queries", 0),
-        })
-    rollup = series.rollup(monitor.window)
-    rollup["t"] = t
-    records.append({"kind": "rollup", **rollup})
-    alerts = monitor.evaluate(t, rollup)
-    if timeline is not None:
-        for record in (*records, *alerts):
-            timeline(record)
-    rollup["alerts"] = alerts
-    return rollup
 
 
 def read_timeline(path: Path) -> List[Dict[str, Any]]:
@@ -210,7 +215,6 @@ def write_diagnostic_bundle(
     reason: str,
     node_ids: Tuple[str, ...] = (),
     scraper: Optional[ClusterScraper] = None,
-    details: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Assemble a crash diagnostic bundle directory.
 
@@ -241,8 +245,6 @@ def write_diagnostic_bundle(
         "nodes": list(node_ids),
         "files": copied,
     }
-    if details:
-        manifest["details"] = details
     if scraper is not None:
         manifest["health"] = {
             node: scraper.health.get(node) for node in node_ids if node in scraper.health

@@ -33,7 +33,7 @@ STATUSES = ("full", "partial", "error", "shed", "no-reply")
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """One query's fate: how it was answered and, in-sim, when."""
+    """One query's fate: how it was answered and when."""
 
     query_id: str
     via_peer: str
@@ -43,7 +43,8 @@ class QueryOutcome:
     coverage: Optional[str] = None
     #: the client-side QueryResult classified (None: no reply)
     result: Optional[object] = field(default=None, compare=False, repr=False)
-    #: virtual time of the first submission and of the final reply
+    #: virtual time (live: the transport clock's) of the first
+    #: submission and of the final reply
     submitted_at: Optional[float] = None
     finished_at: Optional[float] = None
 
@@ -70,13 +71,16 @@ def percentile(ordered: Sequence[float], fraction: float) -> float:
 
 @dataclass
 class PlayReport:
-    """What playing one scenario on a sim deployment produced: the
-    outcomes in scenario order, and the metrics at the end."""
+    """What playing one scenario produced: the outcomes in scenario
+    order, and the metrics of the network it was played through at the
+    end."""
 
     outcomes: List[QueryOutcome]
     snapshot: tuple  # MetricSnapshot at the end of the run
     events: int  # simulator events processed
-    max_inflight: int = 0  # most queries in flight at once
+    #: most queries in flight at once; None where ``network`` coordinates
+    #: none (a live launcher: its queries are metered in the node processes)
+    max_inflight: Optional[int] = 0
 
     @classmethod
     def collect(cls, outcomes: Iterable[QueryOutcome], network) -> "PlayReport":
@@ -86,7 +90,8 @@ class PlayReport:
         outcomes = list(outcomes)
         return cls(outcomes, network.metrics.snapshot(),
                    network.events_processed - before,
-                   network.metrics.max_inflight_queries)
+                   network.metrics.max_inflight_queries
+                   if network.transport.kind == "sim" else None)
 
     def count(self, status: str) -> int:
         return sum(1 for outcome in self.outcomes if outcome.status == status)
@@ -154,8 +159,9 @@ class PlayReport:
             f"offered    : {len(self.outcomes)} queries ({self.answered} "
             f"answered, {counts['partial']} partial, {counts['error']} errors, "
             f"{counts['shed']} shed, {counts['no-reply']} no-reply)",
-            f"duration   : {self.duration:.1f} virtual time "
-            f"(max {self.max_inflight} in flight)",
+            f"duration   : {self.duration:.1f} virtual time"
+            + ("" if self.max_inflight is None
+               else f" (max {self.max_inflight} in flight)"),
             f"throughput : {self.throughput():.3f} completed/vt",
             f"latency    : p50={latency['p50']:.1f} "
             f"p99={latency['p99']:.1f} max={latency['max']:.1f}",

@@ -29,6 +29,7 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from .errors import NetworkError
 from .membership import MembershipManager
 from .resilience.harness import QueryOutcome, classify, heartbeat_round
 from .systems.deployment import Deployment
@@ -335,7 +336,7 @@ class _Sim:
         if isinstance(event, (Restart, Join, Leave, Update)):
             self.network.run(self.max_events)
 
-    def submit(self, query: Query, overlapped: bool) -> _Asked:
+    def submit(self, query: Query) -> _Asked:
         asked = _Asked(query, self.retries)
         if _armed(query):
             self.arm(query, lambda _: self._send(asked))
@@ -385,12 +386,19 @@ class _Sim:
 class _Live:
     """A :class:`~repro.deploy.launcher.LiveCluster`: events in sequence
     only, each waited for (a crash until the process is gone, a restart
-    or join until its advertisement settled, an update until acked)."""
+    or join until its advertisement settled, an update until acked).
+    Latency is read off the transport clock, from the submission to the
+    answer's arrival at the launcher's client."""
 
     arm = None  # no clock to arm events on
 
     def __init__(self, cluster, updates):
         self.cluster, self.updates = cluster, updates
+        #: query id -> transport time its answer arrived
+        self._arrived: Dict[str, float] = {}
+        # first, so no other listener's work (a watchdog's scrape) is
+        # counted as the query's latency
+        cluster.client.result_listeners.insert(0, self._arrive)
         self.actions = {
             Crash: lambda e: cluster.kill_peer(e.peer, sig=e.signal),
             Restart: lambda e: cluster.restart_peer(e.peer),
@@ -415,20 +423,27 @@ class _Live:
                 lambda: self.updates.acked(event.revision), UPDATE_ACK_TIMEOUT
             )
 
-    def submit(self, query: Query, overlapped: bool):
-        if overlapped or query.limit is not None:
-            return self.cluster.submit(query.via, query.text, limit=query.limit)
-        return None  # unless a kill must overlap it, the paced LiveCluster.query asks
+    def _arrive(self, client, result) -> None:
+        self._arrived[result.query_id] = self.cluster.transport.now
+
+    def submit(self, query: Query):
+        # paced as LiveCluster.query is
+        client, query_id = self.cluster.submit(
+            query.via, query.text, limit=query.limit, paced=True
+        )
+        return client, query_id, self.cluster.transport.now
 
     def answer(self, query: Query, ticket) -> QueryOutcome:
-        if ticket is None:
-            result = self.cluster.query(query.via, query.text)
-        else:
-            result = self.cluster.await_result(*ticket)
-        return classify(result, query.via, result.query_id)
+        client, query_id, submitted_at = ticket
+        try:
+            result = self.cluster.await_result(client, query_id)
+        except NetworkError:
+            result = None  # no answer within the query timeout
+        return classify(result, query.via, query_id, submitted_at=submitted_at,
+                        finished_at=self._arrived.pop(query_id, None))
 
     def finish(self) -> None:
-        pass
+        self.cluster.client.result_listeners.remove(self._arrive)
 
 
 def play(
@@ -498,14 +513,14 @@ def _perform(scenario: Scenario, stage, on_event) -> Iterator[QueryOutcome]:
     tickets = {}  # scenario index -> a query's submission
     for index, event in enumerate(scenario):
         if _armed(event) and isinstance(event, Query):
-            tickets[index] = stage.submit(event, False)
+            tickets[index] = stage.submit(event)
         elif _armed(event):
             stage.arm(event, apply)
     overlapping = []
     for index, event in enumerate(scenario):
         if isinstance(event, Query):
             if index not in tickets:
-                tickets[index] = stage.submit(event, bool(overlapping))
+                tickets[index] = stage.submit(event)
                 for late in overlapping:
                     apply(late)
                 overlapping = []

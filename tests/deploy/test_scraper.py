@@ -12,6 +12,7 @@ from repro.obs import render_prometheus
 from repro.obs.telemetry import (
     ClusterScraper,
     SLORule,
+    TelemetryProbe,
     TelemetryServer,
     discover_endpoints,
     read_timeline,
@@ -153,12 +154,41 @@ class TestTimelineDurability:
     def test_missing_file_is_empty(self, tmp_path):
         assert read_timeline(tmp_path / "nope.jsonl") == []
 
-    def test_append_survives_reopening(self, tmp_path):
+    def test_a_new_scraper_starts_a_fresh_timeline(self, tmp_path):
+        """A run's timeline is its own: a scraper opening a reused run
+        directory does not append to the previous run's rounds."""
         for round_no in range(2):
             scraper = ClusterScraper(tmp_path, clock=lambda: float(round_no))
             scraper.timeline({"kind": "rollup", "t": float(round_no)})
             scraper.close()
-        assert len(read_timeline(tmp_path / "timeline.jsonl")) == 2
+        assert read_timeline(tmp_path / "timeline.jsonl") == [
+            {"kind": "rollup", "t": 1.0}
+        ]
+
+
+class TestProbeSource:
+    def test_a_sim_round_samples_the_probe_in_process(self, tmp_path):
+        """In-sim the one source is a probe of the whole system: one
+        sample per round at the network's clock, alerts scoped ``sim``,
+        and no endpoint is looked for."""
+        from repro.net.simulator import Network
+
+        network = Network(seed=0)
+        network.metrics.query_started("q0", time=0.0)
+        network.metrics.query_finished("q0", time=2.0)
+        write_endpoint_file(tmp_path, "P1", "127.0.0.1", 1)  # never dialled
+        scraper = ClusterScraper(
+            tmp_path, probe=TelemetryProbe(network),
+            rules=(SLORule("latency", "p99_latency", ">", 1.0, for_samples=1),),
+        )
+        rollup = scraper.scrape_once()
+        scraper.close()
+        assert scraper.scrape_failures == 0 and list(scraper.series.peers) == ["_system"]
+        assert [(a["rule"], a["scope"]) for a in rollup["alerts"]] == [("latency", "sim")]
+        records = read_timeline(tmp_path / "timeline.jsonl")
+        assert [r["kind"] for r in records] == ["sample", "rollup", "alert"]
+        assert records[0]["t"] == network.now
+        assert records[0]["counters"]["queries_finished"] == 1.0
 
 
 class TestDiagnosticBundle:
@@ -174,13 +204,12 @@ class TestDiagnosticBundle:
         scraper.scrape_once()
         bundle = write_diagnostic_bundle(
             outdir, "crash-P2", reason="peer P2 exited 137",
-            node_ids=("P2",), scraper=scraper, details={"signal": 9},
+            node_ids=("P2",), scraper=scraper,
         )
         scraper.close()
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert manifest["schema"] == "repro.obs/bundle-v1"
         assert manifest["reason"] == "peer P2 exited 137"
-        assert manifest["details"] == {"signal": 9}
         assert manifest["health"]["P2"]["status"] == "down"
         assert manifest["active_alerts"][0]["rule"] == "availability"
         assert sorted(manifest["files"]) == [

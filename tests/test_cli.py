@@ -497,7 +497,9 @@ class TestRun:
         assert report["killed"] == report["restarts"] == ["P2"]
         assert report["first_exit_codes"]["P2"] == -9
         assert set(report["exit_codes"].values()) == {0}, report["exit_codes"]
-        lines = capsys.readouterr().out.splitlines()
+        # an event line starts with the target's clock: "[26.1] killed P2 ..."
+        lines = [line.split("] ", 1)[-1] if line.startswith("[") else line
+                 for line in capsys.readouterr().out.splitlines()]
         crash = lines.index("killed P2 mid-query (SIGKILL)")
         assert lines[crash + 1].startswith("  q3: ")  # the query it overlaps
         assert lines[crash + 2] == "restarted P2"
@@ -542,6 +544,26 @@ class TestRun:
         after = log[log.index(("crash", "P2")) + 1:]
         assert {kind for kind, src in after if src == "P2"} == {"DeliveryFailure"}
         assert "1 errors" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", [[], ["--live"]], ids=["sim", "live"])
+    def test_both_targets_print_one_serving_report(self, target, tmp_path, capsys):
+        """The same header, one line per query and the same report block
+        on either target; live latency is read off the transport clock."""
+        assert main(["run", *target, "--count", "4", "--seed", "0",
+                     "--outdir", str(tmp_path / "run")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("deployment : hybrid, 1 super-peer(s) + 3 peer(s)")
+        assert [line.split(":")[0] for line in lines[1:5]] == [
+            f"  q{index}" for index in range(4)
+        ]
+        block = lines[5:9]
+        assert [line.split(":")[0].strip() for line in block] == [
+            "offered", "duration", "throughput", "latency"
+        ]
+        assert block[0].startswith("offered    : 4 queries (")
+        p50 = float(block[3].split("p50=")[1].split()[0])
+        assert p50 > 0
+        assert lines[-1] == f"artifacts  : {tmp_path / 'run'}"
 
     def test_sim_plays_churn_to_a_reply_for_every_query(self, capsys):
         assert main(["run", *self.FLAGS]) == 0

@@ -115,6 +115,10 @@ MAX_NODE_SPAWN_SITES = 1
 #: wall-clock wait, a query throttle above all, has to raise this on
 #: purpose
 MAX_WALL_CLOCK_SLEEPS = 2
+#: calls of ``repro.scenario.play`` under ``cli/`` (2 while ``run`` had
+#: one body per target): one ``run`` body plays the scenario on the sim
+#: or a live cluster, and ``play`` dispatches on which
+MAX_PLAY_CALLS_UNDER_CLI = 1
 
 
 def _trees(*packages):
@@ -313,6 +317,34 @@ def test_wall_clock_sleeps():
         and isinstance(call.func.value, ast.Name) and call.func.value.id == "time"
     ]
     assert len(found) <= MAX_WALL_CLOCK_SLEEPS, found
+
+
+def test_one_play_call_under_cli():
+    found = []
+    for path, tree in _trees("cli"):
+        package = path.relative_to(SRC.parent).parts[:-1]
+        plays, modules = set(), set()  # local names of play, of its module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = package[: len(package) + 1 - node.level] if node.level else ()
+                module = ".".join((*base, *filter(None, [node.module])))
+                for alias in node.names:
+                    if module == "repro.scenario" and alias.name == "play":
+                        plays.add(alias.asname or alias.name)
+                    elif module == "repro" and alias.name == "scenario":
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.name == "repro.scenario" and alias.asname)
+        found += [
+            f"{path.relative_to(SRC)}:{call.lineno}"
+            for call in _calls(tree)
+            if (isinstance(call.func, ast.Name) and call.func.id in plays)
+            or (isinstance(call.func, ast.Attribute) and call.func.attr == "play"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id in modules)
+        ]
+    assert len(found) <= MAX_PLAY_CALLS_UNDER_CLI, found
 
 
 def _names_a_node(command) -> bool:
