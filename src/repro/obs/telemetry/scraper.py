@@ -1,5 +1,5 @@
-"""The launcher-side scrape loop: cluster rollups, a durable timeline,
-and crash diagnostic bundles.
+"""A run's scrape loop: cluster rollups, a durable timeline, and crash
+diagnostic bundles.
 
 A :class:`ClusterScraper` is the one SLO watchdog of a run.  Live, it
 discovers peers from the ``*.endpoint.json`` files each node writes
