@@ -12,6 +12,7 @@ import enum
 from typing import Optional, Sequence
 
 from ..core.algebra import PlanNode
+from ..obs.tracer import NULL_SPAN
 
 
 class ChannelState(enum.Enum):
@@ -61,8 +62,8 @@ class Channel:
         tuples_received: Result tuples seen so far, all outputs (the
             throughput signal run-time adaptation watches).
         span: The root-side tracing span covering the channel's
-            open-transfer-close lifetime (``None`` outside a traced
-            network).
+            open-transfer-close lifetime (a stage timer for an unsampled
+            query, ``NULL_SPAN`` outside a traced network).
         received_seqs: Sequence numbers seen (packet dedup).
         final_seq: The seq carried by the stream's final packet, once
             seen — the stream completes when seqs 0..final have ALL
@@ -91,7 +92,7 @@ class Channel:
         destination: str,
         outputs: Sequence[Output],
         query_id: str = "",
-        span=None,
+        span=NULL_SPAN,
     ):
         self.channel_id = channel_id
         self.root = root
@@ -114,12 +115,11 @@ class Channel:
     def close(self) -> None:
         if self.state is ChannelState.OPEN:
             self.state = ChannelState.CLOSED
-            if self.span is not None:
-                self.span.set(tuples=self.tuples_received)
-                self.span.finish()
+            self.span.set(tuples=self.tuples_received)
+            self.span.finish()
 
     def fail(self) -> None:
-        if self.span is not None and self.state is ChannelState.OPEN:
+        if self.state is ChannelState.OPEN:
             self.span.set(tuples=self.tuples_received)
             self.span.finish("failed")
         self.state = ChannelState.FAILED

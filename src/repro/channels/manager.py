@@ -116,10 +116,10 @@ class ChannelManager:
         named by the packet.
         """
         channel_id = self.mint_id()
-        span = network.tracer.start_span(
+        span = network.tracer.stage(
             "channel",
-            peer=self.owner,
-            parent=trace,
+            self.owner,
+            trace,
             channel=channel_id,
             destination=destination,
             query=query_id,
@@ -130,7 +130,7 @@ class ChannelManager:
             destination,
             outputs,
             query_id,
-            span=span if span else None,
+            span=span,
         )
         self._channels[channel_id] = channel
         self._count("subplans_shipped", len(channel.outputs))
@@ -171,14 +171,11 @@ class ChannelManager:
                 return
             if retry.attempts_left(attempt + 1):
                 network.metrics.count("retransmits")
-                if channel.span is not None:
-                    channel.span.annotate(f"retransmit attempt={attempt + 1}")
+                channel.span.annotate(f"retransmit attempt={attempt + 1}")
                 network.send(
                     Message(
-                        self.owner,
-                        channel.destination,
-                        packet,
-                        trace=channel.span.context() if channel.span else None,
+                        self.owner, channel.destination, packet,
+                        trace=channel.span.context(),
                     )
                 )
                 self._arm_timeout(network, channel, packet, retry, attempt + 1)
@@ -229,7 +226,7 @@ class ChannelManager:
                 output.chunks.append(table)
         rows = packet.rows
         channel.record_tuples(rows)
-        if channel.span is not None:
+        if channel.span:  # a recording span: skip the text otherwise
             channel.span.annotate(
                 f"data seq={packet.seq} rows={rows}"
                 + (" final" if packet.final else "")

@@ -16,6 +16,8 @@ The commands (``python -m repro --help``)::
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import textwrap
 from typing import List, Optional
 
@@ -35,9 +37,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.  A reader that
+    closes stdout early (``run ... | head``) ends the command quietly,
+    with exit code 1."""
     args = _build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # whatever is still buffered has nowhere to go: point stdout at
+        # /dev/null so the interpreter's last flush does not raise too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __doc__ is not None:  # ``python -OO`` strips it

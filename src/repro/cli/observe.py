@@ -23,6 +23,7 @@ from ..obs import (
     merge_expositions,
     render_trace,
     spans_from_dicts,
+    stitch_summaries,
     stitch_trace_exports,
     validate_trace,
 )
@@ -33,6 +34,7 @@ from ..obs.telemetry import (
     render_alert,
     scrape,
 )
+from ..obs.tracer import SAMPLE_EVERY, sampled
 
 #: seconds between ``top --watch`` frames
 TOP_INTERVAL = 2.0
@@ -104,30 +106,49 @@ def register(commands) -> None:
 
 
 def _load_trace_export(path: str):
-    """``(trace_id -> span dicts, processes)`` from either trace export
-    schema: one process's ``trace-v1`` export, or a run's
-    ``trace-merge-v1`` holding every process's."""
+    """``(trace_id -> span dicts, query_id -> root summary, processes)``
+    from either trace export schema: one process's ``trace-v1`` export,
+    or a run's ``trace-merge-v1`` holding every process's."""
     with open(path) as handle:
         export = json.load(handle)
     if export.get("schema") == "repro.obs/trace-merge-v1":
         nodes = list(export.get("nodes", {}).values())
-        return stitch_trace_exports(nodes), len(nodes)
-    return stitch_trace_exports([export]), 1
+    else:
+        nodes = [export]
+    return stitch_trace_exports(nodes), stitch_summaries(nodes), len(nodes)
+
+
+def _not_sampled(query_id: str, summary: dict) -> str:
+    """An unsampled query that ended badly: its root summary."""
+    fields = " ".join(
+        f"{key}={value}" for key, value in summary.items()
+        if key != "query_id" and value is not None
+    )
+    return (f"query {query_id} not sampled (one query in {SAMPLE_EVERY} is "
+            f"traced); root summary: {fields}")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     try:
-        stitched, processes = _load_trace_export(args.path)
+        stitched, summaries, processes = _load_trace_export(args.path)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
+    trace_id = args.query_id
+    if trace_id not in stitched and trace_id in summaries:
+        print(_not_sampled(trace_id, summaries[trace_id]))
+        return 0
     if not stitched:
         print("no traces in the export", file=sys.stderr)
         return 1
-    trace_id = args.query_id or next(reversed(stitched))
+    trace_id = trace_id or next(reversed(stitched))
     if trace_id not in stitched:
         print(f"no trace for query {trace_id!r}; export holds: "
               + ", ".join(sorted(stitched)), file=sys.stderr)
+        if not sampled(trace_id):
+            print(f"({trace_id} is not one of the sampled queries, one in "
+                  f"{SAMPLE_EVERY}, and left no summary: it ended ok, or "
+                  "is not in this run)", file=sys.stderr)
         return 1
     spans = spans_from_dicts(stitched[trace_id])
     print(render_trace(spans, show_events=not args.no_events))

@@ -179,10 +179,10 @@ class PlanExecutor:
         each destination gets exactly one channel."""
         if self._finished:
             return  # aborted before its scheduled start
-        self.span = self.network.tracer.start_span(
+        self.span = self.network.tracer.stage(
             "execute",
-            peer=self.host.peer_id,
-            parent=self.strategy.trace,
+            self.host.peer_id,
+            self.strategy.trace,
             query=self.query_id,
             pipelined=self.strategy.stream,
         )

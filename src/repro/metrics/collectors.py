@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .histogram import Histogram
+from .histogram import FLUSH_THRESHOLD, Histogram
 from .instruments import COUNTERS
 
 #: A point-in-time reading of the cumulative counters: ``messages`` and
@@ -45,7 +45,8 @@ class MetricSet:
         self.latency_histogram = Histogram()
         # per-stage span durations; observations queue in _stage_pending
         # (every span finish pays one list append) and fold into the
-        # histograms on first read of :attr:`stage_latency`
+        # histograms on the next read of :attr:`stage_latency`, or once
+        # FLUSH_THRESHOLD of them wait
         self._stage_latency: Dict[str, Histogram] = {}
         self._stage_pending: List[Tuple[str, float]] = []
         #: scheduled delivery delay per message kind (repro.obs)
@@ -128,8 +129,14 @@ class MetricSet:
         self.queue_depth_histogram.record(float(depth))
 
     def observe_stage(self, stage: str, duration: float) -> None:
-        """Fold one finished span's duration into its stage histogram."""
-        self._stage_pending.append((stage, duration))
+        """Fold one finished stage's duration (a span's or a stage
+        timer's) into its stage histogram: one append, folded on read
+        or once :data:`~repro.metrics.histogram.FLUSH_THRESHOLD`
+        observations wait."""
+        pending = self._stage_pending
+        pending.append((stage, duration))
+        if len(pending) >= FLUSH_THRESHOLD:
+            self.stage_latency  # folds
 
     @property
     def stage_latency(self) -> Dict[str, Histogram]:

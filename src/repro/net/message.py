@@ -42,7 +42,9 @@ class Message:
         trace: Optional :class:`~repro.obs.span.TraceContext` carried
             with the message, so spans opened at the receiver stitch
             under the sender's span (distributed tracing,
-            ``repro.obs``).  Like :attr:`id` it is simulator metadata:
+            ``repro.obs``).  ``None`` — and no trace position in the
+            real frame — unless the message belongs to a sampled query
+            (``repro.obs.tracer.sampled``).  Like :attr:`id` it is simulator metadata:
             its ~50 bytes are *not* charged against link bandwidth, so
             enabling tracing never perturbs the experiments' byte and
             virtual-time numbers.

@@ -113,11 +113,13 @@ class Network:
         self.metrics = MetricSet()
         # observability (repro.obs): one tracer serves the whole
         # simulated network, standing in for per-process tracers plus
-        # the collection backend of a real deployment
+        # the collection backend of a real deployment.  Its clock is the
+        # transport's own getter, bound: a stamp is one call, not three
+        clock = type(self.transport).now.fget.__get__(self.transport)
         if observability:
             self.trace_collector: Optional[TraceCollector] = TraceCollector()
             self.tracer = Tracer(
-                clock=lambda: self.now,
+                clock=clock,
                 collector=self.trace_collector,
                 metrics=self.metrics,
             )
@@ -129,7 +131,7 @@ class Network:
         # the tracer it is uncharged, so recording perturbs nothing
         if observability:
             self.flight_recorder: Optional[FlightRecorder] = FlightRecorder(
-                clock=lambda: self.now
+                clock=clock
             )
         else:
             self.flight_recorder = None

@@ -12,6 +12,10 @@ Three pieces:
   lightweight spans on simulator virtual time, stitched into one
   causal tree per query by propagating a :class:`TraceContext` inside
   network messages; collected by a bounded :class:`TraceCollector`.
+  Sampling is decided at a query's root (one in
+  :data:`~repro.obs.tracer.SAMPLE_EVERY`, plus marked queries): an
+  unsampled query's hops time their stages with a
+  :class:`StageTimer` and build no spans.
 * **Histograms** (:mod:`repro.metrics.histogram`, beside the instrument
   table; read here, never the reverse) — HDR-style bucketed percentiles
   replacing mean-only latency, kept per stage and per message kind.
@@ -28,6 +32,7 @@ from .collect import (
     TraceCollector,
     span_tree,
     spans_from_dicts,
+    stitch_summaries,
     stitch_trace_exports,
     validate_trace,
     validate_trace_dicts,
@@ -35,7 +40,7 @@ from .collect import (
 from .gauges import peer_gauges, system_gauges
 from .render import render_trace
 from .span import Span, TraceContext
-from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, StageTimer, Tracer
 from .exposition import add_const_labels, merge_expositions, render_prometheus
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "StageTimer",
     "TraceCollector",
     "TraceContext",
     "Tracer",
@@ -53,6 +59,7 @@ __all__ = [
     "render_trace",
     "span_tree",
     "spans_from_dicts",
+    "stitch_summaries",
     "stitch_trace_exports",
     "system_gauges",
     "validate_trace",

@@ -4,7 +4,9 @@ The :class:`TraceCollector` keeps every span of the most recent traces
 (whole traces are evicted oldest-first once either bound is exceeded),
 builds the causal tree of a trace, validates it — single root, no
 orphans, children causally after their parent — and exports traces as
-JSON-serialisable dicts with a stable schema.
+JSON-serialisable dicts with a stable schema.  Beside the trees it keeps
+the root summaries of unsampled queries that ended badly
+(:meth:`TraceCollector.summarize`), under the same bound.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ class TraceCollector:
         self._span_count = 0
         #: whole traces dropped to stay within bounds
         self.evicted_traces = 0
+        #: root summaries of unsampled queries, by query id, oldest
+        #: first (at most ``max_traces``)
+        self.summaries: "OrderedDict[str, dict]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # ingestion
@@ -69,6 +74,17 @@ class TraceCollector:
             _, dropped = self._traces.popitem(last=False)
             self._span_count -= len(dropped)
             self.evicted_traces += 1
+
+    def summarize(self, query_id: str, **fields) -> None:
+        """Keep (or extend: the client's root and the coordinator may
+        each report) an unsampled query's summary: its ``status``,
+        ``duration``, ``coverage``, ``attempts``."""
+        summary = self.summaries.get(query_id)
+        if summary is None:
+            summary = self.summaries[query_id] = {"query_id": query_id}
+            while len(self.summaries) > self.max_traces:
+                self.summaries.popitem(last=False)
+        summary.update(fields)
 
     # ------------------------------------------------------------------
     # access
@@ -100,6 +116,10 @@ class TraceCollector:
         return {
             "schema": "repro.obs/trace-v1",
             "evicted_traces": self.evicted_traces,
+            "summaries": [
+                summary for qid, summary in self.summaries.items()
+                if trace_id is None or qid == trace_id
+            ],
             "traces": [
                 {
                     "trace_id": tid,
@@ -199,6 +219,16 @@ def stitch_trace_exports(exports: List[dict]) -> Dict[str, List[dict]]:
     for spans in stitched.values():
         spans.sort(key=lambda s: _span_order(Span.from_dict(s)))
     return stitched
+
+
+def stitch_summaries(exports: List[dict]) -> Dict[str, dict]:
+    """Merge per-process root summaries by query id (the client's
+    launcher and a node's coordinator may each hold part of one)."""
+    merged: Dict[str, dict] = {}
+    for export in exports:
+        for summary in export.get("summaries", ()):
+            merged.setdefault(summary["query_id"], {}).update(summary)
+    return merged
 
 
 def validate_trace_dicts(spans: List[dict], cross_clock: bool = False) -> List[str]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from ..metrics.histogram import FLUSH_THRESHOLD
+
 
 def _stringify(value: Any):
     """Render deferred attribute values at export time.  Spans may hold
@@ -129,8 +131,12 @@ class Span:
         self.status = status
         metrics = tracer.metrics
         if metrics is not None:
-            # bare append — the per-stage histograms fold lazily
-            metrics._stage_pending.append((self.name, end - self.start))
+            # bare append (MetricSet.observe_stage, inlined); the
+            # per-stage histograms fold lazily
+            pending = metrics._stage_pending
+            pending.append((self.name, end - self.start))
+            if len(pending) >= FLUSH_THRESHOLD:
+                metrics.stage_latency  # folds
 
     @property
     def duration(self) -> Optional[float]:

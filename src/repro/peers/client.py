@@ -52,7 +52,7 @@ class ClientPeer(Peer):
         self._synced = 0.0
         self._synced_network = 0.0
         self._unsynced = 0
-        #: open root spans per in-flight query (repro.obs)
+        #: open root spans (or stage timers) per in-flight query (repro.obs)
         self._spans: Dict[str, object] = {}
         #: queries with a resubmit armed and no outcome yet (a caller
         #: may take an answer out of :attr:`results`)
@@ -78,6 +78,7 @@ class ClientPeer(Peer):
         limit: Optional[int] = None,
         order_by: Optional[str] = None,
         descending: bool = False,
+        trace: bool = False,
     ) -> str:
         """Submit an RQL query through a simple peer; returns the
         query id to look the answer up with.
@@ -90,6 +91,8 @@ class ClientPeer(Peer):
             limit: Top-N / Bottom-N bound on the answer size.
             order_by: Variable to order the answer by before the limit.
             descending: Sort direction for ``order_by``.
+            trace: Keep this query's span tree even when it is not one
+                of the sampled queries (``repro.obs.tracer.sampled``).
         """
         network = self._require_network()
         self._pace(network)
@@ -99,13 +102,13 @@ class ClientPeer(Peer):
             query_id, text, self.peer_id, max_peers, limit, order_by, descending,
             resubmits=retry is not None,
         )
-        # root span of the whole distributed trace; the query id doubles
-        # as the trace id so exports are deterministic across runs
-        span = network.tracer.start_span(
-            "query", peer=self.peer_id, trace_id=query_id, via=via_peer
+        # root of the whole distributed trace, or of no trace at all:
+        # the sampling decision is made here, once; the query id
+        # doubles as the trace id so exports are deterministic
+        span = network.tracer.root(
+            "query", self.peer_id, query_id, traced=trace, via=via_peer
         )
-        if span:
-            self._spans[query_id] = span
+        self._spans[query_id] = span
         self.send(via_peer, submit, trace=span.context())
         # resubmit when no result arrives (no policy: wait forever, the
         # seed behaviour); coordinators answer duplicate submits
@@ -154,15 +157,19 @@ class ClientPeer(Peer):
                     submit.query_id, None, f"no reply from {via_peer}"
                 )
                 self.results.setdefault(submit.query_id, timeout_result)
-                self._finish_span(submit.query_id, "timeout")
+                self._finish_span(timeout_result, "timeout")
                 self._notify(self.results[submit.query_id])
 
         network.call_later(retry.timeout(attempt), check)
 
-    def _finish_span(self, query_id: str, status: str) -> None:
-        span = self._spans.pop(query_id, None)
+    def _finish_span(self, result: QueryResult, status: str) -> None:
+        span = self._spans.pop(result.query_id, None)
         if span is not None:
             span.finish(status)
+            self._require_network().tracer.summarize(
+                result.query_id, span, status, error=result.error,
+                coverage=result.coverage and result.coverage.describe(),
+            )
 
     def handle_QueryResult(self, message: Message) -> None:
         result: QueryResult = message.payload
@@ -178,7 +185,7 @@ class ClientPeer(Peer):
             status = "partial"
         else:
             status = "ok"
-        self._finish_span(result.query_id, status)
+        self._finish_span(result, status)
         self._notify(result)
 
     def handle_QueryShed(self, message: Message) -> None:
@@ -195,7 +202,7 @@ class ClientPeer(Peer):
             f"shed by {shed.from_peer}: retry after {shed.retry_after:g}",
         )
         self.results[shed.query_id] = result
-        self._finish_span(shed.query_id, "shed")
+        self._finish_span(result, "shed")
         self._notify(result)
 
     # ------------------------------------------------------------------

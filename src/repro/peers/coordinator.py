@@ -25,6 +25,7 @@ caches, statistics, quarantine).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..cache.coalescer import QueryCoalescer
@@ -230,13 +231,11 @@ class QueryCoordinator:
         peer = self.peer
         network = peer._require_network()
         # the coordination span: child of the client's query span when
-        # the submit carried a context, else the root of a fresh trace
-        # named after the query id (deterministic across seeded runs)
-        span = network.tracer.start_span(
-            "coordinate",
-            peer=peer.peer_id,
-            parent=trace,
-            trace_id=submit.query_id,
+        # the submit carried a context, else — the query is rooted
+        # here — the root of the trace named after the query id if it
+        # is sampled, and a stage timer if not
+        span = network.tracer.root(
+            "coordinate", peer.peer_id, submit.query_id, parent=trace,
             query=submit.query_id,
         )
         pending = PendingQuery(submit, span, on_result)
@@ -325,12 +324,15 @@ class QueryCoordinator:
         base can mutate silently between queries, so nothing about it
         is remembered that could drift.
 
-        A ``subsumption`` span under ``trace`` covers the actual
+        A ``subsumption`` stage under ``trace`` covers the actual
         view-subsumption routing pass; routing-cache hits skip it
         entirely (that is the point of the cache).
         """
         peer = self.peer
-        return peer.sons.route(pattern, peer.own_advertisements(), trace)
+        stage = partial(
+            peer._require_network().tracer.stage, "subsumption", peer.peer_id, trace
+        )
+        return peer.sons.route(pattern, peer.own_advertisements(), stage)
 
     # ------------------------------------------------------------------
     # stage 3: compile
@@ -376,7 +378,7 @@ class QueryCoordinator:
             # not churn the statistics version / plan cache)
             statistics.fold_link_observations(network.metrics.link_observations())
         tracer = network.tracer
-        span = tracer.start_span("plan.compile", peer=peer.peer_id, parent=trace)
+        span = tracer.stage("plan.compile", peer.peer_id, trace)
         version = statistics.version
         if peer.plan_cache is not None:
             plan = peer.plan_cache.get(annotated, version)
@@ -391,20 +393,17 @@ class QueryCoordinator:
             cost_based=config.cost_based,
             coordinator=peer.peer_id,
         )
-        if span:  # skip minting rewrite spans on the no-op path
+        if tracer.enabled:  # skip the rewrite stages on the no-op path
             for rule, step in traced.steps[1:]:
                 # the plan object itself; rendered only at export
-                tracer.start_span(
-                    f"optimize.{rule}",
-                    peer=peer.peer_id,
-                    parent=span.context(),
-                    plan=step,
+                tracer.stage(
+                    f"optimize.{rule}", peer.peer_id, span.context(), plan=step,
                 ).finish()
             if traced.cost_decision is not None:
-                tracer.start_span(
+                tracer.stage(
                     "optimize.cost",
-                    peer=peer.peer_id,
-                    parent=span.context(),
+                    peer.peer_id,
+                    span.context(),
                     chosen=traced.cost_decision["chosen"],
                     rejected=traced.cost_decision["rejected"],
                 ).finish()
@@ -597,9 +596,12 @@ class QueryCoordinator:
         # idempotent: closes a routing round still open when the query
         # is abandoned mid-routing (hybrid timeout give-up)
         pending.routing_span.finish("abandoned")
+        status = "error" if table is None else "partial" if coverage is not None else "ok"
         pending.span.set(attempts=pending.attempts)
-        pending.span.finish(
-            "error" if table is None else "partial" if coverage is not None else "ok"
+        pending.span.finish(status)
+        network.tracer.summarize(
+            pending.query_id, pending.span, status, attempts=pending.attempts,
+            error=error, coverage=coverage and coverage.describe(),
         )
         answered = [pending]
         if self._coalescer is not None:

@@ -445,8 +445,8 @@ class SimplePeer(Peer):
     def _obtain_routing(self, pending: PendingQuery) -> None:
         """Acquire the annotated query pattern.  Base behaviour: route
         from local knowledge (subclasses ask super-peers or interleave)."""
-        span = self._require_network().tracer.start_span(
-            "routing", peer=self.peer_id, parent=pending.span.context(), mode="local"
+        span = self._require_network().tracer.stage(
+            "routing", self.peer_id, pending.span.context(), mode="local"
         )
         pending.routing_span = span
         annotated = self.coordinator.route_local(pending.pattern, trace=span.context())

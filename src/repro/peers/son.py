@@ -14,8 +14,7 @@ through it; what differs between them stays on the role.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEFAULT_CONFIG
 from ..core.annotations import AnnotatedQueryPattern
@@ -168,7 +167,7 @@ class SONRegistry:
         self,
         pattern: QueryPattern,
         beside: Sequence[ActiveSchema] = (),
-        trace=None,
+        stage: Optional[Callable] = None,
     ) -> AnnotatedQueryPattern:
         """Annotate ``pattern`` from the SON of its schema: routing
         cache, then bucket candidates through the Query-Routing
@@ -177,20 +176,14 @@ class SONRegistry:
         unfiltered and :meth:`restore` needs to invalidate one scope.
 
         ``beside`` is routed but not filed (the holder's own
-        advertisements).  With ``trace`` (a span context), a cold pass
-        is covered by a ``subsumption`` span under it.
+        advertisements).  With ``stage`` (``stage(**attributes)``
+        opens a span or stage timer), a cold pass is covered by it.
         """
         holder = self.holder
         index = self._sons.get(pattern.schema.namespace.uri)
         if index is None:
             return AnnotatedQueryPattern(pattern)
-        span = None
-        if trace is not None:
-            span = partial(
-                holder.network.tracer.start_span,
-                "subsumption", peer=holder.peer_id, parent=trace,
-            )
-        annotated = index.route(pattern, beside, span)
+        annotated = index.route(pattern, beside, stage)
         if holder.config.resilience.quarantine_enabled and len(self.quarantine):
             annotated = annotated.without_peers(self.quarantine.peers)
         return annotated

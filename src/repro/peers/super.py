@@ -304,19 +304,19 @@ class SuperPeer(Peer):
         schema_uri = request.pattern.schema.namespace.uri
         # the route-service span stitches under the requester's routing
         # span (its context rides in the request message, hop by hop)
-        span = network.tracer.start_span(
+        span = network.tracer.stage(
             "route",
-            peer=self.peer_id,
-            parent=message.trace,
+            self.peer_id,
+            message.trace,
             query=request.query_id,
             schema=schema_uri,
             hops=request.hops,
         )
         if self.is_responsible_for(schema_uri):
-            check = network.tracer.start_span(
+            check = network.tracer.stage(
                 "subsumption",
-                peer=self.peer_id,
-                parent=span.context(),
+                self.peer_id,
+                span.context(),
                 registered=len(self.sons.members(schema_uri)),
             )
             annotated = self.sons.route(request.pattern)

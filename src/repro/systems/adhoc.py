@@ -236,10 +236,10 @@ class AdhocPeer(SimplePeer):
             self._handled_partials.add(partial.token)
         # the interleaved routing-and-processing step at this delegate,
         # stitched under the sender's span (root or previous delegate)
-        span = self._require_network().tracer.start_span(
+        span = self._require_network().tracer.stage(
             "delegate",
-            peer=self.peer_id,
-            parent=message.trace,
+            self.peer_id,
+            message.trace,
             query=partial.query_id,
             root=partial.root_peer,
         )

@@ -157,17 +157,18 @@ class Deployment:
     # querying
     # ------------------------------------------------------------------
     def submit(self, via_peer: str, text: str, client: Optional[ClientPeer] = None,
-               max_peers=None, limit=None, order_by=None, descending=False) -> str:
+               max_peers=None, limit=None, order_by=None, descending=False,
+               trace: bool = False) -> str:
         """Submit a query through a simple peer; returns the query id.
 
         Call :meth:`run` afterwards to drive the event loop.  Accepts
-        the same ``client`` and result-shaping keywords as
+        the same ``client``, result-shaping and ``trace`` keywords as
         :meth:`query`.
         """
         client = client or self._default_client()
         return client.submit(
             via_peer, text, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
+            order_by=order_by, descending=descending, trace=trace,
         )
 
     def run(self, max_events: int = 1_000_000) -> int:
@@ -175,7 +176,7 @@ class Deployment:
 
     def query(self, via_peer: str, text: str, max_peers=None, limit=None,
               order_by=None, descending=False,
-              client: Optional[ClientPeer] = None):
+              client: Optional[ClientPeer] = None, trace: bool = False):
         """Submit, run to quiescence, and return the result table.
 
         Args:
@@ -185,6 +186,8 @@ class Deployment:
             limit: Top-N bound on the answer.
             client: Submit through this client instead of the first
                 registered one (same keyword :meth:`submit` honours).
+            trace: Keep the query's span tree even if it is not one of
+                the sampled queries (``repro.obs.tracer.sampled``).
 
         Raises:
             PeerError: When the query failed (carries the reason).
@@ -192,7 +195,7 @@ class Deployment:
         client = client or self._default_client()
         query_id = self.submit(
             via_peer, text, client, max_peers=max_peers, limit=limit,
-            order_by=order_by, descending=descending,
+            order_by=order_by, descending=descending, trace=trace,
         )
         self.run()
         result = client.result(query_id)

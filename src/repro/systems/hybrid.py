@@ -83,10 +83,10 @@ class HybridPeer(SimplePeer):
         pending.routing_attempts += 1
         # one span per routing round: the super-peer's route span (and
         # any backbone hops) stitch under it via the request's context
-        pending.routing_span = self._require_network().tracer.start_span(
+        pending.routing_span = self._require_network().tracer.stage(
             "routing",
-            peer=self.peer_id,
-            parent=pending.span.context(),
+            self.peer_id,
+            pending.span.context(),
             mode="super-peer",
             target=target,
         )

@@ -537,13 +537,13 @@ def _decode_advertisement(value, scope: _Scope) -> ActiveSchema:
 
 
 def _encode_envelope(message: Message, scope: _Scope) -> dict:
-    return {
-        "src": message.src,
-        "dst": message.dst,
-        "size": message.size,
-        "trace": _TRACE[0](message.trace, scope),
-        "payload": _PAYLOAD[0](message.payload, scope),
-    }
+    fields = {"src": message.src, "dst": message.dst, "size": message.size}
+    if message.trace is not None:
+        # an untraced message (an unsampled query's, or no query's)
+        # has no trace position at all
+        fields["trace"] = _TRACE[0](message.trace, scope)
+    fields["payload"] = _PAYLOAD[0](message.payload, scope)
+    return fields
 
 
 def _decode_envelope(fields, scope: _Scope) -> Message:

@@ -162,11 +162,13 @@ class TestClientKeywordSymmetry:
 
 
 class TestPerQueryIsolation:
-    def test_concurrent_traces_do_not_cross_contaminate(self, system):
+    def test_concurrent_traces_do_not_cross_contaminate(self, system, monkeypatch):
         """Every in-flight query stitches its own single-rooted,
         gap-free span tree; no span leaks into another query's trace."""
         from repro.obs import validate_trace
 
+        # trace every query, not one in SAMPLE_EVERY: each needs a tree
+        monkeypatch.setattr("repro.obs.tracer.SAMPLE_EVERY", 1)
         report = _serve(system, 6, burst=6)
         assert report.answered == 6
         collector = system.network.trace_collector

@@ -171,7 +171,9 @@ class TestTrace:
         merged = json.loads((runs["hybrid"] / "merged.traces.json").read_text())
         assert merged["schema"] == "repro.obs/trace-merge-v1"
         assert list(merged["nodes"]) == ["sim"]
-        assert merged["stitched_traces"] == 4 and merged["validation"] == {}
+        # of the run's four queries only the first is sampled
+        assert merged["stitched_traces"] == 1 and merged["validation"] == {}
+        assert [t["trace_id"] for t in export["traces"]] == ["client1-q1"]
 
     def test_trace_no_events_hides_annotations(self, runs, capsys):
         path = str(runs["adhoc"] / "merged.traces.json")
@@ -667,3 +669,28 @@ class TestLaunchValidation:
         assert err.startswith("error: ") and complaint in err
         assert err.count("\n") == 1 and out == ""
         assert not outdir.exists() and not any(tmp_path.iterdir())
+
+
+class TestClosedStdout:
+    def test_a_reader_that_closes_early_gets_no_traceback(self):
+        """``run ... | head``: the reader is gone before the report is
+        written, and the command ends quietly."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout now fails with EPIPE
+        try:
+            env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--count", "2"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert completed.returncode == 1
+        assert completed.stderr == b""
