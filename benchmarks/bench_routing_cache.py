@@ -2,7 +2,7 @@
 
 Quantifies the caching layer the ISSUE adds on top of the paper's
 routing machinery: cold per-query routing (the paper's behaviour,
-``--no-cache``) vs warm signature-keyed cache hits vs a churn regime
+``--no-cache``) vs warm cache hits on a repeated query vs a churn regime
 where advertisement refreshes keep invalidating entries.  Scoped
 invalidation means churn only costs the affected entries — the warm
 path's advantage survives unrelated mutations.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 
-from repro.cache import RoutingCache
 from repro.core.routing_index import RoutingIndex
 from repro.rql.pattern import SchemaPath
 from repro.rvl import ActiveSchema
@@ -124,7 +123,7 @@ def report() -> str:
     text = banner(
         "routing-cache",
         "repro.cache — routing cache, scoped invalidation, coalescing",
-        "signature-keyed caching answers repeated queries in O(1) while "
+        "pattern-keyed caching answers repeated queries in O(1) while "
         "churn invalidates only the entries the mutation can affect",
     ) + format_table(("regime", "throughput", "notes"), rows)
     return write_report("routing-cache", text)
@@ -162,12 +161,9 @@ def bench_routing_churned_1000(benchmark):
 def bench_cache_scoped_invalidation(benchmark):
     """Invalidation cost is scoped: departures of unannotated peers
     touch nothing."""
-    ads = _synthetic_advertisements(1000)
-    cache = RoutingCache([SCHEMA])
-    index = RoutingIndex(SCHEMA, cache=cache)
-    for advertisement in ads:
-        index.add(advertisement)
+    index = _filled_index(_synthetic_advertisements(1000), use_cache=True)
     index.route(PATTERN)
+    cache = index.cache
 
     def step():
         cache.on_goodbye("S1")  # prop3 peer: annotates no cached entry

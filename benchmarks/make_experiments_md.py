@@ -108,8 +108,9 @@ COMMENTARY = {
     ),
     "routing-cache": (
         "repro.cache (extension) — routing/plan caching under churn",
-        "Warm signature-keyed lookups answer repeated (even alpha-renamed) "
-        "queries orders of magnitude faster than cold routing, while "
+        "Warm pattern-keyed lookups answer repeated queries orders of "
+        "magnitude faster than cold routing (an alpha-renamed or "
+        "reordered query is a miss and routes cold), while "
         "scoped invalidation confines churn cost to the entries a "
         "mutation can actually affect; coherence is property-tested "
         "against cold routing over arbitrary join/Goodbye/refresh "

@@ -8,20 +8,18 @@ the same semantic pattern arrives again and again while the registry
 barely moves.  This package remembers past routing and planning
 decisions *without* ever serving an answer a cold run would not give:
 
-* :mod:`~repro.cache.signature` — canonical pattern signatures:
-  alpha-renaming of variables and reordering of path patterns map to
-  one stable hashable key, so textually different but semantically
-  identical queries share cache entries.
-* :mod:`~repro.cache.routing_cache` — signature → annotation cache,
-  epoch-stamped against the advertisement registry.  ``Goodbye``s and
-  advertisement refreshes invalidate *only* the entries that name the
-  affected peer or whose query properties the new advertisement could
-  answer (scoped invalidation via the schema's subsumption closure,
-  not flush-the-world).  Unanswerable patterns are cached as negative
+* :mod:`~repro.cache.routing_cache` — query pattern → annotation
+  cache, kept coherent with the advertisement registry.  The key is
+  the pattern itself: a repeated query hits, an alpha-renamed or
+  reordered one is a miss.  ``Goodbye``s and advertisement refreshes
+  invalidate *only* the entries that name the affected peer or whose
+  query properties the new advertisement could answer (scoped by the
+  subsumption closure the routing index already computes, not
+  flush-the-world).  Unanswerable patterns are cached as negative
   entries and revived the moment a relevant peer advertises.
 * :mod:`~repro.cache.plan_cache` — compiled + optimised plans keyed by
-  ``(signature, annotation fingerprint, statistics version)``, layered
-  on top of the routing cache.
+  the pattern and its annotations under one statistics version,
+  layered on top of the routing cache.
 * :mod:`~repro.cache.coalescer` — request coalescing (singleflight):
   concurrent identical in-flight queries at a coordinator share one
   routing/planning pass and one distributed execution; followers are
@@ -31,14 +29,10 @@ decisions *without* ever serving an answer a cold run would not give:
 from .coalescer import QueryCoalescer
 from .plan_cache import PlanCache
 from .routing_cache import CacheStats, RoutingCache
-from .signature import Signature, annotation_fingerprint, pattern_signature
 
 __all__ = [
     "CacheStats",
     "PlanCache",
     "QueryCoalescer",
     "RoutingCache",
-    "Signature",
-    "annotation_fingerprint",
-    "pattern_signature",
 ]

@@ -9,12 +9,9 @@ identical arrivals become **followers**, parked until the leader's
 completion continuation answers them all from the single shared
 result.
 
-The key is the exact query text (plus constraints), not the canonical
-pattern signature: two isomorphic-but-differently-written queries may
-project different variable *names*, so only textual equality
-guarantees the leader's final table answers the follower verbatim.
-Isomorphic variants still share work one layer down, in the routing
-cache.
+The key is the exact query text (plus constraints): only textual
+equality guarantees the leader's final table answers the follower
+verbatim.
 """
 
 from __future__ import annotations

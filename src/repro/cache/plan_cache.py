@@ -3,18 +3,16 @@
 Plan compilation (Section 2.4's recursion plus Figure 4's algebraic
 rewrites) is deterministic in three inputs: the query pattern, its
 routing annotation, and the optimiser's statistics.  The cache keys on
-exactly those — the annotation fingerprint, which already embeds the
-pattern signature, under one statistics version — so a cached plan is
-only ever served when a fresh compile would reproduce it bit for bit.
-A lookup only ever asks under the current version, so the cache holds
-that one: a plan compiled under another drops every older entry.
+exactly those — the pattern and the annotations of each of its path
+patterns, under one statistics version — so a cached plan is only ever
+served when a fresh compile would reproduce it bit for bit.  A lookup
+only ever asks under the current version, so the cache holds that one:
+a plan compiled under another drops every older entry.
 
-Unlike routing annotations, a compiled plan embeds the query's actual
-labels and variables (its scans become wire subqueries), so reuse
-additionally requires the stored pattern to *equal* the incoming one —
-an isomorphic-but-renamed query is a miss here even though it hits the
-routing cache.  Plans are immutable once built; sharing one across
-executions is safe.
+A compiled plan embeds the query's actual labels and variables (its
+scans become wire subqueries), so an alpha-renamed or reordered query
+is a different key and a miss, as it is in the routing cache.  Plans
+are immutable once built; sharing one across executions is safe.
 
 A compiled plan also *names* peers (its scans are addressed wire
 subqueries), so each entry remembers the peer set its plan touches and
@@ -22,7 +20,7 @@ subqueries), so each entry remembers the peer set its plan touches and
 live data plane relies on this: when a peer's advertisement changes —
 a view redefinition above all — any cached plan naming it may carry
 rewrites against the *old* view.  A racing stale annotation (obtained
-before the change) would otherwise re-key to the old fingerprint and
+before the change) would otherwise re-key to the old annotations and
 be served that stale plan.
 """
 
@@ -33,9 +31,13 @@ from typing import Optional, Tuple
 
 from ..core.algebra import PlanNode
 from ..core.annotations import AnnotatedQueryPattern
-from ..rql.pattern import QueryPattern
 from .routing_cache import CacheStats
-from .signature import annotation_fingerprint
+
+
+def _key(annotated: AnnotatedQueryPattern) -> Tuple:
+    """The pattern plus the annotations of each of its path patterns."""
+    pattern = annotated.query_pattern
+    return (pattern, tuple(annotated.annotations(p) for p in pattern.patterns))
 
 
 class PlanCache:
@@ -53,10 +55,8 @@ class PlanCache:
         self.metrics = None  # optionally a MetricSet, via bind_metrics()
         #: the statistics version every entry was compiled under
         self.version = 0
-        #: fingerprint → (pattern, plan, peers the plan names)
-        self._entries: "OrderedDict[Tuple, Tuple[QueryPattern, PlanNode, frozenset]]" = (
-            OrderedDict()
-        )
+        #: key → (plan, peers the plan names)
+        self._entries: "OrderedDict[Tuple, Tuple[PlanNode, frozenset]]" = OrderedDict()
 
     def bind_metrics(self, metrics) -> None:
         self.metrics = metrics
@@ -65,14 +65,14 @@ class PlanCache:
         self, annotated: AnnotatedQueryPattern, version: int = 0
     ) -> Optional[PlanNode]:
         """A plan a fresh compile would reproduce, or ``None``."""
-        key = annotation_fingerprint(annotated)
+        key = _key(annotated)
         entry = self._entries.get(key) if version == self.version else None
-        if entry is not None and entry[0] == annotated.query_pattern:
+        if entry is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             if self.metrics is not None:
                 self.metrics.count("cache_hits")
-            return entry[1]
+            return entry[0]
         self.stats.misses += 1
         if self.metrics is not None:
             self.metrics.count("cache_misses")
@@ -85,12 +85,8 @@ class PlanCache:
             # the statistics moved on: no lookup asks for the old plans
             self._entries.clear()
             self.version = version
-        key = annotation_fingerprint(annotated)
-        self._entries[key] = (
-            annotated.query_pattern,
-            plan,
-            frozenset(annotated.all_peers()),
-        )
+        key = _key(annotated)
+        self._entries[key] = (plan, frozenset(annotated.all_peers()))
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -101,11 +97,11 @@ class PlanCache:
         Called when the peer's advertisement moves (delta or full
         refresh, view redefinitions included) or it departs: its cached
         plans may address subqueries rewritten against state the peer
-        no longer has.  Fingerprint re-keying covers *fresh*
-        annotations; this covers plans reachable through stale ones.
+        no longer has.  Keying on the annotations covers *fresh*
+        ones; this covers plans reachable through stale ones.
         """
         stale = [
-            key for key, entry in self._entries.items() if peer_id in entry[2]
+            key for key, entry in self._entries.items() if peer_id in entry[1]
         ]
         for key in stale:
             del self._entries[key]

@@ -1,41 +1,35 @@
-"""The routing cache: signature → annotation, coherent under churn.
+"""The routing cache: query pattern → annotation, coherent under churn.
 
-A cached entry is the full routing answer for one canonical pattern
-signature, stored in re-targetable form (per canonical position, the
-annotating peers with their rewritten schema paths).  Coherence is the
-hard part: peers join, leave (``Goodbye``) and refresh advertisements
-at will, and a stale annotation must never be served — it would route
-a live query to a departed peer or miss a newly advertised one.
+A cached entry is the full routing answer for one query pattern, kept
+as the annotations of each of its path patterns.  The key is the
+pattern itself (it compares by value): a repeat of the query hits,
+while an alpha-renamed or reordered variant is a miss and routes cold.
+Coherence is the hard part: peers join, leave (``Goodbye``) and
+refresh advertisements at will, and a stale annotation must never be
+served — it would route a live query to a departed peer or miss a
+newly advertised one.
 
 Invalidation is *scoped*, not flush-the-world:
 
 * a departing peer invalidates exactly the entries that annotate it
   (removing an advertisement can only ever remove annotations);
-* a new or refreshed advertisement invalidates the entries whose query
-  properties lie in the superproperty closure of the advertised
-  properties — the same closure the
-  :class:`~repro.core.routing_index.RoutingIndex` buckets use, so any
-  entry the advertisement could possibly extend is dropped — plus, on
-  refresh, the entries annotating the peer (its rewrites may change).
+* a new or refreshed advertisement invalidates the entries annotating
+  the peer (its rewrites may change) plus the entries whose query
+  properties lie in the advertisement's superproperty closure.  The
+  :class:`~repro.core.routing_index.RoutingIndex` computes that closure
+  once, for its own buckets, and hands it over in :meth:`on_advertise`;
+  so any entry the advertisement could possibly extend is dropped.
 
-Every registry mutation bumps the cache ``epoch``; entries are stamped
-with the epoch they were computed at, which makes staleness auditable
-(an entry's epoch never trails a mutation that could affect it).
+Every registry mutation bumps the cache ``epoch``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
-from ..rdf.schema import Schema
 from ..rdf.terms import URI
-from ..rql.pattern import PathPattern, QueryPattern, SchemaPath
-from ..rvl.active_schema import ActiveSchema
-from .signature import Signature, pattern_signature
-
-#: One cached peer annotation: (peer id, rewritten schema path, exact).
-_StoredAnnotation = Tuple[str, SchemaPath, bool]
+from ..rql.pattern import QueryPattern
 
 
 class CacheStats:
@@ -61,42 +55,21 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached routing answer in canonical (re-targetable) form.
+    """One cached routing answer: per path pattern (in FROM-clause
+    order) its immutable :class:`~repro.core.annotations.PeerAnnotation`
+    objects, which a hit replays without constructing a single one."""
 
-    ``source_patterns`` / ``prebuilt`` additionally keep the immutable
-    :class:`~repro.core.annotations.PeerAnnotation` objects of the
-    pattern the entry was built from (in canonical order): when the
-    same query repeats verbatim — the common warm case — the hit path
-    replays them without constructing a single object.
-    """
-
-    __slots__ = (
-        "schema_uri",
-        "properties",
-        "peers",
-        "annotations",
-        "source_patterns",
-        "prebuilt",
-        "epoch",
-    )
+    __slots__ = ("properties", "peers", "annotations")
 
     def __init__(
         self,
-        schema_uri: str,
         properties: frozenset,
         peers: frozenset,
-        annotations: Tuple[Tuple[_StoredAnnotation, ...], ...],
-        source_patterns: Tuple[PathPattern, ...],
-        prebuilt: Tuple[Tuple[PeerAnnotation, ...], ...],
-        epoch: int,
+        annotations: Tuple[Tuple[PeerAnnotation, ...], ...],
     ):
-        self.schema_uri = schema_uri
         self.properties = properties
         self.peers = peers
         self.annotations = annotations
-        self.source_patterns = source_patterns
-        self.prebuilt = prebuilt
-        self.epoch = epoch
 
     @property
     def is_negative(self) -> bool:
@@ -104,27 +77,19 @@ class _Entry:
 
 
 class RoutingCache:
-    """Signature-keyed cache of routing annotations for one registry.
+    """Pattern-keyed cache of routing annotations for one registry.
 
     One cache instance serves one routing knowledge base — the
     :class:`~repro.core.routing_index.RoutingIndex` of one SON, at a
     super-peer or a simple peer alike — whose every mutation must be
-    reported through :meth:`on_advertise` / :meth:`on_goodbye` (or the
-    lower-level ``invalidate_*`` methods).
+    reported through :meth:`on_advertise` / :meth:`on_goodbye`.
 
     Args:
-        schemas: The community schemas whose subsumption closures scope
-            advertisement-driven invalidation.  An advertisement for a
-            schema not supplied here conservatively invalidates every
-            entry of that schema.
         max_entries: Bound on stored entries (LRU-free FIFO eviction of
-            the oldest signature; routing answers are cheap to rebuild).
+            the oldest pattern; routing answers are cheap to rebuild).
     """
 
-    def __init__(self, schemas: Iterable[Schema] = (), max_entries: int = 4096):
-        self._schemas: Dict[str, Schema] = {
-            s.namespace.uri: s for s in schemas if s is not None
-        }
+    def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
         self.epoch = 0
         self.stats = CacheStats()
@@ -132,10 +97,10 @@ class RoutingCache:
         #: optional callable(count) fired per invalidation batch — the
         #: owning peer hangs a flight-recorder event off it
         self.on_invalidate = None
-        self._entries: Dict[Tuple, _Entry] = {}
-        self._by_peer: Dict[str, Set[Tuple]] = {}
-        #: (schema uri, query property) -> signature keys
-        self._by_property: Dict[Tuple[str, URI], Set[Tuple]] = {}
+        self._entries: Dict[QueryPattern, _Entry] = {}
+        self._by_peer: Dict[str, Set[QueryPattern]] = {}
+        #: query property -> patterns querying it
+        self._by_property: Dict[URI, Set[QueryPattern]] = {}
 
     def bind_metrics(self, metrics) -> None:
         """Mirror hit/miss/invalidation counts into a MetricSet."""
@@ -144,18 +109,11 @@ class RoutingCache:
     # ------------------------------------------------------------------
     # lookup / store
     # ------------------------------------------------------------------
-    def get(
-        self, pattern: QueryPattern, signature: Optional[Signature] = None
-    ) -> Optional[AnnotatedQueryPattern]:
-        """The cached annotation re-targeted onto ``pattern``, or None.
-
-        Re-targeting rebuilds each rewritten subquery with the *new*
-        pattern's label and variables around the cached (narrowed)
-        schema path, so a hit is indistinguishable from a cold route.
-        """
-        if signature is None:
-            signature = pattern_signature(pattern)
-        entry = self._entries.get(signature.key)
+    def get(self, pattern: QueryPattern) -> Optional[AnnotatedQueryPattern]:
+        """A fresh annotation of ``pattern`` replayed from its entry, or
+        None.  Never the stored object: callers annotate the result in
+        place."""
+        entry = self._entries.get(pattern)
         if entry is None:
             self.stats.misses += 1
             if self.metrics is not None:
@@ -167,105 +125,52 @@ class RoutingCache:
         if self.metrics is not None:
             self.metrics.count("cache_hits")
         annotated = AnnotatedQueryPattern(pattern)
-        patterns = pattern.patterns
-        for position, j in enumerate(signature.order):
-            target = patterns[j]
-            if target == entry.source_patterns[position]:
-                # verbatim repeat: replay the stored immutable
-                # annotations, zero construction
-                annotated.extend_trusted(target, entry.prebuilt[position])
-                continue
-            annotated.extend_trusted(
-                target,
-                [
-                    PeerAnnotation(
-                        peer_id,
-                        PathPattern(
-                            label=target.label,
-                            schema_path=schema_path,
-                            subject_var=target.subject_var,
-                            object_var=target.object_var,
-                            projected=target.projected,
-                        ),
-                        exact,
-                    )
-                    for peer_id, schema_path, exact in entry.annotations[position]
-                ],
-            )
+        for target, annotations in zip(pattern.patterns, entry.annotations):
+            annotated.extend_trusted(target, annotations)
         return annotated
 
-    def put(
-        self,
-        pattern: QueryPattern,
-        annotated: AnnotatedQueryPattern,
-        signature: Optional[Signature] = None,
-    ) -> None:
+    def put(self, pattern: QueryPattern, annotated: AnnotatedQueryPattern) -> None:
         """Store one routing answer (empty annotations cache negatively)."""
-        if signature is None:
-            signature = pattern_signature(pattern)
-        if signature.key in self._entries:
-            self._unlink(signature.key)
+        if pattern in self._entries:
+            self._unlink(pattern)
         elif len(self._entries) >= self.max_entries:
             oldest = next(iter(self._entries))
             self._unlink(oldest)
             del self._entries[oldest]
-        patterns = pattern.patterns
-        stored: List[Tuple[_StoredAnnotation, ...]] = []
-        prebuilt: List[Tuple[PeerAnnotation, ...]] = []
-        source: List[PathPattern] = []
-        peers: Set[str] = set()
-        for j in signature.order:
-            target = patterns[j]
-            annotations = annotated.annotations(target)
-            row = tuple(
-                (a.peer_id, a.rewritten.schema_path, a.exact) for a in annotations
-            )
-            stored.append(row)
-            prebuilt.append(annotations)
-            source.append(target)
-            peers.update(a[0] for a in row)
-        properties = frozenset(p.schema_path.property for p in patterns)
+        annotations = tuple(annotated.annotations(p) for p in pattern.patterns)
         entry = _Entry(
-            pattern.schema.namespace.uri,
-            properties,
-            frozenset(peers),
-            tuple(stored),
-            tuple(source),
-            tuple(prebuilt),
-            self.epoch,
+            frozenset(p.schema_path.property for p in pattern.patterns),
+            frozenset(a.peer_id for row in annotations for a in row),
+            annotations,
         )
-        self._entries[signature.key] = entry
+        self._entries[pattern] = entry
         for peer_id in entry.peers:
-            self._by_peer.setdefault(peer_id, set()).add(signature.key)
-        for prop in properties:
-            self._by_property.setdefault(
-                (entry.schema_uri, prop), set()
-            ).add(signature.key)
+            self._by_peer.setdefault(peer_id, set()).add(pattern)
+        for prop in entry.properties:
+            self._by_property.setdefault(prop, set()).add(pattern)
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def _unlink(self, key: Tuple) -> None:
-        entry = self._entries[key]
-        for peer_id in entry.peers:
-            bucket = self._by_peer.get(peer_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_peer[peer_id]
-        for prop in entry.properties:
-            bucket = self._by_property.get((entry.schema_uri, prop))
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_property[(entry.schema_uri, prop)]
+    def _unlink(self, pattern: QueryPattern) -> None:
+        entry = self._entries[pattern]
+        for index, keys in (
+            (self._by_peer, entry.peers),
+            (self._by_property, entry.properties),
+        ):
+            for key in keys:
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.discard(pattern)
+                    if not bucket:
+                        del index[key]
 
-    def _drop(self, keys: Iterable[Tuple]) -> int:
+    def _drop(self, patterns: Iterable[QueryPattern]) -> int:
         count = 0
-        for key in list(keys):
-            if key in self._entries:
-                self._unlink(key)
-                del self._entries[key]
+        for pattern in list(patterns):
+            if pattern in self._entries:
+                self._unlink(pattern)
+                del self._entries[pattern]
                 count += 1
         if count:
             self.stats.invalidations += count
@@ -279,55 +184,20 @@ class RoutingCache:
         """Drop exactly the entries annotating ``peer_id``."""
         return self._drop(self._by_peer.get(peer_id, ()))
 
-    def invalidate_properties(
-        self, schema_uri: str, properties: Iterable[URI]
-    ) -> int:
-        """Drop the entries a new advertisement of ``properties`` under
-        ``schema_uri`` could extend.
-
-        The affected query properties are the superproperty closure of
-        the advertised ones (an advertisement for ``prop4 ⊑ prop1``
-        answers ``prop1`` queries).  Without the schema's closure the
-        scope cannot be computed, so every entry of that schema drops —
-        over-invalidation is always safe, under-invalidation never is.
-        """
-        schema = self._schemas.get(schema_uri)
-        if schema is None:
-            return self._drop(
-                key
-                for key, entry in self._entries.items()
-                if entry.schema_uri == schema_uri
-            )
-        affected: Set[Tuple] = set()
-        for prop in properties:
-            if schema.has_property(prop):
-                keys: Iterable[URI] = schema.superproperties(prop)
-            else:
-                keys = (prop,)
-            for query_prop in keys:
-                affected.update(self._by_property.get((schema_uri, query_prop), ()))
-        return self._drop(affected)
-
-    def on_advertise(
-        self, advertisement: ActiveSchema, previous: Optional[ActiveSchema] = None
-    ) -> int:
+    def on_advertise(self, peer_id: str, properties: Iterable[URI]) -> int:
         """A peer advertised (join or refresh): scoped invalidation.
 
         Entries annotating the peer drop (its rewrites may change);
-        entries whose query properties the new footprint could answer
-        drop (they may gain an annotation).  An unchanged re-advertise
-        is a no-op.
+        entries querying one of ``properties`` — the superproperty
+        closure of the advertised ones, which the new footprint could
+        answer — drop too (they may gain an annotation).
         """
-        if previous is not None and previous == advertisement:
-            return 0
         self.epoch += 1
-        count = 0
-        if advertisement.peer_id is not None:
-            count += self.invalidate_peer(advertisement.peer_id)
-        count += self.invalidate_properties(
-            advertisement.schema_uri, {p.property for p in advertisement}
-        )
-        return count
+        count = self.invalidate_peer(peer_id)
+        affected: Set[QueryPattern] = set()
+        for prop in properties:
+            affected.update(self._by_property.get(prop, ()))
+        return count + self._drop(affected)
 
     def on_goodbye(self, peer_id: str) -> int:
         """A peer departed: only entries annotating it can be stale."""
@@ -342,16 +212,11 @@ class RoutingCache:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def entry_epoch(self, pattern: QueryPattern) -> Optional[int]:
-        """The registry epoch a cached pattern was computed at."""
-        entry = self._entries.get(pattern_signature(pattern).key)
-        return entry.epoch if entry is not None else None
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, pattern: QueryPattern) -> bool:
-        return pattern_signature(pattern).key in self._entries
+        return pattern in self._entries
 
     def __repr__(self) -> str:
         return f"RoutingCache(entries={len(self._entries)}, epoch={self.epoch}, {self.stats})"

@@ -308,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     reported = []
 
     def echo(outcomes):
-        for index, (query, outcome) in enumerate(zip(queries, outcomes)):
+        for query, outcome in zip(queries, outcomes):
             status = "ok" if outcome.status == "full" else outcome.status
             rows = outcome.rows or 0
             reported.append({"via": query.via, "status": status, "rows": rows,
@@ -317,7 +317,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if query.limit is not None:
                 reported[-1]["limit"] = query.limit
                 limit = f" top-{query.limit}"
-            print(f"  q{index}{limit}: via {query.via} -> {status} ({rows} rows)")
+            print(f"  {outcome.query_id}{limit}: via {query.via} -> {status} ({rows} rows)")
             yield outcome
 
     architecture = "hybrid" if spec.super_peers else "adhoc"

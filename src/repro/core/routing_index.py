@@ -31,27 +31,21 @@ class RoutingIndex:
             ``None`` for a SON whose schema the holder does not have:
             such an index keeps and lists advertisements but files them
             under no bucket, so it annotates nothing.
-        cache: A :class:`~repro.cache.routing_cache.RoutingCache` to
-            layer over the index, or ``None`` to build one (the
-            default).  Every registry mutation flows through
-            :meth:`add` / :meth:`remove`, so the index can keep its
-            cache coherent with scoped invalidation on its own.
-        use_cache: Set False to run uncached (the ``--no-cache``
-            escape hatch; also handy for benchmarking the cold path).
+        use_cache: Layer a :class:`~repro.cache.routing_cache.RoutingCache`
+            over the index (the default).  Every registry mutation flows
+            through :meth:`add` / :meth:`remove`, so the index keeps its
+            cache coherent with scoped invalidation on its own.  Set
+            False to run uncached (the ``--no-cache`` escape hatch; also
+            handy for benchmarking the cold path).
     """
 
-    def __init__(
-        self,
-        schema: Optional[Schema],
-        cache=None,
-        use_cache: bool = True,
-    ):
+    def __init__(self, schema: Optional[Schema], use_cache: bool = True):
         self.schema = schema
-        if cache is None and use_cache:
+        self.cache = None
+        if use_cache:
             from ..cache.routing_cache import RoutingCache
 
-            cache = RoutingCache([schema])
-        self.cache = cache
+            self.cache = RoutingCache()
         self._buckets: Dict[URI, Set[str]] = {}
         self._advertisements: Dict[str, ActiveSchema] = {}
 
@@ -81,10 +75,11 @@ class RoutingIndex:
             return previous
         self._unfile(peer_id)
         self._advertisements[peer_id] = advertisement
-        for key in self._keys_for(advertisement):
+        keys = self._keys_for(advertisement)
+        for key in keys:
             self._buckets.setdefault(key, set()).add(peer_id)
         if self.cache is not None:
-            self.cache.on_advertise(advertisement, previous)
+            self.cache.on_advertise(peer_id, keys)
         return previous
 
     def remove(self, peer_id: str) -> None:
@@ -123,10 +118,10 @@ class RoutingIndex:
         """Routing over bucket candidates only; result identical to the
         exhaustive :func:`~repro.core.routing.route_query` scan.
 
-        With a cache attached, a repeated (or alpha-renamed) pattern is
-        answered from the cache; unanswerable patterns — including the
-        empty-registry case — are cached negatively and revived by the
-        next relevant :meth:`add`.
+        With a cache attached, a repeated pattern is answered from the
+        cache (an alpha-renamed or reordered one is a miss); unanswerable
+        patterns — including the empty-registry case — are cached
+        negatively and revived by the next relevant :meth:`add`.
 
         ``beside`` are advertisements routed with the filed ones but
         never filed nor cached: a simple peer's own, which it re-derives

@@ -250,7 +250,7 @@ class QueryCoordinator:
             # singleflight: identical queries in flight share the
             # leader's routing/planning pass; the key is the exact text
             # plus every result-shaping knob (constraints live outside
-            # the query pattern, so the signature alone is not enough)
+            # the query pattern, so the pattern alone is not enough)
             key = (
                 submit.text,
                 submit.max_peers,

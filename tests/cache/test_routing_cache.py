@@ -1,9 +1,10 @@
-"""Tests for the routing cache: hits, re-targeting, scoped invalidation."""
+"""Tests for the routing cache: pattern-keyed hits, scoped invalidation."""
 
 import pytest
 
-from repro.cache import RoutingCache, pattern_signature
+from repro.cache import RoutingCache
 from repro.core import route_query
+from repro.core.annotations import PeerAnnotation
 from repro.core.routing_index import RoutingIndex
 from repro.rql.pattern import SchemaPath, pattern_from_text
 from repro.rvl import ActiveSchema
@@ -44,7 +45,7 @@ def ads():
 
 @pytest.fixture
 def cache():
-    return RoutingCache([SCHEMA])
+    return RoutingCache()
 
 
 class TestHitAndRetarget:
@@ -57,22 +58,33 @@ class TestHitAndRetarget:
         assert cached.same_annotations(annotated)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
-    def test_alpha_renamed_hit_matches_cold_route(self, cache, pattern, ads):
-        """A hit on a renamed query is indistinguishable from routing
-        the renamed query cold."""
+    def test_hit_is_a_fresh_annotation(self, cache, pattern, ads):
+        """Callers annotate the routed result in place: what one hit
+        gains never reaches the entry or the next hit."""
         cache.put(pattern, route_query(pattern, ads.values(), SCHEMA))
-        renamed = _q("{A} n1:prop1 {B}, {B} n1:prop2 {C}", select="A, B")
-        served = cache.get(renamed)
-        assert served is not None
-        cold = route_query(renamed, ads.values(), SCHEMA)
-        assert served.same_annotations(cold)
+        first = cache.get(pattern)
+        first.annotate(pattern.root, PeerAnnotation("P9", pattern.root, True))
+        assert "P9" in first.all_peers()
+        assert "P9" not in cache.get(pattern).all_peers()
 
-    def test_reordered_hit_matches_cold_route(self, cache, pattern, ads):
-        cache.put(pattern, route_query(pattern, ads.values(), SCHEMA))
+    def _assert_miss_routed_cold(self, pattern, ads, variant):
+        """The key is the pattern itself: a variant of a cached query
+        misses, and routing it answers as cold."""
+        index = RoutingIndex(SCHEMA)
+        for advertisement in ads.values():
+            index.add(advertisement)
+        index.route(pattern)
+        served = index.route(variant)
+        assert index.cache.stats.hits == 0 and index.cache.stats.misses == 2
+        assert served.same_annotations(route_query(variant, ads.values(), SCHEMA))
+
+    def test_alpha_renamed_is_a_miss_routed_cold(self, pattern, ads):
+        renamed = _q("{A} n1:prop1 {B}, {B} n1:prop2 {C}", select="A, B")
+        self._assert_miss_routed_cold(pattern, ads, renamed)
+
+    def test_reordered_is_a_miss_routed_cold(self, pattern, ads):
         reordered = _q("{Y} n1:prop2 {Z}, {X} n1:prop1 {Y}")
-        served = cache.get(reordered)
-        assert served is not None
-        assert served.same_annotations(route_query(reordered, ads.values(), SCHEMA))
+        self._assert_miss_routed_cold(pattern, ads, reordered)
 
     def test_negative_entry(self, cache, pattern):
         cache.put(pattern, route_query(pattern, [], SCHEMA))
@@ -83,78 +95,83 @@ class TestHitAndRetarget:
 
 
 class TestScopedInvalidation:
-    def _warm(self, cache, ads):
+    """Driven through :class:`RoutingIndex`, which computes each
+    advertisement's superproperty closure once and hands it over."""
+
+    @pytest.fixture
+    def index(self, ads):
+        index = RoutingIndex(SCHEMA)
+        for advertisement in list(ads.values()) + [_ad("P9", N1.prop3)]:
+            index.add(advertisement)
+        return index
+
+    def _warm(self, index):
         """Two entries: the prop1⋈prop2 join and a prop3 singleton
         answered by a disjoint peer."""
         join = paper_query_pattern(SCHEMA)
         solo = _q("{X} n1:prop3 {Y}")
-        p9 = _ad("P9", N1.prop3)
-        everything = list(ads.values()) + [p9]
-        cache.put(join, route_query(join, everything, SCHEMA))
-        cache.put(solo, route_query(solo, everything, SCHEMA))
+        index.route(join)
+        index.route(solo)
         return join, solo
 
-    def test_goodbye_touches_only_annotating_entries(self, cache, ads):
-        join, solo = self._warm(cache, ads)
-        dropped = cache.on_goodbye("P9")
-        assert dropped == 1
-        assert cache.get(solo) is None  # P9 annotated it: gone
-        assert cache.get(join) is not None  # untouched
+    def test_goodbye_touches_only_annotating_entries(self, index):
+        join, solo = self._warm(index)
+        index.remove("P9")
+        assert index.cache.stats.invalidations == 1
+        assert solo not in index.cache  # P9 annotated it: gone
+        assert join in index.cache  # untouched
 
-    def test_goodbye_of_unannotated_peer_is_noop(self, cache, ads):
-        join, solo = self._warm(cache, ads)
-        assert cache.on_goodbye("stranger") == 0
-        assert cache.get(join) is not None
-        assert cache.get(solo) is not None
+    def test_goodbye_of_unannotated_peer_is_noop(self, index):
+        join = paper_query_pattern(SCHEMA)
+        index.route(join)  # P9 (prop3) annotates no cached entry
+        index.remove("P9")
+        index.remove("stranger")
+        assert index.cache.stats.invalidations == 0
+        assert join in index.cache
 
-    def test_new_advertisement_invalidates_by_property_closure(self, cache, ads):
+    def test_new_advertisement_invalidates_by_property_closure(self, index):
         """An ad for prop4 ⊑ prop1 can extend prop1 entries, so the
         join entry drops; the prop3 entry survives."""
-        join, solo = self._warm(cache, ads)
-        cache.on_advertise(_ad("P10", N1.prop4))
-        assert cache.get(join) is None
-        assert cache.get(solo) is not None
+        join, solo = self._warm(index)
+        index.add(_ad("P10", N1.prop4))
+        assert join not in index.cache
+        assert solo in index.cache
+        assert "P10" in index.route(join).all_peers()
 
-    def test_unchanged_readvertise_is_noop(self, cache, ads):
-        join, solo = self._warm(cache, ads)
-        epoch = cache.epoch
-        assert cache.on_advertise(ads["P2"], previous=ads["P2"]) == 0
-        assert cache.epoch == epoch
-        assert cache.get(join) is not None
+    def test_unchanged_readvertise_is_noop(self, index, ads):
+        join, solo = self._warm(index)
+        epoch = index.cache.epoch
+        index.add(ads["P2"])
+        assert index.cache.epoch == epoch
+        assert join in index.cache
 
-    def test_refresh_invalidates_old_footprint_entries(self, cache, ads):
+    def test_refresh_invalidates_old_footprint_entries(self, index):
         """A refresh dropping a property still invalidates entries the
         peer annotates (its rewrites may be stale)."""
-        join, solo = self._warm(cache, ads)
-        narrowed = _ad("P1", N1.prop2)  # P1 stops advertising prop1
-        cache.on_advertise(narrowed, previous=ads["P1"])
-        assert cache.get(join) is None
+        join, solo = self._warm(index)
+        index.add(_ad("P1", N1.prop2))  # P1 stops advertising prop1
+        assert join not in index.cache
+        assert solo in index.cache
 
-    def test_negative_entry_revived_by_relevant_advertise(self, cache):
+    def test_negative_entry_revived_by_relevant_advertise(self):
+        index = RoutingIndex(SCHEMA)
         pattern = _q("{X} n1:prop3 {Y}")
-        cache.put(pattern, route_query(pattern, [], SCHEMA))
-        assert cache.get(pattern) is not None
-        cache.on_advertise(_ad("P9", N1.prop3))
-        assert cache.get(pattern) is None  # must be recomputed
+        index.route(pattern)
+        assert pattern in index.cache
+        index.add(_ad("P9", N1.prop3))
+        assert pattern not in index.cache  # must be recomputed
+        assert index.route(pattern).all_peers() == ("P9",)
 
-    def test_epoch_bumps_on_mutation(self, cache, ads):
-        before = cache.epoch
-        cache.on_advertise(ads["P2"])
-        cache.on_goodbye("P2")
-        assert cache.epoch == before + 2
-
-    def test_unknown_schema_flushes_conservatively(self, pattern, ads):
-        bare = RoutingCache()  # no schema closure registered
-        bare.put(pattern, route_query(pattern, ads.values(), SCHEMA))
-        # prop3 does not subsume prop1/prop2, but without the closure
-        # the cache cannot know that: the schema's entries all drop
-        bare.on_advertise(_ad("P9", N1.prop3))
-        assert bare.get(pattern) is None
+    def test_epoch_bumps_on_mutation(self, index, ads):
+        before = index.cache.epoch
+        index.add(_ad("P2", N1.prop3))
+        index.remove("P2")
+        assert index.cache.epoch == before + 2
 
 
 class TestCapacity:
     def test_eviction_at_max_entries(self, ads):
-        cache = RoutingCache([SCHEMA], max_entries=1)
+        cache = RoutingCache(max_entries=1)
         first = _q("{X} n1:prop1 {Y}")
         second = _q("{X} n1:prop2 {Y}")
         cache.put(first, route_query(first, ads.values(), SCHEMA))
@@ -207,10 +224,3 @@ class TestRoutingIndexIntegration:
             index.add(advertisement)
         annotated = index.route(pattern)
         assert annotated.same_annotations(route_query(pattern, ads.values(), SCHEMA))
-
-    def test_signature_precomputation_matches(self, pattern, ads):
-        cache = RoutingCache([SCHEMA])
-        signature = pattern_signature(pattern)
-        annotated = route_query(pattern, ads.values(), SCHEMA)
-        cache.put(pattern, annotated, signature=signature)
-        assert cache.get(pattern, signature=signature).same_annotations(annotated)

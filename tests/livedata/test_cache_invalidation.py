@@ -75,7 +75,7 @@ def test_view_redefinition_evicts_plans_naming_the_peer_adhoc():
             pass
     planned_peers = {
         peer for entry in coordinator.plan_cache._entries.values()
-        for peer in entry[2]
+        for peer in entry[1]
     }
     assert planned_peers, "no plans cached; scenario is vacuous"
     target = next(
@@ -89,7 +89,7 @@ def test_view_redefinition_evicts_plans_naming_the_peer_adhoc():
     system.run()
     assert coordinator.plan_cache.stats.invalidations > before
     assert not any(
-        target in entry[2]
+        target in entry[1]
         for entry in coordinator.plan_cache._entries.values()
     ), f"a plan naming {target} survived its view redefinition"
     # and the system still answers correctly afterwards
@@ -118,14 +118,14 @@ def test_own_view_redefinition_evicts_own_plans_hybrid():
         except Exception:
             pass
     if not any(
-        "P1" in entry[2] for entry in coordinator.plan_cache._entries.values()
+        "P1" in entry[1] for entry in coordinator.plan_cache._entries.values()
     ):
         return  # no plan names P1 under this seed; covered by adhoc twin
     shot = _OneShot(system, _redefinition_batch(workload, "P1"))
     shot.fire()
     system.run()
     assert not any(
-        "P1" in entry[2] for entry in coordinator.plan_cache._entries.values()
+        "P1" in entry[1] for entry in coordinator.plan_cache._entries.values()
     )
 
 
@@ -158,7 +158,7 @@ def test_duplicated_delta_keeps_cached_plans_adhoc(monkeypatch):
     coordinator = system.peers["P1"]
     _warm(system, workload)
     cache = coordinator.plan_cache
-    planned = {peer for entry in cache._entries.values() for peer in entry[2]}
+    planned = {peer for entry in cache._entries.values() for peer in entry[1]}
     target = next(
         p for p in sorted(planned)
         if p != "P1" and len(_populated(workload, p)) >= 2
@@ -168,7 +168,7 @@ def test_duplicated_delta_keeps_cached_plans_adhoc(monkeypatch):
     system.run()
     assert [m.payload.peer_id for m in seen] == [target]
     _warm(system, workload)
-    assert any(target in entry[2] for entry in cache._entries.values()), (
+    assert any(target in entry[1] for entry in cache._entries.values()), (
         "no plan names the sender after re-warming; scenario is vacuous"
     )
     entries = list(cache._entries)

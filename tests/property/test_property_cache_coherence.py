@@ -36,7 +36,7 @@ def _q(body, select="X, Y"):
 
 
 #: the query mix: the paper's join, its alpha-renamed and reordered
-#: variants (same cache entry), and singletons over each property
+#: variants (each its own cache entry), and singletons over each property
 QUERIES = [
     paper_query_pattern(SCHEMA),
     _q("{A} n1:prop1 {B}, {B} n1:prop2 {C}", select="A, B"),

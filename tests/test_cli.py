@@ -503,9 +503,9 @@ class TestRun:
         lines = [line.split("] ", 1)[-1] if line.startswith("[") else line
                  for line in capsys.readouterr().out.splitlines()]
         crash = lines.index("killed P2 mid-query (SIGKILL)")
-        assert lines[crash + 1].startswith("  q3: ")  # the query it overlaps
+        assert lines[crash + 1].startswith("  client1-q4: ")  # the query it overlaps
         assert lines[crash + 2] == "restarted P2"
-        assert lines[crash + 3].startswith("  q4: ")
+        assert lines[crash + 3].startswith("  client1-q5: ")
 
     def test_loss_kill_supervise_replays_identically(self, capsys):
         """Loss, a crash and its recovery on a resilient run: same
@@ -547,6 +547,33 @@ class TestRun:
         assert {kind for kind, src in after if src == "P2"} == {"DeliveryFailure"}
         assert "1 errors" in capsys.readouterr().out
 
+    def test_query_lines_name_the_outcomes_ids(self, capsys, monkeypatch):
+        """A shed query is re-offered under a fresh id: each query line
+        names the id its outcome carries, the one ``trace --query``
+        takes, not the query's position in the scenario."""
+        from repro.cli import run
+
+        played, ids = run.play, []
+
+        def recording(*args, **kwargs):
+            outcomes = played(*args, **kwargs)
+
+            def tee():
+                for outcome in outcomes:
+                    ids.append(outcome.query_id)
+                    yield outcome
+            return tee()
+
+        monkeypatch.setattr(run, "play", recording)
+        assert main(["run", "--count", "6", "--max-concurrent", "1",
+                     "--max-queued", "0"]) == 0
+        out = capsys.readouterr().out
+        assert " shed " in out  # the load was shed, and re-offered
+        printed = [line.split(":")[0].strip() for line in out.splitlines()
+                   if " -> " in line]
+        assert len(ids) == 6 and printed == ids
+        assert ids != [f"client1-q{n}" for n in range(1, 7)]
+
     @pytest.mark.parametrize("target", [[], ["--live"]], ids=["sim", "live"])
     def test_both_targets_print_one_serving_report(self, target, tmp_path, capsys):
         """The same header, one line per query and the same report block
@@ -556,7 +583,7 @@ class TestRun:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("deployment : hybrid, 1 super-peer(s) + 3 peer(s)")
         assert [line.split(":")[0] for line in lines[1:5]] == [
-            f"  q{index}" for index in range(4)
+            f"  client1-q{n}" for n in range(1, 5)
         ]
         block = lines[5:9]
         assert [line.split(":")[0].strip() for line in block] == [

@@ -119,6 +119,11 @@ MAX_WALL_CLOCK_SLEEPS = 2
 #: one body per target): one ``run`` body plays the scenario on the sim
 #: or a live cluster, and ``play`` dispatches on which
 MAX_PLAY_CALLS_UNDER_CLI = 1
+#: ``.superproperties(`` calls under ``src/repro`` outside ``rdf/`` (4
+#: while the routing cache recomputed the closure the routing index had
+#: already filed an advertisement under): the routing index, the schema
+#: DHT and the encoded scan's touched predicates
+MAX_SUPERPROPERTY_CLOSURE_SITES = 3
 
 
 def _trees(*packages):
@@ -232,6 +237,17 @@ def test_one_advertisement_store_per_node():
         and node.attr in ("known_advertisements", "registry", "indices")
     ]
     assert not found, found
+
+
+def test_superproperty_closure_sites():
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path, tree in _trees()
+        if SRC / "rdf" not in path.parents
+        for call in _calls(tree)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "superproperties"
+    ]
+    assert len(found) <= MAX_SUPERPROPERTY_CLOSURE_SITES, found
 
 
 def test_one_plan_walk_one_shipper():
