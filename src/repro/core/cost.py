@@ -150,7 +150,7 @@ class Statistics:
         into per-byte link costs, replacing the static default.
 
         Costs are rounded to three significant digits before recording
-        so minor histogram drift between folds does not churn
+        so minor drift of the observed means between folds does not churn
         :attr:`version` (and with it every plan cache).
         """
         for (a, b), (mean_delay, mean_bytes) in sorted(observations.items()):

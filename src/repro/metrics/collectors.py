@@ -51,12 +51,11 @@ class MetricSet:
         self._stage_pending: List[Tuple[str, float]] = []
         #: scheduled delivery delay per message kind (repro.obs)
         self.message_delay_by_kind: Dict[str, Histogram] = {}
-        #: observed delivery delay and payload size per directed link —
-        #: the raw material :meth:`link_observations` turns into the
+        #: per directed link, running ``[messages, delay sum, byte sum]``
+        #: — the raw material :meth:`link_observations` turns into the
         #: per-byte link costs cost-based planning folds into
         #: :class:`~repro.core.cost.Statistics`
-        self.link_delay: Dict[Tuple[str, str], Histogram] = {}
-        self.link_bytes: Dict[Tuple[str, str], Histogram] = {}
+        self.link_totals: Dict[Tuple[str, str], List[float]] = {}
         #: how full each shipped binding batch was (repro.channels)
         self.bindings_per_batch = Histogram()
         # concurrent serving (admission control, repro.config): how many
@@ -94,25 +93,22 @@ class MetricSet:
                 histogram = self.message_delay_by_kind[kind] = Histogram()
             histogram.record(delay)
             if src != dst:
-                link = (src, dst)
-                delays = self.link_delay.get(link)
-                if delays is None:
-                    delays = self.link_delay[link] = Histogram()
-                    self.link_bytes[link] = Histogram()
-                delays.record(delay)
-                self.link_bytes[link].record(size)
+                totals = self.link_totals.get((src, dst))
+                if totals is None:
+                    self.link_totals[(src, dst)] = [1, delay, size]
+                else:
+                    totals[0] += 1
+                    totals[1] += delay
+                    totals[2] += size
 
     def link_observations(self) -> Dict[Tuple[str, str], Tuple[float, float]]:
         """Per directed link, the observed ``(mean delay, mean payload
         bytes)`` — what :meth:`Statistics.fold_link_observations`
         consumes to estimate per-byte communication cost."""
-        observations: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        for link, delays in self.link_delay.items():
-            mean_delay = delays.mean
-            mean_bytes = self.link_bytes[link].mean
-            if mean_delay is not None and mean_bytes is not None:
-                observations[link] = (mean_delay, mean_bytes)
-        return observations
+        return {
+            link: (delay / count, size / count)
+            for link, (count, delay, size) in self.link_totals.items()
+        }
 
     def record_query_processed(self, peer_id: str, relevant: bool = True) -> None:
         self.queries_processed[peer_id] += 1

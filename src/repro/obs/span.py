@@ -86,6 +86,8 @@ class Span:
         start: float,
         attributes: Optional[Dict[str, Any]] = None,
     ):
+        # a weak proxy (the tracer's collector keeps this span, so a
+        # strong reference back would make a cycle)
         self._tracer = tracer
         self._ctx: Optional[TraceContext] = None
         self.trace_id = trace_id

@@ -28,6 +28,7 @@ context and the whole query path runs at seed cost.
 from __future__ import annotations
 
 import itertools
+import weakref
 import zlib
 from typing import Any, Callable, Optional
 
@@ -122,6 +123,9 @@ class Tracer:
         self.collector = collector
         self.metrics = metrics
         self._ids = itertools.count(1)
+        #: what a span holds of its tracer: the collector keeps spans,
+        #: so a span points back weakly
+        self._weak = weakref.proxy(self)
         #: appended to every minted span id.  In-sim it stays
         #: empty (one tracer serves the whole network, ids are already
         #: unique and deterministic); each live node process sets it to
@@ -148,7 +152,7 @@ class Tracer:
         else:
             parent_id = None
         span = Span(
-            self,
+            self._weak,
             trace_id,
             f"s{next(self._ids)}{self.id_suffix}",
             parent_id,

@@ -9,8 +9,9 @@ and message dispatch.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..channels.manager import ChannelManager
 from ..channels.packets import DataPacket, SubPlanPacket
@@ -35,6 +36,11 @@ if TYPE_CHECKING:
 
 #: completed subplans remembered for retransmit replay (per peer)
 SUBPLAN_REPLAY_LIMIT = 128
+
+
+def _not_joined() -> None:
+    """The network of a peer that has not joined one."""
+    return None
 
 
 class PeerBase:
@@ -135,7 +141,8 @@ class Peer:
         #: and every table this peer ships is packed through it
         self.dictionary = TermDictionary()
         self.channels = ChannelManager(peer_id, self.dictionary)
-        self.network: Optional[Network] = None
+        #: the network this peer joined, held weakly (see :attr:`network`)
+        self._network: Callable[[], Optional[Network]] = _not_joined
         #: channel ids whose roots changed plans: stop streaming to them
         #: (entries live only while the stream they cancel is in flight)
         self._cancelled_streams: set = set()
@@ -216,18 +223,28 @@ class Peer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
+    @property
+    def network(self) -> Optional[Network]:
+        """The network this peer joined, or None before it joins and
+        once that network is gone.  The network owns its nodes, so the
+        peer holds it weakly: a peer never keeps its network alive."""
+        return self._network()
+
     def join(self, network: Network) -> None:
         """Register with the network (subclasses extend with protocol
         handshakes: pushing or pulling advertisements)."""
         network.register(self)
-        self.network = network
+        self._network = weakref.ref(network)
         # discarded-binding accounting flows through the channel manager
         self.channels.bind_metrics(network.metrics)
 
     def _require_network(self) -> Network:
-        if self.network is None:
-            raise PeerError(f"peer {self.peer_id} has not joined a network")
-        return self.network
+        network = self._network()
+        if network is None:
+            if self._network is _not_joined:
+                raise PeerError(f"peer {self.peer_id} has not joined a network")
+            raise PeerError(f"peer {self.peer_id} outlived its network")
+        return network
 
     def send(self, dst: str, payload, trace=None) -> None:
         """Send a payload; ``trace`` optionally carries a

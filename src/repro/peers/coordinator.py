@@ -24,6 +24,7 @@ caches, statistics, quarantine).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from functools import partial
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
@@ -130,13 +131,14 @@ class QueryCoordinator:
     """The query-coordination pipeline of one simple peer.
 
     Args:
-        peer: The hosting :class:`~repro.peers.simple.SimplePeer`; its
+        peer: The hosting :class:`~repro.peers.simple.SimplePeer`, held
+            weakly (the peer owns its coordinator); its
             ``_obtain_routing`` / ``_handle_incomplete`` are the two
             points where the hybrid and ad-hoc architectures differ.
     """
 
     def __init__(self, peer):
-        self.peer = peer
+        self.peer = weakref.proxy(peer)
         self._pending: Dict[str, PendingQuery] = {}
         #: answered queries of resubmitting clients remembered (bounded
         #: FIFO) so their duplicate QuerySubmits are served idempotently

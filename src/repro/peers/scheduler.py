@@ -17,6 +17,7 @@ stay bit-identical.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict, deque
 from typing import Callable, Deque
 
@@ -26,7 +27,8 @@ class FairScheduler:
     simulator clock.
 
     Args:
-        network: The simulator whose ``call_later`` paces the pump.
+        network: The simulator whose ``call_later`` paces the pump,
+            held weakly (it owns the peer that owns this scheduler).
         quantum: Virtual time charged per executed work unit (models a
             slice of peer CPU).  ``0.0`` keeps all units at the same
             timestamp but still interleaves them one event apiece.
@@ -35,7 +37,7 @@ class FairScheduler:
     def __init__(self, network, quantum: float = 0.25):
         if quantum < 0:
             raise ValueError("quantum must be >= 0")
-        self.network = network
+        self.network = weakref.proxy(network)
         self.quantum = quantum
         self._queues: "OrderedDict[str, Deque[Callable[[], None]]]" = OrderedDict()
         self._pumping = False

@@ -14,6 +14,8 @@ through it; what differs between them stays on the role.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import DEFAULT_CONFIG
@@ -34,24 +36,33 @@ class _NoHolder:
     config = DEFAULT_CONFIG
 
 
+def _invalidation_event(network: weakref.ref, peer_id: str, count: int) -> None:
+    """One routing-cache invalidation batch, as a flight-recorder event
+    of the holder's network while that network exists."""
+    live = network()
+    if live is not None:
+        live.emit_event("cache_invalidate", peer=peer_id, entries=count)
+
+
 class SONRegistry:
     """The advertisements one node holds, grouped into SONs by
     community schema URI.
 
     Args:
         holder: The :class:`~repro.peers.base.Peer` whose knowledge
-            this is.  The registry reads its ``config`` (caching, and
-            quarantine at the moment of use), ``network`` (counters,
-            flight-recorder events, spans) and ``state_store`` (the
-            durable log) as they are when a verb runs; without a holder
-            it is a plain in-memory store.
+            this is, held weakly (the peer owns its registry).  The
+            registry reads its ``config`` (caching, and quarantine at
+            the moment of use), ``network`` (counters, flight-recorder
+            events, spans) and ``state_store`` (the durable log) as they
+            are when a verb runs; without a holder it is a plain
+            in-memory store.
         schemas: The community schemas the node holds.  Only their SONs
             can be routed over; an advertisement of any other SON is
             kept and listed, and annotates nothing.
     """
 
     def __init__(self, holder=None, schemas: Iterable[Schema] = ()):
-        self.holder = holder if holder is not None else _NoHolder
+        self.holder = weakref.proxy(holder) if holder is not None else _NoHolder
         self._reset(schemas)
 
     def _reset(self, schemas: Iterable[Schema]) -> None:
@@ -73,8 +84,8 @@ class SONRegistry:
     def _bind(self, index: RoutingIndex, network) -> None:
         if index.cache is not None:
             index.cache.bind_metrics(network.metrics)
-            index.cache.on_invalidate = lambda count: network.emit_event(
-                "cache_invalidate", peer=self.holder.peer_id, entries=count
+            index.cache.on_invalidate = partial(
+                _invalidation_event, weakref.ref(network), self.holder.peer_id
             )
 
     def hold(self, schema: Schema) -> None:

@@ -16,7 +16,6 @@ from typing import Deque, Dict, Iterable, List, Optional
 from ..config import DEFAULT_CONFIG, PeerConfig
 from ..core.annotations import AnnotatedQueryPattern, PeerAnnotation
 from ..core.cost import Statistics
-from ..errors import PeerError
 from ..livedata.updates import AdvertiseDelta
 from ..mappings.articulation import Articulation
 from ..net.message import Message
@@ -115,12 +114,9 @@ class SuperPeer(Peer):
         cluster member.  The caller drives it (``poll()`` per round, or
         a bounded ``start(rounds)``); beats arrive automatically via
         :meth:`handle_Heartbeat`."""
-        network = self.network
-        if network is None:
-            raise PeerError(f"super-peer {self.peer_id} has not joined a network")
         detector = FailureDetector(
             self.peer_id,
-            network,
+            self._require_network(),
             suspicion_timeout=suspicion_timeout,
             interval=interval,
             on_suspect=self.sons.suspect,
@@ -257,9 +253,10 @@ class SuperPeer(Peer):
             self._serve_route_request(message)
             return
         network = self._require_network()
-        if len(self._route_queue) >= admission.max_queued:
+        if self._route_service_busy and len(self._route_queue) >= admission.max_queued:
             # the routing service is saturated: refuse with a back-off
-            # hint instead of queueing unboundedly
+            # hint instead of queueing unboundedly (an idle service
+            # takes the request whatever ``max_queued`` is)
             request: RouteRequest = message.payload
             network.metrics.count("queries_shed")
             network.emit_event(

@@ -12,6 +12,7 @@ they are heard from again.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set
 
@@ -86,7 +87,8 @@ class FailureDetector:
 
     Args:
         owner: The observing peer's id (tracing only).
-        network: The simulator (supplies the clock and ``call_later``).
+        network: The simulator (supplies the clock and ``call_later``),
+            held weakly: it owns the super-peer that owns this detector.
         suspicion_timeout: How far (virtual time) a watched peer may
             lag behind the *freshest* observation of any watched peer
             before it is suspected.  Relative to the watermark rather
@@ -116,7 +118,7 @@ class FailureDetector:
         if suspicion_timeout <= 0 or interval <= 0:
             raise ValueError("timeout and interval must be positive")
         self.owner = owner
-        self.network = network
+        self.network = weakref.proxy(network)
         self.suspicion_timeout = suspicion_timeout
         self.interval = interval
         self.on_suspect = on_suspect

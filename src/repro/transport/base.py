@@ -9,6 +9,7 @@ above it is transport-agnostic.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 
@@ -21,10 +22,18 @@ class Transport:
     """
 
     kind: str = "abstract"
+    _network: Optional[weakref.ref] = None
 
     def bind(self, network) -> None:
         """Attach the owning network (called once, from ``Network``)."""
-        self.network = network
+        self._network = weakref.ref(network)
+
+    @property
+    def network(self):
+        """The owning network, held weakly (it owns this transport);
+        None before :meth:`bind` and once that network is gone."""
+        ref = self._network
+        return None if ref is None else ref()
 
     # -- clock ---------------------------------------------------------
     @property

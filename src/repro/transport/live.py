@@ -207,7 +207,6 @@ class AsyncioTransport(Transport):
         self.hold_unroutable = hold_unroutable
         self.loop = asyncio.new_event_loop()
         self._epoch = self.loop.time()
-        self.network = None
         self.book: Dict[str, Address] = {}
         self._conns: Dict[Address, _Link] = {}
         self._inbound: List[asyncio.Transport] = []
@@ -394,8 +393,9 @@ class AsyncioTransport(Transport):
 
     def _dispatch(self, kind: str, body: dict) -> None:
         if kind == "msg":
-            if self.network is not None:
-                self.network.deliver_remote(decode_message(body, self._held_schemas()))
+            network = self.network
+            if network is not None:
+                network.deliver_remote(decode_message(body, self._held_schemas()))
         elif kind == "hello":
             addr = decode_as(Address, body.get("addr"))
             for node_id in decode_as(Tuple[str, ...], body.get("nodes", [])):
@@ -444,5 +444,6 @@ class AsyncioTransport(Transport):
         held = self._held.get(message.dst, [])
         if message in held:
             held.remove(message)
-            if self.network is not None:
-                self.network.bounce_remote(message)
+            network = self.network
+            if network is not None:
+                network.bounce_remote(message)

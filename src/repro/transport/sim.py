@@ -25,7 +25,6 @@ class SimTransport(Transport):
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        self.network = None
 
     @property
     def now(self) -> float:

@@ -116,7 +116,7 @@ class TestVerdictReversal:
         node.attach_durability(PeerStateStore(MemoryStore(), "N"))
         node.sons.suspect("P2")
         assert node.state_store.recover().quarantined == {"P2"}
-        return node
+        yield node  # a node holds its network weakly: keep it until teardown
 
     def test_restore_is_logged(self, node):
         assert node.sons.restore("P2")

@@ -1,13 +1,23 @@
-"""The no-cycle wall: an answered query dies by reference counting.
+"""The no-cycle wall: an answered query, and a dropped deployment, die
+by reference counting.
 
 Every object a query builds — its executors, their continuations,
 channels, shipped subplans and id tables — must be freed the moment the
 query is answered, without CPython's cyclic collector: a reference
 cycle left behind costs collector time on every query and keeps the
-query's tables alive until the next collection.  Each case runs a
+query's tables alive until the next collection.  Each query case runs a
 seeded workload under one execution strategy with the collector off,
 then checks that a collection finds nothing and that no executor
 outlived the run.
+
+The same holds one level up.  Ownership goes one way — the network owns
+its transport and its nodes, a peer owns its coordinator, SON registry,
+scheduler and failure detector, a tracer's collector owns its spans —
+and every reference back to an owner is weak.  So the last reference
+to a deployment frees all of it at once: each deployment case answers
+queries, drops the deployment with the collector off, and checks that
+its network is already gone and that a collection finds nothing.  A
+peer that outlives its network says so with a ``PeerError``.
 """
 
 from __future__ import annotations
@@ -19,7 +29,11 @@ from functools import partial
 
 import pytest
 
+from repro.config import AdmissionControl
+from repro.errors import PeerError
+from repro.livedata import LiveDataDriver, UpdateStream
 from repro.peers.base import Peer
+from repro.resilience.harness import heartbeat_round
 from repro.systems import AdhocSystem
 from repro.workloads import PAPER_QUERY, adhoc_scenario
 
@@ -137,3 +151,98 @@ def test_replan_after_crash_frees_by_refcount(built, policy):
         warm_up=partial(run_queries, system, workload),
     )
     assert max(built[1].values()) > 1, "the crash caused no replan"
+
+
+# ----------------------------------------------------------------------
+# whole deployments
+# ----------------------------------------------------------------------
+# each builder returns what a holder of the deployment keeps: the
+# system first
+def answered_hybrid(workload):
+    system = build_hybrid(workload)
+    run_queries(system, workload)
+    return (system,)
+
+
+def answered_resilient_hybrid(workload):
+    system = build_hybrid(workload)
+    system.enable_resilience()
+    heartbeat_round(system)
+    run_queries(system, workload)
+    heartbeat_round(system)
+    system.run()
+    return (system,)
+
+
+def answered_scheduled_hybrid(workload):
+    system = build_hybrid(workload)
+    system.enable_admission(AdmissionControl(max_concurrent=1, max_queued=4))
+    system.enable_fair_scheduling()
+    for text in workload.queries:  # all in flight at once: some park
+        system.submit(workload.peer_ids[0], text)
+    system.run()
+    return (system,)
+
+
+def answered_updated_hybrid(workload):
+    """After one live-data revision, which the driver injected."""
+    system = build_hybrid(workload)
+    stream = UpdateStream(
+        workload.synthetic.schema, workload.bases, seed=SEED, revisions=1, rate=0.2
+    )
+    driver = LiveDataDriver(system, stream)
+    driver.inject(0)
+    system.run()
+    assert driver.acked(1)
+    run_queries(system, workload)
+    return system, driver
+
+
+def answered_adhoc(workload):
+    system = build_adhoc(workload)
+    run_queries(system, workload)
+    return (system,)
+
+
+DEPLOYMENTS = {
+    "hybrid": answered_hybrid,
+    "hybrid-resilient": answered_resilient_hybrid,
+    "hybrid-admission-fair": answered_scheduled_hybrid,
+    "hybrid-updated": answered_updated_hybrid,
+    "adhoc": answered_adhoc,
+}
+
+
+@pytest.mark.parametrize("answered", DEPLOYMENTS.values(), ids=list(DEPLOYMENTS))
+def test_dropped_deployment_frees_by_refcount(answered):
+    """The deployment answered its queries (the warm state: caches,
+    histograms, spans, remembered answers); dropping the last reference
+    to it frees its network at once, and leaves no cyclic garbage."""
+    held = answered(make_workload(SEED, peers=4))
+    network = weakref.ref(held[0].network)
+    gc.collect()
+    gc.disable()
+    try:
+        del held
+        outlived = network() is not None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not outlived, "the network outlived its deployment"
+    assert found == 0, (
+        f"{found} objects in reference cycles after the drop: "
+        f"{garbage.most_common(12)}"
+    )
+
+
+def test_a_peer_that_outlives_its_network_raises_peer_error():
+    (system,) = answered_hybrid(make_workload(SEED, peers=4))
+    peer = system.peers["P1"]
+    del system
+    assert peer.network is None
+    with pytest.raises(PeerError, match="outlived its network"):
+        peer.send("P2", object())

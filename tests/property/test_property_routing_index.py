@@ -101,7 +101,9 @@ class TestRegistryEquivalence:
     def test_route_matches_cold_scan_of_survivors(self, script):
         uri = SCHEMA.namespace.uri
         config = PeerConfig(resilience=ResilienceConfig.default(0))
-        registry = SuperPeer("SP", schemas=[SCHEMA], config=config).sons
+        # the registry holds its peer weakly: keep the peer referenced
+        holder = SuperPeer("SP", schemas=[SCHEMA], config=config)
+        registry = holder.sons
         held, suspected = {}, set()
         for kind, *args in script + [("route", query) for query in QUERIES]:
             if kind == "add":

@@ -565,14 +565,34 @@ class TestRun:
             return tee()
 
         monkeypatch.setattr(run, "play", recording)
+        # arrivals fast enough that a coordinator is busy when the next
+        # query reaches it
         assert main(["run", "--count", "6", "--max-concurrent", "1",
-                     "--max-queued", "0"]) == 0
+                     "--max-queued", "0", "--arrival-rate", "20"]) == 0
         out = capsys.readouterr().out
         assert " shed " in out  # the load was shed, and re-offered
         printed = [line.split(":")[0].strip() for line in out.splitlines()
                    if " -> " in line]
         assert len(ids) == 6 and printed == ids
         assert ids != [f"client1-q{n}" for n in range(1, 7)]
+
+    def test_a_zero_queue_bound_still_answers_what_it_admits(self, capsys):
+        """``--max-queued 0`` parks nothing: a coordinator or routing
+        service that is busy refuses, one that is idle serves.  So each
+        query is either shed or answered exactly as without admission
+        control; none fails because the super-peer refused every route
+        request."""
+        def outcomes(*admission):
+            assert main(["run", "--count", "6", *admission]) == 0
+            return [line.split(": ", 1)[1] for line in
+                    capsys.readouterr().out.splitlines() if " -> " in line]
+
+        free = outcomes()
+        bounded = outcomes("--max-concurrent", "1", "--max-queued", "0")
+        assert len(bounded) == len(free) == 6
+        for limited, unlimited in zip(bounded, free):
+            assert limited.endswith("shed (0 rows)") or limited == unlimited
+        assert any("-> ok" in line for line in bounded)
 
     @pytest.mark.parametrize("target", [[], ["--live"]], ids=["sim", "live"])
     def test_both_targets_print_one_serving_report(self, target, tmp_path, capsys):
