@@ -133,17 +133,18 @@ class ChannelManager:
             span=span,
         )
         self._channels[channel_id] = channel
-        self._count("subplans_shipped", len(channel.outputs))
-        columns = tuple(output.columns for output in channel.outputs)
+        outputs = channel.outputs
+        self._count("subplans_shipped", len(outputs))
+        columns = tuple([output.columns for output in outputs])
         packet = SubPlanPacket(
-            channel_id=channel_id,
-            plans=tuple(output.plan for output in channel.outputs),
-            sites=dict(sites or {}),
-            root_peer=self.owner,
-            query_id=query_id,
-            columns=columns if any(c is not None for c in columns) else (),
-            retransmits=retry is not None,
-            schema=schema,
+            channel_id,
+            tuple([output.plan for output in outputs]),
+            dict(sites) if sites else {},
+            self.owner,
+            query_id,
+            columns if columns.count(None) < len(columns) else (),
+            retry is not None,
+            schema,
         )
         network.send(Message(self.owner, destination, packet, trace=span.context()))
         if retry is not None:
@@ -205,11 +206,13 @@ class ChannelManager:
             return
         outputs = channel.outputs
         seen = channel.received_seqs
-        if packet.seq in seen or any(i >= len(outputs) for i, _ in packet.tables):
+        if packet.seq in seen:
             # duplicated in flight, or replayed after a retransmit the
             # original answer raced: never union the same rows twice
-            # (nor index past what this channel shipped)
             return
+        for index, _ in packet.tables:
+            if index >= len(outputs):
+                return  # nor index past what this channel shipped
         seen.add(packet.seq)
         if packet.failed_peer is not None:
             channel.fail()
@@ -217,21 +220,22 @@ class ChannelManager:
             return
         if packet.final:
             channel.final_seq = packet.seq
+        rows = 0
         for index, table in self.on_dictionary(packet):
             output = outputs[index]
-            output.rows += len(table)
+            output.rows += table.length
+            rows += table.length
             if output.progress is not None:
                 output.progress(table)
             else:
                 output.chunks.append(table)
-        rows = packet.rows
         channel.record_tuples(rows)
         if channel.span:  # a recording span: skip the text otherwise
             channel.span.annotate(
                 f"data seq={packet.seq} rows={rows}"
                 + (" final" if packet.final else "")
             )
-        if channel.final_seq is None or len(seen) < channel.final_seq + 1:
+        if channel.final_seq is None or len(seen) <= channel.final_seq:
             return  # chunks still outstanding
         channel.close()
         self._finish(channel, None)

@@ -16,6 +16,7 @@ their rows total at most ``batch_size`` (a lone subplan's answer is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +66,7 @@ class SubPlanPacket:
     schema: Optional[Schema] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self) -> int:
-        scans = sum(count_scans(plan) for plan in self.plans)
+        scans = sum(map(count_scans, self.plans))
         # a requested header is charged as a table's header is
         asked = sum(table_size_bytes(h, 0, ()) for h in self.columns if h is not None)
         return 128 + 96 * scans + 16 * len(self.sites) + asked
@@ -161,32 +162,36 @@ class DataPacket:
                 else distinct_union([table], header)
                 for table, header in zip(tables, columns)
             ]
-        groups: List[List[Tuple[int, BindingBatch]]] = []
-        for turn in zip_longest(*(table.split(chunk) for table in tables)):
-            room = 0  # a packet never mixes two turns: pacing sends by turn
-            for output, part in enumerate(turn):
-                if part is None:
-                    continue  # this output's table ended a turn ago
-                if not groups or part.length > room:
-                    groups.append([])
-                    room = chunk
-                room -= part.length
-                groups[-1].append((output, part))
+        # each packet's (output indices, tables)
+        groups: List[Tuple[List[int], List[BindingBatch]]] = []
+        if tables and sum(table.length for table in tables) <= chunk:
+            groups.append((range(len(tables)), tables))  # one turn, one packet
+        else:
+            for turn in zip_longest(*(table.split(chunk) for table in tables)):
+                room = 0  # a packet never mixes two turns: pacing sends by turn
+                for output, part in enumerate(turn):
+                    if part is None:
+                        continue  # this output's table ended a turn ago
+                    if not groups or part.length > room:
+                        groups.append(([], []))
+                        room = chunk
+                    room -= part.length
+                    groups[-1][0].append(output)
+                    groups[-1][1].append(part)
         last = len(groups) - 1
         resolve = dictionary.decode_many
-        return [
-            cls(
-                channel_id,
-                tuple(zip(
-                    (output for output, _ in group),
-                    EncodedTable.of_batches([part for _, part in group], resolve),
-                )),
-                final=index == last,
-                seq=index,
-                cardinalities=(cardinalities or {}) if index == 0 else {},
+        packets = []
+        for index, (outputs, parts) in enumerate(groups):
+            packed, size = EncodedTable.pack(parts, resolve)
+            counts = (cardinalities or {}) if index == 0 else {}
+            packet = cls(
+                channel_id, tuple(zip(outputs, packed)), index == last, None, index,
+                counts,
             )
-            for index, group in enumerate(groups)
-        ]
+            # the packing pass measured the packet: seed size_bytes' memo
+            vars(packet)["_size"] = 64 + size + 16 * len(counts)
+            packets.append(packet)
+        return packets
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -199,8 +204,13 @@ class DataPacket:
         return sum(table.length for _, table in self.tables)
 
     def size_bytes(self) -> int:
-        # each table's header and cells (its output index rides in the
-        # header), then the packet's one term list
+        return self._size
+
+    @cached_property
+    def _size(self) -> int:
+        """The modelled size, worked out once (:meth:`stream` fills it
+        in as it packs): each table's header and cells (its output
+        index rides in the header), then the packet's one term list."""
         tables = sum(
             table_size_bytes(t.columns, len(t.columns) * t.length, ())
             for _, t in self.tables

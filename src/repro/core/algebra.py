@@ -257,7 +257,9 @@ def substitute_hole(plan: PlanNode, hole: Hole, replacement: PlanNode) -> PlanNo
 
 def count_scans(plan: PlanNode) -> int:
     """The number of scan leaves = subqueries shipped to peers."""
-    return sum(1 for node in plan.walk() if isinstance(node, Scan))
+    if isinstance(plan, Scan):
+        return 1
+    return sum(map(count_scans, plan.children()))
 
 
 def depth(plan: PlanNode) -> int:

@@ -128,9 +128,10 @@ class AnnotatedQueryPattern:
         after failures, Section 2.5)."""
         out = AnnotatedQueryPattern(self.query_pattern)
         for pattern in self.query_pattern:
-            for annotation in self.annotations(pattern):
-                if annotation.peer_id not in excluded:
-                    out.annotate(pattern, annotation)
+            # a subset of annotations already unique per peer
+            out.extend_trusted(pattern, [
+                a for a in self.annotations(pattern) if a.peer_id not in excluded
+            ])
         return out
 
     def __iter__(self) -> Iterator[PathPattern]:

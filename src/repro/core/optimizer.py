@@ -86,12 +86,17 @@ def distribute_joins_over_unions(
     The rewrite is skipped when it would exceed ``max_terms`` join
     combinations.
     """
-    plan = flatten(plan)
+    return _distribute(flatten(plan), cost_model, max_terms)
+
+
+def _distribute(
+    plan: PlanNode, cost_model: Optional[CostModel], max_terms: int
+) -> PlanNode:
+    """:func:`distribute_joins_over_unions` of a flat plan: its
+    children are flat already, so the recursion never flattens again."""
     if isinstance(plan, (Scan, Hole)):
         return plan
-    children = [
-        distribute_joins_over_unions(c, cost_model, max_terms) for c in plan.children()
-    ]
+    children = [_distribute(c, cost_model, max_terms) for c in plan.children()]
     if isinstance(plan, Union):
         return union_of(children)
     # plan is a Join over optimised children
@@ -108,8 +113,11 @@ def distribute_joins_over_unions(
         return join_of(children)
     if cost_model is not None and not _distribution_beneficial(plan, cost_model):
         return join_of(children)
+    # each combination's inputs are flat: flattening their join only
+    # splices the inputs that are joins themselves
     terms = [
-        flatten(join_of(list(combo))) for combo in itertools.product(*union_children)
+        join_of([g for e in combo for g in (e.children() if type(e) is Join else (e,))])
+        for combo in itertools.product(*union_children)
     ]
     return union_of(terms)
 
@@ -129,12 +137,18 @@ def merge_same_peer_scans(plan: PlanNode) -> PlanNode:
     there.  A join whose inputs all merge into one scan collapses to
     that scan (Rule 1); partial merges reduce the join arity (Rule 2).
     """
-    plan = flatten(plan)
+    return _merge(flatten(plan))
+
+
+def _merge(plan: PlanNode) -> PlanNode:
+    """:func:`merge_same_peer_scans` of a flat plan, which stays flat:
+    a join's rewritten inputs are scans, holes and unions, a union's
+    are scans, holes and joins."""
     if isinstance(plan, (Scan, Hole)):
         return plan
-    children = [merge_same_peer_scans(c) for c in plan.children()]
+    children = [_merge(c) for c in plan.children()]
     if isinstance(plan, Union):
-        return flatten(union_of(children))
+        return union_of(children)
     merged: List[PlanNode] = []
     scans_by_peer: dict = {}
     for child in children:
@@ -170,10 +184,15 @@ def order_joins_by_cost(plan: PlanNode, cost_model: CostModel) -> PlanNode:
     O(n log n) instead of O(2^n).  Holes (unroutable patterns) keep
     their conventional last position.
     """
-    plan = flatten(plan)
+    return _order(flatten(plan), cost_model)
+
+
+def _order(plan: PlanNode, cost_model: CostModel) -> PlanNode:
+    """:func:`order_joins_by_cost` of a flat plan (reordering keeps it
+    flat)."""
     if isinstance(plan, (Scan, Hole)):
         return plan
-    children = [order_joins_by_cost(c, cost_model) for c in plan.children()]
+    children = [_order(c, cost_model) for c in plan.children()]
     if isinstance(plan, Union):
         return union_of(children)
     children.sort(
@@ -202,7 +221,7 @@ def optimize(
     trace = OptimizationTrace(flatten(plan))
     current = trace.result
     if distribute:
-        current = distribute_joins_over_unions(current, cost_model)
+        current = _distribute(current, cost_model, MAX_DISTRIBUTED_TERMS)
         trace.record("distribute joins/unions", current)
     if merge:
         current = merge_same_peer_scans(current)

@@ -44,7 +44,7 @@ from ..rdf.graph import Graph
 from ..rdf.inference import InferredView
 from ..rdf.schema import Schema
 from ..rdf.terms import URI, Term
-from ..rql.bindings import BindingTable, table_size_bytes
+from ..rql.bindings import BindingTable, table_size_bytes, terms_size_bytes
 from ..rql.evaluator import path_triple_matches
 from ..rql.pattern import SchemaPath
 from .batch import BindingBatch
@@ -85,7 +85,7 @@ class EncodedTable:
         positions = defaultdict(count().__next__)
         position = positions.__getitem__
         ids = [
-            tuple(tuple(map(position, batch.data[c])) for c in batch.columns)
+            tuple([tuple(map(position, batch.data[c])) for c in batch.columns])
             for batch in batches
         ]
         terms = tuple(resolve(positions))
@@ -93,6 +93,20 @@ class EncodedTable:
             cls(batch.columns, terms, cells, batch.length)
             for batch, cells in zip(batches, ids)
         )
+
+    @classmethod
+    def pack(
+        cls, batches: Sequence[BindingBatch], resolve: Callable
+    ) -> Tuple[Tuple["EncodedTable", ...], int]:
+        """:meth:`of_batches`, and the packed tables' modelled wire
+        size with them: each table's header and cells, and their one
+        term list once (:func:`~repro.rql.bindings.table_size_bytes`)."""
+        tables = cls.of_batches(batches, resolve)
+        size = terms_size_bytes(tables[0].terms) if tables else 0
+        for table in tables:
+            columns = table.columns
+            size += table_size_bytes(columns, len(columns) * table.length, ())
+        return tables, size
 
     @classmethod
     def of_terms(cls, table: BindingTable) -> "EncodedTable":
@@ -287,25 +301,31 @@ def evaluate_scan_encoded(scan: Scan, base: EncodedBase) -> BindingBatch:
     ints and terms materialise only at the final answer.
     """
     patterns = scan.patterns()
+    if len(patterns) == 1:
+        # a lone pattern's columns are the cache's own lists, which
+        # ``apply_delta`` patches in place: hand out copies, so a query
+        # holding this batch across an update keeps what it scanned
+        (pattern,) = patterns
+        subjects, objects = base.pattern_columns(pattern.schema_path)
+        return _pattern_batch(pattern, subjects, objects, copy=True)
     result: Optional[BindingBatch] = None
     for pattern in patterns:
-        subjects, objects = base.pattern_columns(pattern.schema_path)
-        columns = pattern.variables()
-        data: Dict[str, List[int]] = {}
-        if pattern.subject_var:
-            data[pattern.subject_var] = subjects
-        if pattern.object_var:
-            data[pattern.object_var] = objects
-        if columns:
-            batch = BindingBatch(columns, data)
-        else:
-            batch = BindingBatch((), length=len(subjects))
+        batch = _pattern_batch(pattern, *base.pattern_columns(pattern.schema_path))
         result = batch if result is None else result.hash_join(batch)
-    if result is None:
-        return BindingBatch(())
-    if len(patterns) == 1:
-        # a lone pattern's batch still holds the cache's own lists,
-        # which ``apply_delta`` patches in place: copy them, so a query
-        # holding this batch across an update keeps what it scanned
-        return result.project(result.columns)
-    return result
+    return result if result is not None else BindingBatch(())
+
+
+def _pattern_batch(
+    pattern, subjects: List[int], objects: List[int], copy: bool = False
+) -> BindingBatch:
+    """One pattern's matches as a batch over its variables (over
+    copies of the id columns it keeps, with ``copy``)."""
+    columns = pattern.variables()
+    if not columns:
+        return BindingBatch((), length=len(subjects))
+    data: Dict[str, List[int]] = {}
+    if pattern.subject_var:
+        data[pattern.subject_var] = list(subjects) if copy else subjects
+    if pattern.object_var:
+        data[pattern.object_var] = list(objects) if copy else objects
+    return BindingBatch(columns, data)

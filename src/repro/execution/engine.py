@@ -30,10 +30,12 @@ semantics, or [Ives02]'s phased salvage).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+import weakref
+from collections import Counter, deque
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Protocol, Tuple,
+)
 
 if TYPE_CHECKING:  # annotation only — imported lazily to avoid a cycle
     # (channels.manager uses execution.batch for stream assembly)
@@ -68,10 +70,10 @@ class ExecutorHost(Protocol):
         scheduler when one is installed, immediately otherwise."""
 
 
-@dataclass(frozen=True)
-class ExecutionStrategy:
+class ExecutionStrategy(NamedTuple):
     """How one attempt runs its plan — chosen once, by
-    :meth:`repro.peers.base.Peer.plan_executor`.
+    :meth:`repro.peers.base.Peer.plan_executor` (an immutable record:
+    every executor builds one, so it costs a tuple).
 
     Attributes:
         stream: Incremental operators and per-chunk channels instead of
@@ -127,7 +129,8 @@ class PlanExecutor:
 
     The executor opens an ``execute`` span under ``strategy.trace``
     covering its whole lifetime; every channel it opens stitches under
-    that span.
+    that span.  It holds ``network`` weakly: the network owns the peers
+    that own executors, so an executor never keeps its network alive.
     """
 
     def __init__(
@@ -141,9 +144,9 @@ class PlanExecutor:
         strategy: ExecutionStrategy = ExecutionStrategy(),
     ):
         self.host = host
-        self.network = network
+        self._network = weakref.ref(network)
         self.plans = plans
-        self.sites = dict(sites or {})
+        self.sites = dict(sites) if sites else {}
         #: the site entries below a root grouped by their first two path
         #: elements, so shipping a subtree reads only its own branch's
         self._branches: Dict[TreePath, List[Tuple[TreePath, str]]] = {}
@@ -169,6 +172,15 @@ class PlanExecutor:
         #: what the walk found bound for each remote site: the outputs
         #: and their placement, keyed ``(output index, *tree path)``
         self._shipments: Dict[str, Tuple[List[Output], Dict[TreePath, str]]] = {}
+        #: the roots that are scans of the local base, ``(output index,
+        #: scan)`` in the order their work units were scheduled
+        self._scans: deque = deque()
+
+    @property
+    def network(self) -> Optional[Network]:
+        """The network shipping this executor's subtrees (None once
+        it is gone)."""
+        return self._network()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -176,7 +188,12 @@ class PlanExecutor:
     def start(self) -> None:
         """Begin execution; completion arrives via ``on_complete``.
         The walk reaches every remote subtree before it returns, so
-        each destination gets exactly one channel."""
+        each destination gets exactly one channel.
+
+        A root that scans the local base is the cheap case: its table
+        is all the root emits, so it is one work unit that runs the
+        scan and hands its table on — no operator, no per-root
+        continuation.  A hosted shipment of scans is nothing else."""
         if self._finished:
             return  # aborted before its scheduled start
         self.span = self.network.tracer.stage(
@@ -186,7 +203,12 @@ class PlanExecutor:
             query=self.query_id,
             pipelined=self.strategy.stream,
         )
+        here = self.host.peer_id
         for output, plan in enumerate(self.plans):
+            if type(plan) is Scan and self._site_of(plan, (output,)) == here:
+                self._scans.append((output, plan))
+                self.host.schedule_work(self.query_id, self._scan_root)
+                continue
             emit = partial(self._emit, output)
             self._walk(plan, (output,), emit, self._done, self._needed[output])
         retry, trace = self.strategy.retry, self.span.context()
@@ -199,6 +221,14 @@ class PlanExecutor:
                     self.strategy.schema,
                 )
             )
+
+    def _scan_root(self) -> None:
+        """A work unit: the next local scan root, run."""
+        if self._finished:
+            return  # answered or aborted before this unit ran
+        output, scan = self._scans.popleft()
+        self._emit(output, self.host.local_scan(scan))
+        self._done()
 
     def _emit(self, output: int, chunk: BindingBatch) -> None:
         """A root's output: one table when gathering, a chunk at a
@@ -292,7 +322,8 @@ class PlanExecutor:
             else BindingBatch(self._emits(plan, (output,), self._needed[output]))
             for output, (plan, chunks) in enumerate(zip(self.plans, self._output))
         ]
-        self.span.set(rows=sum(map(len, tables)), reused_rows=self.reused_rows)
+        if self.span:  # a recording span: a stage timer keeps no attributes
+            self.span.set(rows=sum(map(len, tables)), reused_rows=self.reused_rows)
         self.span.finish()
         self._settle()(tables, None)
 

@@ -280,12 +280,12 @@ class Network:
                 self.metrics.record_batch(message.payload.rows)
             self.transport.transmit_remote(message)
             return
-        link = self.link(message.src, message.dst)
-        delay = link.delay(message.size)
+        kind = message.kind
+        delay = self.link(message.src, message.dst).delay(message.size)
         self.metrics.record_message(
-            message.kind, message.src, message.dst, message.size, delay=delay
+            kind, message.src, message.dst, message.size, delay=delay
         )
-        if message.kind == "DataPacket":
+        if kind == "DataPacket":
             # batched-shipping accounting: each DataPacket carries
             # one binding batch; how full it is drives the batch-size
             # experiments (bench_batch_size)
@@ -299,10 +299,11 @@ class Network:
         if message.dst in self._down and self.omniscient_bounces:
             self._bounce(message, delay)
             return
-        self._schedule(delay, lambda: self._deliver(message))
+        schedule = self.transport.schedule_delivery
+        schedule(delay, message)
         if faults is not None and faults.duplicates(message):
             self.metrics.count("duplicated_messages")
-            self._schedule(delay + faults.extra_delay(), lambda: self._deliver(message))
+            schedule(delay + faults.extra_delay(), message)
 
     def _bounce(self, message: Message, delay: Optional[float] = None) -> None:
         """Schedule a metered :class:`DeliveryFailure` back to the sender
@@ -312,9 +313,11 @@ class Network:
         if delay is None:
             delay = self.link(message.dst, message.src).delay(bounce.size)
         self.metrics.record_message(bounce.kind, bounce.src, bounce.dst, bounce.size)
-        self._schedule(delay, lambda: self._deliver(bounce))
+        self.transport.schedule_delivery(delay, bounce)
 
-    def _deliver(self, message: Message) -> None:
+    def deliver(self, message: Message) -> None:
+        """Hand a message whose link delay has elapsed to its
+        destination node (or bounce, or drop, it)."""
         if message.dst in self._down:
             # destination failed while the message was in flight
             if isinstance(message.payload, DeliveryFailure):
@@ -348,7 +351,7 @@ class Network:
         simulator's omniscient bounces stand in for."""
         bounce = Message(message.dst, message.src, DeliveryFailure(message))
         self.metrics.record_message(bounce.kind, bounce.src, bounce.dst, bounce.size)
-        self._schedule(0.0, lambda: self.deliver_remote(bounce))
+        self.transport.schedule_delivery(0.0, bounce, remote=True)
 
     def _schedule(self, delay: float, action: Callable[[], None]) -> None:
         self.transport.schedule(delay, action)

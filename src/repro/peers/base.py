@@ -215,7 +215,10 @@ class Peer:
 
     def base_for_property(self, prop) -> Optional[PeerBase]:
         """The base whose schema declares ``prop`` (multi-SON dispatch)."""
-        for candidate in self.all_bases():
+        base = self.base
+        if base is not None and base.schema.has_property(prop):
+            return base
+        for candidate in self.secondary_bases:
             if candidate.schema.has_property(prop):
                 return candidate
         return None
@@ -448,17 +451,16 @@ class Peer:
         local base (the statistics their result stream carries to the
         channel root)."""
         counts: Dict[str, int] = {}
-        for pattern in (p for plan in packet.plans for p in plan.patterns()):
-            prop = pattern.schema_path.property
-            if prop.value in counts:
-                continue
-            base = self.base_for_property(prop)
-            if base is None:
-                continue
-            # cached on the columnar twin: O(1) after the first ask
-            counts[prop.value] = base.encoded_base(self.dictionary).property_count(
-                prop
-            )
+        for plan in packet.plans:
+            for pattern in plan.patterns():
+                prop = pattern.schema_path.property
+                if prop.value in counts:
+                    continue
+                base = self.base_for_property(prop)
+                if base is not None:
+                    # cached on the columnar twin: O(1) after the first ask
+                    encoded = base.encoded_base(self.dictionary)
+                    counts[prop.value] = encoded.property_count(prop)
         return counts
 
     def handle_DataPacket(self, message: Message) -> None:

@@ -72,10 +72,9 @@ class AdvertisementTracker:
                 derived = ActiveSchema.from_view(view, self.base.schema, "_")
                 merged = derived if merged is None else merged.merge(derived)
             return frozenset(p.property for p in (merged or ActiveSchema("_")))
+        graph = self.base.graph
         return frozenset(
-            prop
-            for prop in self.base.schema.properties
-            if next(self.base.graph.triples(None, prop, None), None) is not None
+            prop for prop in self.base.schema.properties if graph.has(predicate=prop)
         )
 
     def mark_advertised(self) -> None:

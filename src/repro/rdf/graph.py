@@ -9,11 +9,14 @@ supported through :meth:`Graph.triples`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 from .terms import ObjectTerm, SubjectTerm, Term, URI
 from .triple import Triple
 from .vocabulary import TYPE
+
+#: the bucket of a key no triple has (never a fresh set per lookup)
+_NO_TRIPLES: FrozenSet[Triple] = frozenset()
 
 
 class Graph:
@@ -121,18 +124,37 @@ class Graph:
         subject: Optional[Term],
         predicate: Optional[URI],
         obj: Optional[Term],
-    ) -> Optional[Set[Triple]]:
+    ) -> Optional[AbstractSet[Triple]]:
         """Pick the smallest index bucket covering the bound slots."""
         buckets = []
         if subject is not None:
-            buckets.append(self._by_subject.get(subject, set()))
+            buckets.append(self._by_subject.get(subject, _NO_TRIPLES))
         if predicate is not None:
-            buckets.append(self._by_predicate.get(predicate, set()))
+            buckets.append(self._by_predicate.get(predicate, _NO_TRIPLES))
         if obj is not None:
-            buckets.append(self._by_object.get(obj, set()))
+            buckets.append(self._by_object.get(obj, _NO_TRIPLES))
         if not buckets:
             return None
         return min(buckets, key=len)
+
+    def has(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[URI] = None,
+        obj: Optional[Term] = None,
+    ) -> bool:
+        """Whether any triple matches the pattern (``None`` a wildcard):
+        with one slot bound, whether its index holds the key (a bucket
+        emptied by removals is dropped); with more, the first match in
+        the smallest bucket."""
+        if subject is None and obj is None:
+            if predicate is None:
+                return bool(self._triples)
+            return bool(self._by_predicate.get(predicate))
+        candidates = self._candidate_set(subject, predicate, obj)
+        if (subject is None) + (predicate is None) + (obj is None) == 2:
+            return bool(candidates)
+        return any(t.matches(subject, predicate, obj) for t in candidates)
 
     def subjects(self, predicate: Optional[URI] = None, obj: Optional[Term] = None) -> Iterator[Term]:
         """Yield distinct subjects of triples matching ``(?, predicate, obj)``."""

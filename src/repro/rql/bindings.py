@@ -24,18 +24,18 @@ Row = Tuple[Term, ...]
 def terms_size_bytes(terms: Iterable[Term]) -> int:
     """The one wire-size rule of a term list: each distinct URI
     namespace once, each URI as its local part plus a 2-byte namespace
-    index, any other term (and a URI with no ``#`` or ``/``) as its
-    rendering — never more than the renderings alone."""
+    index, any other term as its rendering — never more than the
+    renderings alone (a URI with no ``#`` or ``/`` has an empty
+    namespace and its whole value as local part: its rendering)."""
     size, namespaces = 0, set()
     named = namespaces.add
     for term in terms:
         if type(term) is URI:
             namespace, local = term.split
-            if namespace:
-                named(namespace)
-                size += len(local) + 2
-                continue
-        size += len(term.n3())
+            named(namespace)
+            size += len(local) + 2
+        else:
+            size += len(term.n3())
     return size + sum(map(len, namespaces))
 
 
@@ -43,8 +43,8 @@ def table_size_bytes(columns: Sequence[str], cells: int, terms: Iterable[Term]) 
     """The one wire-size rule of a binding table: a header, the column
     names, an int32 per cell and its *distinct* terms as one term list
     — what :class:`~repro.execution.encoded.EncodedTable` ships."""
-    header = 16 + sum(len(c) + 2 for c in columns)
-    return header + 4 * cells + terms_size_bytes(terms)
+    header = 16 + 2 * len(columns) + sum(map(len, columns))
+    return header + 4 * cells + (terms_size_bytes(terms) if terms else 0)
 
 
 class BindingTable:

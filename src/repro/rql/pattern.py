@@ -73,7 +73,10 @@ class PathPattern:
             (marked ``*`` in the paper's pattern drawings).
     """
 
-    __slots__ = ("label", "schema_path", "subject_var", "object_var", "projected", "_hash")
+    __slots__ = (
+        "label", "schema_path", "subject_var", "object_var", "projected", "_hash",
+        "_variables",
+    )
 
     def __init__(
         self,
@@ -91,17 +94,16 @@ class PathPattern:
         object.__setattr__(self, "_hash", hash(
             (label, schema_path, subject_var, object_var, self.projected)
         ))
+        # asked for at every scan and every shipped subplan's header
+        object.__setattr__(
+            self, "_variables", tuple(v for v in (subject_var, object_var) if v)
+        )
 
     def __setattr__(self, name, val):
         raise AttributeError("PathPattern is immutable")
 
     def variables(self) -> Tuple[str, ...]:
-        out = []
-        if self.subject_var:
-            out.append(self.subject_var)
-        if self.object_var:
-            out.append(self.object_var)
-        return tuple(out)
+        return self._variables
 
     def shares_variable_with(self, other: "PathPattern") -> bool:
         return bool(set(self.variables()) & set(other.variables()))

@@ -75,22 +75,20 @@ class ActiveSchema:
     def from_base(
         cls, base: Graph, schema: Schema, peer_id: Optional[str] = None
     ) -> "ActiveSchema":
-        """Scan a materialised base for its populated schema fragment.
+        """Read a materialised base's populated schema fragment off its
+        indexes, at a cost of one lookup per schema term.
 
-        A property is populated when at least one statement asserts it;
-        a class is populated when at least one resource is typed with it
-        (materialised scenario of Section 2.2).
+        A property is populated when at least one statement asserts it
+        (the predicate index holds it); a class is populated when at
+        least one resource is typed with it (an ``rdf:type`` statement
+        in its object index) — the materialised scenario of Section 2.2.
         """
         paths = []
         for prop in schema.properties:
-            if next(base.triples(None, prop, None), None) is not None:
+            if base.has(predicate=prop):
                 definition = schema.property_def(prop)
                 paths.append(SchemaPath(definition.domain, prop, definition.range))
-        classes = [
-            t.object
-            for t in base.triples(None, TYPE, None)
-            if isinstance(t.object, URI) and schema.has_class(t.object)
-        ]
+        classes = [c for c in schema.classes if base.has(None, TYPE, c)]
         return cls(schema.namespace.uri, paths, classes, peer_id)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,16 @@ above it is transport-agnostic.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Callable, Optional
+
+
+def _deliver(network: weakref.ref, remote: bool, message) -> None:
+    """A scheduled delivery: hand ``message`` to the network, if it is
+    still there."""
+    owner = network()
+    if owner is not None:
+        (owner.deliver_remote if remote else owner.deliver)(message)
 
 
 class Transport:
@@ -45,6 +54,13 @@ class Transport:
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action`` after ``delay`` virtual-time units."""
         raise NotImplementedError
+
+    def schedule_delivery(self, delay: float, message, remote: bool = False) -> None:
+        """Deliver ``message`` through the owning network after
+        ``delay`` (``remote``: as a frame from the wire).  What waits
+        in the queue is the message and a weak reference to the
+        network, so a message in flight never keeps its network alive."""
+        self.schedule(delay, partial(_deliver, self._network, remote, message))
 
     # -- remote addressing ---------------------------------------------
     def routes(self, dst: str) -> bool:

@@ -213,17 +213,15 @@ DEPLOYMENTS = {
 }
 
 
-@pytest.mark.parametrize("answered", DEPLOYMENTS.values(), ids=list(DEPLOYMENTS))
-def test_dropped_deployment_frees_by_refcount(answered):
-    """The deployment answered its queries (the warm state: caches,
-    histograms, spans, remembered answers); dropping the last reference
-    to it frees its network at once, and leaves no cyclic garbage."""
-    held = answered(make_workload(SEED, peers=4))
+def assert_drop_frees_by_refcount(held) -> None:
+    """Dropping ``held``, the last reference to a deployment (its
+    system first), frees its network at once and leaves no cyclic
+    garbage."""
     network = weakref.ref(held[0].network)
     gc.collect()
     gc.disable()
     try:
-        del held
+        del held[:]
         outlived = network() is not None
         gc.set_debug(gc.DEBUG_SAVEALL)
         found = gc.collect()
@@ -237,6 +235,28 @@ def test_dropped_deployment_frees_by_refcount(answered):
         f"{found} objects in reference cycles after the drop: "
         f"{garbage.most_common(12)}"
     )
+
+
+@pytest.mark.parametrize("answered", DEPLOYMENTS.values(), ids=list(DEPLOYMENTS))
+def test_dropped_deployment_frees_by_refcount(answered):
+    """The deployment answered its queries (the warm state: caches,
+    histograms, spans, remembered answers); dropping the last reference
+    to it frees its network at once, and leaves no cyclic garbage."""
+    assert_drop_frees_by_refcount(list(answered(make_workload(SEED, peers=4))))
+
+
+def test_deployment_dropped_mid_query_frees_by_refcount():
+    """Dropped with a query in flight — messages queued, executors
+    waiting on channels — the deployment still goes at once: a queued
+    message holds its network weakly, and so does an executor."""
+    workload = make_workload(SEED, peers=4)
+    system = build_hybrid(workload)
+    system.submit(workload.peer_ids[0], workload.queries[0])
+    system.network.run(until=system.network.now + 2)
+    assert system.network.pending_events(), "the query finished before the drop"
+    held = [system]
+    del system
+    assert_drop_frees_by_refcount(held)
 
 
 def test_a_peer_that_outlives_its_network_raises_peer_error():

@@ -7,14 +7,18 @@ import json
 
 import pytest
 
+from repro.channels.packets import SubPlanPacket
 from repro.cli import main
+from repro.core.algebra import Scan
 from repro.deploy import ClusterSpec, build_sim_system, build_workload
 from repro.membership import MembershipManager
 from repro.net.message import Message
 from repro.net.simulator import Network
 from repro.obs import StageTimer, Tracer, stitch_summaries, stitch_trace_exports
 from repro.obs.tracer import SAMPLE_EVERY, sampled
+from repro.peers.base import Peer
 from repro.peers.protocol import QuerySubmit
+from repro.peers.scheduler import FairScheduler
 from repro.scenario import Crash, Query, Scenario, play
 from repro.systems import HybridSystem
 from repro.transport.codec import (
@@ -172,6 +176,91 @@ class TestUnsampledQuery:
         system.query("P1", PAPER_QUERY)
         system.query("P1", PAPER_QUERY)
         assert not system.network.trace_collector.summaries
+
+
+def _scan_only_shipments(sent):
+    """The shipments of scans alone among ``sent``: a destination runs
+    each as scan roots, with no operator."""
+    return [
+        m for m in sent
+        if isinstance(m.payload, SubPlanPacket)
+        and all(type(plan) is Scan for plan in m.payload.plans)
+    ]
+
+
+class TestHostedScanShipments:
+    """A destination serving scans alone keeps its stage: a sampled
+    query's shipment runs in an ``execute`` span under the shipping
+    ``channel`` span, an unsampled one still times ``execute`` once."""
+
+    def test_a_sampled_shipment_executes_under_its_channel_span(self, system, sent):
+        system.query("P1", PAPER_QUERY)  # client1-q1: sampled
+        shipments = _scan_only_shipments(sent)
+        assert shipments
+        spans = system.network.trace_collector.spans("client1-q1")
+        for message in shipments:
+            (channel,) = [
+                s for s in spans
+                if s.name == "channel"
+                and s.attributes.get("channel") == message.payload.channel_id
+            ]
+            executes = [
+                s for s in spans
+                if s.name == "execute" and s.parent_id == channel.span_id
+            ]
+            assert [s.peer_id for s in executes] == [message.dst]
+            assert executes[0].status == "ok" and executes[0].end is not None
+
+    def test_an_unsampled_shipment_adds_one_execute_observation(self, system, sent):
+        system.query("P1", PAPER_QUERY)
+        metrics = system.network.metrics
+        before = metrics.stage_latency["execute"].count
+        first = len(sent)
+        system.query("P1", PAPER_QUERY)  # client1-q2: not sampled
+        shipped = [m for m in sent[first:] if isinstance(m.payload, SubPlanPacket)]
+        assert shipped and all(m.trace is None for m in shipped)
+        assert _scan_only_shipments(shipped) == shipped
+        # one per hosted shipment, and the coordinator's own executor
+        assert metrics.stage_latency["execute"].count - before == len(shipped) + 1
+
+    def test_fair_scheduling_runs_each_hosted_scan_as_a_work_unit(
+        self, system, sent, monkeypatch
+    ):
+        """Every scan a destination serves runs inside a work unit its
+        scheduler pumped, one unit per scan."""
+        system.enable_fair_scheduling(quantum=0.25)
+        pumping, scans = [], []
+        pump, local_scan = FairScheduler._pump, Peer.local_scan
+
+        def pumped(scheduler):
+            pumping.append(scheduler)
+            try:
+                pump(scheduler)
+            finally:
+                pumping.pop()
+
+        def scanned(peer, scan):
+            in_unit = bool(pumping) and pumping[-1] is peer.scheduler
+            scans.append((peer.peer_id, scan, in_unit))
+            return local_scan(peer, scan)
+
+        monkeypatch.setattr(FairScheduler, "_pump", pumped)
+        monkeypatch.setattr(Peer, "local_scan", scanned)
+        units = {p: peer.scheduler.executed for p, peer in system.peers.items()}
+        system.query("P1", PAPER_QUERY)
+        hosted = [
+            (m.dst, plan.render())
+            for m in _scan_only_shipments(sent)
+            for plan in m.payload.plans
+        ]
+        assert hosted
+        served = [(p, scan.render()) for p, scan, _ in scans if p != "P1"]
+        assert sorted(served) == sorted(hosted)
+        assert all(in_unit for _, _, in_unit in scans)
+        for destination in {d for d, _ in hosted}:
+            executed = system.peers[destination].scheduler.executed - units[destination]
+            # its shipment's start, then one unit per scan
+            assert executed >= 1 + sum(d == destination for d, _ in hosted)
 
 
 class TestRetention:
